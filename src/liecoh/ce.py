@@ -23,20 +23,16 @@ The differential is then re-expressed in the invariant bases; that this is
 possible at all is a consistency check on the assembly, not an assumption.
 When no constraints are present (trivial isotropy, no generators) the
 invariant space is the full wedge space and the differential is kept as a
-sparse matrix, with ranks taken modulo a random large prime unless an exact
-certificate is requested.
+sparse matrix.  Every rank is exact: sparse differentials are ranked through
+their columns as {row: value} rows, since rank(A) = rank(A^T).
 """
 
 import os
-import random
 from itertools import combinations
-from math import gcd
-
-import numpy as np
 
 from .betti import BettiReport
-from .linalg import (F0, F1, _echelon_int, feye, fzeros, inverse, is_zero,
-                     kernel_basis, random_prime_over_2_30, rank, solve_many)
+from .linalg import (F0, F1, feye, fzeros, inverse, is_zero, kernel_basis,
+                     rank, solve_many)
 from .pairs import validate_pair
 
 DEFAULT_SIZE_CAP = 14
@@ -343,108 +339,30 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     return RelativeComplex(pair, ann, q, top, dims, bases, deltas)
 
 
-def _sparse_rank_modp(delta, p):
-    """Rank of a sparse differential modulo p (never above the true rank)."""
-    mat = np.zeros((delta.nrows, delta.ncols), dtype=np.int64)
-    for col, entries in delta.cols.items():
-        for row, v in entries:
-            if v.denominator % p == 0:
-                raise ValueError("denominator divisible by modulus")
-            mat[row, col] = v.numerator % p * pow(v.denominator, -1, p) % p
-    rk = 0
-    for c in range(delta.ncols):
-        nz = np.nonzero(mat[rk:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = rk + int(nz[0])
-        if pr != rk:
-            mat[[rk, pr]] = mat[[pr, rk]]
-        mat[rk] = mat[rk] * pow(int(mat[rk, c]), -1, p) % p
-        lead = mat[rk + 1:, c]
-        hits = np.nonzero(lead)[0]
-        if hits.size:
-            block = mat[rk + 1:]
-            block[hits] = (block[hits] - np.outer(lead[hits], mat[rk])) % p
-        rk += 1
-        if rk == delta.nrows:
-            break
-    return rk
+def _delta_rank(delta):
+    """Exact rank of a restricted differential, dense or sparse."""
+    if isinstance(delta, _SparseDelta):
+        return rank([dict(entries) for entries in delta.cols.values()],
+                    delta.nrows)
+    return rank(delta)
 
 
-def _sparse_rank_exact(delta):
-    """Exact rational rank of a sparse differential (integer echelon)."""
-    rows = {}
-    for col, entries in delta.cols.items():
-        for row, v in entries:
-            rows.setdefault(row, {})[col] = v
-    int_rows = []
-    for vals in rows.values():
-        den = 1
-        for v in vals.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        dense = [0] * delta.ncols
-        for col, v in vals.items():
-            dense[col] = int(v * den)
-        int_rows.append(dense)
-    _, pivots = _echelon_int(int_rows, delta.ncols)
-    return len(pivots)
-
-
-def _delta_ranks(cx, certify, rng):
-    """Ranks of the restricted differentials; returns (ranks, exact, prime)."""
-    ranks = []
-    prime = None
-    exact = True
-    for delta in cx.deltas:
-        if isinstance(delta, _SparseDelta):
-            if certify:
-                ranks.append(_sparse_rank_exact(delta))
-                continue
-            while True:
-                if prime is None:
-                    prime = random_prime_over_2_30(rng)
-                try:
-                    ranks.append(_sparse_rank_modp(delta, prime))
-                    break
-                except ValueError:
-                    prime = None
-            exact = False
-        else:
-            ranks.append(rank(delta))
-    return ranks, exact, prime
-
-
-def betti_ce(pair, max_degree=None, certify=False, seed=0, size_cap=None,
-             validate=True):
-    """Betti numbers from the invariant cochain complex.
-
-    Ranks on unconstrained degrees use a random prime modulus (seeded) as a
-    fast path; certify=True forces exact rational ranks everywhere.  A
-    negative Betti number is impossible, so if the fast path produces one
-    the ranks are recomputed exactly before reporting.
-    """
+def betti_ce(pair, max_degree=None, size_cap=None, validate=True):
+    """Betti numbers from the invariant cochain complex (exact ranks)."""
     cx = relative_complex(pair, max_degree=max_degree, size_cap=size_cap,
                           validate=validate)
-    rng = random.Random(seed)
-    ranks, exact, prime = _delta_ranks(cx, certify, rng)
+    ranks = [_delta_rank(delta) for delta in cx.deltas]
     betti = [cx.dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
              for k in range(cx.max_degree + 1)]
-    if min(betti) < 0 and not exact:
-        ranks, exact, prime = _delta_ranks(cx, True, rng)
-        betti = [cx.dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
-                 for k in range(cx.max_degree + 1)]
     if betti[0] != 1:
         raise RuntimeError("degree-0 cohomology is not one-dimensional; "
                            "the quotient must be connected")
-    alg = pair.algebra
     return BettiReport(
         betti, "ce",
         intermediates={"quotient_dim": cx.quotient_dim,
                        "max_degree": cx.max_degree},
         diagnostics={"complex_dims": cx.dims[:cx.max_degree + 1],
-                     "ranks": ranks,
-                     "certified": exact,
-                     "modular_prime": prime})
+                     "ranks": ranks})
 
 
 def poincare_check(report, dim_quotient):

@@ -1,7 +1,7 @@
 """Command-line interface: compute, verify, oracle, catalog.
 
-Exit codes: 0 success, 1 I/O or parse error, 2 validation failure (the
-check report is printed), 3 method disagreement in verify.
+Exit codes: 0 success, 1 I/O, parse or usage error, 2 validation failure
+(the check report is printed), 3 method disagreement in verify.
 """
 
 import argparse
@@ -14,7 +14,6 @@ from .betti import betti_low
 from .catalog import emit, entries
 from .ce import betti_ce
 from .koszul import betti_koszul
-from .liealg import validate
 from .linalg import rat_str
 from .pairs import HomogeneousPair, validate_pair
 
@@ -53,11 +52,11 @@ def _load_pair(path):
 
 
 def _ensure_valid(pair):
-    for report in (validate(pair.algebra), validate_pair(pair)):
-        if not report.ok:
-            raise _CliError(2, report.describe())
-        for warning in report.warnings:
-            print("warning: %s" % warning, file=sys.stderr)
+    report = validate_pair(pair)
+    if not report.ok:
+        raise _CliError(2, report.describe())
+    for warning in report.warnings:
+        print("warning: %s" % warning, file=sys.stderr)
 
 
 def _print_report(report, explain):
@@ -87,9 +86,9 @@ def cmd_compute(args):
     return 0
 
 
-def _run_ce(pair, args, max_degree, certify):
-    return betti_ce(pair, max_degree=max_degree, certify=certify,
-                    seed=args.seed, size_cap=args.size_cap, validate=False)
+def _run_ce(pair, args, max_degree):
+    return betti_ce(pair, max_degree=max_degree, size_cap=args.size_cap,
+                    validate=False)
 
 
 def cmd_oracle(args):
@@ -99,7 +98,7 @@ def cmd_oracle(args):
         report = betti_koszul(pair, validate=False)
     else:
         try:
-            report = _run_ce(pair, args, args.max_degree, args.certify)
+            report = _run_ce(pair, args, args.max_degree)
         except ValueError as exc:
             raise _CliError(2, str(exc))
     if args.json:
@@ -136,25 +135,15 @@ def cmd_verify(args):
             report = betti_koszul(pair, validate=False)
         else:
             try:
-                report = _run_ce(pair, args, 4, args.certify)
+                report = _run_ce(pair, args, 4)
             except ValueError as exc:
                 notes.append("ce skipped: %s" % exc)
                 continue
         elapsed[method] = time.perf_counter() - start
         reports[method] = report
 
-    def agreement_map():
-        return {k: len({_padded(r, 4)[k] for r in reports.values()}) == 1
-                for k in range(5)}
-
-    agreement = agreement_map()
-    if not all(agreement.values()) and "ce" in reports \
-            and not reports["ce"].diagnostics.get("certified", True):
-        start = time.perf_counter()
-        reports["ce"] = _run_ce(pair, args, 4, True)
-        elapsed["ce"] += time.perf_counter() - start
-        notes.append("ce re-run with exact ranks after a disagreement")
-        agreement = agreement_map()
+    agreement = {k: len({_padded(r, 4)[k] for r in reports.values()}) == 1
+                 for k in range(5)}
     status = "pass" if all(agreement.values()) else "fail"
 
     if args.json:
@@ -214,10 +203,6 @@ def _add_common(parser, max_degree=False):
                         help="machine-readable output (sorted keys)")
     parser.add_argument("--explain", action="store_true",
                         help="include slice dimensions and ranks")
-    parser.add_argument("--certify", action="store_true",
-                        help="exact rational ranks everywhere (no modular fast path)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the modular-rank prime (default 0)")
     parser.add_argument("--size-cap", type=int, default=None,
                         help="override the quotient-dimension cap for the cochain method")
     if max_degree:
@@ -225,8 +210,16 @@ def _add_common(parser, max_degree=False):
                             help="highest cohomology degree to compute")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as exit code 1 instead of argparse's 2."""
+
+    def error(self, message):
+        raise _CliError(1, "%s%s: error: %s"
+                        % (self.format_usage(), self.prog, message))
+
+
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liecoh",
         description="Betti numbers of compact homogeneous spaces from "
                     "rational Lie-theoretic input")
@@ -266,8 +259,8 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _CliError as exc:
         print(exc.message, file=sys.stdout if exc.code == 2 else sys.stderr)

@@ -1,9 +1,11 @@
 """Exact rational linear algebra on numpy object arrays of Fractions.
 
 Matrices here are dense 2-D numpy arrays with dtype=object whose entries are
-fractions.Fraction.  Rank/kernel elimination is fraction-free: each row is
-cleared to integers once (lcm of denominators), then eliminated with the
-gcd-scaled two-term update, so no rationals appear inside the hot loop.
+fractions.Fraction.  Every rank and kernel goes through one exact engine,
+_sparse_echelon: each row is cleared to integers once (lcm of denominators)
+and held as a {col: int} dict, then eliminated with the gcd-scaled two-term
+update, so no rationals appear inside the hot loop and the cost tracks the
+nonzero structure.
 
 Ordering conventions used throughout the package: symmetric index pairs are
 (i, j) with i <= j in lexicographic order, exterior tuples are strictly
@@ -12,11 +14,8 @@ increasing tuples in lexicographic order (itertools.combinations order).
 
 from fractions import Fraction
 from math import gcd
-import logging
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -78,160 +77,15 @@ def is_zero(arr):
 # fraction-free elimination core
 # ---------------------------------------------------------------------------
 
-def _int_rows(m):
-    """Clear each row of a Fraction matrix to coprime integers (rank-safe)."""
-    out = []
-    for row in m:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
-
-
-def _echelon_int(rows, ncols):
-    """In-place integer row echelon; returns (nonzero rows, pivot columns).
-
-    Elimination uses the gcd-scaled two-term update
-        row_i <- (piv//g)*row_i - (lead//g)*row_r
-    followed by a gcd renormalization of row_i, which keeps entries small
-    without any exact-division bookkeeping.
-    """
-    nrows = len(rows)
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            lead = rows[i][c]
-            if lead:
-                g = gcd(piv, lead)
-                a, b = piv // g, lead // g
-                ri, rr = rows[i], rows[r]
-                new = [a * ri[j] - b * rr[j] for j in range(ncols)]
-                g2 = 0
-                for v in new:
-                    g2 = gcd(g2, v)
-                if g2 > 1:
-                    new = [v // g2 for v in new]
-                rows[i] = new
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
-
-
-def rank(m):
-    """Exact rank over the rationals (fraction-free elimination)."""
-    m = np.asarray(m)
-    if m.size == 0:
-        return 0
-    rows, ncols = m.shape
-    _, pivots = _echelon_int(_int_rows(m), ncols)
-    return len(pivots)
-
-
-def rank_modp(m, p):
-    """Rank of the same matrix over F_p; always <= the rational rank.
-
-    Raises ValueError if some denominator vanishes mod p (pick another prime).
-    """
-    m = np.asarray(m)
-    if m.size == 0:
-        return 0
-    nrows, ncols = m.shape
-    rows = []
-    for row in m:
-        r = []
-        for x in row:
-            if x.denominator % p == 0:
-                raise ValueError("denominator divisible by modulus")
-            r.append(x.numerator * pow(x.denominator, -1, p) % p)
-        rows.append(r)
-    rk = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(rk, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[rk], rows[pr] = rows[pr], rows[rk]
-        inv = pow(rows[rk][c], -1, p)
-        rows[rk] = [v * inv % p for v in rows[rk]]
-        for i in range(rk + 1, nrows):
-            f = rows[i][c]
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rk])]
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
-
-
-def rank_checked(m, p):
-    """Rational rank, with the mod-p fast path logged when it disagrees."""
-    rq = rank(m)
-    rp = rank_modp(m, p)
-    if rp != rq:
-        log.warning("modular rank %d < rational rank %d (p=%d); rational wins",
-                    rp, rq, p)
-    return rq
-
-
-def _is_probable_prime(n):
-    """Deterministic Miller-Rabin for n < 3.3e24."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime_over_2_30(rng):
-    """A random prime > 2**30 drawn from the supplied random.Random."""
-    while True:
-        cand = rng.randrange(2 ** 30 + 1, 2 ** 31) | 1
-        if _is_probable_prime(cand):
-            return cand
-
-
 def _int_rows_sparse(m):
-    """Sparse variant of _int_rows: one {col: int} dict per nonzero row."""
+    """Clear each nonzero row to coprime integers, as one {col: int} dict.
+
+    Rows are dense sequences or sparse {col: Fraction} dicts.
+    """
     out = []
     for row in m:
-        nz = [(j, x) for j, x in enumerate(row) if x]
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        nz = [(j, x) for j, x in items if x]
         if not nz:
             continue
         den = 1
@@ -250,10 +104,12 @@ def _int_rows_sparse(m):
 def _sparse_echelon(rows, ncols):
     """Integer row echelon on sparse rows; returns (pivot rows, pivot columns).
 
-    rows is a list of {col: int} dicts, consumed destructively.  The update
-    is the same gcd-scaled two-term combination as _echelon_int, but a
-    column -> live rows index means each pivot only touches the rows that
-    actually contain the pivot column, so cost tracks the nonzero structure.
+    rows is a list of {col: int} dicts, consumed destructively.  Elimination
+    uses the gcd-scaled two-term update
+        row_i <- (piv//g)*row_i - (lead//g)*row_r
+    followed by a gcd renormalization of row_i, which keeps entries small
+    without any exact-division bookkeeping.  A column -> live rows index
+    means each pivot only touches the rows that contain the pivot column.
     """
     by_col = {}
     for idx, r in enumerate(rows):
@@ -304,6 +160,21 @@ def _sparse_echelon(rows, ncols):
         out_rows.append(prow)
         pivots.append(c)
     return out_rows, pivots
+
+
+def rank(m, ncols=None):
+    """Exact rank over the rationals.
+
+    m is a dense Fraction matrix, or a list of sparse {col: Fraction} rows
+    with the column count given as ncols.
+    """
+    if ncols is None:
+        m = np.asarray(m)
+        if m.size == 0:
+            return 0
+        ncols = m.shape[1]
+    _, pivots = _sparse_echelon(_int_rows_sparse(m), ncols)
+    return len(pivots)
 
 
 def kernel_basis(m):

@@ -15,7 +15,7 @@ integrate to a closed subgroup.  That trust boundary is the caller's.
 import numpy as np
 
 from .invariant_forms import fixed_vectors
-from .liealg import LieAlgebra, ValidationReport, center_and_derived, is_bracket_closed
+from .liealg import LieAlgebra, center_and_derived, is_bracket_closed, validate
 from .linalg import (Subspace, feye, fmat, fr, fzeros, intersect, is_zero,
                      orth_complement, rat_str, subspace_sum)
 
@@ -58,6 +58,9 @@ class HomogeneousPair:
             return cls(algebra, fzeros(n, 0), generators)
         cols = fzeros(n, len(vectors))
         for j, v in enumerate(vectors):
+            if len(v) != n:
+                raise ValueError("subalgebra basis vector %d has %d entries, "
+                                 "expected %d" % (j, len(v), n))
             for i in range(n):
                 cols[i, j] = fr(v[i])
         return cls(algebra, cols, generators)
@@ -123,12 +126,13 @@ def generator_order(gamma, bound=256):
 def validate_pair(pair, order_bound=256):
     """Check every HomogeneousPair invariant; returns a ValidationReport.
 
-    Generator order beyond order_bound is a warning, not a failure: the
+    The report starts with validate(pair.algebra)'s checks, so one call
+    gates the whole input.  Generator order beyond order_bound is a warning, not a failure: the
     order check only exists to flag inputs that cannot describe a finite
     component group.
     """
     alg = pair.algebra
-    rep = ValidationReport()
+    rep = validate(alg)
     n = alg.n
     eye = feye(n)
 

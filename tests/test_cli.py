@@ -5,7 +5,10 @@ import subprocess
 import sys
 
 from liecoh import catalog
+from liecoh.betti import betti_low
 from liecoh.cli import main
+from liecoh.liealg import ValidationError
+from liecoh.pairs import HomogeneousPair
 
 
 def _emit(tmp_path, name, fname="pair.json"):
@@ -25,6 +28,19 @@ JACOBI_TYPO_DOC = {
         "name": "su(2)", "dim": 3,
         "structure_constants": [[0, 1, 2, "2"], [1, 2, 1, "2"],
                                 [0, 2, 1, "-2"]]}]},
+    "subalgebra": {"basis": []},
+}
+
+# su(2) + su(2) declared as one 6-dimensional factor, plus a stray constant
+# [e_0, e_3] = e_5: the algebra fails Jacobi and simplicity, the pair checks
+# alone would pass
+FUSED_FACTOR_DOC = {
+    "algebra": {"center_dim": 0, "factors": [{
+        "name": "su(2)+su(2)", "dim": 6,
+        "structure_constants": [[0, 1, 2, "2"], [1, 2, 0, "2"],
+                                [0, 2, 1, "-2"], [3, 4, 5, "2"],
+                                [4, 5, 3, "2"], [3, 5, 4, "-2"],
+                                [0, 3, 5, "1"]]}]},
     "subalgebra": {"basis": []},
 }
 
@@ -66,6 +82,11 @@ def test_wrong_shape_document_is_input_error(tmp_path, capsys):
     code = main(["compute", path])
     assert code == 1
     assert "not a valid pair document" in capsys.readouterr().err
+    doc = catalog.emit("sphere:2")
+    doc["subalgebra"]["basis"] = [["0", "0", "1", "0"]]
+    code = main(["compute", _write(tmp_path, doc, "long.json")])
+    assert code == 1
+    assert "expected 3" in capsys.readouterr().err
 
 
 def test_jacobi_violation_reported_with_witness(tmp_path, capsys):
@@ -75,6 +96,34 @@ def test_jacobi_violation_reported_with_witness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL jacobi" in out
     assert "witness=(0, 1, 2)" in out
+
+
+def test_invalid_algebra_rejected_by_pair_validation(tmp_path, capsys):
+    pair = HomogeneousPair.from_dict(FUSED_FACTOR_DOC)
+    try:
+        betti_low(pair)
+    except ValidationError as e:
+        assert "factors_simple" in str(e)
+    else:
+        raise AssertionError("invalid algebra accepted")
+    code = main(["compute", _write(tmp_path, FUSED_FACTOR_DOC)])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "FAIL jacobi" in out and "FAIL factors_simple" in out
+
+
+def test_usage_error_exits_1_and_help_exits_0(tmp_path, capsys):
+    path = _emit(tmp_path, "sphere:2")
+    assert main(["oracle", path, "--method", "ce", "--certify"]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "unrecognized arguments: --certify" in err
+    assert main([]) == 1
+    try:
+        main(["--help"])
+    except SystemExit as e:
+        assert e.code == 0
+    else:
+        raise AssertionError("--help did not exit")
 
 
 def test_non_closed_subalgebra_rejected(tmp_path, capsys):
@@ -158,7 +207,7 @@ def test_oracle_ce_explain(tmp_path, capsys):
     assert out["method"] == "ce"
     assert out["betti"] == [1, 0, 1]
     assert out["diagnostics"]["complex_dims"] == [1, 0, 1]
-    assert out["diagnostics"]["certified"] is True
+    assert out["diagnostics"]["ranks"] == [0, 0, 0]
 
 
 def test_oracle_ce_over_cap_is_validation_error(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: ranks, kernels, subspaces, modular paths.
+"""Exact rational linear algebra: ranks, kernels, subspaces.
 
 Random-matrix properties are cross-checked against sympy, which has an
 independent exact linear algebra implementation.
@@ -10,12 +10,10 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from liecoh.linalg import (F0, F1, Subspace, _echelon_int, _int_rows,
-                           _is_probable_prime, feye, fmat, fvec, fzeros,
+from liecoh.linalg import (F0, F1, Subspace, feye, fmat, fvec, fzeros,
                            full_subspace, intersect, intersect_kernels,
                            inverse, is_spd, is_zero, kernel_basis,
-                           orth_complement, random_prime_over_2_30, rank,
-                           rank_checked, rank_modp, rat_str, rref,
+                           orth_complement, rank, rat_str, rref,
                            solve_in_span, solve_many, subspace_sum,
                            zero_subspace)
 
@@ -38,6 +36,10 @@ def _sympy_of(m):
 
 def test_rank_identity():
     assert rank(feye(2)) == 2
+    # full rank with a denominator to clear, and with a pivot a small
+    # prime would divide
+    assert rank(fmat([[F(1, 3), 1], [0, 1]])) == 2
+    assert rank(fmat([[5, 0], [0, 1]])) == 2
 
 
 def test_rank_zero_matrix():
@@ -65,13 +67,22 @@ def test_kernel_single_equation():
     assert not k.contains(fvec([1, 0, 0]))
 
 
+def _sparse_rows(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
 def test_rank_nullity_and_sympy_cross_check():
+    assert rank([], 4) == 0
+    assert rank([{}, {2: F0}], 3) == 0
     rng = random.Random(11)
     for _ in range(25):
         rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
         m = _random_matrix(rng, rows, cols)
+        want = _sympy_of(m).rank()
         r = rank(m)
-        assert r == _sympy_of(m).rank()
+        assert r == want
+        # the same matrix as {col: value} rows takes the sparse entry point
+        assert rank(_sparse_rows(m), cols) == want
         ker = kernel_basis(m)
         assert r + ker.dim == cols
         assert is_zero(m.dot(ker.basis))
@@ -211,38 +222,6 @@ def test_intersect_kernels_matches_stacked_kernel():
 
 def test_intersect_kernels_no_operators_is_full():
     assert intersect_kernels([], 4) == full_subspace(4)
-
-
-def test_echelon_int_rank_agrees_with_kernel_path():
-    rng = random.Random(19)
-    for _ in range(10):
-        m = _random_matrix(rng, 5, 5, density=0.4)
-        _, pivots = _echelon_int(_int_rows(m), 5)
-        assert len(pivots) == rank(m) == _sympy_of(m).rank()
-
-
-def test_rank_modp_bounds_and_bad_prime():
-    m = fmat([[F(1, 3), 1], [0, 1]])
-    assert rank_modp(m, 7) == rank(m) == 2
-    try:
-        rank_modp(m, 3)   # denominator divisible by the modulus
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("bad modulus accepted")
-    # a matrix whose rank genuinely drops mod 5
-    drop = fmat([[5, 0], [0, 1]])
-    assert rank_modp(drop, 5) == 1 and rank(drop) == 2
-    assert rank_checked(drop, 5) == 2
-
-
-def test_random_prime_over_2_30():
-    rng = random.Random(0)
-    for _ in range(3):
-        p = random_prime_over_2_30(rng)
-        assert p > 2 ** 30
-        assert _is_probable_prime(p)
-        assert sympy.isprime(p)
 
 
 def test_rat_str_round_trip():

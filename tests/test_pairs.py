@@ -170,6 +170,13 @@ def test_constructor_rejects_bad_shapes():
         assert "generator" in str(e)
     else:
         raise AssertionError("bad generator shape accepted")
+    for vec in ([0, 0], [0, 0, 1, 0]):
+        try:
+            HomogeneousPair.from_vectors(g, [vec])
+        except ValueError as e:
+            assert "expected 3" in str(e)
+        else:
+            raise AssertionError("basis vector of length %d accepted" % len(vec))
 
 
 def test_from_vectors_matches_matrix_constructor():
