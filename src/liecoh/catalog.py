@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, check_dim
 from .linalg import F1, feye, fmat, fzeros, solve_many
 from .pairs import HomogeneousPair
 
@@ -158,6 +158,7 @@ def _build_torus(l):
 def _build_su(n):
     if n < 2:
         raise ValueError("su(n) needs n >= 2")
+    check_dim(n * n - 1, "su(%d)" % n)
     return LieAlgebra.from_factor_constants(
         0, [("su(%d)" % n, n * n - 1, _su_constants(n))])
 
@@ -165,12 +166,14 @@ def _build_su(n):
 def _build_sp(n):
     if n < 1:
         raise ValueError("sp(n) needs n >= 1")
+    check_dim(n * (2 * n + 1), "sp(%d)" % n)
     return LieAlgebra.from_factor_constants(
         0, [("sp(%d)" % n, n * (2 * n + 1), _sp_constants(n))])
 
 
 def _so_algebra(n):
     """(LieAlgebra for so(n), coordinate map standard -> emitted or None)."""
+    check_dim(n * (n - 1) // 2, "so(%d)" % n)
     if n == 2:
         return LieAlgebra.abelian(1), None
     if n == 4:
@@ -357,11 +360,14 @@ def pair_from_name(name):
     """
     parts = [p.strip() for p in name.split("+")]
     built = []
+    total = 0
     for part in parts:
         if not part:
             raise ValueError("empty component in catalog name %r" % name)
         tokens = part.split(":")
         built.append(_as_pair(build(tokens[0], *tokens[1:])))
+        total += built[-1].algebra.n
+        check_dim(total, "the sum %r" % name)
     pair = built[0]
     for nxt in built[1:]:
         pair = _sum_pairs(pair, nxt)
@@ -385,19 +391,21 @@ def factor_from_shorthand(fac):
     if kind == "su":
         if n < 2:
             raise ValueError("su(n) factor needs n >= 2")
-        return (fac.get("name", "su(%d)" % n), n * n - 1, _su_constants(n))
-    if kind == "so":
+        dim, constants = n * n - 1, _su_constants
+    elif kind == "so":
         if n < 3:
             raise ValueError("so(n) factor needs n >= 3 (so(2) is abelian; "
                              "declare it as center)")
         if n == 4:
             raise ValueError("so(4) is not simple; use the so:4 catalog "
                              "builder, which emits the split form")
-        return (fac.get("name", "so(%d)" % n), n * (n - 1) // 2,
-                _so_constants(n))
-    if kind == "sp":
+        dim, constants = n * (n - 1) // 2, _so_constants
+    elif kind == "sp":
         if n < 1:
             raise ValueError("sp(n) factor needs n >= 1")
-        return (fac.get("name", "sp(%d)" % n), n * (2 * n + 1),
-                _sp_constants(n))
-    raise ValueError("unknown factor shorthand type: %r" % (kind,))
+        dim, constants = n * (2 * n + 1), _sp_constants
+    else:
+        raise ValueError("unknown factor shorthand type: %r" % (kind,))
+    name = "%s(%d)" % (kind, n)
+    check_dim(dim, name)
+    return (fac.get("name", name), dim, constants(n))

@@ -19,20 +19,26 @@ structure maps become explicit matrices:
 
 The degree-k cochain space is the joint kernel of the theta operators and
 the fixed space of the generator actions inside the full wedge coordinates.
-The differential is then re-expressed in the invariant bases; that this is
-possible at all is a consistency check on the assembly, not an assumption.
-When no constraints are present (trivial isotropy, no generators) the
-invariant space is the full wedge space and the differential is kept as a
-sparse matrix.  Every rank is exact: sparse differentials are ranked through
-their columns as {row: value} rows, since rank(A) = rank(A^T).
+Every operator is a sparse {col: [(row, value)]} matrix, and the kernels are
+intersected one operator at a time through nonzeros (intersect_kernels), so
+no dense matrix on wedge coordinates is ever formed.  The resulting basis is
+the identity on a set of free rows, so re-expressing the differential in the
+invariant bases is a row selection of its images, and a sparse mat-vec
+(basis times coordinates must give the image back) checks that the
+differential does not escape the invariant space.  delta o delta = 0 is
+checked on the wedge operators applied to the invariant basis.  Both checks
+are consistency checks on the assembly, not assumptions.  When no
+constraints are present (trivial isotropy, no generators) the invariant
+space is the full wedge space and the wedge differential is kept as is.
+Every rank is exact: differentials are ranked through their columns as
+{row: value} rows, since rank(A) = rank(A^T).
 """
 
 import os
-from itertools import combinations
+from itertools import chain, combinations
 
 from .betti import BettiReport
-from .linalg import (F0, F1, feye, fzeros, inverse, is_zero, kernel_basis,
-                     rank, solve_many)
+from .linalg import F0, F1, intersect_kernels, inverse, kernel_basis, rank
 from .pairs import validate_pair
 
 DEFAULT_SIZE_CAP = 14
@@ -57,10 +63,10 @@ class _SparseDelta:
 class RelativeComplex:
     """Invariant cochain spaces and differentials, degrees 0..max_degree+1.
 
-    bases[k] has the degree-k cochain space as columns in wedge coordinates,
-    with None meaning the full wedge space (no isotropy or generator
-    constraints).  deltas[k] is the differential from degree k to k+1 in
-    those bases: a dense matrix, or a _SparseDelta on unconstrained degrees.
+    bases[k] is the degree-k cochain space as a Subspace of wedge
+    coordinates held in sparse columns, with None meaning the full wedge
+    space (no isotropy or generator constraints).  deltas[k] is the
+    differential from degree k to k+1 in those bases, a _SparseDelta.
     """
 
     def __init__(self, pair, annihilator, quotient_dim, max_degree, dims,
@@ -171,66 +177,27 @@ def _wedge_column(action, mon, memo):
     return col
 
 
-def _pullback(action, coords, subsets, index, memo):
-    """Generator image of a cochain given by wedge coordinates, as {row: value}."""
-    out = {}
-    for pos, mon in enumerate(subsets):
-        c = coords[pos]
-        if not c:
-            continue
-        for key, v in _wedge_column(action, mon, memo).items():
-            row = index[key]
-            out[row] = out.get(row, F0) + c * v
-    return out
-
-
-def _apply_sparse_cols(cols, basis, nrows):
-    d = basis.shape[1]
-    out = fzeros(nrows, d)
-    for col, entries in cols.items():
-        brow = basis[col]
-        for j in range(d):
-            x = brow[j]
-            if x:
-                for row, v in entries:
-                    out[row, j] += v * x
-    return out
-
-
-def _sparse_to_dense(cols, nrows, ncols):
-    out = fzeros(nrows, ncols)
-    for col, entries in cols.items():
-        for row, v in entries:
-            out[row, col] = v
-    return out
+def _fixed_op(action, subsets, index, memo):
+    """Sparse matrix of (gamma* - 1) on wedge coordinates of one degree."""
+    op = {}
+    for col, mon in enumerate(subsets):
+        acc = {index[key]: v for key, v in _wedge_column(action, mon, memo).items()}
+        acc[col] = acc.get(col, F0) - F1
+        entries = [(r, v) for r, v in acc.items() if v]
+        if entries:
+            op[col] = entries
+    return op
 
 
 def _invariant_space(theta_mats, gen_mats, gen_memos, subsets, index):
-    """Basis of the invariant degree-k coordinates, or None for all of them."""
-    total = len(subsets)
-    if total == 0:
-        return fzeros(0, 0)
+    """Invariant degree-k coordinates as a sparse Subspace, or None for all."""
     if not theta_mats and not gen_mats:
         return None
-    basis = feye(total)
-    for theta in theta_mats:
-        if basis.shape[1] == 0:
-            return basis
-        op = _derivation_op(theta, subsets, index)
-        basis = basis.dot(kernel_basis(_apply_sparse_cols(op, basis, total)).basis)
-    for action, memo in zip(gen_mats, gen_memos):
-        if basis.shape[1] == 0:
-            return basis
-        moved = fzeros(total, basis.shape[1])
-        for j in range(basis.shape[1]):
-            img = _pullback(action, basis[:, j], subsets, index, memo)
-            for row, v in img.items():
-                moved[row, j] += v
-            for row in range(total):
-                if basis[row, j]:
-                    moved[row, j] -= basis[row, j]
-        basis = basis.dot(kernel_basis(moved).basis)
-    return basis
+    # lazily built, so no operator is assembled once the space is zero
+    ops = chain((_derivation_op(t, subsets, index) for t in theta_mats),
+                (_fixed_op(a, subsets, index, m)
+                 for a, m in zip(gen_mats, gen_memos)))
+    return intersect_kernels(ops, len(subsets))
 
 
 def _delta_op(table, subsets_next, index, degree):
@@ -257,38 +224,45 @@ def _delta_op(table, subsets_next, index, degree):
             for col, acc in op.items()}
 
 
-def _restrict_delta(op, basis_k, basis_next, ncols_full, nrows_full):
-    if basis_k is None and basis_next is None:
-        return _SparseDelta(op, nrows_full, ncols_full)
-    if basis_k is None:
-        images = _sparse_to_dense(op, nrows_full, ncols_full)
-    else:
-        images = _apply_sparse_cols(op, basis_k, nrows_full)
+def _product(a, b):
+    """a.b for sparse column matrices {col: [(row, value)]}; zero columns dropped."""
+    out = {}
+    for j, entries in b.items():
+        acc = {}
+        for mid, x in entries:
+            for row, v in a.get(mid, ()):
+                acc[row] = acc.get(row, F0) + v * x
+        col = [(r, v) for r, v in acc.items() if v]
+        if col:
+            out[j] = col
+    return out
+
+
+def _column_form(basis):
+    return {j: col.items() for j, col in enumerate(basis.columns)}
+
+
+def _restrict_delta(images, basis_next, nrows_full, ncols):
+    """Coordinates of the images in the next invariant basis.
+
+    A kernel basis is the identity on its free rows, so the coordinates are
+    the image entries on those rows; mapping them back through the basis
+    must then reproduce every image exactly.
+    """
     if basis_next is None:
-        return images
-    coords = solve_many(basis_next, images)
-    if coords is None:
+        return _SparseDelta(images, nrows_full, ncols)
+    slot = {row: pos for pos, row in enumerate(basis_next.free)}
+    coords = {}
+    for j, entries in images.items():
+        col = [(slot[r], v) for r, v in entries if r in slot]
+        if col:
+            coords[j] = col
+    back = _product(_column_form(basis_next), coords)
+    if any(dict(back.get(j, ())) != dict(entries)
+           for j, entries in images.items()):
         raise RuntimeError("invariance projection inconsistent: the "
                            "differential escapes the invariant cochain space")
-    return coords
-
-
-def _compose_is_zero(upper, lower):
-    """Whether the degree-(k+1) map annihilates the image of the degree-k map."""
-    if isinstance(lower, _SparseDelta) and isinstance(upper, _SparseDelta):
-        for entries in lower.cols.values():
-            acc = {}
-            for mid, v in entries:
-                for row, u in upper.cols.get(mid, ()):
-                    acc[row] = acc.get(row, F0) + v * u
-            if any(acc.values()):
-                return False
-        return True
-    if isinstance(lower, _SparseDelta):
-        lower = _sparse_to_dense(lower.cols, lower.nrows, lower.ncols)
-    if isinstance(upper, _SparseDelta):
-        return is_zero(_apply_sparse_cols(upper.cols, lower, upper.nrows))
-    return is_zero(upper.dot(lower))
+    return _SparseDelta(coords, basis_next.dim, ncols)
 
 
 def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
@@ -322,29 +296,28 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
         subsets.append(subs)
         indexes.append(idx)
         bases.append(basis)
-        dims.append(len(subs) if basis is None else basis.shape[1])
+        dims.append(len(subs) if basis is None else basis.dim)
     if dims[0] != 1:
         raise RuntimeError("degree-0 cochain space is not one-dimensional; "
                            "cochain assembly is inconsistent")
 
-    deltas = []
+    # delta_k delta_{k-1} B_{k-1} = 0 on wedge coordinates is delta o delta
+    # = 0 on the invariant complex, since the bases are injective
+    deltas, lower = [], None
     for k in range(top + 1):
         op = _delta_op(table, subsets[k + 1], indexes[k], k)
-        deltas.append(_restrict_delta(op, bases[k], bases[k + 1],
-                                      len(subsets[k]), len(subsets[k + 1])))
-    for k in range(1, top + 1):
-        if not _compose_is_zero(deltas[k], deltas[k - 1]):
+        if lower is not None and _product(op, lower):
             raise RuntimeError("differential composite in degree %d is "
                                "nonzero; cochain assembly is inconsistent" % k)
+        lower = op if bases[k] is None else _product(op, _column_form(bases[k]))
+        deltas.append(_restrict_delta(lower, bases[k + 1],
+                                      len(subsets[k + 1]), dims[k]))
     return RelativeComplex(pair, ann, q, top, dims, bases, deltas)
 
 
 def _delta_rank(delta):
-    """Exact rank of a restricted differential, dense or sparse."""
-    if isinstance(delta, _SparseDelta):
-        return rank([dict(entries) for entries in delta.cols.values()],
-                    delta.nrows)
-    return rank(delta)
+    """Exact rank of a restricted differential, through its columns."""
+    return rank([dict(entries) for entries in delta.cols.values()], delta.nrows)
 
 
 def betti_ce(pair, max_degree=None, size_cap=None, validate=True):

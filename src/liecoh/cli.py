@@ -1,7 +1,9 @@
 """Command-line interface: compute, verify, oracle, catalog.
 
-Exit codes: 0 success, 1 I/O, parse or usage error, 2 validation failure
-(the check report is printed), 3 method disagreement in verify.
+Exit codes: 0 success, 1 I/O, parse or usage error (including an algebra
+above the dimension limit), 2 validation failure (the check report is
+printed), 3 method disagreement in verify, 4 internal inconsistency (a
+self-check such as delta o delta = 0 failed; the message is printed).
 """
 
 import argparse
@@ -265,6 +267,9 @@ def main(argv=None):
     except _CliError as exc:
         print(exc.message, file=sys.stdout if exc.code == 2 else sys.stderr)
         return exc.code
+    except RuntimeError as exc:
+        print("internal inconsistency: %s" % exc, file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

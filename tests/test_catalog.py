@@ -6,7 +6,7 @@ from fractions import Fraction
 from liecoh import catalog
 from liecoh.betti import betti_low
 from liecoh.koszul import betti_koszul
-from liecoh.liealg import LieAlgebra, is_bracket_closed, validate
+from liecoh.liealg import MAX_DIM, LieAlgebra, is_bracket_closed, validate
 from liecoh.pairs import HomogeneousPair, validate_pair
 from liecoh.linalg import feye, fzeros
 
@@ -151,6 +151,32 @@ def test_factor_shorthand_so2_points_at_center():
         assert "abelian" in str(e)
     else:
         raise AssertionError("so(2) shorthand accepted")
+
+
+def test_dimension_limit_checked_before_building():
+    # every catalog entry the tests and the benchmark use fits (sphere:7 is
+    # so(8), dimension 28)
+    assert MAX_DIM >= 28
+    oversized = [
+        lambda: catalog.factor_from_shorthand({"type": "su", "n": 1000000}),
+        lambda: catalog.factor_from_shorthand({"type": "so", "n": 12}),
+        lambda: catalog.factor_from_shorthand({"type": "sp", "n": 6}),
+        lambda: catalog.pair_from_name("sphere:100000"),
+        lambda: catalog.pair_from_name("stiefel:100000:2"),
+        lambda: catalog.pair_from_name("su:9"),
+        lambda: catalog.pair_from_name("sp:6"),
+        lambda: catalog.pair_from_name("torus:%d" % (MAX_DIM + 1)),
+        lambda: catalog.pair_from_name("torus:40+torus:40"),
+        lambda: LieAlgebra.from_dict({"center_dim": 10 ** 9}),
+    ]
+    for build in oversized:
+        try:
+            build()
+        except ValueError as e:
+            assert "above the limit of %d" % MAX_DIM in str(e)
+        else:
+            raise AssertionError("oversized algebra accepted")
+    assert LieAlgebra.abelian(MAX_DIM).n == MAX_DIM
 
 
 def test_catalog_algebras_validate():

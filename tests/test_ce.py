@@ -1,13 +1,16 @@
 """Relative cochain-complex oracle: full Betti vectors, caps, exact ranks."""
 
-import numpy as np
+from fractions import Fraction
 
-from liecoh import catalog
+import pytest
+
+from liecoh import catalog, ce
 from liecoh.betti import betti_low
-from liecoh.ce import (DEFAULT_SIZE_CAP, betti_ce, poincare_check,
-                       relative_complex)
+from liecoh.ce import (DEFAULT_SIZE_CAP, _SparseDelta, betti_ce,
+                       poincare_check, relative_complex)
+from liecoh.koszul import betti_koszul
 from liecoh.pairs import HomogeneousPair
-from liecoh.linalg import fzeros
+from liecoh.linalg import Subspace, fzeros
 
 
 def _free(algebra):
@@ -63,6 +66,11 @@ def test_unconstrained_complex_ranks_sparse_differentials():
     assert rep.betti == [1, 0, 0, 2, 0, 0, 1]
     assert rep.diagnostics["complex_dims"] == [1, 6, 15, 20, 15, 6, 1]
     assert rep.diagnostics["ranks"] == [0, 6, 9, 9, 6, 0, 0]
+    cx = relative_complex(pair, max_degree=6)
+    # one differential per degree 0..q, the last into the empty degree q+1
+    assert len(cx.deltas) == 7
+    assert all(isinstance(d, _SparseDelta) for d in cx.deltas)
+    assert cx.bases == [None] * 8
 
 
 def test_size_cap_argument():
@@ -117,3 +125,72 @@ def test_relative_complex_structure():
     assert cx.quotient_dim == 2 and cx.max_degree == 2
     assert cx.dims[:3] == [1, 0, 1]
     assert len(cx.deltas) == 3
+
+
+def test_su4_line_constrained_q14():
+    alg = catalog.build("su", 4)
+    line = fzeros(alg.n)
+    line[0] = Fraction(1)
+    line[3] = Fraction(1, 2)
+    pair = HomogeneousPair.from_vectors(alg, [line])
+    rep = betti_ce(pair, max_degree=4)
+    assert rep.intermediates["quotient_dim"] == 14
+    assert rep.betti == [1, 0, 1, 0, 0]
+    assert rep.diagnostics["complex_dims"] == [1, 4, 23, 84, 203]
+    assert betti_low(pair).betti == [1, 0, 1, 0, 0]
+    assert betti_koszul(pair).betti == [1, 0, 1, 0, 0]
+
+
+def test_constrained_bases_are_identity_on_free_rows():
+    cx = relative_complex(catalog.pair_from_name("stiefel:5:2"), max_degree=4)
+    assert cx.dims == [1, 1, 1, 5, 5, 1]
+    for basis in cx.bases:
+        for j, col in enumerate(basis.columns):
+            assert all(col.get(row, 0) == (1 if i == j else 0)
+                       for i, row in enumerate(basis.free))
+    assert all(isinstance(d, _SparseDelta) for d in cx.deltas)
+
+
+def test_escape_check_fires_on_incomplete_invariant_basis(monkeypatch):
+    # stiefel:5:2 has delta of rank 1 from degree 1 onto the one-dimensional
+    # degree-2 space; without that direction the image has nowhere to go
+    real = ce._invariant_space
+
+    def patched(theta_mats, gen_mats, gen_memos, subsets, index):
+        basis = real(theta_mats, gen_mats, gen_memos, subsets, index)
+        if subsets and len(subsets[0]) == 2:
+            return Subspace.from_columns(basis.ambient_dim, basis.columns[1:],
+                                         basis.free[1:])
+        return basis
+    monkeypatch.setattr(ce, "_invariant_space", patched)
+    with pytest.raises(RuntimeError, match="invariance projection inconsistent"):
+        relative_complex(catalog.pair_from_name("stiefel:5:2"), max_degree=4)
+
+
+def test_composite_check_fires_on_corrupted_differential(monkeypatch):
+    real = ce._delta_op
+
+    def patched(table, subsets_next, index, degree):
+        op = real(table, subsets_next, index, degree)
+        if degree == 2:
+            col = min(op)
+            (row, value), *rest = op[col]
+            op[col] = [(row, -value)] + rest
+        return op
+    monkeypatch.setattr(ce, "_delta_op", patched)
+    pair = _free(catalog.pair_from_name("su:2+su:2").algebra)
+    with pytest.raises(RuntimeError,
+                       match="differential composite in degree .* is nonzero"):
+        relative_complex(pair)
+
+
+def test_degree_0_check_fires(monkeypatch):
+    real = ce._invariant_space
+
+    def patched(theta_mats, gen_mats, gen_memos, subsets, index):
+        if subsets == [()]:
+            return Subspace.from_columns(1, [], [])
+        return real(theta_mats, gen_mats, gen_memos, subsets, index)
+    monkeypatch.setattr(ce, "_invariant_space", patched)
+    with pytest.raises(RuntimeError, match="degree-0 cochain space"):
+        relative_complex(catalog.build("sphere", 2))

@@ -224,6 +224,30 @@ def test_oracle_ce_size_cap_flag(tmp_path, capsys):
     assert out["betti"] == [1, 0]
 
 
+def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):
+    from liecoh import ce
+
+    def corrupt(table, subsets_next, index, degree):
+        raise RuntimeError("differential composite in degree 2 is nonzero; "
+                           "cochain assembly is inconsistent")
+    monkeypatch.setattr(ce, "_delta_op", corrupt)
+    code = main(["oracle", _emit(tmp_path, "sphere:2"), "--method", "ce"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "internal inconsistency: differential composite" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_oversized_algebra_is_input_error(tmp_path, capsys):
+    doc = {"algebra": {"center_dim": 0,
+                       "factors": [{"type": "su", "n": 1000000}]},
+           "subalgebra": {"basis": []}}
+    assert main(["compute", _write(tmp_path, doc)]) == 1
+    assert "above the limit" in capsys.readouterr().err
+    assert main(["catalog", "emit", "sphere:100000"]) == 1
+    assert "above the limit" in capsys.readouterr().err
+
+
 def test_oracle_koszul(tmp_path, capsys):
     code = main(["oracle", _emit(tmp_path, "stiefel:5:2"),
                  "--method", "koszul", "--json"])

@@ -220,6 +220,35 @@ def test_intersect_kernels_matches_stacked_kernel():
         assert got == want
 
 
+def _columns(m):
+    return {j: [(i, m[i, j]) for i in range(m.shape[0]) if m[i, j]]
+            for j in range(m.shape[1])}
+
+
+def test_intersect_kernels_sparse_column_operators():
+    rng = random.Random(11)
+    for _ in range(15):
+        dim = rng.randrange(1, 7)
+        ops = [_random_matrix(rng, rng.randrange(1, 5), dim, density=0.4)
+               for _ in range(rng.randrange(1, 4))]
+        got = intersect_kernels((_columns(op) for op in ops), dim)
+        assert got == kernel_basis(np.vstack(ops))
+        # the basis is the identity on its free rows
+        for j, col in enumerate(got.columns):
+            assert [col.get(r, 0) for r in got.free] == [
+                1 if i == j else 0 for i in range(got.dim)]
+            assert all(x for x in col.values())
+
+
+def test_kernel_basis_of_sparse_rows_matches_dense():
+    rng = random.Random(5)
+    for _ in range(15):
+        m = _random_matrix(rng, rng.randrange(0, 5), rng.randrange(1, 6),
+                           density=0.4)
+        rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+        assert kernel_basis(rows, m.shape[1]) == kernel_basis(m)
+
+
 def test_intersect_kernels_no_operators_is_full():
     assert intersect_kernels([], 4) == full_subspace(4)
 
