@@ -138,16 +138,12 @@ def corollary_checks(pair, report, dec=None):
              "pass" if inter["dim_N"] == r - s else "fail", "s=%d" % s)
         if dec.zh.dim == 0:
             # h is semisimple, so h = [h,h] = h∩[g,g]: the blockwise b3/b4
-            try:
-                orbits = minimal_ideal_count(pair, pair.h)
-            except ValueError as exc:
-                flag("semisimple_h_block_betti", "skipped", str(exc))
-            else:
-                want3 = (r - s) + comb(l, 3)
-                want4 = l * (r - s) + orbits - s + comb(l, 4)
-                ok = b[3] == want3 and b[4] == want4
-                flag("semisimple_h_block_betti", "pass" if ok else "fail",
-                     "s=%d, ideal orbits=%d" % (s, orbits))
+            orbits = minimal_ideal_count(pair, pair.h)
+            want3 = (r - s) + comb(l, 3)
+            want4 = l * (r - s) + orbits - s + comb(l, 4)
+            ok = b[3] == want3 and b[4] == want4
+            flag("semisimple_h_block_betti", "pass" if ok else "fail",
+                 "s=%d, ideal orbits=%d" % (s, orbits))
         else:
             flag("semisimple_h_block_betti", "skipped", "h is not semisimple")
 

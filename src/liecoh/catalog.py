@@ -1,10 +1,12 @@
 """Deterministic builders for classical compact algebras and standard pairs.
 
-Structure constants are extracted from exact matrix models: so(n) on real
-antisymmetric matrices, su(n) on anti-Hermitian traceless matrices stored as
-(real, imaginary) parts, sp(n) on quaternionic anti-Hermitian matrices stored
-as four real components.  Each commutator is solved back into the basis span
-over the rationals, so every emitted constant is exact.
+Structure constants of su(n) and sp(n) are extracted from exact matrix
+models: su(n) on anti-Hermitian traceless matrices stored as (real,
+imaginary) parts, sp(n) on quaternionic anti-Hermitian matrices stored as
+four real components.  Each commutator is solved back into the basis span
+over the rationals, so every emitted constant is exact.  so(n), on the real
+antisymmetric matrices L_ab = E_ab - E_ba, uses the closed form of its
+brackets, which gives the same constants without any elimination.
 
 so(4) is always emitted pre-split into its two commuting su(2) factors
 (self-dual and anti-self-dual), because declared factors must be simple; the
@@ -95,13 +97,32 @@ def _lex_pairs(n):
 
 @lru_cache(maxsize=None)
 def _so_constants(n):
-    mats = []
-    for a, b in _lex_pairs(n):
-        m = fzeros(n, n)
-        m[a, b] = F1
-        m[b, a] = -F1
-        mats.append((m,))
-    return _matrix_constants(mats)
+    """so(n) on L_ab = E_ab - E_ba (a < b, lex) from the closed form
+    [L_ab, L_cd] = δ_bc L_ad - δ_bd L_ac - δ_ac L_bd + δ_ad L_bc,
+    with L_ba = -L_ab and L_aa = 0.  For (a, b) before (c, d), a <= c < d,
+    so the δ_ad term never appears."""
+    index = {p: t for t, p in enumerate(_lex_pairs(n))}
+
+    def add(acc, x, y, sign):
+        if x != y:
+            t, c = (index[(x, y)], sign) if x < y else (index[(y, x)], -sign)
+            acc[t] = acc.get(t, 0) + c
+
+    out = []
+    pairs = _lex_pairs(n)
+    for i, (a, b) in enumerate(pairs):
+        for j in range(i + 1, len(pairs)):
+            c, d = pairs[j]
+            acc = {}
+            if b == c:
+                add(acc, a, d, 1)
+            if b == d:
+                add(acc, a, c, -1)
+            if a == c:
+                add(acc, b, d, -1)
+            out.extend((i, j, k, Fraction(v))
+                       for k, v in sorted(acc.items()) if v)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,8 @@ import os
 from itertools import chain, combinations
 
 from .betti import BettiReport
-from .linalg import F0, F1, intersect_kernels, inverse, kernel_basis, rank
+from .linalg import (F0, F1, dot, intersect_kernels, inverse, kernel_basis,
+                     rank)
 from .pairs import validate_pair
 
 DEFAULT_SIZE_CAP = 14
@@ -84,7 +85,7 @@ def _dual_frame(pair):
     """Annihilator basis of h in g*, plus test vectors dual to it."""
     ann = kernel_basis(pair.h_basis.T)
     frame = ann.basis                      # n x q, columns are covectors
-    tests = frame.dot(inverse(frame.T.dot(frame)))
+    tests = dot(frame, inverse(dot(frame.T, frame)))
     return ann, frame, tests
 
 
@@ -94,7 +95,7 @@ def _theta_matrices(pair, frame, tests):
     mats = []
     for t in range(pair.h_basis.shape[1]):
         ad_y = alg.ad_matrix(pair.h_basis[:, t])
-        evals = frame.T.dot(ad_y.dot(tests))   # evals[i, j] = F_i([y, w_j])
+        evals = dot(frame.T, dot(ad_y, tests))   # evals[i, j] = F_i([y, w_j])
         mats.append(-evals.T)
     return mats
 
@@ -103,7 +104,7 @@ def _generator_matrices(pair, frame, tests):
     """Coordinate matrix of the pullback action on the annihilator."""
     mats = []
     for gamma in pair.generators:
-        evals = frame.T.dot(inverse(gamma).dot(tests))
+        evals = dot(frame.T, dot(inverse(gamma), tests))
         mats.append(evals.T)               # column i = coords of F_i o gamma^{-1}
     return mats
 
@@ -114,7 +115,7 @@ def _structure_table(alg, frame, tests):
     table = {}
     for a in range(q):
         for b in range(a + 1, q):
-            v = frame.T.dot(alg.bracket(tests[:, a], tests[:, b]))
+            v = dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
             entries = [(c, v[c]) for c in range(q) if v[c]]
             if entries:
                 table[(a, b)] = entries

@@ -8,14 +8,11 @@ matrices in the carrier's basis, flattened to coordinates indexed by pairs
 (i, j) with i ≤ j in lexicographic order.
 """
 
-from fractions import Fraction
-from math import gcd
-
 import numpy as np
 
 from .liealg import is_bracket_closed
-from .linalg import (F0, F1, Subspace, feye, fzeros, intersect_kernels,
-                     kernel_basis, rank, solve_in_span)
+from .linalg import (F0, F1, Subspace, commutant_operator, dot, fzeros,
+                     intersect_kernels, nonzeros, rank, solve_many)
 
 
 def sym_pairs(m):
@@ -80,9 +77,8 @@ def fixed_vectors(space, actions):
     ops = []
     for g in actions:
         moved = g.dot(B)
-        for j in range(m):
-            if solve_in_span(B, moved[:, j]) is None:
-                raise ValueError("action does not preserve the subspace")
+        if solve_many(B, moved) is None:
+            raise ValueError("action does not preserve the subspace")
         ops.append(moved - B)
     coords = intersect_kernels(ops, m)
     return Subspace(space.ambient_dim, B.dot(coords.basis))
@@ -91,60 +87,61 @@ def fixed_vectors(space, actions):
 def restricted_operator(carrier, vectors):
     """Coordinates of the given ambient vectors in the carrier basis.
 
-    Returns the dim(carrier) x len(vectors) coefficient matrix; raises
-    ValueError if a vector lies outside the carrier.
+    Returns the dim(carrier) x len(vectors) coefficient matrix, from one
+    elimination for all vectors; raises ValueError if a vector lies outside
+    the carrier.
     """
-    m = carrier.dim
-    out = fzeros(m, len(vectors))
+    rhs = fzeros(carrier.ambient_dim, len(vectors))
     for j, v in enumerate(vectors):
-        coords = solve_in_span(carrier.basis, v)
-        if coords is None:
-            raise ValueError("vector escapes the carrier subspace")
-        out[:, j] = coords
+        rhs[:, j] = v
+    out = solve_many(carrier.basis, rhs)
+    if out is None:
+        raise ValueError("vector escapes the carrier subspace")
     return out
 
 
-def _ad_constraint(R, m, pairs):
-    """Matrix of F ↦ RᵀF + FR on symmetric coordinates (ad-invariance)."""
-    M = len(pairs)
-    op = fzeros(M, M)
+def _rows(R):
+    """Nonzeros of a dense square matrix, row by row, as (col, value) lists."""
+    rows = [[] for _ in range(R.shape[0])]
+    for (r, c), v in nonzeros(R).items():
+        rows[r].append((c, v))
+    return rows
+
+
+def _ad_constraint(R, pairs):
+    """Sparse columns of F ↦ RᵀF + FR on symmetric coordinates
+    (ad-invariance); the image of a unit form only meets rows i and j of R."""
+    index = {p: t for t, p in enumerate(pairs)}
+    rows = _rows(R)
+    op = {}
     for col, (i, j) in enumerate(pairs):
-        L = fzeros(m, m)
-        if i < j:
-            for p in range(m):
-                ri, rj = R[i, p], R[j, p]
-                if ri:
-                    L[p, j] += ri
-                    L[j, p] += ri
-                if rj:
-                    L[p, i] += rj
-                    L[i, p] += rj
-        else:
-            for p in range(m):
-                ri = R[i, p]
-                if ri:
-                    L[p, i] += ri
-                    L[i, p] += ri
-        for row, (a, b) in enumerate(pairs):
-            if L[a, b]:
-                op[row, col] = L[a, b]
+        acc = {}
+        for s, t in ((i, j), (j, i)) if i < j else ((i, i),):
+            # row s of R lands in row/column t of the image form
+            for p, v in rows[s]:
+                key = index[(p, t) if p < t else (t, p)]
+                acc[key] = acc.get(key, F0) + (2 * v if p == t else v)
+        op[col] = list(acc.items())
     return op
 
 
-def _generator_constraint(C, m, pairs):
-    """Matrix of F ↦ CᵀFC − F on symmetric coordinates (γ-invariance)."""
-    M = len(pairs)
-    op = fzeros(M, M)
+def _generator_constraint(C, pairs):
+    """Sparse columns of F ↦ CᵀFC − F on symmetric coordinates
+    (γ-invariance); the image of a unit form only meets rows i and j of C."""
+    index = {p: t for t, p in enumerate(pairs)}
+    rows = _rows(C)
+    op = {}
     for col, (i, j) in enumerate(pairs):
-        for row, (a, b) in enumerate(pairs):
-            if i < j:
-                val = C[i, a] * C[j, b] + C[j, a] * C[i, b]
-            else:
-                val = C[i, a] * C[i, b]
-            if (a, b) == (i, j):
-                val = val - 1
-            if val:
-                op[row, col] = val
+        acc = {col: -F1}
+        ri, rj = rows[i], rows[j]
+        for x, (a, u) in enumerate(ri):
+            # CᵀE_ijC is u vᵀ + v uᵀ (i < j) or u uᵀ (i = j) for u, v the
+            # rows i, j of C; an unordered diagonal product counts twice
+            for b, w in (rj if i < j else ri[x:]):
+                key = index[(a, b) if a <= b else (b, a)]
+                val = 2 * u * w if a == b and i < j else u * w
+                acc[key] = acc.get(key, F0) + val
+        op[col] = list(acc.items())
     return op
 
 
@@ -157,17 +154,19 @@ def invariant_sym_forms(pair, carrier):
     alg = pair.algebra
     m = carrier.dim
     pairs = sym_pairs(m)
-    ops = []
-    for t in range(pair.h.dim):
-        x = pair.h_basis[:, t]
-        brackets = [alg.bracket(x, carrier.basis[:, j]) for j in range(m)]
-        R = restricted_operator(carrier, brackets)
-        ops.append(_ad_constraint(R, m, pairs))
-    for g in pair.generators:
-        images = [g.dot(carrier.basis[:, j]) for j in range(m)]
-        C = restricted_operator(carrier, images)
-        ops.append(_generator_constraint(C, m, pairs))
-    coords = intersect_kernels(ops, len(pairs))
+    B = carrier.basis
+
+    def operators():
+        for t in range(pair.h.dim):
+            x = pair.h_basis[:, t]
+            R = restricted_operator(carrier, [alg.bracket(x, B[:, j])
+                                              for j in range(m)])
+            yield _ad_constraint(R, pairs)
+        for g in pair.generators:
+            C = restricted_operator(carrier, [g.dot(B[:, j]) for j in range(m)])
+            yield _generator_constraint(C, pairs)
+
+    coords = intersect_kernels(operators(), len(pairs))
     forms = [sym_matrix(coords.basis[:, j], m, pairs) for j in range(coords.dim)]
     return InvariantFormSpace(carrier, forms)
 
@@ -186,22 +185,19 @@ def psi_analysis(pair, dec=None):
     space = invariant_sym_forms(pair, carrier)
     m = carrier.dim
     pairs = sym_pairs(m)
-    if space.form_basis:
-        stack = fzeros(len(pairs), space.dim)
-        for j, form in enumerate(space.form_basis):
-            stack[:, j] = sym_coords(form, pairs)
-    else:
-        stack = fzeros(len(pairs), 0)
+    stack = fzeros(len(pairs), space.dim)
+    for j, form in enumerate(space.form_basis):
+        stack[:, j] = sym_coords(form, pairs)
     r = pair.algebra.r
-    psi = fzeros(space.dim, r)
+    restricted = fzeros(len(pairs), r)
     B = carrier.basis
     for i in range(r):
-        restricted = B.T.dot(pair.algebra.btilde(i)).dot(B)
-        coords = solve_in_span(stack, sym_coords(restricted, pairs))
-        if coords is None:
-            raise RuntimeError("restricted factor form escapes the invariant "
-                               "space; pair validation must have been skipped")
-        psi[:, i] = coords
+        restricted[:, i] = sym_coords(dot(dot(B.T, pair.algebra.btilde(i)), B),
+                                      pairs)
+    psi = solve_many(stack, restricted)
+    if psi is None:
+        raise RuntimeError("restricted factor form escapes the invariant "
+                           "space; pair validation must have been skipped")
     rank_psi = rank(psi)
     space.psi_matrix = psi
     space.rank_psi = rank_psi
@@ -213,10 +209,12 @@ def psi_analysis(pair, dec=None):
 def minimal_ideal_count(pair, s):
     """Number of generator orbits on the simple ideals of a semisimple s.
 
-    Diagnostic only.  The ideal count is the dimension of the commutant of
-    ad(s) acting on s; with generators present the ideals themselves are
-    recovered by splitting a generic commutant element into rational
-    eigenspaces, which can fail over Q ("splitting failed").
+    Diagnostic only.  For compact semisimple s the commutant of ad(s) on s
+    is spanned by the projections πᵢ onto its simple ideals, and each
+    generator γ permutes them by conjugation, so the orbits are counted by
+    the dimension of {P in the commutant : CP = PC for every generator's
+    restriction C}.  That is one intersect_kernels call over Q, which
+    never has to find the ideals themselves.
     """
     alg = pair.algebra
     if not is_bracket_closed(alg, s):
@@ -224,148 +222,23 @@ def minimal_ideal_count(pair, s):
     m = s.dim
     if m == 0:
         return 0
-    ads = []
-    for i in range(m):
-        brackets = [alg.bracket(s.basis[:, i], s.basis[:, j]) for j in range(m)]
-        ads.append(restricted_operator(s, brackets))
+    B = s.basis
+    ads = [nonzeros(restricted_operator(
+               s, [alg.bracket(B[:, i], B[:, j]) for j in range(m)]))
+           for i in range(m)]
     killing = fzeros(m, m)
-    supports = [list(zip(*np.nonzero(R))) for R in ads]
     for i in range(m):
         for j in range(i, m):
-            acc = F0
             other = ads[j]
-            for t, u in supports[i]:
-                if other[u, t]:
-                    acc += ads[i][t, u] * other[u, t]
+            acc = F0
+            for (t, u), v in ads[i].items():
+                w = other.get((u, t))
+                if w is not None:
+                    acc += v * w
             killing[i, j] = killing[j, i] = acc
     if rank(killing) != m:
         raise ValueError("subspace is not semisimple (degenerate Killing form)")
-
-    # commutant of the restricted adjoint action: P with PR = RP for all R,
-    # P[a,b] vectorized row-major at index a*m + b
-    ops = []
-    for R in ads:
-        op = fzeros(m * m, m * m)
-        for a in range(m):
-            for b in range(m):
-                col = a * m + b
-                for t in range(m):
-                    if R[b, t]:
-                        op[a * m + t, col] += R[b, t]
-                    if R[t, a]:
-                        op[t * m + b, col] -= R[t, a]
-        ops.append(op)
-    comm = intersect_kernels(ops, m * m)
-    k = comm.dim
-    if not pair.generators:
-        return k
-    if k == 1:
-        return 1
-
-    ideals = _split_commutant(comm, m, k)
-    reps = list(range(k))
-
-    def find(x):
-        while reps[x] != x:
-            reps[x] = reps[reps[x]]
-            x = reps[x]
-        return x
-
-    for g in pair.generators:
-        images = [g.dot(s.basis[:, j]) for j in range(m)]
-        C = restricted_operator(s, images)
-        for i, ideal in enumerate(ideals):
-            image = Subspace.span(m, [C.dot(ideal.basis[:, j])
-                                      for j in range(ideal.dim)])
-            target = next((j for j, other in enumerate(ideals) if other == image), None)
-            if target is None:
-                raise RuntimeError("generator does not permute the simple ideals")
-            ri, rj = find(i), find(target)
-            if ri != rj:
-                reps[ri] = rj
-    return len({find(i) for i in range(k)})
-
-
-def _split_commutant(comm, m, k):
-    """Simple ideals as rational eigenspaces of a generic commutant element."""
-    mats = [comm.basis[:, j].reshape(m, m) for j in range(comm.dim)]
-    eye = feye(m)
-    for attempt in range(1, 4):
-        T = fzeros(m, m)
-        for j, P in enumerate(mats):
-            T = T + Fraction((j + 1) ** attempt) * P
-        roots = _rational_eigenvalues(T, k)
-        if roots is None:
-            continue
-        ideals = [kernel_basis(T - lam * eye) for lam in roots]
-        if all(i.dim for i in ideals) and sum(i.dim for i in ideals) == m:
-            return ideals
-    raise ValueError("splitting failed: no generic commutant element with "
-                     "distinct rational eigenvalues")
-
-
-def _rational_eigenvalues(T, k):
-    """k distinct rational eigenvalues of T, or None if there aren't exactly k.
-
-    A generic commutant element is scalar on each simple ideal with all
-    scalars distinct, so it is annihilated by a degree-k polynomial whose
-    roots are those scalars.
-    """
-    m = T.shape[0]
-    powers = [feye(m)]
-    for _ in range(k):
-        powers.append(T.dot(powers[-1]))
-    flat = fzeros(m * m, k)
-    for j in range(k):
-        flat[:, j] = powers[j].reshape(m * m)
-    coeffs = solve_in_span(flat, powers[k].reshape(m * m))
-    if coeffs is None:
-        return None
-    # T satisfies x^k - sum coeffs[j] x^j; need k distinct rational roots
-    poly = [-c for c in coeffs] + [F1]
-    roots = sorted(set(_rational_roots(poly)))
-    if len(roots) != k:
-        return None
-    return roots
-
-
-def _rational_roots(poly):
-    """All rational roots of a polynomial with Fraction coefficients."""
-    den = 1
-    for c in poly:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in poly]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return []
-    shift = 0
-    while ints[shift] == 0:
-        shift += 1
-    roots = [Fraction(0)] if shift else []
-    lead, const = ints[-1], ints[shift]
-
-    def divisors(v):
-        v = abs(v)
-        out = []
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.append(d)
-                out.append(v // d)
-            d += 1
-        return out
-
-    seen = set()
-    for p in divisors(const):
-        for q in divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                val = Fraction(0)
-                for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0:
-                    roots.append(cand)
-    return roots
+    gens = [nonzeros(restricted_operator(s, [g.dot(B[:, j]) for j in range(m)]))
+            for g in pair.generators]
+    ops = (commutant_operator(R, m) for R in ads + gens)
+    return intersect_kernels(ops, m * m).dim

@@ -35,8 +35,8 @@ from itertools import combinations
 from .betti import BettiReport
 from .invariant_forms import (invariant_sym_forms, restricted_operator,
                               sym_coords, sym_pairs, vee)
-from .linalg import (F0, feye, fzeros, intersect_kernels, is_zero,
-                     kernel_basis, rank, solve_in_span)
+from .linalg import (F0, dot, feye, fzeros, intersect_kernels, is_zero,
+                     kernel_basis, nonzeros, rank, solve_in_span)
 from .pairs import validate_pair
 
 
@@ -76,30 +76,25 @@ def cartan_rho(alg, eta):
     ValueError("eta not invariant") if the result fails to alternate, which
     happens exactly when eta is not ad-invariant.
     """
-    n = alg.n
-    cache = {}
-
-    def eval_rho(a, b, c):
-        bab = cache.get((a, b))
-        if bab is None:
-            bab = cache[(a, b)] = alg.bracket_basis(a, b)
-        return sum((bab[t] * eta[t, c] for t in range(n) if bab[t]), F0)
-
+    rows = {}
+    for (t, c), v in nonzeros(eta).items():
+        rows.setdefault(t, []).append((c, v))
+    # every nonzero value, over ordered (a, b) with a != b: each structure
+    # constant [e_a, e_b] ∋ c_t e_t meets only row t of eta
+    rho = {}
+    for (a, b), terms in alg.table.items():
+        for t, ct in terms:
+            for c, v in rows.get(t, ()):
+                rho[(a, b, c)] = rho.get((a, b, c), F0) + ct * v
+    rho = {k: v for k, v in rho.items() if v}
+    for (a, b, c), v in list(rho.items()):
+        rho[(b, a, c)] = -v
     # antisymmetric in (x,y) by construction; alternating iff additionally
-    # antisymmetric under swapping the last two arguments, for every triple
-    for a in range(n):
-        for b in range(n):
-            if b == a:
-                continue
-            for c in range(b, n):
-                if eval_rho(a, b, c) + eval_rho(a, c, b) != 0:
-                    raise ValueError("eta not invariant")
-    form = {}
-    for (a, b, c) in combinations(range(n), 3):
-        v = eval_rho(a, b, c)
-        if v:
-            form[(a, b, c)] = v
-    return form
+    # antisymmetric under swapping the last two arguments
+    for (a, b, c), v in rho.items():
+        if rho.get((a, c, b), F0) != -v:
+            raise ValueError("eta not invariant")
+    return {k: v for k, v in rho.items() if k[0] < k[1] < k[2]}
 
 
 def primitive_basis(pair):
@@ -112,16 +107,11 @@ def primitive_basis(pair):
         raise RuntimeError("dim P¹ != dim z(g); the algebra is not reductive "
                            "as declared")
     rho_forms = [cartan_rho(alg, alg.btilde(i)) for i in range(alg.r)]
-    if alg.r:
-        triples = list(combinations(range(alg.n), 3))
-        tindex = {t: i for i, t in enumerate(triples)}
-        stack = fzeros(len(triples), alg.r)
-        for j, form in enumerate(rho_forms):
-            for t, v in form.items():
-                stack[tindex[t], j] = v
-        if rank(stack) != alg.r:
-            raise RuntimeError("the forms ρ(B̃ᵢ) are dependent; the declared "
-                               "factors cannot all be simple")
+    tindex = {t: i for i, t in enumerate(combinations(range(alg.n), 3))}
+    rows = [{tindex[t]: v for t, v in form.items()} for form in rho_forms]
+    if rank(rows, len(tindex)) != alg.r:
+        raise RuntimeError("the forms ρ(B̃ᵢ) are dependent; the declared "
+                           "factors cannot all be simple")
     return PrimitiveBasis(p1, rho_forms)
 
 
@@ -155,8 +145,8 @@ class _Ingredients:
         for j, form in enumerate(self.s2_forms):
             self.s2_matrix[:, j] = sym_coords(form, self._pairs)
 
-        self.restr = [H.T.dot(f) for f in self.prim.p1_basis]
-        self.btilde_h = [H.T.dot(alg.btilde(i)).dot(H) for i in range(alg.r)]
+        self.restr = [dot(H.T, f) for f in self.prim.p1_basis]
+        self.btilde_h = [dot(dot(H.T, alg.btilde(i)), H) for i in range(alg.r)]
 
     def psi_coords(self, covector):
         coords = solve_in_span(self.psi_matrix, covector)

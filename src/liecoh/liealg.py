@@ -5,24 +5,32 @@ center z(g) and the remaining indices are partitioned into declared simple
 ideals g_1, ..., g_r.  Structure constants are stored sparsely for i < j only;
 [e_i, e_j] = sum_k c_{ijk} e_k, the i > j entries follow by antisymmetry.
 
-Factors are declared by the input and verified (ideal-closure test), never
-discovered: discovery would need idempotent splitting of the adjoint
-commutant, which can fail over Q, while verification is complete and cheap.
+Factors are declared by the input and verified, never discovered:
+discovery would need idempotent splitting of the adjoint commutant, which
+can fail over Q.  Simplicity is verified by the ideal closure of each basis
+vector plus the dimension of the factor's ad-commutant.  For a factor whose
+Killing form is negative definite (a compact semisimple one) the commutant
+is spanned by the projections onto its simple ideals, so dimension 1 is
+exactly simplicity and the check is complete; a fused factor such as so(4)
+in its standard coordinates is rejected.  Brackets, the Jacobi check and
+both simplicity halves run through the nonzero structure constants.
 """
 
-from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from .linalg import (F0, F1, Subspace, fr, fzeros, feye, intersect,
-                     intersect_kernels, is_spd, is_zero, kernel_basis,
-                     rat_str)
+from .linalg import (F0, F1, Subspace, commutant_operator, dot,
+                     echelon_insert, fr, fzeros, intersect, intersect_kernels,
+                     is_spd, kernel_basis, rat_str, solve_many)
 
 
 # Largest algebra dimension accepted.  Builders check it before any matrix
 # is allocated, so an oversized request fails at once with a ValueError.
-# Exact building and validation cost grows like n^6 (so(12), n = 66, takes
-# 37 s to build on one core), so 64 keeps every accepted input tractable.
+# so(n) is built from its closed-form brackets, but su(n) and sp(n) solve
+# their matrix models densely, which grows like n^6: on one 2-core box su(8)
+# (n = 63) takes 37 s to build and 3 s to validate, sphere:10 (n = 55)
+# 1.1 s to validate.  64 keeps every accepted input tractable.
 MAX_DIM = 64
 
 
@@ -165,12 +173,34 @@ class LieAlgebra:
         if len(x) != self.n or len(y) != self.n:
             raise ValueError("vector length != algebra dimension")
         out = fzeros(self.n)
-        for (i, j), terms in self.table.items():
-            coef = x[i] * y[j] - x[j] * y[i]
-            if coef:
-                for k, c in terms:
-                    out[k] += coef * c
+        u = {i: a for i, a in enumerate(x) if a}
+        v = {j: b for j, b in enumerate(y) if b}
+        for k, c in self.bracket_sparse(u, v).items():
+            out[k] = c
         return out
+
+    def bracket_sparse(self, u, v):
+        """[u, v] for sparse {index: coefficient} vectors, as such a dict.
+
+        Only the nonzeros of u and v are visited, each pair looking up its
+        structure constants in the table.
+        """
+        out = {}
+        table = self.table
+        for i, a in u.items():
+            for j, b in v.items():
+                if i < j:
+                    terms = table.get((i, j))
+                    coef = a * b
+                elif i > j:
+                    terms = table.get((j, i))
+                    coef = -a * b
+                else:
+                    continue
+                if terms:
+                    for k, c in terms:
+                        out[k] = out.get(k, F0) + coef * c
+        return {k: c for k, c in out.items() if c}
 
     def ad_sparse(self):
         """Per basis vector i, the sparse matrix of ad e_i as {(row, col): c}."""
@@ -292,11 +322,11 @@ class LieAlgebra:
 def is_bracket_closed(alg, s):
     """True iff the subspace s is closed under the bracket."""
     B = s.basis
-    for i in range(s.dim):
-        for j in range(i + 1, s.dim):
-            if not s.contains(alg.bracket(B[:, i], B[:, j])):
-                return False
-    return True
+    m = s.dim
+    brackets = fzeros(alg.n, m * (m - 1) // 2)
+    for col, (i, j) in enumerate(combinations(range(m), 2)):
+        brackets[:, col] = alg.bracket(B[:, i], B[:, j])
+    return solve_many(B, brackets) is not None
 
 
 def center_and_derived(alg, s):
@@ -322,7 +352,7 @@ def center_and_derived(alg, s):
     if m:
         stacked = np.vstack(ops)
         coords = kernel_basis(stacked)
-        zvecs = [B.dot(coords.basis[:, j]) for j in range(coords.dim)]
+        zvecs = [dot(B, coords.basis[:, j]) for j in range(coords.dim)]
     else:
         zvecs = []
     zs = Subspace.span(alg.n, zvecs)
@@ -368,30 +398,22 @@ def validate(alg):
     rep.add("cross_factor_brackets_vanish", bad_cross is None, bad_cross)
     rep.add("factor_brackets_closed", bad_closed is None, bad_closed)
 
-    # Jacobi identity on all basis triples; [v, e_k] = -ad(e_k) v via the
-    # sparse tables, so the triple loop touches only nonzero entries
-    ads = alg.ad_sparse()
-
-    def ad_apply(k, v):
-        out = fzeros(alg.n)
-        for (row, col), c in ads[k].items():
-            if v[col]:
-                out[row] += c * v[col]
-        return out
-
+    # Jacobi identity on all basis triples, on sparse vectors, so each
+    # bracket touches only the nonzero structure constants; a triple with
+    # no nonzero bracket among its pairs holds trivially
+    unit = [{i: F1} for i in range(alg.n)]
+    table = alg.table
     bad_jacobi = None
-    for i in range(alg.n):
-        for j in range(i + 1, alg.n):
-            bij = alg.bracket_basis(i, j)
-            for k in range(j + 1, alg.n):
-                s = -ad_apply(k, bij) - ad_apply(i, alg.bracket_basis(j, k)) \
-                    - ad_apply(j, alg.bracket_basis(k, i))
-                if not is_zero(s):
-                    bad_jacobi = (i, j, k)
-                    break
-            if bad_jacobi:
-                break
-        if bad_jacobi:
+    for i, j, k in combinations(range(alg.n), 3):
+        if (i, j) not in table and (j, k) not in table and (i, k) not in table:
+            continue
+        total = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = alg.bracket_sparse(unit[x], unit[y])
+            for t, c in alg.bracket_sparse(inner, unit[z]).items():
+                total[t] = total.get(t, F0) + c
+        if any(total.values()):
+            bad_jacobi = (i, j, k)
             break
     rep.add("jacobi", bad_jacobi is None, bad_jacobi)
 
@@ -405,30 +427,54 @@ def validate(alg):
             break
     rep.add("killing_negative_definite_per_factor", bad_factor is None, bad_factor)
 
-    # each declared factor is simple: the ideal closure of any single basis
-    # vector must be the whole factor
+    # each declared factor is simple, in two halves.  The ideal closure of
+    # every basis vector must be the whole factor; that names a witness
+    # (name, index), but a vector can meet every simple ideal of a fused
+    # factor.  The ad-commutant must be the scalars, i.e. 1-dimensional;
+    # given the negative-definite Killing form, that is exactly simplicity.
     bad_simple = None
-    eye = feye(alg.n)
     if bad_factor is None and bad_cross is None and bad_closed is None:
-        for fi, (name, start, stop) in enumerate(alg.factors):
-            target = Subspace.span(alg.n, [eye[:, t] for t in range(start, stop)])
-            for v in range(start, stop):
-                w = Subspace.span(alg.n, [eye[:, v]])
-                while True:
-                    vecs = [w.basis[:, j] for j in range(w.dim)]
-                    grown = list(vecs)
-                    for u in vecs:
-                        for i in range(alg.n):
-                            if ads[i]:
-                                grown.append(ad_apply(i, u))
-                    w2 = Subspace.span(alg.n, grown)
-                    if w2.dim == w.dim:
-                        break
-                    w = w2
-                if w != target:
-                    bad_simple = (name, v)
-                    break
+        for name, start, stop in alg.factors:
+            bad_simple = _closure_witness(alg, name, start, stop)
+            if bad_simple is None:
+                k = _commutant_dim(alg, start, stop)
+                if k != 1:
+                    bad_simple = (name, "commutant_dim", k)
             if bad_simple:
                 break
     rep.add("factors_simple", bad_simple is None, bad_simple)
     return rep
+
+
+def _closure_witness(alg, name, start, stop):
+    """(name, v) for the first basis vector e_v of the factor whose ideal
+    closure is smaller than the factor, or None.
+
+    Center and cross-factor brackets vanish (checked first), so each
+    closure only brackets with the factor's own basis.  It grows against an
+    integer echelon by the rows just added and stops once it spans the
+    factor.
+    """
+    dim = stop - start
+    for v in range(start, stop):
+        echelon = {}
+        todo = [echelon_insert(echelon, {v: F1})]
+        while todo and len(echelon) < dim:
+            u = todo.pop()
+            for i in range(start, stop):
+                row = echelon_insert(echelon, alg.bracket_sparse({i: F1}, u))
+                if row is not None:
+                    todo.append(row)
+        if len(echelon) < dim:
+            return (name, v)
+    return None
+
+
+def _commutant_dim(alg, start, stop):
+    """Dimension of {P : P ad(x) = ad(x) P for every x} on one factor."""
+    dim = stop - start
+    ads = alg.ad_sparse()
+    ops = (commutant_operator({(r - start, c - start): v
+                               for (r, c), v in ads[i].items()}, dim)
+           for i in range(start, stop))
+    return intersect_kernels(ops, dim * dim).dim

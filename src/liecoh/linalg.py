@@ -74,6 +74,27 @@ def is_zero(arr):
     return all(x == 0 for x in np.asarray(arr).flat)
 
 
+def dot(a, b):
+    """a.dot(b) for Fraction matrices (b may be a vector), through nonzeros.
+
+    A dense object-array product multiplies every zero entry as a Fraction;
+    this one only visits the nonzeros of a and, per nonzero, one row of b.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if b.ndim == 1:
+        return dot(a, b.reshape(-1, 1)).reshape(-1)
+    brows = [[] for _ in range(b.shape[0])]
+    for k, j in zip(*np.nonzero(b)):
+        brows[k].append((j, b[k, j]))
+    out = fzeros(a.shape[0], b.shape[1])
+    for i, k in zip(*np.nonzero(a)):
+        x = a[i, k]
+        for j, y in brows[k]:
+            out[i, j] += x * y
+    return out
+
+
 # ---------------------------------------------------------------------------
 # fraction-free elimination core
 # ---------------------------------------------------------------------------
@@ -129,28 +150,11 @@ def _sparse_echelon(rows, ncols):
         pr = min(cand, key=lambda i: (len(rows[i]), abs(rows[i][c])))
         used[pr] = True
         prow = rows[pr]
-        piv = prow[c]
         for i in cand:
             if i == pr:
                 continue
             r = rows[i]
-            lead = r[c]
-            g = gcd(piv, lead)
-            a, b = piv // g, lead // g
-            new = {}
-            g2 = 0
-            for col, v in r.items():
-                w = a * v - b * prow.get(col, 0)
-                if w:
-                    new[col] = w
-                    g2 = gcd(g2, w)
-            for col, v in prow.items():
-                if col not in r:
-                    w = -b * v
-                    new[col] = w
-                    g2 = gcd(g2, w)
-            if g2 > 1:
-                new = {col: v // g2 for col, v in new.items()}
+            new = _eliminate(r, prow, c)
             for col in r:
                 if col not in new:
                     by_col[col].discard(i)
@@ -161,6 +165,54 @@ def _sparse_echelon(rows, ncols):
         out_rows.append(prow)
         pivots.append(c)
     return out_rows, pivots
+
+
+def _eliminate(r, prow, c):
+    """The integer row r with column c cleared by the pivot row prow.
+
+    Uses the gcd-scaled two-term update r <- (piv//g)*r - (lead//g)*prow
+    and divides the result by the gcd of its entries.
+    """
+    piv = prow[c]
+    lead = r[c]
+    g = gcd(piv, lead)
+    a, b = piv // g, lead // g
+    new = {}
+    g2 = 0
+    for col, v in r.items():
+        w = a * v - b * prow.get(col, 0)
+        if w:
+            new[col] = w
+            g2 = gcd(g2, w)
+    for col, v in prow.items():
+        if col not in r:
+            w = -b * v
+            new[col] = w
+            g2 = gcd(g2, w)
+    if g2 > 1:
+        new = {col: v // g2 for col, v in new.items()}
+    return new
+
+
+def echelon_insert(echelon, v):
+    """Grow an echelon basis by one sparse vector; the new row, or None.
+
+    echelon is a {pivot column: {col: int}} dict whose rows hold no column
+    before their pivot, grown in place; v is a {col: Fraction} vector.  v is
+    reduced from its leading column up: it lies in the span exactly when it
+    reduces to zero, and otherwise its remainder is added under its own
+    leading column and returned.
+    """
+    rows = _int_rows_sparse([v])
+    v = rows[0] if rows else {}
+    while v:
+        c = min(v)
+        prow = echelon.get(c)
+        if prow is None:
+            echelon[c] = v
+            return v
+        v = _eliminate(v, prow, c)
+    return None
 
 
 def rank(m, ncols=None):
@@ -477,7 +529,7 @@ def intersect(s1, s2):
         return zero_subspace(s1.ambient_dim)
     stacked = np.hstack([s1.basis, -s2.basis])
     ker = kernel_basis(stacked)
-    vecs = [s1.basis.dot(ker.basis[:s1.dim, j]) for j in range(ker.dim)]
+    vecs = [dot(s1.basis, ker.basis[:s1.dim, j]) for j in range(ker.dim)]
     return Subspace.span(s1.ambient_dim, vecs)
 
 
@@ -490,12 +542,25 @@ def subspace_sum(s1, s2):
     return Subspace.span(s1.ambient_dim, vecs)
 
 
-def _as_columns(op):
-    """A dense operator in the sparse column form {col: [(row, value)]}."""
-    op = np.asarray(op)
+def nonzeros(m):
+    """The nonzero entries of a dense matrix as {(row, col): value}."""
+    m = np.asarray(m)
+    return {(int(r), int(c)): m[r, c] for r, c in zip(*np.nonzero(m))}
+
+
+def commutant_operator(entries, m):
+    """Sparse columns of P -> PR - RP on m x m matrices P.
+
+    R is given by its nonzero entries {(row, col): value}; P[a, b] is the
+    coordinate a*m + b.  The kernel of the operator is {P : PR = RP}.
+    """
     cols = {}
-    for row, col in zip(*np.nonzero(op)):
-        cols.setdefault(int(col), []).append((int(row), op[row, col]))
+    for (b, t), v in entries.items():
+        # (PR)[a, t] picks up P[a, b] R[b, t] and (RP)[b, a'] picks up
+        # R[b, t] P[t, a'] for every a and a'
+        for a in range(m):
+            cols.setdefault(a * m + b, []).append((a * m + t, v))
+            cols.setdefault(t * m + a, []).append((b * m + a, -v))
     return cols
 
 
@@ -515,7 +580,10 @@ def intersect_kernels(operators, dim):
         if cols is not None and not cols:
             break
         if not isinstance(op, dict):
-            op = _as_columns(op)
+            cols_of = {}
+            for (r, c), v in nonzeros(op).items():
+                cols_of.setdefault(c, []).append((r, v))
+            op = cols_of
         rows = {}
         if cols is None:
             for c, entries in op.items():
@@ -559,4 +627,4 @@ def orth_complement(s, gram):
         raise ValueError("gram not symmetric positive definite")
     if s.dim == 0:
         return full_subspace(s.ambient_dim)
-    return kernel_basis(s.basis.T.dot(gram))
+    return kernel_basis(dot(s.basis.T, gram))

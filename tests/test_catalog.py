@@ -8,7 +8,7 @@ from liecoh.betti import betti_low
 from liecoh.koszul import betti_koszul
 from liecoh.liealg import MAX_DIM, LieAlgebra, is_bracket_closed, validate
 from liecoh.pairs import HomogeneousPair, validate_pair
-from liecoh.linalg import feye, fzeros
+from liecoh.linalg import F1, feye, fzeros
 
 F = Fraction
 
@@ -184,3 +184,16 @@ def test_catalog_algebras_validate():
         pair = catalog.pair_from_name(name)
         rep = validate(pair.algebra)
         assert rep.ok, "%s: %s" % (name, rep.describe())
+
+
+def test_so_constants_closed_form_matches_matrix_model():
+    # emitted documents must not change: the closed form has to give the
+    # very constants the matrix model solves for, in the same order
+    for n in range(3, 8):
+        mats = []
+        for a, b in catalog._lex_pairs(n):
+            m = fzeros(n, n)
+            m[a, b] = F1
+            m[b, a] = -F1
+            mats.append((m,))
+        assert catalog._so_constants(n) == catalog._matrix_constants(mats), n

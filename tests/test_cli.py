@@ -7,7 +7,7 @@ import sys
 from liecoh import catalog
 from liecoh.betti import betti_low
 from liecoh.cli import main
-from liecoh.liealg import ValidationError
+from liecoh.liealg import LieAlgebra, ValidationError
 from liecoh.pairs import HomogeneousPair
 
 
@@ -110,6 +110,25 @@ def test_invalid_algebra_rejected_by_pair_validation(tmp_path, capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert "FAIL jacobi" in out and "FAIL factors_simple" in out
+
+
+def test_so4_declared_as_one_factor_is_rejected(tmp_path, capsys):
+    # so(4) in its standard coordinates passes the Jacobi, Killing and
+    # ideal-closure checks; read as one simple factor it would give b3 = 1,
+    # while SO(4) is rationally S3 x S3 (b3 = 2)
+    so4 = LieAlgebra.from_factor_constants(
+        0, [("so(4)", 6, catalog._so_constants(4))])
+    doc = {"algebra": so4.to_dict(), "subalgebra": {"basis": []}}
+    try:
+        betti_low(HomogeneousPair.from_dict(doc))
+    except ValidationError as e:
+        assert "factors_simple" in str(e)
+    else:
+        raise AssertionError("so(4) accepted as one simple factor")
+    code = main(["compute", _write(tmp_path, doc)])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "FAIL factors_simple" in out and "commutant_dim" in out
 
 
 def test_usage_error_exits_1_and_help_exits_0(tmp_path, capsys):

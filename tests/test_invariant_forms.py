@@ -1,11 +1,13 @@
 """Invariant symmetric forms, the Ψ restriction matrix, and ideal counting."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 
 from liecoh import catalog
-from liecoh.invariant_forms import (InvariantFormSpace, fixed_vectors,
+from liecoh.invariant_forms import (InvariantFormSpace, _ad_constraint,
+                                    _generator_constraint, fixed_vectors,
                                     invariant_sym_forms, minimal_ideal_count,
                                     psi_analysis, restricted_operator,
                                     sym_coords, sym_matrix, sym_pairs, vee)
@@ -140,6 +142,73 @@ def test_minimal_ideal_count_generator_merges_orbits():
     assert minimal_ideal_count(pair, dec.hh) == 1
     bare = HomogeneousPair(pair.algebra, pair.h_basis)
     assert minimal_ideal_count(bare, dec.hh) == 2
+
+
+def _rotation_swap(R):
+    """(x, y) -> (R y, Rᵀ x) on su(2)+su(2): swaps the two ideals."""
+    gamma = fzeros(6, 6)
+    for a in range(3):
+        for b in range(3):
+            gamma[a, 3 + b] = R[a, b]
+            gamma[3 + a, b] = R[b, a]
+    return gamma
+
+
+def test_minimal_ideal_count_generator_swaps_rotated_ideals():
+    g = catalog.pair_from_name("su:2+su:2").algebra
+    R = fmat([[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]])
+    swap = _rotation_swap(R)
+    # a rotation in SO(3) is an automorphism of su(2) in the cyclic basis,
+    # so the swap is an automorphism of g
+    for i in range(6):
+        for j in range(6):
+            assert (swap.dot(g.bracket_basis(i, j))
+                    == g.bracket(swap[:, i], swap[:, j])).all()
+    # s = g in a basis that mixes both ideals
+    mixed = fmat([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 3],
+                  [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]).T
+    s = Subspace(6, mixed)
+    assert minimal_ideal_count(HomogeneousPair(g, mixed, [swap]), s) == 1
+    assert minimal_ideal_count(HomogeneousPair(g, mixed), s) == 2
+    # a rotation inside each ideal keeps both orbits
+    turn = fzeros(6, 6)
+    for a in range(3):
+        for b in range(3):
+            turn[a, b] = turn[3 + a, 3 + b] = R[a, b]
+    assert minimal_ideal_count(HomogeneousPair(g, mixed, [turn]), s) == 2
+
+
+def _random_rational_matrix(rng, m, density):
+    return fmat([[F(rng.randrange(-4, 5), rng.randrange(1, 4))
+                  if rng.random() < density else 0 for _ in range(m)]
+                 for _ in range(m)])
+
+
+def _apply_columns(op, vec, rows):
+    out = fzeros(rows)
+    for col, entries in op.items():
+        for row, v in entries:
+            out[row] += v * vec[col]
+    return out
+
+
+def test_sparse_invariance_constraints_match_dense_formulas():
+    rng = random.Random(51)
+    for m in (1, 3, 4):
+        pairs = sym_pairs(m)
+        for density in (0.3, 1.0):
+            R = _random_rational_matrix(rng, m, density)
+            C = _random_rational_matrix(rng, m, density)
+            ad_op = _ad_constraint(R, pairs)
+            gen_op = _generator_constraint(C, pairs)
+            for _ in range(3):
+                A = _random_rational_matrix(rng, m, 0.7)
+                Fm = A + A.T
+                f = sym_coords(Fm, pairs)
+                assert list(_apply_columns(ad_op, f, len(pairs))) == \
+                    list(sym_coords(R.T.dot(Fm) + Fm.dot(R), pairs))
+                assert list(_apply_columns(gen_op, f, len(pairs))) == \
+                    list(sym_coords(C.T.dot(Fm).dot(C) - Fm, pairs))
 
 
 def test_minimal_ideal_count_rejects_non_subalgebra():

@@ -1,5 +1,6 @@
 """Lie algebra model: brackets, Killing data, subalgebra analysis, validation."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -238,3 +239,44 @@ def test_bracket_rejects_wrong_length():
         pass
     else:
         raise AssertionError("wrong-length vector accepted")
+
+
+def test_bracket_is_the_bilinear_expansion_of_bracket_basis():
+    rng = random.Random(41)
+    for name in ("su:3", "so:5", "torus:2+su:2", "torus:1+sp:2"):
+        g = catalog.pair_from_name(name).algebra
+        for _ in range(3):
+            x = fvec([F(rng.randrange(-5, 6), rng.randrange(1, 4))
+                      if rng.random() < 0.6 else 0 for _ in range(g.n)])
+            y = fvec([F(rng.randrange(-5, 6), rng.randrange(1, 4))
+                      if rng.random() < 0.6 else 0 for _ in range(g.n)])
+            want = fzeros(g.n)
+            for i in range(g.n):
+                for j in range(g.n):
+                    want = want + x[i] * y[j] * g.bracket_basis(i, j)
+            assert list(g.bracket(x, y)) == list(want), name
+            sparse = g.bracket_sparse({i: a for i, a in enumerate(x) if a},
+                                      {j: b for j, b in enumerate(y) if b})
+            assert sparse == {k: c for k, c in enumerate(want) if c}, name
+
+
+def test_validate_names_the_vector_whose_ideal_is_too_small():
+    # su(2) + su(2) in its split basis declared as one factor: the ideal of
+    # e_0 is the first su(2) only
+    g = catalog.pair_from_name("su:2+su:2").algebra
+    fused = LieAlgebra(0, [("fused", 6)], g.table)
+    simple = [c for c in validate(fused).checks if c["name"] == "factors_simple"]
+    assert simple[0]["witness"] == ("fused", 0)
+
+
+def test_validate_rejects_so4_declared_as_one_factor():
+    # every L_ab generates both su(2) ideals of so(4), so only the
+    # commutant half of the simplicity check sees that it is not simple
+    so4 = LieAlgebra.from_factor_constants(
+        0, [("so(4)", 6, catalog._so_constants(4))])
+    rep = validate(so4)
+    assert _failure_names(rep) == {"factors_simple"}
+    simple = [c for c in rep.checks if c["name"] == "factors_simple"]
+    assert simple[0]["witness"] == ("so(4)", "commutant_dim", 2)
+    for name in ("su:2", "so:5", "sp:2", "su:4"):
+        assert validate(catalog.pair_from_name(name).algebra).ok, name

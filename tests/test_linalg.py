@@ -10,10 +10,11 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from liecoh.linalg import (F0, F1, Subspace, feye, fmat, fvec, fzeros,
+from liecoh.linalg import (F0, F1, Subspace, commutant_operator, dot,
+                           echelon_insert, feye, fmat, fvec, fzeros,
                            full_subspace, intersect, intersect_kernels,
                            inverse, is_spd, is_zero, kernel_basis,
-                           orth_complement, rank, rat_str, rref,
+                           nonzeros, orth_complement, rank, rat_str, rref,
                            solve_in_span, solve_many, subspace_sum,
                            zero_subspace)
 
@@ -257,3 +258,53 @@ def test_rat_str_round_trip():
     assert rat_str(F(3)) == "3"
     assert rat_str(F(-7, 2)) == "-7/2"
     assert F(rat_str(F(22, 4))) == F(11, 2)
+
+
+def _apply_columns(op, vec, rows):
+    """Apply a sparse {col: [(row, value)]} operator to a dense vector."""
+    out = fzeros(rows)
+    for col, entries in op.items():
+        for row, v in entries:
+            out[row] += v * vec[col]
+    return out
+
+
+def test_commutant_operator_is_p_r_minus_r_p():
+    rng = random.Random(31)
+    m = 4
+    R = _random_matrix(rng, m, m, density=0.5)
+    op = commutant_operator(nonzeros(R), m)
+    # the identity commutes with everything
+    assert is_zero(_apply_columns(op, feye(m).reshape(m * m), m * m))
+    for _ in range(3):
+        P = _random_matrix(rng, m, m)
+        got = _apply_columns(op, P.reshape(m * m), m * m)
+        assert list(got) == list((P.dot(R) - R.dot(P)).reshape(m * m))
+
+
+def test_dot_matches_dense_product():
+    rng = random.Random(32)
+    for rows, inner, cols in ((3, 4, 2), (5, 5, 5), (1, 3, 1), (4, 0, 3)):
+        a = _random_matrix(rng, rows, inner, density=0.4)
+        b = _random_matrix(rng, inner, cols, density=0.4)
+        assert (dot(a, b) == a.dot(b)).all()
+        assert list(dot(a, b[:, 0])) == list(a.dot(b[:, 0]))
+
+
+def test_echelon_insert_tracks_rank():
+    rng = random.Random(33)
+    for _ in range(5):
+        m = _random_matrix(rng, 6, 5, density=0.5)
+        echelon = {}
+        grown = 0
+        for i in range(m.shape[0]):
+            row = {j: x for j, x in enumerate(m[i]) if x}
+            before = len(echelon)
+            new = echelon_insert(echelon, row)
+            assert (new is None) == (len(echelon) == before)
+            grown += new is not None
+            assert grown == rank(m[:i + 1])
+        # each row starts at its own pivot, and nothing in the span grows it
+        assert all(min(r) == c for c, r in echelon.items())
+        double = {j: 2 * x for j, x in enumerate(m[0]) if x}
+        assert echelon_insert(echelon, double) is None
