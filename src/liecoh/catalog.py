@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .liealg import LieAlgebra, check_dim
-from .linalg import F1, feye, fmat, fzeros, solve_many
+from .linalg import F1, dot, feye, fmat, fzeros, solve_many
 from .pairs import HomogeneousPair
 
 # su(2) in the cyclic basis: [e1, e2] = 2 e3 and cyclically.
@@ -53,17 +53,17 @@ SO4_TO_SPLIT = fmat([
 def _mul(a, b):
     """Product of matrices over R, C, or H given as component tuples."""
     if len(a) == 1:
-        return (a[0].dot(b[0]),)
+        return (dot(a[0], b[0]),)
     if len(a) == 2:
         ar, ai = a
         br, bi = b
-        return (ar.dot(br) - ai.dot(bi), ar.dot(bi) + ai.dot(br))
+        return (dot(ar, br) - dot(ai, bi), dot(ar, bi) + dot(ai, br))
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
-    return (a0.dot(b0) - a1.dot(b1) - a2.dot(b2) - a3.dot(b3),
-            a0.dot(b1) + a1.dot(b0) + a2.dot(b3) - a3.dot(b2),
-            a0.dot(b2) - a1.dot(b3) + a2.dot(b0) + a3.dot(b1),
-            a0.dot(b3) + a1.dot(b2) - a2.dot(b1) + a3.dot(b0))
+    return (dot(a0, b0) - dot(a1, b1) - dot(a2, b2) - dot(a3, b3),
+            dot(a0, b1) + dot(a1, b0) + dot(a2, b3) - dot(a3, b2),
+            dot(a0, b2) - dot(a1, b3) + dot(a2, b0) + dot(a3, b1),
+            dot(a0, b3) + dot(a1, b2) - dot(a2, b1) + dot(a3, b0))
 
 
 def _flat(a):

@@ -38,8 +38,8 @@ import os
 from itertools import chain, combinations
 
 from .betti import BettiReport
-from .linalg import (F0, F1, dot, intersect_kernels, inverse, kernel_basis,
-                     rank)
+from .linalg import (F0, F1, dot, intersect_kernels, kernel_basis, rank,
+                     solve_many)
 from .pairs import validate_pair
 
 DEFAULT_SIZE_CAP = 14
@@ -85,8 +85,11 @@ def _dual_frame(pair):
     """Annihilator basis of h in g*, plus test vectors dual to it."""
     ann = kernel_basis(pair.h_basis.T)
     frame = ann.basis                      # n x q, columns are covectors
-    tests = dot(frame, inverse(dot(frame.T, frame)))
-    return ann, frame, tests
+    # tests = frame (frame^T frame)^-1, transposed through the symmetric Gram
+    coords = solve_many(dot(frame.T, frame), frame.T)
+    if coords is None:
+        raise ValueError("annihilator Gram matrix is singular")
+    return ann, frame, coords.T
 
 
 def _theta_matrices(pair, frame, tests):
@@ -104,7 +107,10 @@ def _generator_matrices(pair, frame, tests):
     """Coordinate matrix of the pullback action on the annihilator."""
     mats = []
     for gamma in pair.generators:
-        evals = dot(frame.T, dot(inverse(gamma), tests))
+        moved = solve_many(gamma, tests)   # gamma^{-1} applied to the tests
+        if moved is None:
+            raise ValueError("generator matrix is singular")
+        evals = dot(frame.T, moved)
         mats.append(evals.T)               # column i = coords of F_i o gamma^{-1}
     return mats
 

@@ -36,7 +36,7 @@ from .betti import BettiReport
 from .invariant_forms import (invariant_sym_forms, restricted_operator,
                               sym_coords, sym_pairs, vee)
 from .linalg import (F0, dot, feye, fzeros, intersect_kernels, is_zero,
-                     kernel_basis, nonzeros, rank, solve_in_span)
+                     kernel_basis, nonzeros, rank, solve_many)
 from .pairs import validate_pair
 
 
@@ -149,18 +149,19 @@ class _Ingredients:
         self.btilde_h = [dot(dot(H.T, alg.btilde(i)), H) for i in range(alg.r)]
 
     def psi_coords(self, covector):
-        coords = solve_in_span(self.psi_matrix, covector)
+        coords = solve_many(self.psi_matrix, covector.reshape(-1, 1))
         if coords is None:
             raise RuntimeError("restriction escapes (h*)^H; invariance "
                                "computation is inconsistent")
-        return coords
+        return coords[:, 0]
 
     def s2_coords(self, form):
-        coords = solve_in_span(self.s2_matrix, sym_coords(form, self._pairs))
+        coords = solve_many(self.s2_matrix,
+                            sym_coords(form, self._pairs).reshape(-1, 1))
         if coords is None:
             raise RuntimeError("form escapes S²(h*)^H; invariance "
                                "computation is inconsistent")
-        return coords
+        return coords[:, 0]
 
 
 def build_complex(pair, validate=True):

@@ -1,11 +1,15 @@
 """Exact rational linear algebra on numpy object arrays of Fractions.
 
 Matrices here are dense 2-D numpy arrays with dtype=object whose entries are
-fractions.Fraction.  Every rank and kernel goes through one exact engine,
+fractions.Fraction.  Every elimination goes through one exact engine,
 _sparse_echelon: each row is cleared to integers once (lcm of denominators)
 and held as a {col: int} dict, then eliminated with the gcd-scaled two-term
 update, so no rationals appear inside the hot loop and the cost tracks the
-nonzero structure.
+nonzero structure.  Ranks count its pivots, kernels back-substitute through
+its rows (_kernel_columns), solve_many reads coordinates off the kernel of
+[basis | rhs], and Subspace.span and subspace equality use its rows and rank.
+The one other pivot loop, is_spd, reads the signs of a Gram matrix's
+symmetric pivots on input; it computes no rank or solution.
 
 Ordering conventions used throughout the package: symmetric index pairs are
 (i, j) with i <= j in lexicographic order, exterior tuples are strictly
@@ -286,105 +290,27 @@ def kernel_basis(m, ncols=None):
     return Subspace.from_columns(ncols, cols, free)
 
 
-# ---------------------------------------------------------------------------
-# rational RREF: canonical forms, solving, inversion
-# ---------------------------------------------------------------------------
-
-def _rref(rows, ncols):
-    """Reduced row echelon form over Q, in place; returns (rows, pivots)."""
-    r = 0
-    pivots = []
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            rows[r] = [x / piv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def rref(m):
-    """RREF of a Fraction matrix as (matrix, pivot column list)."""
-    m = np.asarray(m)
-    rows = [[fr(x) for x in row] for row in m]
-    rows, pivots = _rref(rows, m.shape[1])
-    out = fzeros(m.shape[0], m.shape[1])
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out, pivots
-
-
-def solve_in_span(basis, v):
-    """Coordinates x with basis.dot(x) == v, or None if v is outside the span.
-
-    basis: n x k matrix whose columns span the target; v: length-n vector.
-    """
-    basis = np.asarray(basis)
-    n, k = basis.shape
-    aug = [[fr(basis[i, j]) for j in range(k)] + [fr(v[i])] for i in range(n)]
-    rows, pivots = _rref(aug, k + 1)
-    if k in pivots:
-        return None
-    x = fzeros(k)
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][k]
-    return x
-
-
 def solve_many(basis, rhs):
     """Coordinates X with basis.dot(X) == rhs, or None if a column escapes.
 
-    One elimination for all right-hand sides; basis is n x k, rhs is n x d.
+    One kernel of [basis | rhs] for all right-hand sides (basis is n x k,
+    rhs is n x d): column k + j is free exactly when rhs column j lies in
+    the span of basis, and its kernel column, negated on the basis rows,
+    gives coordinates with every free basis variable set to 0.
     """
     basis = np.asarray(basis)
     rhs = np.asarray(rhs)
-    k = basis.shape[1]
-    d = rhs.shape[1]
-    if d == 0:
-        return fzeros(k, 0)
-    if k == 0:
-        return fzeros(0, d) if is_zero(rhs) else None
-    reduced, pivots = rref(np.hstack([basis, rhs]))
-    if any(p >= k for p in pivots):
+    k, d = basis.shape[1], rhs.shape[1]
+    cols, free = _kernel_columns(_int_rows_sparse(np.hstack([basis, rhs])),
+                                 k + d)
+    if free[len(free) - d:] != list(range(k, k + d)):
         return None
     coords = fzeros(k, d)
-    for i, p in enumerate(pivots):
-        coords[p] = reduced[i, k:]
+    for j, col in enumerate(cols[len(cols) - d:]):
+        for r, x in col.items():
+            if r < k:
+                coords[r, j] = -x
     return coords
-
-
-def inverse(m):
-    """Exact inverse of a square Fraction matrix (ValueError if singular)."""
-    m = np.asarray(m)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("inverse of a non-square matrix")
-    aug = [[fr(m[i, j]) for j in range(n)] + [F1 if i == j else F0 for j in range(n)]
-           for i in range(n)]
-    rows, pivots = _rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    out = fzeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = rows[i][n + j]
-    return out
 
 
 def is_spd(gram):
@@ -416,10 +342,10 @@ def is_spd(gram):
 class Subspace:
     """A linear subspace of Q^n, held as an n x k basis matrix (columns).
 
-    Two subspaces compare equal iff their reduced-column-echelon canonical
-    forms are identical; canonicalization is idempotent.  Kernels come back
-    from kernel_basis and intersect_kernels as sparse columns with free
-    rows (see from_columns); columns and free are None otherwise.
+    Two subspaces compare equal iff they have the same ambient dimension
+    and the same dimension, and stacking their bases adds no rank.  Kernels
+    come back from kernel_basis and intersect_kernels as sparse columns
+    with free rows (see from_columns); columns and free are None otherwise.
     """
 
     def __init__(self, ambient_dim, basis, check=True):
@@ -432,7 +358,6 @@ class Subspace:
         self._basis = basis
         self.columns = None
         self.free = None
-        self._canonical = None
 
     @classmethod
     def from_columns(cls, ambient_dim, columns, free):
@@ -446,7 +371,6 @@ class Subspace:
         s._basis = None
         s.columns = columns
         s.free = free
-        s._canonical = None
         return s
 
     @property
@@ -460,16 +384,17 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim, vectors):
-        """Subspace spanned by the given vectors (dependencies allowed)."""
-        vecs = [fvec(v) for v in vectors]
-        if not vecs:
-            return cls(ambient_dim, fzeros(ambient_dim, 0))
-        red, pivots = rref([list(v) for v in vecs])
-        cols = fzeros(ambient_dim, len(pivots))
-        for i in range(len(pivots)):
-            for j in range(ambient_dim):
-                cols[j, i] = red[i, j]
-        return cls(ambient_dim, cols)
+        """Subspace spanned by the given vectors (dependencies allowed).
+
+        The basis is the integer echelon rows of the vectors.
+        """
+        rows, _ = _sparse_echelon(_int_rows_sparse(fvec(v) for v in vectors),
+                                  ambient_dim)
+        basis = fzeros(ambient_dim, len(rows))
+        for j, row in enumerate(rows):
+            for i, x in row.items():
+                basis[i, j] = Fraction(x)
+        return cls(ambient_dim, basis, check=False)
 
     @property
     def dim(self):
@@ -477,37 +402,18 @@ class Subspace:
             return len(self.columns)
         return self._basis.shape[1]
 
-    @property
-    def canonical(self):
-        """Reduced-column-echelon basis (unique per subspace)."""
-        if self._canonical is None:
-            if self.dim == 0:
-                self._canonical = self.basis
-            else:
-                red, pivots = rref(self.basis.T)
-                out = fzeros(self.ambient_dim, len(pivots))
-                for i in range(len(pivots)):
-                    for j in range(self.ambient_dim):
-                        out[j, i] = red[i, j]
-                self._canonical = out
-        return self._canonical
-
     def contains(self, v):
-        return solve_in_span(self.basis, v) is not None if self.dim else is_zero(v)
+        return solve_many(self.basis, np.asarray(v).reshape(-1, 1)) is not None
 
     def contains_subspace(self, other):
-        return all(self.contains(other.basis[:, j]) for j in range(other.dim))
+        return solve_many(self.basis, other.basis) is not None
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.ambient_dim == other.ambient_dim
                 and self.dim == other.dim
-                and bool(np.array_equal(self.canonical, other.canonical)))
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.dim,
-                     tuple(x for x in self.canonical.flat)))
+                and rank(np.hstack([self.basis, other.basis])) == self.dim)
 
     def __repr__(self):
         return "Subspace(dim=%d in Q^%d)" % (self.dim, self.ambient_dim)

@@ -9,14 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecoh.linalg import (F0, F1, Subspace, commutant_operator, dot,
                            echelon_insert, feye, fmat, fvec, fzeros,
                            full_subspace, intersect, intersect_kernels,
-                           inverse, is_spd, is_zero, kernel_basis,
-                           nonzeros, orth_complement, rank, rat_str, rref,
-                           solve_in_span, solve_many, subspace_sum,
-                           zero_subspace)
+                           is_spd, is_zero, kernel_basis, nonzeros,
+                           orth_complement, rank, rat_str, solve_many,
+                           subspace_sum, zero_subspace)
 
 F = Fraction
 
@@ -31,8 +32,10 @@ def _random_matrix(rng, rows, cols, density=0.7):
 
 
 def _sympy_of(m):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
-                          for x in row] for row in m])
+    m = np.asarray(m)
+    return sympy.Matrix(m.shape[0], m.shape[1],
+                        [sympy.Rational(x.numerator, x.denominator)
+                         for x in m.flat])
 
 
 def test_rank_identity():
@@ -101,23 +104,17 @@ def test_kernel_matches_sympy_nullspace():
             assert ours.contains(vec)
 
 
-def test_rref_pivots_and_idempotence():
-    m = fmat([[2, 4, 1], [1, 2, 0]])
-    red, pivots = rref(m)
-    assert pivots == [0, 2]
-    again, pivots2 = rref(red)
-    assert pivots2 == pivots
-    assert (again == red).all()
-
-
-def test_solve_in_span():
-    basis = fmat([[1, 0], [1, 1], [0, 2]])
-    x = solve_in_span(basis, fvec([1, 3, 4]))
-    assert list(x) == [F(1), F(2)]
-    assert solve_in_span(basis, fvec([1, 0, 0])) is None
-
-
 def test_solve_many_matches_columnwise_solve():
+    basis = fmat([[1, 0], [1, 1], [0, 2]])
+    assert list(solve_many(basis, fmat([[1], [3], [4]]))[:, 0]) == [F(1), F(2)]
+    assert solve_many(basis, fmat([[1], [0], [0]])) is None
+    # no right-hand side, an empty basis, and a dependent basis whose free
+    # variable is set to 0
+    assert solve_many(basis, fzeros(3, 0)).shape == (2, 0)
+    assert solve_many(fzeros(2, 0), fzeros(2, 1)).shape == (0, 1)
+    assert solve_many(fzeros(2, 0), fmat([[0], [1]])) is None
+    dependent = fmat([[1, 2, 0], [0, 0, 1]])
+    assert list(solve_many(dependent, fmat([[3], [5]]))[:, 0]) == [3, 0, 5]
     rng = random.Random(3)
     basis = _random_matrix(rng, 5, 3)
     coeff = _random_matrix(rng, 3, 4)
@@ -125,9 +122,12 @@ def test_solve_many_matches_columnwise_solve():
     got = solve_many(basis, rhs)
     assert got is not None
     assert is_zero(basis.dot(got) - rhs)
+    for j in range(rhs.shape[1]):
+        one = solve_many(basis, rhs[:, j:j + 1])
+        assert list(one[:, 0]) == list(got[:, j])
     escaped = rhs.copy()
     escaped[:, 1] = fvec([1, 0, 0, 0, 0])
-    if solve_in_span(basis, escaped[:, 1]) is None:
+    if solve_many(basis, escaped[:, 1:2]) is None:
         assert solve_many(basis, escaped) is None
 
 
@@ -137,19 +137,67 @@ def test_inverse_against_sympy():
         m = _random_matrix(rng, 4, 4)
         if rank(m) < 4:
             continue
-        inv = inverse(m)
+        inv = solve_many(m, feye(4))
         assert is_zero(m.dot(inv) - feye(4))
         theirs = _sympy_of(m).inv()
         assert _sympy_of(inv) == theirs
 
 
-def test_inverse_singular_raises():
-    try:
-        inverse(fmat([[1, 2], [2, 4]]))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("singular inverse did not raise")
+def test_inverse_of_singular_is_none():
+    assert solve_many(fmat([[1, 2], [2, 4]]), feye(2)) is None
+
+
+# denominators of the pairgen rotations (3/5, 5/13, 8/17) among small ones
+_RATIONALS = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 5, 13, 17]))
+
+
+def _matrices(rows, cols):
+    return st.lists(_RATIONALS, min_size=rows * cols,
+                    max_size=rows * cols).map(
+        lambda xs: np.array(xs, dtype=object).reshape(rows, cols))
+
+
+@st.composite
+def _systems(draw):
+    """(basis, coeff, v, other): basis has dependent columns appended."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 3))
+    basis = draw(_matrices(n, k))
+    extra = draw(st.integers(0, 2))
+    basis = np.hstack([basis, dot(basis, draw(_matrices(k, extra)))])
+    coeff = draw(_matrices(basis.shape[1], draw(st.integers(0, 3))))
+    v = draw(_matrices(n, 1))
+    # other spans a random combination of the basis columns, sometimes
+    # with one more random column
+    other = dot(basis, draw(_matrices(basis.shape[1], draw(st.integers(0, 3)))))
+    if draw(st.booleans()):
+        other = np.hstack([other, draw(_matrices(n, 1))])
+    return basis, coeff, v, other
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_systems())
+def test_solve_span_and_equality_against_sympy(system):
+    basis, coeff, v, other = system
+    n = basis.shape[0]
+    rank_basis = _sympy_of(basis).rank()
+    # coordinates reproduce every right-hand side in the span
+    rhs = dot(basis, coeff)
+    x = solve_many(basis, rhs)
+    assert x is not None and (dot(basis, x) == rhs).all()
+    # a column escapes exactly when it raises sympy's rank
+    escapes = _sympy_of(np.hstack([basis, v])).rank() > rank_basis
+    assert (solve_many(basis, v) is None) == escapes
+    assert (solve_many(basis, np.hstack([rhs, v])) is None) == escapes
+    s = Subspace.span(n, [basis[:, j] for j in range(basis.shape[1])])
+    assert s.dim == rank_basis
+    assert s.contains(v[:, 0]) == (not escapes)
+    t = Subspace.span(n, [other[:, j] for j in range(other.shape[1])])
+    rank_other = _sympy_of(other).rank()
+    same = (rank_other == rank_basis
+            == _sympy_of(np.hstack([basis, other])).rank())
+    assert (s == t) == same
+    assert (t == s) == same
 
 
 def test_is_spd():
@@ -163,7 +211,6 @@ def test_subspace_span_and_equality():
     s1 = Subspace.span(3, [[1, 0, 0], [1, 1, 0]])
     s2 = Subspace.span(3, [[0, 1, 0], [2, 1, 0]])
     assert s1 == s2
-    assert hash(s1) == hash(s2)
     assert s1 != Subspace.span(3, [[1, 0, 0]])
     assert s1.contains_subspace(Subspace.span(3, [[3, -2, 0]]))
 
