@@ -104,10 +104,15 @@ def test_kernel_matches_sympy_nullspace():
             assert ours.contains(vec)
 
 
+def test_solve_in_span():
+    basis = fmat([[1, 0], [1, 1], [0, 2]])
+    x = solve_many(basis, fmat([[1], [3], [4]]))
+    assert list(x[:, 0]) == [F(1), F(2)]
+    assert solve_many(basis, fmat([[1], [0], [0]])) is None
+
+
 def test_solve_many_matches_columnwise_solve():
     basis = fmat([[1, 0], [1, 1], [0, 2]])
-    assert list(solve_many(basis, fmat([[1], [3], [4]]))[:, 0]) == [F(1), F(2)]
-    assert solve_many(basis, fmat([[1], [0], [0]])) is None
     # no right-hand side, an empty basis, and a dependent basis whose free
     # variable is set to 0
     assert solve_many(basis, fzeros(3, 0)).shape == (2, 0)
