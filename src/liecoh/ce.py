@@ -15,7 +15,9 @@ structure maps become explicit matrices:
 * the differential
   (delta w)(X_0, ..., X_p) = sum_{i<j} (-1)^{i+j} w([X_i, X_j], ..., no
   X_i, ..., no X_j, ...), assembled from the projected structure constants
-  F_c([w_a, w_b]).
+  F_c([w_a, w_b]), cleared to integers once with their common denominator
+  D.  Every delta is linear in them, so the complex holds D * delta in
+  every degree: same kernels, images and ranks, built in int arithmetic.
 
 The degree-k cochain space is the joint kernel of the theta operators and
 the fixed space of the generator actions inside the full wedge coordinates.
@@ -30,16 +32,18 @@ checked on the wedge operators applied to the invariant basis.  Both checks
 are consistency checks on the assembly, not assumptions.  When no
 constraints are present (trivial isotropy, no generators) the invariant
 space is the full wedge space and the wedge differential is kept as is.
-Every rank is exact: differentials are ranked through their columns as
-{row: value} rows, since rank(A) = rank(A^T).
+Every rank is exact: the integer echelon ranks the columns of each
+differential as rows, since rank(A) = rank(A^T).
 """
 
 import os
+from collections import namedtuple
 from itertools import chain, combinations
+from math import lcm
 
 from .betti import BettiReport
 from .linalg import (F0, F1, dot, intersect_kernels, kernel_basis, rank,
-                     solve_many)
+                     solve_many, sparse_columns)
 from .pairs import validate_pair
 
 DEFAULT_SIZE_CAP = 14
@@ -52,13 +56,8 @@ def _effective_size_cap(size_cap):
     return int(env) if env else DEFAULT_SIZE_CAP
 
 
-class _SparseDelta:
-    """Column-major sparse matrix: cols[j] = [(i, value), ...]."""
-
-    def __init__(self, cols, nrows, ncols):
-        self.cols = cols
-        self.nrows = nrows
-        self.ncols = ncols
+# column-major sparse matrix: cols[j] = [(i, value), ...]
+_SparseDelta = namedtuple("_SparseDelta", "cols nrows ncols")
 
 
 class RelativeComplex:
@@ -66,12 +65,13 @@ class RelativeComplex:
 
     bases[k] is the degree-k cochain space as a Subspace of wedge
     coordinates held in sparse columns, with None meaning the full wedge
-    space (no isotropy or generator constraints).  deltas[k] is the
-    differential from degree k to k+1 in those bases, a _SparseDelta.
+    space (no isotropy or generator constraints).  deltas[k] is scale times
+    the differential from degree k to k+1 in those bases, a _SparseDelta;
+    scale is D, 1 when the projected structure constants are integers.
     """
 
     def __init__(self, pair, annihilator, quotient_dim, max_degree, dims,
-                 bases, deltas):
+                 bases, deltas, scale):
         self.pair = pair
         self.horizontal_annihilator = annihilator
         self.quotient_dim = quotient_dim
@@ -79,6 +79,7 @@ class RelativeComplex:
         self.dims = dims
         self.bases = bases
         self.deltas = deltas
+        self.scale = scale
 
 
 def _dual_frame(pair):
@@ -93,53 +94,55 @@ def _dual_frame(pair):
 
 
 def _theta_matrices(pair, frame, tests):
-    """Coordinate matrix of theta(Y) on the annihilator, per h basis vector."""
+    """theta(Y) on the annihilator, per h basis vector, as column lists."""
     alg = pair.algebra
     mats = []
     for t in range(pair.h_basis.shape[1]):
         ad_y = alg.ad_matrix(pair.h_basis[:, t])
         evals = dot(frame.T, dot(ad_y, tests))   # evals[i, j] = F_i([y, w_j])
-        mats.append(-evals.T)
+        mats.append(sparse_columns(-evals.T))
     return mats
 
 
 def _generator_matrices(pair, frame, tests):
-    """Coordinate matrix of the pullback action on the annihilator."""
+    """Pullback action on the annihilator, per generator, as column lists."""
     mats = []
     for gamma in pair.generators:
         moved = solve_many(gamma, tests)   # gamma^{-1} applied to the tests
         if moved is None:
             raise ValueError("generator matrix is singular")
         evals = dot(frame.T, moved)
-        mats.append(evals.T)               # column i = coords of F_i o gamma^{-1}
+        mats.append(sparse_columns(evals.T))  # column i = coords of F_i o gamma^{-1}
     return mats
 
 
 def _structure_table(alg, frame, tests):
-    """Projected structure constants: (a, b) -> [(c, F_c([w_a, w_b]))]."""
+    """({(a, b): [(c, D * F_c([w_a, w_b]))]}, D), all ints.
+
+    D is the lcm of the denominators of the projected structure constants.
+    """
     q = tests.shape[1]
     table = {}
-    for a in range(q):
-        for b in range(a + 1, q):
-            v = dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
-            entries = [(c, v[c]) for c in range(q) if v[c]]
-            if entries:
-                table[(a, b)] = entries
-    return table
+    for a, b in combinations(range(q), 2):
+        v = dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
+        entries = [(c, x) for c, x in enumerate(v) if x]
+        if entries:
+            table[(a, b)] = entries
+    scale = lcm(*(x.denominator for entries in table.values()
+                  for _, x in entries))
+    return ({key: [(c, x.numerator * (scale // x.denominator))
+                   for c, x in entries] for key, entries in table.items()},
+            scale)
 
 
 def _derivation_op(theta, subsets, index):
     """Sparse matrix of a derivation on wedge coordinates of one degree."""
-    q = theta.shape[0]
     op = {}
     for col, mon in enumerate(subsets):
         inside = set(mon)
         acc = {}
         for i in mon:
-            for t in range(q):
-                c = theta[t, i]
-                if not c:
-                    continue
+            for t, c in theta.get(i, ()):
                 if t == i:
                     acc[col] = acc.get(col, F0) + c
                 elif t not in inside:
@@ -158,20 +161,14 @@ def _wedge_column(action, mon, memo):
     """Coordinates of the wedge of action-columns over mon, as {subset: value}."""
     if mon in memo:
         return memo[mon]
-    q = action.shape[0]
     if not mon:
         col = {(): F1}
     elif len(mon) == 1:
-        i = mon[0]
-        col = {(t,): action[t, i] for t in range(q) if action[t, i]}
+        col = {(t,): c for t, c in action.get(mon[0], ())}
     else:
         prev = _wedge_column(action, mon[:-1], memo)
-        last = mon[-1]
         col = {}
-        for t in range(q):
-            c = action[t, last]
-            if not c:
-                continue
+        for t, c in action.get(mon[-1], ()):
             for part, v in prev.items():
                 if t in part:
                     continue
@@ -226,7 +223,7 @@ def _delta_op(table, subsets_next, index, degree):
                     col = index[tuple(key)]
                     coeff = -val if (s + t + below) % 2 else val
                     acc = op.setdefault(col, {})
-                    acc[row] = acc.get(row, F0) + coeff
+                    acc[row] = acc.get(row, 0) + coeff
     return {col: [(r, v) for r, v in acc.items() if v]
             for col, acc in op.items()}
 
@@ -238,7 +235,7 @@ def _product(a, b):
         acc = {}
         for mid, x in entries:
             for row, v in a.get(mid, ()):
-                acc[row] = acc.get(row, F0) + v * x
+                acc[row] = acc.get(row, 0) + v * x
         col = [(r, v) for r, v in acc.items() if v]
         if col:
             out[j] = col
@@ -293,7 +290,7 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     theta_mats = _theta_matrices(pair, frame, tests)
     gen_mats = _generator_matrices(pair, frame, tests)
     gen_memos = [{} for _ in gen_mats]
-    table = _structure_table(alg, frame, tests)
+    table, scale = _structure_table(alg, frame, tests)
 
     subsets, indexes, bases, dims = [], [], [], []
     for k in range(top + 2):
@@ -308,8 +305,9 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
         raise RuntimeError("degree-0 cochain space is not one-dimensional; "
                            "cochain assembly is inconsistent")
 
-    # delta_k delta_{k-1} B_{k-1} = 0 on wedge coordinates is delta o delta
-    # = 0 on the invariant complex, since the bases are injective
+    # each op is D * delta_k; delta_k delta_{k-1} B_{k-1} = 0 on wedge
+    # coordinates is delta o delta = 0 on the invariant complex, since the
+    # bases are injective
     deltas, lower = [], None
     for k in range(top + 1):
         op = _delta_op(table, subsets[k + 1], indexes[k], k)
@@ -319,7 +317,7 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
         lower = op if bases[k] is None else _product(op, _column_form(bases[k]))
         deltas.append(_restrict_delta(lower, bases[k + 1],
                                       len(subsets[k + 1]), dims[k]))
-    return RelativeComplex(pair, ann, q, top, dims, bases, deltas)
+    return RelativeComplex(pair, ann, q, top, dims, bases, deltas, scale)
 
 
 def _delta_rank(delta):

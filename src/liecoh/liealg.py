@@ -399,23 +399,8 @@ def validate(alg):
     rep.add("cross_factor_brackets_vanish", bad_cross is None, bad_cross)
     rep.add("factor_brackets_closed", bad_closed is None, bad_closed)
 
-    # Jacobi identity on all basis triples, on sparse vectors, so each
-    # bracket touches only the nonzero structure constants; a triple with
-    # no nonzero bracket among its pairs holds trivially
-    unit = [{i: F1} for i in range(alg.n)]
-    table = alg.table
-    bad_jacobi = None
-    for i, j, k in combinations(range(alg.n), 3):
-        if (i, j) not in table and (j, k) not in table and (i, k) not in table:
-            continue
-        total = {}
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = alg.bracket_sparse(unit[x], unit[y])
-            for t, c in alg.bracket_sparse(inner, unit[z]).items():
-                total[t] = total.get(t, F0) + c
-        if any(total.values()):
-            bad_jacobi = (i, j, k)
-            break
+    # Jacobi identity on all basis triples
+    bad_jacobi = _jacobi_witness(alg)
     rep.add("jacobi", bad_jacobi is None, bad_jacobi)
 
     # Killing form negative definite on each declared factor
@@ -445,6 +430,40 @@ def validate(alg):
                 break
     rep.add("factors_simple", bad_simple is None, bad_simple)
     return rep
+
+
+def _jacobi_witness(alg):
+    """The lex-first basis triple i < j < k whose Jacobi sum is nonzero.
+
+    Column k of ad[e_i, e_j] - [ad e_i, ad e_j] is the Jacobi sum of
+    (i, j, k), so each pair i < j scans its columns k > j in increasing
+    order, on the columns of ad_sparse().  A column that none of the three
+    operators touches is zero.
+    """
+    cols = [{} for _ in range(alg.n)]      # cols[i][k] = [e_i, e_k] as {row: c}
+    for i, ad in enumerate(alg.ad_sparse()):
+        for (row, k), c in ad.items():
+            cols[i].setdefault(k, {})[row] = c
+    for i, j in combinations(range(alg.n), 2):
+        adi, adj = cols[i], cols[j]
+        ij = alg.table.get((i, j), ())
+        touched = adi.keys() | adj.keys()
+        for m, _ in ij:
+            touched |= cols[m].keys()
+        for k in sorted(k for k in touched if k > j):
+            total = {}
+            for m, a in ij:
+                for r, c in cols[m].get(k, {}).items():
+                    total[r] = total.get(r, F0) + a * c
+            for m, a in adj.get(k, {}).items():
+                for r, c in adi.get(m, {}).items():
+                    total[r] = total.get(r, F0) - a * c
+            for m, a in adi.get(k, {}).items():
+                for r, c in adj.get(m, {}).items():
+                    total[r] = total.get(r, F0) + a * c
+            if any(total.values()):
+                return (i, j, k)
+    return None
 
 
 def _closure_witness(alg, name, start, stop):

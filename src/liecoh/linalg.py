@@ -1,13 +1,16 @@
-"""Exact rational linear algebra on numpy object arrays of Fractions.
+"""Exact rational linear algebra, dense at the edges and sparse inside.
 
-Matrices here are dense 2-D numpy arrays with dtype=object whose entries are
-fractions.Fraction.  Every elimination goes through one exact engine,
-_sparse_echelon: each row is cleared to integers once (lcm of denominators)
-and held as a {col: int} dict, then eliminated with the gcd-scaled two-term
-update, so no rationals appear inside the hot loop and the cost tracks the
-nonzero structure.  Ranks count its pivots, kernels back-substitute through
-its rows (_kernel_columns), solve_many reads coordinates off the kernel of
-[basis | rhs], and Subspace.span and subspace equality use its rows and rank.
+A matrix is either a dense 2-D numpy array with dtype=object whose entries
+are fractions.Fraction (inputs, frames, Subspace.basis), or sparse: a list
+of {col: value} rows, or {col: [(row, value)]} columns (sparse_columns,
+intersect_kernels), with Fraction or int values.  Every elimination goes
+through one exact engine, _sparse_echelon: each row is cleared to integers
+once (lcm of denominators) and held as a {col: int} dict, then eliminated
+with the gcd-scaled two-term update, so no rationals appear inside the hot
+loop and the cost tracks the nonzero structure.  Ranks count its pivots,
+kernels back-substitute through its rows (_kernel_columns), solve_many
+reads coordinates off the kernel of [basis | rhs], and Subspace.span and
+subspace equality use its rows and rank.
 The one other pivot loop, is_spd, reads the signs of a Gram matrix's
 symmetric pivots on input; it computes no rank or solution.
 
@@ -18,7 +21,7 @@ increasing tuples in lexicographic order (itertools.combinations order).
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -106,7 +109,7 @@ def dot(a, b):
 def _int_rows_sparse(m):
     """Clear each nonzero row to coprime integers, as one {col: int} dict.
 
-    Rows are dense sequences or sparse {col: Fraction} dicts.
+    Rows are dense sequences or sparse dicts of Fractions or ints.
     """
     out = []
     for row in m:
@@ -114,13 +117,9 @@ def _int_rows_sparse(m):
         nz = [(j, x) for j, x in items if x]
         if not nz:
             continue
-        den = 1
-        for _, x in nz:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = {j: int(x * den) for j, x in nz}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
+        den = lcm(*(x.denominator for _, x in nz))
+        ints = {j: x.numerator * (den // x.denominator) for j, x in nz}
+        g = gcd(*ints.values())
         if g > 1:
             ints = {j: v // g for j, v in ints.items()}
         out.append(ints)
@@ -222,8 +221,8 @@ def echelon_insert(echelon, v):
 def rank(m, ncols=None):
     """Exact rank over the rationals.
 
-    m is a dense Fraction matrix, or a list of sparse {col: Fraction} rows
-    with the column count given as ncols.
+    m is a dense Fraction matrix, or a list of sparse {col: value} rows
+    (Fractions or ints) with the column count given as ncols.
     """
     if ncols is None:
         m = np.asarray(m)
@@ -454,6 +453,14 @@ def nonzeros(m):
     return {(int(r), int(c)): m[r, c] for r, c in zip(*np.nonzero(m))}
 
 
+def sparse_columns(m):
+    """The nonzeros of a dense matrix per column, as {col: [(row, value)]}."""
+    cols = {}
+    for (r, c), v in nonzeros(m).items():
+        cols.setdefault(c, []).append((r, v))
+    return cols
+
+
 def commutant_operator(entries, m):
     """Sparse columns of P -> PR - RP on m x m matrices P.
 
@@ -486,10 +493,7 @@ def intersect_kernels(operators, dim):
         if cols is not None and not cols:
             break
         if not isinstance(op, dict):
-            cols_of = {}
-            for (r, c), v in nonzeros(op).items():
-                cols_of.setdefault(c, []).append((r, v))
-            op = cols_of
+            op = sparse_columns(op)
         rows = {}
         if cols is None:
             for c, entries in op.items():

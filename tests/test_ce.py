@@ -1,6 +1,7 @@
 """Relative cochain-complex oracle: full Betti vectors, caps, exact ranks."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +11,7 @@ from liecoh.ce import (DEFAULT_SIZE_CAP, _SparseDelta, betti_ce,
                        poincare_check, relative_complex)
 from liecoh.koszul import betti_koszul
 from liecoh.pairs import HomogeneousPair
-from liecoh.linalg import Subspace, fzeros
+from liecoh.linalg import Subspace, dot, fzeros, rank
 
 
 def _free(algebra):
@@ -139,6 +140,62 @@ def test_su4_line_constrained_q14():
     assert rep.diagnostics["complex_dims"] == [1, 4, 23, 84, 203]
     assert betti_low(pair).betti == [1, 0, 1, 0, 0]
     assert betti_koszul(pair).betti == [1, 0, 1, 0, 0]
+
+
+def _sorting_sign(seq):
+    """Sign of the permutation that sorts seq, by counting inversions."""
+    inversions = sum(1 for a, b in combinations(seq, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def test_integer_structure_table_scales_every_differential():
+    # a line in su:4 whose projected constants have denominators 3 and 10,
+    # so their lcm is larger than each of them
+    alg = catalog.build("su", 4)
+    line = fzeros(alg.n)
+    line[0] = Fraction(1)
+    line[3] = Fraction(1, 3)
+    pair = HomogeneousPair.from_vectors(alg, [line])
+    _, frame, tests = ce._dual_frame(pair)
+    table, scale = ce._structure_table(alg, frame, tests)
+    assert scale > 1
+    assert all(type(v) is int for entries in table.values() for _, v in entries)
+    cx = relative_complex(pair, max_degree=2)
+    assert cx.scale == scale
+    q = cx.quotient_dim
+    # F_c([w_a, w_b]) as Fractions, straight from the bracket
+    proj = {(a, b): dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
+            for a, b in combinations(range(q), 2)}
+    ref_ranks = []
+    for k in range(3):
+        monomials = list(combinations(range(q), k))
+        above = list(combinations(range(q), k + 1))
+        nxt = cx.bases[k + 1]
+        ref_cols = []
+        for j, col in enumerate(cx.bases[k].columns):
+            form = {monomials[r]: v for r, v in col.items()}
+            # (delta f)(w_I) = sum_{s<t} (-1)^(s+t) f([w_s, w_t], w_rest),
+            # read on the free rows, where the next basis is the identity
+            image = {}
+            for pos, row in enumerate(nxt.free):
+                mon = above[row]
+                total = Fraction(0)
+                for s, t in combinations(range(k + 1), 2):
+                    rest = mon[:s] + mon[s + 1:t] + mon[t + 1:]
+                    for c, f_c in enumerate(proj[(mon[s], mon[t])]):
+                        if f_c and c not in rest:
+                            key = (c,) + rest
+                            total += ((-1) ** (s + t) * _sorting_sign(key)
+                                      * f_c * form.get(tuple(sorted(key)), 0))
+                if total:
+                    image[pos] = total
+            assert dict(cx.deltas[k].cols.get(j, ())) == {
+                pos: scale * v for pos, v in image.items()}, (k, j)
+            ref_cols.append(image)
+        ref_ranks.append(rank(ref_cols, nxt.dim))
+    rep = betti_ce(pair, max_degree=2)
+    assert rep.diagnostics["ranks"] == ref_ranks
+    assert rep.betti == [1, 0, 1]
 
 
 def test_constrained_bases_are_identity_on_free_rows():

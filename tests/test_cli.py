@@ -1,9 +1,11 @@
 """CLI behaviour: commands, output formats, exit codes, validation reporting."""
 
 import json
+import os
 import subprocess
 import sys
 
+import liecoh
 from liecoh import catalog
 from liecoh.betti import betti_low
 from liecoh.cli import main
@@ -300,15 +302,19 @@ def test_catalog_emit_to_file(tmp_path):
 
 
 def test_cli_subprocess_smoke(tmp_path):
+    # the child imports the liecoh under test, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liecoh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     pair = tmp_path / "pair.json"
     emit = subprocess.run(
         [sys.executable, "-m", "liecoh.cli", "catalog", "emit", "sphere:4",
          "-o", str(pair)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert emit.returncode == 0, emit.stderr
     run = subprocess.run(
         [sys.executable, "-m", "liecoh.cli", "verify", str(pair), "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
     assert out["status"] == "pass"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -173,6 +174,55 @@ def test_validate_jacobi_failure_with_witness():
         pass
     else:
         raise AssertionError("ensure() did not raise on failing report")
+
+
+def _brute_jacobi_witness(alg):
+    """First i < j < k in lex order whose cyclic Jacobi sum is nonzero."""
+    unit = [fvec([1 if t == i else 0 for t in range(alg.n)])
+            for i in range(alg.n)]
+    for i, j, k in combinations(range(alg.n), 3):
+        total = (alg.bracket(alg.bracket_basis(i, j), unit[k])
+                 + alg.bracket(alg.bracket_basis(j, k), unit[i])
+                 + alg.bracket(alg.bracket_basis(k, i), unit[j]))
+        if not is_zero(total):
+            return (i, j, k)
+    return None
+
+
+def _corrupted(g, key, first):
+    """g declared as one factor, with the first term of [e_i, e_j] replaced."""
+    table = dict(g.table)
+    table[key] = (first, *g.table[key][1:])
+    return LieAlgebra(0, [("g", g.n)], table)
+
+
+def _assert_jacobi_witness_is_brute_force(bad):
+    want = _brute_jacobi_witness(bad)
+    assert want is not None
+    jac = [c for c in validate(bad).checks if c["name"] == "jacobi"][0]
+    assert not jac["ok"]
+    assert jac["witness"] == want
+
+
+def test_jacobi_witness_matches_brute_force_triple_loop():
+    for name in ("so:5", "su:3"):
+        g = catalog.pair_from_name(name).algebra
+        keys = sorted(g.table)
+        for pos in (0, len(keys) // 3, len(keys) // 2, len(keys) - 1):
+            key = keys[pos]
+            k, c = g.table[key][0]
+            # a scaled constant, and one moved to the next target index
+            _assert_jacobi_witness_is_brute_force(_corrupted(g, key, (k, 2 * c)))
+            _assert_jacobi_witness_is_brute_force(
+                _corrupted(g, key, ((k + 1) % g.n, c)))
+    # su:2+su:2 with a bracket of one ideal moved into the other: ad e_i is
+    # zero on the witness column k, and for (0, 1, 4) so is ad e_j, so only
+    # ad [e_i, e_j] reaches it
+    g = catalog.pair_from_name("su:2+su:2").algebra
+    for key, target, want in (((3, 4), 0, (1, 3, 4)), ((0, 1), 3, (0, 1, 4))):
+        bad = _corrupted(g, key, (target, g.table[key][0][1]))
+        assert _brute_jacobi_witness(bad) == want
+        _assert_jacobi_witness_is_brute_force(bad)
 
 
 def test_validate_declared_simple_but_abelian_factor():

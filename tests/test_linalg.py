@@ -17,7 +17,7 @@ from liecoh.linalg import (F0, F1, Subspace, commutant_operator, dot,
                            full_subspace, intersect, intersect_kernels,
                            is_spd, is_zero, kernel_basis, nonzeros,
                            orth_complement, rank, rat_str, solve_many,
-                           subspace_sum, zero_subspace)
+                           sparse_columns, subspace_sum, zero_subspace)
 
 F = Fraction
 
@@ -276,6 +276,23 @@ def test_intersect_kernels_matches_stacked_kernel():
 def _columns(m):
     return {j: [(i, m[i, j]) for i in range(m.shape[0]) if m[i, j]]
             for j in range(m.shape[1])}
+
+
+def test_sparse_columns_and_int_rows():
+    rng = random.Random(13)
+    for _ in range(15):
+        m = _random_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 6),
+                           density=0.4)
+        assert sparse_columns(m) == {j: col for j, col in _columns(m).items()
+                                     if col}
+        # rows of ints, or of ints and Fractions mixed, rank like Fractions;
+        # the entries' denominators are 1..4, so 12 clears them
+        scaled = [{j: int(x * 12) for j, x in enumerate(row) if x}
+                  for row in m]
+        assert rank(scaled, m.shape[1]) == rank(m)
+        if scaled and scaled[0]:
+            scaled[0] = {j: F(x, 3) for j, x in scaled[0].items()}
+        assert rank(scaled, m.shape[1]) == rank(m)
 
 
 def test_intersect_kernels_sparse_column_operators():
