@@ -94,7 +94,7 @@ def _dual_frame(pair):
 
 
 def _theta_matrices(pair, frame, tests):
-    """theta(Y) on the annihilator, per h basis vector, as column lists."""
+    """theta(Y) on the annihilator, per h basis vector, as sparse columns."""
     alg = pair.algebra
     mats = []
     for t in range(pair.h_basis.shape[1]):
@@ -105,7 +105,7 @@ def _theta_matrices(pair, frame, tests):
 
 
 def _generator_matrices(pair, frame, tests):
-    """Pullback action on the annihilator, per generator, as column lists."""
+    """Pullback action on the annihilator, per generator, as sparse columns."""
     mats = []
     for gamma in pair.generators:
         moved = solve_many(gamma, tests)   # gamma^{-1} applied to the tests
@@ -123,11 +123,12 @@ def _structure_table(alg, frame, tests):
     """
     q = tests.shape[1]
     table = {}
-    for a, b in combinations(range(q), 2):
-        v = dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
-        entries = [(c, x) for c, x in enumerate(v) if x]
-        if entries:
-            table[(a, b)] = entries
+    for a in range(q):
+        for b in range(a + 1, q):
+            v = dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
+            entries = [(c, v[c]) for c in range(q) if v[c]]
+            if entries:
+                table[(a, b)] = entries
     scale = lcm(*(x.denominator for entries in table.values()
                   for _, x in entries))
     return ({key: [(c, x.numerator * (scale // x.denominator))

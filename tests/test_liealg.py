@@ -192,7 +192,7 @@ def _brute_jacobi_witness(alg):
 def _corrupted(g, key, first):
     """g declared as one factor, with the first term of [e_i, e_j] replaced."""
     table = dict(g.table)
-    table[key] = (first, *g.table[key][1:])
+    table[key] = (first, *g.table.get(key, ())[1:])
     return LieAlgebra(0, [("g", g.n)], table)
 
 
@@ -215,12 +215,14 @@ def test_jacobi_witness_matches_brute_force_triple_loop():
             _assert_jacobi_witness_is_brute_force(_corrupted(g, key, (k, 2 * c)))
             _assert_jacobi_witness_is_brute_force(
                 _corrupted(g, key, ((k + 1) % g.n, c)))
-    # su:2+su:2 with a bracket of one ideal moved into the other: ad e_i is
-    # zero on the witness column k, and for (0, 1, 4) so is ad e_j, so only
-    # ad [e_i, e_j] reaches it
+    # su:2+su:2 with a bracket moved into, or added across, the other
+    # ideal: only ad e_j, only ad [e_i, e_j], resp. only ad e_i reaches the
+    # witness column k
     g = catalog.pair_from_name("su:2+su:2").algebra
-    for key, target, want in (((3, 4), 0, (1, 3, 4)), ((0, 1), 3, (0, 1, 4))):
-        bad = _corrupted(g, key, (target, g.table[key][0][1]))
+    for key, first, want in (((3, 4), (0, F(2)), (1, 3, 4)),
+                             ((0, 1), (3, F(2)), (0, 1, 4)),
+                             ((0, 3), (1, F(1)), (0, 2, 3))):
+        bad = _corrupted(g, key, first)
         assert _brute_jacobi_witness(bad) == want
         _assert_jacobi_witness_is_brute_force(bad)
 
