@@ -16,7 +16,7 @@ per-factor Killing forms to invariant forms on h∩[g,g].
 from math import comb
 
 from .invariant_forms import minimal_ideal_count, psi_analysis
-from .linalg import Subspace, feye, intersect, is_zero
+from .linalg import Subspace, dot, feye, intersect, is_zero
 from .pairs import decompose, validate_pair
 
 
@@ -150,7 +150,7 @@ def corollary_checks(pair, report, dec=None):
     # toral h in semisimple g: the b4 − b3 difference formula; needs the
     # component group to act trivially on h, which is what makes H toral
     toral = dec.hh.dim == 0 and all(
-        is_zero(g.dot(pair.h_basis) - pair.h_basis) for g in pair.generators)
+        is_zero(dot(g, pair.h_basis) - pair.h_basis) for g in pair.generators)
     if l == 0 and toral:
         m = pair.h.dim
         ok = b[4] - b[3] == m * (m + 1) // 2 - r

@@ -2,38 +2,31 @@
 
 Real cohomology of the quotient is computed from the complex of horizontal,
 isotropy-invariant alternating forms on the ambient algebra.  Horizontal
-k-forms are coordinatised on wedges F_I = F_{i_1} ^ ... ^ F_{i_k} of a basis
-F_1..F_q of the annihilator of h in the dual of g; together with test vectors
-w_1..w_q chosen so that F_i(w_j) = delta_ij, the coefficient of a horizontal
-form on F_I is simply its value on (w_{i_1}, ..., w_{i_k}), and the three
-structure maps become explicit matrices:
+k-forms are coordinatised on wedges F_J = F_{j_1} ^ ... ^ F_{j_k} of a basis
+F_1..F_q of the annihilator of h in the dual of g, the monomial J held as an
+int bitmask; with test vectors w_1..w_q such that F_i(w_j) = delta_ij, the
+coefficient of a horizontal form on F_J is its value on (w_{j_1}, ...).  The
+structure maps are sparse {col: [(row, value)]} matrices:
 
 * the infinitesimal isotropy action, (theta(Y)f)(x) = -f([Y, x]) on
   covectors, extended to wedges as a derivation;
 * the component-generator action, f -> f o gamma^{-1} on covectors, extended
   multiplicatively;
-* the differential
-  (delta w)(X_0, ..., X_p) = sum_{i<j} (-1)^{i+j} w([X_i, X_j], ..., no
-  X_i, ..., no X_j, ...), assembled from the projected structure constants
-  F_c([w_a, w_b]), cleared to integers once with their common denominator
-  D.  Every delta is linear in them, so the complex holds D * delta in
-  every degree: same kernels, images and ranks, built in int arithmetic.
+* the differential, the derivation with delta(F_c) = -sum_{a<b}
+  F_c([w_a, w_b]) F_a ^ F_b.  The projected structure constants are cleared
+  to integers once with their common denominator D, so the complex holds
+  D * delta in every degree: same kernels, images and ranks, in ints.
 
 The degree-k cochain space is the joint kernel of the theta operators and
-the fixed space of the generator actions inside the full wedge coordinates.
-Every operator is a sparse {col: [(row, value)]} matrix, and the kernels are
-intersected one operator at a time through nonzeros (intersect_kernels), so
-no dense matrix on wedge coordinates is ever formed.  The resulting basis is
-the identity on a set of free rows, so re-expressing the differential in the
-invariant bases is a row selection of its images, and a sparse mat-vec
-(basis times coordinates must give the image back) checks that the
-differential does not escape the invariant space.  delta o delta = 0 is
-checked on the wedge operators applied to the invariant basis.  Both checks
-are consistency checks on the assembly, not assumptions.  When no
-constraints are present (trivial isotropy, no generators) the invariant
-space is the full wedge space and the wedge differential is kept as is.
-Every rank is exact: the integer echelon ranks the columns of each
-differential as rows, since rank(A) = rank(A^T).
+the fixed space of the generator actions, intersected one operator at a time
+through nonzeros (intersect_kernels); its basis is the identity on a set of
+free rows.  A column delta(F_J) is built once, on first use, per monomial J
+in the invariant basis or in the images of the degree below, and nowhere
+else.  delta o delta = 0 on the lower images, and the images mapped back
+from their row selection on the next basis (the differential must not
+escape the invariant space), are consistency checks on the assembly, not
+assumptions.  With no constraints (trivial isotropy, no generators) the
+images are the delta columns themselves.  Ranks are exact integer ranks.
 """
 
 import os
@@ -93,65 +86,72 @@ def _dual_frame(pair):
     return ann, frame, coords.T
 
 
+def _bit_columns(m):
+    """The nonzeros of m per column, indices as bits: {1 << j: [(1 << i, v)]}."""
+    return {1 << j: [(1 << i, v) for i, v in col]
+            for j, col in sparse_columns(m).items()}
+
+
 def _theta_matrices(pair, frame, tests):
-    """theta(Y) on the annihilator, per h basis vector, as sparse columns."""
+    """theta(Y) on the annihilator, per h basis vector, as bit columns."""
     alg = pair.algebra
     mats = []
     for t in range(pair.h_basis.shape[1]):
         ad_y = alg.ad_matrix(pair.h_basis[:, t])
         evals = dot(frame.T, dot(ad_y, tests))   # evals[i, j] = F_i([y, w_j])
-        mats.append(sparse_columns(-evals.T))
+        mats.append(_bit_columns(-evals.T))
     return mats
 
 
 def _generator_matrices(pair, frame, tests):
-    """Pullback action on the annihilator, per generator, as sparse columns."""
+    """Pullback action on the annihilator, per generator, as bit columns."""
     mats = []
     for gamma in pair.generators:
         moved = solve_many(gamma, tests)   # gamma^{-1} applied to the tests
         if moved is None:
             raise ValueError("generator matrix is singular")
         evals = dot(frame.T, moved)
-        mats.append(sparse_columns(evals.T))  # column i = coords of F_i o gamma^{-1}
+        mats.append(_bit_columns(evals.T))  # column i = coords of F_i o gamma^{-1}
     return mats
 
 
 def _structure_table(alg, frame, tests):
-    """({(a, b): [(c, D * F_c([w_a, w_b]))]}, D), all ints.
+    """({1 << c: [((pair, span), D * F_c([w_a, w_b]))]}, D), all ints.
 
-    D is the lcm of the denominators of the projected structure constants.
+    pair holds the bits a < b and span the bits a..b-1; D is the lcm of the
+    denominators of the projected structure constants.
     """
     q = tests.shape[1]
     table = {}
-    for a in range(q):
-        for b in range(a + 1, q):
-            v = dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
-            entries = [(c, v[c]) for c in range(q) if v[c]]
-            if entries:
-                table[(a, b)] = entries
+    for a, b in combinations(range(q), 2):
+        v = dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
+        key = ((1 << a) | (1 << b), (1 << b) - (1 << a))
+        for c in range(q):
+            if v[c]:
+                table.setdefault(1 << c, []).append((key, v[c]))
     scale = lcm(*(x.denominator for entries in table.values()
                   for _, x in entries))
-    return ({key: [(c, x.numerator * (scale // x.denominator))
-                   for c, x in entries] for key, entries in table.items()},
+    return ({c: [(key, x.numerator * (scale // x.denominator))
+                 for key, x in entries] for c, entries in table.items()},
             scale)
 
 
-def _derivation_op(theta, subsets, index):
-    """Sparse matrix of a derivation on wedge coordinates of one degree."""
+def _derivation_op(theta, index):
+    """Sparse matrix of a derivation on wedge coordinates of one degree.
+
+    F_t takes the place of F_i in F_mon and crosses the bits between them.
+    """
     op = {}
-    for col, mon in enumerate(subsets):
-        inside = set(mon)
+    for col, mon in enumerate(index):
         acc = {}
-        for i in mon:
-            for t, c in theta.get(i, ()):
-                if t == i:
-                    acc[col] = acc.get(col, F0) + c
-                elif t not in inside:
-                    lo, hi = (t, i) if t < i else (i, t)
-                    crossings = sum(1 for u in mon if lo < u < hi)
-                    row = index[tuple(sorted(inside - {i} | {t}))]
-                    val = -c if crossings % 2 else c
-                    acc[row] = acc.get(row, F0) + val
+        for i, entries in theta.items():
+            if mon & i:
+                rest = mon ^ i
+                for t, c in entries:
+                    if not rest & t:
+                        row = index[rest | t]
+                        odd = (rest & ((i - 1) ^ (t - 1))).bit_count() % 2
+                        acc[row] = acc.get(row, F0) + (-c if odd else c)
         entries = [(r, v) for r, v in acc.items() if v]
         if entries:
             op[col] = entries
@@ -159,33 +159,24 @@ def _derivation_op(theta, subsets, index):
 
 
 def _wedge_column(action, mon, memo):
-    """Coordinates of the wedge of action-columns over mon, as {subset: value}."""
-    if mon in memo:
-        return memo[mon]
-    if not mon:
-        col = {(): F1}
-    elif len(mon) == 1:
-        col = {(t,): c for t, c in action.get(mon[0], ())}
-    else:
-        prev = _wedge_column(action, mon[:-1], memo)
+    """Coordinates of the wedge of action-columns over mon, as {mask: value}."""
+    if mon not in memo:
+        top = 1 << (mon.bit_length() - 1)
+        prev = _wedge_column(action, mon ^ top, memo)
         col = {}
-        for t, c in action.get(mon[-1], ()):
+        for t, c in action.get(top, ()):
             for part, v in prev.items():
-                if t in part:
-                    continue
-                above = sum(1 for u in part if u > t)
-                w = -v * c if above % 2 else v * c
-                key = tuple(sorted(part + (t,)))
-                col[key] = col.get(key, F0) + w
-        col = {key: v for key, v in col.items() if v}
-    memo[mon] = col
-    return col
+                if not part & t:
+                    w = -v * c if (part & -t).bit_count() % 2 else v * c
+                    col[part | t] = col.get(part | t, F0) + w
+        memo[mon] = {key: v for key, v in col.items() if v}
+    return memo[mon]
 
 
-def _fixed_op(action, subsets, index, memo):
+def _fixed_op(action, index, memo):
     """Sparse matrix of (gamma* - 1) on wedge coordinates of one degree."""
     op = {}
-    for col, mon in enumerate(subsets):
+    for col, mon in enumerate(index):
         acc = {index[key]: v for key, v in _wedge_column(action, mon, memo).items()}
         acc[col] = acc.get(col, F0) - F1
         entries = [(r, v) for r, v in acc.items() if v]
@@ -199,34 +190,42 @@ def _invariant_space(theta_mats, gen_mats, gen_memos, subsets, index):
     if not theta_mats and not gen_mats:
         return None
     # lazily built, so no operator is assembled once the space is zero
-    ops = chain((_derivation_op(t, subsets, index) for t in theta_mats),
-                (_fixed_op(a, subsets, index, m)
-                 for a, m in zip(gen_mats, gen_memos)))
+    ops = chain((_derivation_op(t, index) for t in theta_mats),
+                (_fixed_op(a, index, m) for a, m in zip(gen_mats, gen_memos)))
     return intersect_kernels(ops, len(subsets))
 
 
-def _delta_op(table, subsets_next, index, degree):
-    """Sparse differential from wedge degree k to k+1 over the test frame."""
-    op = {}
-    for row, mon in enumerate(subsets_next):
-        for s in range(degree + 1):
-            for t in range(s + 1, degree + 1):
-                entries = table.get((mon[s], mon[t]))
-                if not entries:
-                    continue
-                rest = mon[:s] + mon[s + 1:t] + mon[t + 1:]
-                for c, val in entries:
-                    if c in rest:
-                        continue
-                    below = sum(1 for u in rest if u < c)
-                    key = list(rest)
-                    key.insert(below, c)
-                    col = index[tuple(key)]
-                    coeff = -val if (s + t + below) % 2 else val
-                    acc = op.setdefault(col, {})
-                    acc[row] = acc.get(row, 0) + coeff
-    return {col: [(r, v) for r, v in acc.items() if v]
-            for col, acc in op.items()}
+def _delta_column(table, mon, index):
+    """Column F_mon of D * delta, as [(row, value)] in the next degree.
+
+    delta(F_J) is the sum over c in J, at position p, of (-1)^p delta(F_c) ^
+    F_{J - c}, with delta(F_c) = -sum_{a<b} F_c([w_a, w_b]) F_a ^ F_b; moving
+    F_a and F_b into place crosses the bits of J - c between a and b.
+    """
+    acc = {}
+    for c, entries in table.items():
+        if mon & c:
+            others = mon ^ c
+            p = (others & (c - 1)).bit_count()
+            for (pair, span), val in entries:
+                if not others & pair:
+                    row = index[others | pair]
+                    odd = (p + (others & span).bit_count()) % 2
+                    acc[row] = acc.get(row, 0) + (val if odd else -val)
+    return [(r, v) for r, v in acc.items() if v]
+
+
+class _DeltaColumns(dict):
+    """Columns of D * delta_k by degree-k position, built on first use."""
+
+    def __init__(self, table, masks, index_next):
+        super().__init__()
+        self.table, self.masks, self.index_next = table, masks, index_next
+
+    def __missing__(self, pos):
+        col = self[pos] = _delta_column(self.table, self.masks[pos],
+                                        self.index_next)
+        return col
 
 
 def _product(a, b):
@@ -235,7 +234,7 @@ def _product(a, b):
     for j, entries in b.items():
         acc = {}
         for mid, x in entries:
-            for row, v in a.get(mid, ()):
+            for row, v in a[mid]:
                 acc[row] = acc.get(row, 0) + v * x
         col = [(r, v) for r, v in acc.items() if v]
         if col:
@@ -290,15 +289,14 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     ann, frame, tests = _dual_frame(pair)
     theta_mats = _theta_matrices(pair, frame, tests)
     gen_mats = _generator_matrices(pair, frame, tests)
-    gen_memos = [{} for _ in gen_mats]
+    gen_memos = [{0: {0: F1}} for _ in gen_mats]   # the empty wedge is 1
     table, scale = _structure_table(alg, frame, tests)
 
-    subsets, indexes, bases, dims = [], [], [], []
+    indexes, bases, dims = [], [], []
     for k in range(top + 2):
         subs = list(combinations(range(q), k))
-        idx = {mon: pos for pos, mon in enumerate(subs)}
+        idx = {sum(1 << i for i in mon): pos for pos, mon in enumerate(subs)}
         basis = _invariant_space(theta_mats, gen_mats, gen_memos, subs, idx)
-        subsets.append(subs)
         indexes.append(idx)
         bases.append(basis)
         dims.append(len(subs) if basis is None else basis.dim)
@@ -306,18 +304,20 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
         raise RuntimeError("degree-0 cochain space is not one-dimensional; "
                            "cochain assembly is inconsistent")
 
-    # each op is D * delta_k; delta_k delta_{k-1} B_{k-1} = 0 on wedge
+    # each op is D * delta_k, its columns built only where the lower images
+    # or the basis reach; delta_k delta_{k-1} B_{k-1} = 0 on wedge
     # coordinates is delta o delta = 0 on the invariant complex, since the
     # bases are injective
     deltas, lower = [], None
     for k in range(top + 1):
-        op = _delta_op(table, subsets[k + 1], indexes[k], k)
+        op = _DeltaColumns(table, list(indexes[k]), indexes[k + 1])
         if lower is not None and _product(op, lower):
             raise RuntimeError("differential composite in degree %d is "
                                "nonzero; cochain assembly is inconsistent" % k)
-        lower = op if bases[k] is None else _product(op, _column_form(bases[k]))
+        lower = ({j: col for j in range(dims[k]) if (col := op[j])}
+                 if bases[k] is None else _product(op, _column_form(bases[k])))
         deltas.append(_restrict_delta(lower, bases[k + 1],
-                                      len(subsets[k + 1]), dims[k]))
+                                      len(indexes[k + 1]), dims[k]))
     return RelativeComplex(pair, ann, q, top, dims, bases, deltas, scale)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .invariant_forms import fixed_vectors
 from .liealg import LieAlgebra, center_and_derived, is_bracket_closed, validate
-from .linalg import (Subspace, feye, fmat, fr, fzeros, intersect, is_zero,
-                     orth_complement, rat_str, subspace_sum)
+from .linalg import (Subspace, dot, feye, fmat, fr, fzeros, intersect,
+                     is_zero, orth_complement, rat_str, subspace_sum)
 
 
 class HomogeneousPair:
@@ -119,7 +119,7 @@ def generator_order(gamma, bound=256):
     for k in range(1, bound + 1):
         if (power == eye).all():
             return k
-        power = gamma.dot(power)
+        power = dot(gamma, power)
     return None
 
 
@@ -143,7 +143,7 @@ def validate_pair(pair, order_bound=256):
         cols = [g[:, i] for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = g.dot(alg.bracket_basis(i, j))
+                lhs = dot(g, alg.bracket_basis(i, j))
                 if not is_zero(lhs - alg.bracket(cols[i], cols[j])):
                     bad_auto = (gi, i, j)
                     break
@@ -155,7 +155,7 @@ def validate_pair(pair, order_bound=256):
 
     bad_h = None
     for gi, g in enumerate(pair.generators):
-        image = Subspace.span(n, [g.dot(pair.h_basis[:, j]) for j in range(pair.h.dim)])
+        image = Subspace.span(n, dot(g, pair.h_basis).T)
         if image != pair.h:
             bad_h = gi
             break
@@ -211,9 +211,7 @@ def decompose(pair):
     a_fixed = fixed_vectors(a, pair.generators)
     moved = []
     for g in pair.generators:
-        for j in range(a.dim):
-            v = a.basis[:, j]
-            moved.append(g.dot(v) - v)
+        moved.extend((dot(g, a.basis) - a.basis).T)
     a_moved = Subspace.span(n, moved)
 
     r0 = alg.l - b.dim
@@ -231,11 +229,10 @@ def decompose(pair):
     if r0 != n - subspace_sum(gg, pair.h).dim:
         fail("r0 = dim g/([g,g]+h)")
     for gi, g in enumerate(pair.generators):
-        for j in range(b.dim):
-            if not is_zero(g.dot(b.basis[:, j]) - b.basis[:, j]):
-                fail("generator %d acts as identity on b" % gi)
+        if not is_zero(dot(g, b.basis) - b.basis):
+            fail("generator %d acts as identity on b" % gi)
         for name, s in (("a", a), ("b", b), ("[h,h]", hh), ("h∩[g,g]", hcapgg)):
-            image = Subspace.span(n, [g.dot(s.basis[:, j]) for j in range(s.dim)])
+            image = Subspace.span(n, dot(g, s.basis).T)
             if image != s:
                 fail("generator %d preserves %s" % (gi, name))
 

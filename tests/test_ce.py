@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -198,6 +199,92 @@ def test_integer_structure_table_scales_every_differential():
     assert rep.betti == [1, 0, 1]
 
 
+def _row_wise_delta(pair, k):
+    """delta_k on full wedge coordinates, {col: {row: Fraction}}, by rows.
+
+    (delta f)(X_0..X_k) = sum_{s<t} (-1)^(s+t) f([X_s, X_t], X_0..X_k
+    without X_s, X_t), read on the test vectors, with positions in the
+    lexicographic order of the monomials.
+    """
+    alg = pair.algebra
+    _, frame, tests = ce._dual_frame(pair)
+    q = tests.shape[1]
+    proj = {(a, b): dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
+            for a, b in combinations(range(q), 2)}
+    index = {mon: pos for pos, mon in enumerate(combinations(range(q), k))}
+    op = {}
+    for row, mon in enumerate(combinations(range(q), k + 1)):
+        for s, t in combinations(range(k + 1), 2):
+            rest = mon[:s] + mon[s + 1:t] + mon[t + 1:]
+            for c, f_c in enumerate(proj[(mon[s], mon[t])]):
+                if f_c and c not in rest:
+                    key = (c,) + rest
+                    col = op.setdefault(index[tuple(sorted(key))], {})
+                    col[row] = (col.get(row, 0)
+                                + (-1) ** (s + t) * _sorting_sign(key) * f_c)
+    return {j: {r: v for r, v in col.items() if v} for j, col in op.items()}
+
+
+def _apply(op, col):
+    """op {col: {row: value}} applied to one sparse column, zeros dropped."""
+    image = {}
+    for mid, x in col.items():
+        for r, v in op.get(mid, {}).items():
+            image[r] = image.get(r, 0) + v * x
+    return {r: v for r, v in image.items() if v}
+
+
+def test_delta_columns_match_row_wise_definition():
+    # unconstrained: every column of every delta_k is the builder's column
+    pair = _free(catalog.pair_from_name("su:2+su:2").algebra)
+    cx = relative_complex(pair)
+    for k in range(cx.quotient_dim + 1):
+        ref = _row_wise_delta(pair, k)
+        for j in range(comb(cx.quotient_dim, k)):
+            assert dict(cx.deltas[k].cols.get(j, ())) == {
+                r: cx.scale * v for r, v in ref.get(j, {}).items()}, (k, j)
+    # constrained: delta_k applied to the basis, read on the next free rows
+    pair = catalog.pair_from_name("stiefel:6:2")
+    cx = relative_complex(pair)
+    assert cx.quotient_dim == 9
+    for k in range(cx.quotient_dim + 1):
+        ref = _row_wise_delta(pair, k)
+        free = cx.bases[k + 1].free
+        for j, col in enumerate(cx.bases[k].columns):
+            image = _apply(ref, col)
+            assert dict(cx.deltas[k].cols.get(j, ())) == {
+                pos: cx.scale * image[r] for pos, r in enumerate(free)
+                if r in image}, (k, j)
+
+
+def test_delta_columns_built_only_where_monomials_occur(monkeypatch):
+    real = ce._delta_column
+    built = []
+
+    def counted(table, mon, index):
+        built.append(mon)
+        return real(table, mon, index)
+    monkeypatch.setattr(ce, "_delta_column", counted)
+    pair = catalog.pair_from_name("stiefel:6:2")
+    cx = relative_complex(pair, max_degree=4)
+    q = cx.quotient_dim
+    smaller = []
+    for k in range(5):
+        # monomials in the support of B_k and of delta_{k-1} B_{k-1}
+        support = {r for col in cx.bases[k].columns for r in col}
+        if k:
+            ref = _row_wise_delta(pair, k - 1)
+            for col in cx.bases[k - 1].columns:
+                support |= set(_apply(ref, col))
+        masks = [sum(1 << i for i in mon)
+                 for mon in combinations(range(q), k)]
+        calls = [mon for mon in built if mon.bit_count() == k]
+        assert len(calls) == len(support), k
+        assert set(calls) == {masks[r] for r in support}, k
+        smaller.append(len(support) < comb(q, k))
+    assert any(smaller)
+
+
 def test_constrained_bases_are_identity_on_free_rows():
     cx = relative_complex(catalog.pair_from_name("stiefel:5:2"), max_degree=4)
     assert cx.dims == [1, 1, 1, 5, 5, 1]
@@ -225,16 +312,17 @@ def test_escape_check_fires_on_incomplete_invariant_basis(monkeypatch):
 
 
 def test_composite_check_fires_on_corrupted_differential(monkeypatch):
-    real = ce._delta_op
+    real = ce._delta_column
+    flipped = []
 
-    def patched(table, subsets_next, index, degree):
-        op = real(table, subsets_next, index, degree)
-        if degree == 2:
-            col = min(op)
-            (row, value), *rest = op[col]
-            op[col] = [(row, -value)] + rest
-        return op
-    monkeypatch.setattr(ce, "_delta_op", patched)
+    def patched(table, mon, index):
+        col = real(table, mon, index)
+        if mon.bit_count() == 2 and col and not flipped:
+            flipped.append(mon)
+            (row, value), *rest = col
+            col = [(row, -value)] + rest
+        return col
+    monkeypatch.setattr(ce, "_delta_column", patched)
     pair = _free(catalog.pair_from_name("su:2+su:2").algebra)
     with pytest.raises(RuntimeError,
                        match="differential composite in degree .* is nonzero"):

@@ -248,10 +248,10 @@ def test_oracle_ce_size_cap_flag(tmp_path, capsys):
 def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):
     from liecoh import ce
 
-    def corrupt(table, subsets_next, index, degree):
+    def corrupt(table, mon, index):
         raise RuntimeError("differential composite in degree 2 is nonzero; "
                            "cochain assembly is inconsistent")
-    monkeypatch.setattr(ce, "_delta_op", corrupt)
+    monkeypatch.setattr(ce, "_delta_column", corrupt)
     code = main(["oracle", _emit(tmp_path, "sphere:2"), "--method", "ce"])
     assert code == 4
     captured = capsys.readouterr()
