@@ -26,7 +26,11 @@ else.  delta o delta = 0 on the lower images, and the images mapped back
 from their row selection on the next basis (the differential must not
 escape the invariant space), are consistency checks on the assembly, not
 assumptions.  With no constraints (trivial isotropy, no generators) the
-images are the delta columns themselves.  Ranks are exact integer ranks.
+images are the delta columns themselves.  Ranks are exact integer ranks,
+taken in increasing degree as one complex (linalg.complex_ranks): the
+echelon of delta_k's columns has distinct leading rows P_k, and since
+delta o delta = 0 (checked above) delta_{k+1} is ranked on its columns off
+P_k only: most of the columns that would reduce to zero are never touched.
 """
 
 import os
@@ -35,8 +39,8 @@ from itertools import chain, combinations
 from math import lcm
 
 from .betti import BettiReport
-from .linalg import (F0, F1, dot, intersect_kernels, kernel_basis, rank,
-                     solve_many, sparse_columns)
+from .linalg import (F0, F1, complex_ranks, dot, intersect_kernels,
+                     kernel_basis, solve_many, sparse_columns)
 from .pairs import validate_pair
 
 DEFAULT_SIZE_CAP = 14
@@ -321,16 +325,11 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     return RelativeComplex(pair, ann, q, top, dims, bases, deltas, scale)
 
 
-def _delta_rank(delta):
-    """Exact rank of a restricted differential, through its columns."""
-    return rank([dict(entries) for entries in delta.cols.values()], delta.nrows)
-
-
 def betti_ce(pair, max_degree=None, size_cap=None, validate=True):
     """Betti numbers from the invariant cochain complex (exact ranks)."""
     cx = relative_complex(pair, max_degree=max_degree, size_cap=size_cap,
                           validate=validate)
-    ranks = [_delta_rank(delta) for delta in cx.deltas]
+    ranks = complex_ranks(cx.deltas)
     betti = [cx.dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
              for k in range(cx.max_degree + 1)]
     if betti[0] != 1:

@@ -1,13 +1,16 @@
 """Command-line interface: compute, verify, oracle, catalog.
 
 Exit codes: 0 success, 1 I/O, parse or usage error (including an algebra
-above the dimension limit), 2 validation failure (the check report is
-printed), 3 method disagreement in verify, 4 internal inconsistency (a
-self-check such as delta o delta = 0 failed; the message is printed).
+above the dimension limit, a negative --max-degree or --size-cap, and a
+LIECOH_SIZE_CAP that is not a non-negative integer), 2 validation failure
+(the check report is printed), 3 method disagreement in verify, 4 internal
+inconsistency (a self-check such as delta o delta = 0 failed; the message
+is printed).
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -200,15 +203,32 @@ def cmd_catalog(args):
     return 0
 
 
+def _non_negative_int(text):
+    """argparse type of --max-degree and --size-cap."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            "must be a non-negative integer, not %r" % text)
+    return int(text)
+
+
+def _check_size_cap_env():
+    """Reject a LIECOH_SIZE_CAP the cochain method could not use."""
+    env = os.environ.get("LIECOH_SIZE_CAP")
+    if env and not env.strip().isdecimal():
+        raise _CliError(1, "LIECOH_SIZE_CAP must be a non-negative integer, "
+                        "not %r" % env)
+
+
 def _add_common(parser, max_degree=False):
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output (sorted keys)")
     parser.add_argument("--explain", action="store_true",
                         help="include slice dimensions and ranks")
-    parser.add_argument("--size-cap", type=int, default=None,
+    parser.add_argument("--size-cap", type=_non_negative_int, default=None,
                         help="override the quotient-dimension cap for the cochain method")
     if max_degree:
-        parser.add_argument("--max-degree", type=int, default=None,
+        parser.add_argument("--max-degree", type=_non_negative_int,
+                            default=None,
                             help="highest cohomology degree to compute")
 
 
@@ -263,6 +283,8 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
+        if args.command != "catalog":
+            _check_size_cap_env()
         return args.func(args)
     except _CliError as exc:
         print(exc.message, file=sys.stdout if exc.code == 2 else sys.stderr)

@@ -7,7 +7,8 @@ intersect_kernels), with Fraction or int values.  Every elimination goes
 through one exact engine, _sparse_echelon: each row is cleared to integers
 once (lcm of denominators) and held as a {col: int} dict, then eliminated
 with the gcd-scaled two-term update, so no rationals appear inside the hot
-loop and the cost tracks the nonzero structure.  Ranks count its pivots,
+loop and the cost tracks the nonzero structure.  Ranks count its pivots
+(complex_ranks also carries them from one map of a complex to the next),
 kernels back-substitute through its rows (_kernel_columns), solve_many
 reads coordinates off the kernel of [basis | rhs], and Subspace.span and
 subspace equality use its rows and rank.
@@ -231,6 +232,29 @@ def rank(m, ncols=None):
         ncols = m.shape[1]
     _, pivots = _sparse_echelon(_int_rows_sparse(m), ncols)
     return len(pivots)
+
+
+def complex_ranks(maps):
+    """Exact ranks of the consecutive maps d_0, d_1, ... of a complex.
+
+    Each map is (cols, nrows, ncols), cols its sparse columns {col: [(row,
+    value)]}; the rows of d_k are the columns of d_{k+1}.  Precondition:
+    d_{k+1} d_k = 0, checked by the caller; otherwise the ranks are wrong.
+    The echelon of d_k's columns spans im d_k with distinct leading rows
+    P_k; those vectors and the unit vectors off P_k are a triangular basis
+    of the next space, and d_{k+1} kills the former, so rank d_{k+1} is the
+    rank of its columns off P_k.  This is the clearing rule of persistent
+    homology (Chen & Kerber, 2011): the elimination sees rank d_k fewer
+    columns of d_{k+1}, most of those that would have reduced to zero.
+    """
+    ranks, cleared = [], set()
+    for cols, nrows, ncols in maps:
+        rows = _int_rows_sparse(dict(cols.get(j, ())) for j in range(ncols)
+                                if j not in cleared)
+        _, pivots = _sparse_echelon(rows, nrows)
+        ranks.append(len(pivots))
+        cleared = set(pivots)
+    return ranks
 
 
 def _kernel_columns(rows, ncols):

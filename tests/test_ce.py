@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from liecoh import catalog, ce
+from liecoh import catalog, ce, linalg
 from liecoh.betti import betti_low
 from liecoh.ce import (DEFAULT_SIZE_CAP, _SparseDelta, betti_ce,
                        poincare_check, relative_complex)
@@ -129,12 +129,17 @@ def test_relative_complex_structure():
     assert len(cx.deltas) == 3
 
 
-def test_su4_line_constrained_q14():
+def _su4_line(coeff):
+    """su:4 over the line e_0 + coeff * e_3."""
     alg = catalog.build("su", 4)
     line = fzeros(alg.n)
     line[0] = Fraction(1)
-    line[3] = Fraction(1, 2)
-    pair = HomogeneousPair.from_vectors(alg, [line])
+    line[3] = Fraction(coeff)
+    return HomogeneousPair.from_vectors(alg, [line])
+
+
+def test_su4_line_constrained_q14():
+    pair = _su4_line(Fraction(1, 2))
     rep = betti_ce(pair, max_degree=4)
     assert rep.intermediates["quotient_dim"] == 14
     assert rep.betti == [1, 0, 1, 0, 0]
@@ -152,11 +157,8 @@ def _sorting_sign(seq):
 def test_integer_structure_table_scales_every_differential():
     # a line in su:4 whose projected constants have denominators 3 and 10,
     # so their lcm is larger than each of them
-    alg = catalog.build("su", 4)
-    line = fzeros(alg.n)
-    line[0] = Fraction(1)
-    line[3] = Fraction(1, 3)
-    pair = HomogeneousPair.from_vectors(alg, [line])
+    pair = _su4_line(Fraction(1, 3))
+    alg = pair.algebra
     _, frame, tests = ce._dual_frame(pair)
     table, scale = ce._structure_table(alg, frame, tests)
     assert scale > 1
@@ -197,6 +199,62 @@ def test_integer_structure_table_scales_every_differential():
     rep = betti_ce(pair, max_degree=2)
     assert rep.diagnostics["ranks"] == ref_ranks
     assert rep.betti == [1, 0, 1]
+
+
+def _ranks_alone(cx):
+    """linalg.rank of each differential on its own, through its columns."""
+    return [rank([dict(entries) for entries in d.cols.values()], d.nrows)
+            for d in cx.deltas]
+
+
+def test_complex_ranks_equal_each_differential_ranked_alone():
+    # (pair, max_degree, whether the complex is constrained); the D = 30
+    # line of su:4 is cut at degree 4 to keep it cheap
+    cases = [(catalog.pair_from_name(name), None, True)
+             for name in ("flag_su3", "stiefel:6:2", "example_4_7")]
+    cases.append((_su4_line(Fraction(1, 3)), 4, True))
+    cases += [(_free(catalog.pair_from_name(name).algebra), None, False)
+              for name in ("su:2+su:2", "so:5+torus:1")]
+    for pair, top, constrained in cases:
+        cx = relative_complex(pair, max_degree=top)
+        # restricted differentials hold Fraction coordinates, the full
+        # wedge ones ints
+        assert all(type(v) is Fraction for d in cx.deltas
+                   for entries in d.cols.values()
+                   for _, v in entries) == constrained
+        rep = betti_ce(pair, max_degree=top)
+        assert rep.diagnostics["ranks"] == _ranks_alone(cx)
+
+
+def test_ranks_skip_the_columns_the_degree_below_kills(monkeypatch):
+    pair = _free(catalog.pair_from_name("so:5+torus:1").algebra)
+    cx = relative_complex(pair)
+    alone = _ranks_alone(cx)
+    real = linalg._int_rows_sparse
+    handed = []
+
+    def counted(rows):
+        rows = list(rows)
+        handed.append(len(rows))
+        return real(rows)
+    monkeypatch.setattr(linalg, "_int_rows_sparse", counted)
+    monkeypatch.setattr(ce, "relative_complex", lambda *args, **kw: cx)
+    rep = betti_ce(pair)
+    assert rep.diagnostics["ranks"] == alone
+    # degree k hands the elimination every column off the leading rows of
+    # delta_{k-1}'s echelon, zero columns included, and nothing else
+    assert handed == [cx.dims[k] - (alone[k - 1] if k else 0)
+                      for k in range(len(cx.deltas))]
+
+
+def test_su4_group_manifold_full_vector():
+    # H*(SU(4)) is exterior on generators of degrees 3, 5 and 7
+    poly = [1]
+    for d in (3, 5, 7):
+        poly = [a + b for a, b in zip(poly + [0] * d, [0] * d + poly)]
+    rep = betti_ce(_free(catalog.build("su", 4)), size_cap=15)
+    assert rep.betti == poly == [1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1]
+    assert poincare_check(rep, 15)
 
 
 def _row_wise_delta(pair, k):

@@ -245,6 +245,40 @@ def test_oracle_ce_size_cap_flag(tmp_path, capsys):
     assert out["betti"] == [1, 0]
 
 
+def test_negative_degree_and_cap_are_usage_errors(tmp_path, capsys):
+    path = _emit(tmp_path, "sphere:2")
+    for flag in ("--max-degree", "--size-cap"):
+        assert main(["oracle", path, "--method", "ce", flag, "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("argument %s: must be a non-negative integer, not '-3'"
+                % flag) in captured.err
+    assert main(["verify", path, "--size-cap", "-1"]) == 1
+    assert "argument --size-cap" in capsys.readouterr().err
+    # zero is a valid degree: b0 alone
+    assert main(["oracle", path, "--method", "ce", "--max-degree", "0"]) == 0
+    assert "betti   [1]" in capsys.readouterr().out
+
+
+def test_non_integer_size_cap_variable_is_usage_error(tmp_path, capsys,
+                                                      monkeypatch):
+    path = _emit(tmp_path, "sphere:2")
+    for value in ("abc", "-2", "1.5"):
+        monkeypatch.setenv("LIECOH_SIZE_CAP", value)
+        for argv in (["compute", path], ["verify", path],
+                     ["oracle", path, "--method", "ce"]):
+            assert main(argv) == 1, (value, argv)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.strip() == (
+                "LIECOH_SIZE_CAP must be a non-negative integer, not %r"
+                % value)
+    monkeypatch.setenv("LIECOH_SIZE_CAP", "15")
+    assert main(["oracle", _emit(tmp_path, "su:4"), "--method", "ce",
+                 "--max-degree", "1"]) == 0
+    assert "betti   [1, 0]" in capsys.readouterr().out
+
+
 def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):
     from liecoh import ce
 

@@ -12,9 +12,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecoh.linalg import (F0, F1, Subspace, commutant_operator, dot,
-                           echelon_insert, feye, fmat, fvec, fzeros,
-                           full_subspace, intersect, intersect_kernels,
+from liecoh.linalg import (F0, F1, Subspace, commutant_operator,
+                           complex_ranks, dot, echelon_insert, feye, fmat,
+                           fvec, fzeros, full_subspace, intersect, intersect_kernels,
                            is_spd, is_zero, kernel_basis, nonzeros,
                            orth_complement, rank, rat_str, solve_many,
                            sparse_columns, subspace_sum, zero_subspace)
@@ -203,6 +203,61 @@ def test_solve_span_and_equality_against_sympy(system):
             == _sympy_of(np.hstack([basis, other])).rank())
     assert (s == t) == same
     assert (t == s) == same
+
+
+def _random_frame(draw, n):
+    """A random invertible n x n matrix: a permutation times L * diag * U.
+
+    L and U are unit triangular with half their entries zero, so the frame
+    is often sparse and clearing meets structured leading rows.
+    """
+    entry = st.one_of(st.just(F0), _RATIONALS)
+    lower, upper, frame = feye(n), feye(n), fzeros(n, n)
+    for i in range(n):
+        for j in range(i):
+            lower[i, j] = draw(entry)
+            upper[j, i] = draw(entry)
+        upper[i, i] = draw(_RATIONALS.filter(bool))
+    for i, j in enumerate(draw(st.permutations(range(n)))):
+        frame[i, j] = F1
+    return dot(frame, dot(lower, upper))
+
+
+@st.composite
+def _chain_complexes(draw):
+    """(maps, ranks): d_k = A_{k+1} E_k A_k^-1 for random invertible A_k.
+
+    Degree k has coordinates [Y_k | H_k | X_k] of sizes ranks[k-1], h_k and
+    ranks[k]; E_k is the identity from X_k onto Y_{k+1} and zero elsewhere,
+    so E_{k+1} E_k = 0, and so is d_{k+1} d_k.
+    """
+    length = draw(st.integers(1, 4))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=length,
+                          max_size=length))
+    dims = [(ranks[k - 1] if k else 0) + draw(st.integers(0, 2))
+            + (ranks[k] if k < length else 0) for k in range(length + 1)]
+    frames = [_random_frame(draw, n) for n in dims]
+    maps = []
+    for k in range(length):
+        e = fzeros(dims[k + 1], dims[k])
+        for i in range(ranks[k]):
+            e[i, dims[k] - ranks[k] + i] = F1
+        inv = _sympy_of(frames[k]).inv()
+        inv = np.array([F(int(x.p), int(x.q)) for x in inv],
+                       dtype=object).reshape(dims[k], dims[k])
+        maps.append(dot(dot(frames[k + 1], e), inv))
+    return maps, ranks
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_chain_complexes())
+def test_complex_ranks_against_sympy(cx):
+    maps, ranks = cx
+    for k in range(len(maps) - 1):
+        assert is_zero(dot(maps[k + 1], maps[k]))
+    got = complex_ranks([(sparse_columns(d), d.shape[0], d.shape[1])
+                         for d in maps])
+    assert got == [_sympy_of(d).rank() for d in maps] == ranks
 
 
 def test_is_spd():
