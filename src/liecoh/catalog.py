@@ -1,12 +1,14 @@
 """Deterministic builders for classical compact algebras and standard pairs.
 
-Structure constants of su(n) and sp(n) are extracted from exact matrix
-models: su(n) on anti-Hermitian traceless matrices stored as (real,
-imaginary) parts, sp(n) on quaternionic anti-Hermitian matrices stored as
-four real components.  Each commutator is solved back into the basis span
-over the rationals, so every emitted constant is exact.  so(n), on the real
-antisymmetric matrices L_ab = E_ab - E_ba, uses the closed form of its
-brackets, which gives the same constants without any elimination.
+Structure constants of so(n), su(n) and sp(n) come from exact matrix
+models, each basis matrix given by its one or two nonzero matrix units:
+so(n) on the real antisymmetric matrices L_ab = E_ab - E_ba, su(n) on
+anti-Hermitian traceless matrices stored as (real, imaginary) parts, sp(n)
+on quaternionic anti-Hermitian matrices stored as four real components.
+Each commutator is a sum of products of units, and its coordinates are
+read off the basis's pivots: every basis matrix holds 1 at its least unit
+and no two start at the same unit, so the basis is unit-triangular and
+every emitted constant is exact.
 
 so(4) is always emitted pre-split into its two commuting su(2) factors
 (self-dual and anti-self-dual), because declared factors must be simple; the
@@ -20,11 +22,10 @@ summands embedded blockwise.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-import numpy as np
-
-from .liealg import LieAlgebra, check_dim
-from .linalg import F1, dot, feye, fmat, fzeros, solve_many
+from .liealg import LieAlgebra, check_dim, int_field
+from .linalg import F0, F1
 from .pairs import HomogeneousPair
 
 # su(2) in the cyclic basis: [e1, e2] = 2 e3 and cyclically.
@@ -36,58 +37,75 @@ SU2_CONSTANTS = ((0, 1, 2, Fraction(2)), (0, 2, 1, Fraction(-2)),
 # span the self-dual su(2) and Y1 = L01-L23, Y2 = L12-L03, Y3 = L02+L13 the
 # anti-self-dual one; both satisfy the cyclic su(2) relations above.
 _H = Fraction(1, 2)
-SO4_TO_SPLIT = fmat([
+SO4_TO_SPLIT = [
     [_H, 0, 0, 0, 0, _H],
     [0, -_H, 0, 0, _H, 0],
     [0, 0, _H, _H, 0, 0],
     [_H, 0, 0, 0, 0, -_H],
     [0, 0, -_H, _H, 0, 0],
     [0, _H, 0, 0, _H, 0],
-])
+]
+
+
+def _unit(n, t):
+    """The t-th unit vector of length n."""
+    return [F1 if i == t else F0 for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # exact matrix models
 # ---------------------------------------------------------------------------
 
-def _mul(a, b):
-    """Product of matrices over R, C, or H given as component tuples."""
-    if len(a) == 1:
-        return (dot(a[0], b[0]),)
-    if len(a) == 2:
-        ar, ai = a
-        br, bi = b
-        return (dot(ar, br) - dot(ai, bi), dot(ar, bi) + dot(ai, br))
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (dot(a0, b0) - dot(a1, b1) - dot(a2, b2) - dot(a3, b3),
-            dot(a0, b1) + dot(a1, b0) + dot(a2, b3) - dot(a3, b2),
-            dot(a0, b2) - dot(a1, b3) + dot(a2, b0) + dot(a3, b1),
-            dot(a0, b3) + dot(a1, b2) - dot(a2, b1) + dot(a3, b0))
+def _component_product(a, b):
+    """(sign, c) with u_a u_b = sign u_c for the units 1, i, j, k of H.
+
+    Components 0 and 1 alone multiply as R and C.
+    """
+    if a == 0 or b == 0:
+        return 1, a + b
+    if a == b:
+        return -1, 0
+    return (1 if (b - a) % 3 == 1 else -1), 6 - a - b
 
 
-def _flat(a):
-    return np.concatenate([m.reshape(-1) for m in a])
+def _commutator(x, y):
+    """xy - yx for matrices given as {(component, row, col): value}."""
+    out = {}
+    for left, right, sign in ((x, y, 1), (y, x, -1)):
+        for (a, r, s), u in left.items():
+            for (b, s2, t), v in right.items():
+                if s == s2:
+                    unit_sign, c = _component_product(a, b)
+                    key = (c, r, t)
+                    out[key] = out.get(key, 0) + sign * unit_sign * u * v
+    return {key: v for key, v in out.items() if v}
 
 
-def _matrix_constants(mats):
-    """Local structure constants (i, j, k, c) of a matrix basis, i < j."""
-    dim = len(mats)
-    span = np.column_stack([_flat(m) for m in mats])
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    comms = []
-    for i, j in pairs:
-        ab = _mul(mats[i], mats[j])
-        ba = _mul(mats[j], mats[i])
-        comms.append(_flat(tuple(x - y for x, y in zip(ab, ba))))
-    coords = solve_many(span, np.column_stack(comms))
-    if coords is None:
-        raise RuntimeError("commutator escapes the span of the matrix basis")
+def _matrix_constants(units):
+    """Local structure constants (i, j, k, c), i < j, of a matrix basis.
+
+    units[t] is basis matrix t as {(component, row, col): int}.  Its least
+    key is its pivot, holding 1, and no two basis matrices share a pivot.
+    A commutator is reduced from its least key up: the key must be the
+    pivot of some basis matrix t, whose coefficient is the entry there.
+    """
+    pivot = {min(x): t for t, x in enumerate(units)}
     out = []
-    for col, (i, j) in enumerate(pairs):
-        for k in range(dim):
-            if coords[k, col]:
-                out.append((i, j, k, coords[k, col]))
+    for i, j in combinations(range(len(units)), 2):
+        m = _commutator(units[i], units[j])
+        coef = {}
+        while m:
+            lead = min(m)
+            if lead not in pivot:
+                raise RuntimeError("commutator escapes the span of the "
+                                   "matrix basis")
+            t = pivot[lead]
+            c = coef[t] = m[lead]
+            for key, v in units[t].items():
+                m[key] = m.get(key, 0) - c * v
+                if not m[key]:
+                    del m[key]
+        out.extend((i, j, k, Fraction(coef[k])) for k in sorted(coef))
     return tuple(out)
 
 
@@ -95,75 +113,40 @@ def _lex_pairs(n):
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
+def _antisymmetric(comp, j, k):
+    return {(comp, j, k): 1, (comp, k, j): -1}
+
+
+def _symmetric(comp, j, k):
+    return {(comp, j, k): 1, (comp, k, j): 1}
+
+
 @lru_cache(maxsize=None)
 def _so_constants(n):
-    """so(n) on L_ab = E_ab - E_ba (a < b, lex) from the closed form
-    [L_ab, L_cd] = δ_bc L_ad - δ_bd L_ac - δ_ac L_bd + δ_ad L_bc,
-    with L_ba = -L_ab and L_aa = 0.  For (a, b) before (c, d), a <= c < d,
-    so the δ_ad term never appears."""
-    index = {p: t for t, p in enumerate(_lex_pairs(n))}
-
-    def add(acc, x, y, sign):
-        if x != y:
-            t, c = (index[(x, y)], sign) if x < y else (index[(y, x)], -sign)
-            acc[t] = acc.get(t, 0) + c
-
-    out = []
-    pairs = _lex_pairs(n)
-    for i, (a, b) in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            c, d = pairs[j]
-            acc = {}
-            if b == c:
-                add(acc, a, d, 1)
-            if b == d:
-                add(acc, a, c, -1)
-            if a == c:
-                add(acc, b, d, -1)
-            out.extend((i, j, k, Fraction(v))
-                       for k, v in sorted(acc.items()) if v)
-    return tuple(out)
+    """so(n) on L_ab = E_ab - E_ba, a < b in lex order."""
+    return _matrix_constants([_antisymmetric(0, a, b)
+                              for a, b in _lex_pairs(n)])
 
 
 @lru_cache(maxsize=None)
 def _su_constants(n):
-    mats = []
-    for j in range(n - 1):
-        im = fzeros(n, n)
-        im[j, j] = F1
-        im[j + 1, j + 1] = -F1
-        mats.append((fzeros(n, n), im))
+    """su(n): i(E_jj - E_j+1,j+1), then per j < k the real part E_jk - E_kj
+    and the imaginary part i(E_jk + E_kj)."""
+    units = [{(1, j, j): 1, (1, j + 1, j + 1): -1} for j in range(n - 1)]
     for j, k in _lex_pairs(n):
-        re = fzeros(n, n)
-        re[j, k] = F1
-        re[k, j] = -F1
-        mats.append((re, fzeros(n, n)))
-        im = fzeros(n, n)
-        im[j, k] = F1
-        im[k, j] = F1
-        mats.append((fzeros(n, n), im))
-    return _matrix_constants(mats)
+        units += [_antisymmetric(0, j, k), _symmetric(1, j, k)]
+    return _matrix_constants(units)
 
 
 @lru_cache(maxsize=None)
 def _sp_constants(n):
-    mats = []
-    for t in range(n):
-        for comp in (1, 2, 3):
-            m = [fzeros(n, n) for _ in range(4)]
-            m[comp][t, t] = F1
-            mats.append(tuple(m))
+    """sp(n): i E_tt, j E_tt, k E_tt per t, then per j < k the real part
+    E_jk - E_kj and u(E_jk + E_kj) for u = i, j, k."""
+    units = [{(comp, t, t): 1} for t in range(n) for comp in (1, 2, 3)]
     for j, k in _lex_pairs(n):
-        m = [fzeros(n, n) for _ in range(4)]
-        m[0][j, k] = F1
-        m[0][k, j] = -F1
-        mats.append(tuple(m))
-        for comp in (1, 2, 3):
-            m = [fzeros(n, n) for _ in range(4)]
-            m[comp][j, k] = F1
-            m[comp][k, j] = F1
-            mats.append(tuple(m))
-    return _matrix_constants(mats)
+        units.append(_antisymmetric(0, j, k))
+        units += [_symmetric(comp, j, k) for comp in (1, 2, 3)]
+    return _matrix_constants(units)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +205,11 @@ def _so_pair(ambient, sub):
     index = {p: t for t, p in enumerate(_lex_pairs(ambient))}
     vectors = []
     for a, b in _lex_pairs(sub):
-        v = fzeros(alg.n)
-        v[index[(a, b)]] = F1
-        if coord_map is not None:
-            v = coord_map.dot(v)
-        vectors.append(v)
+        t = index[(a, b)]
+        if coord_map is None:
+            vectors.append(_unit(alg.n, t))
+        else:
+            vectors.append([row[t] for row in coord_map])
     return HomogeneousPair.from_vectors(alg, vectors)
 
 
@@ -246,11 +229,8 @@ def _build_stiefel(n, k):
 
 def _build_flag_su3():
     alg = _build_su(3)
-    h0 = fzeros(alg.n)
-    h0[0] = F1
-    h1 = fzeros(alg.n)
-    h1[1] = F1
-    return HomogeneousPair.from_vectors(alg, [h0, h1])
+    return HomogeneousPair.from_vectors(alg, [_unit(alg.n, 0),
+                                              _unit(alg.n, 1)])
 
 
 def _build_example_4_7():
@@ -262,12 +242,9 @@ def _build_example_4_7():
     adjoint action of diag(1, -1) in U(2), which fixes e2 and negates e3, e4.
     """
     alg = LieAlgebra.from_factor_constants(2, [("su(2)", 3, SU2_CONSTANTS)])
-    h = fzeros(alg.n)
-    h[3] = F1
-    gamma = feye(alg.n)
-    gamma[3, 3] = -F1
-    gamma[4, 4] = -F1
-    return HomogeneousPair.from_vectors(alg, [h], [gamma])
+    gamma = [_unit(alg.n, t) for t in range(alg.n)]
+    gamma[3][3] = gamma[4][4] = -F1
+    return HomogeneousPair.from_vectors(alg, [_unit(alg.n, 3)], [gamma])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +308,7 @@ def build(name, *params):
 def _as_pair(obj):
     if isinstance(obj, HomogeneousPair):
         return obj
-    return HomogeneousPair(obj, fzeros(obj.n, 0))
+    return HomogeneousPair(obj, [])
 
 
 def _sum_pairs(left, right):
@@ -355,20 +332,19 @@ def _sum_pairs(left, right):
 
     vectors = []
     for mapper, src in ((map1, left), (map2, right)):
-        hb = src.h_basis
-        for col in range(hb.shape[1]):
-            v = fzeros(alg.n)
-            for i in range(src.algebra.n):
-                v[mapper(i)] = hb[i, col]
+        for col in src.h.columns:
+            v = [F0] * alg.n
+            for i, x in col.items():
+                v[mapper(i)] = x
             vectors.append(v)
     gens = []
     for mapper, src in ((map1, left), (map2, right)):
         for g in src.generators:
-            big = feye(alg.n)
+            big = [_unit(alg.n, t) for t in range(alg.n)]
             nn = src.algebra.n
             for i in range(nn):
                 for j in range(nn):
-                    big[mapper(i), mapper(j)] = g[i, j]
+                    big[mapper(i)][mapper(j)] = g[i, j]
             gens.append(big)
     return HomogeneousPair.from_vectors(alg, vectors, gens)
 
@@ -408,7 +384,7 @@ def factor_from_shorthand(fac):
     splits it).
     """
     kind = fac.get("type")
-    n = int(fac.get("n", 0))
+    n = int_field(fac.get("n", 0), "n")
     if kind == "su":
         if n < 2:
             raise ValueError("su(n) factor needs n >= 2")

