@@ -16,7 +16,7 @@ per-factor Killing forms to invariant forms on h∩[g,g].
 from math import comb
 
 from .invariant_forms import minimal_ideal_count, psi_analysis
-from .linalg import Subspace, dot, feye, intersect, is_zero
+from .linalg import F1, Subspace, combination, intersect
 from .pairs import decompose, validate_pair
 
 
@@ -77,14 +77,11 @@ def _block_support(pair, hcapgg):
     embedding) makes the hypothesis undecidable by block counting.
     """
     alg = pair.algebra
-    eye = feye(alg.n)
     support = []
     for fi, (_, start, stop) in enumerate(alg.factors):
-        hits = any(hcapgg.basis[i, j] != 0
-                   for j in range(hcapgg.dim) for i in range(start, stop))
-        if not hits:
+        if not any(start <= i < stop for c in hcapgg.columns for i in c):
             continue
-        block = Subspace.span(alg.n, [eye[:, t] for t in range(start, stop)])
+        block = Subspace.span(alg.n, [{t: F1} for t in range(start, stop)])
         if intersect(hcapgg, block).dim == 0:
             return None
         support.append(fi)
@@ -150,7 +147,8 @@ def corollary_checks(pair, report, dec=None):
     # toral h in semisimple g: the b4 − b3 difference formula; needs the
     # component group to act trivially on h, which is what makes H toral
     toral = dec.hh.dim == 0 and all(
-        is_zero(dot(g, pair.h_basis) - pair.h_basis) for g in pair.generators)
+        combination(gcols, c) == c
+        for gcols in pair.generator_columns for c in pair.h.columns)
     if l == 0 and toral:
         m = pair.h.dim
         ok = b[4] - b[3] == m * (m + 1) // 2 - r

@@ -4,18 +4,27 @@ Real cohomology of the quotient is computed from the complex of horizontal,
 isotropy-invariant alternating forms on the ambient algebra.  Horizontal
 k-forms are coordinatised on wedges F_J = F_{j_1} ^ ... ^ F_{j_k} of a basis
 F_1..F_q of the annihilator of h in the dual of g, the monomial J held as an
-int bitmask; with test vectors w_1..w_q such that F_i(w_j) = delta_ij, the
-coefficient of a horizontal form on F_J is its value on (w_{j_1}, ...).  The
+int bitmask.  F is the annihilator's kernel basis, the identity on its free
+rows, so the unit vectors w_j = e_{free[j]} are test vectors with
+F_i(w_j) = delta_ij, and the coefficient of a horizontal form on F_J is its
+value on (w_{j_1}, ...).  Every entry below is a lookup in the structure
+table projected through F's columns; no Gram matrix is solved.  The
 structure maps are sparse {col: [(row, value)]} matrices:
 
 * the infinitesimal isotropy action, (theta(Y)f)(x) = -f([Y, x]) on
   covectors, extended to wedges as a derivation;
-* the component-generator action, f -> f o gamma^{-1} on covectors, extended
-  multiplicatively;
+* the component-generator action, f -> f o gamma on covectors, extended
+  multiplicatively.  Its fixed space in every degree is that of
+  f -> f o gamma^{-1}, so gamma is never inverted;
 * the differential, the derivation with delta(F_c) = -sum_{a<b}
   F_c([w_a, w_b]) F_a ^ F_b.  The projected structure constants are cleared
   to integers once with their common denominator D, so the complex holds
   D * delta in every degree: same kernels, images and ranks, in ints.
+
+For an invariant horizontal form the values (delta f)(w_I), theta and the
+generator entries do not depend on the complement chosen for h (moving a
+w_j by an element of h changes none of them), so any test vectors dual to F
+give the same invariant complex; the unit vectors only make D small.
 
 The degree-k cochain space is the joint kernel of the theta operators and
 the fixed space of the generator actions, intersected one operator at a time
@@ -34,13 +43,13 @@ P_k only: most of the columns that would reduce to zero are never touched.
 """
 
 import os
-from collections import namedtuple
 from itertools import chain, combinations
 from math import lcm
 
 from .betti import BettiReport
-from .linalg import (F0, F1, complex_ranks, dot, intersect_kernels,
-                     kernel_basis, solve_many, sparse_columns)
+from .linalg import (F0, F1, SparseMatrix, combination, complex_ranks,
+                     coordinates, intersect_kernels, kernel_basis, rank,
+                     sparse_product, transpose)
 from .pairs import validate_pair
 
 DEFAULT_SIZE_CAP = 14
@@ -59,18 +68,15 @@ def _effective_size_cap(size_cap):
     return int(env)
 
 
-# column-major sparse matrix: cols[j] = [(i, value), ...]
-_SparseDelta = namedtuple("_SparseDelta", "cols nrows ncols")
-
-
 class RelativeComplex:
     """Invariant cochain spaces and differentials, degrees 0..max_degree+1.
 
     bases[k] is the degree-k cochain space as a Subspace of wedge
     coordinates held in sparse columns, with None meaning the full wedge
     space (no isotropy or generator constraints).  deltas[k] is scale times
-    the differential from degree k to k+1 in those bases, a _SparseDelta;
-    scale is D, 1 when the projected structure constants are integers.
+    the differential from degree k to k+1 in those bases, a SparseMatrix;
+    scale is D, the lcm of the denominators of the constants F_c([w_a, w_b])
+    on the unit test vectors (1 when they are integers, as for h = 0).
     """
 
     def __init__(self, pair, annihilator, quotient_dim, max_degree, dims,
@@ -85,60 +91,63 @@ class RelativeComplex:
         self.scale = scale
 
 
-def _dual_frame(pair):
-    """Annihilator basis of h in g*, plus test vectors dual to it."""
-    ann = kernel_basis(pair.h_basis.T)
-    frame = ann.basis                      # n x q, columns are covectors
-    # tests = frame (frame^T frame)^-1, transposed through the symmetric Gram
-    coords = solve_many(dot(frame.T, frame), frame.T)
-    if coords is None:
-        raise ValueError("annihilator Gram matrix is singular")
-    return ann, frame, coords.T
+def _frame(pair):
+    """The annihilator of h in g* as a kernel basis, plus its rows as
+    {k: {i: F_i[k]}}; the test vector w_j is the unit vector at free[j]."""
+    ann = kernel_basis(pair.h.columns, pair.algebra.n)
+    return ann, transpose(ann.columns)
 
 
-def _bit_columns(m):
-    """The nonzeros of m per column, indices as bits: {1 << j: [(1 << i, v)]}."""
-    return {1 << j: [(1 << i, v) for i, v in col]
-            for j, col in sparse_columns(m).items()}
+def _evaluate(rows, v):
+    """{i: F_i(v)} for a sparse vector v, zeros dropped."""
+    return combination(rows, {k: x for k, x in v.items() if k in rows})
 
 
-def _theta_matrices(pair, frame, tests):
-    """theta(Y) on the annihilator, per h basis vector, as bit columns."""
+def _frame_action(rows, images):
+    """Bit columns {1 << i: [(1 << j, F_i(images[j]))]} of an action on
+    the annihilator: column i holds the coordinates of F_i o A, whose value
+    on w_j is F_i(A w_j) = F_i(images[j])."""
+    mat = {}
+    for j, image in enumerate(images):
+        for i, y in sorted(_evaluate(rows, image).items()):
+            mat.setdefault(1 << i, []).append((1 << j, y))
+    return mat
+
+
+def _frame_actions(pair, ann, rows):
+    """Bit columns of theta(Y) = -(. o ad Y) per h basis vector Y, whose
+    value on w_j is F([w_j, Y]), and of f -> f o gamma per generator.
+
+    The fixed space of f -> f o gamma on every wedge power is that of
+    f -> f o gamma^{-1}, so gamma is never inverted; a singular gamma is
+    still rejected.
+    """
     alg = pair.algebra
-    mats = []
-    for t in range(pair.h_basis.shape[1]):
-        ad_y = alg.ad_matrix(pair.h_basis[:, t])
-        evals = dot(frame.T, dot(ad_y, tests))   # evals[i, j] = F_i([y, w_j])
-        mats.append(_bit_columns(-evals.T))
-    return mats
-
-
-def _generator_matrices(pair, frame, tests):
-    """Pullback action on the annihilator, per generator, as bit columns."""
-    mats = []
-    for gamma in pair.generators:
-        moved = solve_many(gamma, tests)   # gamma^{-1} applied to the tests
-        if moved is None:
+    for gcols in pair.generator_columns:
+        if rank(gcols, alg.n) != alg.n:
             raise ValueError("generator matrix is singular")
-        evals = dot(frame.T, moved)
-        mats.append(_bit_columns(evals.T))  # column i = coords of F_i o gamma^{-1}
-    return mats
+    return ([_frame_action(rows, [alg.bracket_sparse({f: F1}, y)
+                                  for f in ann.free]) for y in pair.h.columns],
+            [_frame_action(rows, [gcols[f] for f in ann.free])
+             for gcols in pair.generator_columns])
 
 
-def _structure_table(alg, frame, tests):
+def _structure_table(alg, ann, rows):
     """({1 << c: [((pair, span), D * F_c([w_a, w_b]))]}, D), all ints.
 
     pair holds the bits a < b and span the bits a..b-1; D is the lcm of the
-    denominators of the projected structure constants.
+    denominators of the projected structure constants.  [w_a, w_b] is the
+    table entry of the basis pair (free[a], free[b]).
     """
-    q = tests.shape[1]
     table = {}
-    for a, b in combinations(range(q), 2):
-        v = dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
+    free = ann.free
+    for a, b in combinations(range(len(free)), 2):
+        terms = alg.table.get((free[a], free[b]))
+        if not terms:
+            continue
         key = ((1 << a) | (1 << b), (1 << b) - (1 << a))
-        for c in range(q):
-            if v[c]:
-                table.setdefault(1 << c, []).append((key, v[c]))
+        for c, x in sorted(_evaluate(rows, dict(terms)).items()):
+            table.setdefault(1 << c, []).append((key, x))
     scale = lcm(*(x.denominator for entries in table.values()
                   for _, x in entries))
     return ({c: [(key, x.numerator * (scale // x.denominator))
@@ -238,20 +247,6 @@ class _DeltaColumns(dict):
         return col
 
 
-def _product(a, b):
-    """a.b for sparse column matrices {col: [(row, value)]}; zero columns dropped."""
-    out = {}
-    for j, entries in b.items():
-        acc = {}
-        for mid, x in entries:
-            for row, v in a[mid]:
-                acc[row] = acc.get(row, 0) + v * x
-        col = [(r, v) for r, v in acc.items() if v]
-        if col:
-            out[j] = col
-    return out
-
-
 def _column_form(basis):
     return {j: col.items() for j, col in enumerate(basis.columns)}
 
@@ -264,19 +259,16 @@ def _restrict_delta(images, basis_next, nrows_full, ncols):
     must then reproduce every image exactly.
     """
     if basis_next is None:
-        return _SparseDelta(images, nrows_full, ncols)
-    slot = {row: pos for pos, row in enumerate(basis_next.free)}
-    coords = {}
-    for j, entries in images.items():
-        col = [(slot[r], v) for r, v in entries if r in slot]
-        if col:
-            coords[j] = col
-    back = _product(_column_form(basis_next), coords)
-    if any(dict(back.get(j, ())) != dict(entries)
-           for j, entries in images.items()):
+        return SparseMatrix(images, nrows_full, ncols)
+    try:
+        coords = coordinates(basis_next, [dict(e) for e in images.values()])
+    except ValueError:
         raise RuntimeError("invariance projection inconsistent: the "
-                           "differential escapes the invariant cochain space")
-    return _SparseDelta(coords, basis_next.dim, ncols)
+                           "differential escapes the invariant cochain "
+                           "space") from None
+    return SparseMatrix({j: list(c.items())
+                         for j, c in zip(images, coords) if c},
+                        basis_next.dim, ncols)
 
 
 def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
@@ -296,11 +288,10 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
             "quotient dimension %d exceeds the size cap %d; set LIECOH_SIZE_CAP "
             "or pass size_cap to go further" % (q, cap))
     top = q if max_degree is None else max(0, min(int(max_degree), q))
-    ann, frame, tests = _dual_frame(pair)
-    theta_mats = _theta_matrices(pair, frame, tests)
-    gen_mats = _generator_matrices(pair, frame, tests)
+    ann, rows = _frame(pair)
+    theta_mats, gen_mats = _frame_actions(pair, ann, rows)
     gen_memos = [{0: {0: F1}} for _ in gen_mats]   # the empty wedge is 1
-    table, scale = _structure_table(alg, frame, tests)
+    table, scale = _structure_table(alg, ann, rows)
 
     indexes, bases, dims = [], [], []
     for k in range(top + 2):
@@ -321,11 +312,11 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     deltas, lower = [], None
     for k in range(top + 1):
         op = _DeltaColumns(table, list(indexes[k]), indexes[k + 1])
-        if lower is not None and _product(op, lower):
+        if lower is not None and sparse_product(op, lower):
             raise RuntimeError("differential composite in degree %d is "
                                "nonzero; cochain assembly is inconsistent" % k)
         lower = ({j: col for j in range(dims[k]) if (col := op[j])}
-                 if bases[k] is None else _product(op, _column_form(bases[k])))
+                 if bases[k] is None else sparse_product(op, _column_form(bases[k])))
         deltas.append(_restrict_delta(lower, bases[k + 1],
                                       len(indexes[k + 1]), dims[k]))
     return RelativeComplex(pair, ann, q, top, dims, bases, deltas, scale)

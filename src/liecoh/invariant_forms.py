@@ -2,17 +2,17 @@
 
 Invariance under the identity component H⁰ is imposed infinitesimally
 (ad-invariance under a basis of h); invariance under the component group is
-imposed through the finitely many generator matrices.  Forms on a carrier
-subspace V ⊆ h are represented as symmetric dim(V) × dim(V) Fraction
-matrices in the carrier's basis, flattened to coordinates indexed by pairs
-(i, j) with i ≤ j in lexicographic order.
+imposed through the generators' sparse columns.  A form on a carrier
+subspace V ⊆ h is held as its symmetric coordinates in the carrier's
+basis: a {(i, j): value} dict with i ≤ j and no zero entries.  The
+constraint operators act on these coordinates, indexed by the pairs (i, j),
+i ≤ j, in lexicographic order.
 """
 
-import numpy as np
-
 from .liealg import is_bracket_closed
-from .linalg import (F0, F1, Subspace, commutant_operator, dot, fzeros,
-                     intersect_kernels, nonzeros, rank, solve_many)
+from .linalg import (F0, F1, SparseMatrix, Subspace, combination,
+                     commutant_operator, coordinates, intersect_kernels, rank,
+                     transpose)
 
 
 def sym_pairs(m):
@@ -20,35 +20,38 @@ def sym_pairs(m):
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
-def sym_coords(form, pairs):
-    """Flatten a symmetric matrix to its upper-triangle coordinates."""
-    out = fzeros(len(pairs))
-    for idx, (i, j) in enumerate(pairs):
-        out[idx] = form[i, j]
-    return out
-
-
-def sym_matrix(vec, m, pairs):
-    """Inverse of sym_coords."""
-    out = fzeros(m, m)
-    for idx, (i, j) in enumerate(pairs):
-        out[i, j] = vec[idx]
-        out[j, i] = vec[idx]
-    return out
-
-
 def vee(alpha, beta):
-    """Symmetric product of two covectors: (α∨β)(x, y) = α(x)β(y) + α(y)β(x)."""
-    return np.outer(alpha, beta) + np.outer(beta, alpha)
+    """Symmetric product (α∨β)(x, y) = α(x)β(y) + α(y)β(x) of two sparse
+    covectors {i: value}, as symmetric coordinates."""
+    out = {}
+    for i, a in alpha.items():
+        for j, b in beta.items():
+            key = (i, j) if i <= j else (j, i)
+            out[key] = out.get(key, 0) + (2 * a * b if i == j else a * b)
+    return {key: v for key, v in out.items() if v}
+
+
+def restrict_form(eta, columns):
+    """Symmetric coordinates {(s, t): η(c_s, c_t)}, s ≤ t, of a bilinear
+    form η given by its nonzeros {(a, b): value}, on sparse columns c_s."""
+    rows = {}
+    for (a, b), v in eta.items():
+        rows.setdefault(a, {})[b] = v
+    left = [combination(rows, {a: x for a, x in c.items() if a in rows})
+            for c in columns]
+    return {(s, t): val for s, u in enumerate(left)
+            for t in range(s, len(columns))
+            if (val := sum(u.get(b, 0) * y for b, y in columns[t].items()))}
 
 
 class InvariantFormSpace:
     """Invariant symmetric forms on a carrier, optionally with the Ψ data.
 
-    form_basis spans the H-invariant forms on the carrier.  When produced by
-    psi_analysis, psi_matrix holds the coordinates of the restricted forms
-    B̃₁,…,B̃_r in form_basis, and rank_psi/dim_N/dim_C are the rank, kernel
-    dimension and cokernel dimension of that matrix.
+    form_basis spans the H-invariant forms on the carrier, each as
+    symmetric coordinates {(i, j): value}.  When produced by psi_analysis,
+    psi_matrix is the SparseMatrix whose column i holds the coordinates of
+    the restricted form B̃ᵢ in form_basis, and rank_psi/dim_N/dim_C are the
+    rank, kernel dimension and cokernel dimension of that matrix.
     """
 
     def __init__(self, carrier, form_basis, psi_matrix=None,
@@ -64,61 +67,63 @@ class InvariantFormSpace:
     def dim(self):
         return len(self.form_basis)
 
+    def coordinates(self, forms):
+        """Coordinates {j: value} of symmetric forms in form_basis.
+
+        One elimination for all forms; raises ValueError if one of them is
+        not in the span.
+        """
+        index = {p: t for t, p in enumerate(sym_pairs(self.carrier.dim))}
+        space = Subspace.from_columns(len(index), [
+            {index[p]: v for p, v in f.items()} for f in self.form_basis])
+        return coordinates(space, [{index[p]: v for p, v in f.items()}
+                                   for f in forms])
+
+
+def ad_coordinates(alg, carrier, x):
+    """Carrier coordinates of [x, c_j] for the carrier columns c_j."""
+    return coordinates(carrier, [alg.bracket_sparse(x, c)
+                                 for c in carrier.columns])
+
+
+def action_coordinates(gcols, carrier):
+    """Carrier coordinates of γ c_j, γ given by its sparse columns."""
+    return coordinates(carrier, [combination(gcols, c)
+                                 for c in carrier.columns])
+
 
 def fixed_vectors(space, actions):
     """{v ∈ space : γ v = v for every action γ}; space itself if no actions.
 
-    Raises ValueError if some action does not map the space into itself.
+    Each action is given by its sparse columns γ e_i.  Raises ValueError if
+    some action does not map the space into itself.
     """
     if not actions:
         return space
-    B = space.basis
-    m = space.dim
     ops = []
-    for g in actions:
-        moved = g.dot(B)
-        if solve_many(B, moved) is None:
-            raise ValueError("action does not preserve the subspace")
-        ops.append(moved - B)
-    coords = intersect_kernels(ops, m)
-    return Subspace(space.ambient_dim, B.dot(coords.basis))
-
-
-def restricted_operator(carrier, vectors):
-    """Coordinates of the given ambient vectors in the carrier basis.
-
-    Returns the dim(carrier) x len(vectors) coefficient matrix, from one
-    elimination for all vectors; raises ValueError if a vector lies outside
-    the carrier.
-    """
-    rhs = fzeros(carrier.ambient_dim, len(vectors))
-    for j, v in enumerate(vectors):
-        rhs[:, j] = v
-    out = solve_many(carrier.basis, rhs)
-    if out is None:
-        raise ValueError("vector escapes the carrier subspace")
-    return out
-
-
-def _rows(R):
-    """Nonzeros of a dense square matrix, row by row, as (col, value) lists."""
-    rows = [[] for _ in range(R.shape[0])]
-    for (r, c), v in nonzeros(R).items():
-        rows[r].append((c, v))
-    return rows
+    for gcols in actions:
+        op = {}
+        for j, col in enumerate(action_coordinates(gcols, space)):
+            col[j] = col.get(j, 0) - 1
+            op[j] = [(r, x) for r, x in col.items() if x]
+        ops.append(op)
+    coords = intersect_kernels(ops, space.dim)
+    return Subspace.from_columns(space.ambient_dim, [
+        combination(space.columns, c) for c in coords.columns])
 
 
 def _ad_constraint(R, pairs):
     """Sparse columns of F ↦ RᵀF + FR on symmetric coordinates
-    (ad-invariance); the image of a unit form only meets rows i and j of R."""
+    (ad-invariance), R given by its sparse columns; the image of a unit
+    form only meets rows i and j of R."""
     index = {p: t for t, p in enumerate(pairs)}
-    rows = _rows(R)
+    rows = transpose(R)
     op = {}
     for col, (i, j) in enumerate(pairs):
         acc = {}
         for s, t in ((i, j), (j, i)) if i < j else ((i, i),):
             # row s of R lands in row/column t of the image form
-            for p, v in rows[s]:
+            for p, v in rows.get(s, {}).items():
                 key = index[(p, t) if p < t else (t, p)]
                 acc[key] = acc.get(key, F0) + (2 * v if p == t else v)
         op[col] = list(acc.items())
@@ -127,13 +132,14 @@ def _ad_constraint(R, pairs):
 
 def _generator_constraint(C, pairs):
     """Sparse columns of F ↦ CᵀFC − F on symmetric coordinates
-    (γ-invariance); the image of a unit form only meets rows i and j of C."""
+    (γ-invariance), C given by its sparse columns; the image of a unit form
+    only meets rows i and j of C."""
     index = {p: t for t, p in enumerate(pairs)}
-    rows = _rows(C)
+    rows = transpose(C)
     op = {}
     for col, (i, j) in enumerate(pairs):
         acc = {col: -F1}
-        ri, rj = rows[i], rows[j]
+        ri, rj = (list(rows.get(t, {}).items()) for t in (i, j))
         for x, (a, u) in enumerate(ri):
             # CᵀE_ijC is u vᵀ + v uᵀ (i < j) or u uᵀ (i = j) for u, v the
             # rows i, j of C; an unordered diagonal product counts twice
@@ -152,23 +158,18 @@ def invariant_sym_forms(pair, carrier):
     generators (the uses here: h, h∩[g,g], z(h)).
     """
     alg = pair.algebra
-    m = carrier.dim
-    pairs = sym_pairs(m)
-    B = carrier.basis
+    pairs = sym_pairs(carrier.dim)
 
     def operators():
-        for t in range(pair.h.dim):
-            x = pair.h_basis[:, t]
-            R = restricted_operator(carrier, [alg.bracket(x, B[:, j])
-                                              for j in range(m)])
-            yield _ad_constraint(R, pairs)
-        for g in pair.generators:
-            C = restricted_operator(carrier, [g.dot(B[:, j]) for j in range(m)])
-            yield _generator_constraint(C, pairs)
+        for x in pair.h.columns:
+            yield _ad_constraint(ad_coordinates(alg, carrier, x), pairs)
+        for gcols in pair.generator_columns:
+            yield _generator_constraint(action_coordinates(gcols, carrier),
+                                        pairs)
 
     coords = intersect_kernels(operators(), len(pairs))
-    forms = [sym_matrix(coords.basis[:, j], m, pairs) for j in range(coords.dim)]
-    return InvariantFormSpace(carrier, forms)
+    return InvariantFormSpace(carrier, [
+        {pairs[r]: v for r, v in col.items()} for col in coords.columns])
 
 
 def psi_analysis(pair, dec=None):
@@ -176,34 +177,35 @@ def psi_analysis(pair, dec=None):
 
     Returns an InvariantFormSpace on h∩[g,g] whose psi_matrix column i is
     the coordinate vector of B̃ᵢ|_{(h∩[g,g])²} in form_basis; dim_N and
-    dim_C are the kernel and cokernel dimensions of that matrix.
+    dim_C are the kernel and cokernel dimensions of that matrix.  B̃ᵢ is
+    read off the Killing block of factor i through the carrier's columns.
     """
     from .pairs import decompose
     if dec is None:
         dec = decompose(pair)
-    carrier = dec.hcapgg
-    space = invariant_sym_forms(pair, carrier)
-    m = carrier.dim
-    pairs = sym_pairs(m)
-    stack = fzeros(len(pairs), space.dim)
-    for j, form in enumerate(space.form_basis):
-        stack[:, j] = sym_coords(form, pairs)
-    r = pair.algebra.r
-    restricted = fzeros(len(pairs), r)
-    B = carrier.basis
-    for i in range(r):
-        restricted[:, i] = sym_coords(dot(dot(B.T, pair.algebra.btilde(i)), B),
-                                      pairs)
-    psi = solve_many(stack, restricted)
-    if psi is None:
+    alg = pair.algebra
+    space = invariant_sym_forms(pair, dec.hcapgg)
+    r = alg.r
+    try:
+        psi = space.coordinates([restrict_form(alg.btilde(i),
+                                               dec.hcapgg.columns)
+                                 for i in range(r)])
+    except ValueError:
         raise RuntimeError("restricted factor form escapes the invariant "
-                           "space; pair validation must have been skipped")
-    rank_psi = rank(psi)
-    space.psi_matrix = psi
+                           "space; pair validation must have been skipped"
+                           ) from None
+    rank_psi = rank(psi, space.dim)
+    space.psi_matrix = SparseMatrix(
+        {i: list(c.items()) for i, c in enumerate(psi) if c}, space.dim, r)
     space.rank_psi = rank_psi
     space.dim_N = r - rank_psi
     space.dim_C = space.dim - rank_psi
     return space
+
+
+def _entries(columns):
+    """The nonzeros {(row, col): value} of a matrix given by its columns."""
+    return {(r, j): v for j, col in enumerate(columns) for r, v in col.items()}
 
 
 def minimal_ideal_count(pair, s):
@@ -222,23 +224,13 @@ def minimal_ideal_count(pair, s):
     m = s.dim
     if m == 0:
         return 0
-    B = s.basis
-    ads = [nonzeros(restricted_operator(
-               s, [alg.bracket(B[:, i], B[:, j]) for j in range(m)]))
-           for i in range(m)]
-    killing = fzeros(m, m)
-    for i in range(m):
-        for j in range(i, m):
-            other = ads[j]
-            acc = F0
-            for (t, u), v in ads[i].items():
-                w = other.get((u, t))
-                if w is not None:
-                    acc += v * w
-            killing[i, j] = killing[j, i] = acc
-    if rank(killing) != m:
+    ads = [ad_coordinates(alg, s, x) for x in s.columns]
+    # Killing form of s: trace(ad sᵢ ad sⱼ) over the columns of ad sᵢ
+    killing = [{j: x for j in range(m) if (x := sum(
+        v * ads[j][t].get(u, 0) for u, col in enumerate(ads[i])
+        for t, v in col.items()))} for i in range(m)]
+    if rank(killing, m) != m:
         raise ValueError("subspace is not semisimple (degenerate Killing form)")
-    gens = [nonzeros(restricted_operator(s, [g.dot(B[:, j]) for j in range(m)]))
-            for g in pair.generators]
-    ops = (commutant_operator(R, m) for R in ads + gens)
+    gens = [action_coordinates(gcols, s) for gcols in pair.generator_columns]
+    ops = (commutant_operator(_entries(R), m) for R in ads + gens)
     return intersect_kernels(ops, m * m).dim

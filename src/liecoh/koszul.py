@@ -28,15 +28,21 @@ Degrees 1-5 and the differentials:
     ∇⁴(1⊗f₁∧f₂∧f₃∧f₄) = Σₜ (−1)^{t+1} fₜ|ₕ ⊗ (f's without fₜ)
 
 Cohomology: b₁ = dim ker ∇¹ and bₖ = dim ker ∇ᵏ − rank ∇ᵏ⁻¹.
+
+Everything runs on sparse data: covectors on h are {j: value} dicts in the
+coordinates of h's columns, symmetric forms are {(i, j): value} dicts, and
+each ∇ᵏ is a linalg.SparseMatrix.  ∇∘∇ = 0 is checked on those columns
+before the ranks are taken as one complex (linalg.complex_ranks).
 """
 
 from itertools import combinations
 
 from .betti import BettiReport
-from .invariant_forms import (invariant_sym_forms, restricted_operator,
-                              sym_coords, sym_pairs, vee)
-from .linalg import (F0, dot, feye, fzeros, intersect_kernels, is_zero,
-                     kernel_basis, nonzeros, rank, solve_many)
+from .invariant_forms import (action_coordinates, ad_coordinates,
+                              invariant_sym_forms, restrict_form, vee)
+from .linalg import (F0, SparseMatrix, complex_ranks, coordinates,
+                     intersect_kernels, kernel_basis, rank, sparse_product,
+                     transpose)
 from .pairs import validate_pair
 
 
@@ -44,7 +50,7 @@ class PrimitiveBasis:
     """P¹ as concrete covectors; P³ as symbols backed by the forms ρ(B̃ᵢ)."""
 
     def __init__(self, p1_basis, rho_forms):
-        self.p1_basis = p1_basis      # list of length-n covectors
+        self.p1_basis = p1_basis      # list of sparse covectors {i: value}
         self.rho_forms = rho_forms    # list of {(a,b,c): value}, a<b<c
 
     @property
@@ -57,7 +63,8 @@ class PrimitiveBasis:
 
 
 class ChainComplexSlice:
-    """One degree of the complex: named summand dimensions + differential."""
+    """One degree of the complex: named summand dimensions + differential,
+    a SparseMatrix holding every column (zero ones as empty lists)."""
 
     def __init__(self, degree, summands, differential=None):
         self.degree = degree
@@ -72,12 +79,13 @@ class ChainComplexSlice:
 def cartan_rho(alg, eta):
     """The alternating 3-form ρ(η)(x,y,z) = η([x,y],z) on basis triples.
 
+    eta is a bilinear form given by its nonzeros {(row, col): value}.
     Returns {(a,b,c): value} over strictly increasing triples.  Raises
     ValueError("eta not invariant") if the result fails to alternate, which
     happens exactly when eta is not ad-invariant.
     """
     rows = {}
-    for (t, c), v in nonzeros(eta).items():
+    for (t, c), v in eta.items():
         rows.setdefault(t, []).append((c, v))
     # every nonzero value, over ordered (a, b) with a != b: each structure
     # constant [e_a, e_b] ∋ c_t e_t meets only row t of eta
@@ -100,9 +108,7 @@ def cartan_rho(alg, eta):
 def primitive_basis(pair):
     """P¹ (annihilator of [g,g]) and the r forms ρ(B̃ᵢ), independence-checked."""
     alg = pair.algebra
-    derived = alg.derived_subspace()
-    ann = kernel_basis(derived.basis.T)
-    p1 = [ann.basis[:, j] for j in range(ann.dim)]
+    p1 = kernel_basis(alg.derived_subspace().columns, alg.n).columns
     if len(p1) != alg.l:
         raise RuntimeError("dim P¹ != dim z(g); the algebra is not reductive "
                            "as declared")
@@ -115,155 +121,131 @@ def primitive_basis(pair):
     return PrimitiveBasis(p1, rho_forms)
 
 
-class _Ingredients:
-    """Per-pair data every differential block needs."""
+def _dual(columns, shift=0):
+    """Sparse columns of Cᵀ − shift·1 for a square C given by its columns."""
+    rows = transpose(columns)
+    for s in range(len(columns)):
+        row = rows.setdefault(s, {})
+        row[s] = row.get(s, 0) - shift
+    return {s: [(j, v) for j, v in row.items() if v] for s, row in rows.items()}
 
-    def __init__(self, pair):
-        alg = pair.algebra
-        self.pair = pair
-        self.prim = primitive_basis(pair)
-        H = pair.h_basis
-        m = pair.h.dim
 
-        # (h*)^H: covectors on h killed by the coadjoint action of h and
-        # fixed by the generators (condition Cᵀc = c with C = γ|ₕ in coords)
-        ops = []
-        for t in range(m):
-            brackets = [alg.bracket(H[:, t], H[:, j]) for j in range(m)]
-            ops.append(restricted_operator(pair.h, brackets).T)
-        for g in pair.generators:
-            C = restricted_operator(pair.h, [g.dot(H[:, j]) for j in range(m)])
-            ops.append(C.T - feye(m))
-        inv = intersect_kernels(ops, m)
-        self.psi = [inv.basis[:, j] for j in range(inv.dim)]
-        self.psi_matrix = inv.basis
+def _inside(solve, vectors):
+    """solve(vectors), coordinates in an invariant space; an escaping vector
+    is an internal inconsistency."""
+    try:
+        return solve(vectors)
+    except ValueError:
+        raise RuntimeError("a restriction escapes the H-invariants; "
+                           "invariance computation is inconsistent") from None
 
-        s2 = invariant_sym_forms(pair, pair.h)
-        self.s2_forms = s2.form_basis
-        self._pairs = sym_pairs(m)
-        self.s2_matrix = fzeros(len(self._pairs), len(self.s2_forms))
-        for j, form in enumerate(self.s2_forms):
-            self.s2_matrix[:, j] = sym_coords(form, self._pairs)
 
-        self.restr = [dot(H.T, f) for f in self.prim.p1_basis]
-        self.btilde_h = [dot(dot(H.T, alg.btilde(i)), H) for i in range(alg.r)]
-
-    def psi_coords(self, covector):
-        coords = solve_many(self.psi_matrix, covector.reshape(-1, 1))
-        if coords is None:
-            raise RuntimeError("restriction escapes (h*)^H; invariance "
-                               "computation is inconsistent")
-        return coords[:, 0]
-
-    def s2_coords(self, form):
-        coords = solve_many(self.s2_matrix,
-                            sym_coords(form, self._pairs).reshape(-1, 1))
-        if coords is None:
-            raise RuntimeError("form escapes S²(h*)^H; invariance "
-                               "computation is inconsistent")
-        return coords[:, 0]
+def _place(d, offset, col, coords, sign=1):
+    """Add sign * coords (a {row: value} dict) at rows offset + row of
+    column col of a map under assembly, {col: {row: value}}."""
+    c = d.setdefault(col, {})
+    for row, v in coords.items():
+        c[offset + row] = c.get(offset + row, 0) + sign * v
 
 
 def build_complex(pair, validate=True):
     """Degrees 1-5 of the complex with the differentials ∇¹..∇⁴."""
     if validate:
         validate_pair(pair).ensure()
-    ing = _Ingredients(pair)
-    l = ing.prim.p1_dim
-    r = ing.prim.p3_dim
-    p = len(ing.psi)
-    q2 = len(ing.s2_forms)
-
-    w2 = list(combinations(range(l), 2))
-    w3 = list(combinations(range(l), 3))
-    w4 = list(combinations(range(l), 4))
-    i2 = {w: i for i, w in enumerate(w2)}
-    i3 = {w: i for i, w in enumerate(w3)}
+    alg = pair.algebra
+    h = pair.h
+    prim = primitive_basis(pair)
+    # (h*)^H: covectors c on h, c_j = c(h_j), killed by the coadjoint action
+    # of h (Rᵀc = 0 with R = ad x|ₕ) and fixed by the generators (Cᵀc = c
+    # with C = γ|ₕ); S²(h*)^H as invariant symmetric forms on h
+    inv = intersect_kernels(
+        [_dual(ad_coordinates(alg, h, x)) for x in h.columns]
+        + [_dual(action_coordinates(gcols, h), 1)
+           for gcols in pair.generator_columns], h.dim)
+    psi = inv.columns
+    s2 = invariant_sym_forms(pair, h)
+    restr = [{j: v for j, c in enumerate(h.columns)
+              if (v := sum(f.get(i, 0) * x for i, x in c.items()))}
+             for f in prim.p1_basis]
+    l = prim.p1_dim
+    r = prim.p3_dim
+    p = len(psi)
+    q2 = s2.dim
+    w = [list(combinations(range(l), k)) for k in range(5)]
 
     dims = {1: [("1⊗P¹", l)],
-            2: [("(h*)^H⊗1", p), ("1⊗∧²P¹", len(w2))],
-            3: [("(h*)^H⊗P¹", p * l), ("1⊗P³", r), ("1⊗∧³P¹", len(w3))],
-            4: [("S²(h*)^H⊗1", q2), ("(h*)^H⊗∧²P¹", p * len(w2)),
-                ("1⊗P³∧P¹", r * l), ("1⊗∧⁴P¹", len(w4))],
+            2: [("(h*)^H⊗1", p), ("1⊗∧²P¹", len(w[2]))],
+            3: [("(h*)^H⊗P¹", p * l), ("1⊗P³", r), ("1⊗∧³P¹", len(w[3]))],
+            4: [("S²(h*)^H⊗1", q2), ("(h*)^H⊗∧²P¹", p * len(w[2])),
+                ("1⊗P³∧P¹", r * l), ("1⊗∧⁴P¹", len(w[4]))],
             5: [("S²(h*)^H⊗P¹", q2 * l), ("(h*)^H⊗P³", p * r),
-                ("(h*)^H⊗∧³P¹", p * len(w3))]}
+                ("(h*)^H⊗∧³P¹", p * len(w[3]))]}
     total = {d: sum(x for _, x in dims[d]) for d in dims}
 
-    psi_of_restr = [ing.psi_coords(v) for v in ing.restr]
-    s2_of_btilde = [ing.s2_coords(B) for B in ing.btilde_h]
-    s2_of_vee = [[ing.s2_coords(vee(ing.psi[k], ing.restr[j]))
-                  for j in range(l)] for k in range(p)]
+    psi_of_restr = _inside(lambda v: coordinates(inv, v), restr)
+    s2_all = _inside(s2.coordinates,
+                     [restrict_form(alg.btilde(i), h.columns) for i in range(r)]
+                     + [vee(psi[k], restr[j])
+                        for k in range(p) for j in range(l)])
+    s2_of_btilde = s2_all[:r]
+    s2_of_vee = [s2_all[r + k * l:r + (k + 1) * l] for k in range(p)]
 
-    # ∇¹: column 1⊗f_j ↦ f_j|ₕ⊗1
-    d1 = fzeros(total[2], total[1])
+    def wedge_block(d, k, col_off, row_off):
+        """1⊗f_{i₀}∧…∧f_{i_{k−1}} ↦ Σₜ (−1)^t f_{iₜ}|ₕ ⊗ (the others), into
+        (h*)^H⊗∧^{k−1}P¹ at rows row_off + ψ-index·C(l, k−1) + position."""
+        below = {word: i for i, word in enumerate(w[k - 1])}
+        for col0, word in enumerate(w[k]):
+            for t in range(k):
+                pos = below[word[:t] + word[t + 1:]]
+                _place(d, row_off, col_off + col0,
+                       {j * len(below) + pos: coef
+                        for j, coef in psi_of_restr[word[t]].items()},
+                       (-1) ** t)
+
+    # ∇¹: column 1⊗f_j ↦ f_j|ₕ⊗1; ∇²: ψ⊗1 ↦ 0, 1⊗f_a∧f_b as above
+    d1 = {}
     for j in range(l):
-        d1[0:p, j] = psi_of_restr[j]
-
-    # ∇²: ψ⊗1 ↦ 0; 1⊗f_a∧f_b ↦ f_a|ₕ⊗f_b − f_b|ₕ⊗f_a
-    d2 = fzeros(total[3], total[2])
-    for (a, b), col0 in i2.items():
-        col = p + col0
-        for k in range(p):
-            d2[k * l + b, col] += psi_of_restr[a][k]
-            d2[k * l + a, col] -= psi_of_restr[b][k]
+        _place(d1, 0, j, psi_of_restr[j])
+    d2 = {}
+    wedge_block(d2, 2, p, 0)
 
     # ∇³ blocks; 𝒞⁴ row offsets
-    off_s2, off_pw2, off_p3w1, off_w4 = (0, q2, q2 + p * len(w2),
-                                         q2 + p * len(w2) + r * l)
-    d3 = fzeros(total[4], total[3])
+    off_pw2 = q2
+    off_p3w1 = off_pw2 + p * len(w[2])
+    off_w4 = off_p3w1 + r * l
+    d3 = {}
     for k in range(p):
         for j in range(l):
-            col = k * l + j
-            d3[off_s2:off_s2 + q2, col] = s2_of_vee[k][j]
+            _place(d3, 0, k * l + j, s2_of_vee[k][j])
     for i in range(r):
-        col = p * l + i
-        d3[off_s2:off_s2 + q2, col] = s2_of_btilde[i]
-    for col0, triple in enumerate(w3):
-        col = p * l + r + col0
-        for t in range(3):
-            rest = tuple(x for s, x in enumerate(triple) if s != t)
-            sign = 1 if t % 2 == 0 else -1
-            for k in range(p):
-                coef = psi_of_restr[triple[t]][k]
-                if coef:
-                    d3[off_pw2 + k * len(w2) + i2[rest], col] += sign * coef
+        _place(d3, 0, p * l + i, s2_of_btilde[i])
+    wedge_block(d3, 3, p * l + r, off_pw2)
 
-    # ∇⁴ blocks; 𝒞⁵ row offsets
-    off5_s2p1, off5_pp3, off5_pw3 = 0, q2 * l, q2 * l + p * r
-    d4 = fzeros(total[5], total[4])
+    # ∇⁴ blocks; 𝒞⁵ row offsets (S²(h*)^H⊗P¹ at 0)
+    off5_pp3, off5_pw3 = q2 * l, q2 * l + p * r
+    d4 = {}
     for k in range(p):
-        for (a, b), col0 in i2.items():
-            col = off_pw2 + k * len(w2) + col0
-            for t in range(q2):
-                va = s2_of_vee[k][a][t]
-                vb = s2_of_vee[k][b][t]
-                if va:
-                    d4[off5_s2p1 + t * l + b, col] += va
-                if vb:
-                    d4[off5_s2p1 + t * l + a, col] -= vb
+        for col0, (a, b) in enumerate(w[2]):
+            col = off_pw2 + k * len(w[2]) + col0
+            for x, y, sign in ((a, b, 1), (b, a, -1)):
+                _place(d4, 0, col, {t * l + y: v
+                                    for t, v in s2_of_vee[k][x].items()}, sign)
     for i in range(r):
         for a in range(l):
             col = off_p3w1 + i * l + a
-            for t in range(q2):
-                if s2_of_btilde[i][t]:
-                    d4[off5_s2p1 + t * l + a, col] += s2_of_btilde[i][t]
-            for k in range(p):
-                coef = psi_of_restr[a][k]
-                if coef:
-                    d4[off5_pp3 + k * r + i, col] -= coef
-    for col0, quad in enumerate(w4):
-        col = off_w4 + col0
-        for t in range(4):
-            rest = tuple(x for s, x in enumerate(quad) if s != t)
-            sign = 1 if t % 2 == 0 else -1
-            for k in range(p):
-                coef = psi_of_restr[quad[t]][k]
-                if coef:
-                    d4[off5_pw3 + k * len(w3) + i3[rest], col] += sign * coef
+            _place(d4, 0, col, {t * l + a: v
+                                for t, v in s2_of_btilde[i].items()})
+            _place(d4, off5_pp3, col,
+                   {k * r + i: v for k, v in psi_of_restr[a].items()}, -1)
+    wedge_block(d4, 4, off_w4, off5_pw3)
 
+    d1, d2, d3, d4 = (
+        SparseMatrix({j: [(row, v) for row, v in d.get(j, {}).items() if v]
+                      for j in range(total[k])}, total[k + 1], total[k])
+        for k, d in enumerate((d1, d2, d3, d4), 1))
     for name, upper, lower in (("∇²∘∇¹", d2, d1), ("∇³∘∇²", d3, d2),
                                ("∇⁴∘∇³", d4, d3)):
-        if lower.size and upper.size and not is_zero(upper.dot(lower)):
+        if sparse_product(upper.cols, lower.cols):
             raise RuntimeError("composite %s is nonzero; differential "
                                "assembly is inconsistent" % name)
 
@@ -277,7 +259,8 @@ def build_complex(pair, validate=True):
 def betti_koszul(pair, validate=True):
     """Betti numbers b0..b4 from the ranks of the Koszul differentials."""
     slices = build_complex(pair, validate=validate)
-    ranks = [rank(s.differential) for s in slices[:4]]
+    # exact as one complex: build_complex checked ∇∘∇ = 0
+    ranks = complex_ranks([s.differential for s in slices[:4]])
     dims = [s.total_dim for s in slices]
     betti = [1,
              dims[0] - ranks[0],

@@ -169,18 +169,6 @@ class LieAlgebra:
 
     # -- brackets ------------------------------------------------------------
 
-    def bracket_basis(self, i, j):
-        """[e_i, e_j] as a length-n vector."""
-        out = fzeros(self.n)
-        if i == j:
-            return out
-        sign = F1
-        if i > j:
-            i, j, sign = j, i, -F1
-        for k, c in self.table.get((i, j), ()):
-            out[k] += sign * c
-        return out
-
     def bracket(self, x, y):
         """[x, y] for coordinate vectors of length n."""
         if len(x) != self.n or len(y) != self.n:
@@ -227,15 +215,6 @@ class LieAlgebra:
                 {kc: v for kc, v in ad.items() if v} for ad in ads]
         return self._ad_sparse
 
-    def ad_matrix(self, v):
-        """Dense matrix of ad v = [v, .] acting on coordinate vectors."""
-        out = fzeros(self.n, self.n)
-        for i, ad in enumerate(self.ad_sparse()):
-            if v[i]:
-                for (row, col), c in ad.items():
-                    out[row, col] += v[i] * c
-        return out
-
     # -- Killing data ---------------------------------------------------------
 
     def killing_gram(self):
@@ -258,17 +237,13 @@ class LieAlgebra:
 
     def btilde(self, i):
         """B-tilde_i(X, Y) := B_i(X_i, Y_i): Killing of factor i pulled back
-        through the projection g -> g_i; equals killing_gram on the factor
-        block and vanishes elsewhere."""
+        through the projection g -> g_i, as its nonzeros {(a, b): value};
+        they all lie in the factor block of killing_gram."""
         if not (0 <= i < self.r):
             raise ValueError("factor index out of range")
         K = self.killing_gram()
-        out = fzeros(self.n, self.n)
-        _, start, stop = self.factors[i]
-        for a in range(start, stop):
-            for b in range(start, stop):
-                out[a, b] = K[a, b]
-        return out
+        block = self.factor_indices(i)
+        return {(a, b): K[a, b] for a in block for b in block if K[a, b]}
 
     def canonical_gram(self):
         """The fixed invariant inner product: (-Killing on [g,g]) ⊕ (identity

@@ -1,29 +1,31 @@
 """Exact rational linear algebra, dense at the edges and sparse inside.
 
-A matrix is either a dense 2-D numpy array with dtype=object whose entries
-are fractions.Fraction (inputs, frames, Subspace.basis), or sparse: a list
-of {col: value} rows, or {col: [(row, value)]} columns (sparse_columns,
-intersect_kernels), with Fraction or int values.  Every elimination goes
-through one exact engine, _sparse_echelon: each row is cleared to integers
-once (lcm of denominators) and held as a {col: int} dict, then eliminated
-with the gcd-scaled two-term update, so no rationals appear inside the hot
-loop and the cost tracks the nonzero structure.  Ranks count its pivots
-(complex_ranks also carries them from one map of a complex to the next),
-kernels back-substitute through its rows (_kernel_columns), and solve_many
-reads coordinates off the kernel of [basis | rhs].
+A matrix is dense, a 2-D numpy object array of fractions.Fraction (the
+input constructors fmat/fvec/fzeros/feye, Subspace.basis, and what rank,
+kernel_basis and solve_many accept), or sparse: a list of {col: value}
+rows, or {col: [(row, value)]} columns, which a SparseMatrix carries with
+its shape; values are Fractions or ints.  Every elimination goes through
+one exact engine, _sparse_echelon: each row is cleared to integers once
+(lcm of denominators) and held as a {col: int} dict, then eliminated with
+the gcd-scaled two-term update, so no rationals appear inside the hot loop
+and the cost tracks the nonzero structure.  Ranks count its pivots
+(complex_ranks carries them from one map of a complex to the next),
+kernels back-substitute through its rows (_kernel_columns), and
+coordinates reads coordinates off the kernel of [columns | vectors].
 The one other pivot loop, is_spd, reads the signs of a Gram matrix's
 symmetric pivots on input; it computes no rank or solution.
 
 A Subspace holds sparse basis columns only: the echelon rows of
-Subspace.span, the back-substituted kernel columns.  Equality, intersect
-and sum work on them; Subspace.basis, their dense view, is built on first
-use for the dense callers left (invariant_forms, koszul, the ce frame).
+Subspace.span, the back-substituted kernel columns.  Equality, intersect,
+sum and coordinates work on them; Subspace.basis is their dense view.
 
 Ordering conventions used throughout the package: symmetric index pairs are
 (i, j) with i <= j in lexicographic order, exterior tuples are strictly
 increasing tuples in lexicographic order (itertools.combinations order).
 """
 
+import re
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -33,14 +35,23 @@ import numpy as np
 F0 = Fraction(0)
 F1 = Fraction(1)
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+# column-major sparse matrix: cols[j] = [(i, value), ...]; a zero column may
+# be absent
+SparseMatrix = namedtuple("SparseMatrix", "cols nrows ncols")
+
 
 def fr(x):
-    """Fraction from an int, a Fraction, or a string "p" / "p/q"."""
+    """Fraction from an int, a Fraction, or a string "p" / "p/q" with q != 0;
+    any other string (decimals, exponents, spaces) is a ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x) or not int(x.partition("/")[2] or 1):
+            raise ValueError("not a rational p or p/q with q != 0: %r" % (x,))
         return Fraction(x)
     raise TypeError("not an exact rational: %r" % (x,))
 
@@ -317,27 +328,54 @@ def kernel_basis(m, ncols=None):
     return Subspace.from_columns(ncols, cols, free)
 
 
-def solve_many(basis, rhs):
-    """Coordinates X with basis.dot(X) == rhs, or None if a column escapes.
+def coordinates(space, vectors):
+    """Coordinates {j: value} of sparse {row: value} vectors in the columns
+    of a Subspace; ValueError if a vector does not lie in the subspace.
 
-    One kernel of [basis | rhs] for all right-hand sides (basis is n x k,
-    rhs is n x d): column k + j is free exactly when rhs column j lies in
-    the span of basis, and its kernel column, negated on the basis rows,
-    gives coordinates with every free basis variable set to 0.
+    On a kernel basis (space.free set) they are the entries on the free
+    rows, checked by mapping them back (so the vectors hold no zero
+    entries).  Otherwise they come from one kernel of [columns | vectors]:
+    column k + j is free exactly when vector j lies in the span of the k
+    columns, and its kernel column, negated on the first k rows, gives
+    coordinates with every free column variable set to 0.
     """
-    basis = np.asarray(basis)
-    rhs = np.asarray(rhs)
-    k, d = basis.shape[1], rhs.shape[1]
-    cols, free = _kernel_columns(_int_rows_sparse(np.hstack([basis, rhs])),
-                                 k + d)
+    if space.free is not None:
+        slot = {row: j for j, row in enumerate(space.free)}
+        coords = [{slot[r]: x for r, x in v.items() if r in slot}
+                  for v in vectors]
+        if any(combination(space.columns, c) != v
+               for c, v in zip(coords, vectors)):
+            raise ValueError("vector escapes the subspace")
+        return coords
+    k, d = space.dim, len(vectors)
+    rows = {}
+    for j, col in enumerate(space.columns + vectors):
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
+    cols, free = _kernel_columns(
+        _int_rows_sparse(rows[i] for i in sorted(rows)), k + d)
     if free[len(free) - d:] != list(range(k, k + d)):
+        raise ValueError("vector escapes the subspace")
+    return [{r: -x for r, x in col.items() if r < k}
+            for col in cols[len(cols) - d:]]
+
+
+def solve_many(basis, rhs):
+    """Coordinates X with basis.dot(X) == rhs, or None if a column escapes:
+    the dense form of coordinates, the basis columns may be dependent."""
+    basis, rhs = np.asarray(basis), np.asarray(rhs)
+    dense = [[{i: m[i, j] for i in range(m.shape[0]) if m[i, j]}
+              for j in range(m.shape[1])] for m in (basis, rhs)]
+    try:
+        coords = coordinates(Subspace.from_columns(len(basis), dense[0]),
+                             dense[1])
+    except ValueError:
         return None
-    coords = fzeros(k, d)
-    for j, col in enumerate(cols[len(cols) - d:]):
+    out = fzeros(basis.shape[1], rhs.shape[1])
+    for j, col in enumerate(coords):
         for r, x in col.items():
-            if r < k:
-                coords[r, j] = -x
-    return coords
+            out[r, j] = x
+    return out
 
 
 def is_spd(gram):
@@ -499,18 +537,36 @@ def subspace_sum(s1, s2):
     return Subspace.span(s1.ambient_dim, s1.columns + s2.columns)
 
 
-def nonzeros(m):
-    """The nonzero entries of a dense matrix as {(row, col): value}."""
-    m = np.asarray(m)
-    return {(int(r), int(c)): m[r, c] for r, c in zip(*np.nonzero(m))}
-
-
 def sparse_columns(m):
     """The nonzeros of a dense matrix per column, as {col: [(row, value)]}."""
+    m = np.asarray(m)
     cols = {}
-    for (r, c), v in nonzeros(m).items():
-        cols.setdefault(c, []).append((r, v))
+    for r, c in zip(*np.nonzero(m)):
+        cols.setdefault(int(c), []).append((int(r), m[r, c]))
     return cols
+
+
+def transpose(columns):
+    """The rows {row: {j: value}} of a matrix given by sparse columns."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for r, x in col.items():
+            rows.setdefault(r, {})[j] = x
+    return rows
+
+
+def sparse_product(a, b):
+    """a.b for sparse column matrices {col: [(row, value)]}; zero columns dropped."""
+    out = {}
+    for j, entries in b.items():
+        acc = {}
+        for mid, x in entries:
+            for row, v in a[mid]:
+                acc[row] = acc.get(row, 0) + v * x
+        col = [(r, v) for r, v in acc.items() if v]
+        if col:
+            out[j] = col
+    return out
 
 
 def commutant_operator(entries, m):
@@ -532,8 +588,8 @@ def commutant_operator(entries, m):
 def intersect_kernels(operators, dim):
     """Common kernel of a family of operators with dim columns (a Subspace).
 
-    Each operator is a dense matrix or the sparse column form
-    {col: [(row, value)]}; operators may be produced lazily.  They are
+    Each operator is given by its sparse columns {col: [(row, value)]};
+    operators may be produced lazily.  They are
     processed one at a time, each restricted to the kernel found so far,
     so the elimination shrinks quickly instead of one giant stacked system.
     Everything runs through nonzeros: the running basis is kept as sparse
@@ -544,8 +600,6 @@ def intersect_kernels(operators, dim):
     for op in operators:
         if cols is not None and not cols:
             break
-        if not isinstance(op, dict):
-            op = sparse_columns(op)
         rows = {}
         if cols is None:
             for c, entries in op.items():

@@ -11,15 +11,17 @@ matrix to arise as Ad(x) with x in a compact connected G normalizing H⁰.
 They are not sufficient: inputs passing every check may still fail to
 integrate to a closed subgroup.  That trust boundary is the caller's.
 
-The checks and the decomposition apply each generator through its sparse
-columns (gamma e_i as a {row: value} dict) to subspace columns; the dense
-h_basis and generator matrices are the public view of the input.
+A pair builds each generator's sparse columns (gamma e_i as a {row: value}
+dict) once, at construction, as generator_columns; the checks, the
+decomposition and every later method apply the generators through them to
+subspace columns.  The dense h_basis and generator matrices are the public
+view of the input.
 """
 
 from .invariant_forms import fixed_vectors
 from .liealg import LieAlgebra, center_and_derived, is_bracket_closed, validate
 from .linalg import (F1, Subspace, combination, fmat, fr, intersect,
-                     orth_complement, rat_str, sparse_columns, subspace_sum)
+                     orth_complement, rat_str, subspace_sum)
 
 
 class HomogeneousPair:
@@ -29,6 +31,7 @@ class HomogeneousPair:
     h_basis:    n × m matrix whose columns span h (m = dim h, may be 0).
     generators: list of n × n matrices, the Ad-action of one representative
                 per generator of H/H⁰ (empty for connected H).
+    generator_columns: per generator, its n columns as {row: value} dicts.
     """
 
     def __init__(self, algebra, h_basis, generators=()):
@@ -47,6 +50,9 @@ class HomogeneousPair:
                 raise ValueError("generator must be %d x %d" % (n, n))
             gens.append(g)
         self.generators = gens
+        self.generator_columns = [
+            [{i: g[i, j] for i in range(n) if g[i, j]} for j in range(n)]
+            for g in gens]
 
     @classmethod
     def from_vectors(cls, algebra, vectors, generators=()):
@@ -106,21 +112,15 @@ class PairDecomposition:
                 "r0": self.r0}
 
 
-def _columns(gamma):
-    """The columns gamma e_i of a dense n x n matrix as {row: value} dicts."""
-    cols = sparse_columns(gamma)
-    return [dict(cols.get(i, ())) for i in range(len(gamma))]
-
-
 def _image(gcols, s):
     """The span of gamma applied to the columns of the subspace s."""
     return Subspace.span(s.ambient_dim,
                          [combination(gcols, c) for c in s.columns])
 
 
-def generator_order(gamma, bound=256):
-    """Multiplicative order of gamma, or None if it exceeds bound."""
-    gcols = _columns(gamma)
+def generator_order(gcols, bound=256):
+    """Multiplicative order of a matrix given by its sparse columns gamma e_i,
+    or None if it exceeds bound."""
     power = gcols
     for k in range(1, bound + 1):
         if all(col == {i: 1} for i, col in enumerate(power)):
@@ -140,7 +140,7 @@ def validate_pair(pair, order_bound=256):
     alg = pair.algebra
     rep = validate(alg)
     n = alg.n
-    gcols = [_columns(g) for g in pair.generators]
+    gcols = pair.generator_columns
 
     rep.add("h_bracket_closed", is_bracket_closed(alg, pair.h))
 
@@ -167,8 +167,8 @@ def validate_pair(pair, order_bound=256):
          != Subspace.span(n, [{t: F1} for t in range(start, stop)])), None)
     rep.add("generator_preserves_each_factor", bad_factor is None, bad_factor)
 
-    for gi, g in enumerate(pair.generators):
-        if generator_order(g, order_bound) is None:
+    for gi, cols in enumerate(gcols):
+        if generator_order(cols, order_bound) is None:
             rep.warn("generator %d has order exceeding %d; the component "
                      "group of a closed subgroup must be finite" % (gi, order_bound))
     return rep
@@ -184,7 +184,7 @@ def decompose(pair):
     alg = pair.algebra
     n = alg.n
     gram = alg.canonical_gram()
-    gcols = [_columns(g) for g in pair.generators]
+    gcols = pair.generator_columns
 
     zh, hh = center_and_derived(alg, pair.h)
     gg = Subspace.span(n, [{t: F1} for t in alg.derived_indices()])
@@ -192,7 +192,7 @@ def decompose(pair):
     hcapgg = intersect(pair.h, gg)
     b = intersect(orth_complement(hcapgg, gram), pair.h)
 
-    a_fixed = fixed_vectors(a, pair.generators)
+    a_fixed = fixed_vectors(a, gcols)
     moved = []
     for cols in gcols:
         for c in a.columns:

@@ -8,11 +8,11 @@ import pytest
 
 from liecoh import catalog, ce, linalg
 from liecoh.betti import betti_low
-from liecoh.ce import (DEFAULT_SIZE_CAP, _SparseDelta, betti_ce,
+from liecoh.ce import (DEFAULT_SIZE_CAP, betti_ce,
                        poincare_check, relative_complex)
 from liecoh.koszul import betti_koszul
-from liecoh.pairs import HomogeneousPair
-from liecoh.linalg import Subspace, dot, fzeros, rank
+from liecoh.pairs import HomogeneousPair, validate_pair
+from liecoh.linalg import SparseMatrix, Subspace, fzeros, rank
 
 
 def _free(algebra):
@@ -71,7 +71,7 @@ def test_unconstrained_complex_ranks_sparse_differentials():
     cx = relative_complex(pair, max_degree=6)
     # one differential per degree 0..q, the last into the empty degree q+1
     assert len(cx.deltas) == 7
-    assert all(isinstance(d, _SparseDelta) for d in cx.deltas)
+    assert all(isinstance(d, SparseMatrix) for d in cx.deltas)
     assert cx.bases == [None] * 8
 
 
@@ -140,17 +140,17 @@ def test_relative_complex_structure():
     assert len(cx.deltas) == 3
 
 
-def _su4_line(coeff):
-    """su:4 over the line e_0 + coeff * e_3."""
+def _su4_line(coeffs):
+    """su:4 over the line sum_i coeffs[i] * e_i."""
     alg = catalog.build("su", 4)
     line = fzeros(alg.n)
-    line[0] = Fraction(1)
-    line[3] = Fraction(coeff)
+    for i, c in coeffs.items():
+        line[i] = Fraction(c)
     return HomogeneousPair.from_vectors(alg, [line])
 
 
 def test_su4_line_constrained_q14():
-    pair = _su4_line(Fraction(1, 2))
+    pair = _su4_line({0: 1, 3: Fraction(1, 2)})
     rep = betti_ce(pair, max_degree=4)
     assert rep.intermediates["quotient_dim"] == 14
     assert rep.betti == [1, 0, 1, 0, 0]
@@ -165,21 +165,36 @@ def _sorting_sign(seq):
     return -1 if inversions % 2 else 1
 
 
-def test_integer_structure_table_scales_every_differential():
-    # a line in su:4 whose projected constants have denominators 3 and 10,
-    # so their lcm is larger than each of them
-    pair = _su4_line(Fraction(1, 3))
+def _projected_constants(pair):
+    """F_c([w_a, w_b]) as Fractions, straight from the dense bracket.
+
+    F is the annihilator of h as a kernel basis and w_j the unit vector at
+    its free row j, so F_i(w_j) = delta_ij.
+    """
     alg = pair.algebra
-    _, frame, tests = ce._dual_frame(pair)
-    table, scale = ce._structure_table(alg, frame, tests)
-    assert scale > 1
+    ann = linalg.kernel_basis(pair.h_basis.T)
+    unit = [linalg.fvec([1 if t == f else 0 for t in range(alg.n)])
+            for f in ann.free]
+    return {(a, b): [sum(F_c.get(k, 0) * x for k, x in
+                         enumerate(alg.bracket(unit[a], unit[b])))
+                     for F_c in ann.columns]
+            for a, b in combinations(range(ann.dim), 2)}
+
+
+def test_integer_structure_table_scales_every_differential():
+    # a line in su:4 whose projected constants have denominators 3 and 5,
+    # so their lcm is larger than each of them
+    pair = _su4_line({0: 1, 3: Fraction(1, 3), 5: Fraction(1, 5)})
+    alg = pair.algebra
+    ann, rows = ce._frame(pair)
+    table, scale = ce._structure_table(alg, ann, rows)
+    proj = _projected_constants(pair)
+    dens = {x.denominator for v in proj.values() for x in v if x}
+    assert dens == {1, 3, 5} and scale == 15
     assert all(type(v) is int for entries in table.values() for _, v in entries)
     cx = relative_complex(pair, max_degree=2)
     assert cx.scale == scale
     q = cx.quotient_dim
-    # F_c([w_a, w_b]) as Fractions, straight from the bracket
-    proj = {(a, b): dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
-            for a, b in combinations(range(q), 2)}
     ref_ranks = []
     for k in range(3):
         monomials = list(combinations(range(q), k))
@@ -212,6 +227,16 @@ def test_integer_structure_table_scales_every_differential():
     assert rep.betti == [1, 0, 1]
 
 
+def test_singular_generator_is_rejected():
+    base = catalog.build("sphere", 2)
+    singular = linalg.feye(base.algebra.n)
+    singular[2, 2] = Fraction(0)
+    pair = HomogeneousPair(base.algebra, base.h_basis, [singular])
+    with pytest.raises(ValueError, match="generator matrix is singular"):
+        relative_complex(pair, validate=False)
+    assert not validate_pair(pair).ok
+
+
 def _ranks_alone(cx):
     """linalg.rank of each differential on its own, through its columns."""
     return [rank([dict(entries) for entries in d.cols.values()], d.nrows)
@@ -223,7 +248,7 @@ def test_complex_ranks_equal_each_differential_ranked_alone():
     # line of su:4 is cut at degree 4 to keep it cheap
     cases = [(catalog.pair_from_name(name), None, True)
              for name in ("flag_su3", "stiefel:6:2", "example_4_7")]
-    cases.append((_su4_line(Fraction(1, 3)), 4, True))
+    cases.append((_su4_line({0: 1, 3: Fraction(1, 3)}), 4, True))
     cases += [(_free(catalog.pair_from_name(name).algebra), None, False)
               for name in ("su:2+su:2", "so:5+torus:1")]
     for pair, top, constrained in cases:
@@ -275,11 +300,8 @@ def _row_wise_delta(pair, k):
     without X_s, X_t), read on the test vectors, with positions in the
     lexicographic order of the monomials.
     """
-    alg = pair.algebra
-    _, frame, tests = ce._dual_frame(pair)
-    q = tests.shape[1]
-    proj = {(a, b): dot(frame.T, alg.bracket(tests[:, a], tests[:, b]))
-            for a, b in combinations(range(q), 2)}
+    proj = _projected_constants(pair)
+    q = pair.algebra.n - pair.h.dim
     index = {mon: pos for pos, mon in enumerate(combinations(range(q), k))}
     op = {}
     for row, mon in enumerate(combinations(range(q), k + 1)):
@@ -361,7 +383,7 @@ def test_constrained_bases_are_identity_on_free_rows():
         for j, col in enumerate(basis.columns):
             assert all(col.get(row, 0) == (1 if i == j else 0)
                        for i, row in enumerate(basis.free))
-    assert all(isinstance(d, _SparseDelta) for d in cx.deltas)
+    assert all(isinstance(d, SparseMatrix) for d in cx.deltas)
 
 
 def test_escape_check_fires_on_incomplete_invariant_basis(monkeypatch):

@@ -125,6 +125,29 @@ def test_non_integer_fields_are_input_errors(tmp_path, capsys):
         assert "%s must be an integer" % field in err, (field, err)
 
 
+def test_malformed_rationals_are_input_errors(tmp_path, capsys):
+    # only "p" and "p/q" with q != 0 are rationals: "1/0" used to raise a
+    # ZeroDivisionError traceback, and an exponent such as "1e-1000000"
+    # made the elimination run for minutes
+    cases = []
+    doc = catalog.emit("sphere:4")
+    doc["subalgebra"]["basis"][0][0] = "1/0"
+    cases.append(("'1/0'", doc))
+    doc = catalog.emit("su:2")
+    doc["algebra"]["factors"][0]["structure_constants"][0][3] = "1/0"
+    cases.append(("'1/0'", doc))
+    doc = catalog.emit("sphere:4")
+    doc["subalgebra"]["basis"][0][0] = "1e-1000000"
+    cases.append(("'1e-1000000'", doc))
+    doc = catalog.emit("sphere:4")
+    doc["subalgebra"]["basis"][0][0] = "1.5"
+    cases.append(("'1.5'", doc))
+    for value, doc in cases:
+        assert main(["compute", _write(tmp_path, doc)]) == 1, value
+        err = capsys.readouterr().err
+        assert "not a valid pair document" in err and value in err, err
+
+
 def test_jacobi_violation_reported_with_witness(tmp_path, capsys):
     path = _write(tmp_path, JACOBI_TYPO_DOC)
     code = main(["compute", path])

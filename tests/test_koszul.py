@@ -2,15 +2,13 @@
 
 from fractions import Fraction
 
-import numpy as np
-
 from liecoh import catalog
 from liecoh.betti import betti_low
 from liecoh.koszul import (build_complex, betti_koszul, cartan_rho,
                            primitive_basis)
 from liecoh.liealg import LieAlgebra
 from liecoh.pairs import HomogeneousPair
-from liecoh.linalg import feye, fzeros, is_zero
+from liecoh.linalg import complex_ranks, fzeros, rank, sparse_product
 
 F = Fraction
 
@@ -21,15 +19,16 @@ def _free(algebra):
 
 def test_cartan_rho_of_killing_on_su2():
     su2 = catalog.build("su", 2)
-    rho = cartan_rho(su2, su2.killing_gram())
+    # su(2) is one factor, so B̃₀ is its whole Killing form
+    rho = cartan_rho(su2, su2.btilde(0))
     # rho(e0,e1,e2) = K([e0,e1], e2) = K(2 e2, e2) = -16
     assert rho == {(0, 1, 2): F(-16)}
 
 
 def test_cartan_rho_rejects_non_invariant_form():
     su2 = catalog.build("su", 2)
-    eta = feye(3)
-    eta[0, 1] = F(1)   # not even symmetric, certainly not invariant
+    # not even symmetric, certainly not invariant
+    eta = {(0, 0): F(1), (1, 1): F(1), (2, 2): F(1), (0, 1): F(1)}
     try:
         cartan_rho(su2, eta)
     except ValueError as e:
@@ -39,7 +38,8 @@ def test_cartan_rho_rejects_non_invariant_form():
 
 
 def test_cartan_rho_abelian_is_empty():
-    assert cartan_rho(LieAlgebra.abelian(3), feye(3)) == {}
+    eye = {(i, i): F(1) for i in range(3)}
+    assert cartan_rho(LieAlgebra.abelian(3), eye) == {}
 
 
 def test_primitive_dimensions():
@@ -57,7 +57,8 @@ def test_p1_annihilates_derived_subspace():
     derived = g.derived_subspace()
     for f in p.p1_basis:
         for j in range(derived.dim):
-            assert sum(f[i] * derived.basis[i, j] for i in range(g.n)) == 0
+            assert sum(f.get(i, 0) * derived.basis[i, j]
+                       for i in range(g.n)) == 0
 
 
 def test_slice_dimensions_su2():
@@ -85,7 +86,23 @@ def test_differentials_compose_to_zero():
     for k in range(3):
         lower = slices[k].differential
         upper = slices[k + 1].differential
-        assert is_zero(upper.dot(lower))
+        assert upper.ncols == lower.nrows
+        assert sparse_product(upper.cols, lower.cols) == {}
+
+
+def test_koszul_ranks_equal_each_differential_ranked_alone():
+    cases = [catalog.pair_from_name(name)
+             for name in ("flag_su3", "example_4_7", "stiefel:5:2",
+                          "sphere:4")]
+    cases.append(_free(catalog.build("torus", 3)))
+    for pair in cases:
+        slices = build_complex(pair)
+        maps = [s.differential for s in slices[:4]]
+        alone = [rank([dict(col) for col in d.cols.values()], d.nrows)
+                 for d in maps]
+        assert complex_ranks(maps) == alone
+        rep = betti_koszul(pair)
+        assert list(rep.diagnostics["ranks"].values()) == alone
 
 
 def test_betti_koszul_anchors():

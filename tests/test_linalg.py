@@ -12,10 +12,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecoh.linalg import (F0, F1, Subspace, commutant_operator,
-                           complex_ranks, dot, echelon_insert, feye, fmat,
+from liecoh.linalg import (F0, F1, Subspace, combination, commutant_operator,
+                           complex_ranks, coordinates, dot, echelon_insert, feye, fmat,
                            fvec, fzeros, full_subspace, intersect, intersect_kernels,
-                           is_spd, is_zero, kernel_basis, nonzeros,
+                           is_spd, is_zero, kernel_basis,
                            orth_complement, rank, rat_str, solve_many,
                            sparse_columns, subspace_sum, zero_subspace)
 
@@ -136,6 +136,41 @@ def test_solve_many_matches_columnwise_solve():
         assert solve_many(basis, escaped) is None
 
 
+def test_coordinates_in_subspace_columns():
+    # a spanned subspace (no free rows) goes through one elimination
+    carrier = Subspace.span(3, [[1, 0, 0], [0, 2, 0]])
+    assert carrier.free is None
+    (got,) = coordinates(carrier, [{0: F(3), 1: F(4)}])
+    assert combination(carrier.columns, got) == {0: 3, 1: 4}
+    try:
+        coordinates(carrier, [{2: F(1)}])
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("escaping vector accepted")
+    # a kernel basis reads its free rows and maps them back
+    rng = random.Random(5)
+    for _ in range(5):
+        ker = kernel_basis(_random_matrix(rng, 2, 5))
+        assert ker.free is not None
+        coeffs = [{j: F(rng.randrange(-3, 4)) for j in range(ker.dim)}
+                  for _ in range(3)]
+        vectors = [combination(ker.columns, c) for c in coeffs]
+        assert coordinates(ker, vectors) == [
+            {j: x for j, x in c.items() if x} for c in coeffs]
+        spanned = Subspace.span(5, ker.columns)
+        for v, c in zip(vectors, coordinates(spanned, vectors)):
+            assert combination(spanned.columns, c) == v
+        outside = next({t: F1} for t in range(5) if not ker.contains({t: F1}))
+        for space in (ker, spanned):
+            try:
+                coordinates(space, vectors + [outside])
+            except ValueError:
+                pass
+            else:
+                raise AssertionError("escaping vector accepted")
+
+
 def test_inverse_against_sympy():
     rng = random.Random(23)
     for _ in range(8):
@@ -216,7 +251,7 @@ def test_solve_span_and_equality_against_sympy(system):
               for j in range(basis.shape[1])]
     for sub in (s, t, both, total, Subspace.span(n, sparse),
                 Subspace(n, s.basis), kernel_basis(basis),
-                intersect_kernels([basis.T], n), zero_subspace(n),
+                intersect_kernels([sparse_columns(basis.T)], n), zero_subspace(n),
                 full_subspace(n)):
         _assert_columns_match_basis(sub)
     assert Subspace.span(n, sparse) == s
@@ -351,7 +386,7 @@ def test_intersect_kernels_matches_stacked_kernel():
         dim = rng.randrange(1, 6)
         ops = [_random_matrix(rng, rng.randrange(1, 5), dim, density=0.5)
                for _ in range(rng.randrange(1, 4))]
-        got = intersect_kernels(ops, dim)
+        got = intersect_kernels([sparse_columns(op) for op in ops], dim)
         want = kernel_basis(np.vstack(ops))
         assert got == want
 
@@ -425,7 +460,8 @@ def test_commutant_operator_is_p_r_minus_r_p():
     rng = random.Random(31)
     m = 4
     R = _random_matrix(rng, m, m, density=0.5)
-    op = commutant_operator(nonzeros(R), m)
+    op = commutant_operator({(r, c): v for c, col in sparse_columns(R).items()
+                             for r, v in col}, m)
     # the identity commutes with everything
     assert is_zero(_apply_columns(op, feye(m).reshape(m * m), m * m))
     for _ in range(3):

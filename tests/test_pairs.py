@@ -107,18 +107,30 @@ def test_non_closed_subspace_fails_validation():
     assert any(c["name"] == "h_bracket_closed" for c in rep.failures())
 
 
+def _columns(m):
+    """The columns of a dense matrix as {row: value} dicts."""
+    return [{i: m[i, j] for i in range(m.shape[0]) if m[i, j]}
+            for j in range(m.shape[1])]
+
+
 def test_generator_order():
-    assert generator_order(feye(4)) == 1
+    assert generator_order(_columns(feye(4))) == 1
     flip = feye(3)
     flip[1, 1] = F(-1)
     flip[2, 2] = F(-1)
-    assert generator_order(flip) == 2
+    assert generator_order(_columns(flip)) == 2
     rot = fmat([[0, -1], [1, 0]])
-    assert generator_order(rot) == 4
+    assert generator_order(_columns(rot)) == 4
     irrational_angle = fmat([[F(3, 5), F(-4, 5), 0],
                              [F(4, 5), F(3, 5), 0],
                              [0, 0, 1]])
-    assert generator_order(irrational_angle) is None
+    assert generator_order(_columns(irrational_angle)) is None
+
+
+def test_generator_columns_are_built_once_from_the_matrices():
+    pair = catalog.build("example_4_7")
+    (gamma,) = pair.generators
+    assert pair.generator_columns == [_columns(gamma)]
 
 
 def test_infinite_order_generator_warns_but_validates():
