@@ -344,7 +344,7 @@ def _sum_pairs(left, right):
             nn = src.algebra.n
             for i in range(nn):
                 for j in range(nn):
-                    big[mapper(i)][mapper(j)] = g[i, j]
+                    big[mapper(i)][mapper(j)] = g[i][j]
             gens.append(big)
     return HomogeneousPair.from_vectors(alg, vectors, gens)
 

@@ -219,17 +219,16 @@ def _check_size_cap_env():
         raise _CliError(1, str(exc))
 
 
-def _add_common(parser, max_degree=False):
+def _add_common(parser):
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output (sorted keys)")
     parser.add_argument("--explain", action="store_true",
                         help="include slice dimensions and ranks")
+
+
+def _add_size_cap(parser):
     parser.add_argument("--size-cap", type=_non_negative_int, default=None,
                         help="override the quotient-dimension cap for the cochain method")
-    if max_degree:
-        parser.add_argument("--max-degree", type=_non_negative_int,
-                            default=None,
-                            help="highest cohomology degree to compute")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,12 +259,16 @@ def _parser():
     p.add_argument("--methods", default=None,
                    help="comma-separated subset of formula,koszul,ce")
     _add_common(p)
+    _add_size_cap(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="run a single independent method")
     p.add_argument("file", help="pair JSON document")
     p.add_argument("--method", choices=("koszul", "ce"), required=True)
-    _add_common(p, max_degree=True)
+    _add_common(p)
+    _add_size_cap(p)
+    p.add_argument("--max-degree", type=_non_negative_int, default=None,
+                   help="highest cohomology degree to compute")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("catalog", help="list builders or emit a pair document")

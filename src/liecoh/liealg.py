@@ -19,7 +19,7 @@ both simplicity halves run through the nonzero structure constants.
 from itertools import combinations
 
 from .linalg import (F0, F1, Subspace, combination, commutant_operator,
-                     echelon_insert, fr, fzeros, intersect, intersect_kernels,
+                     echelon_insert, fr, intersect, intersect_kernels,
                      is_spd, rat_str)
 
 
@@ -45,6 +45,14 @@ def int_field(value, field):
         except ValueError:
             pass
     raise ValueError("%s must be an integer, not %r" % (field, value))
+
+
+def array_field(value, field):
+    """A document field that must be a JSON array: the list itself, else a
+    ValueError naming the field (a string is not read as its characters)."""
+    if not isinstance(value, list):
+        raise ValueError("%s must be an array, not %r" % (field, value))
+    return value
 
 
 def check_dim(n, what):
@@ -169,17 +177,6 @@ class LieAlgebra:
 
     # -- brackets ------------------------------------------------------------
 
-    def bracket(self, x, y):
-        """[x, y] for coordinate vectors of length n."""
-        if len(x) != self.n or len(y) != self.n:
-            raise ValueError("vector length != algebra dimension")
-        out = fzeros(self.n)
-        u = {i: a for i, a in enumerate(x) if a}
-        v = {j: b for j, b in enumerate(y) if b}
-        for k, c in self.bracket_sparse(u, v).items():
-            out[k] = c
-        return out
-
     def bracket_sparse(self, u, v):
         """[u, v] for sparse {index: coefficient} vectors, as such a dict.
 
@@ -218,10 +215,11 @@ class LieAlgebra:
     # -- Killing data ---------------------------------------------------------
 
     def killing_gram(self):
-        """K(e_i, e_j) = trace(ad e_i ∘ ad e_j); symmetric, zero on center."""
+        """K(e_i, e_j) = trace(ad e_i ∘ ad e_j) as rows K[i][j]; symmetric,
+        zero on center.  Cached: treat it as read-only."""
         if self._killing is None:
             ads = self.ad_sparse()
-            K = fzeros(self.n, self.n)
+            K = [[F0] * self.n for _ in range(self.n)]
             for i in range(self.n):
                 for j in range(i, self.n):
                     t = F0
@@ -230,8 +228,8 @@ class LieAlgebra:
                         d = adj.get((b, a))
                         if d is not None:
                             t += c * d
-                    K[i, j] = t
-                    K[j, i] = t
+                    K[i][j] = t
+                    K[j][i] = t
             self._killing = K
         return self._killing
 
@@ -243,14 +241,15 @@ class LieAlgebra:
             raise ValueError("factor index out of range")
         K = self.killing_gram()
         block = self.factor_indices(i)
-        return {(a, b): K[a, b] for a in block for b in block if K[a, b]}
+        return {(a, b): K[a][b] for a in block for b in block if K[a][b]}
 
     def canonical_gram(self):
         """The fixed invariant inner product: (-Killing on [g,g]) ⊕ (identity
-        on center coordinates).  Ad-invariant, generator-invariant, SPD."""
-        gram = -self.killing_gram()
+        on center coordinates), as rows.  Ad-invariant, generator-invariant,
+        SPD."""
+        gram = [[-x for x in row] for row in self.killing_gram()]
         for i in range(self.l):
-            gram[i, i] = F1
+            gram[i][i] = F1
         return gram
 
     # -- derived/center subspaces ---------------------------------------------
@@ -292,9 +291,11 @@ class LieAlgebra:
                 specs.append(catalog.factor_from_shorthand(fac))
             else:
                 index = "structure constant index"
+                entries = (array_field(e, "structure constant")
+                           for e in fac.get("structure_constants", []))
                 constants = [(int_field(i, index), int_field(j, index),
                               int_field(k, index), fr(c))
-                             for i, j, k, c in fac.get("structure_constants", [])]
+                             for i, j, k, c in entries]
                 specs.append((fac["name"], int_field(fac["dim"], "dim"),
                               constants))
         return cls.from_factor_constants(
@@ -381,7 +382,7 @@ def validate(alg):
     K = alg.killing_gram()
     bad_factor = None
     for fi, (name, start, stop) in enumerate(alg.factors):
-        block = [[-K[a, b] for b in range(start, stop)]
+        block = [[-K[a][b] for b in range(start, stop)]
                  for a in range(start, stop)]
         if not is_spd(block):
             bad_factor = name

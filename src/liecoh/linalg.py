@@ -1,14 +1,13 @@
-"""Exact rational linear algebra, dense at the edges and sparse inside.
+"""Exact rational linear algebra on sparse rows and columns.
 
-A matrix is dense, a 2-D numpy object array of fractions.Fraction (the
-input constructors fmat/fvec/fzeros/feye, Subspace.basis, and what rank,
-kernel_basis and solve_many accept), or sparse: a list of {col: value}
-rows, or {col: [(row, value)]} columns, which a SparseMatrix carries with
-its shape; values are Fractions or ints.  Every elimination goes through
-one exact engine, _sparse_echelon: each row is cleared to integers once
-(lcm of denominators) and held as a {col: int} dict, then eliminated with
-the gcd-scaled two-term update, so no rationals appear inside the hot loop
-and the cost tracks the nonzero structure.  Ranks count its pivots
+A matrix is a list of {col: value} rows, or {col: [(row, value)]}
+columns, which a SparseMatrix carries with its shape; values are
+Fractions or ints.  rank and kernel_basis also take plain sequences as
+rows.  Every elimination goes through one exact engine, _sparse_echelon:
+each row is cleared to integers once (lcm of denominators) and held as a
+{col: int} dict, then eliminated with the gcd-scaled two-term update, so
+no rationals appear inside the hot loop and the cost tracks the nonzero
+structure.  Ranks count its pivots
 (complex_ranks carries them from one map of a complex to the next),
 kernels back-substitute through its rows (_kernel_columns), and
 coordinates reads coordinates off the kernel of [columns | vectors].
@@ -17,7 +16,7 @@ symmetric pivots on input; it computes no rank or solution.
 
 A Subspace holds sparse basis columns only: the echelon rows of
 Subspace.span, the back-substituted kernel columns.  Equality, intersect,
-sum and coordinates work on them; Subspace.basis is their dense view.
+sum and coordinates work on them.
 
 Ordering conventions used throughout the package: symmetric index pairs are
 (i, j) with i <= j in lexicographic order, exterior tuples are strictly
@@ -29,8 +28,6 @@ from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-
-import numpy as np
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -62,60 +59,6 @@ def rat_str(q):
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-def fmat(rows):
-    """2-D object array of Fractions from a nested list (or array)."""
-    arr = np.array([[fr(x) for x in row] for row in rows], dtype=object)
-    if arr.ndim != 2:
-        arr = arr.reshape(len(rows), -1)
-    return arr
-
-
-def fvec(entries):
-    return np.array([fr(x) for x in entries], dtype=object)
-
-
-def fzeros(r, c=None):
-    if c is None:
-        a = np.empty(r, dtype=object)
-        a[:] = F0
-        return a
-    a = np.empty((r, c), dtype=object)
-    a[:, :] = F0
-    return a
-
-
-def feye(n):
-    a = fzeros(n, n)
-    for i in range(n):
-        a[i, i] = F1
-    return a
-
-
-def is_zero(arr):
-    return all(x == 0 for x in np.asarray(arr).flat)
-
-
-def dot(a, b):
-    """a.dot(b) for Fraction matrices (b may be a vector), through nonzeros.
-
-    A dense object-array product multiplies every zero entry as a Fraction;
-    this one only visits the nonzeros of a and, per nonzero, one row of b.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if b.ndim == 1:
-        return dot(a, b.reshape(-1, 1)).reshape(-1)
-    brows = [[] for _ in range(b.shape[0])]
-    for k, j in zip(*np.nonzero(b)):
-        brows[k].append((j, b[k, j]))
-    out = fzeros(a.shape[0], b.shape[1])
-    for i, k in zip(*np.nonzero(a)):
-        x = a[i, k]
-        for j, y in brows[k]:
-            out[i, j] += x * y
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +177,9 @@ def echelon_insert(echelon, v):
     return None
 
 
-def rank(m, ncols=None):
-    """Exact rank over the rationals.
-
-    m is a dense Fraction matrix, or a list of sparse {col: value} rows
-    (Fractions or ints) with the column count given as ncols.
-    """
-    if ncols is None:
-        m = np.asarray(m)
-        if m.size == 0:
-            return 0
-        ncols = m.shape[1]
+def rank(m, ncols):
+    """Exact rank over the rationals of the rows m, each a sparse {col:
+    value} dict or a sequence (Fractions or ints), with ncols columns."""
     _, pivots = _sparse_echelon(_int_rows_sparse(m), ncols)
     return len(pivots)
 
@@ -315,15 +250,8 @@ def _kernel_columns(rows, ncols):
     return cols, free
 
 
-def kernel_basis(m, ncols=None):
-    """Subspace {v : m v = 0} of the column/domain space of m.
-
-    m is a dense Fraction matrix, or a list of sparse {col: Fraction} rows
-    with the column count given as ncols.
-    """
-    if ncols is None:
-        m = np.asarray(m)
-        ncols = m.shape[1]
+def kernel_basis(m, ncols):
+    """Subspace {v : m v = 0} of Q^ncols, for rows m as in rank."""
     cols, free = _kernel_columns(_int_rows_sparse(m), ncols)
     return Subspace.from_columns(ncols, cols, free)
 
@@ -360,27 +288,9 @@ def coordinates(space, vectors):
             for col in cols[len(cols) - d:]]
 
 
-def solve_many(basis, rhs):
-    """Coordinates X with basis.dot(X) == rhs, or None if a column escapes:
-    the dense form of coordinates, the basis columns may be dependent."""
-    basis, rhs = np.asarray(basis), np.asarray(rhs)
-    dense = [[{i: m[i, j] for i in range(m.shape[0]) if m[i, j]}
-              for j in range(m.shape[1])] for m in (basis, rhs)]
-    try:
-        coords = coordinates(Subspace.from_columns(len(basis), dense[0]),
-                             dense[1])
-    except ValueError:
-        return None
-    out = fzeros(basis.shape[1], rhs.shape[1])
-    for j, col in enumerate(coords):
-        for r, x in col.items():
-            out[r, j] = x
-    return out
-
-
 def is_spd(gram):
-    """True iff gram, a dense matrix or nested rows, is symmetric positive
-    definite (exact pivot test)."""
+    """True iff gram, given by its rows, is symmetric positive definite
+    (exact pivot test)."""
     a = [[fr(x) for x in row] for row in gram]
     n = len(a)
     if any(len(row) != n for row in a):
@@ -406,19 +316,20 @@ class Subspace:
     """A linear subspace of Q^n, held as sparse basis columns.
 
     columns holds one {row: value} dict per basis vector (Fraction or int
-    values, no zeros); basis is their dense n x dim view, built on first
-    use.  free is set for kernel bases (see from_columns), else None.  Two
+    values, no zeros).  free is set for kernel bases (see from_columns), else None.  Two
     subspaces are equal iff their ambient and own dimensions agree and
     their columns together add no rank.
     """
 
     def __init__(self, ambient_dim, basis):
-        """The span of the independent columns of a dense n x k matrix (an
-        array or nested rows)."""
+        """The span of the independent columns of an n x k matrix given by
+        its rows (nested lists, or any iterable of rows)."""
         rows = [[fr(x) for x in row] for row in basis]
         if len(rows) != ambient_dim:
             raise ValueError("basis rows != ambient dimension")
         k = len(rows[0]) if rows else 0
+        if any(len(row) != k for row in rows):
+            raise ValueError("basis rows differ in length")
         columns = [{i: row[j] for i, row in enumerate(rows) if row[j]}
                    for j in range(k)]
         if rank(columns, ambient_dim) != k:
@@ -426,7 +337,6 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.columns = columns
         self.free = None
-        self._basis = None
 
     @classmethod
     def from_columns(cls, ambient_dim, columns, free=None):
@@ -439,17 +349,7 @@ class Subspace:
         s.ambient_dim = ambient_dim
         s.columns = columns
         s.free = free
-        s._basis = None
         return s
-
-    @property
-    def basis(self):
-        if self._basis is None:
-            self._basis = fzeros(self.ambient_dim, len(self.columns))
-            for j, col in enumerate(self.columns):
-                for i, x in col.items():
-                    self._basis[i, j] = fr(x)
-        return self._basis
 
     @classmethod
     def span(cls, ambient_dim, vectors):
@@ -535,15 +435,6 @@ def subspace_sum(s1, s2):
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return Subspace.span(s1.ambient_dim, s1.columns + s2.columns)
-
-
-def sparse_columns(m):
-    """The nonzeros of a dense matrix per column, as {col: [(row, value)]}."""
-    m = np.asarray(m)
-    cols = {}
-    for r, c in zip(*np.nonzero(m)):
-        cols.setdefault(int(c), []).append((int(r), m[r, c]))
-    return cols
 
 
 def transpose(columns):

@@ -14,14 +14,18 @@ integrate to a closed subgroup.  That trust boundary is the caller's.
 A pair builds each generator's sparse columns (gamma e_i as a {row: value}
 dict) once, at construction, as generator_columns; the checks, the
 decomposition and every later method apply the generators through them to
-subspace columns.  The dense h_basis and generator matrices are the public
-view of the input.
+subspace columns.  h_basis and the generators are the public view of the
+input, as row-major nested lists of Fractions like the JSON document.
 """
 
 from .invariant_forms import fixed_vectors
-from .liealg import LieAlgebra, center_and_derived, is_bracket_closed, validate
-from .linalg import (F1, Subspace, combination, fmat, fr, intersect,
+from .liealg import (LieAlgebra, array_field, center_and_derived,
+                     is_bracket_closed, validate)
+from .linalg import (F0, F1, Subspace, combination, fr, intersect,
                      orth_complement, rat_str, subspace_sum)
+
+# Generator order beyond which validate_pair warns
+ORDER_BOUND = 256
 
 
 class HomogeneousPair:
@@ -32,6 +36,10 @@ class HomogeneousPair:
     generators: list of n × n matrices, the Ad-action of one representative
                 per generator of H/H⁰ (empty for connected H).
     generator_columns: per generator, its n columns as {row: value} dicts.
+
+    h_basis and each generator are held as n rows, nested lists of
+    Fractions; the constructor takes any iterable of rows (nested lists or
+    numpy arrays).
     """
 
     def __init__(self, algebra, h_basis, generators=()):
@@ -42,16 +50,17 @@ class HomogeneousPair:
         elif len(h_basis) != n:
             raise ValueError("h_basis must have %d rows" % n)
         self.h = Subspace(n, h_basis)  # checks column independence
-        self.h_basis = self.h.basis
+        self.h_basis = [[col.get(i, F0) for col in self.h.columns]
+                        for i in range(n)]
         gens = []
         for g in generators:
-            g = fmat(g)
-            if g.shape != (n, n):
+            g = [[fr(x) for x in row] for row in g]
+            if len(g) != n or any(len(row) != n for row in g):
                 raise ValueError("generator must be %d x %d" % (n, n))
             gens.append(g)
         self.generators = gens
         self.generator_columns = [
-            [{i: g[i, j] for i in range(n) if g[i, j]} for j in range(n)]
+            [{i: g[i][j] for i in range(n) if g[i][j]} for j in range(n)]
             for g in gens]
 
     @classmethod
@@ -71,8 +80,8 @@ class HomogeneousPair:
         n = self.algebra.n
         basis = [[rat_str(col.get(i, 0)) for i in range(n)]
                  for col in self.h.columns]
-        gens = [[[rat_str(g[i, j]) for j in range(n)]
-                 for i in range(n)] for g in self.generators]
+        gens = [[[rat_str(x) for x in row] for row in g]
+                for g in self.generators]
         return {"algebra": self.algebra.to_dict(),
                 "subalgebra": {"basis": basis},
                 "component_generators": gens}
@@ -80,9 +89,12 @@ class HomogeneousPair:
     @classmethod
     def from_dict(cls, data):
         alg = LieAlgebra.from_dict(data["algebra"])
-        vectors = data.get("subalgebra", {}).get("basis", [])
-        gens = data.get("component_generators", [])
-        return cls.from_vectors(alg, [[fr(c) for c in v] for v in vectors], gens)
+        vectors = [[fr(c) for c in array_field(v, "subalgebra basis vector")]
+                   for v in data.get("subalgebra", {}).get("basis", [])]
+        gens = [[array_field(row, "generator row")
+                 for row in array_field(g, "generator")]
+                for g in data.get("component_generators", [])]
+        return cls.from_vectors(alg, vectors, gens)
 
 
 class PairDecomposition:
@@ -118,24 +130,24 @@ def _image(gcols, s):
                          [combination(gcols, c) for c in s.columns])
 
 
-def generator_order(gcols, bound=256):
+def generator_order(gcols):
     """Multiplicative order of a matrix given by its sparse columns gamma e_i,
-    or None if it exceeds bound."""
+    or None if it exceeds ORDER_BOUND."""
     power = gcols
-    for k in range(1, bound + 1):
+    for k in range(1, ORDER_BOUND + 1):
         if all(col == {i: 1} for i, col in enumerate(power)):
             return k
         power = [combination(gcols, col) for col in power]
     return None
 
 
-def validate_pair(pair, order_bound=256):
+def validate_pair(pair):
     """Check every HomogeneousPair invariant; returns a ValidationReport.
 
     The report starts with validate(pair.algebra)'s checks, so one call
-    gates the whole input.  Generator order beyond order_bound is a warning, not a failure: the
-    order check only exists to flag inputs that cannot describe a finite
-    component group.
+    gates the whole input.  Generator order beyond ORDER_BOUND is a warning,
+    not a failure: the order check only exists to flag inputs that cannot
+    describe a finite component group.
     """
     alg = pair.algebra
     rep = validate(alg)
@@ -168,9 +180,10 @@ def validate_pair(pair, order_bound=256):
     rep.add("generator_preserves_each_factor", bad_factor is None, bad_factor)
 
     for gi, cols in enumerate(gcols):
-        if generator_order(cols, order_bound) is None:
+        if generator_order(cols) is None:
             rep.warn("generator %d has order exceeding %d; the component "
-                     "group of a closed subgroup must be finite" % (gi, order_bound))
+                     "group of a closed subgroup must be finite"
+                     % (gi, ORDER_BOUND))
     return rep
 
 

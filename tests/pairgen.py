@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from liecoh.catalog import pair_from_name
-from liecoh.linalg import feye, fmat, rat_str
+from liecoh.linalg import rat_str
 from liecoh.pairs import HomogeneousPair, validate_pair
 
 F = Fraction
@@ -50,6 +50,11 @@ def _unit(n, i):
     return v
 
 
+def eye(n):
+    """The n x n identity as nested rows."""
+    return [_unit(n, i) for i in range(n)]
+
+
 def _three_dim_factors(alg):
     return [start for _, start, stop in alg.factors if stop - start == 3]
 
@@ -75,17 +80,17 @@ def _random_line(rng, n, lo, hi):
 def so5_swap_generator(alg, start):
     """Ad of diag(-1,1,1,1,-1): swaps the two simple ideals of so(4) ⊂ so(5)."""
     eps = [-1, 1, 1, 1, -1]
-    gen = feye(alg.n)
+    gen = eye(alg.n)
     for idx, (i, j) in enumerate(combinations(range(5), 2)):
-        gen[start + idx, start + idx] = F(eps[i] * eps[j])
+        gen[start + idx][start + idx] = F(eps[i] * eps[j])
     return gen
 
 
 def su2_sign_generator(alg, start, pattern):
     """Ad of a half-turn: the given +-1 pattern on one su(2) block."""
-    gen = feye(alg.n)
+    gen = eye(alg.n)
     for a in range(3):
-        gen[start + a, start + a] = F(pattern[a])
+        gen[start + a][start + a] = F(pattern[a])
     return gen
 
 
@@ -99,12 +104,12 @@ def rp4_pair():
 def twisted_diagonal_pair(rotation_index=0):
     """Diagonal su(2) in su(2)+su(2), second leg twisted by a rational rotation."""
     base = pair_from_name("su:2+su:2")
-    R = fmat(_ROTATIONS[rotation_index])
+    R = _ROTATIONS[rotation_index]
     vecs = []
     for i in range(3):
         v = _unit(6, i)
         for a in range(3):
-            v[3 + a] = R[a, i]
+            v[3 + a] = R[a][i]
         vecs.append(v)
     return HomogeneousPair.from_vectors(base.algebra, vecs)
 
@@ -156,11 +161,11 @@ def _draw(rng):
     elif mode == "diag_su2":
         s1, s2 = rng.sample(_three_dim_factors(alg), 2)
         ri = rng.randrange(len(_ROTATIONS) + 1)
-        R = fmat(_ROTATIONS[ri]) if ri < len(_ROTATIONS) else feye(3)
+        R = _ROTATIONS[ri] if ri < len(_ROTATIONS) else eye(3)
         for i in range(3):
             v = _unit(n, s1 + i)
             for a in range(3):
-                v[s2 + a] = R[a, i]
+                v[s2 + a] = R[a][i]
             vectors.append(v)
         detail = "%d,%d,rot%d" % (s1, s2, ri)
     elif mode == "so4_block":

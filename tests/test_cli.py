@@ -148,6 +148,32 @@ def test_malformed_rationals_are_input_errors(tmp_path, capsys):
         assert "not a valid pair document" in err and value in err, err
 
 
+def test_strings_where_arrays_belong_are_input_errors(tmp_path, capsys):
+    # a string used to be read character by character: "100" as a basis
+    # vector or a generator row was the vector [1, 0, 0], and "0121" as a
+    # structure constant was [0, 1, 2, 1]
+    cases = []
+    doc = catalog.emit("sphere:2")
+    doc["subalgebra"]["basis"] = ["100"]
+    cases.append(("subalgebra basis vector must be an array", doc))
+    doc = catalog.emit("sphere:2")
+    doc["component_generators"] = [["100", "010", "001"]]
+    cases.append(("generator row must be an array", doc))
+    doc = catalog.emit("sphere:2")
+    doc["component_generators"] = ["100"]
+    cases.append(("generator must be an array", doc))
+    doc = catalog.emit("sphere:2")
+    doc["algebra"]["factors"][0]["structure_constants"][0] = "0121"
+    cases.append(("structure constant must be an array", doc))
+    doc = catalog.emit("sphere:2")
+    doc["component_generators"] = [[]]
+    cases.append(("generator must be 3 x 3", doc))
+    for message, doc in cases:
+        assert main(["compute", _write(tmp_path, doc)]) == 1, message
+        err = capsys.readouterr().err
+        assert "not a valid pair document" in err and message in err, err
+
+
 def test_jacobi_violation_reported_with_witness(tmp_path, capsys):
     path = _write(tmp_path, JACOBI_TYPO_DOC)
     code = main(["compute", path])
@@ -300,6 +326,14 @@ def test_oracle_ce_size_cap_flag(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["betti"] == [1, 0]
+
+
+def test_compute_has_no_size_cap_flag(tmp_path, capsys):
+    # compute never runs the cochain method, so it takes no cap
+    assert main(["compute", _emit(tmp_path, "sphere:2"), "--size-cap", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --size-cap 3" in captured.err
 
 
 def test_negative_degree_and_cap_are_usage_errors(tmp_path, capsys):

@@ -1,12 +1,16 @@
-"""Design guards: one sparse matrix representation outside linalg.
+"""Design guards: one sparse matrix representation, and no numpy.
 
-Every module except linalg works on sparse {index: value} vectors,
-structure constant tables, subspace columns and SparseMatrix columns;
-numpy object arrays stay in linalg and at the public dense accessors.  The
-method modules do not even touch those accessors or the dense helpers.
+Every module works on sparse {index: value} vectors, structure constant
+tables, subspace columns and SparseMatrix columns; the only dense matrices
+are the nested-list views of the input (h_basis, the generators, the
+Killing and canonical Gram rows), and the method modules do not touch
+those.  The library runs with numpy absent.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import liecoh
@@ -15,9 +19,7 @@ ROOT = Path(liecoh.__file__).parent
 
 METHOD_MODULES = ("betti.py", "ce.py", "invariant_forms.py", "koszul.py")
 
-DENSE_HELPERS = {"solve_many", "dot", "nonzeros", "sparse_columns", "fzeros",
-                 "feye", "is_zero"}
-DENSE_ACCESSORS = {"basis", "h_basis"}
+DENSE_VIEWS = {"h_basis", "generators", "killing_gram", "canonical_gram"}
 
 
 def _imported_modules(path):
@@ -40,10 +42,8 @@ def _used_names(path):
             yield "name", node.name
 
 
-def test_only_linalg_imports_numpy():
+def test_no_module_imports_numpy():
     for path in sorted(ROOT.glob("*.py")):
-        if path.name == "linalg.py":
-            continue
         found = [m for m in _imported_modules(path)
                  if m.split(".")[0] == "numpy"]
         assert not found, (path.name, found)
@@ -51,8 +51,39 @@ def test_only_linalg_imports_numpy():
 
 def test_method_modules_use_no_dense_helpers():
     for name in METHOD_MODULES:
-        found = sorted(
-            used for kind, used in set(_used_names(ROOT / name))
-            if used in DENSE_HELPERS
-            or kind == "attr" and used in DENSE_ACCESSORS)
+        found = sorted(used for kind, used in set(_used_names(ROOT / name))
+                       if kind == "attr" and used in DENSE_VIEWS)
         assert not found, (name, found)
+
+
+# run in a child interpreter in which every import of numpy fails
+_WITHOUT_NUMPY = """
+import contextlib, io, json, os, sys
+sys.modules["numpy"] = None
+from liecoh.cli import main
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    return out.getvalue()
+
+flag, example = (os.path.join(sys.argv[1], name + ".json")
+                 for name in ("flag_su3", "example_4_7"))
+run("catalog", "emit", "flag_su3", "-o", flag)
+run("catalog", "emit", "example_4_7", "-o", example)
+methods = json.loads(run("verify", flag, "--json"))["methods"]
+assert {m: r["betti"] for m, r in methods.items()} == {
+    m: [1, 0, 2, 0, 2] for m in ("formula", "koszul", "ce")}, methods
+report = json.loads(run("oracle", example, "--method", "ce", "--json"))
+assert report["betti"] == [1, 2, 1, 0, 0], report
+"""
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "LIECOH_SIZE_CAP"}
+    env["PYTHONPATH"] = str(ROOT.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 
 from liecoh import catalog
 from liecoh.invariant_forms import (InvariantFormSpace, _ad_constraint,
@@ -11,11 +12,20 @@ from liecoh.invariant_forms import (InvariantFormSpace, _ad_constraint,
                                     psi_analysis, restrict_form, sym_pairs,
                                     vee)
 from liecoh.pairs import HomogeneousPair, decompose
-from liecoh.linalg import Subspace, combination, feye, fmat, fzeros, rank
+from liecoh.linalg import Subspace, combination, rank
 
-from pairgen import rp4_pair
+from pairgen import eye, rp4_pair
 
 F = Fraction
+
+
+def _mat(rows):
+    """A dense numpy reference matrix of Fractions."""
+    return np.array([[F(x) for x in row] for row in rows], dtype=object)
+
+
+def _zeros(m, n):
+    return _mat([[0] * n for _ in range(m)])
 
 
 def _columns(m):
@@ -38,12 +48,12 @@ def _sym_coords(form, pairs):
 def test_sym_pairs_and_coords_round_trip():
     pairs = sym_pairs(3)
     assert pairs == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    form = fmat([[1, 2, 0], [2, 5, F(1, 2)], [0, F(1, 2), -3]])
+    form = _mat([[1, 2, 0], [2, 5, F(1, 2)], [0, F(1, 2), -3]])
     # on the unit columns a form restricts to its upper-triangle
     # coordinates, and those give the matrix back
-    coords = restrict_form(_nonzeros(form), _columns(feye(3)))
+    coords = restrict_form(_nonzeros(form), _columns(_mat(eye(3))))
     assert coords == {p: form[p] for p in pairs if form[p]}
-    back = fzeros(3, 3)
+    back = _zeros(3, 3)
     for (i, j), v in coords.items():
         back[i, j] = back[j, i] = v
     assert (back == form).all()
@@ -60,7 +70,7 @@ def test_restrict_form_is_the_congruence_on_the_columns():
     for n, m in ((3, 2), (4, 4), (5, 1)):
         eta = _random_rational_matrix(rng, n, 0.6)
         eta = eta + eta.T
-        basis = fmat([[F(rng.randrange(-3, 4), rng.randrange(1, 3))
+        basis = _mat([[F(rng.randrange(-3, 4), rng.randrange(1, 3))
                        for _ in range(m)] for _ in range(n)])
         want = basis.T.dot(eta).dot(basis)
         got = restrict_form(_nonzeros(eta), _columns(basis))
@@ -76,13 +86,13 @@ def test_fixed_vectors_sign_flip_kills_line():
 
 def test_fixed_vectors_rotation_has_no_fixed_plane_vectors():
     plane = Subspace.span(2, [[1, 0], [0, 1]])
-    rot = fmat([[0, -1], [1, 0]])
+    rot = _mat([[0, -1], [1, 0]])
     assert fixed_vectors(plane, [_columns(rot)]).dim == 0
 
 
 def test_fixed_vectors_requires_stable_subspace():
     line = Subspace.span(2, [[1, 0]])
-    rot = fmat([[0, -1], [1, 0]])
+    rot = _mat([[0, -1], [1, 0]])
     try:
         fixed_vectors(line, [_columns(rot)])
     except ValueError:
@@ -92,7 +102,7 @@ def test_fixed_vectors_requires_stable_subspace():
 
 
 def test_invariant_forms_on_full_su2_is_killing_line():
-    pair = HomogeneousPair(catalog.build("su", 2), feye(3))
+    pair = HomogeneousPair(catalog.build("su", 2), eye(3))
     space = invariant_sym_forms(pair, pair.h)
     assert space.dim == 1
     form = space.form_basis[0]
@@ -104,7 +114,7 @@ def test_invariant_forms_on_full_su2_is_killing_line():
 
 
 def test_invariant_forms_on_full_torus_is_all_of_sym2():
-    pair = HomogeneousPair(catalog.build("torus", 2), feye(2))
+    pair = HomogeneousPair(catalog.build("torus", 2), eye(2))
     assert invariant_sym_forms(pair, pair.h).dim == 3
 
 
@@ -157,13 +167,13 @@ def test_psi_rank_kernel_cokernel_identities():
 
 
 def test_minimal_ideal_count_simple():
-    pair = HomogeneousPair(catalog.build("su", 3), feye(8))
+    pair = HomogeneousPair(catalog.build("su", 3), eye(8))
     assert minimal_ideal_count(pair, pair.h) == 1
 
 
 def test_minimal_ideal_count_two_factors():
     g = catalog.pair_from_name("su:2+su:2").algebra
-    pair = HomogeneousPair(g, feye(6))
+    pair = HomogeneousPair(g, eye(6))
     assert minimal_ideal_count(pair, pair.h) == 2
 
 
@@ -179,7 +189,7 @@ def test_minimal_ideal_count_generator_merges_orbits():
 
 def _rotation_swap(R):
     """(x, y) -> (R y, Rᵀ x) on su(2)+su(2): swaps the two ideals."""
-    gamma = fzeros(6, 6)
+    gamma = _zeros(6, 6)
     for a in range(3):
         for b in range(3):
             gamma[a, 3 + b] = R[a, b]
@@ -189,7 +199,7 @@ def _rotation_swap(R):
 
 def test_minimal_ideal_count_generator_swaps_rotated_ideals():
     g = catalog.pair_from_name("su:2+su:2").algebra
-    R = fmat([[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]])
+    R = _mat([[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]])
     swap = _rotation_swap(R)
     # a rotation in SO(3) is an automorphism of su(2) in the cyclic basis,
     # so the swap is an automorphism of g
@@ -199,13 +209,13 @@ def test_minimal_ideal_count_generator_swaps_rotated_ideals():
             assert (combination(cols, g.bracket_sparse({i: F(1)}, {j: F(1)}))
                     == g.bracket_sparse(cols[i], cols[j]))
     # s = g in a basis that mixes both ideals
-    mixed = fmat([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 3],
+    mixed = _mat([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 3],
                   [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]).T
     s = Subspace(6, mixed)
     assert minimal_ideal_count(HomogeneousPair(g, mixed, [swap]), s) == 1
     assert minimal_ideal_count(HomogeneousPair(g, mixed), s) == 2
     # a rotation inside each ideal keeps both orbits
-    turn = fzeros(6, 6)
+    turn = _zeros(6, 6)
     for a in range(3):
         for b in range(3):
             turn[a, b] = turn[3 + a, 3 + b] = R[a, b]
@@ -213,7 +223,7 @@ def test_minimal_ideal_count_generator_swaps_rotated_ideals():
 
 
 def _random_rational_matrix(rng, m, density):
-    return fmat([[F(rng.randrange(-4, 5), rng.randrange(1, 4))
+    return _mat([[F(rng.randrange(-4, 5), rng.randrange(1, 4))
                   if rng.random() < density else 0 for _ in range(m)]
                  for _ in range(m)])
 
@@ -247,7 +257,7 @@ def test_sparse_invariance_constraints_match_dense_formulas():
 
 def test_minimal_ideal_count_rejects_non_subalgebra():
     g = catalog.build("su", 2)
-    pair = HomogeneousPair(g, feye(3))
+    pair = HomogeneousPair(g, eye(3))
     try:
         minimal_ideal_count(pair, Subspace.span(3, [[1, 0, 0], [0, 1, 0]]))
     except ValueError as e:
@@ -258,7 +268,7 @@ def test_minimal_ideal_count_rejects_non_subalgebra():
 
 def test_minimal_ideal_count_rejects_non_semisimple():
     g = catalog.pair_from_name("torus:1+su:2").algebra
-    pair = HomogeneousPair(g, feye(4))
+    pair = HomogeneousPair(g, eye(4))
     try:
         minimal_ideal_count(pair, Subspace.span(4, [[1, 0, 0, 0]]))
     except ValueError as e:

@@ -12,6 +12,7 @@ integer coordinates of the catalog.
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,6 @@ from liecoh.betti import betti_low
 from liecoh.ce import betti_ce
 from liecoh.koszul import betti_koszul
 from liecoh.liealg import LieAlgebra
-from liecoh.linalg import dot, feye, fzeros
 from liecoh.pairs import HomogeneousPair, validate_pair
 
 F = Fraction
@@ -40,6 +40,10 @@ def _small_pair(seed):
             return label, pair
 
 
+def _eye(m):
+    return np.array(pairgen.eye(m), dtype=object)
+
+
 def _block(data, m):
     """A random m x m rational matrix and its inverse.
 
@@ -47,7 +51,7 @@ def _block(data, m):
     it fills in without its entries growing past what a test can afford,
     and the inverse is the inverse shears in reverse, then the scaling.
     """
-    a, inv = feye(m), feye(m)
+    a, inv = _eye(m), _eye(m)
     for i in range(m):
         c = data.draw(st.sampled_from(_SCALES))
         a[i] *= c
@@ -57,14 +61,14 @@ def _block(data, m):
         c = data.draw(st.sampled_from(_SHEARS))
         a[i] += c * a[j]           # row operation: E a
         inv[:, j] -= c * inv[:, i]  # column operation: inv E^-1
-    assert (dot(a, inv) == feye(m)).all()
+    assert (a.dot(inv) == _eye(m)).all()
     return a, inv
 
 
 def _change_basis(pair, data):
     alg = pair.algebra
     n = alg.n
-    A, Ainv = fzeros(n, n), fzeros(n, n)
+    A, Ainv = np.full((n, n), F(0)), np.full((n, n), F(0))
     blocks = [(0, alg.l)] + [(start, stop) for _, start, stop in alg.factors]
     for start, stop in blocks:
         if stop > start:
@@ -74,14 +78,17 @@ def _change_basis(pair, data):
     table = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = dot(Ainv, alg.bracket(A[:, i], A[:, j]))
+            u, v = ({r: x for r, x in enumerate(A[:, t]) if x} for t in (i, j))
+            br = alg.bracket_sparse(u, v)
+            w = Ainv.dot([br.get(r, 0) for r in range(n)])
             terms = [(k, w[k]) for k in range(n) if w[k]]
             if terms:
                 table[(i, j)] = terms
     moved = LieAlgebra(alg.l, [(name, stop - start)
                                for name, start, stop in alg.factors], table)
-    return HomogeneousPair(moved, dot(Ainv, pair.h_basis),
-                           [dot(dot(Ainv, g), A) for g in pair.generators])
+    return HomogeneousPair(
+        moved, Ainv.dot(np.array(pair.h_basis, dtype=object)),
+        [Ainv.dot(np.array(g, dtype=object)).dot(A) for g in pair.generators])
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

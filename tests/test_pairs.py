@@ -7,13 +7,10 @@ import numpy as np
 from liecoh import catalog
 from liecoh.pairs import (HomogeneousPair, decompose, generator_order,
                           validate_pair)
-from liecoh.linalg import feye, fmat, fzeros
+
+from pairgen import eye
 
 F = Fraction
-
-
-def _no_h(algebra):
-    return fzeros(algebra.n, 0)
 
 
 def test_decompose_sphere_3():
@@ -40,7 +37,7 @@ def test_decompose_example_4_7_without_generator():
 
 def test_decompose_h_equals_g():
     g = catalog.pair_from_name("torus:2+su:2").algebra
-    pair = HomogeneousPair(g, feye(g.n))
+    pair = HomogeneousPair(g, eye(g.n))
     assert decompose(pair).dims() == {
         "dim_h": 5, "dim_zh": 2, "dim_hh": 3, "dim_h_cap_gg": 3,
         "dim_a": 0, "dim_b": 2, "dim_a_fixed": 0, "dim_a_moved": 0, "r0": 0}
@@ -48,7 +45,7 @@ def test_decompose_h_equals_g():
 
 def test_decompose_trivial_h():
     g = catalog.build("su", 2)
-    d = decompose(HomogeneousPair(g, _no_h(g))).dims()
+    d = decompose(HomogeneousPair(g, [])).dims()
     assert d["dim_h"] == 0 and d["r0"] == 0
 
 
@@ -61,29 +58,29 @@ def test_validate_catalog_pairs():
 
 def test_generator_must_preserve_each_factor():
     g = catalog.pair_from_name("su:2+su:2").algebra
-    swap = fzeros(6, 6)
+    swap = [[F(0)] * 6 for _ in range(6)]
     for i in range(3):
-        swap[i + 3, i] = F(1)
-        swap[i, i + 3] = F(1)
-    rep = validate_pair(HomogeneousPair(g, _no_h(g), [swap]))
+        swap[i + 3][i] = F(1)
+        swap[i][i + 3] = F(1)
+    rep = validate_pair(HomogeneousPair(g, [], [swap]))
     failed = {c["name"]: c["witness"] for c in rep.failures()}
     assert failed == {"generator_preserves_each_factor": (0, "su(2)")}
 
 
 def test_generator_must_fix_center_pointwise():
     g = catalog.pair_from_name("torus:1+su:2").algebra
-    gamma = feye(4)
-    gamma[0, 0] = F(-1)
-    rep = validate_pair(HomogeneousPair(g, _no_h(g), [gamma]))
+    gamma = eye(4)
+    gamma[0][0] = F(-1)
+    rep = validate_pair(HomogeneousPair(g, [], [gamma]))
     failed = {c["name"]: c["witness"] for c in rep.failures()}
     assert failed == {"generator_fixes_center_pointwise": (0, 0)}
 
 
 def test_generator_must_be_automorphism():
     g = catalog.build("su", 2)
-    bad = feye(3)
-    bad[0, 0] = F(2)   # scaling one axis breaks the bracket
-    rep = validate_pair(HomogeneousPair(g, _no_h(g), [bad]))
+    bad = eye(3)
+    bad[0][0] = F(2)   # scaling one axis breaks the bracket
+    rep = validate_pair(HomogeneousPair(g, [], [bad]))
     assert not rep.ok
     assert any(c["name"] == "generator_is_automorphism" for c in rep.failures())
 
@@ -91,11 +88,11 @@ def test_generator_must_be_automorphism():
 def test_generator_must_preserve_subalgebra():
     g = catalog.build("su", 2)
     # 180-degree rotation about the e0 axis: an automorphism moving e2
-    gamma = fmat([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
-    h = fmat([[0], [0], [1]])   # h = span(e2), sent to -e2: preserved
+    gamma = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    h = [[0], [0], [1]]   # h = span(e2), sent to -e2: preserved
     ok_rep = validate_pair(HomogeneousPair(g, h, [gamma]))
     assert ok_rep.ok
-    h2 = fmat([[1], [1], [0]])  # span(e0+e1) maps to span(e0-e1)
+    h2 = [[1], [1], [0]]  # span(e0+e1) maps to span(e0-e1)
     rep = validate_pair(HomogeneousPair(g, h2, [gamma]))
     assert any(c["name"] == "generator_preserves_subalgebra"
                for c in rep.failures())
@@ -103,27 +100,27 @@ def test_generator_must_preserve_subalgebra():
 
 def test_non_closed_subspace_fails_validation():
     g = catalog.build("su", 2)
-    rep = validate_pair(HomogeneousPair(g, fmat([[1, 0], [0, 1], [0, 0]])))
+    rep = validate_pair(HomogeneousPair(g, [[1, 0], [0, 1], [0, 0]]))
     assert any(c["name"] == "h_bracket_closed" for c in rep.failures())
 
 
 def _columns(m):
-    """The columns of a dense matrix as {row: value} dicts."""
-    return [{i: m[i, j] for i in range(m.shape[0]) if m[i, j]}
-            for j in range(m.shape[1])]
+    """The columns of a square matrix given by rows, as {row: value} dicts."""
+    return [{i: row[j] for i, row in enumerate(m) if row[j]}
+            for j in range(len(m))]
 
 
 def test_generator_order():
-    assert generator_order(_columns(feye(4))) == 1
-    flip = feye(3)
-    flip[1, 1] = F(-1)
-    flip[2, 2] = F(-1)
+    assert generator_order(_columns(eye(4))) == 1
+    flip = eye(3)
+    flip[1][1] = F(-1)
+    flip[2][2] = F(-1)
     assert generator_order(_columns(flip)) == 2
-    rot = fmat([[0, -1], [1, 0]])
+    rot = [[0, -1], [1, 0]]
     assert generator_order(_columns(rot)) == 4
-    irrational_angle = fmat([[F(3, 5), F(-4, 5), 0],
-                             [F(4, 5), F(3, 5), 0],
-                             [0, 0, 1]])
+    irrational_angle = [[F(3, 5), F(-4, 5), 0],
+                        [F(4, 5), F(3, 5), 0],
+                        [0, 0, 1]]
     assert generator_order(_columns(irrational_angle)) is None
 
 
@@ -135,10 +132,10 @@ def test_generator_columns_are_built_once_from_the_matrices():
 
 def test_infinite_order_generator_warns_but_validates():
     g = catalog.build("su", 2)
-    rot = fmat([[F(3, 5), F(-4, 5), 0],
-                [F(4, 5), F(3, 5), 0],
-                [0, 0, 1]])
-    rep = validate_pair(HomogeneousPair(g, _no_h(g), [rot]))
+    rot = [[F(3, 5), F(-4, 5), 0],
+           [F(4, 5), F(3, 5), 0],
+           [0, 0, 1]]
+    rep = validate_pair(HomogeneousPair(g, [], [rot]))
     assert rep.ok
     assert len(rep.warnings) == 1 and "order" in rep.warnings[0]
 
@@ -149,39 +146,46 @@ def test_round_trip_with_generator():
     assert back.algebra.table == pair.algebra.table
     assert back.h == pair.h
     assert len(back.generators) == 1
-    assert (back.generators[0] == pair.generators[0]).all()
+    assert back.generators == pair.generators
     assert validate_pair(back).ok
 
 
 def test_example_4_7_generator_matrix():
     pair = catalog.build("example_4_7")
     gen = pair.generators[0]
-    want = feye(5)
-    want[3, 3] = F(-1)
-    want[4, 4] = F(-1)
-    assert (gen == want).all()
+    want = eye(5)
+    want[3][3] = F(-1)
+    want[4][4] = F(-1)
+    assert gen == want
 
 
 def test_constructor_rejects_bad_shapes():
     g = catalog.build("su", 2)
     try:
-        HomogeneousPair(g, fmat([[1, 0], [0, 1]]))   # 2 rows, need 3
+        HomogeneousPair(g, [[1, 0], [0, 1]])   # 2 rows, need 3
     except ValueError as e:
         assert "rows" in str(e)
     else:
         raise AssertionError("wrong row count accepted")
     try:
-        HomogeneousPair(g, fmat([[1, 2], [0, 0], [0, 0]]))  # dependent columns
+        HomogeneousPair(g, [[1, 2], [0, 0], [0, 0]])  # dependent columns
     except ValueError:
         pass
     else:
         raise AssertionError("dependent columns accepted")
     try:
-        HomogeneousPair(g, _no_h(g), [fmat([[1, 0], [0, 1]])])
+        HomogeneousPair(g, [[1], [0, 1], [0, 0]])  # ragged rows
     except ValueError as e:
-        assert "generator" in str(e)
+        assert "differ in length" in str(e)
     else:
-        raise AssertionError("bad generator shape accepted")
+        raise AssertionError("ragged rows accepted")
+    for gen in ([[1, 0], [0, 1]], [], [[1, 0, 0], [0, 1], [0, 0, 1]]):
+        try:
+            HomogeneousPair(g, [], [gen])
+        except ValueError as e:
+            assert "generator must be 3 x 3" in str(e)
+        else:
+            raise AssertionError("bad generator shape accepted")
     for vec in ([0, 0], [0, 0, 1, 0]):
         try:
             HomogeneousPair.from_vectors(g, [vec])
@@ -195,5 +199,11 @@ def test_from_vectors_matches_matrix_constructor():
     g = catalog.build("su", 3)
     vecs = [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]]
     a = HomogeneousPair.from_vectors(g, vecs)
-    b = HomogeneousPair(g, np.array(vecs, dtype=object).T)
+    # numpy arrays are accepted as rows; the public views are nested lists
+    b = HomogeneousPair(g, np.array(vecs, dtype=object).T,
+                        [np.array(eye(8), dtype=object)])
     assert a.h == b.h
+    assert a.h_basis == b.h_basis == [list(row) for row in zip(*vecs)]
+    assert b.generators == [eye(8)]
+    assert all(type(x) is F for row in b.h_basis + b.generators[0]
+               for x in row)
