@@ -132,6 +132,9 @@ def test_solve_in_span():
     assert coordinates(Subspace(2, [[], []]), [{}]) == [{}]
     with pytest.raises(ValueError):
         coordinates(Subspace(2, [[], []]), [{1: 1}])
+
+
+def test_solve_many_matches_columnwise_solve():
     # a batch of vectors solves like each vector alone, and fails as a
     # whole when one of them escapes
     rng = random.Random(3)
