@@ -47,7 +47,7 @@ from itertools import chain, combinations
 from math import lcm
 
 from .betti import BettiReport
-from .linalg import (F0, F1, SparseMatrix, combination, complex_ranks,
+from .linalg import (SparseMatrix, combination, complex_ranks,
                      coordinates, intersect_kernels, kernel_basis, rank,
                      sparse_product, transpose)
 from .pairs import validate_pair
@@ -126,7 +126,7 @@ def _frame_actions(pair, ann, rows):
     for gcols in pair.generator_columns:
         if rank(gcols, alg.n) != alg.n:
             raise ValueError("generator matrix is singular")
-    return ([_frame_action(rows, [alg.bracket_sparse({f: F1}, y)
+    return ([_frame_action(rows, [alg.bracket_sparse({f: 1}, y)
                                   for f in ann.free]) for y in pair.h.columns],
             [_frame_action(rows, [gcols[f] for f in ann.free])
              for gcols in pair.generator_columns])
@@ -170,7 +170,7 @@ def _derivation_op(theta, index):
                     if not rest & t:
                         row = index[rest | t]
                         odd = (rest & ((i - 1) ^ (t - 1))).bit_count() % 2
-                        acc[row] = acc.get(row, F0) + (-c if odd else c)
+                        acc[row] = acc.get(row, 0) + (-c if odd else c)
         entries = [(r, v) for r, v in acc.items() if v]
         if entries:
             op[col] = entries
@@ -187,7 +187,7 @@ def _wedge_column(action, mon, memo):
             for part, v in prev.items():
                 if not part & t:
                     w = -v * c if (part & -t).bit_count() % 2 else v * c
-                    col[part | t] = col.get(part | t, F0) + w
+                    col[part | t] = col.get(part | t, 0) + w
         memo[mon] = {key: v for key, v in col.items() if v}
     return memo[mon]
 
@@ -197,7 +197,7 @@ def _fixed_op(action, index, memo):
     op = {}
     for col, mon in enumerate(index):
         acc = {index[key]: v for key, v in _wedge_column(action, mon, memo).items()}
-        acc[col] = acc.get(col, F0) - F1
+        acc[col] = acc.get(col, 0) - 1
         entries = [(r, v) for r, v in acc.items() if v]
         if entries:
             op[col] = entries
@@ -290,7 +290,7 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     top = q if max_degree is None else max(0, min(int(max_degree), q))
     ann, rows = _frame(pair)
     theta_mats, gen_mats = _frame_actions(pair, ann, rows)
-    gen_memos = [{0: {0: F1}} for _ in gen_mats]   # the empty wedge is 1
+    gen_memos = [{0: {0: 1}} for _ in gen_mats]   # the empty wedge is 1
     table, scale = _structure_table(alg, ann, rows)
 
     indexes, bases, dims = [], [], []

@@ -10,7 +10,7 @@ i ≤ j, in lexicographic order.
 """
 
 from .liealg import is_bracket_closed
-from .linalg import (F0, F1, SparseMatrix, Subspace, combination,
+from .linalg import (SparseMatrix, Subspace, combination,
                      commutant_operator, coordinates, intersect_kernels, rank,
                      transpose)
 
@@ -125,7 +125,7 @@ def _ad_constraint(R, pairs):
             # row s of R lands in row/column t of the image form
             for p, v in rows.get(s, {}).items():
                 key = index[(p, t) if p < t else (t, p)]
-                acc[key] = acc.get(key, F0) + (2 * v if p == t else v)
+                acc[key] = acc.get(key, 0) + (2 * v if p == t else v)
         op[col] = list(acc.items())
     return op
 
@@ -138,7 +138,7 @@ def _generator_constraint(C, pairs):
     rows = transpose(C)
     op = {}
     for col, (i, j) in enumerate(pairs):
-        acc = {col: -F1}
+        acc = {col: -1}
         ri, rj = (list(rows.get(t, {}).items()) for t in (i, j))
         for x, (a, u) in enumerate(ri):
             # CᵀE_ijC is u vᵀ + v uᵀ (i < j) or u uᵀ (i = j) for u, v the
@@ -146,7 +146,7 @@ def _generator_constraint(C, pairs):
             for b, w in (rj if i < j else ri[x:]):
                 key = index[(a, b) if a <= b else (b, a)]
                 val = 2 * u * w if a == b and i < j else u * w
-                acc[key] = acc.get(key, F0) + val
+                acc[key] = acc.get(key, 0) + val
         op[col] = list(acc.items())
     return op
 

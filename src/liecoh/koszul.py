@@ -40,7 +40,7 @@ from itertools import combinations
 from .betti import BettiReport
 from .invariant_forms import (action_coordinates, ad_coordinates,
                               invariant_sym_forms, restrict_form, vee)
-from .linalg import (F0, SparseMatrix, complex_ranks, coordinates,
+from .linalg import (SparseMatrix, complex_ranks, coordinates,
                      intersect_kernels, kernel_basis, rank, sparse_product,
                      transpose)
 from .pairs import validate_pair
@@ -93,14 +93,14 @@ def cartan_rho(alg, eta):
     for (a, b), terms in alg.table.items():
         for t, ct in terms:
             for c, v in rows.get(t, ()):
-                rho[(a, b, c)] = rho.get((a, b, c), F0) + ct * v
+                rho[(a, b, c)] = rho.get((a, b, c), 0) + ct * v
     rho = {k: v for k, v in rho.items() if v}
     for (a, b, c), v in list(rho.items()):
         rho[(b, a, c)] = -v
     # antisymmetric in (x,y) by construction; alternating iff additionally
     # antisymmetric under swapping the last two arguments
     for (a, b, c), v in rho.items():
-        if rho.get((a, c, b), F0) != -v:
+        if rho.get((a, c, b), 0) != -v:
             raise ValueError("eta not invariant")
     return {k: v for k, v in rho.items() if k[0] < k[1] < k[2]}
 

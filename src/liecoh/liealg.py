@@ -19,7 +19,7 @@ both simplicity halves run through the nonzero structure constants.
 from itertools import combinations
 
 from .linalg import (F0, F1, Subspace, combination, commutant_operator,
-                     echelon_insert, fr, intersect, intersect_kernels,
+                     echelon_insert, exact, fr, intersect, intersect_kernels,
                      is_spd, rat_str)
 
 
@@ -27,8 +27,8 @@ from .linalg import (F0, F1, Subspace, combination, commutant_operator,
 # is allocated, so an oversized request fails at once with a ValueError.
 # so(n), su(n) and sp(n) read their constants off the matrix units of their
 # bases: on one 2-core box su(8) (n = 63) builds in 0.02 s and validates in
-# 0.9 s, sp(5) (n = 55) builds in 0.01 s and validates in 0.9 s, and
-# sphere:10 (n = 55) validates in 0.5 s.  64 keeps every accepted input
+# 0.5 s, sp(5) (n = 55) builds in 0.01 s and validates in 0.4 s, and
+# sphere:10 (n = 55) validates in 0.25 s.  64 keeps every accepted input
 # tractable.
 MAX_DIM = 64
 
@@ -52,6 +52,14 @@ def array_field(value, field):
     ValueError naming the field (a string is not read as its characters)."""
     if not isinstance(value, list):
         raise ValueError("%s must be an array, not %r" % (field, value))
+    return value
+
+
+def object_field(value, field):
+    """A document field that must be a JSON object: the dict itself, else a
+    ValueError naming the field."""
+    if not isinstance(value, dict):
+        raise ValueError("%s must be an object, not %r" % (field, value))
     return value
 
 
@@ -109,7 +117,8 @@ class LieAlgebra:
     """Immutable (after validation) compact reductive Lie algebra model.
 
     factors: list of (name, start, stop) index ranges partitioning l .. n-1.
-    table:   {(i, j): ((k, Fraction), ...)} with i < j, global indices.
+    table:   {(i, j): ((k, c), ...)} with i < j, global indices; c is an
+             int when integral, else a Fraction (linalg.exact).
     """
 
     def __init__(self, center_dim, factors, table):
@@ -129,8 +138,8 @@ class LieAlgebra:
             for k, c in terms:
                 if not 0 <= k < self.n:
                     raise ValueError("structure constant target out of range: %d" % k)
-                agg[k] = agg.get(k, F0) + fr(c)
-            merged = tuple(sorted((k, c) for k, c in agg.items() if c != 0))
+                agg[k] = agg.get(k, 0) + fr(c)
+            merged = tuple(sorted((k, exact(c)) for k, c in agg.items() if c))
             if merged:
                 tbl[(i, j)] = merged
         self.table = tbl
@@ -197,7 +206,7 @@ class LieAlgebra:
                     continue
                 if terms:
                     for k, c in terms:
-                        out[k] = out.get(k, F0) + coef * c
+                        out[k] = out.get(k, 0) + coef * c
         return {k: c for k, c in out.items() if c}
 
     def ad_sparse(self):
@@ -206,8 +215,8 @@ class LieAlgebra:
             ads = [dict() for _ in range(self.n)]
             for (i, j), terms in self.table.items():
                 for k, c in terms:
-                    ads[i][(k, j)] = ads[i].get((k, j), F0) + c
-                    ads[j][(k, i)] = ads[j].get((k, i), F0) - c
+                    ads[i][(k, j)] = ads[i].get((k, j), 0) + c
+                    ads[j][(k, i)] = ads[j].get((k, i), 0) - c
             self._ad_sparse = [
                 {kc: v for kc, v in ad.items() if v} for ad in ads]
         return self._ad_sparse
@@ -222,14 +231,13 @@ class LieAlgebra:
             K = [[F0] * self.n for _ in range(self.n)]
             for i in range(self.n):
                 for j in range(i, self.n):
-                    t = F0
+                    t = 0
                     adj = ads[j]
                     for (a, b), c in ads[i].items():
                         d = adj.get((b, a))
                         if d is not None:
                             t += c * d
-                    K[i][j] = t
-                    K[j][i] = t
+                    K[i][j] = K[j][i] = fr(t)
             self._killing = K
         return self._killing
 
@@ -285,7 +293,8 @@ class LieAlgebra:
     @classmethod
     def from_dict(cls, data):
         specs = []
-        for fac in data.get("factors", []):
+        for fac in object_field(data, "algebra").get("factors", []):
+            fac = object_field(fac, "factor")
             if "type" in fac:
                 from . import catalog
                 specs.append(catalog.factor_from_shorthand(fac))
@@ -344,20 +353,13 @@ def validate(alg):
     """Check every LieAlgebra invariant; returns a ValidationReport."""
     rep = ValidationReport()
 
-    # center brackets vanish: any stored entry touching an index < l fails
-    bad = None
-    for (i, j), terms in alg.table.items():
-        if i < alg.l or j < alg.l:
-            bad = (i, j)
-            break
+    # center brackets vanish: a stored key (i, j), i < j, with i < l fails
+    bad = next(((i, j) for i, j in alg.table if i < alg.l), None)
     rep.add("center_brackets_vanish", bad is None, bad)
 
     # cross-factor brackets vanish, and each factor is bracket-closed
-    def factor_of(idx):
-        for fi, (_, start, stop) in enumerate(alg.factors):
-            if start <= idx < stop:
-                return fi
-        return None
+    factor_of = {t: fi for fi, (_, start, stop) in enumerate(alg.factors)
+                 for t in range(start, stop)}.get
 
     bad_cross = None
     bad_closed = None
@@ -430,13 +432,13 @@ def _jacobi_witness(alg):
             total = {}
             for m, a in ij:
                 for r, c in cols[m].get(k, {}).items():
-                    total[r] = total.get(r, F0) + a * c
+                    total[r] = total.get(r, 0) + a * c
             for m, a in adj.get(k, {}).items():
                 for r, c in adi.get(m, {}).items():
-                    total[r] = total.get(r, F0) - a * c
+                    total[r] = total.get(r, 0) - a * c
             for m, a in adi.get(k, {}).items():
                 for r, c in adj.get(m, {}).items():
-                    total[r] = total.get(r, F0) + a * c
+                    total[r] = total.get(r, 0) + a * c
             if any(total.values()):
                 return (i, j, k)
     return None
@@ -454,11 +456,11 @@ def _closure_witness(alg, name, start, stop):
     dim = stop - start
     for v in range(start, stop):
         echelon = {}
-        todo = [echelon_insert(echelon, {v: F1})]
+        todo = [echelon_insert(echelon, {v: 1})]
         while todo and len(echelon) < dim:
             u = todo.pop()
             for i in range(start, stop):
-                row = echelon_insert(echelon, alg.bracket_sparse({i: F1}, u))
+                row = echelon_insert(echelon, alg.bracket_sparse({i: 1}, u))
                 if row is not None:
                     todo.append(row)
         if len(echelon) < dim:

@@ -1,9 +1,10 @@
 """Exact rational linear algebra on sparse rows and columns.
 
 A matrix is a list of {col: value} rows, or {col: [(row, value)]}
-columns, which a SparseMatrix carries with its shape; values are
-Fractions or ints.  rank and kernel_basis also take plain sequences as
-rows.  Every elimination goes through one exact engine, _sparse_echelon:
+columns, which a SparseMatrix carries with its shape; a value is an int
+when integral, else a Fraction (exact), and every quotient goes through
+Fraction.  rank and kernel_basis also take plain sequences as rows.
+Every elimination goes through one exact engine, _sparse_echelon:
 each row is cleared to integers once (lcm of denominators) and held as a
 {col: int} dict, then eliminated with the gcd-scaled two-term update, so
 no rationals appear inside the hot loop and the cost tracks the nonzero
@@ -53,12 +54,17 @@ def fr(x):
     raise TypeError("not an exact rational: %r" % (x,))
 
 
+def exact(x):
+    """fr(x) held by the package's number rule: an int when integral."""
+    if type(x) is int:
+        return x
+    x = fr(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def rat_str(q):
     """Serialize a rational as "p" (denominator 1) or "p/q"."""
-    q = fr(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    return str(exact(q))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +166,7 @@ def echelon_insert(echelon, v):
     """Grow an echelon basis by one sparse vector; the new row, or None.
 
     echelon is a {pivot column: {col: int}} dict whose rows hold no column
-    before their pivot, grown in place; v is a {col: Fraction} vector.  v is
+    before their pivot, grown in place; v is a {col: value} vector.  v is
     reduced from its leading column up: it lies in the span exactly when it
     reduces to zero, and otherwise its remainder is added under its own
     leading column and returned.
@@ -210,7 +216,7 @@ def complex_ranks(maps):
 def _kernel_columns(rows, ncols):
     """Kernel of sparse integer rows as (columns, free).
 
-    Each column is a {col: Fraction} dict with a 1 on its own free column
+    Each column is a {col: value} dict with a 1 on its own free column
     and zeros on every other free column, so free[j] is a coordinate on
     which basis column j alone is nonzero.
     """
@@ -227,21 +233,21 @@ def _kernel_columns(rows, ncols):
                 holders.setdefault(j, []).append(-i)
     cols = []
     for f in free:
-        v = {f: F1}
+        v = {f: 1}
         heap = list(holders.get(f, ()))
         heapify(heap)
         queued = set(heap)
         while heap:
             i = -heappop(heap)
             row = rows[i]
-            s = F0
+            s = 0
             for j, val in row.items():
                 x = v.get(j)
                 if x is not None:
                     s += val * x
             if s:
                 pc = pivots[i]
-                v[pc] = -s / row[pc]
+                v[pc] = exact(Fraction(-s, row[pc]))
                 for key in holders.get(pc, ()):
                     if key not in queued:
                         queued.add(key)
@@ -330,7 +336,7 @@ class Subspace:
         k = len(rows[0]) if rows else 0
         if any(len(row) != k for row in rows):
             raise ValueError("basis rows differ in length")
-        columns = [{i: row[j] for i, row in enumerate(rows) if row[j]}
+        columns = [{i: exact(r[j]) for i, r in enumerate(rows) if r[j]}
                    for j in range(k)]
         if rank(columns, ambient_dim) != k:
             raise ValueError("basis columns are dependent")
@@ -391,7 +397,7 @@ def zero_subspace(n):
 
 
 def full_subspace(n):
-    return Subspace.from_columns(n, [{i: F1} for i in range(n)], list(range(n)))
+    return Subspace.from_columns(n, [{i: 1} for i in range(n)], list(range(n)))
 
 
 def combination(columns, coeffs):
@@ -496,13 +502,13 @@ def intersect_kernels(operators, dim):
             for c, entries in op.items():
                 for r, v in entries:
                     row = rows.setdefault(r, {})
-                    row[c] = row.get(c, F0) + v
+                    row[c] = row.get(c, 0) + v
         else:
             for j, vec in enumerate(cols):
                 for c, x in vec.items():
                     for r, v in op.get(c, ()):
                         row = rows.setdefault(r, {})
-                        row[j] = row.get(j, F0) + v * x
+                        row[j] = row.get(j, 0) + v * x
         kcols, kfree = _kernel_columns(_int_rows_sparse(rows.values()),
                                        dim if cols is None else len(cols))
         if cols is None:

@@ -20,8 +20,8 @@ input, as row-major nested lists of Fractions like the JSON document.
 
 from .invariant_forms import fixed_vectors
 from .liealg import (LieAlgebra, array_field, center_and_derived,
-                     is_bracket_closed, validate)
-from .linalg import (F0, F1, Subspace, combination, fr, intersect,
+                     is_bracket_closed, object_field, validate)
+from .linalg import (F0, Subspace, combination, exact, fr, intersect,
                      orth_complement, rat_str, subspace_sum)
 
 # Generator order beyond which validate_pair warns
@@ -50,7 +50,7 @@ class HomogeneousPair:
         elif len(h_basis) != n:
             raise ValueError("h_basis must have %d rows" % n)
         self.h = Subspace(n, h_basis)  # checks column independence
-        self.h_basis = [[col.get(i, F0) for col in self.h.columns]
+        self.h_basis = [[fr(col.get(i, F0)) for col in self.h.columns]
                         for i in range(n)]
         gens = []
         for g in generators:
@@ -60,8 +60,8 @@ class HomogeneousPair:
             gens.append(g)
         self.generators = gens
         self.generator_columns = [
-            [{i: g[i][j] for i in range(n) if g[i][j]} for j in range(n)]
-            for g in gens]
+            [{i: exact(g[i][j]) for i in range(n) if g[i][j]}
+             for j in range(n)] for g in gens]
 
     @classmethod
     def from_vectors(cls, algebra, vectors, generators=()):
@@ -90,7 +90,8 @@ class HomogeneousPair:
     def from_dict(cls, data):
         alg = LieAlgebra.from_dict(data["algebra"])
         vectors = [[fr(c) for c in array_field(v, "subalgebra basis vector")]
-                   for v in data.get("subalgebra", {}).get("basis", [])]
+                   for v in object_field(data.get("subalgebra", {}),
+                                         "subalgebra").get("basis", [])]
         gens = [[array_field(row, "generator row")
                  for row in array_field(g, "generator")]
                 for g in data.get("component_generators", [])]
@@ -176,7 +177,7 @@ def validate_pair(pair):
         ((gi, name) for gi, cols in enumerate(gcols)
          for name, start, stop in alg.factors
          if Subspace.span(n, cols[start:stop])
-         != Subspace.span(n, [{t: F1} for t in range(start, stop)])), None)
+         != Subspace.span(n, [{t: 1} for t in range(start, stop)])), None)
     rep.add("generator_preserves_each_factor", bad_factor is None, bad_factor)
 
     for gi, cols in enumerate(gcols):
@@ -200,7 +201,7 @@ def decompose(pair):
     gcols = pair.generator_columns
 
     zh, hh = center_and_derived(alg, pair.h)
-    gg = Subspace.span(n, [{t: F1} for t in alg.derived_indices()])
+    gg = Subspace.span(n, [{t: 1} for t in alg.derived_indices()])
     a = intersect(zh, gg)
     hcapgg = intersect(pair.h, gg)
     b = intersect(orth_complement(hcapgg, gram), pair.h)

@@ -174,6 +174,25 @@ def test_strings_where_arrays_belong_are_input_errors(tmp_path, capsys):
         assert "not a valid pair document" in err and message in err, err
 
 
+def test_strings_where_objects_belong_are_input_errors(tmp_path, capsys):
+    # each used to end in AttributeError: 'str' object has no attribute 'get'
+    cases = []
+    doc = catalog.emit("sphere:2")
+    doc["subalgebra"] = "x"
+    cases.append(("subalgebra must be an object", doc))
+    doc = catalog.emit("sphere:2")
+    doc["algebra"] = "x"
+    cases.append(("algebra must be an object", doc))
+    doc = catalog.emit("sphere:2")
+    doc["algebra"]["factors"] = ["x"]
+    cases.append(("factor must be an object", doc))
+    for message, doc in cases:
+        assert main(["compute", _write(tmp_path, doc)]) == 1, message
+        err = capsys.readouterr().err
+        assert "not a valid pair document" in err and message in err, err
+        assert "Traceback" not in err
+
+
 def test_jacobi_violation_reported_with_witness(tmp_path, capsys):
     path = _write(tmp_path, JACOBI_TYPO_DOC)
     code = main(["compute", path])

@@ -1,19 +1,29 @@
-"""Design guards: one sparse matrix representation, and no numpy.
+"""Design guards: one sparse matrix representation, one number rule, and
+no numpy.
 
 Every module works on sparse {index: value} vectors, structure constant
 tables, subspace columns and SparseMatrix columns; the only dense matrices
 are the nested-list views of the input (h_basis, the generators, the
 Killing and canonical Gram rows), and the method modules do not touch
-those.  The library runs with numpy absent.
+those.  A sparse value is an int when integral and a Fraction only when
+not, and no float reaches any method.  The library runs with numpy absent.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import liecoh
+from liecoh import catalog
+from liecoh.ce import relative_complex
+from liecoh.invariant_forms import psi_analysis
+from liecoh.koszul import build_complex
+from liecoh.linalg import SparseMatrix, Subspace
+
+import pairgen
 
 ROOT = Path(liecoh.__file__).parent
 
@@ -54,6 +64,45 @@ def test_method_modules_use_no_dense_helpers():
         found = sorted(used for kind, used in set(_used_names(ROOT / name))
                        if kind == "attr" and used in DENSE_VIEWS)
         assert not found, (name, found)
+
+
+def _numbers(obj):
+    """The numbers held in nested dict values, lists, tuples, Subspace
+    columns and SparseMatrix columns (None holds none)."""
+    if isinstance(obj, Subspace):
+        obj = obj.columns
+    elif isinstance(obj, SparseMatrix):
+        obj = obj.cols
+    if isinstance(obj, dict):
+        obj = obj.values()
+    if isinstance(obj, (int, float, Fraction)):
+        yield obj
+    elif obj is not None:
+        for x in obj:
+            yield from _numbers(x)
+
+
+def test_number_rule_on_input_and_no_float_in_the_methods():
+    names = ["sphere:%d" % n for n in range(4, 8)] + ["flag_su3",
+                                                     "stiefel:6:2"]
+    cases = [(name, catalog.pair_from_name(name)) for name in names]
+    seen = set()
+    for label, pair in cases + pairgen.suite():
+        held = list(_numbers([pair.algebra.table, pair.h,
+                              pair.generator_columns]))
+        assert all(type(x) is int or (type(x) is Fraction
+                                      and x.denominator > 1)
+                   for x in held), label
+        cx = relative_complex(pair, max_degree=4, validate=False)
+        psi = psi_analysis(pair)
+        slices = build_complex(pair, validate=False)
+        derived = list(_numbers([cx.bases, cx.deltas, psi.form_basis,
+                                 psi.psi_matrix,
+                                 [s.differential for s in slices]]))
+        assert all(type(x) in (int, Fraction) for x in derived), label
+        seen.update(type(x) for x in held + derived)
+    # both number types occur, so the guard is not vacuous
+    assert seen == {int, Fraction}
 
 
 # run in a child interpreter in which every import of numpy fails
