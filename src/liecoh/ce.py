@@ -40,32 +40,48 @@ taken in increasing degree as one complex (linalg.complex_ranks): the
 echelon of delta_k's columns has distinct leading rows P_k, and since
 delta o delta = 0 (checked above) delta_{k+1} is ranked on its columns off
 P_k only: most of the columns that would reduce to zero are never touched.
+
+betti_ce splits the pair first.  _blocks merges the coordinates of each
+simple factor, of the support of each h basis column, and of the columns a
+generator moves together with their images; as validate_pair checks,
+center and cross-factor brackets vanish and generators fix the center and
+preserve each factor, so each block is an ideal, h is the sum of its parts
+in the blocks and a generator is the identity off one block.  Each h_i and
+gamma then acts on one tensor factor of the wedge algebra, ker(A x 1) =
+ker A x V, so the invariant complex is the tensor product of the blocks'
+complexes and delta a derivation of it.  Over Q, Kunneth multiplies their
+Poincare polynomials, as it does the complex dimensions, and the ranks
+follow from dim_k - b_k = r_k + r_{k-1}.  A pair of one block is passed on
+as itself.
 """
 
 import os
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import lcm
 
 from .betti import BettiReport
+from .liealg import LieAlgebra
 from .linalg import (SparseMatrix, combination, complex_ranks,
                      coordinates, intersect_kernels, kernel_basis, rank,
                      sparse_product, transpose)
-from .pairs import validate_pair
+from .pairs import HomogeneousPair, validate_pair
 
 DEFAULT_SIZE_CAP = 14
 
 
-def _effective_size_cap(size_cap):
-    """size_cap, else LIECOH_SIZE_CAP, else DEFAULT_SIZE_CAP."""
-    if size_cap is not None:
-        return int(size_cap)
+def _effective_size_cap(size_cap, q=0):
+    """size_cap, else LIECOH_SIZE_CAP, else DEFAULT_SIZE_CAP; a ValueError
+    when the quotient dimension q exceeds it."""
     env = os.environ.get("LIECOH_SIZE_CAP")
-    if not env:
-        return DEFAULT_SIZE_CAP
-    if not env.strip().isdecimal():
+    if size_cap is None and env and not env.strip().isdecimal():
         raise ValueError("LIECOH_SIZE_CAP must be a non-negative integer, "
                          "not %r" % env)
-    return int(env)
+    cap = int(size_cap if size_cap is not None else env or DEFAULT_SIZE_CAP)
+    if q > cap:
+        raise ValueError(
+            "quotient dimension %d exceeds the size cap %d; set LIECOH_SIZE_CAP "
+            "or pass size_cap to go further" % (q, cap))
+    return cap
 
 
 class RelativeComplex:
@@ -282,11 +298,7 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
         validate_pair(pair).ensure()
     alg = pair.algebra
     q = alg.n - pair.h.dim
-    cap = _effective_size_cap(size_cap)
-    if q > cap:
-        raise ValueError(
-            "quotient dimension %d exceeds the size cap %d; set LIECOH_SIZE_CAP "
-            "or pass size_cap to go further" % (q, cap))
+    _effective_size_cap(size_cap, q)
     top = q if max_degree is None else max(0, min(int(max_degree), q))
     ann, rows = _frame(pair)
     theta_mats, gen_mats = _frame_actions(pair, ann, rows)
@@ -322,22 +334,76 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     return RelativeComplex(pair, ann, q, top, dims, bases, deltas, scale)
 
 
+def _blocks(pair):
+    """The coordinate sets of g on which the pair splits, sorted: the
+    components of the overlapping sets given by each simple factor, the
+    support of each h basis column, and the columns a generator moves
+    (gamma e_j != e_j) together with the supports of their images."""
+    groups = [range(start, stop) for _, start, stop in pair.algebra.factors]
+    groups += [col.keys() for col in pair.h.columns]
+    for gcols in pair.generator_columns:
+        moved = [j for j, col in enumerate(gcols) if col != {j: 1}]
+        groups.append(set(moved).union(*(gcols[j] for j in moved)))
+    blocks = []
+    for group in map(set, groups + [{i} for i in range(pair.algebra.n)]):
+        apart = [b for b in blocks if not b & group]
+        blocks = apart + [group.union(*(b for b in blocks if b & group))]
+    return sorted(map(sorted, blocks))
+
+
+def _block_pair(pair, coords):
+    """The pair on the ideal with basis coords, a block of _blocks: the h
+    columns and the generators that move it, restricted to it."""
+    alg = pair.algebra
+    if len(coords) == alg.n:
+        return pair
+    at = {c: i for i, c in enumerate(coords)}
+    algebra = LieAlgebra(
+        sum(c < alg.l for c in coords),
+        [(name, stop - start) for name, start, stop in alg.factors
+         if start in at],
+        {(at[i], at[j]): [(at[k], c) for k, c in terms]
+         for (i, j), terms in alg.table.items() if i in at})
+    h = [[col.get(c, 0) for col in pair.h.columns if col.keys() <= at.keys()]
+         for c in coords]
+    return HomogeneousPair(algebra, h, [
+        [[gcols[j].get(i, 0) for j in coords] for i in coords]
+        for gcols in pair.generator_columns
+        if any(gcols[j] != {j: 1} for j in coords)])
+
+
+def _times(a, b, top):
+    """The product of the polynomials a and b, cut after degree top."""
+    return [sum(x * b[k - i] for i, x in enumerate(a) if 0 <= k - i < len(b))
+            for k in range(min(len(a) + len(b) - 2, top) + 1)]
+
+
 def betti_ce(pair, max_degree=None, size_cap=None, validate=True):
-    """Betti numbers from the invariant cochain complex (exact ranks)."""
-    cx = relative_complex(pair, max_degree=max_degree, size_cap=size_cap,
-                          validate=validate)
-    ranks = complex_ranks(cx.deltas)
-    betti = [cx.dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
-             for k in range(cx.max_degree + 1)]
-    if betti[0] != 1:
-        raise RuntimeError("degree-0 cohomology is not one-dimensional; "
-                           "the quotient must be connected")
+    """Betti numbers from the invariant cochain complex (exact ranks),
+    assembled and ranked block by block."""
+    if validate:
+        validate_pair(pair).ensure()
+    q = pair.algebra.n - pair.h.dim
+    cap = _effective_size_cap(size_cap, q)
+    top = q if max_degree is None else max(0, min(int(max_degree), q))
+    betti, dims = [1], [1]
+    for coords in _blocks(pair):
+        cx = relative_complex(_block_pair(pair, coords), max_degree=top,
+                              size_cap=cap, validate=False)
+        ranks = complex_ranks(cx.deltas)
+        block = [d - r - s for d, r, s in zip(cx.dims, ranks, [0] + ranks)]
+        if block[0] != 1:
+            raise RuntimeError("degree-0 cohomology is not one-dimensional; "
+                               "the quotient must be connected")
+        betti = _times(betti, block, top)
+        dims = _times(dims, cx.dims, top)
+    # dim_k - b_k = r_k + r_{k-1}, with r_k the rank of delta_k
+    ranks = list(accumulate((d - b for d, b in zip(dims, betti)),
+                            lambda r, x: x - r))
     return BettiReport(
         betti, "ce",
-        intermediates={"quotient_dim": cx.quotient_dim,
-                       "max_degree": cx.max_degree},
-        diagnostics={"complex_dims": cx.dims[:cx.max_degree + 1],
-                     "ranks": ranks})
+        intermediates={"quotient_dim": q, "max_degree": top},
+        diagnostics={"complex_dims": dims, "ranks": ranks})
 
 
 def poincare_check(report, dim_quotient):

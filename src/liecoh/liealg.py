@@ -7,13 +7,14 @@ ideals g_1, ..., g_r.  Structure constants are stored sparsely for i < j only;
 
 Factors are declared by the input and verified, never discovered:
 discovery would need idempotent splitting of the adjoint commutant, which
-can fail over Q.  Simplicity is verified by the ideal closure of each basis
-vector plus the dimension of the factor's ad-commutant.  For a factor whose
-Killing form is negative definite (a compact semisimple one) the commutant
-is spanned by the projections onto its simple ideals, so dimension 1 is
-exactly simplicity and the check is complete; a fused factor such as so(4)
-in its standard coordinates is rejected.  Brackets, the Jacobi check and
-both simplicity halves run through the nonzero structure constants.
+can fail over Q.  Simplicity is verified by the dimension of the factor's
+ad-commutant.  For a factor whose Killing form is negative definite (a
+compact semisimple one) the commutant is spanned by the projections onto
+its simple ideals, so dimension 1 is exactly simplicity; a fused factor
+such as so(4) in its standard coordinates is rejected.  A failing factor's
+witness is a basis vector whose ideal closure is smaller, if it has one
+(closures are grown only then, or when Jacobi fails).  All of it runs
+through the nonzero structure constants.
 """
 
 from itertools import combinations
@@ -391,19 +392,20 @@ def validate(alg):
             break
     rep.add("killing_negative_definite_per_factor", bad_factor is None, bad_factor)
 
-    # each declared factor is simple, in two halves.  The ideal closure of
-    # every basis vector must be the whole factor; that names a witness
-    # (name, index), but a vector can meet every simple ideal of a fused
-    # factor.  The ad-commutant must be the scalars, i.e. 1-dimensional;
-    # given the negative-definite Killing form, that is exactly simplicity.
+    # each declared factor is simple: the ad-commutant must be the scalars,
+    # which given Jacobi and the negative-definite Killing form is exactly
+    # simplicity, and then every ideal closure is the whole factor.  So the
+    # closures are grown only otherwise, to name a vector whose closure is
+    # smaller; a vector can meet every simple ideal of a fused factor, so
+    # the commutant dimension is the fallback witness.
     bad_simple = None
     if bad_factor is None and bad_cross is None and bad_closed is None:
         for name, start, stop in alg.factors:
-            bad_simple = _closure_witness(alg, name, start, stop)
-            if bad_simple is None:
-                k = _commutant_dim(alg, start, stop)
-                if k != 1:
-                    bad_simple = (name, "commutant_dim", k)
+            k = _commutant_dim(alg, start, stop)
+            if k != 1 or bad_jacobi is not None:
+                bad_simple = _closure_witness(alg, name, start, stop)
+            if bad_simple is None and k != 1:
+                bad_simple = (name, "commutant_dim", k)
             if bad_simple:
                 break
     rep.add("factors_simple", bad_simple is None, bad_simple)

@@ -42,10 +42,11 @@ SparseMatrix = namedtuple("SparseMatrix", "cols nrows ncols")
 
 def fr(x):
     """Fraction from an int, a Fraction, or a string "p" / "p/q" with q != 0;
-    any other string (decimals, exponents, spaces) is a ValueError."""
+    any other string (decimals, exponents, spaces) is a ValueError, and a
+    bool, like any other type, a TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         if not _RATIONAL.fullmatch(x) or not int(x.partition("/")[2] or 1):

@@ -14,6 +14,7 @@ from liecoh.koszul import betti_koszul
 from liecoh.pairs import HomogeneousPair, validate_pair
 from liecoh.linalg import SparseMatrix, Subspace, rank
 
+import pairgen
 from pairgen import eye
 
 
@@ -289,14 +290,58 @@ def test_ranks_skip_the_columns_the_degree_below_kills(monkeypatch):
         rows = list(rows)
         handed.append(len(rows))
         return real(rows)
+    # the pair splits into two blocks, so betti_ce ranks their complexes;
+    # the clearing is counted on the whole complex, ranked here directly
+    assert betti_ce(pair).diagnostics["ranks"] == alone
     monkeypatch.setattr(linalg, "_int_rows_sparse", counted)
-    monkeypatch.setattr(ce, "relative_complex", lambda *args, **kw: cx)
-    rep = betti_ce(pair)
-    assert rep.diagnostics["ranks"] == alone
+    assert linalg.complex_ranks(cx.deltas) == alone
     # degree k hands the elimination every column off the leading rows of
     # delta_{k-1}'s echelon, zero columns included, and nothing else
     assert handed == [cx.dims[k] - (alone[k - 1] if k else 0)
                       for k in range(len(cx.deltas))]
+
+
+def _whole(pair, max_degree):
+    """Betti numbers, complex dims and ranks of the whole complex of pair."""
+    cx = relative_complex(pair, max_degree=max_degree, validate=False)
+    ranks = linalg.complex_ranks(cx.deltas)
+    betti = [cx.dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
+             for k in range(cx.max_degree + 1)]
+    return betti, cx.dims[:cx.max_degree + 1], ranks
+
+
+def test_blocks_multiply_to_the_whole_complex():
+    cases = pairgen.suite() + [
+        (name, _free(catalog.pair_from_name(name).algebra))
+        for name in ("so:5+torus:1", "su:2+su:3", "so:5+su:2+torus:1")]
+    cases.append(("example_4_7", catalog.pair_from_name("example_4_7")))
+    split = 0
+    for label, pair in cases:
+        split += len(ce._blocks(pair)) > 1
+        for top in (None, 2):
+            rep = betti_ce(pair, max_degree=top)
+            assert (rep.betti, rep.diagnostics["complex_dims"],
+                    rep.diagnostics["ranks"]) == _whole(pair, top), (label, top)
+    assert split >= len(cases) // 2
+
+
+def test_a_generator_moving_two_factors_joins_them():
+    # S^2 x S^2 over the half-turn of both factors at once: it negates both
+    # degree-2 classes and fixes their product
+    alg = catalog.pair_from_name("su:2+su:2").algebra
+    signs = [-1, -1, 1, -1, -1, 1]
+    gen = [[Fraction(signs[i] if i == j else 0) for j in range(6)]
+           for i in range(6)]
+    units = [[Fraction(int(i == t)) for i in range(6)] for t in (0, 3)]
+    pair = HomogeneousPair.from_vectors(alg, units, [gen])
+    assert ce._blocks(pair) == [list(range(6))]
+    assert betti_ce(pair).betti == [1, 0, 0, 0, 1]
+    # restricted to each factor the half-turn kills its class: two real
+    # projective planes, whose product has no degree-4 class
+    plane = HomogeneousPair.from_vectors(
+        catalog.pair_from_name("su:2").algebra, [units[0][:3]],
+        [[row[:3] for row in gen[:3]]])
+    assert betti_ce(plane).betti == [1, 0, 0]
 
 
 def test_su4_group_manifold_full_vector():

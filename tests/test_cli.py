@@ -148,6 +148,25 @@ def test_malformed_rationals_are_input_errors(tmp_path, capsys):
         assert "not a valid pair document" in err and value in err, err
 
 
+def test_bools_where_rationals_belong_are_input_errors(tmp_path, capsys):
+    # a JSON true or false used to be read as 1 or 0
+    cases = []
+    doc = catalog.emit("sphere:2")
+    doc["subalgebra"]["basis"][0][0] = True
+    cases.append(("True", doc))
+    doc = catalog.emit("sphere:2")
+    doc["algebra"]["factors"][0]["structure_constants"][0][3] = False
+    cases.append(("False", doc))
+    doc = catalog.emit("sphere:2")
+    doc["component_generators"] = [[[True, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    cases.append(("True", doc))
+    for value, doc in cases:
+        assert main(["compute", _write(tmp_path, doc)]) == 1, value
+        err = capsys.readouterr().err
+        assert "not a valid pair document" in err and value in err, err
+        assert "Traceback" not in err
+
+
 def test_strings_where_arrays_belong_are_input_errors(tmp_path, capsys):
     # a string used to be read character by character: "100" as a basis
     # vector or a generator row was the vector [1, 0, 0], and "0121" as a

@@ -7,6 +7,8 @@ are the nested-list views of the input (h_basis, the generators, the
 Killing and canonical Gram rows), and the method modules do not touch
 those.  A sparse value is an int when integral and a Fraction only when
 not, and no float reaches any method.  The library runs with numpy absent.
+The cochain method hands the complex builder the blocks a pair splits
+into, never their product.
 """
 
 import ast
@@ -17,11 +19,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import liecoh
-from liecoh import catalog
+from liecoh import catalog, ce
 from liecoh.ce import relative_complex
 from liecoh.invariant_forms import psi_analysis
 from liecoh.koszul import build_complex
 from liecoh.linalg import SparseMatrix, Subspace
+from liecoh.pairs import HomogeneousPair
 
 import pairgen
 
@@ -136,3 +139,24 @@ def test_cli_runs_without_numpy(tmp_path):
         [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path)],
         capture_output=True, text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
+
+
+def test_ce_builds_the_blocks_of_a_pair(monkeypatch):
+    handed = []
+    real = ce.relative_complex
+
+    def spy(pair, *args, **kw):
+        handed.append(pair)
+        return real(pair, *args, **kw)
+    monkeypatch.setattr(ce, "relative_complex", spy)
+    # g = so(5) + su(2) + R with h = 0 is three blocks, q = 10, 3 and 1,
+    # whose wedge spaces hold 2^10 + 2^3 + 2^1 monomials instead of 2^14
+    product = HomogeneousPair(
+        catalog.pair_from_name("so:5+su:2+torus:1").algebra, [])
+    ce.betti_ce(product)
+    assert sorted(p.algebra.n - p.h.dim for p in handed) == [1, 3, 10]
+    # a pair of one block is handed over as itself, not rebuilt
+    handed.clear()
+    sphere = catalog.pair_from_name("sphere:7")
+    ce.betti_ce(sphere)
+    assert len(handed) == 1 and handed[0] is sphere

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from liecoh import catalog
+from liecoh import catalog, liealg
 from liecoh.liealg import (LieAlgebra, ValidationError, center_and_derived,
                            is_bracket_closed, validate)
 from liecoh.linalg import Subspace
@@ -356,3 +356,21 @@ def test_validate_rejects_so4_declared_as_one_factor():
     assert simple[0]["witness"] == ("so(4)", "commutant_dim", 2)
     for name in ("su:2", "so:5", "sp:2", "su:4"):
         assert validate(catalog.pair_from_name(name).algebra).ok, name
+
+
+def test_valid_algebras_grow_no_ideal_closure(monkeypatch):
+    # a commutant of dimension 1 already proves the factor simple, so the
+    # closures are grown only to name the witness of a failing factor
+    calls = []
+    real = liealg._closure_witness
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(liealg, "_closure_witness", spy)
+    for name in ("sphere:7", "su:2+su:3", "sp:2+torus:1", "flag_su3"):
+        assert validate(catalog.pair_from_name(name).algebra).ok, name
+    assert calls == []
+    g = catalog.pair_from_name("su:2+su:2").algebra
+    validate(LieAlgebra(0, [("fused", 6)], g.table))
+    assert calls == ["fused"]
