@@ -95,10 +95,7 @@ class RelativeComplex:
     on the unit test vectors (1 when they are integers, as for h = 0).
     """
 
-    def __init__(self, pair, annihilator, quotient_dim, max_degree, dims,
-                 bases, deltas, scale):
-        self.pair = pair
-        self.horizontal_annihilator = annihilator
+    def __init__(self, quotient_dim, max_degree, dims, bases, deltas, scale):
         self.quotient_dim = quotient_dim
         self.max_degree = max_degree
         self.dims = dims
@@ -331,7 +328,7 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
                  if bases[k] is None else sparse_product(op, _column_form(bases[k])))
         deltas.append(_restrict_delta(lower, bases[k + 1],
                                       len(indexes[k + 1]), dims[k]))
-    return RelativeComplex(pair, ann, q, top, dims, bases, deltas, scale)
+    return RelativeComplex(q, top, dims, bases, deltas, scale)
 
 
 def _blocks(pair):

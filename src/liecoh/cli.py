@@ -91,11 +91,6 @@ def cmd_compute(args):
     return 0
 
 
-def _run_ce(pair, args, max_degree):
-    return betti_ce(pair, max_degree=max_degree, size_cap=args.size_cap,
-                    validate=False)
-
-
 def cmd_oracle(args):
     pair = _load_pair(args.file)
     _ensure_valid(pair)
@@ -103,7 +98,8 @@ def cmd_oracle(args):
         report = betti_koszul(pair, validate=False)
     else:
         try:
-            report = _run_ce(pair, args, args.max_degree)
+            report = betti_ce(pair, max_degree=args.max_degree,
+                              size_cap=args.size_cap, validate=False)
         except ValueError as exc:
             raise _CliError(2, str(exc))
     if args.json:
@@ -140,7 +136,8 @@ def cmd_verify(args):
             report = betti_koszul(pair, validate=False)
         else:
             try:
-                report = _run_ce(pair, args, 4)
+                report = betti_ce(pair, max_degree=4, size_cap=args.size_cap,
+                                  validate=False)
             except ValueError as exc:
                 notes.append("ce skipped: %s" % exc)
                 continue

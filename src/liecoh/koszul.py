@@ -8,24 +8,17 @@ symbols; only the ingredient maps (restriction to h, the ∨-product, and
 B̃ᵢ|_{h×h}) involve actual linear algebra.  Symmetric generators carry
 degree 2, so S²(h*)^H sits in degree 4.
 
-Degrees 1-5 and the differentials:
+∇ is the derivation fixed by ∇f = f|ₕ on P¹, ∇ρ(B̃ᵢ) = B̃ᵢ|_{h×h} on P³
+and ∇ = 0 on S(h*)^H (the Cartan/Koszul model).  On a basis monomial
+s⊗ρ(B̃ᵢ)^ε∧f₀∧…∧f_{k−1}, s = 1, ψ or an S² basis element, the Leibniz rule
+gives the P³ term B̃ᵢ|_{h×h}⊗(f's) when s = 1 and, for each letter fₜ, the
+term (−1)^{t+ε} s·fₜ|ₕ ⊗ ρ(B̃ᵢ)^ε∧(f's without fₜ).  In degrees 1-5:
 
     𝒞¹ = 1⊗P¹
     𝒞² = (h*)^H⊗1 ⊕ 1⊗∧²P¹
     𝒞³ = (h*)^H⊗P¹ ⊕ 1⊗P³ ⊕ 1⊗∧³P¹
     𝒞⁴ = S²(h*)^H⊗1 ⊕ (h*)^H⊗∧²P¹ ⊕ 1⊗P³∧P¹ ⊕ 1⊗∧⁴P¹
-    𝒞⁵ ⊇ S²(h*)^H⊗P¹ ⊕ (h*)^H⊗P³ ⊕ (h*)^H⊗∧³P¹
-
-    ∇¹(1⊗f)          = f|ₕ⊗1
-    ∇²(ψ⊗1)          = 0
-    ∇²(1⊗f₁∧f₂)      = f₁|ₕ⊗f₂ − f₂|ₕ⊗f₁
-    ∇³(ψ⊗f)          = ψ∨f|ₕ⊗1
-    ∇³(1⊗ρ(B̃ᵢ))      = B̃ᵢ|_{h×h}⊗1
-    ∇³(1⊗f₁∧f₂∧f₃)   = Σₜ (−1)^{t+1} fₜ|ₕ ⊗ (f's without fₜ)
-    ∇⁴(S²(h*)^H⊗1)   = 0
-    ∇⁴(ψ⊗f₁∧f₂)      = ψ∨f₁|ₕ⊗f₂ − ψ∨f₂|ₕ⊗f₁
-    ∇⁴(1⊗ρ(B̃ᵢ)∧f)   = B̃ᵢ|_{h×h}⊗f − f|ₕ⊗ρ(B̃ᵢ)
-    ∇⁴(1⊗f₁∧f₂∧f₃∧f₄) = Σₜ (−1)^{t+1} fₜ|ₕ ⊗ (f's without fₜ)
+    𝒞⁵ ⊇ S²(h*)^H⊗P¹ ⊕ (h*)^H⊗P³ ⊕ (h*)^H⊗∧³P¹   (all that ∇⁴ reaches)
 
 Cohomology: b₁ = dim ker ∇¹ and bₖ = dim ker ∇ᵏ − rank ∇ᵏ⁻¹.
 
@@ -140,12 +133,27 @@ def _inside(solve, vectors):
                            "invariance computation is inconsistent") from None
 
 
-def _place(d, offset, col, coords, sign=1):
-    """Add sign * coords (a {row: value} dict) at rows offset + row of
-    column col of a map under assembly, {col: {row: value}}."""
-    c = d.setdefault(col, {})
-    for row, v in coords.items():
-        c[offset + row] = c.get(offset + row, 0) + sign * v
+_SUP = "⁰¹²³⁴⁵"
+_SYM = ("1", "(h*)^H", "S²(h*)^H")
+
+
+def _summands(degree, sdims, r, l):
+    """The summands of one degree as (name, monomials), j descending and the
+    one with P³ first; a monomial (j, s, i, w) runs over s, then i, then w."""
+    out = []
+    low = 1 if degree == 5 else 0     # ∇⁴ reaches only j >= 1
+    for j in range(min(2, degree // 2), low - 1, -1):
+        for has_p3 in (True, False):
+            k = degree - 2 * j - 3 * has_p3
+            if k < 0:
+                continue
+            right = (["P³"] if has_p3 else []) + (
+                ["P¹" if k == 1 else "∧%sP¹" % _SUP[k]] if k else [])
+            out.append(("%s⊗%s" % (_SYM[j], "∧".join(right) or "1"),
+                        [(j, s, i, w) for s in range(sdims[j])
+                         for i in (range(r) if has_p3 else [None])
+                         for w in combinations(range(l), k)]))
+    return out
 
 
 def build_complex(pair, validate=True):
@@ -167,21 +175,9 @@ def build_complex(pair, validate=True):
     restr = [{j: v for j, c in enumerate(h.columns)
               if (v := sum(f.get(i, 0) * x for i, x in c.items()))}
              for f in prim.p1_basis]
-    l = prim.p1_dim
-    r = prim.p3_dim
-    p = len(psi)
-    q2 = s2.dim
-    w = [list(combinations(range(l), k)) for k in range(5)]
+    l, r, p = prim.p1_dim, prim.p3_dim, len(psi)
 
-    dims = {1: [("1⊗P¹", l)],
-            2: [("(h*)^H⊗1", p), ("1⊗∧²P¹", len(w[2]))],
-            3: [("(h*)^H⊗P¹", p * l), ("1⊗P³", r), ("1⊗∧³P¹", len(w[3]))],
-            4: [("S²(h*)^H⊗1", q2), ("(h*)^H⊗∧²P¹", p * len(w[2])),
-                ("1⊗P³∧P¹", r * l), ("1⊗∧⁴P¹", len(w[4]))],
-            5: [("S²(h*)^H⊗P¹", q2 * l), ("(h*)^H⊗P³", p * r),
-                ("(h*)^H⊗∧³P¹", p * len(w[3]))]}
-    total = {d: sum(x for _, x in dims[d]) for d in dims}
-
+    # the rule's products: 1·f|ₕ in (h*)^H; B̃ᵢ|_{h×h}, ψ_k·f|ₕ in S²(h*)^H
     psi_of_restr = _inside(lambda v: coordinates(inv, v), restr)
     s2_all = _inside(s2.coordinates,
                      [restrict_form(alg.btilde(i), h.columns) for i in range(r)]
@@ -190,70 +186,39 @@ def build_complex(pair, validate=True):
     s2_of_btilde = s2_all[:r]
     s2_of_vee = [s2_all[r + k * l:r + (k + 1) * l] for k in range(p)]
 
-    def wedge_block(d, k, col_off, row_off):
-        """1⊗f_{i₀}∧…∧f_{i_{k−1}} ↦ Σₜ (−1)^t f_{iₜ}|ₕ ⊗ (the others), into
-        (h*)^H⊗∧^{k−1}P¹ at rows row_off + ψ-index·C(l, k−1) + position."""
-        below = {word: i for i, word in enumerate(w[k - 1])}
-        for col0, word in enumerate(w[k]):
-            for t in range(k):
-                pos = below[word[:t] + word[t + 1:]]
-                _place(d, row_off, col_off + col0,
-                       {j * len(below) + pos: coef
-                        for j, coef in psi_of_restr[word[t]].items()},
-                       (-1) ** t)
+    def nabla(j, s, i, w):
+        """∇ of one monomial as (monomial, value) terms."""
+        terms = []
+        if i is not None:   # here s = 1: ψ⊗P³ first occurs in degree 5
+            terms += [((2, t, None, w), v) for t, v in s2_of_btilde[i].items()]
+        for t, f in enumerate(w):
+            prod = s2_of_vee[s][f] if j else psi_of_restr[f]
+            sign = -1 if (t + (i is not None)) % 2 else 1
+            terms += [((j + 1, u, i, w[:t] + w[t + 1:]), sign * v)
+                      for u, v in prod.items()]
+        return terms
 
-    # ∇¹: column 1⊗f_j ↦ f_j|ₕ⊗1; ∇²: ψ⊗1 ↦ 0, 1⊗f_a∧f_b as above
-    d1 = {}
-    for j in range(l):
-        _place(d1, 0, j, psi_of_restr[j])
-    d2 = {}
-    wedge_block(d2, 2, p, 0)
+    summands = [_summands(d, (1, p, s2.dim), r, l) for d in range(1, 6)]
+    index = [{m: row for row, m in enumerate(m for _, ms in sl for m in ms)}
+             for sl in summands]
+    maps = []
+    for source, target in zip(index, index[1:]):
+        cols = {}
+        for col, mono in enumerate(source):
+            acc = {}
+            for m, v in nabla(*mono):
+                acc[target[m]] = acc.get(target[m], 0) + v
+            cols[col] = [(row, v) for row, v in acc.items() if v]
+        maps.append(SparseMatrix(cols, len(target), len(source)))
+    for k in range(1, 4):
+        if sparse_product(maps[k].cols, maps[k - 1].cols):
+            raise RuntimeError("composite ∇%s∘∇%s is nonzero; differential "
+                               "assembly is inconsistent"
+                               % (_SUP[k + 1], _SUP[k]))
 
-    # ∇³ blocks; 𝒞⁴ row offsets
-    off_pw2 = q2
-    off_p3w1 = off_pw2 + p * len(w[2])
-    off_w4 = off_p3w1 + r * l
-    d3 = {}
-    for k in range(p):
-        for j in range(l):
-            _place(d3, 0, k * l + j, s2_of_vee[k][j])
-    for i in range(r):
-        _place(d3, 0, p * l + i, s2_of_btilde[i])
-    wedge_block(d3, 3, p * l + r, off_pw2)
-
-    # ∇⁴ blocks; 𝒞⁵ row offsets (S²(h*)^H⊗P¹ at 0)
-    off5_pp3, off5_pw3 = q2 * l, q2 * l + p * r
-    d4 = {}
-    for k in range(p):
-        for col0, (a, b) in enumerate(w[2]):
-            col = off_pw2 + k * len(w[2]) + col0
-            for x, y, sign in ((a, b, 1), (b, a, -1)):
-                _place(d4, 0, col, {t * l + y: v
-                                    for t, v in s2_of_vee[k][x].items()}, sign)
-    for i in range(r):
-        for a in range(l):
-            col = off_p3w1 + i * l + a
-            _place(d4, 0, col, {t * l + a: v
-                                for t, v in s2_of_btilde[i].items()})
-            _place(d4, off5_pp3, col,
-                   {k * r + i: v for k, v in psi_of_restr[a].items()}, -1)
-    wedge_block(d4, 4, off_w4, off5_pw3)
-
-    d1, d2, d3, d4 = (
-        SparseMatrix({j: [(row, v) for row, v in d.get(j, {}).items() if v]
-                      for j in range(total[k])}, total[k + 1], total[k])
-        for k, d in enumerate((d1, d2, d3, d4), 1))
-    for name, upper, lower in (("∇²∘∇¹", d2, d1), ("∇³∘∇²", d3, d2),
-                               ("∇⁴∘∇³", d4, d3)):
-        if sparse_product(upper.cols, lower.cols):
-            raise RuntimeError("composite %s is nonzero; differential "
-                               "assembly is inconsistent" % name)
-
-    return [ChainComplexSlice(1, dims[1], d1),
-            ChainComplexSlice(2, dims[2], d2),
-            ChainComplexSlice(3, dims[3], d3),
-            ChainComplexSlice(4, dims[4], d4),
-            ChainComplexSlice(5, dims[5], None)]
+    return [ChainComplexSlice(d, [(name, len(ms)) for name, ms in sl],
+                              maps[d - 1] if d < 5 else None)
+            for d, sl in enumerate(summands, 1)]
 
 
 def betti_koszul(pair, validate=True):

@@ -19,7 +19,7 @@ through the nonzero structure constants.
 
 from itertools import combinations
 
-from .linalg import (F0, F1, Subspace, combination, commutant_operator,
+from .linalg import (F0, Subspace, combination, commutant_operator,
                      echelon_insert, exact, fr, intersect, intersect_kernels,
                      is_spd, rat_str)
 
@@ -252,30 +252,12 @@ class LieAlgebra:
         block = self.factor_indices(i)
         return {(a, b): K[a][b] for a in block for b in block if K[a][b]}
 
-    def canonical_gram(self):
-        """The fixed invariant inner product: (-Killing on [g,g]) ⊕ (identity
-        on center coordinates), as rows.  Ad-invariant, generator-invariant,
-        SPD."""
-        gram = [[-x for x in row] for row in self.killing_gram()]
-        for i in range(self.l):
-            gram[i][i] = F1
-        return gram
-
-    # -- derived/center subspaces ---------------------------------------------
+    # -- derived subspace ------------------------------------------------------
 
     def derived_subspace(self):
         """Span of all brackets [e_i, e_j]; equals the declared factor span
         for a valid algebra."""
         return Subspace.span(self.n, [dict(t) for t in self.table.values()])
-
-    def center_subspace(self):
-        """{x : [x, g] = 0}, computed honestly from the brackets: the common
-        kernel of x -> [x, e_j] over j, whose column i is [e_i, e_j]."""
-        ops = [{} for _ in range(self.n)]
-        for (i, j), terms in self.table.items():
-            ops[j][i] = terms
-            ops[i][j] = [(k, -c) for k, c in terms]
-        return intersect_kernels(ops, self.n)
 
     # -- serialization ----------------------------------------------------------
 

@@ -520,21 +520,3 @@ def intersect_kernels(operators, dim):
     if cols is None:
         return full_subspace(dim)
     return Subspace.from_columns(dim, cols, free)
-
-
-def orth_complement(s, gram):
-    """gram-orthogonal complement of s inside its ambient space.
-
-    gram must be symmetric positive definite, so the complement is a true
-    direct complement: s + result = ambient, s ∩ result = 0.  It is the
-    kernel of the rows c^T gram over the basis columns c of s.
-    """
-    if len(gram) != s.ambient_dim:
-        raise ValueError("gram shape mismatch")
-    if not is_spd(gram):
-        raise ValueError("gram not symmetric positive definite")
-    if s.dim == 0:
-        return full_subspace(s.ambient_dim)
-    grows = [{j: x for j, x in enumerate(row) if x} for row in gram]
-    return kernel_basis([combination(grows, c) for c in s.columns],
-                        s.ambient_dim)

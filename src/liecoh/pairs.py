@@ -22,7 +22,7 @@ from .invariant_forms import fixed_vectors
 from .liealg import (LieAlgebra, array_field, center_and_derived,
                      is_bracket_closed, object_field, validate)
 from .linalg import (F0, Subspace, combination, exact, fr, intersect,
-                     orth_complement, rat_str, subspace_sum)
+                     kernel_basis, rat_str, subspace_sum)
 
 # Generator order beyond which validate_pair warns
 ORDER_BOUND = 256
@@ -102,8 +102,8 @@ class PairDecomposition:
     """The subspaces entering the low-degree Betti formulas.
 
     zh = z(h), hh = [h,h], hcapgg = h ∩ [g,g], a = z(h) ∩ [g,g],
-    b = (h∩[g,g])^⊥ ∩ h, a = a_fixed ⊕ a_moved under the generator action,
-    r0 = dim g/([g,g]+h) = l − dim b.
+    b = the Killing-orthogonal of h∩[g,g] in h, a = a_fixed ⊕ a_moved under
+    the generator action, r0 = dim g/([g,g]+h) = l − dim b.
     """
 
     def __init__(self, zh, hh, hcapgg, a, b, a_fixed, a_moved, r0):
@@ -197,14 +197,17 @@ def decompose(pair):
     """
     alg = pair.algebra
     n = alg.n
-    gram = alg.canonical_gram()
     gcols = pair.generator_columns
 
     zh, hh = center_and_derived(alg, pair.h)
     gg = Subspace.span(n, [{t: 1} for t in alg.derived_indices()])
     a = intersect(zh, gg)
     hcapgg = intersect(pair.h, gg)
-    b = intersect(orth_complement(hcapgg, gram), pair.h)
+    # b = {x ∈ h : K(x, y) = 0 for y ∈ h∩[g,g]}; K is zero on the center
+    killing = [{j: x for j, x in enumerate(row) if x}
+               for row in alg.killing_gram()]
+    b = intersect(kernel_basis([combination(killing, c)
+                                for c in hcapgg.columns], n), pair.h)
 
     a_fixed = fixed_vectors(a, gcols)
     moved = []

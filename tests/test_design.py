@@ -4,9 +4,10 @@ no numpy.
 Every module works on sparse {index: value} vectors, structure constant
 tables, subspace columns and SparseMatrix columns; the only dense matrices
 are the nested-list views of the input (h_basis, the generators, the
-Killing and canonical Gram rows), and the method modules do not touch
-those.  A sparse value is an int when integral and a Fraction only when
-not, and no float reaches any method.  The library runs with numpy absent.
+Killing rows), and the method modules do not touch those.  is_spd, the one
+dense pivot loop, checks input only: liealg.validate calls it.  A sparse
+value is an int when integral and a Fraction only when not, and no float
+reaches any method.  The library runs with numpy absent.
 The cochain method hands the complex builder the blocks a pair splits
 into, never their product.
 """
@@ -32,7 +33,7 @@ ROOT = Path(liecoh.__file__).parent
 
 METHOD_MODULES = ("betti.py", "ce.py", "invariant_forms.py", "koszul.py")
 
-DENSE_VIEWS = {"h_basis", "generators", "killing_gram", "canonical_gram"}
+DENSE_VIEWS = {"h_basis", "generators", "killing_gram"}
 
 
 def _imported_modules(path):
@@ -67,6 +68,12 @@ def test_method_modules_use_no_dense_helpers():
         found = sorted(used for kind, used in set(_used_names(ROOT / name))
                        if kind == "attr" and used in DENSE_VIEWS)
         assert not found, (name, found)
+
+
+def test_is_spd_checks_input_only():
+    users = sorted(path.name for path in ROOT.glob("*.py")
+                   if "is_spd" in path.read_text())
+    assert users == ["liealg.py", "linalg.py"]
 
 
 def _numbers(obj):

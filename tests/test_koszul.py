@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from liecoh import catalog
 from liecoh.betti import betti_low
+from liecoh.ce import betti_ce
 from liecoh.koszul import (build_complex, betti_koszul, cartan_rho,
                            primitive_basis)
 from liecoh.liealg import LieAlgebra
@@ -121,3 +122,34 @@ def test_report_diagnostics_structure():
     assert rep.diagnostics["ranks"] == {"∇1": 0, "∇2": 0, "∇3": 1, "∇4": 0}
     assert len(rep.diagnostics["slice_dims"]) == 5
     assert rep.diagnostics["slice_dims"][2]["1⊗P³"] == 1
+
+
+def test_torus4_times_s2_reaches_every_summand():
+    # T⁴ × S² = (R⁴ + su(2)) / the line e5: l = 4, r = 1 and
+    # dim (h*)^H = dim S²(h*)^H = 1, so every summand is nonzero
+    g = catalog.pair_from_name("torus:4+su:2").algebra
+    pair = HomogeneousPair.from_vectors(g, [[0, 0, 0, 0, 0, 1, 0]])
+    assert [s.summands for s in build_complex(pair)] == [
+        [("1⊗P¹", 4)],
+        [("(h*)^H⊗1", 1), ("1⊗∧²P¹", 6)],
+        [("(h*)^H⊗P¹", 4), ("1⊗P³", 1), ("1⊗∧³P¹", 4)],
+        [("S²(h*)^H⊗1", 1), ("(h*)^H⊗∧²P¹", 6), ("1⊗P³∧P¹", 4),
+         ("1⊗∧⁴P¹", 1)],
+        [("S²(h*)^H⊗P¹", 4), ("(h*)^H⊗P³", 1), ("(h*)^H⊗∧³P¹", 4)]]
+    rep = betti_koszul(pair)
+    assert rep.diagnostics["ranks"] == {"∇1": 0, "∇2": 0, "∇3": 1, "∇4": 4}
+    # the coefficients of (1 + t)⁴(1 + t²)
+    want = [1, 4, 7, 8, 7]
+    assert rep.betti == betti_low(pair).betti == want
+    assert betti_ce(pair).betti[:5] == want
+
+
+def test_nabla_is_a_derivation_on_p3_wedge_p1():
+    # g = R + su(2), h = the line e0 + e3: f|ₕ ≠ 0 and B̃|_{h×h} ≠ 0, so
+    # ∇⁴(1⊗ρ∧f) = ∇ρ⊗f − ∇f⊗ρ has both terms; 𝒞⁵ lists S²⊗P¹ then (h*)^H⊗P³
+    g = catalog.pair_from_name("torus:1+su:2").algebra
+    d1, _, d3, d4 = (s.differential for s in build_complex(
+        HomogeneousPair.from_vectors(g, [[1, 0, 0, 1]]))[:4])
+    [(_, restr)] = d1.cols[0]        # ∇(1⊗f) = restr·ψ
+    [(_, btilde)] = d3.cols[1]       # ∇(1⊗ρ) = btilde·t
+    assert d4.cols[1] == [(0, btilde), (1, -restr)]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from liecoh.linalg import (F0, F1, Subspace, combination, commutant_operator,
                            complex_ranks, coordinates, echelon_insert,
                            full_subspace, intersect, intersect_kernels,
-                           is_spd, kernel_basis, orth_complement, rank,
+                           is_spd, kernel_basis, rank,
                            rat_str, subspace_sum, zero_subspace)
 
 F = Fraction
@@ -385,26 +385,6 @@ def test_subspace_sum():
     y_axis = Subspace.span(2, [[0, 1]])
     assert subspace_sum(x_axis, y_axis) == full_subspace(2)
     assert subspace_sum(x_axis, zero_subspace(2)) == x_axis
-
-
-def test_orth_complement_identity_gram():
-    x_axis = Subspace.span(2, [[1, 0]])
-    assert orth_complement(x_axis, [[1, 0], [0, 1]]) == Subspace.span(2, [[0, 1]])
-
-
-def test_orth_complement_weighted_gram():
-    diag = [[1, 0], [0, 2]]
-    s = Subspace.span(2, [[1, 1]])
-    assert orth_complement(s, diag) == Subspace.span(2, [[2, -1]])
-
-
-def test_orth_complement_requires_spd():
-    try:
-        orth_complement(Subspace.span(2, [[1, 0]]), [[1, 0], [0, -1]])
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("indefinite gram accepted")
 
 
 def test_intersect_kernels_matches_stacked_kernel():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from liecoh import catalog
+from liecoh.linalg import Subspace
 from liecoh.pairs import (HomogeneousPair, decompose, generator_order,
                           validate_pair)
 
@@ -41,6 +42,18 @@ def test_decompose_h_equals_g():
     assert decompose(pair).dims() == {
         "dim_h": 5, "dim_zh": 2, "dim_hh": 3, "dim_h_cap_gg": 3,
         "dim_a": 0, "dim_b": 2, "dim_a_fixed": 0, "dim_a_moved": 0, "r0": 0}
+
+
+def test_decompose_tilted_b_is_killing_orthogonal():
+    # g = R + su(2) + su(2), h = span(e0 + e1, e4): h∩[g,g] is the line e4,
+    # and the Killing-orthogonal of it in h is the tilted line e0 + e1
+    g = catalog.pair_from_name("torus:1+su:2+su:2").algebra
+    pair = HomogeneousPair.from_vectors(g, [[1, 1, 0, 0, 0, 0, 0],
+                                            [0, 0, 0, 0, 1, 0, 0]])
+    dec = decompose(pair)
+    assert dec.hcapgg == Subspace.span(7, [{4: 1}])
+    assert dec.b == Subspace.span(7, [{0: 1, 1: 1}])
+    assert dec.r0 == 0
 
 
 def test_decompose_trivial_h():
