@@ -9,7 +9,7 @@ rows, so the unit vectors w_j = e_{free[j]} are test vectors with
 F_i(w_j) = delta_ij, and the coefficient of a horizontal form on F_J is its
 value on (w_{j_1}, ...).  Every entry below is a lookup in the structure
 table projected through F's columns; no Gram matrix is solved.  The
-structure maps are sparse {col: [(row, value)]} matrices:
+structure maps are {col: column} matrices of linalg's one encoding:
 
 * the infinitesimal isotropy action, (theta(Y)f)(x) = -f([Y, x]) on
   covectors, extended to wedges as a derivation;
@@ -62,8 +62,9 @@ from math import lcm
 from .betti import BettiReport
 from .liealg import LieAlgebra
 from .linalg import (SparseMatrix, combination, complex_ranks,
-                     coordinates, intersect_kernels, kernel_basis, rank,
-                     sparse_product, transpose)
+                     coordinates, intersect_kernels, kernel_basis,
+                     minus_identity, nonzero, rank, sparse_product,
+                     transpose)
 from .pairs import HomogeneousPair, validate_pair
 
 DEFAULT_SIZE_CAP = 14
@@ -106,24 +107,20 @@ class RelativeComplex:
 
 def _frame(pair):
     """The annihilator of h in g* as a kernel basis, plus its rows as
-    {k: {i: F_i[k]}}; the test vector w_j is the unit vector at free[j]."""
+    {k: {i: F_i[k]}}, so combination(rows, v) is {i: F_i(v)}; the test
+    vector w_j is the unit vector at free[j]."""
     ann = kernel_basis(pair.h.columns, pair.algebra.n)
     return ann, transpose(ann.columns)
 
 
-def _evaluate(rows, v):
-    """{i: F_i(v)} for a sparse vector v, zeros dropped."""
-    return combination(rows, {k: x for k, x in v.items() if k in rows})
-
-
 def _frame_action(rows, images):
-    """Bit columns {1 << i: [(1 << j, F_i(images[j]))]} of an action on
-    the annihilator: column i holds the coordinates of F_i o A, whose value
-    on w_j is F_i(A w_j) = F_i(images[j])."""
+    """Bit columns {1 << i: {1 << j: F_i(images[j])}} of an action on the
+    annihilator: column i holds the coordinates of F_i o A, whose value on
+    w_j is F_i(A w_j) = F_i(images[j])."""
     mat = {}
     for j, image in enumerate(images):
-        for i, y in sorted(_evaluate(rows, image).items()):
-            mat.setdefault(1 << i, []).append((1 << j, y))
+        for i, y in sorted(combination(rows, image).items()):
+            mat.setdefault(1 << i, {})[1 << j] = y
     return mat
 
 
@@ -146,7 +143,7 @@ def _frame_actions(pair, ann, rows):
 
 
 def _structure_table(alg, ann, rows):
-    """({1 << c: [((pair, span), D * F_c([w_a, w_b]))]}, D), all ints.
+    """({1 << c: {(pair, span): D * F_c([w_a, w_b])}}, D), all ints.
 
     pair holds the bits a < b and span the bits a..b-1; D is the lcm of the
     denominators of the projected structure constants.  [w_a, w_b] is the
@@ -159,12 +156,12 @@ def _structure_table(alg, ann, rows):
         if not terms:
             continue
         key = ((1 << a) | (1 << b), (1 << b) - (1 << a))
-        for c, x in sorted(_evaluate(rows, dict(terms)).items()):
-            table.setdefault(1 << c, []).append((key, x))
-    scale = lcm(*(x.denominator for entries in table.values()
-                  for _, x in entries))
-    return ({c: [(key, x.numerator * (scale // x.denominator))
-                 for key, x in entries] for c, entries in table.items()},
+        for c, x in sorted(combination(rows, dict(terms)).items()):
+            table.setdefault(1 << c, {})[key] = x
+    scale = lcm(*(x.denominator for col in table.values()
+                  for x in col.values()))
+    return ({c: {key: x.numerator * (scale // x.denominator)
+                 for key, x in col.items()} for c, col in table.items()},
             scale)
 
 
@@ -176,17 +173,16 @@ def _derivation_op(theta, index):
     op = {}
     for col, mon in enumerate(index):
         acc = {}
-        for i, entries in theta.items():
+        for i, column in theta.items():
             if mon & i:
                 rest = mon ^ i
-                for t, c in entries:
+                for t, c in column.items():
                     if not rest & t:
                         row = index[rest | t]
                         odd = (rest & ((i - 1) ^ (t - 1))).bit_count() % 2
                         acc[row] = acc.get(row, 0) + (-c if odd else c)
-        entries = [(r, v) for r, v in acc.items() if v]
-        if entries:
-            op[col] = entries
+        if acc := nonzero(acc):
+            op[col] = acc
     return op
 
 
@@ -196,25 +192,20 @@ def _wedge_column(action, mon, memo):
         top = 1 << (mon.bit_length() - 1)
         prev = _wedge_column(action, mon ^ top, memo)
         col = {}
-        for t, c in action.get(top, ()):
+        for t, c in action.get(top, {}).items():
             for part, v in prev.items():
                 if not part & t:
                     w = -v * c if (part & -t).bit_count() % 2 else v * c
                     col[part | t] = col.get(part | t, 0) + w
-        memo[mon] = {key: v for key, v in col.items() if v}
+        memo[mon] = nonzero(col)
     return memo[mon]
 
 
 def _fixed_op(action, index, memo):
     """Sparse matrix of (gamma* - 1) on wedge coordinates of one degree."""
-    op = {}
-    for col, mon in enumerate(index):
-        acc = {index[key]: v for key, v in _wedge_column(action, mon, memo).items()}
-        acc[col] = acc.get(col, 0) - 1
-        entries = [(r, v) for r, v in acc.items() if v]
-        if entries:
-            op[col] = entries
-    return op
+    return minus_identity([
+        {index[key]: v for key, v in _wedge_column(action, mon, memo).items()}
+        for mon in index], len(index))
 
 
 def _invariant_space(theta_mats, gen_mats, gen_memos, subsets, index):
@@ -228,23 +219,23 @@ def _invariant_space(theta_mats, gen_mats, gen_memos, subsets, index):
 
 
 def _delta_column(table, mon, index):
-    """Column F_mon of D * delta, as [(row, value)] in the next degree.
+    """Column F_mon of D * delta, a {row: value} dict in the next degree.
 
     delta(F_J) is the sum over c in J, at position p, of (-1)^p delta(F_c) ^
     F_{J - c}, with delta(F_c) = -sum_{a<b} F_c([w_a, w_b]) F_a ^ F_b; moving
     F_a and F_b into place crosses the bits of J - c between a and b.
     """
     acc = {}
-    for c, entries in table.items():
+    for c, column in table.items():
         if mon & c:
             others = mon ^ c
             p = (others & (c - 1)).bit_count()
-            for (pair, span), val in entries:
+            for (pair, span), val in column.items():
                 if not others & pair:
                     row = index[others | pair]
                     odd = (p + (others & span).bit_count()) % 2
                     acc[row] = acc.get(row, 0) + (val if odd else -val)
-    return [(r, v) for r, v in acc.items() if v]
+    return nonzero(acc)
 
 
 class _DeltaColumns(dict):
@@ -260,10 +251,6 @@ class _DeltaColumns(dict):
         return col
 
 
-def _column_form(basis):
-    return {j: col.items() for j, col in enumerate(basis.columns)}
-
-
 def _restrict_delta(images, basis_next, nrows_full, ncols):
     """Coordinates of the images in the next invariant basis.
 
@@ -274,13 +261,12 @@ def _restrict_delta(images, basis_next, nrows_full, ncols):
     if basis_next is None:
         return SparseMatrix(images, nrows_full, ncols)
     try:
-        coords = coordinates(basis_next, [dict(e) for e in images.values()])
+        coords = coordinates(basis_next, list(images.values()))
     except ValueError:
         raise RuntimeError("invariance projection inconsistent: the "
                            "differential escapes the invariant cochain "
                            "space") from None
-    return SparseMatrix({j: list(c.items())
-                         for j, c in zip(images, coords) if c},
+    return SparseMatrix({j: c for j, c in zip(images, coords) if c},
                         basis_next.dim, ncols)
 
 
@@ -325,7 +311,7 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
             raise RuntimeError("differential composite in degree %d is "
                                "nonzero; cochain assembly is inconsistent" % k)
         lower = ({j: col for j in range(dims[k]) if (col := op[j])}
-                 if bases[k] is None else sparse_product(op, _column_form(bases[k])))
+                 if bases[k] is None else sparse_product(op, bases[k].columns))
         deltas.append(_restrict_delta(lower, bases[k + 1],
                                       len(indexes[k + 1]), dims[k]))
     return RelativeComplex(q, top, dims, bases, deltas, scale)

@@ -10,7 +10,6 @@ is printed).
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction

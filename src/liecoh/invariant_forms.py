@@ -11,8 +11,8 @@ i ≤ j, in lexicographic order.
 
 from .liealg import is_bracket_closed
 from .linalg import (SparseMatrix, Subspace, combination,
-                     commutant_operator, coordinates, intersect_kernels, rank,
-                     transpose)
+                     commutant_operator, coordinates, intersect_kernels,
+                     minus_identity, nonzero, rank, transpose)
 
 
 def sym_pairs(m):
@@ -37,8 +37,7 @@ def restrict_form(eta, columns):
     rows = {}
     for (a, b), v in eta.items():
         rows.setdefault(a, {})[b] = v
-    left = [combination(rows, {a: x for a, x in c.items() if a in rows})
-            for c in columns]
+    left = [combination(rows, c) for c in columns]
     return {(s, t): val for s, u in enumerate(left)
             for t in range(s, len(columns))
             if (val := sum(u.get(b, 0) * y for b, y in columns[t].items()))}
@@ -100,14 +99,9 @@ def fixed_vectors(space, actions):
     """
     if not actions:
         return space
-    ops = []
-    for gcols in actions:
-        op = {}
-        for j, col in enumerate(action_coordinates(gcols, space)):
-            col[j] = col.get(j, 0) - 1
-            op[j] = [(r, x) for r, x in col.items() if x]
-        ops.append(op)
-    coords = intersect_kernels(ops, space.dim)
+    coords = intersect_kernels(
+        [minus_identity(action_coordinates(gcols, space), space.dim)
+         for gcols in actions], space.dim)
     return Subspace.from_columns(space.ambient_dim, [
         combination(space.columns, c) for c in coords.columns])
 
@@ -126,7 +120,8 @@ def _ad_constraint(R, pairs):
             for p, v in rows.get(s, {}).items():
                 key = index[(p, t) if p < t else (t, p)]
                 acc[key] = acc.get(key, 0) + (2 * v if p == t else v)
-        op[col] = list(acc.items())
+        if acc := nonzero(acc):
+            op[col] = acc
     return op
 
 
@@ -139,15 +134,18 @@ def _generator_constraint(C, pairs):
     op = {}
     for col, (i, j) in enumerate(pairs):
         acc = {col: -1}
-        ri, rj = (list(rows.get(t, {}).items()) for t in (i, j))
-        for x, (a, u) in enumerate(ri):
+        ri, rj = (rows.get(t, {}) for t in (i, j))
+        for a, u in ri.items():
             # CᵀE_ijC is u vᵀ + v uᵀ (i < j) or u uᵀ (i = j) for u, v the
-            # rows i, j of C; an unordered diagonal product counts twice
-            for b, w in (rj if i < j else ri[x:]):
-                key = index[(a, b) if a <= b else (b, a)]
-                val = 2 * u * w if a == b and i < j else u * w
-                acc[key] = acc.get(key, 0) + val
-        op[col] = list(acc.items())
+            # rows i, j of C, taken over the pairs a <= b when i = j; an
+            # unordered diagonal product counts twice
+            for b, w in rj.items():
+                if i < j or a <= b:
+                    key = index[(a, b) if a <= b else (b, a)]
+                    val = 2 * u * w if a == b and i < j else u * w
+                    acc[key] = acc.get(key, 0) + val
+        if acc := nonzero(acc):
+            op[col] = acc
     return op
 
 
@@ -196,16 +194,11 @@ def psi_analysis(pair, dec=None):
                            ) from None
     rank_psi = rank(psi, space.dim)
     space.psi_matrix = SparseMatrix(
-        {i: list(c.items()) for i, c in enumerate(psi) if c}, space.dim, r)
+        {i: c for i, c in enumerate(psi) if c}, space.dim, r)
     space.rank_psi = rank_psi
     space.dim_N = r - rank_psi
     space.dim_C = space.dim - rank_psi
     return space
-
-
-def _entries(columns):
-    """The nonzeros {(row, col): value} of a matrix given by its columns."""
-    return {(r, j): v for j, col in enumerate(columns) for r, v in col.items()}
 
 
 def minimal_ideal_count(pair, s):
@@ -232,5 +225,5 @@ def minimal_ideal_count(pair, s):
     if rank(killing, m) != m:
         raise ValueError("subspace is not semisimple (degenerate Killing form)")
     gens = [action_coordinates(gcols, s) for gcols in pair.generator_columns]
-    ops = (commutant_operator(_entries(R), m) for R in ads + gens)
+    ops = (commutant_operator(R, m, 0) for R in ads + gens)
     return intersect_kernels(ops, m * m).dim

@@ -34,8 +34,8 @@ from .betti import BettiReport
 from .invariant_forms import (action_coordinates, ad_coordinates,
                               invariant_sym_forms, restrict_form, vee)
 from .linalg import (SparseMatrix, complex_ranks, coordinates,
-                     intersect_kernels, kernel_basis, rank, sparse_product,
-                     transpose)
+                     intersect_kernels, kernel_basis, minus_identity, nonzero,
+                     rank, sparse_product, transpose)
 from .pairs import validate_pair
 
 
@@ -57,7 +57,7 @@ class PrimitiveBasis:
 
 class ChainComplexSlice:
     """One degree of the complex: named summand dimensions + differential,
-    a SparseMatrix holding every column (zero ones as empty lists)."""
+    a SparseMatrix whose zero columns are left out."""
 
     def __init__(self, degree, summands, differential=None):
         self.degree = degree
@@ -79,13 +79,13 @@ def cartan_rho(alg, eta):
     """
     rows = {}
     for (t, c), v in eta.items():
-        rows.setdefault(t, []).append((c, v))
+        rows.setdefault(t, {})[c] = v
     # every nonzero value, over ordered (a, b) with a != b: each structure
     # constant [e_a, e_b] ∋ c_t e_t meets only row t of eta
     rho = {}
     for (a, b), terms in alg.table.items():
         for t, ct in terms:
-            for c, v in rows.get(t, ()):
+            for c, v in rows.get(t, {}).items():
                 rho[(a, b, c)] = rho.get((a, b, c), 0) + ct * v
     rho = {k: v for k, v in rho.items() if v}
     for (a, b, c), v in list(rho.items()):
@@ -112,15 +112,6 @@ def primitive_basis(pair):
         raise RuntimeError("the forms ρ(B̃ᵢ) are dependent; the declared "
                            "factors cannot all be simple")
     return PrimitiveBasis(p1, rho_forms)
-
-
-def _dual(columns, shift=0):
-    """Sparse columns of Cᵀ − shift·1 for a square C given by its columns."""
-    rows = transpose(columns)
-    for s in range(len(columns)):
-        row = rows.setdefault(s, {})
-        row[s] = row.get(s, 0) - shift
-    return {s: [(j, v) for j, v in row.items() if v] for s, row in rows.items()}
 
 
 def _inside(solve, vectors):
@@ -167,8 +158,8 @@ def build_complex(pair, validate=True):
     # of h (Rᵀc = 0 with R = ad x|ₕ) and fixed by the generators (Cᵀc = c
     # with C = γ|ₕ); S²(h*)^H as invariant symmetric forms on h
     inv = intersect_kernels(
-        [_dual(ad_coordinates(alg, h, x)) for x in h.columns]
-        + [_dual(action_coordinates(gcols, h), 1)
+        [transpose(ad_coordinates(alg, h, x)) for x in h.columns]
+        + [minus_identity(transpose(action_coordinates(gcols, h)), h.dim)
            for gcols in pair.generator_columns], h.dim)
     psi = inv.columns
     s2 = invariant_sym_forms(pair, h)
@@ -208,7 +199,8 @@ def build_complex(pair, validate=True):
             acc = {}
             for m, v in nabla(*mono):
                 acc[target[m]] = acc.get(target[m], 0) + v
-            cols[col] = [(row, v) for row, v in acc.items() if v]
+            if acc := nonzero(acc):
+                cols[col] = acc
         maps.append(SparseMatrix(cols, len(target), len(source)))
     for k in range(1, 4):
         if sparse_product(maps[k].cols, maps[k - 1].cols):

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .linalg import (F0, Subspace, combination, commutant_operator,
                      echelon_insert, exact, fr, intersect, intersect_kernels,
-                     is_spd, rat_str)
+                     is_spd, nonzero, rat_str, transpose)
 
 
 # Largest algebra dimension accepted.  Builders check it before any matrix
@@ -123,6 +123,13 @@ class LieAlgebra:
     """
 
     def __init__(self, center_dim, factors, table):
+        if center_dim < 0:
+            raise ValueError("center_dim must be non-negative, not %d"
+                             % center_dim)
+        for name, dim in factors:
+            if dim < 0:
+                raise ValueError("dim of factor %r must be non-negative, "
+                                 "not %d" % (name, dim))
         check_dim(center_dim + sum(dim for _, dim in factors), "the algebra")
         self.l = center_dim
         self.factors = []
@@ -208,18 +215,18 @@ class LieAlgebra:
                 if terms:
                     for k, c in terms:
                         out[k] = out.get(k, 0) + coef * c
-        return {k: c for k, c in out.items() if c}
+        return nonzero(out)
 
     def ad_sparse(self):
-        """Per basis vector i, the sparse matrix of ad e_i as {(row, col): c}."""
+        """Per basis vector i, ad e_i as its columns {j: [e_i, e_j]}, each a
+        {row: c} dict, the zero columns left out.  Cached: treat it as
+        read-only."""
         if self._ad_sparse is None:
-            ads = [dict() for _ in range(self.n)]
+            ads = [{} for _ in range(self.n)]
             for (i, j), terms in self.table.items():
-                for k, c in terms:
-                    ads[i][(k, j)] = ads[i].get((k, j), 0) + c
-                    ads[j][(k, i)] = ads[j].get((k, i), 0) - c
-            self._ad_sparse = [
-                {kc: v for kc, v in ad.items() if v} for ad in ads]
+                ads[i][j] = dict(terms)
+                ads[j][i] = {k: -c for k, c in terms}
+            self._ad_sparse = ads
         return self._ad_sparse
 
     # -- Killing data ---------------------------------------------------------
@@ -230,14 +237,17 @@ class LieAlgebra:
         if self._killing is None:
             ads = self.ad_sparse()
             K = [[F0] * self.n for _ in range(self.n)]
-            for i in range(self.n):
+            for i, rows in enumerate(map(transpose, ads)):
                 for j in range(i, self.n):
+                    # row b of ad e_i against column b of ad e_j
                     t = 0
-                    adj = ads[j]
-                    for (a, b), c in ads[i].items():
-                        d = adj.get((b, a))
-                        if d is not None:
-                            t += c * d
+                    for b, col in ads[j].items():
+                        row = rows.get(b)
+                        if row:
+                            for a, d in col.items():
+                                c = row.get(a)
+                                if c is not None:
+                                    t += c * d
                     K[i][j] = K[j][i] = fr(t)
             self._killing = K
         return self._killing
@@ -322,8 +332,8 @@ def center_and_derived(alg, s):
     br = {(i, j): alg.bracket_sparse(cols[i], cols[j]) for i, j in pairs}
     br.update({(j, i): {k: -x for k, x in br[i, j].items()} for i, j in pairs})
     # z(s): coordinates c with sum_i c_i [s_i, s_j] = 0 for every j
-    coords = intersect_kernels(({i: br[i, j].items() for i in range(m) if i != j}
-                                for j in range(m)), m)
+    ops = ({i: c for i in range(m) if (c := br.get((i, j)))} for j in range(m))
+    coords = intersect_kernels(ops, m)
     zs = Subspace.span(alg.n, [combination(cols, c) for c in coords.columns])
     ds = Subspace.span(alg.n, [br[p] for p in pairs])
     if zs.dim + ds.dim != m or intersect(zs, ds).dim != 0:
@@ -402,10 +412,7 @@ def _jacobi_witness(alg):
     order, on the columns of ad_sparse().  A column that none of the three
     operators touches is zero.
     """
-    cols = [{} for _ in range(alg.n)]      # cols[i][k] = [e_i, e_k] as {row: c}
-    for i, ad in enumerate(alg.ad_sparse()):
-        for (row, k), c in ad.items():
-            cols[i].setdefault(k, {})[row] = c
+    cols = alg.ad_sparse()      # cols[i][k] = [e_i, e_k] as {row: c}
     for i, j in combinations(range(alg.n), 2):
         adi, adj = cols[i], cols[j]
         ij = alg.table.get((i, j), ())
@@ -456,7 +463,5 @@ def _commutant_dim(alg, start, stop):
     """Dimension of {P : P ad(x) = ad(x) P for every x} on one factor."""
     dim = stop - start
     ads = alg.ad_sparse()
-    ops = (commutant_operator({(r - start, c - start): v
-                               for (r, c), v in ads[i].items()}, dim)
-           for i in range(start, stop))
+    ops = (commutant_operator(ads[i], dim, start) for i in range(start, stop))
     return intersect_kernels(ops, dim * dim).dim

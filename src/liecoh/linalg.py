@@ -1,9 +1,12 @@
-"""Exact rational linear algebra on sparse rows and columns.
+"""Exact rational linear algebra on sparse columns.
 
-A matrix is a list of {col: value} rows, or {col: [(row, value)]}
-columns, which a SparseMatrix carries with its shape; a value is an int
-when integral, else a Fraction (exact), and every quotient goes through
-Fraction.  rank and kernel_basis also take plain sequences as rows.
+A vector, and a column of a matrix, is a {row: value} dict holding no zero
+value; a value is an int when integral, else a Fraction (exact), and every
+quotient goes through Fraction.  A matrix is a list of such columns, or a
+{col: column} dict that leaves its zero columns out, as SparseMatrix.cols
+does.  transpose turns the columns into {row: {col: value}} rows; rank and
+kernel_basis read the dicts they are given as rows, and also take plain
+sequences.  {(a, b): value} dicts are bilinear forms, not matrices.
 Every elimination goes through one exact engine, _sparse_echelon:
 each row is cleared to integers once (lcm of denominators) and held as a
 {col: int} dict, then eliminated with the gcd-scaled two-term update, so
@@ -35,8 +38,7 @@ F1 = Fraction(1)
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-# column-major sparse matrix: cols[j] = [(i, value), ...]; a zero column may
-# be absent
+# a matrix with its shape: cols is a {col: column} dict without zero columns
 SparseMatrix = namedtuple("SparseMatrix", "cols nrows ncols")
 
 
@@ -72,6 +74,17 @@ def rat_str(q):
 # fraction-free elimination core
 # ---------------------------------------------------------------------------
 
+def _indexed(m):
+    """(index, entry) pairs of a dict or of a sequence."""
+    return m.items() if isinstance(m, dict) else enumerate(m)
+
+
+def nonzero(acc):
+    """The {row: value} column acc without its zero values; acc itself
+    when it holds none."""
+    return acc if all(acc.values()) else {r: x for r, x in acc.items() if x}
+
+
 def _int_rows_sparse(m):
     """Clear each nonzero row to coprime integers, as one {col: int} dict.
 
@@ -79,12 +92,13 @@ def _int_rows_sparse(m):
     """
     out = []
     for row in m:
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        nz = [(j, x) for j, x in items if x]
-        if not nz:
+        ints = {j: x for j, x in _indexed(row) if x}
+        if not ints:
             continue
-        den = lcm(*(x.denominator for _, x in nz))
-        ints = {j: x.numerator * (den // x.denominator) for j, x in nz}
+        if not all(type(x) is int for x in ints.values()):
+            den = lcm(*(x.denominator for x in ints.values()))
+            ints = {j: x.numerator * (den // x.denominator)
+                    for j, x in ints.items()}
         g = gcd(*ints.values())
         if g > 1:
             ints = {j: v // g for j, v in ints.items()}
@@ -194,8 +208,8 @@ def rank(m, ncols):
 def complex_ranks(maps):
     """Exact ranks of the consecutive maps d_0, d_1, ... of a complex.
 
-    Each map is (cols, nrows, ncols), cols its sparse columns {col: [(row,
-    value)]}; the rows of d_k are the columns of d_{k+1}.  Precondition:
+    Each map is (cols, nrows, ncols), cols its {col: column} dict; the rows
+    of d_k are the columns of d_{k+1}.  Precondition:
     d_{k+1} d_k = 0, checked by the caller; otherwise the ranks are wrong.
     The echelon of d_k's columns spans im d_k with distinct leading rows
     P_k; those vectors and the unit vectors off P_k are a triangular basis
@@ -206,7 +220,7 @@ def complex_ranks(maps):
     """
     ranks, cleared = [], set()
     for cols, nrows, ncols in maps:
-        rows = _int_rows_sparse(dict(cols.get(j, ())) for j in range(ncols)
+        rows = _int_rows_sparse(cols.get(j, {}) for j in range(ncols)
                                 if j not in cleared)
         _, pivots = _sparse_echelon(rows, nrows)
         ranks.append(len(pivots))
@@ -283,10 +297,7 @@ def coordinates(space, vectors):
             raise ValueError("vector escapes the subspace")
         return coords
     k, d = space.dim, len(vectors)
-    rows = {}
-    for j, col in enumerate(space.columns + vectors):
-        for i, x in col.items():
-            rows.setdefault(i, {})[j] = x
+    rows = transpose(space.columns + vectors)
     cols, free = _kernel_columns(
         _int_rows_sparse(rows[i] for i in sorted(rows)), k + d)
     if free[len(free) - d:] != list(range(k, k + d)):
@@ -402,16 +413,20 @@ def full_subspace(n):
 
 
 def combination(columns, coeffs):
-    """sum_j coeffs[j] * columns[j] for sparse {row: value} columns.
+    """sum_j coeffs[j] * columns[j] for a matrix given by its columns.
 
     coeffs is a {j: value} dict; the result is a {row: value} dict without
     zeros.
     """
     acc = {}
     for j, a in coeffs.items():
-        for r, x in columns[j].items():
+        try:
+            col = columns[j]
+        except KeyError:        # a zero column the dict leaves out
+            continue
+        for r, x in col.items():
             acc[r] = acc.get(r, 0) + a * x
-    return {r: x for r, x in acc.items() if x}
+    return nonzero(acc)
 
 
 def intersect(s1, s2):
@@ -424,13 +439,8 @@ def intersect(s1, s2):
     if s1.dim == 0 or s2.dim == 0:
         return zero_subspace(s1.ambient_dim)
     k = s1.dim
-    rows = {}
-    for j, col in enumerate(s1.columns):
-        for i, x in col.items():
-            rows.setdefault(i, {})[j] = x
-    for j, col in enumerate(s2.columns):
-        for i, x in col.items():
-            rows.setdefault(i, {})[k + j] = -x
+    rows = transpose(s1.columns + [{i: -x for i, x in col.items()}
+                                   for col in s2.columns])
     ker, _ = _kernel_columns(_int_rows_sparse(rows.values()), k + s2.dim)
     return Subspace.span(s1.ambient_dim, [
         combination(s1.columns, {j: a for j, a in c.items() if j < k})
@@ -445,69 +455,82 @@ def subspace_sum(s1, s2):
 
 
 def transpose(columns):
-    """The rows {row: {j: value}} of a matrix given by sparse columns."""
+    """The rows {row: {col: value}} of a matrix given by its columns."""
     rows = {}
-    for j, col in enumerate(columns):
+    for j, col in _indexed(columns):
         for r, x in col.items():
             rows.setdefault(r, {})[j] = x
     return rows
 
 
+def minus_identity(columns, n):
+    """The {col: column} dict of A - 1 for an n x n matrix A given by its
+    columns."""
+    cols = {j: dict(col) for j, col in _indexed(columns)}
+    for j in range(n):
+        col = cols.setdefault(j, {})
+        col[j] = col.get(j, 0) - 1
+    return {j: nz for j, col in cols.items() if (nz := nonzero(col))}
+
+
 def sparse_product(a, b):
-    """a.b for sparse column matrices {col: [(row, value)]}; zero columns dropped."""
-    out = {}
-    for j, entries in b.items():
-        acc = {}
-        for mid, x in entries:
-            for row, v in a[mid]:
-                acc[row] = acc.get(row, 0) + v * x
-        col = [(r, v) for r, v in acc.items() if v]
-        if col:
-            out[j] = col
-    return out
+    """a.b as a {col: column} dict, one combination of a's columns per
+    column of b."""
+    return {j: col for j, c in _indexed(b) if (col := combination(a, c))}
 
 
-def commutant_operator(entries, m):
+def commutant_operator(columns, m, start):
     """Sparse columns of P -> PR - RP on m x m matrices P.
 
-    R is given by its nonzero entries {(row, col): value}; P[a, b] is the
-    coordinate a*m + b.  The kernel of the operator is {P : PR = RP}.
+    R is given by its columns, with rows and columns numbered from start;
+    P[a, b] is the coordinate a*m + b.  The kernel of the operator is
+    {P : PR = RP}.
     """
-    cols = {}
-    for (b, t), v in entries.items():
-        # (PR)[a, t] picks up P[a, b] R[b, t] and (RP)[b, a'] picks up
-        # R[b, t] P[t, a'] for every a and a'
-        for a in range(m):
-            cols.setdefault(a * m + b, []).append((a * m + t, v))
-            cols.setdefault(t * m + a, []).append((b * m + a, -v))
-    return cols
+    op, diag = {}, {}
+    for t, col in _indexed(columns):
+        t -= start
+        for b, v in col.items():
+            b -= start
+            if b == t:
+                diag[b] = v
+                continue
+            # (PR)[a, t] picks up P[a, b] R[b, t] and (RP)[b, a] picks up
+            # R[b, t] P[t, a] for every a; for b != t no two of these
+            # writes hit one entry
+            for a in range(m):
+                op.setdefault(a * m + b, {})[a * m + t] = v
+                op.setdefault(t * m + a, {})[b * m + a] = -v
+    # the diagonal of R puts R[b, b] - R[a, a] on P[a, b]'s own row
+    for a in range(m) if diag else ():
+        for b in range(m):
+            if x := diag.get(b, 0) - diag.get(a, 0):
+                op.setdefault(a * m + b, {})[a * m + b] = x
+    return op
 
 
 def intersect_kernels(operators, dim):
     """Common kernel of a family of operators with dim columns (a Subspace).
 
-    Each operator is given by its sparse columns {col: [(row, value)]};
-    operators may be produced lazily.  They are
-    processed one at a time, each restricted to the kernel found so far,
-    so the elimination shrinks quickly instead of one giant stacked system.
-    Everything runs through nonzeros: the running basis is kept as sparse
-    columns, and every product of kernel bases keeps the identity on its
-    free rows, so the result is a Subspace.from_columns.
+    Each operator is a {col: column} dict; operators may be produced
+    lazily.  They are processed one at a time, each restricted to the
+    kernel found so far, so the elimination shrinks quickly instead of one
+    giant stacked system.  Everything runs through nonzeros: the running
+    basis is kept as sparse columns, each operator is applied to it by
+    accumulating the rows of the product directly, and every product of
+    kernel bases keeps the identity on its free rows, so the result is a
+    Subspace.from_columns.
     """
     cols = free = None  # None stands for the full space
     for op in operators:
         if cols is not None and not cols:
             break
-        rows = {}
         if cols is None:
-            for c, entries in op.items():
-                for r, v in entries:
-                    row = rows.setdefault(r, {})
-                    row[c] = row.get(c, 0) + v
+            rows = transpose(op)
         else:
+            rows = {}
             for j, vec in enumerate(cols):
                 for c, x in vec.items():
-                    for r, v in op.get(c, ()):
+                    for r, v in op.get(c, {}).items():
                         row = rows.setdefault(r, {})
                         row[j] = row.get(j, 0) + v * x
         kcols, kfree = _kernel_columns(_int_rows_sparse(rows.values()),

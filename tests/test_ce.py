@@ -265,8 +265,8 @@ def test_complex_ranks_equal_each_differential_ranked_alone():
               for name in ("su:2+su:2", "so:5+torus:1")]
     for pair, top, integral in cases:
         cx = relative_complex(pair, max_degree=top)
-        values = [v for d in cx.deltas for entries in d.cols.values()
-                  for _, v in entries]
+        values = [v for d in cx.deltas for col in d.cols.values()
+                  for v in col.values()]
         # catalog and full wedge differentials hold ints; the 1/3 line's
         # restricted ones keep non-integral Fractions, so both number
         # types reach complex_ranks
@@ -471,8 +471,8 @@ def test_composite_check_fires_on_corrupted_differential(monkeypatch):
         col = real(table, mon, index)
         if mon.bit_count() == 2 and col and not flipped:
             flipped.append(mon)
-            (row, value), *rest = col
-            col = [(row, -value)] + rest
+            row = next(iter(col))
+            col = {**col, row: -col[row]}
         return col
     monkeypatch.setattr(ce, "_delta_column", patched)
     pair = _free(catalog.pair_from_name("su:2+su:2").algebra)

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import liecoh
 from liecoh import catalog
 from liecoh.betti import betti_low
@@ -123,6 +125,37 @@ def test_non_integer_fields_are_input_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "not a valid pair document" in err
         assert "%s must be an integer" % field in err, (field, err)
+
+
+def _su2_factor():
+    return catalog.emit("su:2")["algebra"]["factors"][0]
+
+
+# a factor of dim -2 used to pass every check but factors_simple (exit 2,
+# witness ('x', 'commutant_dim', 4)); a negative center_dim failed later,
+# on the basis rows or on structure constant indices (-3, -2)
+NEGATIVE_DIMENSION_DOCS = {
+    "factor_dim": ("dim of factor 'x'", {
+        "algebra": {"center_dim": 5, "factors": [
+            {"name": "x", "dim": -2, "structure_constants": []}]},
+        "subalgebra": {"basis": []}}),
+    "center_dim": ("center_dim", {
+        "algebra": {"center_dim": -3, "factors": []},
+        "subalgebra": {"basis": []}}),
+    "center_dim_with_factor": ("center_dim", {
+        "algebra": {"center_dim": -3, "factors": [_su2_factor()]},
+        "subalgebra": {"basis": []}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_DIMENSION_DOCS))
+def test_negative_dimensions_are_input_errors(tmp_path, capsys, case):
+    field, doc = NEGATIVE_DIMENSION_DOCS[case]
+    assert main(["compute", _write(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert "not a valid pair document" in captured.err
+    assert "%s must be non-negative" % field in captured.err, captured.err
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_malformed_rationals_are_input_errors(tmp_path, capsys):

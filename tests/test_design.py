@@ -1,18 +1,20 @@
-"""Design guards: one sparse matrix representation, one number rule, and
-no numpy.
+"""Design guards: one sparse matrix representation, one number rule, no
+numpy and no unused import.
 
 Every module works on sparse {index: value} vectors, structure constant
-tables, subspace columns and SparseMatrix columns; the only dense matrices
-are the nested-list views of the input (h_basis, the generators, the
-Killing rows), and the method modules do not touch those.  is_spd, the one
-dense pivot loop, checks input only: liealg.validate calls it.  A sparse
-value is an int when integral and a Fraction only when not, and no float
-reaches any method.  The library runs with numpy absent.
+tables, subspace columns and SparseMatrix columns; every matrix is a list
+or a {col: column} dict of {row: value} columns (linalg).  The only dense
+matrices are the nested-list views of the input (h_basis, the generators,
+the Killing rows), and the method modules do not touch those.  is_spd, the
+one dense pivot loop, checks input only: liealg.validate calls it.  A
+sparse value is an int when integral and a Fraction only when not, and no
+float reaches any method.  The library runs with numpy absent.
 The cochain method hands the complex builder the blocks a pair splits
 into, never their product.
 """
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -56,6 +58,21 @@ def _used_names(path):
             yield "name", node.name
 
 
+def test_every_imported_name_is_used():
+    # no linter runs on the package, so this is its unused-import check
+    for path in sorted(ROOT.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
 def test_no_module_imports_numpy():
     for path in sorted(ROOT.glob("*.py")):
         found = [m for m in _imported_modules(path)
@@ -92,20 +109,26 @@ def _numbers(obj):
             yield from _numbers(x)
 
 
-def test_number_rule_on_input_and_no_float_in_the_methods():
+@functools.cache
+def _method_outputs():
+    """(label, pair, relative complex, Psi space, Koszul slices) on catalog
+    pairs and the generated suite."""
     names = ["sphere:%d" % n for n in range(4, 8)] + ["flag_su3",
                                                      "stiefel:6:2"]
     cases = [(name, catalog.pair_from_name(name)) for name in names]
+    return [(label, pair, relative_complex(pair, max_degree=4, validate=False),
+             psi_analysis(pair), build_complex(pair, validate=False))
+            for label, pair in cases + pairgen.suite()]
+
+
+def test_number_rule_on_input_and_no_float_in_the_methods():
     seen = set()
-    for label, pair in cases + pairgen.suite():
+    for label, pair, cx, psi, slices in _method_outputs():
         held = list(_numbers([pair.algebra.table, pair.h,
                               pair.generator_columns]))
         assert all(type(x) is int or (type(x) is Fraction
                                       and x.denominator > 1)
                    for x in held), label
-        cx = relative_complex(pair, max_degree=4, validate=False)
-        psi = psi_analysis(pair)
-        slices = build_complex(pair, validate=False)
         derived = list(_numbers([cx.bases, cx.deltas, psi.form_basis,
                                  psi.psi_matrix,
                                  [s.differential for s in slices]]))
@@ -113,6 +136,22 @@ def test_number_rule_on_input_and_no_float_in_the_methods():
         seen.update(type(x) for x in held + derived)
     # both number types occur, so the guard is not vacuous
     assert seen == {int, Fraction}
+
+
+def test_every_matrix_is_columns_of_row_value_dicts():
+    # ad e_i, the CE differentials, the Koszul differentials and Psi: a
+    # {col: column} dict without zero columns, each column a {row: value}
+    # dict with int rows and no zero value
+    for label, pair, cx, psi, slices in _method_outputs():
+        matrices = (pair.algebra.ad_sparse() + [d.cols for d in cx.deltas]
+                    + [s.differential.cols for s in slices[:4]]
+                    + [psi.psi_matrix.cols])
+        for m in matrices:
+            assert type(m) is dict and all(type(j) is int for j in m), label
+            for col in m.values():
+                assert type(col) is dict and col, label
+                assert all(type(r) is int and x for r, x in col.items()), \
+                    label
 
 
 # run in a child interpreter in which every import of numpy fails

@@ -160,7 +160,7 @@ def test_psi_rank_kernel_cokernel_identities():
         for i in range(r):
             want = restrict_form(pair.algebra.btilde(i), carrier.columns)
             got = {}
-            for j, v in psi.cols.get(i, ()):
+            for j, v in psi.cols.get(i, {}).items():
                 for p, x in space.form_basis[j].items():
                     got[p] = got.get(p, 0) + v * x
             assert {p: x for p, x in got.items() if x} == want
@@ -231,7 +231,7 @@ def _random_rational_matrix(rng, m, density):
 def _apply_columns(op, vec, rows):
     out = [F(0)] * rows
     for col, entries in op.items():
-        for row, v in entries:
+        for row, v in entries.items():
             out[row] += v * vec[col]
     return out
 

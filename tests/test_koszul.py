@@ -150,6 +150,6 @@ def test_nabla_is_a_derivation_on_p3_wedge_p1():
     g = catalog.pair_from_name("torus:1+su:2").algebra
     d1, _, d3, d4 = (s.differential for s in build_complex(
         HomogeneousPair.from_vectors(g, [[1, 0, 0, 1]]))[:4])
-    [(_, restr)] = d1.cols[0]        # ∇(1⊗f) = restr·ψ
-    [(_, btilde)] = d3.cols[1]       # ∇(1⊗ρ) = btilde·t
-    assert d4.cols[1] == [(0, btilde), (1, -restr)]
+    [restr] = d1.cols[0].values()    # ∇(1⊗f) = restr·ψ
+    [btilde] = d3.cols[1].values()   # ∇(1⊗ρ) = btilde·t
+    assert d4.cols[1] == {0: btilde, 1: -restr}

@@ -42,8 +42,9 @@ def _ad_matrix(g, v):
     """Rows of the matrix of ad v, summed from the sparse ad e_i."""
     out = [[F(0)] * g.n for _ in range(g.n)]
     for i, ad in enumerate(g.ad_sparse()):
-        for (row, col), c in ad.items():
-            out[row][col] += v[i] * c
+        for col, entries in ad.items():
+            for row, c in entries.items():
+                out[row][col] += v[i] * c
     return out
 
 

@@ -35,9 +35,10 @@ def _eye(n):
 
 
 def _columns(m):
-    """The columns of a numpy matrix as {col: [(row, value)]}."""
-    return {j: [(i, m[i, j]) for i in range(m.shape[0]) if m[i, j]]
-            for j in range(m.shape[1])}
+    """The columns of a numpy matrix as {col: {row: value}}, zero columns
+    left out."""
+    return {j: col for j in range(m.shape[1])
+            if (col := {i: m[i, j] for i in range(m.shape[0]) if m[i, j]})}
 
 
 def _random_matrix(rng, rows, cols, density=0.7):
@@ -448,10 +449,10 @@ def test_rat_str_round_trip():
 
 
 def _apply_columns(op, vec, rows):
-    """Apply a sparse {col: [(row, value)]} operator to a dense vector."""
+    """Apply a sparse {col: {row: value}} operator to a dense vector."""
     out = [F0] * rows
     for col, entries in op.items():
-        for row, v in entries:
+        for row, v in entries.items():
             out[row] += v * vec[col]
     return out
 
@@ -460,8 +461,7 @@ def test_commutant_operator_is_p_r_minus_r_p():
     rng = random.Random(31)
     m = 4
     R = _random_matrix(rng, m, m, density=0.5)
-    op = commutant_operator({(r, c): v for c, col in _columns(R).items()
-                             for r, v in col}, m)
+    op = commutant_operator(_columns(R), m, 0)
     # the identity commutes with everything
     assert not any(_apply_columns(op, _eye(m).reshape(m * m), m * m))
     for _ in range(3):
