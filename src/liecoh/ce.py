@@ -27,19 +27,22 @@ w_j by an element of h changes none of them), so any test vectors dual to F
 give the same invariant complex; the unit vectors only make D small.
 
 The degree-k cochain space is the joint kernel of the theta operators and
-the fixed space of the generator actions, intersected one operator at a time
-through nonzeros (intersect_kernels); its basis is the identity on a set of
-free rows.  A column delta(F_J) is built once, on first use, per monomial J
-in the invariant basis or in the images of the degree below, and nowhere
-else.  delta o delta = 0 on the lower images, and the images mapped back
-from their row selection on the next basis (the differential must not
-escape the invariant space), are consistency checks on the assembly, not
-assumptions.  With no constraints (trivial isotropy, no generators) the
-images are the delta columns themselves.  Ranks are exact integer ranks,
-taken in increasing degree as one complex (linalg.complex_ranks): the
-echelon of delta_k's columns has distinct leading rows P_k, and since
-delta o delta = 0 (checked above) delta_{k+1} is ranked on its columns off
-P_k only: most of the columns that would reduce to zero are never touched.
+the fixed space of the generator actions.  theta is a representation of h,
+so the Y whose theta(Y) kills a cochain are a subalgebra and theta is built
+for a Lie generating set of h only (liealg.lie_generators).  The operators
+are intersected one at a time through nonzeros (intersect_kernels); the
+basis is the identity on a set of free rows.  A column delta(F_J) is built
+once, on first use, per monomial J in the invariant basis or in the images
+of the degree below, and nowhere else.  delta o delta = 0 on the lower
+images, and the images mapped back from their row selection on the next
+basis (the differential must not escape the invariant space), are
+consistency checks on the assembly, not assumptions.  With no constraints
+(trivial isotropy, no generators) the images are the delta columns
+themselves.  Ranks are exact integer ranks, taken in increasing degree as
+one complex (linalg.complex_ranks): the echelon of delta_k's columns has
+distinct leading rows P_k, and since delta o delta = 0 (checked above)
+delta_{k+1} is ranked on its columns off P_k only: most of the columns that
+would reduce to zero are never touched.
 
 betti_ce splits the pair first.  _blocks merges the coordinates of each
 simple factor, of the support of each h basis column, and of the columns a
@@ -137,7 +140,8 @@ def _frame_actions(pair, ann, rows):
         if rank(gcols, alg.n) != alg.n:
             raise ValueError("generator matrix is singular")
     return ([_frame_action(rows, [alg.bracket_sparse({f: 1}, y)
-                                  for f in ann.free]) for y in pair.h.columns],
+                                  for f in ann.free])
+             for y in pair.h_lie_generators],
             [_frame_action(rows, [gcols[f] for f in ann.free])
              for gcols in pair.generator_columns])
 

@@ -1,15 +1,18 @@
 """Invariant symmetric bilinear forms and the restriction map Ψ.
 
-Invariance under the identity component H⁰ is imposed infinitesimally
-(ad-invariance under a basis of h); invariance under the component group is
-imposed through the generators' sparse columns.  A form on a carrier
-subspace V ⊆ h is held as its symmetric coordinates in the carrier's
-basis: a {(i, j): value} dict with i ≤ j and no zero entries.  The
-constraint operators act on these coordinates, indexed by the pairs (i, j),
-i ≤ j, in lexicographic order.
+Invariance under the identity component H⁰ is imposed infinitesimally,
+by ad-invariance under a Lie generating set of h (liealg.lie_generators):
+the x ∈ h that kill a form are a subalgebra, as [x, y]·F = x·(y·F) −
+y·(x·F) (Chevalley–Eilenberg 1948; Koszul 1950), so this is invariance
+under h.  Invariance under the component group is imposed through the
+generators' sparse columns.  A form on a carrier subspace V ⊆ h is held
+as its symmetric coordinates in the carrier's basis: a {(i, j): value}
+dict with i ≤ j and no zero entries.  The constraint operators act on
+these coordinates, indexed by the pairs (i, j), i ≤ j, in lexicographic
+order.
 """
 
-from .liealg import is_bracket_closed
+from .liealg import is_bracket_closed, lie_generators
 from .linalg import (SparseMatrix, Subspace, combination,
                      commutant_operator, coordinates, intersect_kernels,
                      minus_identity, nonzero, rank, transpose)
@@ -159,7 +162,7 @@ def invariant_sym_forms(pair, carrier):
     pairs = sym_pairs(carrier.dim)
 
     def operators():
-        for x in pair.h.columns:
+        for x in pair.h_lie_generators:
             yield _ad_constraint(ad_coordinates(alg, carrier, x), pairs)
         for gcols in pair.generator_columns:
             yield _generator_constraint(action_coordinates(gcols, carrier),
@@ -224,6 +227,7 @@ def minimal_ideal_count(pair, s):
         for t, v in col.items()))} for i in range(m)]
     if rank(killing, m) != m:
         raise ValueError("subspace is not semisimple (degenerate Killing form)")
-    gens = [action_coordinates(gcols, s) for gcols in pair.generator_columns]
-    ops = (commutant_operator(R, m, 0) for R in ads + gens)
-    return intersect_kernels(ops, m * m).dim
+    gens = [ad_coordinates(alg, s, x) for x in lie_generators(alg, s.columns)]
+    gens += [action_coordinates(gcols, s) for gcols in pair.generator_columns]
+    return intersect_kernels((commutant_operator(R, m, 0) for R in gens),
+                             m * m).dim

@@ -158,7 +158,7 @@ def build_complex(pair, validate=True):
     # of h (Rᵀc = 0 with R = ad x|ₕ) and fixed by the generators (Cᵀc = c
     # with C = γ|ₕ); S²(h*)^H as invariant symmetric forms on h
     inv = intersect_kernels(
-        [transpose(ad_coordinates(alg, h, x)) for x in h.columns]
+        [transpose(ad_coordinates(alg, h, x)) for x in pair.h_lie_generators]
         + [minus_identity(transpose(action_coordinates(gcols, h)), h.dim)
            for gcols in pair.generator_columns], h.dim)
     psi = inv.columns

@@ -163,11 +163,11 @@ class LieAlgebra:
         factor_specs: list of (name, dim, constants) where constants is an
         iterable of (i, j, k, c) in factor-local indices with i < j.
         """
+        factors = [(name, dim) for name, dim, _ in factor_specs]
+        cls(center_dim, factors, {})    # rejects a bad dim before its indices
         table = {}
-        factors = []
         offset = center_dim
         for name, dim, constants in factor_specs:
-            factors.append((name, dim))
             for i, j, k, c in constants:
                 if not (0 <= i < j < dim and 0 <= k < dim):
                     raise ValueError("factor %r: bad local indices (%d,%d,%d)" % (name, i, j, k))
@@ -317,6 +317,29 @@ def is_bracket_closed(alg, s):
                for u, v in combinations(s.columns, 2))
 
 
+def lie_generators(alg, columns):
+    """The columns not in the Lie subalgebra generated by those before them.
+
+    Each new echelon row of the bracket closure is bracketed with every
+    row before it.  When Jacobi holds, whatever kills these columns kills
+    the algebra they generate, as [x, y]·F = x·(y·F) − y·(x·F).
+    """
+    echelon, rows, gens = {}, [], []
+    for col in columns:
+        todo = [echelon_insert(echelon, col)]
+        if todo[0] is None:
+            continue
+        gens.append(col)
+        while todo:
+            u = todo.pop()
+            for v in rows:
+                row = echelon_insert(echelon, alg.bracket_sparse(u, v))
+                if row is not None:
+                    todo.append(row)
+            rows.append(u)
+    return gens
+
+
 def center_and_derived(alg, s):
     """(z(s), [s,s]) for a bracket-closed subspace s; checks s = z(s) ⊕ [s,s].
 
@@ -389,11 +412,14 @@ def validate(alg):
     # simplicity, and then every ideal closure is the whole factor.  So the
     # closures are grown only otherwise, to name a vector whose closure is
     # smaller; a vector can meet every simple ideal of a fused factor, so
-    # the commutant dimension is the fallback witness.
+    # the commutant dimension is the fallback witness.  Both need ideal
+    # factors; with Jacobi, ad is a homomorphism, so Lie generators suffice.
     bad_simple = None
-    if bad_factor is None and bad_cross is None and bad_closed is None:
+    if all(w is None for w in (bad, bad_cross, bad_closed, bad_factor)):
         for name, start, stop in alg.factors:
-            k = _commutant_dim(alg, start, stop)
+            units = [{i: 1} for i in range(start, stop)]
+            k = _commutant_dim(alg, start, stop, units if bad_jacobi
+                               else lie_generators(alg, units))
             if k != 1 or bad_jacobi is not None:
                 bad_simple = _closure_witness(alg, name, start, stop)
             if bad_simple is None and k != 1:
@@ -459,9 +485,9 @@ def _closure_witness(alg, name, start, stop):
     return None
 
 
-def _commutant_dim(alg, start, stop):
-    """Dimension of {P : P ad(x) = ad(x) P for every x} on one factor."""
+def _commutant_dim(alg, start, stop, units):
+    """Dimension of {P : P ad(x) = ad(x) P} on one factor, x over units."""
     dim = stop - start
     ads = alg.ad_sparse()
-    ops = (commutant_operator(ads[i], dim, start) for i in range(start, stop))
+    ops = (commutant_operator(ads[i], dim, start) for (i,) in units)
     return intersect_kernels(ops, dim * dim).dim

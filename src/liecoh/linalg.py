@@ -11,16 +11,17 @@ Every elimination goes through one exact engine, _sparse_echelon:
 each row is cleared to integers once (lcm of denominators) and held as a
 {col: int} dict, then eliminated with the gcd-scaled two-term update, so
 no rationals appear inside the hot loop and the cost tracks the nonzero
-structure.  Ranks count its pivots
-(complex_ranks carries them from one map of a complex to the next),
-kernels back-substitute through its rows (_kernel_columns), and
-coordinates reads coordinates off the kernel of [columns | vectors].
-The one other pivot loop, is_spd, reads the signs of a Gram matrix's
-symmetric pivots on input; it computes no rank or solution.
+structure.  Ranks count its pivots (complex_ranks carries them from one
+map of a complex to the next), and kernels back-substitute through its
+rows (_kernel_columns).  The one other pivot loop, is_spd, reads the
+signs of a Gram matrix's symmetric pivots on input; it computes no rank
+or solution.
 
 A Subspace holds sparse basis columns only: the echelon rows of
-Subspace.span, the back-substituted kernel columns.  Equality, intersect,
-sum and coordinates work on them.
+Subspace.span, the back-substituted kernel columns.  Equality, intersect
+and sum work on them.  Coordinates in independent columns are unique:
+coordinates reads them through the Subspace's solver, built once (on a
+kernel basis, its free rows), and checks them by mapping them back.
 
 Ordering conventions used throughout the package: symmetric index pairs are
 (i, j) with i <= j in lexicographic order, exterior tuples are strictly
@@ -30,6 +31,7 @@ increasing tuples in lexicographic order (itertools.combinations order).
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -278,32 +280,16 @@ def kernel_basis(m, ncols):
 
 
 def coordinates(space, vectors):
-    """Coordinates {j: value} of sparse {row: value} vectors in the columns
-    of a Subspace; ValueError if a vector does not lie in the subspace.
-
-    On a kernel basis (space.free set) they are the entries on the free
-    rows, checked by mapping them back (so the vectors hold no zero
-    entries).  Otherwise they come from one kernel of [columns | vectors]:
-    column k + j is free exactly when vector j lies in the span of the k
-    columns, and its kernel column, negated on the first k rows, gives
-    coordinates with every free column variable set to 0.
-    """
-    if space.free is not None:
-        slot = {row: j for j, row in enumerate(space.free)}
-        coords = [{slot[r]: x for r, x in v.items() if r in slot}
-                  for v in vectors]
-        if any(combination(space.columns, c) != v
-               for c, v in zip(coords, vectors)):
-            raise ValueError("vector escapes the subspace")
-        return coords
-    k, d = space.dim, len(vectors)
-    rows = transpose(space.columns + vectors)
-    cols, free = _kernel_columns(
-        _int_rows_sparse(rows[i] for i in sorted(rows)), k + d)
-    if free[len(free) - d:] != list(range(k, k + d)):
+    """Coordinates {j: value} of sparse {row: value} vectors, holding no
+    zero entries, in the columns B of a Subspace: (B_P)^-1 v_P through the
+    space's solver, checked by mapping them back (ValueError if a vector
+    does not lie in the subspace)."""
+    coords = [{j: exact(x) for j, x in combination(space.solver, v).items()}
+              for v in vectors]
+    if any(combination(space.columns, c) != v
+           for c, v in zip(coords, vectors)):
         raise ValueError("vector escapes the subspace")
-    return [{r: -x for r, x in col.items() if r < k}
-            for col in cols[len(cols) - d:]]
+    return coords
 
 
 def is_spd(gram):
@@ -385,6 +371,23 @@ class Subspace:
     @property
     def dim(self):
         return len(self.columns)
+
+    @cached_property
+    def solver(self):
+        """{p: (B_P)^-1 e_p} over rows P on which the basis B is invertible,
+        built once: P is the pivot set of the echelon of B's columns, and
+        free column k + i of [B_P | 1] has kernel column -(B_P)^-1 e_i on
+        its first k rows.  A kernel basis has P = free and B_P = 1."""
+        if self.free is not None:
+            return {r: {j: 1} for j, r in enumerate(self.free)}
+        k = self.dim
+        _, pivots = _sparse_echelon(_int_rows_sparse(self.columns),
+                                    self.ambient_dim)
+        rows = transpose(self.columns)
+        cols, _ = _kernel_columns(_int_rows_sparse(
+            {**rows[p], k + i: 1} for i, p in enumerate(pivots)), 2 * k)
+        return {p: {j: -x for j, x in col.items() if j < k}
+                for p, col in zip(pivots, cols)}
 
     def contains(self, v):
         """True iff v, a sequence or a sparse dict, lies in the subspace."""

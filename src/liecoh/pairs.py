@@ -20,7 +20,8 @@ input, as row-major nested lists of Fractions like the JSON document.
 
 from .invariant_forms import fixed_vectors
 from .liealg import (LieAlgebra, array_field, center_and_derived,
-                     is_bracket_closed, object_field, validate)
+                     is_bracket_closed, lie_generators, object_field,
+                     validate)
 from .linalg import (F0, Subspace, combination, exact, fr, intersect,
                      kernel_basis, rat_str, subspace_sum)
 
@@ -36,6 +37,7 @@ class HomogeneousPair:
     generators: list of n × n matrices, the Ad-action of one representative
                 per generator of H/H⁰ (empty for connected H).
     generator_columns: per generator, its n columns as {row: value} dicts.
+    h_lie_generators: the columns of h that generate it as a Lie algebra.
 
     h_basis and each generator are held as n rows, nested lists of
     Fractions; the constructor takes any iterable of rows (nested lists or
@@ -52,6 +54,7 @@ class HomogeneousPair:
         self.h = Subspace(n, h_basis)  # checks column independence
         self.h_basis = [[fr(col.get(i, F0)) for col in self.h.columns]
                         for i in range(n)]
+        self.h_lie_generators = lie_generators(algebra, self.h.columns)
         gens = []
         for g in generators:
             g = [[fr(x) for x in row] for row in g]

@@ -133,11 +133,17 @@ def _su2_factor():
 
 # a factor of dim -2 used to pass every check but factors_simple (exit 2,
 # witness ('x', 'commutant_dim', 4)); a negative center_dim failed later,
-# on the basis rows or on structure constant indices (-3, -2)
+# on the basis rows or on structure constant indices (-3, -2); a negative
+# factor dim with constants was reported as "bad local indices (0,1,2)"
 NEGATIVE_DIMENSION_DOCS = {
     "factor_dim": ("dim of factor 'x'", {
         "algebra": {"center_dim": 5, "factors": [
             {"name": "x", "dim": -2, "structure_constants": []}]},
+        "subalgebra": {"basis": []}}),
+    "factor_dim_with_constants": ("dim of factor 'x'", {
+        "algebra": {"center_dim": 0, "factors": [
+            {"name": "x", "dim": -3,
+             "structure_constants": [[0, 1, 2, "2"]]}]},
         "subalgebra": {"basis": []}}),
     "center_dim": ("center_dim", {
         "algebra": {"center_dim": -3, "factors": []},

@@ -10,11 +10,13 @@ one dense pivot loop, checks input only: liealg.validate calls it.  A
 sparse value is an int when integral and a Fraction only when not, and no
 float reaches any method.  The library runs with numpy absent.
 The cochain method hands the complex builder the blocks a pair splits
-into, never their product.
+into, never their product.  Invariance under h is imposed through a Lie
+generating set of h, not through every basis vector.
 """
 
 import ast
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -22,7 +24,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import liecoh
-from liecoh import catalog, ce
+from liecoh import catalog, ce, invariant_forms, koszul
+from liecoh.cli import main
 from liecoh.ce import relative_complex
 from liecoh.invariant_forms import psi_analysis
 from liecoh.koszul import build_complex
@@ -206,3 +209,29 @@ def test_ce_builds_the_blocks_of_a_pair(monkeypatch):
     sphere = catalog.pair_from_name("sphere:7")
     ce.betti_ce(sphere)
     assert len(handed) == 1 and handed[0] is sphere
+
+
+def test_invariant_forms_impose_one_operator_per_lie_generator(
+        monkeypatch, tmp_path, capsys):
+    # h = so(7) in sphere:7 has 21 basis vectors and 6 Lie generators; a
+    # verify builds S²(h∩[g,g]*)^H and S²(h*)^H, each from 6 ad operators
+    per_call = []
+    real_forms = invariant_forms.invariant_sym_forms
+    real_constraint = invariant_forms._ad_constraint
+
+    def forms(*args):
+        per_call.append(0)
+        return real_forms(*args)
+
+    def constraint(*args):
+        per_call[-1] += 1
+        return real_constraint(*args)
+    for module in (invariant_forms, koszul):
+        monkeypatch.setattr(module, "invariant_sym_forms", forms)
+    monkeypatch.setattr(invariant_forms, "_ad_constraint", constraint)
+    path = tmp_path / "sphere7.json"
+    path.write_text(json.dumps(catalog.emit("sphere:7")))
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert catalog.pair_from_name("sphere:7").h.dim == 21
+    assert per_call == [6, 6]

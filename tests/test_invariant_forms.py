@@ -5,15 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from liecoh import catalog
+from liecoh import catalog, koszul, liealg
+from liecoh.ce import relative_complex
 from liecoh.invariant_forms import (InvariantFormSpace, _ad_constraint,
-                                    _generator_constraint, fixed_vectors,
-                                    invariant_sym_forms, minimal_ideal_count,
-                                    psi_analysis, restrict_form, sym_pairs,
-                                    vee)
+                                    _generator_constraint,
+                                    action_coordinates, ad_coordinates,
+                                    fixed_vectors, invariant_sym_forms,
+                                    minimal_ideal_count, psi_analysis,
+                                    restrict_form, sym_pairs, vee)
 from liecoh.pairs import HomogeneousPair, decompose
-from liecoh.linalg import Subspace, combination, rank
+from liecoh.linalg import (Subspace, combination, commutant_operator,
+                           intersect_kernels, kernel_basis, rank)
 
+import pairgen
 from pairgen import eye, rp4_pair
 
 F = Fraction
@@ -281,3 +285,92 @@ def test_form_space_dim_property():
     space = InvariantFormSpace(Subspace.span(2, [[1, 0]]), [{(0, 0): F(1)}])
     assert space.dim == 1
     assert InvariantFormSpace(Subspace.span(2, [[1, 0]]), []).dim == 0
+
+
+def _every_basis_vector(pair):
+    """A copy of pair that imposes h-invariance through every basis
+    vector of h instead of its Lie generators."""
+    full = HomogeneousPair(pair.algebra, pair.h_basis, pair.generators)
+    full.h_lie_generators = list(full.h.columns)
+    return full
+
+
+def _sym_forms_by_equations(pair, carrier):
+    """S²(carrier*)^H from the equations RᵀF + FR = 0 for ad x|carrier,
+    x over every basis vector of h, and CᵀFC = F per generator, one row
+    per entry (s, t), s ≤ t, on the coordinates F[p] of sym_pairs."""
+    pairs = sym_pairs(carrier.dim)
+    index = {p: t for t, p in enumerate(pairs)}
+
+    def at(a, b):
+        return index[(a, b) if a <= b else (b, a)]
+    rows = []
+    for x in pair.h.columns:
+        R = ad_coordinates(pair.algebra, carrier, x)
+        for s, t in pairs:
+            row = {}
+            for u, v in ((s, t), (t, s)):
+                # (RᵀF)[u, v] = sum_p R[p, u] F[p, v]
+                for p, r in R[u].items():
+                    row[at(p, v)] = row.get(at(p, v), 0) + r
+            rows.append(row)
+    for gcols in pair.generator_columns:
+        C = action_coordinates(gcols, carrier)
+        for s, t in pairs:
+            row = {index[(s, t)]: -1}
+            for a, x in C[s].items():
+                for b, y in C[t].items():
+                    row[at(a, b)] = row.get(at(a, b), 0) + x * y
+            rows.append(row)
+    return kernel_basis(rows, len(pairs))
+
+
+def _form_subspace(space):
+    index = {p: t for t, p in enumerate(sym_pairs(space.carrier.dim))}
+    return Subspace.span(len(index), [{index[p]: v for p, v in f.items()}
+                                      for f in space.form_basis])
+
+
+def _commutant_by_every_vector(pair, s):
+    ops = [ad_coordinates(pair.algebra, s, x) for x in s.columns]
+    ops += [action_coordinates(gcols, s) for gcols in pair.generator_columns]
+    return intersect_kernels([commutant_operator(R, s.dim, 0) for R in ops],
+                             s.dim * s.dim).dim
+
+
+def test_invariance_under_lie_generators_is_invariance_under_h(monkeypatch):
+    # every invariant object built from h's Lie generators equals the one
+    # built from every basis vector of h, on the ladder and the suite
+    found = []
+    real = koszul.intersect_kernels
+    monkeypatch.setattr(koszul, "intersect_kernels",
+                        lambda *a: found.append(real(*a)) or found[-1])
+    names = ["sphere:4", "sphere:5", "sphere:6", "sphere:7", "stiefel:5:2",
+             "flag_su3", "example_4_7"]
+    for label, pair in ([(name, catalog.pair_from_name(name))
+                         for name in names] + pairgen.suite()):
+        alg, h = pair.algebra, pair.h
+        dec = decompose(pair)
+        for carrier in (h, dec.hcapgg):
+            assert (_form_subspace(invariant_sym_forms(pair, carrier))
+                    == _sym_forms_by_equations(pair, carrier)), label
+        # (h*)^H: Rᵀc = 0 per basis vector, Cᵀc = c per generator
+        del found[:]
+        koszul.build_complex(pair, validate=False)
+        rows = [col for x in h.columns for col in ad_coordinates(alg, h, x)]
+        rows += [{**col, j: col.get(j, 0) - 1}
+                 for gcols in pair.generator_columns
+                 for j, col in enumerate(action_coordinates(gcols, h))]
+        assert found[0] == kernel_basis(rows, h.dim), label
+        if dec.hh.dim:
+            assert (minimal_ideal_count(pair, dec.hh)
+                    == _commutant_by_every_vector(pair, dec.hh)), label
+        for _, start, stop in alg.factors:
+            units = [{i: 1} for i in range(start, stop)]
+            assert (liealg._commutant_dim(alg, start, stop,
+                                          liealg.lie_generators(alg, units))
+                    == liealg._commutant_dim(alg, start, stop, units)), label
+        got = relative_complex(pair, validate=False).bases
+        want = relative_complex(_every_basis_vector(pair),
+                                validate=False).bases
+        assert got == want, label

@@ -6,8 +6,10 @@ from itertools import combinations
 
 from liecoh import catalog, liealg
 from liecoh.liealg import (LieAlgebra, ValidationError, center_and_derived,
-                           is_bracket_closed, validate)
+                           is_bracket_closed, lie_generators, validate)
 from liecoh.linalg import Subspace
+
+import pairgen
 
 F = Fraction
 
@@ -284,6 +286,22 @@ def test_validate_center_bracket():
     assert validate(bad).ok
 
 
+def test_center_bracket_skips_the_simplicity_check():
+    # [e_0, e_1] = e_2 in torus:1+su:2 puts a center column into ad e_1;
+    # the commutant of the factor then means nothing, so, as for a
+    # cross-factor bracket, factors_simple is not evaluated (it used to
+    # fail with witness ('su(2)', 'commutant_dim', 0))
+    g = catalog.pair_from_name("torus:1+su:2").algebra
+    bad = LieAlgebra(1, [("su(2)", 3)], {**g.table, (0, 1): ((2, F(1)),)})
+    assert validate(bad).describe() == "\n".join([
+        "FAIL center_brackets_vanish  witness=(0, 1)",
+        "ok   cross_factor_brackets_vanish",
+        "ok   factor_brackets_closed",
+        "FAIL jacobi  witness=(0, 1, 3)",
+        "ok   killing_negative_definite_per_factor",
+        "ok   factors_simple"])
+
+
 def test_structure_constant_index_range_errors():
     try:
         LieAlgebra(0, [("x", 2)], {(0, 5): ((0, F(1)),)})
@@ -372,3 +390,73 @@ def test_valid_algebras_grow_no_ideal_closure(monkeypatch):
     g = catalog.pair_from_name("su:2+su:2").algebra
     validate(LieAlgebra(0, [("fused", 6)], g.table))
     assert calls == ["fused"]
+
+
+def _closure(g, vectors):
+    """The span of vectors and all their iterated brackets, grown by
+    bracketing the whole span with itself until it stops growing."""
+    span = Subspace.span(g.n, vectors)
+    while True:
+        grown = Subspace.span(g.n, span.columns + [
+            g.bracket_sparse(u, v) for u, v in combinations(span.columns, 2)])
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+def _generated_inputs():
+    """(label, algebra, columns): every catalog h, every h of the suite and
+    every simple factor of su:2..5, so:5..8 and sp:1..3 in unit vectors."""
+    names = (["sphere:%d" % n for n in range(2, 11)]
+             + ["stiefel:5:2", "stiefel:6:2", "stiefel:6:3", "stiefel:8:2",
+                "flag_su3", "example_4_7"])
+    for label, pair in ([(name, catalog.pair_from_name(name))
+                         for name in names] + pairgen.suite()):
+        yield label, pair.algebra, pair.h.columns
+    for kind, sizes in (("su", range(2, 6)), ("so", range(5, 9)),
+                        ("sp", range(1, 4))):
+        for n in sizes:
+            g = catalog.build(kind, n)
+            for name, start, stop in g.factors:
+                yield name, g, [{i: 1} for i in range(start, stop)]
+
+
+def test_lie_generators_generate_the_input():
+    for label, g, columns in _generated_inputs():
+        gens = lie_generators(g, columns)
+        # a subsequence of the input whose closure spans the input
+        it = iter(columns)
+        assert all(any(x is c for c in it) for x in gens), label
+        assert _closure(g, gens) == Subspace.span(g.n, columns), label
+        # no returned column lies in the closure of those before it
+        for t in range(1, len(gens)):
+            assert not _closure(g, gens[:t]).contains(gens[t]), label
+    # so(n) in the catalog basis: n - 1 of n(n - 1)/2
+    pair = catalog.pair_from_name("sphere:7")
+    assert (pair.h.dim, len(lie_generators(pair.algebra, pair.h.columns))) \
+        == (21, 6)
+
+
+def test_lie_generators_of_a_non_closed_input_terminate(monkeypatch):
+    # every pair of closure rows is bracketed once and the closure has at
+    # most n rows, so at most n(n - 1)/2 brackets, whatever the input
+    rng = random.Random(7)
+    for name in ("su:3", "so:5", "torus:1+sp:2"):
+        g = catalog.pair_from_name(name).algebra
+        calls = []
+        real = g.bracket_sparse
+
+        def counted(u, v, real=real, calls=calls):
+            calls.append(1)
+            return real(u, v)
+        monkeypatch.setattr(g, "bracket_sparse", counted)
+        for _ in range(5):
+            columns = [{i: F(rng.randrange(-3, 4))
+                        for i in rng.sample(range(g.n), 2)}
+                       for _ in range(rng.randrange(1, 4))]
+            columns = [{i: x for i, x in c.items() if x} for c in columns]
+            columns = [c for c in columns if c]
+            del calls[:]
+            gens = lie_generators(g, columns)
+            assert len(calls) <= g.n * (g.n - 1) // 2, name
+            assert _closure(g, gens) == _closure(g, columns), name

@@ -14,6 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecoh import linalg
 from liecoh.linalg import (F0, F1, Subspace, combination, commutant_operator,
                            complex_ranks, coordinates, echelon_insert,
                            full_subspace, intersect, intersect_kernels,
@@ -190,6 +191,41 @@ def test_coordinates_in_subspace_columns():
                 raise AssertionError("escaping vector accepted")
 
 
+def test_coordinates_eliminate_once_per_subspace(monkeypatch):
+    calls = []
+    real = linalg._sparse_echelon
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+    monkeypatch.setattr(linalg, "_sparse_echelon", counted)
+    rng = random.Random(11)
+    span = Subspace.span(6, [_random_matrix(rng, 6, 1)[:, 0]
+                             for _ in range(4)])
+    assert span.dim == 4 and span.free is None
+    vectors = [combination(span.columns, {0: F(1, 3), 2: F(-2)}),
+               combination(span.columns, {1: F(5), 3: F(1)})]
+    del calls[:]
+    first = coordinates(span, vectors)
+    assert calls, "the first call builds the solver"
+    del calls[:]
+    assert coordinates(span, vectors) == first
+    assert coordinates(span, vectors[1:]) == first[1:]
+    # an escaping vector is still caught by mapping back, with no new
+    # elimination
+    outside = next({t: F1} for t in range(6) if not span.contains({t: F1}))
+    del calls[:]
+    with pytest.raises(ValueError):
+        coordinates(span, vectors + [outside])
+    # a vector that agrees with the span on the solver's rows only
+    off = next(t for t in range(6) if t not in span.solver)
+    near = {**vectors[0], off: vectors[0].get(off, 0) + 1}
+    near = {t: x for t, x in near.items() if x}
+    with pytest.raises(ValueError):
+        coordinates(span, [near])
+    assert calls == []
+
+
 def _inverse(m):
     """m^-1 as a sympy matrix, from the coordinates of the unit vectors in
     the columns of m; None if the columns are dependent."""
@@ -229,7 +265,8 @@ def _matrices(rows, cols):
 
 @st.composite
 def _systems(draw):
-    """(basis, coeff, v, other): basis has dependent columns appended."""
+    """(basis, coeff, v, other, kcoeff): basis has dependent columns
+    appended."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(0, 3))
     basis = draw(_matrices(n, k))
@@ -242,13 +279,15 @@ def _systems(draw):
     other = basis.dot(draw(_matrices(basis.shape[1], draw(st.integers(0, 3)))))
     if draw(st.booleans()):
         other = np.hstack([other, draw(_matrices(n, 1))])
-    return basis, coeff, v, other
+    # coefficients for vectors of a kernel basis, whose dimension is <= n
+    kcoeff = draw(_matrices(n, draw(st.integers(0, 2))))
+    return basis, coeff, v, other, kcoeff
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_systems())
 def test_solve_span_and_equality_against_sympy(system):
-    basis, coeff, v, other = system
+    basis, coeff, v, other, kcoeff = system
     n = basis.shape[0]
     rank_basis = _sympy_of(basis).rank()
     s = Subspace.span(n, [basis[:, j] for j in range(basis.shape[1])])
@@ -258,6 +297,21 @@ def test_solve_span_and_equality_against_sympy(system):
     rhs = [{i: x for i, x in enumerate(col) if x} for col in basis.dot(coeff).T]
     for c, want in zip(coordinates(s, rhs), rhs):
         assert combination(s.columns, c) == want
+    # and they are sympy's unique solution, in the echelon columns and in
+    # a kernel basis, whose solver is its free rows
+    ker = kernel_basis(basis.T, n)
+    for space, vectors in ((s, rhs), (ker, [
+            combination(ker.columns, {j: x for j, x in enumerate(c[:ker.dim])
+                                      if x}) for c in kcoeff.T])):
+        cols = _sympy_of(np.array(
+            [[col.get(i, 0) for col in space.columns] for i in range(n)],
+            dtype=object).reshape(n, space.dim))
+        for c, w in zip(coordinates(space, vectors), vectors):
+            sol, params = cols.gauss_jordan_solve(
+                _sympy_of(np.array([[w.get(i, 0)] for i in range(n)],
+                                   dtype=object)))
+            assert params.shape[0] == 0
+            assert [c.get(j, 0) for j in range(space.dim)] == list(sol)
     # a vector escapes exactly when it raises sympy's rank
     escapes = _sympy_of(np.hstack([basis, v])).rank() > rank_basis
     assert s.contains(v[:, 0]) == (not escapes)
