@@ -17,7 +17,7 @@ from math import comb
 
 from .invariant_forms import minimal_ideal_count, psi_analysis
 from .linalg import Subspace, combination, intersect
-from .pairs import decompose, validate_pair
+from .pairs import decompose
 
 
 class BettiReport:
@@ -49,7 +49,7 @@ class BettiReport:
 def betti_low(pair, validate=True):
     """Betti numbers b0..b4 of G/H by the closed formulas."""
     if validate:
-        validate_pair(pair).ensure()
+        pair.validation.ensure()
     dec = decompose(pair)
     psi = psi_analysis(pair, dec)
     r0 = dec.r0

@@ -68,7 +68,7 @@ from .linalg import (SparseMatrix, combination, complex_ranks,
                      coordinates, intersect_kernels, kernel_basis,
                      minus_identity, nonzero, rank, sparse_product,
                      transpose)
-from .pairs import HomogeneousPair, validate_pair
+from .pairs import HomogeneousPair
 
 DEFAULT_SIZE_CAP = 14
 
@@ -282,7 +282,7 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     explicitly to override for a single call.
     """
     if validate:
-        validate_pair(pair).ensure()
+        pair.validation.ensure()
     alg = pair.algebra
     q = alg.n - pair.h.dim
     _effective_size_cap(size_cap, q)
@@ -369,7 +369,7 @@ def betti_ce(pair, max_degree=None, size_cap=None, validate=True):
     """Betti numbers from the invariant cochain complex (exact ranks),
     assembled and ranked block by block."""
     if validate:
-        validate_pair(pair).ensure()
+        pair.validation.ensure()
     q = pair.algebra.n - pair.h.dim
     cap = _effective_size_cap(size_cap, q)
     top = q if max_degree is None else max(0, min(int(max_degree), q))

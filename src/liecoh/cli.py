@@ -19,7 +19,7 @@ from .catalog import emit, entries
 from .ce import _effective_size_cap, betti_ce
 from .koszul import betti_koszul
 from .linalg import rat_str
-from .pairs import HomogeneousPair, validate_pair
+from .pairs import HomogeneousPair
 
 _METHODS = ("formula", "koszul", "ce")
 
@@ -56,7 +56,7 @@ def _load_pair(path):
 
 
 def _ensure_valid(pair):
-    report = validate_pair(pair)
+    report = pair.validation
     if not report.ok:
         raise _CliError(2, report.describe())
     for warning in report.warnings:

@@ -10,12 +10,18 @@ as its symmetric coordinates in the carrier's basis: a {(i, j): value}
 dict with i ≤ j and no zero entries.  The constraint operators act on
 these coordinates, indexed by the pairs (i, j), i ≤ j, in lexicographic
 order.
+
+On h itself the ad operators come from the pair's table (h_ad), and
+S²(h*)^H is built once per pair (h_forms): decompose returns h itself as
+h∩[g,g] when h ⊆ [g,g], so Ψ and the Koszul complex share it.
 """
 
-from .liealg import is_bracket_closed, lie_generators
+from itertools import chain
+
+from .liealg import bracket_closure
 from .linalg import (SparseMatrix, Subspace, combination,
                      commutant_operator, coordinates, intersect_kernels,
-                     minus_identity, nonzero, rank, transpose)
+                     minus_identity, nonzero, rank, trace_gram, transpose)
 
 
 def sym_pairs(m):
@@ -158,17 +164,15 @@ def invariant_sym_forms(pair, carrier):
     The carrier must be stable under bracketing with h and under the
     generators (the uses here: h, h∩[g,g], z(h)).
     """
-    alg = pair.algebra
     pairs = sym_pairs(carrier.dim)
-
-    def operators():
-        for x in pair.h_lie_generators:
-            yield _ad_constraint(ad_coordinates(alg, carrier, x), pairs)
-        for gcols in pair.generator_columns:
-            yield _generator_constraint(action_coordinates(gcols, carrier),
-                                        pairs)
-
-    coords = intersect_kernels(operators(), len(pairs))
+    ads = (pair.h_ad(t) if carrier is pair.h
+           else ad_coordinates(pair.algebra, carrier, pair.h.columns[t])
+           for t in pair.h_lie_indices)
+    operators = chain(
+        (_ad_constraint(R, pairs) for R in ads),
+        (_generator_constraint(action_coordinates(gcols, carrier), pairs)
+         for gcols in pair.generator_columns))
+    coords = intersect_kernels(operators, len(pairs))
     return InvariantFormSpace(carrier, [
         {pairs[r]: v for r, v in col.items()} for col in coords.columns])
 
@@ -185,23 +189,22 @@ def psi_analysis(pair, dec=None):
     if dec is None:
         dec = decompose(pair)
     alg = pair.algebra
-    space = invariant_sym_forms(pair, dec.hcapgg)
+    forms = (pair.h_forms if dec.hcapgg is pair.h
+             else invariant_sym_forms(pair, dec.hcapgg))
     r = alg.r
     try:
-        psi = space.coordinates([restrict_form(alg.btilde(i),
+        psi = forms.coordinates([restrict_form(alg.btilde(i),
                                                dec.hcapgg.columns)
                                  for i in range(r)])
     except ValueError:
         raise RuntimeError("restricted factor form escapes the invariant "
                            "space; pair validation must have been skipped"
                            ) from None
-    rank_psi = rank(psi, space.dim)
-    space.psi_matrix = SparseMatrix(
-        {i: c for i, c in enumerate(psi) if c}, space.dim, r)
-    space.rank_psi = rank_psi
-    space.dim_N = r - rank_psi
-    space.dim_C = space.dim - rank_psi
-    return space
+    rank_psi = rank(psi, forms.dim)
+    return InvariantFormSpace(
+        forms.carrier, forms.form_basis,
+        SparseMatrix({i: c for i, c in enumerate(psi) if c}, forms.dim, r),
+        rank_psi, r - rank_psi, forms.dim - rank_psi)
 
 
 def minimal_ideal_count(pair, s):
@@ -212,22 +215,23 @@ def minimal_ideal_count(pair, s):
     generator γ permutes them by conjugation, so the orbits are counted by
     the dimension of {P in the commutant : CP = PC for every generator's
     restriction C}.  That is one intersect_kernels call over Q, which
-    never has to find the ideals themselves.
+    never has to find the ideals themselves.  On s = pair.h the closure
+    pass and the ad table are the pair's own.
     """
     alg = pair.algebra
-    if not is_bracket_closed(alg, s):
+    gens, dim = ((pair.h_lie_indices, s.dim) if s is pair.h and pair.h_closed
+                 else bracket_closure(alg, s.columns))
+    if dim != s.dim:
         raise ValueError("not a subalgebra")
     m = s.dim
     if m == 0:
         return 0
-    ads = [ad_coordinates(alg, s, x) for x in s.columns]
-    # Killing form of s: trace(ad sᵢ ad sⱼ) over the columns of ad sᵢ
-    killing = [{j: x for j in range(m) if (x := sum(
-        v * ads[j][t].get(u, 0) for u, col in enumerate(ads[i])
-        for t, v in col.items()))} for i in range(m)]
-    if rank(killing, m) != m:
+    ads = [pair.h_ad(t) if s is pair.h else ad_coordinates(alg, s, x)
+           for t, x in enumerate(s.columns)]
+    # Killing form of s: trace(ad sᵢ ad sⱼ)
+    if rank(trace_gram(ads), m) != m:
         raise ValueError("subspace is not semisimple (degenerate Killing form)")
-    gens = [ad_coordinates(alg, s, x) for x in lie_generators(alg, s.columns)]
-    gens += [action_coordinates(gcols, s) for gcols in pair.generator_columns]
-    return intersect_kernels((commutant_operator(R, m, 0) for R in gens),
+    ops = [ads[t] for t in gens]
+    ops += [action_coordinates(gcols, s) for gcols in pair.generator_columns]
+    return intersect_kernels((commutant_operator(R, m, 0) for R in ops),
                              m * m).dim

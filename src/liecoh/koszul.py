@@ -31,12 +31,10 @@ before the ranks are taken as one complex (linalg.complex_ranks).
 from itertools import combinations
 
 from .betti import BettiReport
-from .invariant_forms import (action_coordinates, ad_coordinates,
-                              invariant_sym_forms, restrict_form, vee)
+from .invariant_forms import action_coordinates, restrict_form, vee
 from .linalg import (SparseMatrix, complex_ranks, coordinates,
                      intersect_kernels, kernel_basis, minus_identity, nonzero,
                      rank, sparse_product, transpose)
-from .pairs import validate_pair
 
 
 class PrimitiveBasis:
@@ -150,7 +148,7 @@ def _summands(degree, sdims, r, l):
 def build_complex(pair, validate=True):
     """Degrees 1-5 of the complex with the differentials ∇¹..∇⁴."""
     if validate:
-        validate_pair(pair).ensure()
+        pair.validation.ensure()
     alg = pair.algebra
     h = pair.h
     prim = primitive_basis(pair)
@@ -158,11 +156,11 @@ def build_complex(pair, validate=True):
     # of h (Rᵀc = 0 with R = ad x|ₕ) and fixed by the generators (Cᵀc = c
     # with C = γ|ₕ); S²(h*)^H as invariant symmetric forms on h
     inv = intersect_kernels(
-        [transpose(ad_coordinates(alg, h, x)) for x in pair.h_lie_generators]
+        [transpose(pair.h_ad(t)) for t in pair.h_lie_indices]
         + [minus_identity(transpose(action_coordinates(gcols, h)), h.dim)
            for gcols in pair.generator_columns], h.dim)
     psi = inv.columns
-    s2 = invariant_sym_forms(pair, h)
+    s2 = pair.h_forms
     restr = [{j: v for j, c in enumerate(h.columns)
               if (v := sum(f.get(i, 0) * x for i, x in c.items()))}
              for f in prim.p1_basis]

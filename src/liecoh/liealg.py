@@ -15,13 +15,16 @@ such as so(4) in its standard coordinates is rejected.  A failing factor's
 witness is a basis vector whose ideal closure is smaller, if it has one
 (closures are grown only then, or when Jacobi fails).  All of it runs
 through the nonzero structure constants.
+
+bracket_closure is the one closure pass over a subspace: is_bracket_closed
+and lie_generators read it, and a HomogeneousPair runs it once on h.
 """
 
 from itertools import combinations
 
-from .linalg import (F0, Subspace, combination, commutant_operator,
+from .linalg import (F0, INTEGER, Subspace, combination, commutant_operator,
                      echelon_insert, exact, fr, intersect, intersect_kernels,
-                     is_spd, nonzero, rat_str, transpose)
+                     is_spd, nonzero, rat_str, trace_gram)
 
 
 # Largest algebra dimension accepted.  Builders check it before any matrix
@@ -35,16 +38,12 @@ MAX_DIM = 64
 
 
 def int_field(value, field):
-    """An integer document field, given as an int or a string of one.
-
-    Raises ValueError naming the field for anything else, a float or a
-    bool included, instead of truncating it.
+    """An integer document field: an int, or a string [+-]?[0-9]+ as in
+    linalg.exact.  Raises ValueError naming the field for anything else,
+    a float, a bool, "1_0", " 0 " or non-ASCII digits included.
     """
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    if type(value) is int or type(value) is str and INTEGER.fullmatch(value):
+        return int(value)
     raise ValueError("%s must be an integer, not %r" % (field, value))
 
 
@@ -146,7 +145,7 @@ class LieAlgebra:
             for k, c in terms:
                 if not 0 <= k < self.n:
                     raise ValueError("structure constant target out of range: %d" % k)
-                agg[k] = agg.get(k, 0) + fr(c)
+                agg[k] = agg.get(k, 0) + exact(c)
             merged = tuple(sorted((k, exact(c)) for k, c in agg.items() if c))
             if merged:
                 tbl[(i, j)] = merged
@@ -172,7 +171,7 @@ class LieAlgebra:
                 if not (0 <= i < j < dim and 0 <= k < dim):
                     raise ValueError("factor %r: bad local indices (%d,%d,%d)" % (name, i, j, k))
                 key = (offset + i, offset + j)
-                table.setdefault(key, []).append((offset + k, fr(c)))
+                table.setdefault(key, []).append((offset + k, c))
             offset += dim
         return cls(center_dim, factors, table)
 
@@ -235,21 +234,8 @@ class LieAlgebra:
         """K(e_i, e_j) = trace(ad e_i ∘ ad e_j) as rows K[i][j]; symmetric,
         zero on center.  Cached: treat it as read-only."""
         if self._killing is None:
-            ads = self.ad_sparse()
-            K = [[F0] * self.n for _ in range(self.n)]
-            for i, rows in enumerate(map(transpose, ads)):
-                for j in range(i, self.n):
-                    # row b of ad e_i against column b of ad e_j
-                    t = 0
-                    for b, col in ads[j].items():
-                        row = rows.get(b)
-                        if row:
-                            for a, d in col.items():
-                                c = row.get(a)
-                                if c is not None:
-                                    t += c * d
-                    K[i][j] = K[j][i] = fr(t)
-            self._killing = K
+            self._killing = [[fr(x) if x else F0 for x in row]
+                             for row in trace_gram(self.ad_sparse())]
         return self._killing
 
     def btilde(self, i):
@@ -296,7 +282,7 @@ class LieAlgebra:
                 entries = (array_field(e, "structure constant")
                            for e in fac.get("structure_constants", []))
                 constants = [(int_field(i, index), int_field(j, index),
-                              int_field(k, index), fr(c))
+                              int_field(k, index), exact(c))
                              for i, j, k, c in entries]
                 specs.append((fac["name"], int_field(fac["dim"], "dim"),
                               constants))
@@ -308,28 +294,21 @@ class LieAlgebra:
 # subalgebra analysis and validation
 # ---------------------------------------------------------------------------
 
-def is_bracket_closed(alg, s):
-    """True iff the subspace s is closed under the bracket."""
-    echelon = {}
-    for col in s.columns:
-        echelon_insert(echelon, col)
-    return all(echelon_insert(echelon, alg.bracket_sparse(u, v)) is None
-               for u, v in combinations(s.columns, 2))
+def bracket_closure(alg, columns):
+    """(positions, dim): the positions of the columns not in the Lie
+    subalgebra generated by those before them, and the dimension of the
+    subalgebra all of them generate.
 
-
-def lie_generators(alg, columns):
-    """The columns not in the Lie subalgebra generated by those before them.
-
-    Each new echelon row of the bracket closure is bracketed with every
-    row before it.  When Jacobi holds, whatever kills these columns kills
+    Each new echelon row of the closure is bracketed with every row before
+    it.  When Jacobi holds, whatever kills the generating columns kills
     the algebra they generate, as [x, y]·F = x·(y·F) − y·(x·F).
     """
     echelon, rows, gens = {}, [], []
-    for col in columns:
+    for t, col in enumerate(columns):
         todo = [echelon_insert(echelon, col)]
         if todo[0] is None:
             continue
-        gens.append(col)
+        gens.append(t)
         while todo:
             u = todo.pop()
             for v in rows:
@@ -337,7 +316,19 @@ def lie_generators(alg, columns):
                 if row is not None:
                     todo.append(row)
             rows.append(u)
-    return gens
+    return gens, len(rows)
+
+
+def is_bracket_closed(alg, s):
+    """True iff the subspace s is closed under the bracket: the closure of
+    its columns is no larger than s."""
+    return bracket_closure(alg, s.columns)[1] == s.dim
+
+
+def lie_generators(alg, columns):
+    """The columns not in the Lie subalgebra generated by those before
+    them (bracket_closure)."""
+    return [columns[t] for t in bracket_closure(alg, columns)[0]]
 
 
 def center_and_derived(alg, s):
@@ -347,18 +338,19 @@ def center_and_derived(alg, s):
     not sum directly to s (the subalgebra is not reductive in the compact
     sense, which cannot happen for honest compact-group input).
     """
-    if not is_bracket_closed(alg, s):
-        raise ValueError("not a subalgebra: subspace is not bracket-closed")
     cols = s.columns
     m = len(cols)
     pairs = list(combinations(range(m), 2))
     br = {(i, j): alg.bracket_sparse(cols[i], cols[j]) for i, j in pairs}
+    # closed exactly when [s,s] ⊆ s, read off the brackets taken here
+    ds = Subspace.span(alg.n, [br[p] for p in pairs])
+    if not s.contains_subspace(ds):
+        raise ValueError("not a subalgebra: subspace is not bracket-closed")
     br.update({(j, i): {k: -x for k, x in br[i, j].items()} for i, j in pairs})
     # z(s): coordinates c with sum_i c_i [s_i, s_j] = 0 for every j
     ops = ({i: c for i in range(m) if (c := br.get((i, j)))} for j in range(m))
     coords = intersect_kernels(ops, m)
     zs = Subspace.span(alg.n, [combination(cols, c) for c in coords.columns])
-    ds = Subspace.span(alg.n, [br[p] for p in pairs])
     if zs.dim + ds.dim != m or intersect(zs, ds).dim != 0:
         raise ValueError("subalgebra not reductive in the compact sense: "
                          "z(s) ⊕ [s,s] != s")

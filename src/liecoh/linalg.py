@@ -38,7 +38,9 @@ from math import gcd, lcm
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# document numbers: an integer, optionally over a /[0-9]+ denominator
+INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(INTEGER.pattern + r"(/[0-9]+)?")
 
 # a matrix with its shape: cols is a {col: column} dict without zero columns
 SparseMatrix = namedtuple("SparseMatrix", "cols nrows ncols")
@@ -60,9 +62,12 @@ def fr(x):
 
 
 def exact(x):
-    """fr(x) held by the package's number rule: an int when integral."""
+    """fr(x) held by the package's number rule: an int when integral; an
+    integer string goes to int() at once."""
     if type(x) is int:
         return x
+    if type(x) is str and INTEGER.fullmatch(x):
+        return int(x)
     x = fr(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -264,7 +269,8 @@ def _kernel_columns(rows, ncols):
                     s += val * x
             if s:
                 pc = pivots[i]
-                v[pc] = exact(Fraction(-s, row[pc]))
+                q, rem = divmod(-s, row[pc])
+                v[pc] = Fraction(-s, row[pc]) if rem else q
                 for key in holders.get(pc, ()):
                     if key not in queued:
                         queued.add(key)
@@ -328,13 +334,13 @@ class Subspace:
     def __init__(self, ambient_dim, basis):
         """The span of the independent columns of an n x k matrix given by
         its rows (nested lists, or any iterable of rows)."""
-        rows = [[fr(x) for x in row] for row in basis]
+        rows = [[exact(x) for x in row] for row in basis]
         if len(rows) != ambient_dim:
             raise ValueError("basis rows != ambient dimension")
         k = len(rows[0]) if rows else 0
         if any(len(row) != k for row in rows):
             raise ValueError("basis rows differ in length")
-        columns = [{i: exact(r[j]) for i, r in enumerate(rows) if r[j]}
+        columns = [{i: r[j] for i, r in enumerate(rows) if r[j]}
                    for j in range(k)]
         if rank(columns, ambient_dim) != k:
             raise ValueError("basis columns are dependent")
@@ -464,6 +470,22 @@ def transpose(columns):
         for r, x in col.items():
             rows.setdefault(r, {})[j] = x
     return rows
+
+
+def trace_gram(mats):
+    """Rows of the Gram matrix trace(A_i A_j) of square matrices A_i given
+    by their columns, one transposed pass per A_i."""
+    K = [[0] * len(mats) for _ in mats]
+    for i, rows in enumerate(map(transpose, mats)):
+        for j in range(i, len(mats)):
+            t = 0
+            for b, col in _indexed(mats[j]):
+                if row := rows.get(b):
+                    for a, d in col.items():
+                        if c := row.get(a):
+                            t += c * d
+            K[i][j] = K[j][i] = t
+    return K
 
 
 def minus_identity(columns, n):

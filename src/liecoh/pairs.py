@@ -11,18 +11,20 @@ matrix to arise as Ad(x) with x in a compact connected G normalizing H⁰.
 They are not sufficient: inputs passing every check may still fail to
 integrate to a closed subgroup.  That trust boundary is the caller's.
 
-A pair builds each generator's sparse columns (gamma e_i as a {row: value}
-dict) once, at construction, as generator_columns; the checks, the
-decomposition and every later method apply the generators through them to
-subspace columns.  h_basis and the generators are the public view of the
-input, as row-major nested lists of Fractions like the JSON document.
+A pair computes once what it keeps of H, and every check and method reads
+it: generator_columns (gamma e_i as {row: value} dicts) and, from one
+closure pass, h's Lie generators and closedness at construction; the
+validate_pair report, the ad(h) table h_ad and S²(h*)^H on first use.
+h_basis and the generators are the public view of the input, as
+row-major nested lists of Fractions like the JSON document.
 """
 
-from .invariant_forms import fixed_vectors
-from .liealg import (LieAlgebra, array_field, center_and_derived,
-                     is_bracket_closed, lie_generators, object_field,
-                     validate)
-from .linalg import (F0, Subspace, combination, exact, fr, intersect,
+from functools import cached_property
+
+from .invariant_forms import ad_coordinates, fixed_vectors, invariant_sym_forms
+from .liealg import (LieAlgebra, array_field, bracket_closure,
+                     center_and_derived, object_field, validate)
+from .linalg import (Subspace, combination, exact, fr, intersect,
                      kernel_basis, rat_str, subspace_sum)
 
 # Generator order beyond which validate_pair warns
@@ -37,11 +39,12 @@ class HomogeneousPair:
     generators: list of n × n matrices, the Ad-action of one representative
                 per generator of H/H⁰ (empty for connected H).
     generator_columns: per generator, its n columns as {row: value} dicts.
-    h_lie_generators: the columns of h that generate it as a Lie algebra.
+    h_lie_indices, h_lie_generators: the positions and the columns of h
+                that generate it as a Lie algebra; h_closed: is h closed.
 
     h_basis and each generator are held as n rows, nested lists of
     Fractions; the constructor takes any iterable of rows (nested lists or
-    numpy arrays).
+    numpy arrays) and reads each entry once.
     """
 
     def __init__(self, algebra, h_basis, generators=()):
@@ -52,19 +55,45 @@ class HomogeneousPair:
         elif len(h_basis) != n:
             raise ValueError("h_basis must have %d rows" % n)
         self.h = Subspace(n, h_basis)  # checks column independence
-        self.h_basis = [[fr(col.get(i, F0)) for col in self.h.columns]
-                        for i in range(n)]
-        self.h_lie_generators = lie_generators(algebra, self.h.columns)
+        self.h_lie_indices, closure_dim = bracket_closure(algebra,
+                                                          self.h.columns)
+        self.h_lie_generators = [self.h.columns[t] for t in self.h_lie_indices]
+        self.h_closed = closure_dim == self.h.dim
+        self._h_ad = {}
         gens = []
         for g in generators:
-            g = [[fr(x) for x in row] for row in g]
+            g = [[exact(x) for x in row] for row in g]
             if len(g) != n or any(len(row) != n for row in g):
                 raise ValueError("generator must be %d x %d" % (n, n))
             gens.append(g)
-        self.generators = gens
+        self.generators = [[[fr(x) for x in row] for row in g] for g in gens]
         self.generator_columns = [
-            [{i: exact(g[i][j]) for i in range(n) if g[i][j]}
-             for j in range(n)] for g in gens]
+            [{i: g[i][j] for i in range(n) if g[i][j]} for j in range(n)]
+            for g in gens]
+
+    @cached_property
+    def h_basis(self):
+        return [[fr(col.get(i, 0)) for col in self.h.columns]
+                for i in range(self.algebra.n)]
+
+    @cached_property
+    def validation(self):
+        """validate_pair(self), run once."""
+        return validate_pair(self)
+
+    def h_ad(self, t):
+        """ad_coordinates(algebra, h, c_t) for the column c_t of h, built
+        once per column; h must be bracket-closed."""
+        if t not in self._h_ad:
+            self._h_ad[t] = ad_coordinates(self.algebra, self.h,
+                                           self.h.columns[t])
+        return self._h_ad[t]
+
+    @cached_property
+    def h_forms(self):
+        """S²(h*)^H, the InvariantFormSpace of invariant_sym_forms(self,
+        self.h); shared by Ψ and the Koszul complex, so read-only."""
+        return invariant_sym_forms(self, self.h)
 
     @classmethod
     def from_vectors(cls, algebra, vectors, generators=()):
@@ -74,7 +103,7 @@ class HomogeneousPair:
             if len(v) != n:
                 raise ValueError("subalgebra basis vector %d has %d entries, "
                                  "expected %d" % (j, len(v), n))
-        return cls(algebra, [[fr(v[i]) for v in vectors] for i in range(n)],
+        return cls(algebra, [[v[i] for v in vectors] for i in range(n)],
                    generators)
 
     # -- serialization --------------------------------------------------------
@@ -92,7 +121,7 @@ class HomogeneousPair:
     @classmethod
     def from_dict(cls, data):
         alg = LieAlgebra.from_dict(data["algebra"])
-        vectors = [[fr(c) for c in array_field(v, "subalgebra basis vector")]
+        vectors = [array_field(v, "subalgebra basis vector")
                    for v in object_field(data.get("subalgebra", {}),
                                          "subalgebra").get("basis", [])]
         gens = [[array_field(row, "generator row")
@@ -158,7 +187,7 @@ def validate_pair(pair):
     n = alg.n
     gcols = pair.generator_columns
 
-    rep.add("h_bracket_closed", is_bracket_closed(alg, pair.h))
+    rep.add("h_bracket_closed", pair.h_closed)
 
     # gamma [e_i, e_j] against [gamma e_i, gamma e_j], (gi, i, j) in order
     bad_auto = next(
@@ -205,7 +234,7 @@ def decompose(pair):
     zh, hh = center_and_derived(alg, pair.h)
     gg = Subspace.span(n, [{t: 1} for t in alg.derived_indices()])
     a = intersect(zh, gg)
-    hcapgg = intersect(pair.h, gg)
+    hcapgg = pair.h if gg.contains_subspace(pair.h) else intersect(pair.h, gg)
     # b = {x ∈ h : K(x, y) = 0 for y ∈ h∩[g,g]}; K is zero on the center
     killing = [{j: x for j, x in enumerate(row) if x}
                for row in alg.killing_gram()]

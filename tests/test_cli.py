@@ -127,6 +127,40 @@ def test_non_integer_fields_are_input_errors(tmp_path, capsys):
         assert "%s must be an integer" % field in err, (field, err)
 
 
+def _int_spellings(k):
+    """Strings that int() reads as k but that are not [+-]?[0-9]+: digits
+    with an underscore, padded with spaces, and in Arabic-Indic digits."""
+    digits = str(k)
+    return ["0_" + digits, " %s " % digits,
+            "".join(chr(0x660 + int(d)) for d in digits)]
+
+
+@pytest.mark.parametrize("field", ["dim", "center_dim",
+                                   "structure constant index"])
+def test_integer_fields_take_ascii_digit_strings_only(tmp_path, capsys,
+                                                      field):
+    # int() read each spelling as the value it stands for, so sphere:4
+    # computed (exit 0) with dim "0_10" or an index " 0 "
+    doc = catalog.emit("sphere:4")
+    assert main(["compute", _write(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    factor = doc["algebra"]["factors"][0]
+    value = {"dim": factor["dim"], "center_dim": 0,
+             "structure constant index": factor["structure_constants"][0][0]
+             }[field]
+    for text in _int_spellings(value):
+        bad = json.loads(json.dumps(doc))
+        if field == "dim":
+            bad["algebra"]["factors"][0]["dim"] = text
+        elif field == "center_dim":
+            bad["algebra"]["center_dim"] = text
+        else:
+            bad["algebra"]["factors"][0]["structure_constants"][0][0] = text
+        assert main(["compute", _write(tmp_path, bad)]) == 1, text
+        err = capsys.readouterr().err
+        assert "%s must be an integer" % field in err, (text, err)
+
+
 def _su2_factor():
     return catalog.emit("su:2")["algebra"]["factors"][0]
 

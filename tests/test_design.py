@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import liecoh
-from liecoh import catalog, ce, invariant_forms, koszul
+from liecoh import catalog, ce, invariant_forms
 from liecoh.cli import main
 from liecoh.ce import relative_complex
 from liecoh.invariant_forms import psi_analysis
@@ -213,25 +213,19 @@ def test_ce_builds_the_blocks_of_a_pair(monkeypatch):
 
 def test_invariant_forms_impose_one_operator_per_lie_generator(
         monkeypatch, tmp_path, capsys):
-    # h = so(7) in sphere:7 has 21 basis vectors and 6 Lie generators; a
-    # verify builds S²(h∩[g,g]*)^H and S²(h*)^H, each from 6 ad operators
-    per_call = []
-    real_forms = invariant_forms.invariant_sym_forms
+    # h = so(7) in sphere:7 has 21 basis vectors and 6 Lie generators, and
+    # h ⊆ [g,g], so a verify builds one S²(h*)^H, shared by Ψ and the
+    # Koszul complex, from 6 ad operators
+    built = []
     real_constraint = invariant_forms._ad_constraint
 
-    def forms(*args):
-        per_call.append(0)
-        return real_forms(*args)
-
     def constraint(*args):
-        per_call[-1] += 1
+        built.append(args)
         return real_constraint(*args)
-    for module in (invariant_forms, koszul):
-        monkeypatch.setattr(module, "invariant_sym_forms", forms)
     monkeypatch.setattr(invariant_forms, "_ad_constraint", constraint)
     path = tmp_path / "sphere7.json"
     path.write_text(json.dumps(catalog.emit("sphere:7")))
     assert main(["verify", str(path)]) == 0
     capsys.readouterr()
     assert catalog.pair_from_name("sphere:7").h.dim == 21
-    assert per_call == [6, 6]
+    assert len(built) == 6

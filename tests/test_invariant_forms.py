@@ -15,7 +15,7 @@ from liecoh.invariant_forms import (InvariantFormSpace, _ad_constraint,
                                     restrict_form, sym_pairs, vee)
 from liecoh.pairs import HomogeneousPair, decompose
 from liecoh.linalg import (Subspace, combination, commutant_operator,
-                           intersect_kernels, kernel_basis, rank)
+                           intersect_kernels, kernel_basis, rank, trace_gram)
 
 import pairgen
 from pairgen import eye, rp4_pair
@@ -374,3 +374,33 @@ def test_invariance_under_lie_generators_is_invariance_under_h(monkeypatch):
         want = relative_complex(_every_basis_vector(pair),
                                 validate=False).bases
         assert got == want, label
+
+
+def test_killing_guard_is_the_dense_trace_form():
+    # minimal_ideal_count's guard is trace(ad sᵢ ad sⱼ) from one transposed
+    # pass (linalg.trace_gram); on h = so(7) in sphere:7 it is the trace
+    # of the products of the dense ad matrices
+    pair = catalog.pair_from_name("sphere:7")
+    m = pair.h.dim
+    ads = [pair.h_ad(t) for t in range(m)]
+    dense = [[[R[j].get(i, 0) for j in range(m)] for i in range(m)]
+             for R in ads]
+    want = [[sum(A[i][k] * B[k][i] for i in range(m) for k in range(m))
+             for B in dense] for A in dense]
+    assert trace_gram(ads) == want
+    assert rank(want, m) == m
+    assert minimal_ideal_count(pair, pair.h) == 1
+    # a degenerate s, a line of the torus of su(3), still raises: as the
+    # pair's own h and as a subspace handed in
+    flag = catalog.build("flag_su3")
+    line = Subspace.from_columns(flag.algebra.n, flag.h.columns[:1])
+    for p, s in ((HomogeneousPair(flag.algebra, []), line),
+                 (HomogeneousPair.from_vectors(flag.algebra, [
+                     [line.columns[0].get(i, 0)
+                      for i in range(flag.algebra.n)]]), None)):
+        try:
+            minimal_ideal_count(p, s or p.h)
+        except ValueError as e:
+            assert "semisimple" in str(e)
+        else:
+            raise AssertionError("torus line accepted as semisimple")

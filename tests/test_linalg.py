@@ -19,7 +19,7 @@ from liecoh.linalg import (F0, F1, Subspace, combination, commutant_operator,
                            complex_ranks, coordinates, echelon_insert,
                            full_subspace, intersect, intersect_kernels,
                            is_spd, kernel_basis, rank,
-                           rat_str, subspace_sum, zero_subspace)
+                           rat_str, subspace_sum, trace_gram, zero_subspace)
 
 F = Fraction
 
@@ -541,3 +541,44 @@ def test_echelon_insert_tracks_rank():
         assert all(min(r) == c for c, r in echelon.items())
         double = {j: 2 * x for j, x in enumerate(m[0]) if x}
         assert echelon_insert(echelon, double) is None
+
+
+def test_kernel_back_substitution_keeps_the_number_rule():
+    # each back-substituted value is an exact quotient: an int when it is
+    # integral, else a Fraction, and the kernel is sympy's null space
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(40):
+        rows, cols = rng.randrange(1, 6), rng.randrange(2, 8)
+        m = _random_matrix(rng, rows, cols, density=0.6)
+        ker = kernel_basis(m, cols)
+        theirs = _sympy_of(m).nullspace()
+        assert ker.dim == len(theirs)
+        for v in theirs:
+            assert ker.contains([F(x.p, x.q) for x in v])
+        for col in ker.columns:
+            for x in col.values():
+                assert type(x) is int or (type(x) is F and x.denominator > 1)
+                seen.add(type(x))
+            assert not any(m.dot([col.get(j, 0) for j in range(cols)]))
+    assert seen == {int, F}
+
+
+def test_exact_reads_integer_strings_by_the_rational_rule():
+    for text, want in (("12", 12), ("-0", 0), ("+7", 7), ("4/2", 2)):
+        assert linalg.exact(text) == want and type(linalg.exact(text)) is int
+    assert linalg.exact("-3/6") == F(-1, 2)
+    for text in ("1_0", " 1", "1 ", "٣", "1.0", "", "+", "1/0", "0x1"):
+        with pytest.raises(ValueError):
+            linalg.exact(text)
+    with pytest.raises(TypeError):
+        linalg.exact(True)
+
+
+def test_trace_gram_matches_dense_traces():
+    rng = random.Random(3)
+    mats = [_random_matrix(rng, 4, 4, density=0.5) for _ in range(5)]
+    want = [[sum((A.dot(B))[k, k] for k in range(4)) for B in mats]
+            for A in mats]
+    assert trace_gram([_columns(A) for A in mats]) == want
+    assert trace_gram([]) == []

@@ -1,14 +1,21 @@
 """Homogeneous pairs: construction, validation, and the h = a ⊕ [h,h] ⊕ b split."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
 
-from liecoh import catalog
-from liecoh.linalg import Subspace
+from liecoh import catalog, liealg, linalg, pairs
+from liecoh.betti import betti_low
+from liecoh.ce import betti_ce
+from liecoh.invariant_forms import psi_analysis
+from liecoh.koszul import betti_koszul
+from liecoh.liealg import is_bracket_closed
+from liecoh.linalg import Subspace, intersect
 from liecoh.pairs import (HomogeneousPair, decompose, generator_order,
                           validate_pair)
 
+import pairgen
 from pairgen import eye
 
 F = Fraction
@@ -220,3 +227,116 @@ def test_from_vectors_matches_matrix_constructor():
     assert b.generators == [eye(8)]
     assert all(type(x) is F for row in b.h_basis + b.generators[0]
                for x in row)
+
+
+def _catalog_pairs():
+    names = ["sphere:%d" % n for n in range(2, 8)] + [
+        "stiefel:5:2", "stiefel:6:2", "flag_su3", "example_4_7", "su:3",
+        "so:5+su:2+torus:1"]
+    return [(name, catalog.pair_from_name(name)) for name in names]
+
+
+def test_h_closed_is_the_closure_test():
+    # one closure pass at construction answers is_bracket_closed on h
+    su2 = catalog.build("su", 2)
+    open_pair = HomogeneousPair(su2, [[1, 0], [0, 1], [0, 0]])
+    cases = _catalog_pairs() + pairgen.suite() + [("open", open_pair)]
+    for label, pair in cases:
+        assert pair.h_closed == is_bracket_closed(pair.algebra, pair.h), label
+        assert pair.h_lie_generators == [pair.h.columns[t]
+                                         for t in pair.h_lie_indices], label
+    assert not open_pair.h_closed
+    assert [c["ok"] for c in validate_pair(open_pair).checks
+            if c["name"] == "h_bracket_closed"] == [False]
+
+
+def test_betti_methods_validate_a_pair_once(monkeypatch):
+    calls = []
+    real = pairs.validate
+    monkeypatch.setattr(pairs, "validate",
+                        lambda alg: calls.append(alg) or real(alg))
+    pair = catalog.pair_from_name("example_4_7")
+    betti_low(pair)
+    betti_koszul(pair)
+    betti_ce(pair)
+    assert len(calls) == 1
+    # a new pair object validates anew: nothing is shared between pairs
+    betti_low(catalog.pair_from_name("example_4_7"))
+    assert len(calls) == 2
+
+
+def _psi_view(space):
+    return (space.form_basis, space.psi_matrix, space.rank_psi, space.dim_N,
+            space.dim_C)
+
+
+def test_methods_on_one_pair_match_fresh_pairs():
+    # betti_low, then betti_koszul, then psi_analysis on one pair object
+    # read its shared H-data; each matches the same call on a fresh pair,
+    # and the shared S²(h*)^H is left as it was built
+    for label, pair in _catalog_pairs() + pairgen.suite()[:10]:
+        def fresh():
+            return HomogeneousPair.from_dict(pair.to_dict())
+        low = betti_low(pair).to_dict(explain=True)
+        forms = pair.h_forms
+        before = copy.deepcopy(forms.form_basis)
+        assert low == betti_low(fresh()).to_dict(explain=True), label
+        assert (betti_koszul(pair).to_dict(explain=True)
+                == betti_koszul(fresh()).to_dict(explain=True)), label
+        assert (_psi_view(psi_analysis(pair))
+                == _psi_view(psi_analysis(fresh()))), label
+        assert pair.h_forms is forms and forms.form_basis == before, label
+        assert forms.psi_matrix is None, label
+
+
+def test_decompose_returns_h_when_h_lies_in_the_derived_algebra():
+    for label, pair in _catalog_pairs() + pairgen.suite():
+        dec = decompose(pair)
+        inside = all(i >= pair.algebra.l for c in pair.h.columns for i in c)
+        assert (dec.hcapgg is pair.h) == inside, label
+        assert dec.hcapgg == intersect(
+            pair.h, Subspace.span(pair.algebra.n, [
+                {t: 1} for t in pair.algebra.derived_indices()])), label
+
+
+def _number_strings(doc):
+    """The rationals of a pair document, each a string."""
+    if isinstance(doc, dict):
+        return sum((_number_strings(v) for k, v in doc.items()
+                    if k != "name"), [])
+    if isinstance(doc, list):
+        return sum((_number_strings(v) for v in doc), [])
+    return [doc] if isinstance(doc, str) else []
+
+
+def test_from_dict_parses_each_document_entry_once(monkeypatch):
+    # every outermost call of exact or fr, in any module, that reads a
+    # string (exact reads a non-integer through fr: one parse)
+    parsed, fr_calls, depth = [], [], []
+    for name in ("exact", "fr"):
+        real = getattr(linalg, name)
+
+        def counted(x, real=real, name=name):
+            if isinstance(x, str) and not depth:
+                parsed.append(x)
+            if name == "fr":
+                fr_calls.append(x)
+            depth.append(name)
+            try:
+                return real(x)
+            finally:
+                depth.pop()
+        for module in (linalg, liealg, pairs):
+            monkeypatch.setattr(module, name, counted)
+    # integers only; a component generator; rationals in h
+    sphere, example, twisted = (catalog.emit("sphere:7"),
+                                catalog.emit("example_4_7"),
+                                pairgen.twisted_diagonal_pair(0).to_dict())
+    assert any("/" in x for x in _number_strings(twisted))
+    for doc in (sphere, example, twisted):
+        del parsed[:], fr_calls[:]
+        HomogeneousPair.from_dict(doc)
+        assert sorted(parsed) == sorted(_number_strings(doc))
+        if doc is sphere:
+            # every entry is an integer string: no Fraction is built
+            assert len(parsed) > 700 and fr_calls == []
