@@ -302,7 +302,8 @@ def build(name, *params):
     if len(params) != expected:
         raise ValueError("%s takes %d parameter(s) (%s), got %d"
                          % (name, expected, entry.params or "none", len(params)))
-    return entry.builder(*[int(p) for p in params])
+    return entry.builder(*[int_field(p, "%s parameter %s" % (name, key))
+                           for key, p in zip(entry.params.split(":"), params)])
 
 
 def _as_pair(obj):

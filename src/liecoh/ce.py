@@ -7,9 +7,10 @@ F_1..F_q of the annihilator of h in the dual of g, the monomial J held as an
 int bitmask.  F is the annihilator's kernel basis, the identity on its free
 rows, so the unit vectors w_j = e_{free[j]} are test vectors with
 F_i(w_j) = delta_ij, and the coefficient of a horizontal form on F_J is its
-value on (w_{j_1}, ...).  Every entry below is a lookup in the structure
-table projected through F's columns; no Gram matrix is solved.  The
-structure maps are {col: column} matrices of linalg's one encoding:
+value on (w_{j_1}, ...).  One projection (_projected) reads each map below
+through F's columns as the images of the F_c, no Gram matrix solved, and
+one rule (_derivation_column) builds theta(Y) and delta from their images.
+The operators are {col: column} matrices of linalg's encoding:
 
 * the infinitesimal isotropy action, (theta(Y)f)(x) = -f([Y, x]) on
   covectors, extended to wedges as a derivation;
@@ -17,9 +18,9 @@ structure maps are {col: column} matrices of linalg's one encoding:
   multiplicatively.  Its fixed space in every degree is that of
   f -> f o gamma^{-1}, so gamma is never inverted;
 * the differential, the derivation with delta(F_c) = -sum_{a<b}
-  F_c([w_a, w_b]) F_a ^ F_b.  The projected structure constants are cleared
-  to integers once with their common denominator D, so the complex holds
-  D * delta in every degree: same kernels, images and ranks, in ints.
+  F_c([w_a, w_b]) F_a ^ F_b, its minus sign held in its images.  These are
+  cleared to integers once with their common denominator D, so the complex
+  holds D * delta in every degree: same kernels, images and ranks, in ints.
 
 For an invariant horizontal form the values (delta f)(w_I), theta and the
 generator entries do not depend on the complement chosen for h (moving a
@@ -63,7 +64,7 @@ from itertools import accumulate, chain, combinations
 from math import lcm
 
 from .betti import BettiReport
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, int_field
 from .linalg import (SparseMatrix, combination, complex_ranks,
                      coordinates, intersect_kernels, kernel_basis,
                      minus_identity, nonzero, rank, sparse_product,
@@ -77,10 +78,15 @@ def _effective_size_cap(size_cap, q=0):
     """size_cap, else LIECOH_SIZE_CAP, else DEFAULT_SIZE_CAP; a ValueError
     when the quotient dimension q exceeds it."""
     env = os.environ.get("LIECOH_SIZE_CAP")
-    if size_cap is None and env and not env.strip().isdecimal():
-        raise ValueError("LIECOH_SIZE_CAP must be a non-negative integer, "
-                         "not %r" % env)
-    cap = int(size_cap if size_cap is not None else env or DEFAULT_SIZE_CAP)
+    if size_cap is None and env:
+        try:
+            size_cap = int_field(env, "LIECOH_SIZE_CAP")
+        except ValueError:
+            size_cap = -1
+        if size_cap < 0:
+            raise ValueError("LIECOH_SIZE_CAP must be a non-negative integer, "
+                             "not %r" % env)
+    cap = int(size_cap if size_cap is not None else DEFAULT_SIZE_CAP)
     if q > cap:
         raise ValueError(
             "quotient dimension %d exceeds the size cap %d; set LIECOH_SIZE_CAP "
@@ -116,19 +122,20 @@ def _frame(pair):
     return ann, transpose(ann.columns)
 
 
-def _frame_action(rows, images):
-    """Bit columns {1 << i: {1 << j: F_i(images[j])}} of an action on the
-    annihilator: column i holds the coordinates of F_i o A, whose value on
-    w_j is F_i(A w_j) = F_i(images[j])."""
-    mat = {}
-    for j, image in enumerate(images):
-        for i, y in sorted(combination(rows, image).items()):
-            mat.setdefault(1 << i, {})[1 << j] = y
-    return mat
+def _projected(rows, terms):
+    """Images {1 << c: {(bits, below): F_c(v)}} of the ((bits, below), v)
+    of terms: v a vector of g, bits the monomial it stands for and below
+    the XOR of t - 1 over its bits t, so the parity of m & below is the
+    sign of moving those bits into a monomial m."""
+    images = {}
+    for key, v in terms:
+        for c, x in sorted(combination(rows, v).items()):
+            images.setdefault(1 << c, {})[key] = x
+    return images
 
 
 def _frame_actions(pair, ann, rows):
-    """Bit columns of theta(Y) = -(. o ad Y) per h basis vector Y, whose
+    """Images of theta(Y) = -(. o ad Y) per Lie generator Y of h, whose
     value on w_j is F([w_j, Y]), and of f -> f o gamma per generator.
 
     The fixed space of f -> f o gamma on every wedge power is that of
@@ -139,55 +146,49 @@ def _frame_actions(pair, ann, rows):
     for gcols in pair.generator_columns:
         if rank(gcols, alg.n) != alg.n:
             raise ValueError("generator matrix is singular")
-    return ([_frame_action(rows, [alg.bracket_sparse({f: 1}, y)
-                                  for f in ann.free])
+    units = [(1 << j, (1 << j) - 1) for j in range(len(ann.free))]
+    return ([_projected(rows, zip(units, [alg.bracket_sparse({f: 1}, y)
+                                          for f in ann.free]))
              for y in pair.h_lie_generators],
-            [_frame_action(rows, [gcols[f] for f in ann.free])
+            [_projected(rows, zip(units, [gcols[f] for f in ann.free]))
              for gcols in pair.generator_columns])
 
 
 def _structure_table(alg, ann, rows):
-    """({1 << c: {(pair, span): D * F_c([w_a, w_b])}}, D), all ints.
-
-    pair holds the bits a < b and span the bits a..b-1; D is the lcm of the
-    denominators of the projected structure constants.  [w_a, w_b] is the
-    table entry of the basis pair (free[a], free[b]).
-    """
-    table = {}
+    """(images of delta, D): {1 << c: {(bits, below): -D * F_c([w_a, w_b])}}
+    in ints, bits those of a < b, [w_a, w_b] the table entry of (free[a],
+    free[b]) and D the lcm of the denominators of the F_c([w_a, w_b])."""
     free = ann.free
-    for a, b in combinations(range(len(free)), 2):
-        terms = alg.table.get((free[a], free[b]))
-        if not terms:
-            continue
-        key = ((1 << a) | (1 << b), (1 << b) - (1 << a))
-        for c, x in sorted(combination(rows, dict(terms)).items()):
-            table.setdefault(1 << c, {})[key] = x
+    table = _projected(rows, [
+        ((1 << a | 1 << b, (1 << b) - (1 << a)), dict(terms))
+        for a, b in combinations(range(len(free)), 2)
+        if (terms := alg.table.get((free[a], free[b])))])
     scale = lcm(*(x.denominator for col in table.values()
                   for x in col.values()))
-    return ({c: {key: x.numerator * (scale // x.denominator)
+    return ({c: {key: -x.numerator * (scale // x.denominator)
                  for key, x in col.items()} for c, col in table.items()},
             scale)
 
 
-def _derivation_op(theta, index):
-    """Sparse matrix of a derivation on wedge coordinates of one degree.
+def _derivation_column(images, mon, index):
+    """Column F_mon of the derivation F_c -> images[c], as a {row: value}
+    dict on the positions of index.
 
-    F_t takes the place of F_i in F_mon and crosses the bits between them.
+    The term of c is (-1)^p images[c] ^ F_{mon - c}, p the bits of mon below
+    c (F_c moved to the front), whether images[c] holds 1-forms (theta) or
+    2-forms (delta); moving an image's bits into mon - c crosses
+    (mon - c) & below.
     """
-    op = {}
-    for col, mon in enumerate(index):
-        acc = {}
-        for i, column in theta.items():
-            if mon & i:
-                rest = mon ^ i
-                for t, c in column.items():
-                    if not rest & t:
-                        row = index[rest | t]
-                        odd = (rest & ((i - 1) ^ (t - 1))).bit_count() % 2
-                        acc[row] = acc.get(row, 0) + (-c if odd else c)
-        if acc := nonzero(acc):
-            op[col] = acc
-    return op
+    acc = {}
+    for c, image in images.items():
+        if mon & c:
+            rest = mon ^ c
+            for (bits, below), v in image.items():
+                if not rest & bits:
+                    row = index[rest | bits]
+                    odd = (rest & ((c - 1) ^ below)).bit_count() % 2
+                    acc[row] = acc.get(row, 0) + (-v if odd else v)
+    return nonzero(acc)
 
 
 def _wedge_column(action, mon, memo):
@@ -196,7 +197,7 @@ def _wedge_column(action, mon, memo):
         top = 1 << (mon.bit_length() - 1)
         prev = _wedge_column(action, mon ^ top, memo)
         col = {}
-        for t, c in action.get(top, {}).items():
+        for (t, _), c in action.get(top, {}).items():
             for part, v in prev.items():
                 if not part & t:
                     w = -v * c if (part & -t).bit_count() % 2 else v * c
@@ -217,29 +218,11 @@ def _invariant_space(theta_mats, gen_mats, gen_memos, subsets, index):
     if not theta_mats and not gen_mats:
         return None
     # lazily built, so no operator is assembled once the space is zero
-    ops = chain((_derivation_op(t, index) for t in theta_mats),
+    ops = chain(({j: col for j, mon in enumerate(index)
+                  if (col := _derivation_column(t, mon, index))}
+                 for t in theta_mats),
                 (_fixed_op(a, index, m) for a, m in zip(gen_mats, gen_memos)))
     return intersect_kernels(ops, len(subsets))
-
-
-def _delta_column(table, mon, index):
-    """Column F_mon of D * delta, a {row: value} dict in the next degree.
-
-    delta(F_J) is the sum over c in J, at position p, of (-1)^p delta(F_c) ^
-    F_{J - c}, with delta(F_c) = -sum_{a<b} F_c([w_a, w_b]) F_a ^ F_b; moving
-    F_a and F_b into place crosses the bits of J - c between a and b.
-    """
-    acc = {}
-    for c, column in table.items():
-        if mon & c:
-            others = mon ^ c
-            p = (others & (c - 1)).bit_count()
-            for (pair, span), val in column.items():
-                if not others & pair:
-                    row = index[others | pair]
-                    odd = (p + (others & span).bit_count()) % 2
-                    acc[row] = acc.get(row, 0) + (val if odd else -val)
-    return nonzero(acc)
 
 
 class _DeltaColumns(dict):
@@ -250,8 +233,8 @@ class _DeltaColumns(dict):
         self.table, self.masks, self.index_next = table, masks, index_next
 
     def __missing__(self, pos):
-        col = self[pos] = _delta_column(self.table, self.masks[pos],
-                                        self.index_next)
+        col = self[pos] = _derivation_column(self.table, self.masks[pos],
+                                             self.index_next)
         return col
 
 

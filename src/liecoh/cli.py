@@ -18,6 +18,7 @@ from .betti import betti_low
 from .catalog import emit, entries
 from .ce import _effective_size_cap, betti_ce
 from .koszul import betti_koszul
+from .liealg import int_field
 from .linalg import rat_str
 from .pairs import HomogeneousPair
 
@@ -200,11 +201,15 @@ def cmd_catalog(args):
 
 
 def _non_negative_int(text):
-    """argparse type of --max-degree and --size-cap."""
-    if not text.strip().isdecimal():
+    """argparse type of --max-degree and --size-cap: an int_field, >= 0."""
+    try:
+        value = int_field(text, "")
+    except ValueError:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(
             "must be a non-negative integer, not %r" % text)
-    return int(text)
+    return value
 
 
 def _check_size_cap_env():

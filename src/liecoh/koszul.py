@@ -34,7 +34,7 @@ from .betti import BettiReport
 from .invariant_forms import action_coordinates, restrict_form, vee
 from .linalg import (SparseMatrix, complex_ranks, coordinates,
                      intersect_kernels, kernel_basis, minus_identity, nonzero,
-                     rank, sparse_product, transpose)
+                     sparse_product, transpose)
 
 
 class PrimitiveBasis:
@@ -104,9 +104,9 @@ def primitive_basis(pair):
         raise RuntimeError("dim P¹ != dim z(g); the algebra is not reductive "
                            "as declared")
     rho_forms = [cartan_rho(alg, alg.btilde(i)) for i in range(alg.r)]
-    tindex = {t: i for i, t in enumerate(combinations(range(alg.n), 3))}
-    rows = [{tindex[t]: v for t, v in form.items()} for form in rho_forms]
-    if rank(rows, len(tindex)) != alg.r:
+    # nonzero forms on the triples of disjoint factors are independent
+    if not all(form and all(start <= t[0] and t[2] < stop for t in form)
+               for form, (_, start, stop) in zip(rho_forms, alg.factors)):
         raise RuntimeError("the forms ρ(B̃ᵢ) are dependent; the declared "
                            "factors cannot all be simple")
     return PrimitiveBasis(p1, rho_forms)

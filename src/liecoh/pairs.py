@@ -25,7 +25,7 @@ from .invariant_forms import ad_coordinates, fixed_vectors, invariant_sym_forms
 from .liealg import (LieAlgebra, array_field, bracket_closure,
                      center_and_derived, object_field, validate)
 from .linalg import (Subspace, combination, exact, fr, intersect,
-                     kernel_basis, rat_str, subspace_sum)
+                     kernel_basis, minus_identity, rat_str, subspace_sum)
 
 # Generator order beyond which validate_pair warns
 ORDER_BOUND = 256
@@ -242,14 +242,8 @@ def decompose(pair):
                                 for c in hcapgg.columns], n), pair.h)
 
     a_fixed = fixed_vectors(a, gcols)
-    moved = []
-    for cols in gcols:
-        for c in a.columns:
-            v = combination(cols, c)
-            for r, x in c.items():
-                v[r] = v.get(r, 0) - x
-            moved.append(v)
-    a_moved = Subspace.span(n, moved)
+    a_moved = Subspace.span(n, [combination(minus_identity(cols, n), c)
+                                for cols in gcols for c in a.columns])
 
     r0 = alg.l - b.dim
 

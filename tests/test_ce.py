@@ -1,8 +1,8 @@
 """Relative cochain-complex oracle: full Betti vectors, caps, exact ranks."""
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, permutations
+from math import comb, prod
 
 import pytest
 
@@ -203,7 +203,7 @@ def test_integer_structure_table_scales_every_differential():
     proj = _projected_constants(pair)
     dens = {x.denominator for v in proj.values() for x in v if x}
     assert dens == {1, 3, 5} and scale == 15
-    assert all(type(v) is int for entries in table.values() for _, v in entries)
+    assert all(type(v) is int for col in table.values() for v in col.values())
     cx = relative_complex(pair, max_degree=2)
     assert cx.scale == scale
     q = cx.quotient_dim
@@ -409,14 +409,59 @@ def test_delta_columns_match_row_wise_definition():
                 if r in image}, (k, j)
 
 
+def _det(matrix):
+    """Determinant of a small square matrix, as a sum over permutations."""
+    return sum(_sorting_sign(p) * prod(row[c] for row, c in zip(matrix, p))
+               for p in permutations(range(len(matrix))))
+
+
+def test_theta_columns_match_definition():
+    # (theta(Y)f)(w_I) = -sum_s f(w_{i_1}, ..., [Y, w_{i_s}], ...), with
+    # F_J(v_1, ..., v_k) = det F_{j_r}(v_t) and brackets over the whole table
+    for pair in (catalog.pair_from_name("stiefel:5:2"),
+                 catalog.pair_from_name("flag_su3"),
+                 _su4_line({0: 1, 3: Fraction(1, 3), 5: Fraction(1, 5)})):
+        alg = pair.algebra
+        ann, rows = ce._frame(pair)
+        theta_mats, _ = ce._frame_actions(pair, ann, rows)
+        assert len(theta_mats) == len(pair.h_lie_generators) > 0
+        q = ann.dim
+        unit = [[1 if t == f else 0 for t in range(alg.n)] for f in ann.free]
+        for y, theta in zip(pair.h_lie_generators, theta_mats):
+            dense = [y.get(t, 0) for t in range(alg.n)]
+            # moved[i][j] = F_j([Y, w_i]); F_j(w_i) is 1 for i = j, else 0
+            moved = [[sum(F_j.get(t, 0) * x for t, x in
+                          enumerate(_dense_bracket(alg, dense, u)))
+                      for F_j in ann.columns] for u in unit]
+            for k in (1, 2, 3):
+                subs = list(combinations(range(q), k))
+                index = {sum(1 << i for i in mon): pos
+                         for pos, mon in enumerate(subs)}
+                for J, mask in zip(subs, index):
+                    ref = {}
+                    for pos, I in enumerate(subs):
+                        total = 0
+                        for s in range(k):
+                            # a unit column w_i with i outside J is zero
+                            if set(I[:s] + I[s + 1:]) <= set(J):
+                                total -= _det([
+                                    [moved[i][j] if t == s else int(i == j)
+                                     for t, i in enumerate(I)] for j in J])
+                        if total:
+                            ref[pos] = total
+                    assert ce._derivation_column(theta, mask, index) == ref, (
+                        k, J)
+
+
 def test_delta_columns_built_only_where_monomials_occur(monkeypatch):
-    real = ce._delta_column
+    real = ce._derivation_column
     built = []
 
-    def counted(table, mon, index):
-        built.append(mon)
-        return real(table, mon, index)
-    monkeypatch.setattr(ce, "_delta_column", counted)
+    def counted(images, mon, index):
+        if mon not in index:        # delta raises the degree, theta does not
+            built.append(mon)
+        return real(images, mon, index)
+    monkeypatch.setattr(ce, "_derivation_column", counted)
     pair = catalog.pair_from_name("stiefel:6:2")
     cx = relative_complex(pair, max_degree=4)
     q = cx.quotient_dim
@@ -464,17 +509,17 @@ def test_escape_check_fires_on_incomplete_invariant_basis(monkeypatch):
 
 
 def test_composite_check_fires_on_corrupted_differential(monkeypatch):
-    real = ce._delta_column
+    real = ce._derivation_column
     flipped = []
 
-    def patched(table, mon, index):
-        col = real(table, mon, index)
+    def patched(images, mon, index):
+        col = real(images, mon, index)
         if mon.bit_count() == 2 and col and not flipped:
             flipped.append(mon)
             row = next(iter(col))
             col = {**col, row: -col[row]}
         return col
-    monkeypatch.setattr(ce, "_delta_column", patched)
+    monkeypatch.setattr(ce, "_derivation_column", patched)
     pair = _free(catalog.pair_from_name("su:2+su:2").algebra)
     with pytest.raises(RuntimeError,
                        match="differential composite in degree .* is nonzero"):

@@ -462,6 +462,33 @@ def test_negative_degree_and_cap_are_usage_errors(tmp_path, capsys):
     assert "betti   [1]" in capsys.readouterr().out
 
 
+def test_integers_follow_one_rule_on_the_command_line(tmp_path, capsys,
+                                                      monkeypatch):
+    # the rule of document fields, [+-]?[0-9]+ in ASCII digits: no other
+    # digits, no padding, no underscores
+    path = _emit(tmp_path, "sphere:2")
+    for value in ("١", " 1 ", "1_0"):
+        for flag in ("--max-degree", "--size-cap"):
+            assert main(["oracle", path, "--method", "ce", flag, value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert ("argument %s: must be a non-negative integer, not %r"
+                    % (flag, value)) in captured.err
+        monkeypatch.setenv("LIECOH_SIZE_CAP", value)
+        assert main(["oracle", path, "--method", "ce"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            "LIECOH_SIZE_CAP must be a non-negative integer, not %r" % value)
+        monkeypatch.delenv("LIECOH_SIZE_CAP")
+    for name in ("sphere:1_0", "sphere: 3", "sphere:٣"):
+        assert main(["catalog", "emit", name]) == 1, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("sphere parameter n must be an integer, not %r"
+                % name.partition(":")[2]) in captured.err
+
+
 def test_non_integer_size_cap_variable_is_usage_error(tmp_path, capsys,
                                                       monkeypatch):
     path = _emit(tmp_path, "sphere:2")
@@ -484,10 +511,10 @@ def test_non_integer_size_cap_variable_is_usage_error(tmp_path, capsys,
 def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):
     from liecoh import ce
 
-    def corrupt(table, mon, index):
+    def corrupt(images, mon, index):
         raise RuntimeError("differential composite in degree 2 is nonzero; "
                            "cochain assembly is inconsistent")
-    monkeypatch.setattr(ce, "_delta_column", corrupt)
+    monkeypatch.setattr(ce, "_derivation_column", corrupt)
     code = main(["oracle", _emit(tmp_path, "sphere:2"), "--method", "ce"])
     assert code == 4
     captured = capsys.readouterr()

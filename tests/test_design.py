@@ -229,3 +229,35 @@ def test_invariant_forms_impose_one_operator_per_lie_generator(
     capsys.readouterr()
     assert catalog.pair_from_name("sphere:7").h.dim == 21
     assert len(built) == 6
+
+
+def _definitions(path):
+    """{name: node} for the module-level functions and classes of a module."""
+    return {node.name: node for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _names_in(node):
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def test_theta_and_delta_share_one_derivation_rule():
+    # theta(Y) and delta are both built column by column by one routine,
+    # from images read through the frame by one projection
+    defs = _definitions(ROOT / "ce.py")
+    for user in ("_invariant_space", "_DeltaColumns"):
+        assert "_derivation_column" in _names_in(defs[user]), user
+    for user in ("_frame_actions", "_structure_table"):
+        assert "_projected" in _names_in(defs[user]), user
+    for gone in ("_delta_column", "_derivation_op", "_frame_action"):
+        assert gone not in defs and not hasattr(ce, gone), gone
+
+
+def test_integers_are_parsed_by_one_rule():
+    # str.isdecimal and its kin accept non-ASCII digits; int_field does not
+    for path in sorted(ROOT.glob("*.py")):
+        found = sorted(used for kind, used in set(_used_names(path))
+                       if kind == "attr"
+                       and used in {"isdecimal", "isdigit", "isnumeric"})
+        assert not found, (path.name, found)
+    assert "int_field" in _names_in(_definitions(ROOT / "catalog.py")["build"])

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
-from liecoh import catalog
+import pytest
+
+from liecoh import catalog, koszul
 from liecoh.betti import betti_low
 from liecoh.ce import betti_ce
 from liecoh.koszul import (build_complex, betti_koszul, cartan_rho,
@@ -153,3 +155,19 @@ def test_nabla_is_a_derivation_on_p3_wedge_p1():
     [restr] = d1.cols[0].values()    # ∇(1⊗f) = restr·ψ
     [btilde] = d3.cols[1].values()   # ∇(1⊗ρ) = btilde·t
     assert d4.cols[1] == {0: btilde, 1: -restr}
+
+
+def test_primitive_forms_are_checked_on_their_factors(monkeypatch):
+    # each rho(B̃ᵢ) is nonzero on triples of factor i alone
+    for name in ("so:5+su:2+torus:1", "su:2+su:3", "sp:2+su:4",
+                 "torus:2+su:2+su:2+su:2"):
+        alg = catalog.pair_from_name(name).algebra
+        assert primitive_basis(_free(alg)).p3_dim == alg.r, name
+    assert primitive_basis(catalog.build("example_4_7")).p3_dim == 1
+    g = catalog.pair_from_name("su:2+su:2").algebra
+    first = cartan_rho(g, g.btilde(0))
+    # factor 0's form handed out for both factors, then a zero form
+    for fake in (lambda alg, eta: first, lambda alg, eta: {}):
+        monkeypatch.setattr(koszul, "cartan_rho", fake)
+        with pytest.raises(RuntimeError, match="ρ\\(B̃ᵢ\\) are dependent"):
+            primitive_basis(_free(g))
