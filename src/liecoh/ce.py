@@ -74,19 +74,29 @@ from .pairs import HomogeneousPair
 DEFAULT_SIZE_CAP = 14
 
 
+def _non_negative(value, field):
+    """An int_field that is not negative, else a ValueError naming the
+    field."""
+    try:
+        number = int_field(value, field)
+    except ValueError:
+        number = -1
+    if number < 0:
+        raise ValueError("%s must be a non-negative integer, not %r"
+                         % (field, value))
+    return number
+
+
 def _effective_size_cap(size_cap, q=0):
     """size_cap, else LIECOH_SIZE_CAP, else DEFAULT_SIZE_CAP; a ValueError
     when the quotient dimension q exceeds it."""
     env = os.environ.get("LIECOH_SIZE_CAP")
-    if size_cap is None and env:
-        try:
-            size_cap = int_field(env, "LIECOH_SIZE_CAP")
-        except ValueError:
-            size_cap = -1
-        if size_cap < 0:
-            raise ValueError("LIECOH_SIZE_CAP must be a non-negative integer, "
-                             "not %r" % env)
-    cap = int(size_cap if size_cap is not None else DEFAULT_SIZE_CAP)
+    if size_cap is not None:
+        cap = _non_negative(size_cap, "size_cap")
+    elif env:
+        cap = _non_negative(env, "LIECOH_SIZE_CAP")
+    else:
+        cap = DEFAULT_SIZE_CAP
     if q > cap:
         raise ValueError(
             "quotient dimension %d exceeds the size cap %d; set LIECOH_SIZE_CAP "
@@ -262,14 +272,17 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
 
     Raises ValueError when the quotient dimension exceeds the size cap
     (default 14, or the LIECOH_SIZE_CAP environment variable); pass size_cap
-    explicitly to override for a single call.
+    explicitly to override for a single call.  max_degree and size_cap
+    are non-negative integers by liealg.int_field's rule, else a
+    ValueError.
     """
     if validate:
         pair.validation.ensure()
     alg = pair.algebra
     q = alg.n - pair.h.dim
     _effective_size_cap(size_cap, q)
-    top = q if max_degree is None else max(0, min(int(max_degree), q))
+    top = q if max_degree is None else min(
+        _non_negative(max_degree, "max_degree"), q)
     ann, rows = _frame(pair)
     theta_mats, gen_mats = _frame_actions(pair, ann, rows)
     gen_memos = [{0: {0: 1}} for _ in gen_mats]   # the empty wedge is 1
@@ -355,7 +368,8 @@ def betti_ce(pair, max_degree=None, size_cap=None, validate=True):
         pair.validation.ensure()
     q = pair.algebra.n - pair.h.dim
     cap = _effective_size_cap(size_cap, q)
-    top = q if max_degree is None else max(0, min(int(max_degree), q))
+    top = q if max_degree is None else min(
+        _non_negative(max_degree, "max_degree"), q)
     betti, dims = [1], [1]
     for coords in _blocks(pair):
         cx = relative_complex(_block_pair(pair, coords), max_degree=top,

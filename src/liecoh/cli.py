@@ -16,9 +16,8 @@ from fractions import Fraction
 
 from .betti import betti_low
 from .catalog import emit, entries
-from .ce import _effective_size_cap, betti_ce
+from .ce import _effective_size_cap, _non_negative, betti_ce
 from .koszul import betti_koszul
-from .liealg import int_field
 from .linalg import rat_str
 from .pairs import HomogeneousPair
 
@@ -201,15 +200,12 @@ def cmd_catalog(args):
 
 
 def _non_negative_int(text):
-    """argparse type of --max-degree and --size-cap: an int_field, >= 0."""
+    """argparse type of --max-degree and --size-cap: the library's rule."""
     try:
-        value = int_field(text, "")
+        return _non_negative(text, "")
     except ValueError:
-        value = -1
-    if value < 0:
         raise argparse.ArgumentTypeError(
-            "must be a non-negative integer, not %r" % text)
-    return value
+            "must be a non-negative integer, not %r" % text) from None
 
 
 def _check_size_cap_env():

@@ -18,7 +18,7 @@ h∩[g,g] when h ⊆ [g,g], so Ψ and the Koszul complex share it.
 
 from itertools import chain
 
-from .liealg import bracket_closure
+from .liealg import bracket_closure, schur_certified
 from .linalg import (SparseMatrix, Subspace, combination,
                      commutant_operator, coordinates, intersect_kernels,
                      minus_identity, nonzero, rank, trace_gram, transpose)
@@ -215,8 +215,11 @@ def minimal_ideal_count(pair, s):
     generator γ permutes them by conjugation, so the orbits are counted by
     the dimension of {P in the commutant : CP = PC for every generator's
     restriction C}.  That is one intersect_kernels call over Q, which
-    never has to find the ideals themselves.  On s = pair.h the closure
-    pass and the ad table are the pair's own.
+    never has to find the ideals themselves.  A simple s that
+    liealg.schur_certified proves so returns 1 without it, as a generator
+    cannot merge a single ideal; like the Lie generator reduction, this
+    assumes Jacobi.  On s = pair.h the closure pass and the ad table are
+    the pair's own.
     """
     alg = pair.algebra
     gens, dim = ((pair.h_lie_indices, s.dim) if s is pair.h and pair.h_closed
@@ -231,6 +234,8 @@ def minimal_ideal_count(pair, s):
     # Killing form of s: trace(ad sᵢ ad sⱼ)
     if rank(trace_gram(ads), m) != m:
         raise ValueError("subspace is not semisimple (degenerate Killing form)")
+    if schur_certified(ads):
+        return 1
     ops = [ads[t] for t in gens]
     ops += [action_coordinates(gcols, s) for gcols in pair.generator_columns]
     return intersect_kernels((commutant_operator(R, m, 0) for R in ops),

@@ -11,10 +11,14 @@ can fail over Q.  Simplicity is verified by the dimension of the factor's
 ad-commutant.  For a factor whose Killing form is negative definite (a
 compact semisimple one) the commutant is spanned by the projections onto
 its simple ideals, so dimension 1 is exactly simplicity; a fused factor
-such as so(4) in its standard coordinates is rejected.  A failing factor's
-witness is a basis vector whose ideal closure is smaller, if it has one
-(closures are grown only then, or when Jacobi fails).  All of it runs
-through the nonzero structure constants.
+such as so(4) in its standard coordinates is rejected.  schur_certified
+proves dimension 1 from one cyclic vector e_0 with z(z(e_0)) = Q e_0
+(every so(n), sp(n) and su(2) factor of the catalog); any other factor,
+su(n >= 3) in the catalog basis among them, takes the commutant solve over
+(dim factor)² unknowns.  A failing factor's witness is a basis vector whose
+ideal closure is smaller, if it has one (closures are grown only then, or
+when Jacobi fails).  All of it runs through the nonzero structure
+constants.
 
 bracket_closure is the one closure pass over a subspace: is_bracket_closed
 and lie_generators read it, and a HomogeneousPair runs it once on h.
@@ -22,7 +26,7 @@ and lie_generators read it, and a HomogeneousPair runs it once on h.
 
 from itertools import combinations
 
-from .linalg import (F0, INTEGER, Subspace, combination, commutant_operator,
+from .linalg import (INTEGER, Subspace, combination, commutant_operator,
                      echelon_insert, exact, fr, intersect, intersect_kernels,
                      is_spd, nonzero, rat_str, trace_gram)
 
@@ -230,21 +234,26 @@ class LieAlgebra:
 
     # -- Killing data ---------------------------------------------------------
 
-    def killing_gram(self):
-        """K(e_i, e_j) = trace(ad e_i ∘ ad e_j) as rows K[i][j]; symmetric,
-        zero on center.  Cached: treat it as read-only."""
+    def killing(self):
+        """K(e_i, e_j) = trace(ad e_i ∘ ad e_j) as rows K[i][j] of exact
+        values (linalg.exact); symmetric, zero on center.  Cached: treat it
+        as read-only."""
         if self._killing is None:
-            self._killing = [[fr(x) if x else F0 for x in row]
+            self._killing = [[exact(x) for x in row]
                              for row in trace_gram(self.ad_sparse())]
         return self._killing
+
+    def killing_gram(self):
+        """killing() as rows of Fractions, the public dense view."""
+        return [[fr(x) for x in row] for row in self.killing()]
 
     def btilde(self, i):
         """B-tilde_i(X, Y) := B_i(X_i, Y_i): Killing of factor i pulled back
         through the projection g -> g_i, as its nonzeros {(a, b): value};
-        they all lie in the factor block of killing_gram."""
+        they all lie in the factor block of killing."""
         if not (0 <= i < self.r):
             raise ValueError("factor index out of range")
-        K = self.killing_gram()
+        K = self.killing()
         block = self.factor_indices(i)
         return {(a, b): K[a][b] for a in block for b in block if K[a][b]}
 
@@ -389,7 +398,7 @@ def validate(alg):
     rep.add("jacobi", bad_jacobi is None, bad_jacobi)
 
     # Killing form negative definite on each declared factor
-    K = alg.killing_gram()
+    K = alg.killing()
     bad_factor = None
     for fi, (name, start, stop) in enumerate(alg.factors):
         block = [[-K[a][b] for b in range(start, stop)]
@@ -401,14 +410,19 @@ def validate(alg):
 
     # each declared factor is simple: the ad-commutant must be the scalars,
     # which given Jacobi and the negative-definite Killing form is exactly
-    # simplicity, and then every ideal closure is the whole factor.  So the
-    # closures are grown only otherwise, to name a vector whose closure is
+    # simplicity, and then every ideal closure is the whole factor.  With
+    # Jacobi, schur_certified proves it from e_0 in dim-factor unknowns;
+    # what it does not prove takes the commutant itself.  The closures are
+    # grown only when that fails, to name a vector whose closure is
     # smaller; a vector can meet every simple ideal of a fused factor, so
     # the commutant dimension is the fallback witness.  Both need ideal
     # factors; with Jacobi, ad is a homomorphism, so Lie generators suffice.
     bad_simple = None
     if all(w is None for w in (bad, bad_cross, bad_closed, bad_factor)):
         for name, start, stop in alg.factors:
+            if bad_jacobi is None and schur_certified(
+                    _factor_ads(alg, start, stop)):
+                continue
             units = [{i: 1} for i in range(start, stop)]
             k = _commutant_dim(alg, start, stop, units if bad_jacobi
                                else lie_generators(alg, units))
@@ -458,23 +472,28 @@ def _closure_witness(alg, name, start, stop):
     closure is smaller than the factor, or None.
 
     Center and cross-factor brackets vanish (checked first), so each
-    closure only brackets with the factor's own basis.  It grows against an
-    integer echelon by the rows just added and stops once it spans the
-    factor.
+    closure only brackets with the factor's own basis.
     """
-    dim = stop - start
-    for v in range(start, stop):
-        echelon = {}
-        todo = [echelon_insert(echelon, {v: 1})]
-        while todo and len(echelon) < dim:
-            u = todo.pop()
-            for i in range(start, stop):
-                row = echelon_insert(echelon, alg.bracket_sparse({i: 1}, u))
-                if row is not None:
-                    todo.append(row)
-        if len(echelon) < dim:
-            return (name, v)
-    return None
+    ads, dim = alg.ad_sparse()[start:stop], stop - start
+    return next(((name, v) for v in range(start, stop)
+                 if _closure_dim(ads, {v: 1}, dim) < dim), None)
+
+
+def _closure_dim(ads, v, dim):
+    """Dimension of the ideal closure of the vector v: the least subspace
+    holding v that each matrix of ads, given by its columns, maps into
+    itself.  It grows against an integer echelon by the rows just added
+    and stops once it reaches dim.
+    """
+    echelon = {}
+    todo = [echelon_insert(echelon, v)]
+    while todo and len(echelon) < dim:
+        u = todo.pop()
+        for ad in ads:
+            row = echelon_insert(echelon, combination(ad, u))
+            if row is not None:
+                todo.append(row)
+    return len(echelon)
 
 
 def _commutant_dim(alg, start, stop, units):
@@ -483,3 +502,35 @@ def _commutant_dim(alg, start, stop, units):
     ads = alg.ad_sparse()
     ops = (commutant_operator(ads[i], dim, start) for (i,) in units)
     return intersect_kernels(ops, dim * dim).dim
+
+
+def _factor_ads(alg, start, stop):
+    """ad e_i on one factor, i over its basis, as columns in the factor's
+    own coordinates (ad_sparse() shifted by start)."""
+    return [{j - start: {k - start: c for k, c in col.items()}
+             for j, col in alg.ad_sparse()[i].items()}
+            for i in range(start, stop)]
+
+
+def schur_certified(ads):
+    """True when the ad-commutant of a Lie algebra s is proven to be the
+    scalars; False proves nothing.  ads[i] is ad e_i given by its columns
+    {j: [e_i, e_j]} in s's own coordinates.
+
+    Schur's argument on v = e_0: every P commuting with ad(s) maps v into
+    z(z(v)), as [x, Pv] = P[x, v] = 0 for x in z(v).  So when z(z(v)) = Qv,
+    P - λ kills v for some λ, its kernel is an ideal, and that is all of s
+    when v's ideal closure is.  Both centralizers are kernels in dim s
+    unknowns, where the commutant has (dim s)² of them.  With Jacobi the
+    commutant of ad(s) is that of any Lie generating set of s.
+    """
+    m = len(ads)
+    if not m:
+        return False
+    zv = intersect_kernels([ads[0]], m)
+    # y -> [y, x] has the columns [e_j, x]: its kernel is z(x)
+    zzv = intersect_kernels(({j: c for j, ad in enumerate(ads)
+                              if (c := combination(ad, x))}
+                             for x in zv.columns), m)
+    # a kernel column is 1 on its free row, so Qe_0 is held as [{0: 1}]
+    return zzv.columns == [{0: 1}] and _closure_dim(ads, {0: 1}, m) == m

@@ -13,9 +13,9 @@ each row is cleared to integers once (lcm of denominators) and held as a
 no rationals appear inside the hot loop and the cost tracks the nonzero
 structure.  Ranks count its pivots (complex_ranks carries them from one
 map of a complex to the next), and kernels back-substitute through its
-rows (_kernel_columns).  The one other pivot loop, is_spd, reads the
-signs of a Gram matrix's symmetric pivots on input; it computes no rank
-or solution.
+rows (_kernel_columns).  is_spd reads the signs of a Gram matrix's
+pivots through the same integer update, on input only; it computes no
+rank or solution.
 
 A Subspace holds sparse basis columns only: the echelon rows of
 Subspace.span, the back-substituted kernel columns.  Equality, intersect
@@ -299,22 +299,33 @@ def coordinates(space, vectors):
 
 
 def is_spd(gram):
-    """True iff gram, given by its rows, is symmetric positive definite
-    (exact pivot test)."""
-    a = [[fr(x) for x in row] for row in gram]
+    """True iff gram, given by its rows, is symmetric positive definite.
+
+    Exact and fraction-free: the rows are cleared to integers with one
+    positive denominator, and Sylvester's criterion (every leading
+    principal minor positive) is read off the pivots of an elimination
+    without row exchanges.  Once a pivot is positive, _eliminate scales
+    the rows below it by positive factors only, which keeps the sign of
+    every leading minor, so each pivot has the sign of the ratio of two
+    consecutive minors.
+    """
+    a = [[exact(x) for x in row] for row in gram]
     n = len(a)
     if any(len(row) != n for row in a):
         return False
-    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i + 1, n)):
+    den = lcm(*(x.denominator for row in a for x in row
+                if type(x) is Fraction))
+    rows = [{j: int(x * den) for j, x in enumerate(row) if x} for row in a]
+    if any(rows[j].get(i, 0) != x for i, row in enumerate(rows)
+           for j, x in row.items()):
         return False
-    # symmetric Gaussian elimination: all pivots positive <=> SPD
     for k in range(n):
-        if a[k][k] <= 0:
+        prow = rows[k]
+        if prow.get(k, 0) <= 0:
             return False
         for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+            if k in rows[i]:
+                rows[i] = _eliminate(rows[i], prow, k)
     return True
 
 

@@ -237,7 +237,7 @@ def decompose(pair):
     hcapgg = pair.h if gg.contains_subspace(pair.h) else intersect(pair.h, gg)
     # b = {x ∈ h : K(x, y) = 0 for y ∈ h∩[g,g]}; K is zero on the center
     killing = [{j: x for j, x in enumerate(row) if x}
-               for row in alg.killing_gram()]
+               for row in alg.killing()]
     b = intersect(kernel_basis([combination(killing, c)
                                 for c in hcapgg.columns], n), pair.h)
 

@@ -113,6 +113,25 @@ def test_malformed_size_cap_environment_variable(monkeypatch):
             "LIECOH_SIZE_CAP must be a non-negative integer, not %r" % value)
 
 
+def test_library_degree_and_cap_follow_the_integer_rule(monkeypatch):
+    # max_degree and size_cap take what int_field takes and are >= 0;
+    # int() used to read "١" as 1, truncate 2.9 and take True and " 4 "
+    monkeypatch.delenv("LIECOH_SIZE_CAP", raising=False)
+    pair = catalog.build("sphere", 4)
+    for field, value in (("max_degree", "١"), ("max_degree", 2.9),
+                         ("max_degree", True), ("max_degree", -1),
+                         ("max_degree", " 2 "), ("size_cap", " 4 "),
+                         ("size_cap", True), ("size_cap", -4),
+                         ("size_cap", 4.0)):
+        for call in (betti_ce, relative_complex):
+            with pytest.raises(ValueError) as info:
+                call(pair, **{field: value})
+            assert str(info.value) == (
+                "%s must be a non-negative integer, not %r" % (field, value))
+    assert betti_ce(pair, max_degree="2", size_cap="4").betti == [1, 0, 0]
+    assert relative_complex(pair, max_degree=0, size_cap=4).max_degree == 0
+
+
 def test_default_size_cap_value():
     assert DEFAULT_SIZE_CAP == 14
 

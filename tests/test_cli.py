@@ -11,7 +11,7 @@ import liecoh
 from liecoh import catalog
 from liecoh.betti import betti_low
 from liecoh.cli import main
-from liecoh.liealg import LieAlgebra, ValidationError
+from liecoh.liealg import LieAlgebra, ValidationError, validate
 from liecoh.pairs import HomogeneousPair
 
 
@@ -306,6 +306,24 @@ def test_invalid_algebra_rejected_by_pair_validation(tmp_path, capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert "FAIL jacobi" in out and "FAIL factors_simple" in out
+
+
+def test_jacobi_failing_algebras_keep_the_commutant_path():
+    # the Schur certificate assumes Jacobi and would pass the fused
+    # factor, so these reports come from the commutant and the closures
+    for doc, jacobi, killing, simple in (
+            (JACOBI_TYPO_DOC, (0, 1, 2), "su(2)", None),
+            (FUSED_FACTOR_DOC, (0, 3, 4), None, ("su(2)+su(2)", 3))):
+        rep = validate(HomogeneousPair.from_dict(doc).algebra)
+        assert [(c["name"], c["ok"], c["witness"]) for c in rep.checks] == [
+            ("center_brackets_vanish", True, None),
+            ("cross_factor_brackets_vanish", True, None),
+            ("factor_brackets_closed", True, None),
+            ("jacobi", False, jacobi),
+            ("killing_negative_definite_per_factor", killing is None,
+             killing),
+            ("factors_simple", simple is None, simple)]
+        assert rep.warnings == []
 
 
 def test_so4_declared_as_one_factor_is_rejected(tmp_path, capsys):

@@ -6,7 +6,8 @@ tables, subspace columns and SparseMatrix columns; every matrix is a list
 or a {col: column} dict of {row: value} columns (linalg).  The only dense
 matrices are the nested-list views of the input (h_basis, the generators,
 the Killing rows), and the method modules do not touch those.  is_spd, the
-one dense pivot loop, checks input only: liealg.validate calls it.  A
+one pivot loop outside the echelon engine, checks input only:
+liealg.validate calls it.  A
 sparse value is an int when integral and a Fraction only when not, and no
 float reaches any method.  The library runs with numpy absent.
 The cochain method hands the complex builder the blocks a pair splits
@@ -24,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import liecoh
-from liecoh import catalog, ce, invariant_forms
+from liecoh import catalog, ce, invariant_forms, liealg
 from liecoh.cli import main
 from liecoh.ce import relative_complex
 from liecoh.invariant_forms import psi_analysis
@@ -127,8 +128,8 @@ def _method_outputs():
 def test_number_rule_on_input_and_no_float_in_the_methods():
     seen = set()
     for label, pair, cx, psi, slices in _method_outputs():
-        held = list(_numbers([pair.algebra.table, pair.h,
-                              pair.generator_columns]))
+        held = list(_numbers([pair.algebra.table, pair.algebra.killing(),
+                              pair.h, pair.generator_columns]))
         assert all(type(x) is int or (type(x) is Fraction
                                       and x.denominator > 1)
                    for x in held), label
@@ -229,6 +230,28 @@ def test_invariant_forms_impose_one_operator_per_lie_generator(
     capsys.readouterr()
     assert catalog.pair_from_name("sphere:7").h.dim == 21
     assert len(built) == 6
+
+
+def test_certified_algebras_build_no_commutant(monkeypatch, tmp_path,
+                                               capsys):
+    # the Schur certificate proves every factor and h of these simple, so
+    # neither validate nor the ideal orbit count builds a commutant
+    # operator; su(3) in the catalog basis falls back to the commutant
+    built = []
+    real = liealg.commutant_operator
+
+    def operator(*args):
+        built.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(liealg, "commutant_operator", operator)
+    monkeypatch.setattr(invariant_forms, "commutant_operator", operator)
+    path = tmp_path / "pair.json"
+    for name in ("sphere:7", "stiefel:5:2", "so:5+torus:1", "su:3"):
+        path.write_text(json.dumps(catalog.emit(name)))
+        del built[:]
+        assert main(["verify", str(path)]) == 0
+        capsys.readouterr()
+        assert bool(built) == (name == "su:3"), (name, built)
 
 
 def _definitions(path):

@@ -376,6 +376,64 @@ def test_invariance_under_lie_generators_is_invariance_under_h(monkeypatch):
         assert got == want, label
 
 
+def _swapped(ads, v):
+    """ads in the coordinates with e_0 and e_v exchanged."""
+    def sw(i):
+        return v if i == 0 else 0 if i == v else i
+    cols = [dict(enumerate(R)) if isinstance(R, list) else R for R in ads]
+    return [{sw(j): {sw(k): c for k, c in col.items()}
+             for j, col in cols[sw(a)].items()} for a in range(len(ads))]
+
+
+def _certified_anywhere(ads):
+    """Whether schur_certified holds with some basis vector put first."""
+    return [v for v in range(len(ads))
+            if liealg.schur_certified(_swapped(ads, v))]
+
+
+def test_schur_certificate_is_a_proof():
+    # with any basis vector put first, a certified factor has the scalars
+    # as its commutant and a certified h has one ideal orbit, on the
+    # ladder and the suite; every so(n) factor and simple so(n) h is
+    # certified at e_0
+    names = ["sphere:%d" % n for n in range(2, 8)] + [
+        "stiefel:5:2", "stiefel:6:2", "flag_su3", "example_4_7"]
+    simple_h = {"sphere:3", "sphere:5", "sphere:6", "sphere:7", "stiefel:5:2"}
+    for label, pair in ([(name, catalog.pair_from_name(name))
+                         for name in names] + pairgen.suite()):
+        alg = pair.algebra
+        for name, start, stop in alg.factors:
+            ads = liealg._factor_ads(alg, start, stop)
+            if _certified_anywhere(ads):
+                units = [{i: 1} for i in range(start, stop)]
+                assert liealg._commutant_dim(alg, start, stop, units) == 1
+            if label.startswith("sphere"):
+                assert liealg.schur_certified(ads), (label, name)
+        hh = decompose(pair).hh
+        ads = [ad_coordinates(alg, hh, x) for x in hh.columns]
+        if _certified_anywhere(ads):
+            assert (_commutant_by_every_vector(pair, hh) == 1
+                    == minimal_ideal_count(pair, hh)), label
+        if label in simple_h:
+            assert liealg.schur_certified(ads), label
+
+
+def test_schur_certificate_refuses_fused_ideals():
+    # a commutant holding both ideal projections is never certified:
+    # so(4) in its standard coordinates, su(2)+su(2) read as one algebra,
+    # and that sum in the basis that mixes both ideals
+    so4 = liealg.LieAlgebra.from_factor_constants(
+        0, [("so(4)", 6, catalog._so_constants(4))])
+    g = catalog.pair_from_name("su:2+su:2").algebra
+    mixed = _mat([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 3],
+                  [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]).T
+    s = Subspace(6, mixed)
+    for ads in (liealg._factor_ads(so4, 0, 6), g.ad_sparse(),
+                [ad_coordinates(g, s, x) for x in s.columns]):
+        assert _certified_anywhere(ads) == []
+    assert liealg.schur_certified(liealg._factor_ads(g, 0, 3))
+
+
 def test_killing_guard_is_the_dense_trace_form():
     # minimal_ideal_count's guard is trace(ad sᵢ ad sⱼ) from one transposed
     # pass (linalg.trace_gram); on h = so(7) in sphere:7 it is the trace

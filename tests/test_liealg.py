@@ -85,6 +85,10 @@ def test_killing_su2_is_minus_eight_identity():
     for i in range(3):
         for j in range(3):
             assert K[i][j] == (F(-8) if i == j else F(0))
+    # the exact rows are ints; the public view holds Fractions
+    assert su2.killing() == K
+    assert all(type(x) is int for row in su2.killing() for x in row)
+    assert all(type(x) is Fraction for row in K for x in row)
 
 
 def test_killing_block_diagonal_on_product():

@@ -412,6 +412,60 @@ def test_is_spd():
     assert not is_spd([[1, 1], [0, 1]])   # not symmetric
 
 
+def _is_spd_by_fraction_pivots(gram):
+    """The symmetric Gaussian elimination over Fractions is_spd replaced:
+    all pivots positive."""
+    a = [[F(x) for x in row] for row in gram]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        return False
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i + 1, n)):
+        return False
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return True
+
+
+def test_is_spd_matches_fraction_pivots():
+    rng = random.Random(23)
+
+    def rational():
+        return F(rng.randint(-6, 6), rng.randint(1, 5))
+
+    cases = [[], [[F(1, 3)]], [[0]], [[F(-2, 7)]], [[1, 0]], [[1], [0]],
+             [[1, 2, 3], [2, 5, 4]], [[1, 0], [0, 1], [0, 0]]]
+    for n in range(1, 7):
+        for _ in range(12):
+            m = [[rational() for _ in range(n)] for _ in range(rng.randint(
+                1, n))]
+            # AᵀA is positive semidefinite, singular when A has fewer rows
+            gram = [[sum(r[i] * r[j] for r in m) for j in range(n)]
+                    for i in range(n)]
+            cases.append(gram)
+            shift = rng.choice([0, 1, F(1, 2), -1])
+            cases.append([[x + shift * (i == j) for j, x in enumerate(row)]
+                          for i, row in enumerate(gram)])
+            sym = [[rational() for _ in range(n)] for _ in range(n)]
+            cases.append([[sym[min(i, j)][max(i, j)] for j in range(n)]
+                          for i in range(n)])
+            tilt = [row[:] for row in gram]
+            tilt[0][n - 1] += 1
+            cases.append(tilt)
+    seen = set()
+    for gram in cases:
+        want = _is_spd_by_fraction_pivots(gram)
+        assert is_spd(gram) == want, gram
+        seen.add(want)
+    assert seen == {True, False}
+    assert is_spd([["1/2", 0], [0, "3"]]) and not is_spd([["1/2", 1],
+                                                           [1, "2"]])
+
+
 def test_subspace_span_and_equality():
     s1 = Subspace.span(3, [[1, 0, 0], [1, 1, 0]])
     s2 = Subspace.span(3, [[0, 1, 0], [2, 1, 0]])
