@@ -1,5 +1,8 @@
 """Command-line interface: compute, verify, oracle, catalog.
 
+verify runs the formula, koszul and ce methods, or the --methods subset,
+and compares their degrees 0..4.
+
 Exit codes: 0 success, 1 I/O, parse or usage error (including an algebra
 above the dimension limit, a negative --max-degree or --size-cap, and a
 LIECOH_SIZE_CAP that is not a non-negative integer), 2 validation failure
@@ -121,10 +124,6 @@ def cmd_verify(args):
     bad = [m for m in methods if m not in _METHODS]
     if bad:
         raise _CliError(1, "unknown method(s): %s" % ", ".join(bad))
-    if args.skip_ce:
-        methods = [m for m in methods if m != "ce"]
-    if not methods:
-        raise _CliError(1, "no methods left to run")
 
     reports, elapsed, notes = {}, {}, []
     for method in methods:
@@ -251,8 +250,6 @@ def _parser():
     p = sub.add_parser("verify",
                        help="run all methods and compare degrees 0..4")
     p.add_argument("file", help="pair JSON document")
-    p.add_argument("--skip-ce", action="store_true",
-                   help="skip the cochain-complex method")
     p.add_argument("--methods", default=None,
                    help="comma-separated subset of formula,koszul,ce")
     _add_common(p)

@@ -7,15 +7,17 @@ quotient goes through Fraction.  A matrix is a list of such columns, or a
 does.  transpose turns the columns into {row: {col: value}} rows; rank and
 kernel_basis read the dicts they are given as rows, and also take plain
 sequences.  {(a, b): value} dicts are bilinear forms, not matrices.
-Every elimination goes through one exact engine, _sparse_echelon:
-each row is cleared to integers once (lcm of denominators) and held as a
-{col: int} dict, then eliminated with the gcd-scaled two-term update, so
-no rationals appear inside the hot loop and the cost tracks the nonzero
-structure.  Ranks count its pivots (complex_ranks carries them from one
-map of a complex to the next), and kernels back-substitute through its
-rows (_kernel_columns).  is_spd reads the signs of a Gram matrix's
-pivots through the same integer update, on input only; it computes no
-rank or solution.
+Every elimination goes through one exact loop, _insert: a row is cleared
+to integers once (lcm of denominators) and held as a {col: int} dict;
+while its leading column holds an echelon row, the gcd-scaled two-term
+update clears that column, and otherwise the row is stored there.  So no
+rationals appear inside the hot loop and the cost tracks the nonzero
+structure.  _sparse_echelon inserts a batch of rows, echelon_insert one
+row at a time.  Ranks count the pivots (complex_ranks carries them from
+one map of a complex to the next), and kernels back-substitute through
+the echelon rows (_kernel_columns).  is_spd reads the signs of a Gram
+matrix's pivots through the same integer update, on input only; it
+computes no rank or solution.
 
 A Subspace holds sparse basis columns only: the echelon rows of
 Subspace.span, the back-substituted kernel columns.  Equality, intersect
@@ -92,69 +94,58 @@ def nonzero(acc):
     return acc if all(acc.values()) else {r: x for r, x in acc.items() if x}
 
 
-def _int_rows_sparse(m):
-    """Clear each nonzero row to coprime integers, as one {col: int} dict.
+def _clear_row(row):
+    """A row, a dense sequence or a sparse dict of Fractions or ints,
+    cleared to coprime integers as one {col: int} dict ({} when zero)."""
+    ints = {j: x for j, x in _indexed(row) if x}
+    if not ints:
+        return ints
+    if not all(type(x) is int for x in ints.values()):
+        den = lcm(*(x.denominator for x in ints.values()))
+        ints = {j: x.numerator * (den // x.denominator)
+                for j, x in ints.items()}
+    g = gcd(*ints.values())
+    if g > 1:
+        ints = {j: v // g for j, v in ints.items()}
+    return ints
 
-    Rows are dense sequences or sparse dicts of Fractions or ints.
-    """
-    out = []
-    for row in m:
-        ints = {j: x for j, x in _indexed(row) if x}
-        if not ints:
-            continue
-        if not all(type(x) is int for x in ints.values()):
-            den = lcm(*(x.denominator for x in ints.values()))
-            ints = {j: x.numerator * (den // x.denominator)
-                    for j, x in ints.items()}
-        g = gcd(*ints.values())
-        if g > 1:
-            ints = {j: v // g for j, v in ints.items()}
-        out.append(ints)
-    return out
+
+def _int_rows_sparse(m):
+    """The nonzero rows of m, each cleared by _clear_row."""
+    return [ints for ints in map(_clear_row, m) if ints]
+
+
+def _insert(echelon, v):
+    """Reduce the integer row v into echelon, a {pivot column: {col: int}}
+    dict whose rows hold no column before their pivot, grown in place: the
+    row held at v's leading column clears it, until v is zero (None) or
+    leads on a column no row holds, where v is stored and returned."""
+    while v:
+        c = min(v)
+        prow = echelon.get(c)
+        if prow is None:
+            echelon[c] = v
+            return v
+        v = _eliminate(v, prow, c)
+    return None
 
 
 def _sparse_echelon(rows, ncols):
     """Integer row echelon on sparse rows; returns (pivot rows, pivot columns).
 
-    rows is a list of {col: int} dicts, consumed destructively.  Elimination
-    uses the gcd-scaled two-term update
-        row_i <- (piv//g)*row_i - (lead//g)*row_r
-    followed by a gcd renormalization of row_i, which keeps entries small
-    without any exact-division bookkeeping.  A column -> live rows index
-    means each pivot only touches the rows that contain the pivot column.
+    rows is an iterable of nonzero {col: int} dicts on columns 0..ncols-1
+    (ValueError for an entry outside them).  Each row is inserted in turn
+    through _insert, so the pivot set is the one of any echelon of rows;
+    the rows come back in increasing pivot order, each holding no column
+    before its pivot.
     """
-    by_col = {}
-    for idx, r in enumerate(rows):
-        for c in r:
-            by_col.setdefault(c, set()).add(idx)
-    used = [False] * len(rows)
-    out_rows = []
-    pivots = []
-    for c in range(ncols):
-        holders = by_col.get(c)
-        if not holders:
-            continue
-        cand = [i for i in holders if not used[i]]
-        if not cand:
-            continue
-        pr = min(cand, key=lambda i: (len(rows[i]), abs(rows[i][c])))
-        used[pr] = True
-        prow = rows[pr]
-        for i in cand:
-            if i == pr:
-                continue
-            r = rows[i]
-            new = _eliminate(r, prow, c)
-            for col in r:
-                if col not in new:
-                    by_col[col].discard(i)
-            for col in new:
-                if col not in r:
-                    by_col.setdefault(col, set()).add(i)
-            rows[i] = new
-        out_rows.append(prow)
-        pivots.append(c)
-    return out_rows, pivots
+    echelon = {}
+    for v in rows:
+        if min(v) < 0 or max(v) >= ncols:
+            raise ValueError("row entry outside columns 0..%d" % (ncols - 1))
+        _insert(echelon, v)
+    pivots = sorted(echelon)
+    return [echelon[c] for c in pivots], pivots
 
 
 def _eliminate(r, prow, c):
@@ -185,29 +176,15 @@ def _eliminate(r, prow, c):
 
 
 def echelon_insert(echelon, v):
-    """Grow an echelon basis by one sparse vector; the new row, or None.
-
-    echelon is a {pivot column: {col: int}} dict whose rows hold no column
-    before their pivot, grown in place; v is a {col: value} vector.  v is
-    reduced from its leading column up: it lies in the span exactly when it
-    reduces to zero, and otherwise its remainder is added under its own
-    leading column and returned.
-    """
-    rows = _int_rows_sparse([v])
-    v = rows[0] if rows else {}
-    while v:
-        c = min(v)
-        prow = echelon.get(c)
-        if prow is None:
-            echelon[c] = v
-            return v
-        v = _eliminate(v, prow, c)
-    return None
+    """_insert of the sparse {col: value} vector v cleared to integers:
+    the new echelon row, or None when v lies in the span."""
+    return _insert(echelon, _clear_row(v))
 
 
 def rank(m, ncols):
     """Exact rank over the rationals of the rows m, each a sparse {col:
-    value} dict or a sequence (Fractions or ints), with ncols columns."""
+    value} dict or a sequence (Fractions or ints), with ncols columns (an
+    entry outside them is a ValueError)."""
     _, pivots = _sparse_echelon(_int_rows_sparse(m), ncols)
     return len(pivots)
 

@@ -390,11 +390,15 @@ def test_verify_flag_su3_b4_everywhere(tmp_path, capsys):
 
 
 def test_verify_skip_ce(tmp_path, capsys):
-    code = main(["verify", _emit(tmp_path, "su:4"), "--skip-ce", "--json"])
+    # --methods drops the cochain method; there is no --skip-ce flag
+    doc = _emit(tmp_path, "su:4")
+    code = main(["verify", doc, "--methods", "formula,koszul", "--json"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert set(out["methods"]) == {"formula", "koszul"}
     assert out["status"] == "pass"
+    assert main(["verify", doc, "--skip-ce", "--json"]) == 1
+    assert "unrecognized arguments: --skip-ce" in capsys.readouterr().err
 
 
 def test_verify_notes_ce_over_cap(tmp_path, capsys):

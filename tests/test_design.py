@@ -1,18 +1,18 @@
-"""Design guards: one sparse matrix representation, one number rule, no
-numpy and no unused import.
+"""Design guards: one sparse matrix representation, one elimination loop,
+one number rule, no numpy and no unused import.
 
 Every module works on sparse {index: value} vectors, structure constant
 tables, subspace columns and SparseMatrix columns; every matrix is a list
 or a {col: column} dict of {row: value} columns (linalg).  The only dense
 matrices are the nested-list views of the input (h_basis, the generators,
-the Killing rows), and the method modules do not touch those.  is_spd, the
-one pivot loop outside the echelon engine, checks input only:
-liealg.validate calls it.  A
-sparse value is an int when integral and a Fraction only when not, and no
-float reaches any method.  The library runs with numpy absent.
-The cochain method hands the complex builder the blocks a pair splits
-into, never their product.  Invariance under h is imposed through a Lie
-generating set of h, not through every basis vector.
+the Killing rows), and the method modules do not touch those.  Every
+elimination reduces rows through one insertion loop, linalg._insert;
+is_spd, the one other user of its two-term update, checks input only:
+liealg.validate calls it.  A sparse value is an int when integral and a
+Fraction only when not, and no float reaches any method.  The library
+runs with numpy absent.  The cochain method hands the complex builder the
+blocks a pair splits into, never their product.  Invariance under h is
+imposed through a Lie generating set of h, not through every basis vector.
 """
 
 import ast
@@ -95,6 +95,30 @@ def test_is_spd_checks_input_only():
     users = sorted(path.name for path in ROOT.glob("*.py")
                    if "is_spd" in path.read_text())
     assert users == ["liealg.py", "linalg.py"]
+
+
+def _users(name):
+    """(module, innermost enclosing function) for every use of name in the
+    package, as a name or as an attribute."""
+    found = []
+
+    def visit(node, owner, path):
+        for child in ast.iter_child_nodes(node):
+            if (getattr(child, "id", None) == name
+                    or getattr(child, "attr", None) == name):
+                found.append((path.name, owner))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner,
+                path)
+    for path in sorted(ROOT.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path)
+    return sorted(set(found))
+
+
+def test_one_elimination_loop():
+    # a second elimination driver would call the two-term update itself
+    assert _users("_eliminate") == [("linalg.py", "_insert"),
+                                    ("linalg.py", "is_spd")]
 
 
 def _numbers(obj):

@@ -597,6 +597,46 @@ def test_echelon_insert_tracks_rank():
         assert echelon_insert(echelon, double) is None
 
 
+@st.composite
+def _sparse_systems(draw):
+    """(rows, ncols): dense rows of Fractions, most entries zero."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    entry = st.one_of(st.just(F0), st.just(F0), _RATIONALS)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_sparse_systems())
+def test_sparse_echelon_is_echelon_insert_with_sympy_pivots(system):
+    m, ncols = system
+    rows, pivots = linalg._sparse_echelon(linalg._int_rows_sparse(m), ncols)
+    _, theirs = sympy.Matrix(len(m), ncols, [
+        sympy.Rational(x.numerator, x.denominator)
+        for row in m for x in row]).rref()
+    assert pivots == list(theirs)
+    # each row leads on its own pivot, in increasing pivot order
+    assert [min(row) for row in rows] == pivots
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    inserted = {}
+    for row in m:
+        echelon_insert(inserted, {j: x for j, x in enumerate(row) if x})
+    assert sorted(inserted) == pivots
+    assert rows == [inserted[c] for c in pivots]
+
+
+def test_entries_outside_the_columns_are_refused():
+    # an entry at a column >= ncols is an error, not a dropped coordinate
+    for call in (lambda: rank([{5: 1}], 3),
+                 lambda: kernel_basis([{0: 1, 5: 1}], 3),
+                 lambda: complex_ranks([({0: {0: 1, 4: 1}}, 3, 1)])):
+        with pytest.raises(ValueError):
+            call()
+    assert rank([{2: 1}], 3) == 1
+    assert kernel_basis([{0: 1, 2: 1}], 3).dim == 2
+    assert complex_ranks([({0: {0: 1, 2: 1}}, 3, 1)]) == [1]
+
+
 def test_kernel_back_substitution_keeps_the_number_rule():
     # each back-substituted value is an exact quotient: an int when it is
     # integral, else a Fraction, and the kernel is sympy's null space
