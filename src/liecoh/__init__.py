@@ -10,7 +10,7 @@ cochain complex of invariant horizontal forms.  All arithmetic is rational.
 
 from .betti import BettiReport, betti_low, corollary_checks
 from .ce import RelativeComplex, betti_ce, poincare_check, relative_complex
-from .invariant_forms import (InvariantFormSpace, invariant_sym_forms,
+from .invariant_forms import (InvariantFormSpace, invariant_polynomials,
                               minimal_ideal_count, psi_analysis)
 from .koszul import betti_koszul, build_complex
 from .liealg import LieAlgebra, ValidationError, ValidationReport, validate
@@ -20,7 +20,7 @@ __all__ = [
     "BettiReport", "HomogeneousPair", "InvariantFormSpace", "LieAlgebra",
     "PairDecomposition", "RelativeComplex", "ValidationError",
     "ValidationReport", "betti_ce", "betti_koszul", "betti_low",
-    "build_complex", "corollary_checks", "decompose", "invariant_sym_forms",
+    "build_complex", "corollary_checks", "decompose", "invariant_polynomials",
     "minimal_ideal_count", "poincare_check", "psi_analysis",
     "relative_complex", "validate", "validate_pair",
 ]

@@ -1,22 +1,29 @@
-"""Invariant symmetric bilinear forms and the restriction map Ψ.
+"""Invariant polynomials and the restriction map Ψ.
 
-Invariance under the identity component H⁰ is imposed infinitesimally,
-by ad-invariance under a Lie generating set of h (liealg.lie_generators):
-the x ∈ h that kill a form are a subalgebra, as [x, y]·F = x·(y·F) −
-y·(x·F) (Chevalley–Eilenberg 1948; Koszul 1950), so this is invariance
-under h.  Invariance under the component group is imposed through the
-generators' sparse columns.  A form on a carrier subspace V ⊆ h is held
-as its symmetric coordinates in the carrier's basis: a {(i, j): value}
-dict with i ≤ j and no zero entries.  The constraint operators act on
-these coordinates, indexed by the pairs (i, j), i ≤ j, in lexicographic
-order.
+A polynomial on a carrier subspace V ⊆ h is held as its monomial
+coefficients in the coordinates x_i of the carrier's basis, a {sorted
+index tuple: value} dict with no zero value, in every degree: a covector
+is {(i,): value} and a symmetric bilinear form F the quadratic form
+F(x, x).  invariant_polynomials builds every invariant space, a kernel on
+the monomials of one degree, from two rules:
 
-On h itself the ad operators come from the pair's table (h_ad), and
-S²(h*)^H is built once per pair (h_forms): decompose returns h itself as
-h∩[g,g] when h ⊆ [g,g], so Ψ and the Koszul complex share it.
+* a derivation, Y·x_i = −Σ_j R_ij x_j for R = ad Y on V, extended by
+  Leibniz.  The Y that kill a polynomial are a subalgebra, as [Y, Z]·f =
+  Y·(Z·f) − Z·(Y·f) (Chevalley–Eilenberg 1948; Koszul 1950), so one
+  operator per Lie generator of h (liealg.lie_generators) imposes
+  invariance under h;
+* a pullback, f ↦ f∘M for a matrix M given by its columns: f∘γ = f for
+  each component generator γ, and the restriction of a polynomial on g
+  (B̃ᵢ, a covector of P¹) to a carrier.
+
+The product of two polynomials merges their sorted index tuples.  On h
+itself the ad operators come from the pair's table (h_ad), and S²(h*)^H
+and the coordinates of each B̃ᵢ|_h in it are built once per pair (h_forms,
+h_btilde): decompose returns h itself as h∩[g,g] when h ⊆ [g,g], so Ψ and
+the Koszul complex share both.
 """
 
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 
 from .liealg import bracket_closure, schur_certified
 from .linalg import (SparseMatrix, Subspace, combination,
@@ -24,48 +31,56 @@ from .linalg import (SparseMatrix, Subspace, combination,
                      minus_identity, nonzero, rank, trace_gram, transpose)
 
 
-def sym_pairs(m):
-    """Index pairs (i, j), i <= j, of a symmetric m x m matrix, lex order."""
-    return [(i, j) for i in range(m) for j in range(i, m)]
-
-
-def vee(alpha, beta):
-    """Symmetric product (α∨β)(x, y) = α(x)β(y) + α(y)β(x) of two sparse
-    covectors {i: value}, as symmetric coordinates."""
+def polynomial_product(f, g):
+    """The product fg of two polynomials: each pair of monomials merges
+    its sorted index tuples."""
     out = {}
-    for i, a in alpha.items():
-        for j, b in beta.items():
-            key = (i, j) if i <= j else (j, i)
-            out[key] = out.get(key, 0) + (2 * a * b if i == j else a * b)
-    return {key: v for key, v in out.items() if v}
+    for a, x in f.items():
+        for b, y in g.items():
+            key = tuple(sorted(a + b))
+            out[key] = out.get(key, 0) + x * y
+    return nonzero(out)
 
 
-def restrict_form(eta, columns):
-    """Symmetric coordinates {(s, t): η(c_s, c_t)}, s ≤ t, of a bilinear
-    form η given by its nonzeros {(a, b): value}, on sparse columns c_s."""
-    rows = {}
-    for (a, b), v in eta.items():
-        rows.setdefault(a, {})[b] = v
-    left = [combination(rows, c) for c in columns]
-    return {(s, t): val for s, u in enumerate(left)
-            for t in range(s, len(columns))
-            if (val := sum(u.get(b, 0) * y for b, y in columns[t].items()))}
+def pullback(polys, columns):
+    """f∘M for each polynomial f, M given by its sparse columns: each x_i
+    becomes row i of M, the linear form Σ_j M_ij y_j.  f's index tuples
+    need not be sorted, so a bilinear form {(a, b): value} pulls back to
+    its quadratic form."""
+    rows = {i: {(j,): v for j, v in row.items()}
+            for i, row in transpose(columns).items()}
+    out = []
+    for f in polys:
+        acc = {}
+        for mon, c in f.items():
+            term = {(): c}
+            for i in mon:
+                term = polynomial_product(term, rows.get(i, {}))
+            for key, v in term.items():
+                acc[key] = acc.get(key, 0) + v
+        out.append(nonzero(acc))
+    return out
 
 
 class InvariantFormSpace:
-    """Invariant symmetric forms on a carrier, optionally with the Ψ data.
+    """Invariant polynomials of one degree on a carrier, optionally with
+    the Ψ data.
 
-    form_basis spans the H-invariant forms on the carrier, each as
-    symmetric coordinates {(i, j): value}.  When produced by psi_analysis,
-    psi_matrix is the SparseMatrix whose column i holds the coordinates of
-    the restricted form B̃ᵢ in form_basis, and rank_psi/dim_N/dim_C are the
-    rank, kernel dimension and cokernel dimension of that matrix.
+    space is the kernel on the positions {monomial: position} of index,
+    the identity on its free rows (intersect_kernels); form_basis holds its
+    columns as polynomials.  From psi_analysis, psi_matrix's column i holds
+    the coordinates of B̃ᵢ restricted to the carrier in form_basis, and
+    rank_psi/dim_N/dim_C are its rank, kernel and cokernel dimensions.
     """
 
-    def __init__(self, carrier, form_basis, psi_matrix=None,
+    def __init__(self, carrier, index, space, psi_matrix=None,
                  rank_psi=None, dim_N=None, dim_C=None):
         self.carrier = carrier
-        self.form_basis = form_basis
+        self.index = index
+        self.space = space
+        monomials = list(index)
+        self.form_basis = [{monomials[r]: v for r, v in col.items()}
+                           for col in space.columns]
         self.psi_matrix = psi_matrix
         self.rank_psi = rank_psi
         self.dim_N = dim_N
@@ -73,19 +88,14 @@ class InvariantFormSpace:
 
     @property
     def dim(self):
-        return len(self.form_basis)
+        return self.space.dim
 
-    def coordinates(self, forms):
-        """Coordinates {j: value} of symmetric forms in form_basis.
-
-        One elimination for all forms; raises ValueError if one of them is
-        not in the span.
-        """
-        index = {p: t for t, p in enumerate(sym_pairs(self.carrier.dim))}
-        space = Subspace.from_columns(len(index), [
-            {index[p]: v for p, v in f.items()} for f in self.form_basis])
-        return coordinates(space, [{index[p]: v for p, v in f.items()}
-                                   for f in forms])
+    def coordinates(self, polys):
+        """Coordinates {j: value} of polynomials in form_basis, read off
+        the free rows; raises ValueError if one of them is not in the
+        span."""
+        return coordinates(self.space, [
+            {self.index[m]: v for m, v in f.items()} for f in polys])
 
 
 def ad_coordinates(alg, carrier, x):
@@ -115,94 +125,85 @@ def fixed_vectors(space, actions):
         combination(space.columns, c) for c in coords.columns])
 
 
-def _ad_constraint(R, pairs):
-    """Sparse columns of F ↦ RᵀF + FR on symmetric coordinates
-    (ad-invariance), R given by its sparse columns; the image of a unit
-    form only meets rows i and j of R."""
-    index = {p: t for t, p in enumerate(pairs)}
-    rows = transpose(R)
+def _derivation_operator(R, insertions):
+    """Sparse columns, on the monomials of one degree, of the derivation
+    with Y·x_i = −Σ_j R_ij x_j, R given by its sparse columns.  By Leibniz,
+    x_i·x^r goes to −μ Σ_j R_ij x_j·x^r for each monomial x^r of the degree
+    below, μ the power of x_i in x_i·x^r; insertions maps r to the
+    positions of the x_j·x^r."""
+    images = transpose(R)
     op = {}
-    for col, (i, j) in enumerate(pairs):
-        acc = {}
-        for s, t in ((i, j), (j, i)) if i < j else ((i, i),):
-            # row s of R lands in row/column t of the image form
-            for p, v in rows.get(s, {}).items():
-                key = index[(p, t) if p < t else (t, p)]
-                acc[key] = acc.get(key, 0) + (2 * v if p == t else v)
-        if acc := nonzero(acc):
-            op[col] = acc
-    return op
+    for rest, at in insertions.items():
+        for i, image in images.items():
+            mu = rest.count(i) + 1
+            acc = op.setdefault(at[i], {})
+            for j, v in image.items():
+                acc[at[j]] = acc.get(at[j], 0) - mu * v
+    return {col: nz for col, acc in op.items() if (nz := nonzero(acc))}
 
 
-def _generator_constraint(C, pairs):
-    """Sparse columns of F ↦ CᵀFC − F on symmetric coordinates
-    (γ-invariance), C given by its sparse columns; the image of a unit form
-    only meets rows i and j of C."""
-    index = {p: t for t, p in enumerate(pairs)}
-    rows = transpose(C)
-    op = {}
-    for col, (i, j) in enumerate(pairs):
-        acc = {col: -1}
-        ri, rj = (rows.get(t, {}) for t in (i, j))
-        for a, u in ri.items():
-            # CᵀE_ijC is u vᵀ + v uᵀ (i < j) or u uᵀ (i = j) for u, v the
-            # rows i, j of C, taken over the pairs a <= b when i = j; an
-            # unordered diagonal product counts twice
-            for b, w in rj.items():
-                if i < j or a <= b:
-                    key = index[(a, b) if a <= b else (b, a)]
-                    val = 2 * u * w if a == b and i < j else u * w
-                    acc[key] = acc.get(key, 0) + val
-        if acc := nonzero(acc):
-            op[col] = acc
-    return op
-
-
-def invariant_sym_forms(pair, carrier):
-    """H-invariant symmetric bilinear forms on a carrier subspace of h.
+def invariant_polynomials(pair, carrier, degree):
+    """H-invariant homogeneous polynomials of a degree on a carrier
+    subspace of h, as an InvariantFormSpace.
 
     The carrier must be stable under bracketing with h and under the
-    generators (the uses here: h, h∩[g,g], z(h)).
+    generators (the uses here: h and h∩[g,g]).
     """
-    pairs = sym_pairs(carrier.dim)
+    m = carrier.dim
+    index = {mon: t for t, mon in enumerate(
+        combinations_with_replacement(range(m), degree))}
+    insertions = {rest: [index[tuple(sorted(rest + (j,)))] for j in range(m)]
+                  for rest in combinations_with_replacement(range(m),
+                                                            degree - 1)}
     ads = (pair.h_ad(t) if carrier is pair.h
            else ad_coordinates(pair.algebra, carrier, pair.h.columns[t])
            for t in pair.h_lie_indices)
-    operators = chain(
-        (_ad_constraint(R, pairs) for R in ads),
-        (_generator_constraint(action_coordinates(gcols, carrier), pairs)
-         for gcols in pair.generator_columns))
-    coords = intersect_kernels(operators, len(pairs))
-    return InvariantFormSpace(carrier, [
-        {pairs[r]: v for r, v in col.items()} for col in coords.columns])
+    # f∘γ − f on the monomials, γ in carrier coordinates
+    fixed = (minus_identity([{index[key]: v for key, v in f.items()} for f in
+                             pullback(({mon: 1} for mon in index),
+                                      action_coordinates(gcols, carrier))],
+                            len(index))
+             for gcols in pair.generator_columns)
+    space = intersect_kernels(
+        chain((_derivation_operator(R, insertions) for R in ads), fixed),
+        len(index))
+    return InvariantFormSpace(carrier, index, space)
+
+
+def restricted_btilde(pair, forms):
+    """Coordinates in forms of each quadratic form B̃ᵢ(x, x) restricted to
+    the carrier of forms, all r through one pullback."""
+    alg = pair.algebra
+    try:
+        return forms.coordinates(pullback(
+            (alg.btilde(i) for i in range(alg.r)), forms.carrier.columns))
+    except ValueError:
+        raise RuntimeError("restricted factor form escapes the invariant "
+                           "space; pair validation must have been skipped"
+                           ) from None
 
 
 def psi_analysis(pair, dec=None):
     """Restriction of the per-factor forms B̃ᵢ to h∩[g,g], in invariant terms.
 
-    Returns an InvariantFormSpace on h∩[g,g] whose psi_matrix column i is
-    the coordinate vector of B̃ᵢ|_{(h∩[g,g])²} in form_basis; dim_N and
-    dim_C are the kernel and cokernel dimensions of that matrix.  B̃ᵢ is
-    read off the Killing block of factor i through the carrier's columns.
+    Returns an InvariantFormSpace of S²((h∩[g,g])*)^H whose psi_matrix
+    column i is the coordinate vector of B̃ᵢ|_{h∩[g,g]} in form_basis;
+    dim_N and dim_C are the kernel and cokernel dimensions of that matrix.
+    B̃ᵢ is read off the Killing block of factor i through the carrier's
+    columns.  On h itself both come from the pair (h_forms, h_btilde).
     """
     from .pairs import decompose
     if dec is None:
         dec = decompose(pair)
-    alg = pair.algebra
-    forms = (pair.h_forms if dec.hcapgg is pair.h
-             else invariant_sym_forms(pair, dec.hcapgg))
-    r = alg.r
-    try:
-        psi = forms.coordinates([restrict_form(alg.btilde(i),
-                                               dec.hcapgg.columns)
-                                 for i in range(r)])
-    except ValueError:
-        raise RuntimeError("restricted factor form escapes the invariant "
-                           "space; pair validation must have been skipped"
-                           ) from None
+    if dec.hcapgg is pair.h:
+        forms, psi = pair.h_forms, pair.h_btilde
+    else:
+        forms = invariant_polynomials(pair, dec.hcapgg, 2)
+        psi = restricted_btilde(pair, forms)
+    r = pair.algebra.r
     rank_psi = rank(psi, forms.dim)
     return InvariantFormSpace(
-        forms.carrier, forms.form_basis,
+        forms.carrier, forms.index, forms.space,
         SparseMatrix({i: c for i, c in enumerate(psi) if c}, forms.dim, r),
         rank_psi, r - rank_psi, forms.dim - rank_psi)
 

@@ -4,15 +4,16 @@ The complex is S(h*)^H ⊗ ∧P, where P is the graded space of primitive
 elements of g: P¹ is the annihilator of [g,g] in g* and P³ is spanned by the
 r independent 3-forms ρ(B̃ᵢ) with ρ(η)(x,y,z) = η([x,y],z).  ∧P is free on
 these generators, so each graded piece has a formal basis of products of
-symbols; only the ingredient maps (restriction to h, the ∨-product, and
-B̃ᵢ|_{h×h}) involve actual linear algebra.  Symmetric generators carry
-degree 2, so S²(h*)^H sits in degree 4.
+symbols; only the ingredient maps (restriction to h, the product of
+polynomials, and B̃ᵢ|ₕ) involve actual linear algebra.  Symmetric
+generators carry degree 2, so S²(h*)^H sits in degree 4.
 
-∇ is the derivation fixed by ∇f = f|ₕ on P¹, ∇ρ(B̃ᵢ) = B̃ᵢ|_{h×h} on P³
-and ∇ = 0 on S(h*)^H (the Cartan/Koszul model).  On a basis monomial
-s⊗ρ(B̃ᵢ)^ε∧f₀∧…∧f_{k−1}, s = 1, ψ or an S² basis element, the Leibniz rule
-gives the P³ term B̃ᵢ|_{h×h}⊗(f's) when s = 1 and, for each letter fₜ, the
-term (−1)^{t+ε} s·fₜ|ₕ ⊗ ρ(B̃ᵢ)^ε∧(f's without fₜ).  In degrees 1-5:
+∇ is the derivation fixed by ∇f = f|ₕ on P¹, ∇ρ(B̃ᵢ) = B̃ᵢ|ₕ on P³, the
+quadratic form B̃ᵢ(x, x) on h, and ∇ = 0 on S(h*)^H (the Cartan/Koszul
+model).  On a basis monomial s⊗ρ(B̃ᵢ)^ε∧f₀∧…∧f_{k−1}, s = 1, ψ or an S²
+basis element, the Leibniz rule gives the P³ term B̃ᵢ|ₕ⊗(f's) when s = 1
+and, for each letter fₜ, the term (−1)^{t+ε} s·fₜ|ₕ ⊗ ρ(B̃ᵢ)^ε∧(f's
+without fₜ).  In degrees 1-5:
 
     𝒞¹ = 1⊗P¹
     𝒞² = (h*)^H⊗1 ⊕ 1⊗∧²P¹
@@ -22,19 +23,21 @@ term (−1)^{t+ε} s·fₜ|ₕ ⊗ ρ(B̃ᵢ)^ε∧(f's without fₜ).  In degre
 
 Cohomology: b₁ = dim ker ∇¹ and bₖ = dim ker ∇ᵏ − rank ∇ᵏ⁻¹.
 
-Everything runs on sparse data: covectors on h are {j: value} dicts in the
-coordinates of h's columns, symmetric forms are {(i, j): value} dicts, and
-each ∇ᵏ is a linalg.SparseMatrix.  ∇∘∇ = 0 is checked on those columns
-before the ranks are taken as one complex (linalg.complex_ranks).
+Everything runs on sparse data: (h*)^H and S²(h*)^H are the
+invariant_polynomials of degree 1 and 2 on h, {sorted index tuple: value}
+dicts in the coordinates of h's columns, every restriction to h is a
+pullback and every s·fₜ|ₕ a polynomial_product (invariant_forms), and each
+∇ᵏ is a linalg.SparseMatrix.  ∇∘∇ = 0 is checked on those columns before
+the ranks are taken as one complex (linalg.complex_ranks).
 """
 
 from itertools import combinations
 
 from .betti import BettiReport
-from .invariant_forms import action_coordinates, restrict_form, vee
-from .linalg import (SparseMatrix, complex_ranks, coordinates,
-                     intersect_kernels, kernel_basis, minus_identity, nonzero,
-                     sparse_product, transpose)
+from .invariant_forms import (invariant_polynomials, polynomial_product,
+                              pullback)
+from .linalg import (SparseMatrix, complex_ranks, kernel_basis, nonzero,
+                     sparse_product)
 
 
 class PrimitiveBasis:
@@ -149,31 +152,19 @@ def build_complex(pair, validate=True):
     """Degrees 1-5 of the complex with the differentials ∇¹..∇⁴."""
     if validate:
         pair.validation.ensure()
-    alg = pair.algebra
     h = pair.h
     prim = primitive_basis(pair)
-    # (h*)^H: covectors c on h, c_j = c(h_j), killed by the coadjoint action
-    # of h (Rᵀc = 0 with R = ad x|ₕ) and fixed by the generators (Cᵀc = c
-    # with C = γ|ₕ); S²(h*)^H as invariant symmetric forms on h
-    inv = intersect_kernels(
-        [transpose(pair.h_ad(t)) for t in pair.h_lie_indices]
-        + [minus_identity(transpose(action_coordinates(gcols, h)), h.dim)
-           for gcols in pair.generator_columns], h.dim)
-    psi = inv.columns
-    s2 = pair.h_forms
-    restr = [{j: v for j, c in enumerate(h.columns)
-              if (v := sum(f.get(i, 0) * x for i, x in c.items()))}
-             for f in prim.p1_basis]
-    l, r, p = prim.p1_dim, prim.p3_dim, len(psi)
+    inv = invariant_polynomials(pair, h, 1)
+    s2, s2_of_btilde = pair.h_forms, pair.h_btilde
+    restr = pullback(({(i,): v for i, v in f.items()} for f in prim.p1_basis),
+                     h.columns)
+    l, r, p = prim.p1_dim, prim.p3_dim, inv.dim
 
-    # the rule's products: 1·f|ₕ in (h*)^H; B̃ᵢ|_{h×h}, ψ_k·f|ₕ in S²(h*)^H
-    psi_of_restr = _inside(lambda v: coordinates(inv, v), restr)
-    s2_all = _inside(s2.coordinates,
-                     [restrict_form(alg.btilde(i), h.columns) for i in range(r)]
-                     + [vee(psi[k], restr[j])
-                        for k in range(p) for j in range(l)])
-    s2_of_btilde = s2_all[:r]
-    s2_of_vee = [s2_all[r + k * l:r + (k + 1) * l] for k in range(p)]
+    # the rule's products: 1·f|ₕ in (h*)^H; B̃ᵢ|ₕ, ψ_k·f|ₕ in S²(h*)^H
+    psi_of_restr = _inside(inv.coordinates, restr)
+    s2_of_product = [_inside(s2.coordinates,
+                             [polynomial_product(psi, f) for f in restr])
+                     for psi in inv.form_basis]
 
     def nabla(j, s, i, w):
         """∇ of one monomial as (monomial, value) terms."""
@@ -181,7 +172,7 @@ def build_complex(pair, validate=True):
         if i is not None:   # here s = 1: ψ⊗P³ first occurs in degree 5
             terms += [((2, t, None, w), v) for t, v in s2_of_btilde[i].items()]
         for t, f in enumerate(w):
-            prod = s2_of_vee[s][f] if j else psi_of_restr[f]
+            prod = s2_of_product[s][f] if j else psi_of_restr[f]
             sign = -1 if (t + (i is not None)) % 2 else 1
             terms += [((j + 1, u, i, w[:t] + w[t + 1:]), sign * v)
                       for u, v in prod.items()]

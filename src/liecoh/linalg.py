@@ -25,9 +25,9 @@ and sum work on them.  Coordinates in independent columns are unique:
 coordinates reads them through the Subspace's solver, built once (on a
 kernel basis, its free rows), and checks them by mapping them back.
 
-Ordering conventions used throughout the package: symmetric index pairs are
-(i, j) with i <= j in lexicographic order, exterior tuples are strictly
-increasing tuples in lexicographic order (itertools.combinations order).
+Ordering conventions used throughout the package: polynomial monomials are
+sorted index tuples (itertools.combinations_with_replacement order), exterior
+tuples strictly increasing ones (itertools.combinations order).
 """
 
 import re

@@ -14,14 +14,16 @@ integrate to a closed subgroup.  That trust boundary is the caller's.
 A pair computes once what it keeps of H, and every check and method reads
 it: generator_columns (gamma e_i as {row: value} dicts) and, from one
 closure pass, h's Lie generators and closedness at construction; the
-validate_pair report, the ad(h) table h_ad and S²(h*)^H on first use.
+validate_pair report, the ad(h) table h_ad, S²(h*)^H and the coordinates
+of each B̃ᵢ|_h in it on first use.
 h_basis and the generators are the public view of the input, as
 row-major nested lists of Fractions like the JSON document.
 """
 
 from functools import cached_property
 
-from .invariant_forms import ad_coordinates, fixed_vectors, invariant_sym_forms
+from .invariant_forms import (ad_coordinates, fixed_vectors,
+                              invariant_polynomials, restricted_btilde)
 from .liealg import (LieAlgebra, array_field, bracket_closure,
                      center_and_derived, object_field, validate)
 from .linalg import (Subspace, combination, exact, fr, intersect,
@@ -91,9 +93,14 @@ class HomogeneousPair:
 
     @cached_property
     def h_forms(self):
-        """S²(h*)^H, the InvariantFormSpace of invariant_sym_forms(self,
-        self.h); shared by Ψ and the Koszul complex, so read-only."""
-        return invariant_sym_forms(self, self.h)
+        """S²(h*)^H, the InvariantFormSpace of invariant_polynomials(self,
+        self.h, 2); shared by Ψ and the Koszul complex, so read-only."""
+        return invariant_polynomials(self, self.h, 2)
+
+    @cached_property
+    def h_btilde(self):
+        """Each B̃ᵢ|_h in h_forms (restricted_btilde); read-only too."""
+        return restricted_btilde(self, self.h_forms)
 
     @classmethod
     def from_vectors(cls, algebra, vectors, generators=()):

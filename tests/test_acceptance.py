@@ -12,7 +12,7 @@ from math import comb
 from liecoh import catalog
 from liecoh.betti import betti_low
 from liecoh.ce import betti_ce, poincare_check
-from liecoh.invariant_forms import (invariant_sym_forms, minimal_ideal_count,
+from liecoh.invariant_forms import (invariant_polynomials, minimal_ideal_count,
                                     psi_analysis)
 from liecoh.koszul import betti_koszul
 from liecoh.liealg import validate
@@ -145,7 +145,7 @@ def test_criterion_6_kernel_bounds():
                     want += minimal_ideal_count(pair, dec.hh)
                 except ValueError:
                     continue
-            assert invariant_sym_forms(pair, pair.h).dim == want, label
+            assert invariant_polynomials(pair, pair.h, 2).dim == want, label
 
 
 def test_criterion_7_poincare_duality():

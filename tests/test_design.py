@@ -8,7 +8,9 @@ matrices are the nested-list views of the input (h_basis, the generators,
 the Killing rows), and the method modules do not touch those.  Every
 elimination reduces rows through one insertion loop, linalg._insert;
 is_spd, the one other user of its two-term update, checks input only:
-liealg.validate calls it.  A sparse value is an int when integral and a
+liealg.validate calls it.  Every invariant polynomial space comes from
+invariant_forms.invariant_polynomials, one derivation rule and one
+pullback, with no degree-2 special case.  A sparse value is an int when integral and a
 Fraction only when not, and no float reaches any method.  The library
 runs with numpy absent.  The cochain method hands the complex builder the
 blocks a pair splits into, never their product.  Invariance under h is
@@ -18,6 +20,7 @@ imposed through a Lie generating set of h, not through every basis vector.
 import ast
 import functools
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -25,11 +28,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import liecoh
-from liecoh import catalog, ce, invariant_forms, liealg
+from liecoh import catalog, ce, invariant_forms, koszul, liealg
+from liecoh.betti import betti_low
 from liecoh.cli import main
 from liecoh.ce import relative_complex
 from liecoh.invariant_forms import psi_analysis
-from liecoh.koszul import build_complex
+from liecoh.koszul import betti_koszul, build_complex
 from liecoh.linalg import SparseMatrix, Subspace
 from liecoh.pairs import HomogeneousPair
 
@@ -240,20 +244,41 @@ def test_invariant_forms_impose_one_operator_per_lie_generator(
         monkeypatch, tmp_path, capsys):
     # h = so(7) in sphere:7 has 21 basis vectors and 6 Lie generators, and
     # h ⊆ [g,g], so a verify builds one S²(h*)^H, shared by Ψ and the
-    # Koszul complex, from 6 ad operators
-    built = []
-    real_constraint = invariant_forms._ad_constraint
+    # Koszul complex, from 6 derivation operators, and (h*)^H from 6 more
+    built = Counter()
+    real = invariant_forms._derivation_operator
 
-    def constraint(*args):
-        built.append(args)
-        return real_constraint(*args)
-    monkeypatch.setattr(invariant_forms, "_ad_constraint", constraint)
+    def operator(R, insertions):
+        # keyed by the monomials of the degree below
+        built[1 + len(next(iter(insertions)))] += 1
+        return real(R, insertions)
+    monkeypatch.setattr(invariant_forms, "_derivation_operator", operator)
     path = tmp_path / "sphere7.json"
     path.write_text(json.dumps(catalog.emit("sphere:7")))
     assert main(["verify", str(path)]) == 0
     capsys.readouterr()
     assert catalog.pair_from_name("sphere:7").h.dim == 21
-    assert len(built) == 6
+    assert built == {2: 6, 1: 6}
+
+
+def test_btilde_is_restricted_once_per_factor(monkeypatch):
+    # betti_low and betti_koszul on one pair read each B̃ᵢ|_h from the
+    # pair (h_btilde): one pullback of each factor's form
+    pair = catalog.pair_from_name("sphere:7")
+    forms = [pair.algebra.btilde(i) for i in range(pair.algebra.r)]
+    pulled = []
+    real = invariant_forms.pullback
+
+    def spy(polys, columns):
+        polys = list(polys)
+        pulled.extend(polys)
+        return real(polys, columns)
+    monkeypatch.setattr(invariant_forms, "pullback", spy)
+    monkeypatch.setattr(koszul, "pullback", spy)
+    betti_low(pair)
+    betti_koszul(pair)
+    assert [f for f in pulled if f in forms] == forms == [
+        pair.algebra.btilde(0)]
 
 
 def test_certified_algebras_build_no_commutant(monkeypatch, tmp_path,
@@ -298,6 +323,41 @@ def test_theta_and_delta_share_one_derivation_rule():
         assert "_projected" in _names_in(defs[user]), user
     for gone in ("_delta_column", "_derivation_op", "_frame_action"):
         assert gone not in defs and not hasattr(ce, gone), gone
+
+
+def _multiplies_by_two(node):
+    return any(isinstance(sub, (ast.BinOp, ast.AugAssign))
+               and isinstance(sub.op, ast.Mult)
+               and any(isinstance(x, ast.Constant) and x.value == 2
+                       for x in ((sub.left, sub.right)
+                                 if isinstance(sub, ast.BinOp)
+                                 else (sub.value,)))
+               for sub in ast.walk(node))
+
+
+def test_invariant_polynomials_build_every_invariant_space():
+    # the degree-2 helpers are gone, the Koszul complex and the pair's
+    # S²(h*)^H reach invariance only through invariant_polynomials, and no
+    # routine of invariant_forms carries a factor-2 special case
+    for gone in ("sym_pairs", "vee", "restrict_form", "_ad_constraint",
+                 "_generator_constraint", "invariant_sym_forms"):
+        assert _users(gone) == [] and gone not in liecoh.__all__, gone
+    pair_defs = _definitions(ROOT / "pairs.py")["HomogeneousPair"]
+    h_forms = next(node for node in pair_defs.body
+                   if getattr(node, "name", None) == "h_forms")
+    direct = {"intersect_kernels", "kernel_basis", "minus_identity",
+              "transpose", "h_ad", "ad_coordinates", "action_coordinates"}
+    for node in (_definitions(ROOT / "koszul.py")["build_complex"], h_forms):
+        names = _names_in(node) | {sub.attr for sub in ast.walk(node)
+                                   if isinstance(sub, ast.Attribute)}
+        assert "invariant_polynomials" in names, node.name
+        assert not names & direct, (node.name, names & direct)
+    assert "invariant_polynomials" in liecoh.__all__
+    funcs = [node for node in ast.walk(ast.parse(
+        (ROOT / "invariant_forms.py").read_text()))
+        if isinstance(node, ast.FunctionDef)]
+    assert [f.name for f in funcs if _multiplies_by_two(f)] == []
+    assert _multiplies_by_two(ast.parse("def f(v):\n    return 2 * v"))
 
 
 def test_integers_are_parsed_by_one_rule():

@@ -1,21 +1,23 @@
-"""Invariant symmetric forms, the Ψ restriction matrix, and ideal counting."""
+"""Invariant polynomials, the Ψ restriction matrix, and ideal counting."""
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
+import sympy
 
 from liecoh import catalog, koszul, liealg
 from liecoh.ce import relative_complex
-from liecoh.invariant_forms import (InvariantFormSpace, _ad_constraint,
-                                    _generator_constraint,
+from liecoh.invariant_forms import (InvariantFormSpace, _derivation_operator,
                                     action_coordinates, ad_coordinates,
-                                    fixed_vectors, invariant_sym_forms,
-                                    minimal_ideal_count, psi_analysis,
-                                    restrict_form, sym_pairs, vee)
+                                    fixed_vectors, invariant_polynomials,
+                                    minimal_ideal_count, polynomial_product,
+                                    psi_analysis, pullback)
 from liecoh.pairs import HomogeneousPair, decompose
 from liecoh.linalg import (Subspace, combination, commutant_operator,
-                           intersect_kernels, kernel_basis, rank, trace_gram)
+                           full_subspace, intersect_kernels, kernel_basis,
+                           rank, trace_gram, zero_subspace)
 
 import pairgen
 from pairgen import eye, rp4_pair
@@ -44,41 +46,20 @@ def _nonzeros(m):
             for j in range(m.shape[1]) if m[i, j]}
 
 
-def _sym_coords(form, pairs):
-    """A dense symmetric matrix flattened to its upper-triangle coordinates."""
-    return [form[i, j] for i, j in pairs]
+def _sym_pairs(m):
+    """Index pairs (s, t), s <= t, in lexicographic order: the monomials
+    x_s x_t of degree 2, in the order invariant_polynomials numbers them."""
+    return list(combinations_with_replacement(range(m), 2))
 
 
-def test_sym_pairs_and_coords_round_trip():
-    pairs = sym_pairs(3)
-    assert pairs == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    form = _mat([[1, 2, 0], [2, 5, F(1, 2)], [0, F(1, 2), -3]])
-    # on the unit columns a form restricts to its upper-triangle
-    # coordinates, and those give the matrix back
-    coords = restrict_form(_nonzeros(form), _columns(_mat(eye(3))))
-    assert coords == {p: form[p] for p in pairs if form[p]}
-    back = _zeros(3, 3)
-    for (i, j), v in coords.items():
-        back[i, j] = back[j, i] = v
-    assert (back == form).all()
-
-
-def test_vee_symmetrized_product():
-    v = vee({0: F(1)}, {1: F(1)})
-    assert v.get((0, 1)) == 1 and v.get((0, 0), 0) == 0 and v.get((1, 1), 0) == 0
-    assert vee({0: F(3)}, {0: F(2)}) == {(0, 0): 12}
-
-
-def test_restrict_form_is_the_congruence_on_the_columns():
-    rng = random.Random(52)
-    for n, m in ((3, 2), (4, 4), (5, 1)):
-        eta = _random_rational_matrix(rng, n, 0.6)
-        eta = eta + eta.T
-        basis = _mat([[F(rng.randrange(-3, 4), rng.randrange(1, 3))
-                       for _ in range(m)] for _ in range(n)])
-        want = basis.T.dot(eta).dot(basis)
-        got = restrict_form(_nonzeros(eta), _columns(basis))
-        assert got == {p: want[p] for p in sym_pairs(m) if want[p]}
+def test_polynomial_product_merges_sorted_tuples():
+    assert polynomial_product({(0,): F(1)}, {(1,): F(1)}) == {(0, 1): 1}
+    assert polynomial_product({(1,): F(3)}, {(0,): F(2)}) == {(0, 1): 6}
+    assert polynomial_product({(0,): F(3)}, {(0,): F(2)}) == {(0, 0): 6}
+    assert polynomial_product({(0, 2): F(1, 2)}, {(1,): 4}) == {(0, 1, 2): 2}
+    # (x0 + x1)(x0 - x1) = x0^2 - x1^2: the cross terms cancel
+    assert (polynomial_product({(0,): 1, (1,): 1}, {(0,): 1, (1,): -1})
+            == {(0, 0): 1, (1, 1): -1})
 
 
 def test_fixed_vectors_sign_flip_kills_line():
@@ -107,11 +88,12 @@ def test_fixed_vectors_requires_stable_subspace():
 
 def test_invariant_forms_on_full_su2_is_killing_line():
     pair = HomogeneousPair(catalog.build("su", 2), eye(3))
-    space = invariant_sym_forms(pair, pair.h)
+    space = invariant_polynomials(pair, pair.h, 2)
     assert space.dim == 1
     form = space.form_basis[0]
     # ad-invariant forms on a simple algebra are multiples of the Killing
-    # form, which is -8 * identity in this basis
+    # form, which is -8 * identity in this basis: x0^2 + x1^2 + x2^2 up to
+    # scale
     scale = form[(0, 0)]
     assert scale != 0
     assert form == {(i, i): scale for i in range(3)}
@@ -119,18 +101,49 @@ def test_invariant_forms_on_full_su2_is_killing_line():
 
 def test_invariant_forms_on_full_torus_is_all_of_sym2():
     pair = HomogeneousPair(catalog.build("torus", 2), eye(2))
-    assert invariant_sym_forms(pair, pair.h).dim == 3
+    assert invariant_polynomials(pair, pair.h, 2).dim == 3
 
 
 def test_invariant_forms_respect_generator():
     pair = catalog.build("example_4_7")
-    with_gen = invariant_sym_forms(pair, pair.h)
+    with_gen = invariant_polynomials(pair, pair.h, 2)
     assert with_gen.dim == 1
     # h is a line and the generator acts on it by -1; quadratic forms on a
     # line are generator-invariant regardless, so stripping the generator
     # changes nothing here
     bare = HomogeneousPair(pair.algebra, pair.h_basis)
-    assert invariant_sym_forms(bare, bare.h).dim == 1
+    assert invariant_polynomials(bare, bare.h, 2).dim == 1
+
+
+# basic degrees of the simple algebras: su(n) 2..n, so(2m+1) and sp(m)
+# 2, 4, .., 2m, so(2m) 2, 4, .., 2m - 2 and m
+BASIC_DEGREES = {"su:3": (2, 3), "su:4": (2, 3, 4), "su:5": (2, 3, 4, 5),
+                 "so:5": (2, 4), "so:7": (2, 4, 6), "so:8": (2, 4, 6, 4),
+                 "sp:1": (2,), "sp:2": (2, 4), "sp:3": (2, 4, 6)}
+
+
+def _sums(k, degrees):
+    """The ways to write k as a sum of the degrees, with repeats: the
+    monomials of degree k in free generators of those degrees."""
+    count = [1] + [0] * k
+    for d in degrees:
+        for total in range(d, k + 1):
+            count[total] += count[total - d]
+    return count[k]
+
+
+def test_invariant_polynomials_count_chevalley_basic_degrees():
+    # dim S^k(g*)^G on G/G (h = g) is the number of ways to write k as a
+    # sum of basic degrees (Chevalley); so(8) in degree 4 holds the
+    # Pfaffian besides tr X^4 and (tr X^2)^2
+    cases = {name: (2, 3, 4) for name in BASIC_DEGREES}
+    cases.update({"su:5": (2, 3), "so:8": (4,)})
+    for name, ks in cases.items():
+        alg = catalog.pair_from_name(name).algebra
+        pair = HomogeneousPair(alg, eye(alg.n))
+        got = [invariant_polynomials(pair, pair.h, k).dim for k in ks]
+        assert got == [_sums(k, BASIC_DEGREES[name]) for k in ks], name
+    assert _sums(4, BASIC_DEGREES["so:8"]) == 3
 
 
 def test_psi_analysis_sphere_3():
@@ -159,10 +172,20 @@ def test_psi_rank_kernel_cokernel_identities():
         assert (psi.nrows, psi.ncols) == (space.dim, r)
         assert rank([dict(c) for c in psi.cols.values()], psi.nrows) == \
             space.rank_psi
-        # column i holds the coordinates of B̃ᵢ on h∩[g,g] in form_basis
+        # column i holds the coordinates of B̃ᵢ on h∩[g,g] in form_basis:
+        # the congruence W = CᵀBC on the carrier's columns C, as the
+        # monomial coefficients of W(y, y)
         carrier = decompose(pair).hcapgg
+        n = pair.algebra.n
+        basis = _mat([[c.get(a, 0) for c in carrier.columns]
+                      for a in range(n)]).reshape(n, carrier.dim)
         for i in range(r):
-            want = restrict_form(pair.algebra.btilde(i), carrier.columns)
+            B = _zeros(n, n)
+            for (a, b), v in pair.algebra.btilde(i).items():
+                B[a, b] = v
+            W = basis.T.dot(B).dot(basis)
+            want = {(s, t): W[s, t] if s == t else 2 * W[s, t]
+                    for s, t in _sym_pairs(carrier.dim) if W[s, t]}
             got = {}
             for j, v in psi.cols.get(i, {}).items():
                 for p, x in space.form_basis[j].items():
@@ -232,31 +255,69 @@ def _random_rational_matrix(rng, m, density):
                  for _ in range(m)])
 
 
-def _apply_columns(op, vec, rows):
-    out = [F(0)] * rows
-    for col, entries in op.items():
-        for row, v in entries.items():
-            out[row] += v * vec[col]
-    return out
+def _sympy_of(poly, xs):
+    """A polynomial {index tuple: value} as a sympy expression in xs."""
+    return sum((sympy.Rational(v.numerator, v.denominator)
+                * sympy.Mul(*(xs[i] for i in mon))
+                for mon, v in poly.items()), sympy.Integer(0))
 
 
-def test_sparse_invariance_constraints_match_dense_formulas():
+def _random_polynomial(rng, monomials):
+    return {mon: v for mon in monomials
+            if (v := F(rng.randrange(-4, 5), rng.randrange(1, 4)))}
+
+
+def test_derivation_and_pullback_match_sympy():
+    # _derivation_operator is the vector field -sum_ij R_ij x_j d/dx_i and
+    # pullback the substitution x -> Cx, on random rational R and C (the
+    # suite's denominators) and random polynomials of degree 1 to 3; a
+    # bilinear form's unsorted pairs pull back to its quadratic form
     rng = random.Random(51)
     for m in (1, 3, 4):
-        pairs = sym_pairs(m)
-        for density in (0.3, 1.0):
-            R = _random_rational_matrix(rng, m, density)
-            C = _random_rational_matrix(rng, m, density)
-            ad_op = _ad_constraint(_columns(R), pairs)
-            gen_op = _generator_constraint(_columns(C), pairs)
-            for _ in range(3):
-                A = _random_rational_matrix(rng, m, 0.7)
-                Fm = A + A.T
-                f = _sym_coords(Fm, pairs)
-                assert _apply_columns(ad_op, f, len(pairs)) == \
-                    _sym_coords(R.T.dot(Fm) + Fm.dot(R), pairs)
-                assert _apply_columns(gen_op, f, len(pairs)) == \
-                    _sym_coords(C.T.dot(Fm).dot(C) - Fm, pairs)
+        xs = sympy.symbols("x0:%d" % m)
+        for degree in (1, 2, 3):
+            index = {mon: t for t, mon in enumerate(
+                combinations_with_replacement(range(m), degree))}
+            for density in (0.3, 1.0):
+                R = _random_rational_matrix(rng, m, density)
+                C = _random_rational_matrix(rng, m, density)
+                insertions = {
+                    rest: [index[tuple(sorted(rest + (j,)))]
+                           for j in range(m)]
+                    for rest in combinations_with_replacement(range(m),
+                                                              degree - 1)}
+                op = _derivation_operator(_columns(R), insertions)
+                monomials = list(index)
+                f = _random_polynomial(rng, monomials)
+                expr = _sympy_of(f, xs)
+                got = {}
+                for mon, v in f.items():
+                    for row, w in op.get(index[mon], {}).items():
+                        got[monomials[row]] = got.get(monomials[row], 0) + v * w
+                field = sum(-_sympy_of({(j,): R[i, j]}, xs)
+                            * sympy.diff(expr, xs[i])
+                            for i in range(m) for j in range(m) if R[i, j])
+                assert sympy.expand(_sympy_of(got, xs) - field) == 0
+                image = {xs[i]: _sympy_of({(j,): C[i, j] for j in range(m)
+                                           if C[i, j]}, xs)
+                         for i in range(m)}
+                want = expr.subs(image, simultaneous=True)
+                (pulled,) = pullback([f], _columns(C))
+                assert sympy.expand(_sympy_of(pulled, xs) - want) == 0
+                if degree == 2:
+                    # a bilinear form on m + 1 coordinates, restricted
+                    # to the m columns of a (m + 1) x m matrix
+                    eta = _nonzeros(_random_rational_matrix(rng, m + 1, 0.6))
+                    M = _mat([[F(rng.randrange(-3, 4), rng.randrange(1, 3))
+                               for _ in range(m)] for _ in range(m + 1)])
+                    ys = sympy.symbols("x0:%d" % (m + 1))
+                    want = _sympy_of(eta, ys).subs(
+                        {ys[i]: _sympy_of({(j,): M[i, j] for j in range(m)
+                                           if M[i, j]}, xs)
+                         for i in range(m + 1)}, simultaneous=True)
+                    (pulled,) = pullback([eta], _columns(M))
+                    assert all(mon in index for mon in pulled)
+                    assert sympy.expand(_sympy_of(pulled, xs) - want) == 0
 
 
 def test_minimal_ideal_count_rejects_non_subalgebra():
@@ -282,9 +343,12 @@ def test_minimal_ideal_count_rejects_non_semisimple():
 
 
 def test_form_space_dim_property():
-    space = InvariantFormSpace(Subspace.span(2, [[1, 0]]), [{(0, 0): F(1)}])
-    assert space.dim == 1
-    assert InvariantFormSpace(Subspace.span(2, [[1, 0]]), []).dim == 0
+    # on a line, the one monomial of degree 2 is x0^2
+    line, index = Subspace.span(2, [[1, 0]]), {(0, 0): 0}
+    space = InvariantFormSpace(line, index, full_subspace(1))
+    assert space.dim == 1 and space.form_basis == [{(0, 0): 1}]
+    assert space.coordinates([{(0, 0): F(3, 2)}]) == [{0: F(3, 2)}]
+    assert InvariantFormSpace(line, index, zero_subspace(1)).dim == 0
 
 
 def _every_basis_vector(pair):
@@ -298,8 +362,8 @@ def _every_basis_vector(pair):
 def _sym_forms_by_equations(pair, carrier):
     """S²(carrier*)^H from the equations RᵀF + FR = 0 for ad x|carrier,
     x over every basis vector of h, and CᵀFC = F per generator, one row
-    per entry (s, t), s ≤ t, on the coordinates F[p] of sym_pairs."""
-    pairs = sym_pairs(carrier.dim)
+    per entry (s, t), s ≤ t, on the matrix entries F[p] of _sym_pairs."""
+    pairs = _sym_pairs(carrier.dim)
     index = {p: t for t, p in enumerate(pairs)}
 
     def at(a, b):
@@ -325,10 +389,13 @@ def _sym_forms_by_equations(pair, carrier):
     return kernel_basis(rows, len(pairs))
 
 
-def _form_subspace(space):
-    index = {p: t for t, p in enumerate(sym_pairs(space.carrier.dim))}
-    return Subspace.span(len(index), [{index[p]: v for p, v in f.items()}
-                                      for f in space.form_basis])
+def _as_monomial_coefficients(forms, m):
+    """A Subspace of symmetric matrix entries F[s, t], s ≤ t, on _sym_pairs,
+    as the monomial coefficients of F(x, x): off-diagonal entries twice."""
+    pairs = _sym_pairs(m)
+    return Subspace.span(len(pairs), [
+        {p: v if pairs[p][0] == pairs[p][1] else 2 * v for p, v in c.items()}
+        for c in forms.columns])
 
 
 def _commutant_by_every_vector(pair, s):
@@ -342,8 +409,8 @@ def test_invariance_under_lie_generators_is_invariance_under_h(monkeypatch):
     # every invariant object built from h's Lie generators equals the one
     # built from every basis vector of h, on the ladder and the suite
     found = []
-    real = koszul.intersect_kernels
-    monkeypatch.setattr(koszul, "intersect_kernels",
+    real = koszul.invariant_polynomials
+    monkeypatch.setattr(koszul, "invariant_polynomials",
                         lambda *a: found.append(real(*a)) or found[-1])
     names = ["sphere:4", "sphere:5", "sphere:6", "sphere:7", "stiefel:5:2",
              "flag_su3", "example_4_7"]
@@ -352,8 +419,10 @@ def test_invariance_under_lie_generators_is_invariance_under_h(monkeypatch):
         alg, h = pair.algebra, pair.h
         dec = decompose(pair)
         for carrier in (h, dec.hcapgg):
-            assert (_form_subspace(invariant_sym_forms(pair, carrier))
-                    == _sym_forms_by_equations(pair, carrier)), label
+            assert (invariant_polynomials(pair, carrier, 2).space
+                    == _as_monomial_coefficients(
+                        _sym_forms_by_equations(pair, carrier), carrier.dim)
+                    ), label
         # (h*)^H: Rᵀc = 0 per basis vector, Cᵀc = c per generator
         del found[:]
         koszul.build_complex(pair, validate=False)
@@ -361,7 +430,7 @@ def test_invariance_under_lie_generators_is_invariance_under_h(monkeypatch):
         rows += [{**col, j: col.get(j, 0) - 1}
                  for gcols in pair.generator_columns
                  for j, col in enumerate(action_coordinates(gcols, h))]
-        assert found[0] == kernel_basis(rows, h.dim), label
+        assert found[0].space == kernel_basis(rows, h.dim), label
         if dec.hh.dim:
             assert (minimal_ideal_count(pair, dec.hh)
                     == _commutant_by_every_vector(pair, dec.hh)), label
