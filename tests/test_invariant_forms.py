@@ -52,6 +52,37 @@ def _sym_pairs(m):
     return list(combinations_with_replacement(range(m), 2))
 
 
+def _quadratic_form(m):
+    """The monomial coefficients of x ↦ xᵀ m x: the diagonal, and
+    m[s, t] + m[t, s] on x_s x_t, s < t."""
+    return {(s, t): m[s, t] if s == t else m[s, t] + m[t, s]
+            for s, t in _sym_pairs(m.shape[0])
+            if (m[s, t] if s == t else m[s, t] + m[t, s])}
+
+
+def test_sym_pairs_and_coords_round_trip():
+    # on an abelian h = g every quadratic form is invariant: the monomials
+    # x_s x_t are numbered in _sym_pairs order, a symmetric matrix pulls
+    # back on the unit columns to its quadratic form, and that form's
+    # coordinates give the matrix back
+    pair = HomogeneousPair(catalog.build("torus", 3), eye(3))
+    space = invariant_polynomials(pair, pair.h, 2)
+    pairs = _sym_pairs(3)
+    assert pairs == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    assert list(space.index) == pairs and space.dim == len(pairs)
+    form = _mat([[1, 2, 0], [2, 5, F(1, 2)], [0, F(1, 2), -3]])
+    (quad,) = pullback([_nonzeros(form)], _columns(_mat(eye(3))))
+    assert quad == _quadratic_form(form) == {
+        (0, 0): 1, (0, 1): 4, (1, 1): 5, (1, 2): 1, (2, 2): -3}
+    (coords,) = space.coordinates([quad])
+    back = _zeros(3, 3)
+    for j, v in coords.items():
+        for (s, t), x in space.form_basis[j].items():
+            back[s, t] += v * x if s == t else v * x / 2
+            back[t, s] = back[s, t]
+    assert (back == form).all()
+
+
 def test_polynomial_product_merges_sorted_tuples():
     assert polynomial_product({(0,): F(1)}, {(1,): F(1)}) == {(0, 1): 1}
     assert polynomial_product({(1,): F(3)}, {(0,): F(2)}) == {(0, 1): 6}
@@ -270,8 +301,7 @@ def _random_polynomial(rng, monomials):
 def test_derivation_and_pullback_match_sympy():
     # _derivation_operator is the vector field -sum_ij R_ij x_j d/dx_i and
     # pullback the substitution x -> Cx, on random rational R and C (the
-    # suite's denominators) and random polynomials of degree 1 to 3; a
-    # bilinear form's unsorted pairs pull back to its quadratic form
+    # suite's denominators) and random polynomials of degree 1 to 3
     rng = random.Random(51)
     for m in (1, 3, 4):
         xs = sympy.symbols("x0:%d" % m)
@@ -304,20 +334,54 @@ def test_derivation_and_pullback_match_sympy():
                 want = expr.subs(image, simultaneous=True)
                 (pulled,) = pullback([f], _columns(C))
                 assert sympy.expand(_sympy_of(pulled, xs) - want) == 0
-                if degree == 2:
-                    # a bilinear form on m + 1 coordinates, restricted
-                    # to the m columns of a (m + 1) x m matrix
-                    eta = _nonzeros(_random_rational_matrix(rng, m + 1, 0.6))
-                    M = _mat([[F(rng.randrange(-3, 4), rng.randrange(1, 3))
-                               for _ in range(m)] for _ in range(m + 1)])
-                    ys = sympy.symbols("x0:%d" % (m + 1))
-                    want = _sympy_of(eta, ys).subs(
-                        {ys[i]: _sympy_of({(j,): M[i, j] for j in range(m)
-                                           if M[i, j]}, xs)
-                         for i in range(m + 1)}, simultaneous=True)
-                    (pulled,) = pullback([eta], _columns(M))
-                    assert all(mon in index for mon in pulled)
-                    assert sympy.expand(_sympy_of(pulled, xs) - want) == 0
+
+
+def test_restrict_form_is_the_congruence_on_the_columns():
+    # a bilinear form η on n coordinates pulls back through the m columns
+    # of an n x m matrix M to the quadratic form of the congruence MᵀηM
+    rng = random.Random(52)
+    for n, m in ((3, 2), (4, 4), (5, 1)):
+        eta = _random_rational_matrix(rng, n, 0.6)
+        basis = _mat([[F(rng.randrange(-3, 4), rng.randrange(1, 3))
+                       for _ in range(m)] for _ in range(n)])
+        (got,) = pullback([_nonzeros(eta)], _columns(basis))
+        assert got == _quadratic_form(basis.T.dot(eta).dot(basis))
+
+
+def _apply_columns(op, vec, rows):
+    out = [F(0)] * rows
+    for col, entries in op.items():
+        for row, v in entries.items():
+            out[row] += v * vec[col]
+    return out
+
+
+def test_sparse_invariance_constraints_match_dense_formulas():
+    # on the quadratic form q of a symmetric F, the derivation of R gives
+    # the quadratic form of -(RᵀF + FR) and the pullback through C minus
+    # q that of CᵀFC - F
+    rng = random.Random(53)
+    for m in (1, 3, 4):
+        pairs = _sym_pairs(m)
+        index = {p: t for t, p in enumerate(pairs)}
+        insertions = {(r,): [index[tuple(sorted((r, j)))] for j in range(m)]
+                      for r in range(m)}
+        for density in (0.3, 1.0):
+            R = _random_rational_matrix(rng, m, density)
+            C = _random_rational_matrix(rng, m, density)
+            ad_op = _derivation_operator(_columns(R), insertions)
+            for _ in range(3):
+                A = _random_rational_matrix(rng, m, 0.7)
+                Fm = A + A.T
+                q = _quadratic_form(Fm)
+                vec = [q.get(p, F(0)) for p in pairs]
+                want = _quadratic_form(-(R.T.dot(Fm) + Fm.dot(R)))
+                assert _apply_columns(ad_op, vec, len(pairs)) == \
+                    [want.get(p, 0) for p in pairs]
+                (pulled,) = pullback([q], _columns(C))
+                diff = {p: pulled.get(p, 0) - q.get(p, 0) for p in pairs}
+                assert {p: v for p, v in diff.items() if v} == \
+                    _quadratic_form(C.T.dot(Fm).dot(C) - Fm)
 
 
 def test_minimal_ideal_count_rejects_non_subalgebra():
