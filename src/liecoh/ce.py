@@ -33,17 +33,16 @@ so the Y whose theta(Y) kills a cochain are a subalgebra and theta is built
 for a Lie generating set of h only (liealg.lie_generators).  The operators
 are intersected one at a time through nonzeros (intersect_kernels); the
 basis is the identity on a set of free rows.  A column delta(F_J) is built
-once, on first use, per monomial J in the invariant basis or in the images
-of the degree below, and nowhere else.  delta o delta = 0 on the lower
-images, and the images mapped back from their row selection on the next
-basis (the differential must not escape the invariant space), are
-consistency checks on the assembly, not assumptions.  With no constraints
-(trivial isotropy, no generators) the images are the delta columns
-themselves.  Ranks are exact integer ranks, taken in increasing degree as
-one complex (linalg.complex_ranks): the echelon of delta_k's columns has
-distinct leading rows P_k, and since delta o delta = 0 (checked above)
-delta_{k+1} is ranked on its columns off P_k only: most of the columns that
-would reduce to zero are never touched.
+once, on first use, per monomial J in the invariant basis, and nowhere
+else.  The images mapped back from their row selection on the next basis
+(the differential must not escape the invariant space) are a consistency
+check on the assembly, not an assumption.  With no constraints (trivial
+isotropy, no generators) the images are the delta columns themselves.
+Ranks are exact integer ranks, taken in increasing degree as one complex
+(linalg.complex_ranks): the echelon of delta_k's columns has distinct
+leading rows P_k, and as delta o delta = 0 (checked there on the restricted
+maps, which the escape check makes delta o delta on the invariant complex)
+delta_{k+1} is ranked on its columns off P_k only.
 
 betti_ce splits the pair first.  _blocks merges the coordinates of each
 simple factor, of the support of each h basis column, and of the columns a
@@ -223,7 +222,7 @@ def _fixed_op(action, index, memo):
         for mon in index], len(index))
 
 
-def _invariant_space(theta_mats, gen_mats, gen_memos, subsets, index):
+def _invariant_space(theta_mats, gen_mats, gen_memos, index):
     """Invariant degree-k coordinates as a sparse Subspace, or None for all."""
     if not theta_mats and not gen_mats:
         return None
@@ -232,7 +231,7 @@ def _invariant_space(theta_mats, gen_mats, gen_memos, subsets, index):
                   if (col := _derivation_column(t, mon, index))}
                  for t in theta_mats),
                 (_fixed_op(a, index, m) for a, m in zip(gen_mats, gen_memos)))
-    return intersect_kernels(ops, len(subsets))
+    return intersect_kernels(ops, len(index))
 
 
 class _DeltaColumns(dict):
@@ -274,7 +273,7 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     (default 14, or the LIECOH_SIZE_CAP environment variable); pass size_cap
     explicitly to override for a single call.  max_degree and size_cap
     are non-negative integers by liealg.int_field's rule, else a
-    ValueError.
+    ValueError.  delta o delta = 0 is checked when the complex is ranked.
     """
     if validate:
         pair.validation.ensure()
@@ -288,31 +287,26 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     gen_memos = [{0: {0: 1}} for _ in gen_mats]   # the empty wedge is 1
     table, scale = _structure_table(alg, ann, rows)
 
+    bits = [1 << i for i in range(q)]
     indexes, bases, dims = [], [], []
     for k in range(top + 2):
-        subs = list(combinations(range(q), k))
-        idx = {sum(1 << i for i in mon): pos for pos, mon in enumerate(subs)}
-        basis = _invariant_space(theta_mats, gen_mats, gen_memos, subs, idx)
+        idx = {sum(mon): pos for pos, mon in enumerate(combinations(bits, k))}
+        basis = _invariant_space(theta_mats, gen_mats, gen_memos, idx)
         indexes.append(idx)
         bases.append(basis)
-        dims.append(len(subs) if basis is None else basis.dim)
+        dims.append(len(idx) if basis is None else basis.dim)
     if dims[0] != 1:
         raise RuntimeError("degree-0 cochain space is not one-dimensional; "
                            "cochain assembly is inconsistent")
 
-    # each op is D * delta_k, its columns built only where the lower images
-    # or the basis reach; delta_k delta_{k-1} B_{k-1} = 0 on wedge
-    # coordinates is delta o delta = 0 on the invariant complex, since the
-    # bases are injective
-    deltas, lower = [], None
+    # each op is D * delta_k, its columns built only where the basis reaches
+    deltas = []
     for k in range(top + 1):
         op = _DeltaColumns(table, list(indexes[k]), indexes[k + 1])
-        if lower is not None and sparse_product(op, lower):
-            raise RuntimeError("differential composite in degree %d is "
-                               "nonzero; cochain assembly is inconsistent" % k)
-        lower = ({j: col for j in range(dims[k]) if (col := op[j])}
-                 if bases[k] is None else sparse_product(op, bases[k].columns))
-        deltas.append(_restrict_delta(lower, bases[k + 1],
+        images = ({j: col for j in range(dims[k]) if (col := op[j])}
+                  if bases[k] is None
+                  else sparse_product(op, bases[k].columns))
+        deltas.append(_restrict_delta(images, bases[k + 1],
                                       len(indexes[k + 1]), dims[k]))
     return RelativeComplex(q, top, dims, bases, deltas, scale)
 

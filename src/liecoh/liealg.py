@@ -12,13 +12,12 @@ ad-commutant.  For a factor whose Killing form is negative definite (a
 compact semisimple one) the commutant is spanned by the projections onto
 its simple ideals, so dimension 1 is exactly simplicity; a fused factor
 such as so(4) in its standard coordinates is rejected.  schur_certified
-proves dimension 1 from one cyclic vector e_0 with z(z(e_0)) = Q e_0
-(every so(n), sp(n) and su(2) factor of the catalog); any other factor,
-su(n >= 3) in the catalog basis among them, takes the commutant solve over
-(dim factor)² unknowns.  A failing factor's witness is a basis vector whose
-ideal closure is smaller, if it has one (closures are grown only then, or
-when Jacobi fails).  All of it runs through the nonzero structure
-constants.
+proves dimension 1 from one cyclic vector v with z(z(v)) = Q v, which
+covers every factor of the catalog; any other factor takes the commutant
+solve over (dim factor)² unknowns.  A failing factor's witness is a basis
+vector whose ideal closure is smaller, if it has one (closures are grown
+only then, or when Jacobi fails).  All of it runs through the nonzero
+structure constants.
 
 bracket_closure is the one closure pass over a subspace: is_bracket_closed
 and lie_generators read it, and a HomogeneousPair runs it once on h.
@@ -411,7 +410,7 @@ def validate(alg):
     # each declared factor is simple: the ad-commutant must be the scalars,
     # which given Jacobi and the negative-definite Killing form is exactly
     # simplicity, and then every ideal closure is the whole factor.  With
-    # Jacobi, schur_certified proves it from e_0 in dim-factor unknowns;
+    # Jacobi, schur_certified proves it in dim-factor unknowns;
     # what it does not prove takes the commutant itself.  The closures are
     # grown only when that fails, to name a vector whose closure is
     # smaller; a vector can meet every simple ideal of a fused factor, so
@@ -517,20 +516,29 @@ def schur_certified(ads):
     scalars; False proves nothing.  ads[i] is ad e_i given by its columns
     {j: [e_i, e_j]} in s's own coordinates.
 
-    Schur's argument on v = e_0: every P commuting with ad(s) maps v into
-    z(z(v)), as [x, Pv] = P[x, v] = 0 for x in z(v).  So when z(z(v)) = Qv,
-    P - λ kills v for some λ, its kernel is an ideal, and that is all of s
-    when v's ideal closure is.  Both centralizers are kernels in dim s
-    unknowns, where the commutant has (dim s)² of them.  With Jacobi the
-    commutant of ad(s) is that of any Lie generating set of s.
+    Schur's argument on a vector v: every P commuting with ad(s) maps v
+    into z(z(v)), as [x, Pv] = P[x, v] = 0 for x in z(v).  So when
+    z(z(v)) = Qv, P - λ kills v for some λ, its kernel is an ideal, and
+    that is all of s when v's ideal closure is.  Both centralizers are
+    kernels in dim s unknowns, where the commutant has (dim s)² of them.
+    With Jacobi the commutant of ad(s) is that of any Lie generating set
+    of s.  v is e_0 (so(n), sp(n), su(2)), else sum_{j<r} (j + 1) e_j over
+    the longest prefix of pairwise commuting e_j, when r > 1: on su(n)'s
+    diagonal, i diag(1, ..., 1, 1 - n), with z(v) = s(u(n-1) + u(1)).
     """
     m = len(ads)
     if not m:
         return False
-    zv = intersect_kernels([ads[0]], m)
-    # y -> [y, x] has the columns [e_j, x]: its kernel is z(x)
-    zzv = intersect_kernels(({j: c for j, ad in enumerate(ads)
-                              if (c := combination(ad, x))}
-                             for x in zv.columns), m)
-    # a kernel column is 1 on its free row, so Qe_0 is held as [{0: 1}]
-    return zzv.columns == [{0: 1}] and _closure_dim(ads, {0: 1}, m) == m
+    r = 1
+    while r < m and not any(combination(ads[r], {j: 1}) for j in range(r)):
+        r += 1
+
+    def centralizer(xs):
+        # y -> [y, x] has the columns [e_j, x]: its kernel is z(x)
+        return intersect_kernels(({j: c for j, ad in enumerate(ads)
+                                   if (c := combination(ad, x))}
+                                  for x in xs), m)
+    # v lies in z(z(v)), so dimension 1 is z(z(v)) = Qv
+    weighted = [{j: j + 1 for j in range(r)}] if r > 1 else []
+    return any(centralizer(centralizer([v]).columns).dim == 1
+               and _closure_dim(ads, v, m) == m for v in [{0: 1}] + weighted)

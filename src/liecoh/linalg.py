@@ -193,20 +193,24 @@ def complex_ranks(maps):
     """Exact ranks of the consecutive maps d_0, d_1, ... of a complex.
 
     Each map is (cols, nrows, ncols), cols its {col: column} dict; the rows
-    of d_k are the columns of d_{k+1}.  Precondition:
-    d_{k+1} d_k = 0, checked by the caller; otherwise the ranks are wrong.
-    The echelon of d_k's columns spans im d_k with distinct leading rows
-    P_k; those vectors and the unit vectors off P_k are a triangular basis
-    of the next space, and d_{k+1} kills the former, so rank d_{k+1} is the
-    rank of its columns off P_k.  This is the clearing rule of persistent
-    homology (Chen & Kerber, 2011): the elimination sees rank d_k fewer
-    columns of d_{k+1}, most of those that would have reduced to zero.
+    of d_k are the columns of d_{k+1}.  The echelon of d_k's columns spans
+    im d_k with distinct leading rows P_k; those vectors and the unit
+    vectors off P_k are a triangular basis of the next space, and d_{k+1}
+    kills the former, so rank d_{k+1} is the rank of its columns off P_k.
+    This is the clearing rule of persistent homology (Chen & Kerber, 2011):
+    the elimination sees rank d_k fewer columns of d_{k+1}, most of those
+    that would have reduced to zero.  Its precondition d_{k+1} d_k = 0 is
+    checked on the columns of d_k off P_{k-1}, which span im d_k as d_k
+    kills the echelon of im d_{k-1}; a nonzero composite is a RuntimeError.
     """
-    ranks, cleared = [], set()
-    for cols, nrows, ncols in maps:
-        rows = _int_rows_sparse(cols.get(j, {}) for j in range(ncols)
-                                if j not in cleared)
-        _, pivots = _sparse_echelon(rows, nrows)
+    ranks, cleared, ranked = [], set(), []
+    for k, (cols, nrows, ncols) in enumerate(maps):
+        if any(combination(cols, v) for v in ranked):
+            raise RuntimeError("differential composite in degree %d is "
+                               "nonzero; the maps do not form a complex" % k)
+        ranked = _int_rows_sparse(cols.get(j, {}) for j in range(ncols)
+                                  if j not in cleared)
+        _, pivots = _sparse_echelon(ranked, nrows)
         ranks.append(len(pivots))
         cleared = set(pivots)
     return ranks

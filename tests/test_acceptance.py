@@ -98,9 +98,10 @@ def test_criterion_5_randomized_agreement():
         assert validate(pair.algebra).ok, label
         assert validate_pair(pair).ok, label
         formula = betti_low(pair, validate=False)
-        # build_complex and relative_complex raise if any composite
-        # differential fails to vanish, so agreement below also certifies
-        # the two chain conditions on every pair
+        # betti_koszul and betti_ce rank their complexes through
+        # complex_ranks, which raises if any composite differential fails
+        # to vanish, so agreement below also certifies the two chain
+        # conditions on every pair
         koszul = betti_koszul(pair, validate=False)
         ce = betti_ce(pair, max_degree=4, validate=False)
         assert formula.betti == koszul.betti == _padded(ce), \

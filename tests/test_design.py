@@ -285,7 +285,8 @@ def test_certified_algebras_build_no_commutant(monkeypatch, tmp_path,
                                                capsys):
     # the Schur certificate proves every factor and h of these simple, so
     # neither validate nor the ideal orbit count builds a commutant
-    # operator; su(3) in the catalog basis falls back to the commutant
+    # operator; su(3) and su(4) in the catalog basis are certified by the
+    # diagonal vector i diag(1, ..., 1, 1 - n), not by e_0
     built = []
     real = liealg.commutant_operator
 
@@ -295,12 +296,22 @@ def test_certified_algebras_build_no_commutant(monkeypatch, tmp_path,
     monkeypatch.setattr(liealg, "commutant_operator", operator)
     monkeypatch.setattr(invariant_forms, "commutant_operator", operator)
     path = tmp_path / "pair.json"
-    for name in ("sphere:7", "stiefel:5:2", "so:5+torus:1", "su:3"):
+    for name in ("sphere:7", "stiefel:5:2", "so:5+torus:1", "su:3", "su:4"):
         path.write_text(json.dumps(catalog.emit(name)))
         del built[:]
         assert main(["verify", str(path)]) == 0
         capsys.readouterr()
-        assert bool(built) == (name == "su:3"), (name, built)
+        assert not built, (name, built)
+
+
+def test_composites_are_checked_where_the_ranks_are_taken():
+    # δ∘δ = 0 and ∇∘∇ = 0 are checked by linalg.complex_ranks on the
+    # columns it ranks, not by a product pass in either complex builder
+    users = sorted(path.name for path in ROOT.glob("*.py")
+                   if "differential composite" in path.read_text())
+    assert users == ["linalg.py"]
+    assert "koszul.py" not in {module for module, _
+                               in _users("sparse_product")}
 
 
 def _definitions(path):

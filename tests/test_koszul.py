@@ -1,5 +1,6 @@
 """Koszul-complex oracle: primitives, differentials, and Betti agreement."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from liecoh import catalog, koszul
 from liecoh.betti import betti_low
 from liecoh.ce import betti_ce
+from liecoh.cli import main
 from liecoh.koszul import (build_complex, betti_koszul, cartan_rho,
                            primitive_basis)
 from liecoh.liealg import LieAlgebra
@@ -90,6 +92,36 @@ def test_differentials_compose_to_zero():
         upper = slices[k + 1].differential
         assert upper.ncols == lower.nrows
         assert sparse_product(upper.cols, lower.cols) == {}
+
+
+def test_composite_check_fires_on_corrupted_nabla(monkeypatch, tmp_path,
+                                                  capsys):
+    # T³ modulo the line through e0 + e1: ∇²(f0∧f1) = x⊗f1 − x⊗f0 and
+    # ∇³(x⊗f) = x·f|ₕ, so one sign flipped in that column leaves
+    # ∇³∘∇²(f0∧f1) = ±2x²; betti_koszul raises and verify exits with 4
+    pair = HomogeneousPair(catalog.build("torus", 3), [[1], [1], [0]])
+    assert betti_koszul(pair).betti == [1, 2, 1, 0, 0]
+    real = koszul.nonzero
+    flipped = []
+
+    def patched(acc):
+        col = real(acc)
+        if len(col) == 2 and not flipped:
+            flipped.append(col)
+            row = next(iter(col))
+            col = {**col, row: -col[row]}
+        return col
+    monkeypatch.setattr(koszul, "nonzero", patched)
+    with pytest.raises(RuntimeError,
+                       match="differential composite in degree 3 is nonzero"):
+        betti_koszul(pair)
+    flipped.clear()
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair.to_dict()))
+    assert main(["verify", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "differential composite in degree 3" in err and flipped
+    assert "Traceback" not in err
 
 
 def test_koszul_ranks_equal_each_differential_ranked_alone():

@@ -637,6 +637,24 @@ def test_entries_outside_the_columns_are_refused():
     assert complex_ranks([({0: {0: 1, 2: 1}}, 3, 1)]) == [1]
 
 
+def test_complex_ranks_check_the_composites():
+    # d0 = e0 + e1 on Q^2; d1 kills it, and ranks as a complex
+    d0 = ({0: {0: 1, 1: 1}}, 2, 1)
+    assert complex_ranks([d0, ({0: {0: 1}, 1: {0: -1}}, 1, 2)]) == [1, 1]
+    # a corrupt entry in the column of d1 the clearing ranks (off P_0 =
+    # {0}), and in the column on P_0 it never ranks: without the check
+    # the latter would read rank d1 = 0
+    for d1 in ({1: {0: 1}}, {0: {0: 1}}):
+        with pytest.raises(RuntimeError,
+                           match="differential composite in degree 1 "):
+            complex_ranks([d0, (d1, 1, 2)])
+    # d2 d1 != 0 while d1 d0 = 0 names degree 2
+    d1 = ({0: {0: 1}, 1: {0: -1}}, 1, 2)
+    with pytest.raises(RuntimeError,
+                       match="differential composite in degree 2 "):
+        complex_ranks([d0, d1, ({0: {0: 1}}, 1, 1)])
+
+
 def test_kernel_back_substitution_keeps_the_number_rule():
     # each back-substituted value is an exact quotient: an int when it is
     # integral, else a Fraction, and the kernel is sympy's null space
