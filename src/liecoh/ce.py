@@ -27,17 +27,29 @@ generator entries do not depend on the complement chosen for h (moving a
 w_j by an element of h changes none of them), so any test vectors dual to F
 give the same invariant complex; the unit vectors only make D small.
 
+Every degree is built on graded monomials only: the F_J fixed by the
+half-turns sigma = exp(pi ad Y) that _half_turns accepts (Y a basis vector
+that commutes with h and is fixed by every generator, sigma diagonal; for
+h = 0 every basis vector is a candidate).  sigma fixes h, so it scales
+each F_c by +-1 and F_J by (-1)^popcount(J & S), S the frame positions it
+negates, and it commutes with theta, the generators and delta: a column
+that leaves the graded monomials is a RuntimeError.  On the relative
+complex theta(Y) = delta iota(Y) + iota(Y) delta, iota(Y) preserving it,
+so sigma* = exp(pi theta(Y)) is 1 on cohomology, and averaging over the
+half-turns gives H(C^Gamma) = H(C) (Koszul 1950; Greub-Halperin-Vanstone
+vol. III).  complex_dims are those of C^Gamma.
+
 The degree-k cochain space is the joint kernel of the theta operators and
 the fixed space of the generator actions.  theta is a representation of h,
 so the Y whose theta(Y) kills a cochain are a subalgebra and theta is built
 for a Lie generating set of h only (liealg.lie_generators).  The operators
 are intersected one at a time through nonzeros (intersect_kernels); the
-basis is the identity on a set of free rows.  A column delta(F_J) is built
-once, on first use, per monomial J in the invariant basis, and nowhere
-else.  The images mapped back from their row selection on the next basis
-(the differential must not escape the invariant space) are a consistency
-check on the assembly, not an assumption.  With no constraints (trivial
-isotropy, no generators) the images are the delta columns themselves.
+basis is the identity on a set of free rows.  delta(F_J) is built only
+for the J the invariant basis reaches.  The images mapped back from their
+row selection on the next basis (the differential must not escape the
+invariant space) are a consistency check on the assembly, not an
+assumption.  With no constraints (trivial isotropy, no generators) the
+images are the delta columns themselves.
 Ranks are exact integer ranks, taken in increasing degree as one complex
 (linalg.complex_ranks): the echelon of delta_k's columns has distinct
 leading rows P_k, and as delta o delta = 0 (checked there on the restricted
@@ -59,8 +71,11 @@ as itself.
 """
 
 import os
+from collections import namedtuple
+from functools import reduce
 from itertools import accumulate, chain, combinations
 from math import lcm
+from operator import xor
 
 from .betti import BettiReport
 from .liealg import LieAlgebra, int_field
@@ -103,24 +118,20 @@ def _effective_size_cap(size_cap, q=0):
     return cap
 
 
-class RelativeComplex:
+class RelativeComplex(namedtuple("RelativeComplex", [
+        "quotient_dim", "max_degree", "dims", "bases", "deltas", "scale",
+        "monomials"])):
     """Invariant cochain spaces and differentials, degrees 0..max_degree+1.
 
-    bases[k] is the degree-k cochain space as a Subspace of wedge
-    coordinates held in sparse columns, with None meaning the full wedge
-    space (no isotropy or generator constraints).  deltas[k] is scale times
-    the differential from degree k to k+1 in those bases, a SparseMatrix;
-    scale is D, the lcm of the denominators of the constants F_c([w_a, w_b])
-    on the unit test vectors (1 when they are integers, as for h = 0).
+    monomials[k] lists the graded monomials of degree k as bitmasks, one
+    per wedge coordinate.  bases[k] is the degree-k cochain space as a
+    Subspace of those coordinates held in sparse columns, with None meaning
+    all of them (no isotropy or generator constraints).  deltas[k] is scale
+    times the differential from degree k to k+1 in those bases, a
+    SparseMatrix; scale is D, the lcm of the denominators of the constants
+    F_c([w_a, w_b]) on the unit test vectors (1 when they are integers, as
+    for h = 0).
     """
-
-    def __init__(self, quotient_dim, max_degree, dims, bases, deltas, scale):
-        self.quotient_dim = quotient_dim
-        self.max_degree = max_degree
-        self.dims = dims
-        self.bases = bases
-        self.deltas = deltas
-        self.scale = scale
 
 
 def _frame(pair):
@@ -179,6 +190,50 @@ def _structure_table(alg, ann, rows):
             scale)
 
 
+def _half_turns(pair):
+    """{i: the diagonal of exp(pi ad e_i)} for the e_i that commute with h's
+    Lie generators, are fixed by every component generator and have a
+    diagonal half-turn: A = ad e_i has A(A^2 + 1)(A^2 + 4) = 0, so that
+    exp(pi A) = (3 + 8A^2 + 2A^4)/3, read on the powers A^0 e_j..A^5 e_j."""
+    alg, turns = pair.algebra, {}
+    for i, ad in enumerate(alg.ad_sparse()):
+        if any(g[i] != {i: 1} for g in pair.generator_columns) or any(
+                alg.bracket_sparse({i: 1}, y) for y in pair.h_lie_generators):
+            continue
+        powers = [list(accumulate(range(5), lambda v, _: combination(ad, v),
+                                  initial={j: 1})) for j in range(alg.n)]
+        even = [combination(v, {2: 8, 4: 2}) for v in powers]
+        if all(e.keys() <= {j} and not combination(v, {1: 4, 3: 5, 5: 1})
+               for j, (v, e) in enumerate(zip(powers, even))):
+            turns[i] = [-1 if e else 1 for e in even]
+    return turns
+
+
+def _graded_monomials(q, masks, top):
+    """Per degree 0..top, the J on q bits with J & S of even popcount for
+    every mask S, in the order of combinations(range(q), k), which keeps
+    the eliminations sparse.  perp spans them, each of its vectors holding
+    a bit no other holds, so a sum of t of them has at least t bits."""
+    perp = [1 << j for j in range(q)]
+    for s in masks:
+        first = [v for v in perp if (v & s).bit_count() % 2][:1]
+        perp = [v ^ first[0] if (v & s).bit_count() % 2 else v
+                for v in perp if v not in first]
+    levels = [[] for _ in range(top + 1)]
+    for chosen in chain(*(combinations(perp, t) for t in range(top + 1))):
+        mon = reduce(xor, chosen, 0)
+        if mon.bit_count() <= top:
+            levels[mon.bit_count()].append(mon)
+    return [sorted(level, key=lambda m: f"{m:0{q}b}"[::-1], reverse=True)
+            for level in levels]
+
+
+class _Graded(dict):
+    """Positions of one degree's graded monomials."""
+    def __missing__(self, mon):
+        raise RuntimeError("an operator leaves the graded monomials")
+
+
 def _derivation_column(images, mon, index):
     """Column F_mon of the derivation F_c -> images[c], as a {row: value}
     dict on the positions of index.
@@ -234,19 +289,6 @@ def _invariant_space(theta_mats, gen_mats, gen_memos, index):
     return intersect_kernels(ops, len(index))
 
 
-class _DeltaColumns(dict):
-    """Columns of D * delta_k by degree-k position, built on first use."""
-
-    def __init__(self, table, masks, index_next):
-        super().__init__()
-        self.table, self.masks, self.index_next = table, masks, index_next
-
-    def __missing__(self, pos):
-        col = self[pos] = _derivation_column(self.table, self.masks[pos],
-                                             self.index_next)
-        return col
-
-
 def _restrict_delta(images, basis_next, nrows_full, ncols):
     """Coordinates of the images in the next invariant basis.
 
@@ -287,10 +329,12 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     gen_memos = [{0: {0: 1}} for _ in gen_mats]   # the empty wedge is 1
     table, scale = _structure_table(alg, ann, rows)
 
-    bits = [1 << i for i in range(q)]
+    monomials = _graded_monomials(q, [
+        sum(1 << j for j, f in enumerate(ann.free) if signs[f] < 0)
+        for signs in _half_turns(pair).values()], top + 1)
     indexes, bases, dims = [], [], []
-    for k in range(top + 2):
-        idx = {sum(mon): pos for pos, mon in enumerate(combinations(bits, k))}
+    for level in monomials:
+        idx = _Graded((mon, pos) for pos, mon in enumerate(level))
         basis = _invariant_space(theta_mats, gen_mats, gen_memos, idx)
         indexes.append(idx)
         bases.append(basis)
@@ -301,14 +345,15 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
 
     # each op is D * delta_k, its columns built only where the basis reaches
     deltas = []
-    for k in range(top + 1):
-        op = _DeltaColumns(table, list(indexes[k]), indexes[k + 1])
-        images = ({j: col for j in range(dims[k]) if (col := op[j])}
-                  if bases[k] is None
-                  else sparse_product(op, bases[k].columns))
+    for k, basis in enumerate(bases[:top + 1]):
+        reach = (range(dims[k]) if basis is None
+                 else {r for col in basis.columns for r in col})
+        op = {j: col for j in reach if (col := _derivation_column(
+            table, monomials[k][j], indexes[k + 1]))}
+        images = op if basis is None else sparse_product(op, basis.columns)
         deltas.append(_restrict_delta(images, bases[k + 1],
                                       len(indexes[k + 1]), dims[k]))
-    return RelativeComplex(q, top, dims, bases, deltas, scale)
+    return RelativeComplex(q, top, dims, bases, deltas, scale, monomials)
 
 
 def _blocks(pair):

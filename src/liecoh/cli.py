@@ -3,16 +3,17 @@
 verify runs the formula, koszul and ce methods, or the --methods subset,
 and compares their degrees 0..4.
 
-Exit codes: 0 success, 1 I/O, parse or usage error (including an algebra
-above the dimension limit, a negative --max-degree or --size-cap, and a
-LIECOH_SIZE_CAP that is not a non-negative integer), 2 validation failure
-(the check report is printed), 3 method disagreement in verify, 4 internal
-inconsistency (a self-check such as delta o delta = 0 failed; the message
-is printed).
+Exit codes: 0 success, 1 I/O, parse or usage error (including a closed
+output pipe, an algebra above the dimension limit, a negative --max-degree
+or --size-cap, and a LIECOH_SIZE_CAP that is not a non-negative integer),
+2 validation failure (the check report is printed), 3 method disagreement
+in verify, 4 internal inconsistency (a self-check such as delta o delta = 0
+failed; the message is printed).
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -289,6 +290,9 @@ def main(argv=None):
     except RuntimeError as exc:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return 4
+    except BrokenPipeError:     # the reader left; flush quietly at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

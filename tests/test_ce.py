@@ -1,13 +1,16 @@
 """Relative cochain-complex oracle: full Betti vectors, caps, exact ranks."""
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, prod
 
 import pytest
+import sympy
 
 from liecoh import catalog, ce, linalg
 from liecoh.betti import betti_low
+from liecoh.cli import main
 from liecoh.ce import (DEFAULT_SIZE_CAP, betti_ce,
                        poincare_check, relative_complex)
 from liecoh.koszul import betti_koszul
@@ -371,6 +374,54 @@ def test_su4_group_manifold_full_vector():
     rep = betti_ce(_free(catalog.build("su", 4)), size_cap=15)
     assert rep.betti == poly == [1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1]
     assert poincare_check(rep, 15)
+    # every half-turn of the catalog basis is conjugation by a sign matrix
+    # with two -1s; the three of those (up to -1) and 1 are a Klein
+    # four-group, so 2^15 / 4 monomials are graded
+    assert sum(rep.diagnostics["complex_dims"]) == 2 ** 13
+
+
+def test_half_turns_are_exact_sign_automorphisms():
+    # every accepted sigma is sympy's exp(pi A), and s_i s_j = s_k whenever
+    # c_ij^k != 0; su(2)'s half-turns are central (ad spectrum i{0, +-2})
+    for name in ("su:2", "su:3", "so:5", "sp:2"):
+        alg = catalog.pair_from_name(name).algebra
+        turns = ce._half_turns(_free(alg))
+        assert len(turns) == alg.n, name
+        ads = alg.ad_sparse()
+        for i, signs in turns.items():
+            A = sympy.Matrix(alg.n, alg.n,
+                             lambda r, c: ads[i].get(c, {}).get(r, 0))
+            assert ((sympy.pi * A).exp().applyfunc(sympy.simplify)
+                    == sympy.diag(*signs)), (name, i)
+            assert all(signs[a] * signs[b] == signs[c]
+                       for (a, b), terms in alg.table.items()
+                       for c, v in terms if v), (name, i)
+            if name == "su:2":
+                assert signs == [1, 1, 1]
+    # so su(2) grades nothing: its complex is the whole wedge (and the
+    # empty degree q + 1)
+    cx = relative_complex(_free(catalog.pair_from_name("su:2").algebra))
+    assert [len(m) for m in cx.monomials] == [1, 3, 3, 1, 0]
+
+
+def test_grading_check_fires_on_a_non_automorphism(monkeypatch, tmp_path,
+                                                    capsys):
+    # one so(5) coordinate flipped in one half-turn: the signs no longer
+    # respect the brackets, and delta leaves the graded monomials
+    real = ce._half_turns
+
+    def patched(pair):
+        turns = real(pair)
+        turns[0] = [-s if f == 1 else s for f, s in enumerate(turns[0])]
+        return turns
+    monkeypatch.setattr(ce, "_half_turns", patched)
+    pair = _free(catalog.pair_from_name("so:5").algebra)
+    with pytest.raises(RuntimeError, match="leaves the graded monomials"):
+        betti_ce(pair)
+    doc = tmp_path / "so5.json"
+    doc.write_text(json.dumps(pair.to_dict()))
+    assert main(["oracle", str(doc), "--method", "ce"]) == 4
+    assert "leaves the graded monomials" in capsys.readouterr().err
 
 
 def _row_wise_delta(pair, k):
@@ -405,24 +456,52 @@ def _apply(op, col):
     return {r: v for r, v in image.items() if v}
 
 
+def _lex_positions(q, k):
+    """Position of each degree-k monomial bitmask in combinations(range(q),
+    k), the order _row_wise_delta numbers them in."""
+    return {sum(1 << i for i in mon): pos
+            for pos, mon in enumerate(combinations(range(q), k))}
+
+
+def _on_lex(cx, k, col):
+    """A column on the graded positions of degree k, moved to lex ones."""
+    lex = _lex_positions(cx.quotient_dim, k)
+    return {lex[cx.monomials[k][r]]: v for r, v in col.items()}
+
+
 def test_delta_columns_match_row_wise_definition():
-    # unconstrained: every column of every delta_k is the builder's column
-    pair = _free(catalog.pair_from_name("su:2+su:2").algebra)
-    cx = relative_complex(pair)
-    for k in range(cx.quotient_dim + 1):
-        ref = _row_wise_delta(pair, k)
-        for j in range(comb(cx.quotient_dim, k)):
-            assert dict(cx.deltas[k].cols.get(j, ())) == {
-                r: cx.scale * v for r, v in ref.get(j, {}).items()}, (k, j)
+    # unconstrained: every column of every delta_k is the assembled column.
+    # su(2)'s half-turns are central, so su:2+su:2 keeps all 2^6 monomials;
+    # so(5)'s keep the 2^6 = 64 even-degree subgraphs of K_5 (basis vector
+    # e_ab is the edge ab, its half-turn negates the edges meeting ab in one
+    # vertex, and those cuts span the 4-dimensional cut space of K_5), and
+    # their reference columns never reach a row outside them
+    for name, graded in (("su:2+su:2", 2 ** 6), ("so:5", 64)):
+        pair = _free(catalog.pair_from_name(name).algebra)
+        cx = relative_complex(pair)
+        assert sum(map(len, cx.monomials)) == graded, name
+        for k in range(cx.quotient_dim + 1):
+            ref = _row_wise_delta(pair, k)
+            here = _lex_positions(cx.quotient_dim, k)
+            lex = _lex_positions(cx.quotient_dim, k + 1)
+            for j, mon in enumerate(cx.monomials[k]):
+                want = ref.get(here[mon], {})
+                assert dict(cx.deltas[k].cols.get(j, ())) == {
+                    r: cx.scale * want[lex[m]]
+                    for r, m in enumerate(cx.monomials[k + 1])
+                    if lex[m] in want}, (name, k, j)
+                assert len(want) == sum(lex[m] in want
+                                        for m in cx.monomials[k + 1])
     # constrained: delta_k applied to the basis, read on the next free rows
     pair = catalog.pair_from_name("stiefel:6:2")
     cx = relative_complex(pair)
     assert cx.quotient_dim == 9
     for k in range(cx.quotient_dim + 1):
         ref = _row_wise_delta(pair, k)
-        free = cx.bases[k + 1].free
+        free = [_lex_positions(9, k + 1)[cx.monomials[k + 1][r]]
+                for r in cx.bases[k + 1].free]
         for j, col in enumerate(cx.bases[k].columns):
-            image = _apply(ref, col)
+            image = _apply(ref, _on_lex(cx, k, col))
             assert dict(cx.deltas[k].cols.get(j, ())) == {
                 pos: cx.scale * image[r] for pos, r in enumerate(free)
                 if r in image}, (k, j)
@@ -486,12 +565,14 @@ def test_delta_columns_built_only_where_monomials_occur(monkeypatch):
     q = cx.quotient_dim
     smaller = []
     for k in range(5):
-        # monomials in the support of B_k and of delta_{k-1} B_{k-1}
-        support = {r for col in cx.bases[k].columns for r in col}
+        # monomials in the support of B_k and of delta_{k-1} B_{k-1}, as
+        # positions in the lex order of combinations(range(q), k)
+        support = {r for col in cx.bases[k].columns
+                   for r in _on_lex(cx, k, col)}
         if k:
             ref = _row_wise_delta(pair, k - 1)
             for col in cx.bases[k - 1].columns:
-                support |= set(_apply(ref, col))
+                support |= set(_apply(ref, _on_lex(cx, k - 1, col)))
         masks = [sum(1 << i for i in mon)
                  for mon in combinations(range(q), k)]
         calls = [mon for mon in built if mon.bit_count() == k]
@@ -503,7 +584,15 @@ def test_delta_columns_built_only_where_monomials_occur(monkeypatch):
 
 def test_constrained_bases_are_identity_on_free_rows():
     cx = relative_complex(catalog.pair_from_name("stiefel:5:2"), max_degree=4)
-    assert cx.dims == [1, 1, 1, 5, 5, 1]
+    # V_2(R^5) = SO(5)/SO(3): g/h is R^3 (x) R^2 + R, and the half-turn of
+    # the so(2) that commutes with h negates R^3 (x) R^2.  Its SO(3)-
+    # invariant forms have dims 1, 0, 1, 4, 1, 0, 1; the half-turn keeps
+    # degrees 0, 2, 4, 6 of them, and the R factor doubles them up, so the
+    # complex is 1 in every degree (it was 1, 1, 1, 5, 5, 1 on the full
+    # wedge).  The graded monomials are an even subset of the 6 negated
+    # directions times any subset of the other one
+    assert cx.dims == [1, 1, 1, 1, 1, 1]
+    assert [len(m) for m in cx.monomials] == [1, 1, 15, 15, 15, 15]
     for basis in cx.bases:
         for j, col in enumerate(basis.columns):
             assert all(col.get(row, 0) == (1 if i == j else 0)

@@ -605,3 +605,23 @@ def test_cli_subprocess_smoke(tmp_path):
     assert out["status"] == "pass"
     for m in out["methods"].values():
         assert m["betti"] == [1, 0, 0, 0, 1]
+
+
+def test_closed_output_pipe_is_a_quiet_io_error(tmp_path):
+    # `liecoh oracle ... | head -2` closes the pipe while liecoh still
+    # writes: exit 1 (I/O) with nothing on stderr, not a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liecoh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)          # the reader is gone before liecoh writes
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "liecoh.cli", "oracle",
+             _emit(tmp_path, "flag_su3"), "--method", "ce", "--json"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == ""

@@ -228,7 +228,7 @@ def test_ce_builds_the_blocks_of_a_pair(monkeypatch):
         return real(pair, *args, **kw)
     monkeypatch.setattr(ce, "relative_complex", spy)
     # g = so(5) + su(2) + R with h = 0 is three blocks, q = 10, 3 and 1,
-    # whose wedge spaces hold 2^10 + 2^3 + 2^1 monomials instead of 2^14
+    # whose graded complexes hold 64 + 2^3 + 2^1 monomials instead of 2^14
     product = HomogeneousPair(
         catalog.pair_from_name("so:5+su:2+torus:1").algebra, [])
     ce.betti_ce(product)
@@ -328,7 +328,7 @@ def test_theta_and_delta_share_one_derivation_rule():
     # theta(Y) and delta are both built column by column by one routine,
     # from images read through the frame by one projection
     defs = _definitions(ROOT / "ce.py")
-    for user in ("_invariant_space", "_DeltaColumns"):
+    for user in ("_invariant_space", "relative_complex"):
         assert "_derivation_column" in _names_in(defs[user]), user
     for user in ("_frame_actions", "_structure_table"):
         assert "_projected" in _names_in(defs[user]), user
