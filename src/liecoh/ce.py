@@ -28,9 +28,12 @@ w_j by an element of h changes none of them), so any test vectors dual to F
 give the same invariant complex; the unit vectors only make D small.
 
 Every degree is built on graded monomials only: the F_J fixed by the
-half-turns sigma = exp(pi ad Y) that _half_turns accepts (Y a basis vector
-that commutes with h and is fixed by every generator, sigma diagonal; for
-h = 0 every basis vector is a candidate).  sigma fixes h, so it scales
+half-turns sigma = exp(pi ad Y) that _half_turns accepts.  Y is a basis
+vector that commutes with h and is fixed by every generator (for h = 0
+every basis vector is a candidate), and sigma is diagonal: with A = ad Y,
+each e_j lies in ker(A^2 + 1), where sigma = -1, or in ker A(A^2 + 4),
+where sigma = 1, kernels that split g exactly when
+A(A^2 + 1)(A^2 + 4) = 0.  sigma fixes h, so it scales
 each F_c by +-1 and F_J by (-1)^popcount(J & S), S the frame positions it
 negates, and it commutes with theta, the generators and delta: a column
 that leaves the graded monomials is a RuntimeError.  On the relative
@@ -193,19 +196,25 @@ def _structure_table(alg, ann, rows):
 def _half_turns(pair):
     """{i: the diagonal of exp(pi ad e_i)} for the e_i that commute with h's
     Lie generators, are fixed by every component generator and have a
-    diagonal half-turn: A = ad e_i has A(A^2 + 1)(A^2 + 4) = 0, so that
-    exp(pi A) = (3 + 8A^2 + 2A^4)/3, read on the powers A^0 e_j..A^5 e_j."""
+    diagonal half-turn: with A = ad e_i, every e_j lies in ker(A^2 + 1) or in
+    ker A(A^2 + 4).  These kernels split the space exactly when
+    A(A^2 + 1)(A^2 + 4) = 0, and exp(pi A) is -1 on the first and 1 on the
+    second, so the test is exactly that and a diagonal exp(pi A).  It reads
+    A e_j, A^2 e_j and, unless A^2 e_j = -e_j, A^3 e_j = -4 A e_j."""
     alg, turns = pair.algebra, {}
     for i, ad in enumerate(alg.ad_sparse()):
         if any(g[i] != {i: 1} for g in pair.generator_columns) or any(
                 alg.bracket_sparse({i: 1}, y) for y in pair.h_lie_generators):
             continue
-        powers = [list(accumulate(range(5), lambda v, _: combination(ad, v),
-                                  initial={j: 1})) for j in range(alg.n)]
-        even = [combination(v, {2: 8, 4: 2}) for v in powers]
-        if all(e.keys() <= {j} and not combination(v, {1: 4, 3: 5, 5: 1})
-               for j, (v, e) in enumerate(zip(powers, even))):
-            turns[i] = [-1 if e else 1 for e in even]
+        signs = []
+        for j in range(alg.n):     # the first e_j in neither rejects e_i
+            a2 = combination(ad, a1 := ad.get(j, {}))
+            signs.append(-1 if a2 == {j: -1} else 1)
+            if signs[-1] > 0 and combination(ad, a2) != {
+                    r: -4 * x for r, x in a1.items()}:
+                break
+        else:
+            turns[i] = signs
     return turns
 
 
@@ -224,8 +233,8 @@ def _graded_monomials(q, masks, top):
         mon = reduce(xor, chosen, 0)
         if mon.bit_count() <= top:
             levels[mon.bit_count()].append(mon)
-    return [sorted(level, key=lambda m: f"{m:0{q}b}"[::-1], reverse=True)
-            for level in levels]
+    return [sorted(level, key=lambda m: int(f"{m:0{q}b}"[::-1], 2),
+                   reverse=True) for level in levels]
 
 
 class _Graded(dict):

@@ -98,7 +98,10 @@ def cmd_oracle(args):
     pair = _load_pair(args.file)
     _ensure_valid(pair)
     if args.method == "koszul":
-        report = betti_koszul(pair, validate=False)
+        report = betti_koszul(pair, validate=False)    # b0..b4
+        top = 4 if args.max_degree is None else min(args.max_degree, 4)
+        del report.betti[top + 1:]
+        report.intermediates["max_degree"] = top
     else:
         try:
             report = betti_ce(pair, max_degree=args.max_degree,

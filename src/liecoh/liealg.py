@@ -438,32 +438,24 @@ def validate(alg):
 def _jacobi_witness(alg):
     """The lex-first basis triple i < j < k whose Jacobi sum is nonzero.
 
-    Column k of ad[e_i, e_j] - [ad e_i, ad e_j] is the Jacobi sum of
-    (i, j, k), so each pair i < j scans its columns k > j in increasing
-    order, on the columns of ad_sparse().  A column that none of the three
-    operators touches is zero.
+    The sum of x < y < z is [[e_x, e_y], e_z] plus its two cyclic shifts,
+    one term per pair of the three.  So one pass over the stored brackets
+    [e_j, e_k] = sum a_m e_m, j < k, builds every sum: each e_i with
+    [e_m, e_i] != 0, i not j or k, adds a_m [e_m, e_i] to the sum of the
+    sorted (i, j, k), negated when j < i < k (then (j, k, i) is not a
+    cyclic shift of it).  A triple no term reaches has sum zero.
     """
-    cols = alg.ad_sparse()      # cols[i][k] = [e_i, e_k] as {row: c}
-    for i, j in combinations(range(alg.n), 2):
-        adi, adj = cols[i], cols[j]
-        ij = alg.table.get((i, j), ())
-        touched = adi.keys() | adj.keys()
-        for m, _ in ij:
-            touched |= cols[m].keys()
-        for k in sorted(k for k in touched if k > j):
-            total = {}
-            for m, a in ij:
-                for r, c in cols[m].get(k, {}).items():
-                    total[r] = total.get(r, 0) + a * c
-            for m, a in adj.get(k, {}).items():
-                for r, c in adi.get(m, {}).items():
-                    total[r] = total.get(r, 0) - a * c
-            for m, a in adi.get(k, {}).items():
-                for r, c in adj.get(m, {}).items():
-                    total[r] = total.get(r, 0) + a * c
-            if any(total.values()):
-                return (i, j, k)
-    return None
+    cols, sums = alg.ad_sparse(), {}  # cols[m][i] = [e_m, e_i] as {row: c}
+    for (j, k), terms in alg.table.items():
+        for m, a in terms:
+            for i, col in cols[m].items():
+                if i != j and i != k:
+                    acc = sums.setdefault(tuple(sorted((i, j, k))), {})
+                    signed = -a if j < i < k else a
+                    for r, c in col.items():
+                        acc[r] = acc.get(r, 0) + signed * c
+    return min((key for key, acc in sums.items() if any(acc.values())),
+               default=None)
 
 
 def _closure_witness(alg, name, start, stop):

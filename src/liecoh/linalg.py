@@ -465,18 +465,19 @@ def transpose(columns):
 
 
 def trace_gram(mats):
-    """Rows of the Gram matrix trace(A_i A_j) of square matrices A_i given
-    by their columns, one transposed pass per A_i."""
-    K = [[0] * len(mats) for _ in mats]
-    for i, rows in enumerate(map(transpose, mats)):
-        for j in range(i, len(mats)):
-            t = 0
-            for b, col in _indexed(mats[j]):
-                if row := rows.get(b):
-                    for a, d in col.items():
-                        if c := row.get(a):
-                            t += c * d
-            K[i][j] = K[j][i] = t
+    """Rows of the Gram matrix trace(A_i A_j) = sum A_i[a, b] A_j[b, a] of
+    square matrices A_i given by their columns.  One pass files every
+    entry by its position (a, b) as (i, A_i[a, b]); then an entry of A_i
+    at (a, b) meets only the entries filed at (b, a)."""
+    at, K = {}, [[0] * len(mats) for _ in mats]
+    for i, mat in enumerate(mats):
+        for b, col in _indexed(mat):
+            for a, x in col.items():
+                at.setdefault((a, b), []).append((i, x))
+    for (a, b), entries in at.items():
+        for j, d in at.get((b, a), ()):
+            for i, c in entries:
+                K[i][j] += c * d
     return K
 
 

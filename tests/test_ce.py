@@ -1,6 +1,7 @@
 """Relative cochain-complex oracle: full Betti vectors, caps, exact ranks."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, prod
@@ -14,6 +15,7 @@ from liecoh.cli import main
 from liecoh.ce import (DEFAULT_SIZE_CAP, betti_ce,
                        poincare_check, relative_complex)
 from liecoh.koszul import betti_koszul
+from liecoh.liealg import LieAlgebra
 from liecoh.pairs import HomogeneousPair, validate_pair
 from liecoh.linalg import SparseMatrix, Subspace, rank
 
@@ -402,6 +404,52 @@ def test_half_turns_are_exact_sign_automorphisms():
     # empty degree q + 1)
     cx = relative_complex(_free(catalog.pair_from_name("su:2").algebra))
     assert [len(m) for m in cx.monomials] == [1, 3, 3, 1, 0]
+
+
+def _five_power_half_turns(alg):
+    """The half-turns of h = 0 by their definition: e_i is accepted when
+    A = ad e_i has A(A^2 + 1)(A^2 + 4) = 0 and exp(pi A) =
+    (3 + 8A^2 + 2A^4)/3 is diagonal, read on A^0 e_j..A^5 e_j."""
+    turns = {}
+    for i, ad in enumerate(alg.ad_sparse()):
+        signs = []
+        for j in range(alg.n):
+            powers = [{j: 1}]
+            for _ in range(5):
+                powers.append(linalg.combination(ad, powers[-1]))
+            sigma = linalg.combination(powers, {0: 3, 2: 8, 4: 2})  # 3 sigma
+            if (linalg.combination(powers, {1: 4, 3: 5, 5: 1})
+                    or sigma.keys() != {j}):
+                break
+            assert sigma[j] in (3, -3)
+            signs.append(sigma[j] // 3)
+        else:
+            turns[i] = signs
+    return turns
+
+
+def test_half_turns_match_the_five_power_definition_on_rescaled_bases():
+    # e_i -> s_i e_i turns c_ij^k into c_ij^k s_i s_j / s_k; scales other
+    # than +-1 scale ad e_i's spectrum out of i{0, +-1, +-2} (A^2 e_j and
+    # A^3 e_j then miss both tests), so most of these algebras reject some
+    # candidates, where the catalog bases reject none
+    rng = random.Random(5)
+    rejecting, graded = 0, 0
+    for name in ("su:2", "su:3", "so:5", "sp:2", "su:2+su:3"):
+        g = catalog.pair_from_name(name).algebra
+        for _ in range(6):
+            s = [Fraction(rng.choice([1, -1, 2, 3, Fraction(1, 2)]))
+                 for _ in range(g.n)]
+            alg = LieAlgebra(g.l, [(f, stop - start)
+                                   for f, start, stop in g.factors], {
+                (i, j): [(k, c * s[i] * s[j] / s[k]) for k, c in terms]
+                for (i, j), terms in g.table.items()})
+            turns = ce._half_turns(_free(alg))
+            assert turns == _five_power_half_turns(alg), (name, s)
+            rejecting += len(turns) < alg.n
+            graded += any(-1 in signs for signs in turns.values())
+    # 28 of the 30 reject a candidate and 28 accept a grading one
+    assert rejecting >= 25 and graded >= 25
 
 
 def test_grading_check_fires_on_a_non_automorphism(monkeypatch, tmp_path,

@@ -461,6 +461,23 @@ def test_oracle_ce_size_cap_flag(tmp_path, capsys):
     assert out["betti"] == [1, 0]
 
 
+def test_oracle_koszul_honours_max_degree(tmp_path, capsys):
+    # the Koszul vector is cut to degrees 0..min(k, 4), as ce cuts its own
+    # (S^4 has q = 4, so both stop at degree 4)
+    path = _emit(tmp_path, "sphere:4")
+    for k, want in ((1, [1, 0]), (0, [1]), (9, [1, 0, 0, 0, 1])):
+        for method in ("koszul", "ce"):
+            assert main(["oracle", path, "--method", method,
+                         "--max-degree", str(k), "--json"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["betti"] == want, (method, k)
+            assert out["intermediates"]["max_degree"] == min(k, 4)
+    assert main(["oracle", path, "--method", "koszul", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["betti"] == [1, 0, 0, 0, 1]
+    assert out["intermediates"]["max_degree"] == 4
+
+
 def test_compute_has_no_size_cap_flag(tmp_path, capsys):
     # compute never runs the cochain method, so it takes no cap
     assert main(["compute", _emit(tmp_path, "sphere:2"), "--size-cap", "3"]) == 1

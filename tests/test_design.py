@@ -304,6 +304,22 @@ def test_certified_algebras_build_no_commutant(monkeypatch, tmp_path,
         assert not built, (name, built)
 
 
+def test_half_turn_test_reads_at_most_three_powers(monkeypatch):
+    # each candidate e_i reads A e_j from ad_sparse() and applies A at most
+    # twice per e_j (A^2 e_j, then A^3 e_j unless A^2 e_j = -e_j); the
+    # five-power test made about 7 n^2 combinations
+    calls = []
+    real = ce.combination
+
+    def combination(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(ce, "combination", combination)
+    alg = catalog.pair_from_name("so:5+su:2+torus:1").algebra
+    assert len(ce._half_turns(HomogeneousPair(alg, []))) == alg.n
+    assert 0 < len(calls) <= 3 * alg.n ** 2, len(calls)
+
+
 def test_composites_are_checked_where_the_ranks_are_taken():
     # δ∘δ = 0 and ∇∘∇ = 0 are checked by linalg.complex_ranks on the
     # columns it ranks, not by a product pass in either complex builder

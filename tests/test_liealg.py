@@ -264,6 +264,37 @@ def test_jacobi_witness_matches_brute_force_triple_loop():
         bad = _corrupted(g, key, first)
         assert _brute_jacobi_witness(bad) == want
         _assert_jacobi_witness_is_brute_force(bad)
+    # two corruptions at once: the witness is the smaller of the triples
+    # either one breaks, whichever bracket is met first
+    for name in ("so:5", "su:3"):
+        g = catalog.pair_from_name(name).algebra
+        keys = sorted(g.table)
+        for a, b in ((0, len(keys) - 1), (len(keys) // 2, len(keys) // 3)):
+            (k, c), (m, d) = g.table[keys[a]][0], g.table[keys[b]][0]
+            _assert_jacobi_witness_is_brute_force(_corrupted(
+                _corrupted(g, keys[a], (k, 3 * c)), keys[b], ((m + 1) % g.n, d)))
+    # a center: torus:1+su:3 with the center bracket [e_0, e_j] made
+    # nonzero, the center kept declared
+    g = catalog.pair_from_name("torus:1+su:3").algebra
+    for j, k in ((1, 2), (4, 8), (8, 1)):
+        table = dict(g.table)
+        table[(0, j)] = ((k, F(1)),)
+        bad = LieAlgebra(g.l, [("su(3)", 8)], table)
+        _assert_jacobi_witness_is_brute_force(bad)
+
+
+def test_killing_rows_match_dense_traces():
+    # Killing rows from ad_sparse(), a list of {j: column} dicts with the
+    # zero columns left out, against trace(A_i A_j) of the dense ad e_i
+    g = catalog.pair_from_name("su:3+so:5").algebra
+    ads = g.ad_sparse()
+    assert any(len(ad) < g.n for ad in ads)
+    dense = [[[ads[i].get(c, {}).get(r, 0) for c in range(g.n)]
+              for r in range(g.n)] for i in range(g.n)]
+    want = [[sum(A[a][b] * B[b][a] for a in range(g.n) for b in range(g.n))
+             for B in dense] for A in dense]
+    assert g.killing() == want
+    assert g.killing_gram() == want
 
 
 def test_validate_declared_simple_but_abelian_factor():
