@@ -256,13 +256,6 @@ class LieAlgebra:
         block = self.factor_indices(i)
         return {(a, b): K[a][b] for a in block for b in block if K[a][b]}
 
-    # -- derived subspace ------------------------------------------------------
-
-    def derived_subspace(self):
-        """Span of all brackets [e_i, e_j]; equals the declared factor span
-        for a valid algebra."""
-        return Subspace.span(self.n, [dict(t) for t in self.table.values()])
-
     # -- serialization ----------------------------------------------------------
 
     def to_dict(self):

@@ -15,6 +15,7 @@ Fraction only when not, and no float reaches any method.  The library
 runs with numpy absent.  The cochain method hands the complex builder the
 blocks a pair splits into, never their product.  Invariance under h is
 imposed through a Lie generating set of h, not through every basis vector.
+The Koszul complex is built on its odd generators as the pair gives them.
 """
 
 import ast
@@ -385,6 +386,22 @@ def test_invariant_polynomials_build_every_invariant_space():
         if isinstance(node, ast.FunctionDef)]
     assert [f.name for f in funcs if _multiplies_by_two(f)] == []
     assert _multiplies_by_two(ast.parse("def f(v):\n    return 2 * v"))
+
+
+def test_koszul_builds_on_its_odd_generators():
+    # P¹ and P³ are read off the validated pair, not rebuilt from g: no
+    # primitive basis or ρ-form layer is left, and B̃ᵢ reaches the complex
+    # only through pair.h_btilde
+    for gone in ("cartan_rho", "primitive_basis", "PrimitiveBasis",
+                 "derived_subspace"):
+        assert _users(gone) == [] and gone not in liecoh.__all__, gone
+        assert not hasattr(koszul, gone), gone
+        assert not hasattr(liealg.LieAlgebra, gone), gone
+    node = _definitions(ROOT / "koszul.py")["build_complex"]
+    names = _names_in(node) | {sub.attr for sub in ast.walk(node)
+                               if isinstance(sub, ast.Attribute)}
+    assert "h_btilde" in names
+    assert not names & {"kernel_basis", "btilde"}
 
 
 def test_integers_are_parsed_by_one_rule():

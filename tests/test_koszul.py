@@ -1,7 +1,6 @@
-"""Koszul-complex oracle: primitives, differentials, and Betti agreement."""
+"""Koszul-complex oracle: generators, differentials, and Betti agreement."""
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -9,60 +8,26 @@ from liecoh import catalog, koszul
 from liecoh.betti import betti_low
 from liecoh.ce import betti_ce
 from liecoh.cli import main
-from liecoh.koszul import (build_complex, betti_koszul, cartan_rho,
-                           primitive_basis)
-from liecoh.liealg import LieAlgebra
+from liecoh.koszul import build_complex, betti_koszul
 from liecoh.pairs import HomogeneousPair
 from liecoh.linalg import complex_ranks, rank, sparse_product
-
-F = Fraction
 
 
 def _free(algebra):
     return HomogeneousPair(algebra, [])
 
 
-def test_cartan_rho_of_killing_on_su2():
-    su2 = catalog.build("su", 2)
-    # su(2) is one factor, so B̃₀ is its whole Killing form
-    rho = cartan_rho(su2, su2.btilde(0))
-    # rho(e0,e1,e2) = K([e0,e1], e2) = K(2 e2, e2) = -16
-    assert rho == {(0, 1, 2): F(-16)}
-
-
-def test_cartan_rho_rejects_non_invariant_form():
-    su2 = catalog.build("su", 2)
-    # not even symmetric, certainly not invariant
-    eta = {(0, 0): F(1), (1, 1): F(1), (2, 2): F(1), (0, 1): F(1)}
-    try:
-        cartan_rho(su2, eta)
-    except ValueError as e:
-        assert "not invariant" in str(e)
-    else:
-        raise AssertionError("non-invariant form accepted")
-
-
-def test_cartan_rho_abelian_is_empty():
-    eye = {(i, i): F(1) for i in range(3)}
-    assert cartan_rho(LieAlgebra.abelian(3), eye) == {}
+def _primitive_dims(algebra):
+    """(dim 1⊗P¹, dim 1⊗P³) read off the slices of G/1 = G."""
+    slices = build_complex(_free(algebra))
+    return (slices[0].summand_dims()["1⊗P¹"],
+            slices[2].summand_dims()["1⊗P³"])
 
 
 def test_primitive_dimensions():
-    p = primitive_basis(_free(catalog.build("su", 2)))
-    assert (p.p1_dim, p.p3_dim) == (0, 1)
-    p = primitive_basis(_free(catalog.build("torus", 3)))
-    assert (p.p1_dim, p.p3_dim) == (3, 0)
-    p = primitive_basis(catalog.build("example_4_7"))
-    assert (p.p1_dim, p.p3_dim) == (2, 1)
-
-
-def test_p1_annihilates_derived_subspace():
-    g = catalog.pair_from_name("torus:2+su:2").algebra
-    p = primitive_basis(_free(g))
-    derived = g.derived_subspace()
-    for f in p.p1_basis:
-        for col in derived.columns:
-            assert sum(f.get(i, 0) * x for i, x in col.items()) == 0
+    assert _primitive_dims(catalog.build("su", 2)) == (0, 1)
+    assert _primitive_dims(catalog.build("torus", 3)) == (3, 0)
+    assert _primitive_dims(catalog.build("example_4_7").algebra) == (2, 1)
 
 
 def test_slice_dimensions_su2():
@@ -189,17 +154,9 @@ def test_nabla_is_a_derivation_on_p3_wedge_p1():
     assert d4.cols[1] == {0: btilde, 1: -restr}
 
 
-def test_primitive_forms_are_checked_on_their_factors(monkeypatch):
-    # each rho(B̃ᵢ) is nonzero on triples of factor i alone
+def test_primitive_forms_are_checked_on_their_factors():
+    # P¹ is the center's covectors and P³ has one generator per factor
     for name in ("so:5+su:2+torus:1", "su:2+su:3", "sp:2+su:4",
                  "torus:2+su:2+su:2+su:2"):
         alg = catalog.pair_from_name(name).algebra
-        assert primitive_basis(_free(alg)).p3_dim == alg.r, name
-    assert primitive_basis(catalog.build("example_4_7")).p3_dim == 1
-    g = catalog.pair_from_name("su:2+su:2").algebra
-    first = cartan_rho(g, g.btilde(0))
-    # factor 0's form handed out for both factors, then a zero form
-    for fake in (lambda alg, eta: first, lambda alg, eta: {}):
-        monkeypatch.setattr(koszul, "cartan_rho", fake)
-        with pytest.raises(RuntimeError, match="ρ\\(B̃ᵢ\\) are dependent"):
-            primitive_basis(_free(g))
+        assert _primitive_dims(alg) == (alg.l, alg.r), name

@@ -181,12 +181,6 @@ def test_center_and_derived_rejects_non_subalgebra():
         raise AssertionError("non-subalgebra accepted")
 
 
-def test_derived_and_center_subspaces():
-    g = catalog.pair_from_name("torus:2+su:2").algebra
-    assert g.derived_subspace() == Subspace.span(
-        5, [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
-
-
 def test_validate_catalog_algebras():
     for name in ("su:2", "su:3", "so:5", "sp:2", "torus:3+su:2"):
         rep = validate(catalog.pair_from_name(name).algebra)
