@@ -11,7 +11,7 @@ cochain complex of invariant horizontal forms.  All arithmetic is rational.
 from .betti import BettiReport, betti_low, corollary_checks
 from .ce import RelativeComplex, betti_ce, poincare_check, relative_complex
 from .invariant_forms import (InvariantFormSpace, invariant_polynomials,
-                              minimal_ideal_count, psi_analysis)
+                              psi_analysis)
 from .koszul import betti_koszul, build_complex
 from .liealg import LieAlgebra, ValidationError, ValidationReport, validate
 from .pairs import HomogeneousPair, PairDecomposition, decompose, validate_pair
@@ -21,8 +21,8 @@ __all__ = [
     "PairDecomposition", "RelativeComplex", "ValidationError",
     "ValidationReport", "betti_ce", "betti_koszul", "betti_low",
     "build_complex", "corollary_checks", "decompose", "invariant_polynomials",
-    "minimal_ideal_count", "poincare_check", "psi_analysis",
-    "relative_complex", "validate", "validate_pair",
+    "poincare_check", "psi_analysis", "relative_complex", "validate",
+    "validate_pair",
 ]
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ per-factor Killing forms to invariant forms on h∩[g,g].
 
 from math import comb
 
-from .invariant_forms import minimal_ideal_count, psi_analysis
+from .invariant_forms import psi_analysis
 from .linalg import Subspace, combination, intersect
 from .pairs import decompose
 
@@ -134,8 +134,12 @@ def corollary_checks(pair, report, dec=None):
         flag("block_support_kernel_count",
              "pass" if inter["dim_N"] == r - s else "fail", "s=%d" % s)
         if dec.zh.dim == 0:
-            # h is semisimple, so h = [h,h] = h∩[g,g]: the blockwise b3/b4
-            orbits = minimal_ideal_count(pair, pair.h)
+            # h is semisimple, so h = [h,h] = h∩[g,g]: the blockwise b3/b4.
+            # A compact simple ideal is absolutely simple, so its invariant
+            # forms are the line of its Killing form, and forms on distinct
+            # ideals pair to zero; the generators permute those lines, so
+            # S²(h*)^H is spanned by the orbit sums and counts the orbits
+            orbits = pair.h_forms.dim
             want3 = (r - s) + comb(l, 3)
             want4 = l * (r - s) + orbits - s + comb(l, 4)
             ok = b[3] == want3 and b[4] == want4

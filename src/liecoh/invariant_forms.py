@@ -25,10 +25,9 @@ the Koszul complex share both.
 
 from itertools import chain, combinations_with_replacement
 
-from .liealg import bracket_closure, schur_certified
-from .linalg import (SparseMatrix, Subspace, combination,
-                     commutant_operator, coordinates, intersect_kernels,
-                     minus_identity, nonzero, rank, trace_gram, transpose)
+from .linalg import (SparseMatrix, Subspace, combination, coordinates,
+                     intersect_kernels, minus_identity, nonzero, rank,
+                     transpose)
 
 
 def polynomial_product(f, g):
@@ -207,37 +206,3 @@ def psi_analysis(pair, dec=None):
         SparseMatrix({i: c for i, c in enumerate(psi) if c}, forms.dim, r),
         rank_psi, r - rank_psi, forms.dim - rank_psi)
 
-
-def minimal_ideal_count(pair, s):
-    """Number of generator orbits on the simple ideals of a semisimple s.
-
-    Diagnostic only.  For compact semisimple s the commutant of ad(s) on s
-    is spanned by the projections πᵢ onto its simple ideals, and each
-    generator γ permutes them by conjugation, so the orbits are counted by
-    the dimension of {P in the commutant : CP = PC for every generator's
-    restriction C}.  That is one intersect_kernels call over Q, which
-    never has to find the ideals themselves.  A simple s that
-    liealg.schur_certified proves so returns 1 without it, as a generator
-    cannot merge a single ideal; like the Lie generator reduction, this
-    assumes Jacobi.  On s = pair.h the closure pass and the ad table are
-    the pair's own.
-    """
-    alg = pair.algebra
-    gens, dim = ((pair.h_lie_indices, s.dim) if s is pair.h and pair.h_closed
-                 else bracket_closure(alg, s.columns))
-    if dim != s.dim:
-        raise ValueError("not a subalgebra")
-    m = s.dim
-    if m == 0:
-        return 0
-    ads = [pair.h_ad(t) if s is pair.h else ad_coordinates(alg, s, x)
-           for t, x in enumerate(s.columns)]
-    # Killing form of s: trace(ad sᵢ ad sⱼ)
-    if rank(trace_gram(ads), m) != m:
-        raise ValueError("subspace is not semisimple (degenerate Killing form)")
-    if schur_certified(ads):
-        return 1
-    ops = [ads[t] for t in gens]
-    ops += [action_coordinates(gcols, s) for gcols in pair.generator_columns]
-    return intersect_kernels((commutant_operator(R, m, 0) for R in ops),
-                             m * m).dim

@@ -273,7 +273,8 @@ class LieAlgebra:
     @classmethod
     def from_dict(cls, data):
         specs = []
-        for fac in object_field(data, "algebra").get("factors", []):
+        factors = object_field(data, "algebra").get("factors", [])
+        for fac in array_field(factors, "factors"):
             fac = object_field(fac, "factor")
             if "type" in fac:
                 from . import catalog
@@ -281,7 +282,9 @@ class LieAlgebra:
             else:
                 index = "structure constant index"
                 entries = (array_field(e, "structure constant")
-                           for e in fac.get("structure_constants", []))
+                           for e in array_field(
+                               fac.get("structure_constants", []),
+                               "structure_constants"))
                 constants = [(int_field(i, index), int_field(j, index),
                               int_field(k, index), exact(c))
                              for i, j, k, c in entries]

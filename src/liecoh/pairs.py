@@ -127,13 +127,16 @@ class HomogeneousPair:
 
     @classmethod
     def from_dict(cls, data):
+        data = object_field(data, "document")
         alg = LieAlgebra.from_dict(data["algebra"])
+        basis = object_field(data.get("subalgebra", {}),
+                             "subalgebra").get("basis", [])
         vectors = [array_field(v, "subalgebra basis vector")
-                   for v in object_field(data.get("subalgebra", {}),
-                                         "subalgebra").get("basis", [])]
+                   for v in array_field(basis, "subalgebra basis")]
         gens = [[array_field(row, "generator row")
                  for row in array_field(g, "generator")]
-                for g in data.get("component_generators", [])]
+                for g in array_field(data.get("component_generators", []),
+                                     "component_generators")]
         return cls.from_vectors(alg, vectors, gens)
 
 

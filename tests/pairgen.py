@@ -9,6 +9,10 @@ order-2 generators are signed-permutation matrices: adjoint images of
 half-turn rotations acting by sign patterns on a su(2) factor, and the
 reflection that swaps the two simple ideals of the so(4) block inside
 so(5).  Every pair returned by suite() passes validate_pair.
+
+commutant_by_every_vector is the dense reference count of generator
+orbits on the simple ideals of a semisimple subalgebra, which the tests
+compare with dim S²(s*)^H.
 """
 
 import random
@@ -16,7 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from liecoh.catalog import pair_from_name
-from liecoh.linalg import rat_str
+from liecoh.invariant_forms import action_coordinates, ad_coordinates
+from liecoh.linalg import commutant_operator, intersect_kernels, rat_str
 from liecoh.pairs import HomogeneousPair, validate_pair
 
 F = Fraction
@@ -112,6 +117,18 @@ def twisted_diagonal_pair(rotation_index=0):
             v[3 + a] = R[a][i]
         vecs.append(v)
     return HomogeneousPair.from_vectors(base.algebra, vecs)
+
+
+def commutant_by_every_vector(pair, s):
+    """dim of {P on s : P∘R = R∘P for R = ad x|s, x over every basis
+    vector of s, and for R each generator's restriction}.  For compact
+    semisimple s the commutant of ad(s) is spanned by the projections onto
+    its simple ideals, which the generators permute, so this counts their
+    orbits."""
+    ops = [ad_coordinates(pair.algebra, s, x) for x in s.columns]
+    ops += [action_coordinates(gcols, s) for gcols in pair.generator_columns]
+    return intersect_kernels([commutant_operator(R, s.dim, 0) for R in ops],
+                             s.dim * s.dim).dim
 
 
 def _vec_label(v):

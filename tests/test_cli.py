@@ -260,10 +260,28 @@ def test_strings_where_arrays_belong_are_input_errors(tmp_path, capsys):
     doc = catalog.emit("sphere:2")
     doc["component_generators"] = [[]]
     cases.append(("generator must be 3 x 3", doc))
+    # the list-level fields: null used to end in "'NoneType' object is not
+    # iterable", and "abc" as the factors in "factor must be an object,
+    # not 'a'"
+    for path, message in ((("algebra", "factors"), "factors"),
+                          (("algebra", "factors", 0, "structure_constants"),
+                           "structure_constants"),
+                          (("subalgebra", "basis"), "subalgebra basis"),
+                          (("component_generators",),
+                           "component_generators")):
+        for value in (None, "abc"):
+            doc = catalog.emit("sphere:2")
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            cases.append(("%s must be an array, not %r" % (message, value),
+                          doc))
     for message, doc in cases:
         assert main(["compute", _write(tmp_path, doc)]) == 1, message
         err = capsys.readouterr().err
         assert "not a valid pair document" in err and message in err, err
+        assert "Traceback" not in err
 
 
 def test_strings_where_objects_belong_are_input_errors(tmp_path, capsys):
@@ -278,6 +296,11 @@ def test_strings_where_objects_belong_are_input_errors(tmp_path, capsys):
     doc = catalog.emit("sphere:2")
     doc["algebra"]["factors"] = ["x"]
     cases.append(("factor must be an object", doc))
+    # a document that is not an object used to end in "list indices must
+    # be integers or slices, not str" or "'int' object is not subscriptable"
+    for doc in ("[]", "5", '"x"', "null"):
+        cases.append(("document must be an object, not %r" % json.loads(doc),
+                      doc))
     for message, doc in cases:
         assert main(["compute", _write(tmp_path, doc)]) == 1, message
         err = capsys.readouterr().err

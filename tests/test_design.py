@@ -284,10 +284,15 @@ def test_btilde_is_restricted_once_per_factor(monkeypatch):
 
 def test_certified_algebras_build_no_commutant(monkeypatch, tmp_path,
                                                capsys):
-    # the Schur certificate proves every factor and h of these simple, so
-    # neither validate nor the ideal orbit count builds a commutant
-    # operator; su(3) and su(4) in the catalog basis are certified by the
-    # diagonal vector i diag(1, ..., 1, 1 - n), not by e_0
+    # the Schur certificate proves every factor of these simple, so
+    # validate builds no commutant operator, and the ideal orbit count of
+    # a semisimple h is dim S²(h*)^H, which the pair already holds: no
+    # commutant either where h ≅ so(4) has two ideals (sphere:4,
+    # stiefel:6:2); su(3) and su(4) in the catalog basis are certified by
+    # the diagonal vector i diag(1, ..., 1, 1 - n), not by e_0
+    assert not hasattr(invariant_forms, "minimal_ideal_count")
+    assert "minimal_ideal_count" not in liecoh.__all__
+    assert _users("minimal_ideal_count") == []
     built = []
     real = liealg.commutant_operator
 
@@ -295,9 +300,9 @@ def test_certified_algebras_build_no_commutant(monkeypatch, tmp_path,
         built.append(args[1])
         return real(*args)
     monkeypatch.setattr(liealg, "commutant_operator", operator)
-    monkeypatch.setattr(invariant_forms, "commutant_operator", operator)
     path = tmp_path / "pair.json"
-    for name in ("sphere:7", "stiefel:5:2", "so:5+torus:1", "su:3", "su:4"):
+    for name in ("sphere:7", "stiefel:5:2", "so:5+torus:1", "su:3", "su:4",
+                 "sphere:4", "stiefel:6:2"):
         path.write_text(json.dumps(catalog.emit(name)))
         del built[:]
         assert main(["verify", str(path)]) == 0

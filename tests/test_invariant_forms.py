@@ -1,4 +1,5 @@
-"""Invariant polynomials, the Ψ restriction matrix, and ideal counting."""
+"""Invariant polynomials, the Ψ restriction matrix, and ideal orbits as
+the dimension of S²(s*)^H."""
 
 import random
 from fractions import Fraction
@@ -12,15 +13,14 @@ from liecoh.ce import relative_complex
 from liecoh.invariant_forms import (InvariantFormSpace, _derivation_operator,
                                     action_coordinates, ad_coordinates,
                                     fixed_vectors, invariant_polynomials,
-                                    minimal_ideal_count, polynomial_product,
-                                    psi_analysis, pullback)
+                                    polynomial_product, psi_analysis,
+                                    pullback)
 from liecoh.pairs import HomogeneousPair, decompose
-from liecoh.linalg import (Subspace, combination, commutant_operator,
-                           full_subspace, intersect_kernels, kernel_basis,
-                           rank, trace_gram, zero_subspace)
+from liecoh.linalg import (Subspace, combination, full_subspace,
+                           kernel_basis, rank, trace_gram, zero_subspace)
 
 import pairgen
-from pairgen import eye, rp4_pair
+from pairgen import commutant_by_every_vector, eye, rp4_pair
 
 F = Fraction
 
@@ -224,15 +224,22 @@ def test_psi_rank_kernel_cokernel_identities():
             assert {p: x for p, x in got.items() if x} == want
 
 
+def _ideal_orbits(pair, s):
+    """The dense commutant count and dim S²(s*)^H, which must agree."""
+    want = commutant_by_every_vector(pair, s)
+    assert invariant_polynomials(pair, s, 2).dim == want
+    return want
+
+
 def test_minimal_ideal_count_simple():
     pair = HomogeneousPair(catalog.build("su", 3), eye(8))
-    assert minimal_ideal_count(pair, pair.h) == 1
+    assert _ideal_orbits(pair, pair.h) == pair.h_forms.dim == 1
 
 
 def test_minimal_ideal_count_two_factors():
     g = catalog.pair_from_name("su:2+su:2").algebra
     pair = HomogeneousPair(g, eye(6))
-    assert minimal_ideal_count(pair, pair.h) == 2
+    assert _ideal_orbits(pair, pair.h) == pair.h_forms.dim == 2
 
 
 def test_minimal_ideal_count_generator_merges_orbits():
@@ -240,9 +247,9 @@ def test_minimal_ideal_count_generator_merges_orbits():
     dec = decompose(pair)
     assert dec.hh.dim == 6
     # h ≅ so(4) has two simple ideals; the component generator swaps them
-    assert minimal_ideal_count(pair, dec.hh) == 1
+    assert _ideal_orbits(pair, dec.hh) == 1
     bare = HomogeneousPair(pair.algebra, pair.h_basis)
-    assert minimal_ideal_count(bare, dec.hh) == 2
+    assert _ideal_orbits(bare, dec.hh) == 2
 
 
 def _rotation_swap(R):
@@ -270,14 +277,14 @@ def test_minimal_ideal_count_generator_swaps_rotated_ideals():
     mixed = _mat([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 3],
                   [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]).T
     s = Subspace(6, mixed)
-    assert minimal_ideal_count(HomogeneousPair(g, mixed, [swap]), s) == 1
-    assert minimal_ideal_count(HomogeneousPair(g, mixed), s) == 2
+    assert _ideal_orbits(HomogeneousPair(g, mixed, [swap]), s) == 1
+    assert _ideal_orbits(HomogeneousPair(g, mixed), s) == 2
     # a rotation inside each ideal keeps both orbits
     turn = _zeros(6, 6)
     for a in range(3):
         for b in range(3):
             turn[a, b] = turn[3 + a, 3 + b] = R[a, b]
-    assert minimal_ideal_count(HomogeneousPair(g, mixed, [turn]), s) == 2
+    assert _ideal_orbits(HomogeneousPair(g, mixed, [turn]), s) == 2
 
 
 def _random_rational_matrix(rng, m, density):
@@ -384,28 +391,6 @@ def test_sparse_invariance_constraints_match_dense_formulas():
                     _quadratic_form(C.T.dot(Fm).dot(C) - Fm)
 
 
-def test_minimal_ideal_count_rejects_non_subalgebra():
-    g = catalog.build("su", 2)
-    pair = HomogeneousPair(g, eye(3))
-    try:
-        minimal_ideal_count(pair, Subspace.span(3, [[1, 0, 0], [0, 1, 0]]))
-    except ValueError as e:
-        assert "not a subalgebra" in str(e)
-    else:
-        raise AssertionError("non-subalgebra accepted")
-
-
-def test_minimal_ideal_count_rejects_non_semisimple():
-    g = catalog.pair_from_name("torus:1+su:2").algebra
-    pair = HomogeneousPair(g, eye(4))
-    try:
-        minimal_ideal_count(pair, Subspace.span(4, [[1, 0, 0, 0]]))
-    except ValueError as e:
-        assert "semisimple" in str(e)
-    else:
-        raise AssertionError("abelian line accepted as semisimple")
-
-
 def test_form_space_dim_property():
     # on a line, the one monomial of degree 2 is x0^2
     line, index = Subspace.span(2, [[1, 0]]), {(0, 0): 0}
@@ -462,13 +447,6 @@ def _as_monomial_coefficients(forms, m):
         for c in forms.columns])
 
 
-def _commutant_by_every_vector(pair, s):
-    ops = [ad_coordinates(pair.algebra, s, x) for x in s.columns]
-    ops += [action_coordinates(gcols, s) for gcols in pair.generator_columns]
-    return intersect_kernels([commutant_operator(R, s.dim, 0) for R in ops],
-                             s.dim * s.dim).dim
-
-
 def test_invariance_under_lie_generators_is_invariance_under_h(monkeypatch):
     # every invariant object built from h's Lie generators equals the one
     # built from every basis vector of h, on the ladder and the suite
@@ -496,8 +474,8 @@ def test_invariance_under_lie_generators_is_invariance_under_h(monkeypatch):
                  for j, col in enumerate(action_coordinates(gcols, h))]
         assert found[0].space == kernel_basis(rows, h.dim), label
         if dec.hh.dim:
-            assert (minimal_ideal_count(pair, dec.hh)
-                    == _commutant_by_every_vector(pair, dec.hh)), label
+            assert (invariant_polynomials(pair, dec.hh, 2).dim
+                    == commutant_by_every_vector(pair, dec.hh)), label
         for _, start, stop in alg.factors:
             units = [{i: 1} for i in range(start, stop)]
             assert (liealg._commutant_dim(alg, start, stop,
@@ -545,8 +523,7 @@ def test_schur_certificate_is_a_proof():
         hh = decompose(pair).hh
         ads = [ad_coordinates(alg, hh, x) for x in hh.columns]
         if _certified_anywhere(ads):
-            assert (_commutant_by_every_vector(pair, hh) == 1
-                    == minimal_ideal_count(pair, hh)), label
+            assert commutant_by_every_vector(pair, hh) == 1, label
         if label in simple_h:
             assert liealg.schur_certified(ads), label
 
@@ -567,10 +544,10 @@ def test_schur_certificate_refuses_fused_ideals():
     assert liealg.schur_certified(liealg._factor_ads(g, 0, 3))
 
 
-def test_killing_guard_is_the_dense_trace_form():
-    # minimal_ideal_count's guard is trace(ad sᵢ ad sⱼ) from one transposed
-    # pass (linalg.trace_gram); on h = so(7) in sphere:7 it is the trace
-    # of the products of the dense ad matrices
+def test_trace_gram_is_the_dense_trace_form():
+    # LieAlgebra.killing reads trace(ad sᵢ ad sⱼ) from one transposed pass
+    # (linalg.trace_gram); on h = so(7) in sphere:7 it is the trace of the
+    # products of the dense ad matrices, and nondegenerate
     pair = catalog.pair_from_name("sphere:7")
     m = pair.h.dim
     ads = [pair.h_ad(t) for t in range(m)]
@@ -580,18 +557,3 @@ def test_killing_guard_is_the_dense_trace_form():
              for B in dense] for A in dense]
     assert trace_gram(ads) == want
     assert rank(want, m) == m
-    assert minimal_ideal_count(pair, pair.h) == 1
-    # a degenerate s, a line of the torus of su(3), still raises: as the
-    # pair's own h and as a subspace handed in
-    flag = catalog.build("flag_su3")
-    line = Subspace.from_columns(flag.algebra.n, flag.h.columns[:1])
-    for p, s in ((HomogeneousPair(flag.algebra, []), line),
-                 (HomogeneousPair.from_vectors(flag.algebra, [
-                     [line.columns[0].get(i, 0)
-                      for i in range(flag.algebra.n)]]), None)):
-        try:
-            minimal_ideal_count(p, s or p.h)
-        except ValueError as e:
-            assert "semisimple" in str(e)
-        else:
-            raise AssertionError("torus line accepted as semisimple")

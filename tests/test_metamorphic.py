@@ -20,7 +20,7 @@ import pairgen
 from liecoh import liealg
 from liecoh.betti import betti_low
 from liecoh.ce import betti_ce
-from liecoh.invariant_forms import minimal_ideal_count
+from liecoh.invariant_forms import invariant_polynomials
 from liecoh.koszul import betti_koszul
 from liecoh.liealg import LieAlgebra
 from liecoh.pairs import HomogeneousPair, decompose, validate_pair
@@ -104,8 +104,8 @@ def test_change_of_basis_keeps_betti_numbers(seed, data):
         assert (method(moved, validate=False).betti
                 == method(pair, validate=False).betti), (label, method)
     # the Schur certificate is a proof in any basis: a certified factor's
-    # commutant is the scalars, and the ideal orbit count of [h,h] moves
-    # with the basis
+    # commutant is the scalars; and the ideal orbit count of [h,h],
+    # dim S²([h,h]*)^H, moves with the basis
     alg = moved.algebra
     for _, start, stop in alg.factors:
         if liealg.schur_certified(liealg._factor_ads(alg, start, stop)):
@@ -113,5 +113,5 @@ def test_change_of_basis_keeps_betti_numbers(seed, data):
             assert liealg._commutant_dim(alg, start, stop, units) == 1
     hh, moved_hh = decompose(pair).hh, decompose(moved).hh
     if hh.dim:
-        assert (minimal_ideal_count(moved, moved_hh)
-                == minimal_ideal_count(pair, hh)), label
+        assert (invariant_polynomials(moved, moved_hh, 2).dim
+                == invariant_polynomials(pair, hh, 2).dim), label
