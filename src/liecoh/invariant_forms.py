@@ -11,7 +11,8 @@ the monomials of one degree, from two rules:
   Leibniz.  The Y that kill a polynomial are a subalgebra, as [Y, Z]·f =
   Y·(Z·f) − Z·(Y·f) (Chevalley–Eilenberg 1948; Koszul 1950), so one
   operator per Lie generator of h (liealg.lie_generators) imposes
-  invariance under h;
+  invariance under h.  derivation_operators builds them; liealg.validate
+  counts a factor's invariant quadratic forms through it too;
 * a pullback, f ↦ f∘M for a matrix M given by its columns: f∘γ = f for
   each component generator γ, and the restriction of a polynomial on g
   (B̃ᵢ, a covector of P¹) to a carrier.
@@ -141,6 +142,20 @@ def _derivation_operator(R, insertions):
     return {col: nz for col, acc in op.items() if (nz := nonzero(acc))}
 
 
+def derivation_operators(ads, m, degree):
+    """(index, operators) on the monomials of one degree in m variables:
+    index maps each sorted index tuple to its position, and operators
+    yields, lazily, the derivation (_derivation_operator) of each R in ads.
+    Their common kernel is the polynomials invariant under the Lie algebra
+    the R generate."""
+    index = {mon: t for t, mon in enumerate(
+        combinations_with_replacement(range(m), degree))}
+    insertions = {rest: [index[tuple(sorted(rest + (j,)))] for j in range(m)]
+                  for rest in combinations_with_replacement(range(m),
+                                                            degree - 1)}
+    return index, (_derivation_operator(R, insertions) for R in ads)
+
+
 def invariant_polynomials(pair, carrier, degree):
     """H-invariant homogeneous polynomials of a degree on a carrier
     subspace of h, as an InvariantFormSpace.
@@ -148,24 +163,17 @@ def invariant_polynomials(pair, carrier, degree):
     The carrier must be stable under bracketing with h and under the
     generators (the uses here: h and h∩[g,g]).
     """
-    m = carrier.dim
-    index = {mon: t for t, mon in enumerate(
-        combinations_with_replacement(range(m), degree))}
-    insertions = {rest: [index[tuple(sorted(rest + (j,)))] for j in range(m)]
-                  for rest in combinations_with_replacement(range(m),
-                                                            degree - 1)}
-    ads = (pair.h_ad(t) if carrier is pair.h
-           else ad_coordinates(pair.algebra, carrier, pair.h.columns[t])
-           for t in pair.h_lie_indices)
+    index, derivations = derivation_operators(
+        (pair.h_ad(t) if carrier is pair.h
+         else ad_coordinates(pair.algebra, carrier, pair.h.columns[t])
+         for t in pair.h_lie_indices), carrier.dim, degree)
     # f∘γ − f on the monomials, γ in carrier coordinates
     fixed = (minus_identity([{index[key]: v for key, v in f.items()} for f in
                              pullback(({mon: 1} for mon in index),
                                       action_coordinates(gcols, carrier))],
                             len(index))
              for gcols in pair.generator_columns)
-    space = intersect_kernels(
-        chain((_derivation_operator(R, insertions) for R in ads), fixed),
-        len(index))
+    space = intersect_kernels(chain(derivations, fixed), len(index))
     return InvariantFormSpace(carrier, index, space)
 
 

@@ -7,16 +7,16 @@ ideals g_1, ..., g_r.  Structure constants are stored sparsely for i < j only;
 
 Factors are declared by the input and verified, never discovered:
 discovery would need idempotent splitting of the adjoint commutant, which
-can fail over Q.  Simplicity is verified by the dimension of the factor's
-ad-commutant.  For a factor whose Killing form is negative definite (a
-compact semisimple one) the commutant is spanned by the projections onto
-its simple ideals, so dimension 1 is exactly simplicity; a fused factor
-such as so(4) in its standard coordinates is rejected.  schur_certified
-proves dimension 1 from one cyclic vector v with z(z(v)) = Q v, which
-covers every factor of the catalog; any other factor takes the commutant
-solve over (dim factor)² unknowns.  A failing factor's witness is a basis
-vector whose ideal closure is smaller, if it has one (closures are grown
-only then, or when Jacobi fails).  All of it runs through the nonzero
+can fail over Q.  Simplicity is verified by dim S²(f*)^f, the invariant
+quadratic forms of the factor f.  When its Killing form is negative
+definite, each simple ideal of f⊗R is absolutely simple, so that dimension
+counts them and 1 is exactly simplicity: so(4) in its standard
+coordinates is rejected.  schur_certified proves simplicity from one
+cyclic vector v with z(z(v)) = Q v, which covers every factor of the
+catalog; any other factor takes the count, one kernel in m(m + 1)/2
+unknowns for m = dim f.  A failing factor's witness is a basis vector
+whose ideal closure is smaller, if it has one (closures are grown only
+then, or when Jacobi fails).  All of it runs through the nonzero
 structure constants.
 
 bracket_closure is the one closure pass over a subspace: is_bracket_closed
@@ -25,9 +25,10 @@ and lie_generators read it, and a HomogeneousPair runs it once on h.
 
 from itertools import combinations
 
-from .linalg import (INTEGER, Subspace, combination, commutant_operator,
-                     echelon_insert, exact, fr, intersect, intersect_kernels,
-                     is_spd, nonzero, rat_str, trace_gram)
+from .invariant_forms import derivation_operators
+from .linalg import (INTEGER, Subspace, combination, echelon_insert, exact,
+                     fr, intersect, intersect_kernels, is_spd, nonzero,
+                     rat_str, trace_gram)
 
 
 # Largest algebra dimension accepted.  Builders check it before any matrix
@@ -35,8 +36,12 @@ from .linalg import (INTEGER, Subspace, combination, commutant_operator,
 # so(n), su(n) and sp(n) read their constants off the matrix units of their
 # bases: on one 2-core box su(8) (n = 63) builds in 0.02 s and validates in
 # 0.5 s, sp(5) (n = 55) builds in 0.01 s and validates in 0.4 s, and
-# sphere:10 (n = 55) validates in 0.25 s.  64 keeps every accepted input
-# tractable.
+# sphere:10 (n = 55) validates in 0.25 s.  These times hold for the catalog
+# bases, where the Schur certificate proves every factor simple.  In
+# another rational basis a factor may take the invariant-form count and
+# the brackets carry Fractions: so(7) (n = 21) in the basis
+# e_i + e_{i+1}/2 + e_{i+7} validates in 7.2 s, about half of it in the
+# Jacobi check.  64 keeps every catalog input tractable.
 MAX_DIM = 64
 
 
@@ -48,6 +53,14 @@ def int_field(value, field):
     if type(value) is int or type(value) is str and INTEGER.fullmatch(value):
         return int(value)
     raise ValueError("%s must be an integer, not %r" % (field, value))
+
+
+def string_field(value, field):
+    """A document field that must be a JSON string: the str itself, else a
+    ValueError naming the field."""
+    if not isinstance(value, str):
+        raise ValueError("%s must be a string, not %r" % (field, value))
+    return value
 
 
 def array_field(value, field):
@@ -281,15 +294,19 @@ class LieAlgebra:
                 specs.append(catalog.factor_from_shorthand(fac))
             else:
                 index = "structure constant index"
-                entries = (array_field(e, "structure constant")
+                entries = [array_field(e, "structure constant")
                            for e in array_field(
                                fac.get("structure_constants", []),
-                               "structure_constants"))
+                               "structure_constants")]
+                for e in entries:
+                    if len(e) != 4:
+                        raise ValueError("structure constant must be an "
+                                         "array of 4 entries, not %r" % (e,))
                 constants = [(int_field(i, index), int_field(j, index),
                               int_field(k, index), exact(c))
                              for i, j, k, c in entries]
-                specs.append((fac["name"], int_field(fac["dim"], "dim"),
-                              constants))
+                specs.append((string_field(fac.get("name"), "factor name"),
+                              int_field(fac.get("dim"), "dim"), constants))
         return cls.from_factor_constants(
             int_field(data.get("center_dim", 0), "center_dim"), specs)
 
@@ -403,27 +420,26 @@ def validate(alg):
             break
     rep.add("killing_negative_definite_per_factor", bad_factor is None, bad_factor)
 
-    # each declared factor is simple: the ad-commutant must be the scalars,
-    # which given Jacobi and the negative-definite Killing form is exactly
-    # simplicity, and then every ideal closure is the whole factor.  With
-    # Jacobi, schur_certified proves it in dim-factor unknowns;
-    # what it does not prove takes the commutant itself.  The closures are
-    # grown only when that fails, to name a vector whose closure is
-    # smaller; a vector can meet every simple ideal of a fused factor, so
-    # the commutant dimension is the fallback witness.  Both need ideal
-    # factors; with Jacobi, ad is a homomorphism, so Lie generators suffice.
+    # each declared factor is simple: given Jacobi and the negative-definite
+    # Killing form, dim S²(f*)^f counts its simple ideals, as does the
+    # dimension of its ad-commutant, the name its witness keeps; then every
+    # ideal closure is the whole factor.  schur_certified proves one ideal
+    # in dim-factor unknowns; what it does not prove takes the count.  The
+    # closures are grown only when that fails, to name a vector whose
+    # closure is smaller; a vector can meet every simple ideal of a fused
+    # factor, so the count is the fallback witness.  Both need ideal
+    # factors.  Without Jacobi neither the certificate nor the count means
+    # anything, and the report already fails, so only the closures report.
     bad_simple = None
     if all(w is None for w in (bad, bad_cross, bad_closed, bad_factor)):
         for name, start, stop in alg.factors:
-            if bad_jacobi is None and schur_certified(
-                    _factor_ads(alg, start, stop)):
-                continue
-            units = [{i: 1} for i in range(start, stop)]
-            k = _commutant_dim(alg, start, stop, units if bad_jacobi
-                               else lie_generators(alg, units))
-            if k != 1 or bad_jacobi is not None:
-                bad_simple = _closure_witness(alg, name, start, stop)
-            if bad_simple is None and k != 1:
+            if bad_jacobi is None:
+                ads = _factor_ads(alg, start, stop)
+                if (schur_certified(ads)
+                        or (k := _simple_ideal_count(alg, ads, start)) == 1):
+                    continue
+            bad_simple = _closure_witness(alg, name, start, stop)
+            if bad_simple is None and bad_jacobi is None:
                 bad_simple = (name, "commutant_dim", k)
             if bad_simple:
                 break
@@ -483,12 +499,13 @@ def _closure_dim(ads, v, dim):
     return len(echelon)
 
 
-def _commutant_dim(alg, start, stop, units):
-    """Dimension of {P : P ad(x) = ad(x) P} on one factor, x over units."""
-    dim = stop - start
-    ads = alg.ad_sparse()
-    ops = (commutant_operator(ads[i], dim, start) for (i,) in units)
-    return intersect_kernels(ops, dim * dim).dim
+def _simple_ideal_count(alg, ads, start):
+    """dim S²(f*)^f, f given by _factor_ads from start: with Jacobi, the
+    quadratic forms killed by ad x for x over f's Lie generators."""
+    units = [{start + i: 1} for i in range(len(ads))]
+    index, ops = derivation_operators(
+        (ads[i - start] for (i,) in lie_generators(alg, units)), len(ads), 2)
+    return intersect_kernels(ops, len(index)).dim
 
 
 def _factor_ads(alg, start, stop):

@@ -497,35 +497,6 @@ def sparse_product(a, b):
     return {j: col for j, c in _indexed(b) if (col := combination(a, c))}
 
 
-def commutant_operator(columns, m, start):
-    """Sparse columns of P -> PR - RP on m x m matrices P.
-
-    R is given by its columns, with rows and columns numbered from start;
-    P[a, b] is the coordinate a*m + b.  The kernel of the operator is
-    {P : PR = RP}.
-    """
-    op, diag = {}, {}
-    for t, col in _indexed(columns):
-        t -= start
-        for b, v in col.items():
-            b -= start
-            if b == t:
-                diag[b] = v
-                continue
-            # (PR)[a, t] picks up P[a, b] R[b, t] and (RP)[b, a] picks up
-            # R[b, t] P[t, a] for every a; for b != t no two of these
-            # writes hit one entry
-            for a in range(m):
-                op.setdefault(a * m + b, {})[a * m + t] = v
-                op.setdefault(t * m + a, {})[b * m + a] = -v
-    # the diagonal of R puts R[b, b] - R[a, a] on P[a, b]'s own row
-    for a in range(m) if diag else ():
-        for b in range(m):
-            if x := diag.get(b, 0) - diag.get(a, 0):
-                op.setdefault(a * m + b, {})[a * m + b] = x
-    return op
-
-
 def intersect_kernels(operators, dim):
     """Common kernel of a family of operators with dim columns (a Subspace).
 

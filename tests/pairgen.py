@@ -12,7 +12,10 @@ so(5).  Every pair returned by suite() passes validate_pair.
 
 commutant_by_every_vector is the dense reference count of generator
 orbits on the simple ideals of a semisimple subalgebra, which the tests
-compare with dim S²(s*)^H.
+compare with dim S²(s*)^H, and factor_commutant the count of a declared
+factor's simple ideals, which they compare with the Schur certificate and
+the invariant-form count of liealg.validate.  Both solve for the
+commutant in (dim)² unknowns (commutant_operator).
 """
 
 import random
@@ -21,7 +24,7 @@ from itertools import combinations
 
 from liecoh.catalog import pair_from_name
 from liecoh.invariant_forms import action_coordinates, ad_coordinates
-from liecoh.linalg import commutant_operator, intersect_kernels, rat_str
+from liecoh.linalg import intersect_kernels, rat_str
 from liecoh.pairs import HomogeneousPair, validate_pair
 
 F = Fraction
@@ -119,6 +122,36 @@ def twisted_diagonal_pair(rotation_index=0):
     return HomogeneousPair.from_vectors(base.algebra, vecs)
 
 
+def commutant_operator(columns, m, start):
+    """Sparse columns of P -> PR - RP on m x m matrices P.
+
+    R is given by its columns, with rows and columns numbered from start;
+    P[a, b] is the coordinate a*m + b.  The kernel of the operator is
+    {P : PR = RP}.
+    """
+    op, diag = {}, {}
+    for t, col in (columns.items() if isinstance(columns, dict)
+                   else enumerate(columns)):
+        t -= start
+        for b, v in col.items():
+            b -= start
+            if b == t:
+                diag[b] = v
+                continue
+            # (PR)[a, t] picks up P[a, b] R[b, t] and (RP)[b, a] picks up
+            # R[b, t] P[t, a] for every a; for b != t no two of these
+            # writes hit one entry
+            for a in range(m):
+                op.setdefault(a * m + b, {})[a * m + t] = v
+                op.setdefault(t * m + a, {})[b * m + a] = -v
+    # the diagonal of R puts R[b, b] - R[a, a] on P[a, b]'s own row
+    for a in range(m) if diag else ():
+        for b in range(m):
+            if x := diag.get(b, 0) - diag.get(a, 0):
+                op.setdefault(a * m + b, {})[a * m + b] = x
+    return op
+
+
 def commutant_by_every_vector(pair, s):
     """dim of {P on s : P∘R = R∘P for R = ad x|s, x over every basis
     vector of s, and for R each generator's restriction}.  For compact
@@ -129,6 +162,16 @@ def commutant_by_every_vector(pair, s):
     ops += [action_coordinates(gcols, s) for gcols in pair.generator_columns]
     return intersect_kernels([commutant_operator(R, s.dim, 0) for R in ops],
                              s.dim * s.dim).dim
+
+
+def factor_commutant(alg, start, stop):
+    """dim of {P on the factor : P∘ad e_i = ad e_i∘P for every basis
+    vector e_i of the factor}.  For a compact semisimple factor it is the
+    number of simple ideals."""
+    dim, ads = stop - start, alg.ad_sparse()
+    return intersect_kernels(
+        [commutant_operator(ads[i], dim, start) for i in range(start, stop)],
+        dim * dim).dim
 
 
 def _vec_label(v):

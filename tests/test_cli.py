@@ -91,6 +91,24 @@ def test_wrong_shape_document_is_input_error(tmp_path, capsys):
     code = main(["compute", _write(tmp_path, doc, "long.json")])
     assert code == 1
     assert "expected 3" in capsys.readouterr().err
+    # a structure constant of three entries used to end in "not enough
+    # values to unpack (expected 4, got 3)", and a factor without a name
+    # or a dim in the bare key 'name' or 'dim'
+    cases = []
+    doc = catalog.emit("sphere:2")
+    doc["algebra"]["factors"][0]["structure_constants"][0] = [0, 1, 2]
+    cases.append(("structure constant must be an array of 4 entries, "
+                  "not [0, 1, 2]", doc))
+    for key, message in (("name", "factor name must be a string, not None"),
+                         ("dim", "dim must be an integer, not None")):
+        doc = catalog.emit("sphere:2")
+        del doc["algebra"]["factors"][0][key]
+        cases.append((message, doc))
+    for message, doc in cases:
+        assert main(["compute", _write(tmp_path, doc)]) == 1, message
+        err = capsys.readouterr().err
+        assert "not a valid pair document" in err and message in err, err
+        assert "Traceback" not in err
 
 
 def test_non_integer_fields_are_input_errors(tmp_path, capsys):
@@ -331,9 +349,11 @@ def test_invalid_algebra_rejected_by_pair_validation(tmp_path, capsys):
     assert "FAIL jacobi" in out and "FAIL factors_simple" in out
 
 
-def test_jacobi_failing_algebras_keep_the_commutant_path():
-    # the Schur certificate assumes Jacobi and would pass the fused
-    # factor, so these reports come from the commutant and the closures
+def test_jacobi_failing_algebras_report_only_the_closure_witness():
+    # the Schur certificate and the invariant-form count both assume
+    # Jacobi (the certificate would pass the fused factor), so when it
+    # fails, the one simplicity report is a vector whose ideal closure is
+    # smaller; the report already fails on jacobi
     for doc, jacobi, killing, simple in (
             (JACOBI_TYPO_DOC, (0, 1, 2), "su(2)", None),
             (FUSED_FACTOR_DOC, (0, 3, 4), None, ("su(2)+su(2)", 3))):

@@ -284,22 +284,29 @@ def test_btilde_is_restricted_once_per_factor(monkeypatch):
 
 def test_certified_algebras_build_no_commutant(monkeypatch, tmp_path,
                                                capsys):
-    # the Schur certificate proves every factor of these simple, so
-    # validate builds no commutant operator, and the ideal orbit count of
-    # a semisimple h is dim S²(h*)^H, which the pair already holds: no
-    # commutant either where h ≅ so(4) has two ideals (sphere:4,
+    # a factor's simple ideals are counted one way, dim S²(f*)^f, and
+    # no module solves for a commutant; the Schur certificate proves every
+    # factor of these simple, so validate never takes that count, and the
+    # ideal orbit count of a semisimple h is dim S²(h*)^H, which the pair
+    # already holds (h ≅ so(4) has two ideals in sphere:4 and
     # stiefel:6:2); su(3) and su(4) in the catalog basis are certified by
     # the diagonal vector i diag(1, ..., 1, 1 - n), not by e_0
+    for gone in ("minimal_ideal_count", "commutant_operator",
+                 "_commutant_dim"):
+        assert _users(gone) == [] and gone not in liecoh.__all__, gone
     assert not hasattr(invariant_forms, "minimal_ideal_count")
-    assert "minimal_ideal_count" not in liecoh.__all__
-    assert _users("minimal_ideal_count") == []
+    assert _users("_derivation_operator") == [
+        ("invariant_forms.py", "derivation_operators")]
+    assert _users("derivation_operators") == [
+        ("invariant_forms.py", "invariant_polynomials"),
+        ("liealg.py", "_simple_ideal_count")]
     built = []
-    real = liealg.commutant_operator
+    real = liealg._simple_ideal_count
 
-    def operator(*args):
-        built.append(args[1])
-        return real(*args)
-    monkeypatch.setattr(liealg, "commutant_operator", operator)
+    def count(alg, ads, start):
+        built.append(len(ads))
+        return real(alg, ads, start)
+    monkeypatch.setattr(liealg, "_simple_ideal_count", count)
     path = tmp_path / "pair.json"
     for name in ("sphere:7", "stiefel:5:2", "so:5+torus:1", "su:3", "su:4",
                  "sphere:4", "stiefel:6:2"):
@@ -308,6 +315,11 @@ def test_certified_algebras_build_no_commutant(monkeypatch, tmp_path,
         assert main(["verify", str(path)]) == 0
         capsys.readouterr()
         assert not built, (name, built)
+    # the spy sees the count where the certificate fails: so(4) as one
+    # factor
+    so4 = liealg.LieAlgebra.from_factor_constants(
+        0, [("so(4)", 6, catalog._so_constants(4))])
+    assert not liealg.validate(so4).ok and built == [6]
 
 
 def test_half_turn_test_reads_at_most_three_powers(monkeypatch):

@@ -477,10 +477,9 @@ def test_invariance_under_lie_generators_is_invariance_under_h(monkeypatch):
             assert (invariant_polynomials(pair, dec.hh, 2).dim
                     == commutant_by_every_vector(pair, dec.hh)), label
         for _, start, stop in alg.factors:
-            units = [{i: 1} for i in range(start, stop)]
-            assert (liealg._commutant_dim(alg, start, stop,
-                                          liealg.lie_generators(alg, units))
-                    == liealg._commutant_dim(alg, start, stop, units)), label
+            assert (liealg._simple_ideal_count(
+                alg, liealg._factor_ads(alg, start, stop), start)
+                    == pairgen.factor_commutant(alg, start, stop)), label
         got = relative_complex(pair, validate=False).bases
         want = relative_complex(_every_basis_vector(pair),
                                 validate=False).bases
@@ -516,8 +515,7 @@ def test_schur_certificate_is_a_proof():
         for name, start, stop in alg.factors:
             ads = liealg._factor_ads(alg, start, stop)
             if _certified_anywhere(ads):
-                units = [{i: 1} for i in range(start, stop)]
-                assert liealg._commutant_dim(alg, start, stop, units) == 1
+                assert pairgen.factor_commutant(alg, start, stop) == 1
             if label.startswith("sphere"):
                 assert liealg.schur_certified(ads), (label, name)
         hh = decompose(pair).hh

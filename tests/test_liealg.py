@@ -317,7 +317,7 @@ def test_validate_center_bracket():
 
 def test_center_bracket_skips_the_simplicity_check():
     # [e_0, e_1] = e_2 in torus:1+su:2 puts a center column into ad e_1;
-    # the commutant of the factor then means nothing, so, as for a
+    # the simple ideal count of the factor then means nothing, so, as for a
     # cross-factor bracket, factors_simple is not evaluated (it used to
     # fail with witness ('su(2)', 'commutant_dim', 0))
     g = catalog.pair_from_name("torus:1+su:2").algebra
@@ -392,7 +392,7 @@ def test_validate_names_the_vector_whose_ideal_is_too_small():
 
 def test_validate_rejects_so4_declared_as_one_factor():
     # every L_ab generates both su(2) ideals of so(4), so only the
-    # commutant half of the simplicity check sees that it is not simple
+    # count of its invariant forms sees that it is not simple
     so4 = LieAlgebra.from_factor_constants(
         0, [("so(4)", 6, catalog._so_constants(4))])
     rep = validate(so4)
@@ -403,8 +403,55 @@ def test_validate_rejects_so4_declared_as_one_factor():
         assert validate(catalog.pair_from_name(name).algebra).ok, name
 
 
+def _sheared(g, shear):
+    """g in the basis A e_i = e_i + Σ s e_{i+d}, (d, s) over shear: the
+    structure constants become A⁻¹[A e_i, A e_j]."""
+    n = g.n
+    cols = [{i: 1, **{i + d: s for d, s in shear if i + d < n}}
+            for i in range(n)]
+
+    def coords(v):
+        # A is unit lower triangular: solve A x = v row by row
+        x = {}
+        for r in range(n):
+            if c := v.get(r, 0) - sum(cols[t].get(r, 0) * x[t] for t in x):
+                x[r] = c
+        return x
+    table = {(i, j): tuple(w.items()) for i in range(n)
+             for j in range(i + 1, n)
+             if (w := coords(g.bracket_sparse(cols[i], cols[j])))}
+    return LieAlgebra(g.l, [(name, stop - start)
+                            for name, start, stop in g.factors], table)
+
+
+def test_uncertified_factors_are_counted_by_their_invariant_forms(
+        monkeypatch):
+    # in the basis e_i + e_{i+1}/2 + e_{i+7} the Schur certificate proves
+    # neither su(3) nor so(5) simple, so validate counts the invariant
+    # quadratic forms of each: one, as the dense commutant says; so(4)
+    # declared as one factor counts two and fails
+    counts = []
+    real = liealg._simple_ideal_count
+
+    def spy(*args):
+        counts.append(real(*args))
+        return counts[-1]
+    monkeypatch.setattr(liealg, "_simple_ideal_count", spy)
+    so4 = LieAlgebra.from_factor_constants(
+        0, [("so(4)", 6, catalog._so_constants(4))])
+    for g, want in ((catalog.pair_from_name("su:3").algebra, 1),
+                    (catalog.pair_from_name("so:5").algebra, 1), (so4, 2)):
+        g = _sheared(g, [(1, F(1, 2)), (7, 1)])
+        assert not liealg.schur_certified(liealg._factor_ads(g, 0, g.n))
+        del counts[:]
+        rep = validate(g)
+        assert counts == [want] == [pairgen.factor_commutant(g, 0, g.n)]
+        assert _failure_names(rep) == (set() if want == 1
+                                       else {"factors_simple"})
+
+
 def test_valid_algebras_grow_no_ideal_closure(monkeypatch):
-    # a commutant of dimension 1 already proves the factor simple, so the
+    # a count of one simple ideal already proves the factor simple, so the
     # closures are grown only to name the witness of a failing factor
     calls = []
     real = liealg._closure_witness

@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecoh import linalg
-from liecoh.linalg import (F0, F1, Subspace, combination, commutant_operator,
-                           complex_ranks, coordinates, echelon_insert,
-                           full_subspace, intersect, intersect_kernels,
-                           is_spd, kernel_basis, rank,
-                           rat_str, subspace_sum, trace_gram, zero_subspace)
+from liecoh.linalg import (F0, F1, Subspace, combination, complex_ranks,
+                           coordinates, echelon_insert, full_subspace,
+                           intersect, intersect_kernels, is_spd, kernel_basis,
+                           rank, rat_str, subspace_sum, trace_gram,
+                           zero_subspace)
+
+from pairgen import commutant_operator
 
 F = Fraction
 
