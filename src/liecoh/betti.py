@@ -17,7 +17,6 @@ from math import comb
 
 from .invariant_forms import psi_analysis
 from .linalg import Subspace, combination, intersect
-from .pairs import decompose
 
 
 class BettiReport:
@@ -50,8 +49,8 @@ def betti_low(pair, validate=True):
     """Betti numbers b0..b4 of G/H by the closed formulas."""
     if validate:
         pair.validation.ensure()
-    dec = decompose(pair)
-    psi = psi_analysis(pair, dec)
+    dec = pair.decomposition
+    psi = psi_analysis(pair)
     r0 = dec.r0
     da = dec.a_fixed.dim
     betti = [1,
@@ -64,7 +63,7 @@ def betti_low(pair, validate=True):
                      "dim_C": psi.dim_C, "rank_psi": psi.rank_psi,
                      "dim_S2_hgg_inv": psi.dim}
     report = BettiReport(betti, "formula", intermediates)
-    report.corollary_flags = corollary_checks(pair, report, dec=dec)
+    report.corollary_flags = corollary_checks(pair, report)
     return report
 
 
@@ -88,14 +87,13 @@ def _block_support(pair, hcapgg):
     return support
 
 
-def corollary_checks(pair, report, dec=None):
+def corollary_checks(pair, report):
     """Evaluate the applicable consistency identities on a formula report.
 
     Each flag is {"name", "status" ∈ pass/fail/skipped, "detail"?}; an
     identity whose hypotheses the pair does not satisfy is "skipped".
     """
-    if dec is None:
-        dec = decompose(pair)
+    dec = pair.decomposition
     inter = report.intermediates
     b = report.betti
     l, r = inter["l"], inter["r"]

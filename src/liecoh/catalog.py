@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .liealg import LieAlgebra, check_dim, int_field
+from .liealg import LieAlgebra, check_dim, int_field, string_field
 from .linalg import F0, F1
 from .pairs import HomogeneousPair
 
@@ -406,4 +406,5 @@ def factor_from_shorthand(fac):
         raise ValueError("unknown factor shorthand type: %r" % (kind,))
     name = "%s(%d)" % (kind, n)
     check_dim(dim, name)
-    return (fac.get("name", name), dim, constants(n))
+    return (string_field(fac.get("name", name), "factor name"), dim,
+            constants(n))

@@ -190,7 +190,7 @@ def restricted_btilde(pair, forms):
                            ) from None
 
 
-def psi_analysis(pair, dec=None):
+def psi_analysis(pair):
     """Restriction of the per-factor forms B̃ᵢ to h∩[g,g], in invariant terms.
 
     Returns an InvariantFormSpace of S²((h∩[g,g])*)^H whose psi_matrix
@@ -199,13 +199,11 @@ def psi_analysis(pair, dec=None):
     B̃ᵢ is read off the Killing block of factor i through the carrier's
     columns.  On h itself both come from the pair (h_forms, h_btilde).
     """
-    from .pairs import decompose
-    if dec is None:
-        dec = decompose(pair)
-    if dec.hcapgg is pair.h:
+    hcapgg = pair.decomposition.hcapgg
+    if hcapgg is pair.h:
         forms, psi = pair.h_forms, pair.h_btilde
     else:
-        forms = invariant_polynomials(pair, dec.hcapgg, 2)
+        forms = invariant_polynomials(pair, hcapgg, 2)
         psi = restricted_btilde(pair, forms)
     r = pair.algebra.r
     rank_psi = rank(psi, forms.dim)

@@ -19,16 +19,13 @@ whose ideal closure is smaller, if it has one (closures are grown only
 then, or when Jacobi fails).  All of it runs through the nonzero
 structure constants.
 
-bracket_closure is the one closure pass over a subspace: is_bracket_closed
-and lie_generators read it, and a HomogeneousPair runs it once on h.
+bracket_closure is the one closure pass over a subspace: lie_generators
+reads it, and a HomogeneousPair runs it once on h.
 """
 
-from itertools import combinations
-
 from .invariant_forms import derivation_operators
-from .linalg import (INTEGER, Subspace, combination, echelon_insert, exact,
-                     fr, intersect, intersect_kernels, is_spd, nonzero,
-                     rat_str, trace_gram)
+from .linalg import (INTEGER, combination, echelon_insert, exact, fr,
+                     intersect_kernels, is_spd, nonzero, rat_str, trace_gram)
 
 
 # Largest algebra dimension accepted.  Builders check it before any matrix
@@ -340,42 +337,10 @@ def bracket_closure(alg, columns):
     return gens, len(rows)
 
 
-def is_bracket_closed(alg, s):
-    """True iff the subspace s is closed under the bracket: the closure of
-    its columns is no larger than s."""
-    return bracket_closure(alg, s.columns)[1] == s.dim
-
-
 def lie_generators(alg, columns):
     """The columns not in the Lie subalgebra generated by those before
     them (bracket_closure)."""
     return [columns[t] for t in bracket_closure(alg, columns)[0]]
-
-
-def center_and_derived(alg, s):
-    """(z(s), [s,s]) for a bracket-closed subspace s; checks s = z(s) ⊕ [s,s].
-
-    Raises ValueError when s is not a subalgebra or when the two pieces do
-    not sum directly to s (the subalgebra is not reductive in the compact
-    sense, which cannot happen for honest compact-group input).
-    """
-    cols = s.columns
-    m = len(cols)
-    pairs = list(combinations(range(m), 2))
-    br = {(i, j): alg.bracket_sparse(cols[i], cols[j]) for i, j in pairs}
-    # closed exactly when [s,s] ⊆ s, read off the brackets taken here
-    ds = Subspace.span(alg.n, [br[p] for p in pairs])
-    if not s.contains_subspace(ds):
-        raise ValueError("not a subalgebra: subspace is not bracket-closed")
-    br.update({(j, i): {k: -x for k, x in br[i, j].items()} for i, j in pairs})
-    # z(s): coordinates c with sum_i c_i [s_i, s_j] = 0 for every j
-    ops = ({i: c for i in range(m) if (c := br.get((i, j)))} for j in range(m))
-    coords = intersect_kernels(ops, m)
-    zs = Subspace.span(alg.n, [combination(cols, c) for c in coords.columns])
-    if zs.dim + ds.dim != m or intersect(zs, ds).dim != 0:
-        raise ValueError("subalgebra not reductive in the compact sense: "
-                         "z(s) ⊕ [s,s] != s")
-    return zs, ds
 
 
 def validate(alg):

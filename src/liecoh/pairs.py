@@ -14,8 +14,9 @@ integrate to a closed subgroup.  That trust boundary is the caller's.
 A pair computes once what it keeps of H, and every check and method reads
 it: generator_columns (gamma e_i as {row: value} dicts) and, from one
 closure pass, h's Lie generators and closedness at construction; the
-validate_pair report, the ad(h) table h_ad, S²(h*)^H and the coordinates
-of each B̃ᵢ|_h in it on first use.
+validate_pair report, the ad(h) table h_ad, the decomposition, with z(h)
+and [h,h] read off h_ad, S²(h*)^H and the coordinates of each B̃ᵢ|_h in it
+on first use.
 h_basis and the generators are the public view of the input, as
 row-major nested lists of Fractions like the JSON document.
 """
@@ -24,10 +25,11 @@ from functools import cached_property
 
 from .invariant_forms import (ad_coordinates, fixed_vectors,
                               invariant_polynomials, restricted_btilde)
-from .liealg import (LieAlgebra, array_field, bracket_closure,
-                     center_and_derived, object_field, validate)
+from .liealg import (LieAlgebra, array_field, bracket_closure, object_field,
+                     validate)
 from .linalg import (Subspace, combination, exact, fr, intersect,
-                     kernel_basis, minus_identity, rat_str, subspace_sum)
+                     intersect_kernels, kernel_basis, minus_identity, rat_str,
+                     subspace_sum)
 
 # Generator order beyond which validate_pair warns
 ORDER_BOUND = 256
@@ -83,6 +85,11 @@ class HomogeneousPair:
         """validate_pair(self), run once."""
         return validate_pair(self)
 
+    @cached_property
+    def decomposition(self):
+        """decompose(self), run once; read-only."""
+        return decompose(self)
+
     def h_ad(self, t):
         """ad_coordinates(algebra, h, c_t) for the column c_t of h, built
         once per column; h must be bracket-closed."""
@@ -128,7 +135,7 @@ class HomogeneousPair:
     @classmethod
     def from_dict(cls, data):
         data = object_field(data, "document")
-        alg = LieAlgebra.from_dict(data["algebra"])
+        alg = LieAlgebra.from_dict(data.get("algebra"))
         basis = object_field(data.get("subalgebra", {}),
                              "subalgebra").get("basis", [])
         vectors = [array_field(v, "subalgebra basis vector")
@@ -233,6 +240,9 @@ def validate_pair(pair):
 def decompose(pair):
     """Compute the decomposition h = a ⊕ [h,h] ⊕ b and its refinements.
 
+    z(h) and [h,h] are the common kernel and the span of the images of
+    ad Y on h, Y over the Lie generators of h (pair.h_ad): [[x, y], z] =
+    [x, [y, z]] − [y, [x, z]] carries both from the generators to h.
     Relies on the pair being valid; every structural identity the theory
     guarantees is re-checked here and raises ValueError when violated, since
     a violation means the input does not model a compact homogeneous space.
@@ -241,7 +251,15 @@ def decompose(pair):
     n = alg.n
     gcols = pair.generator_columns
 
-    zh, hh = center_and_derived(alg, pair.h)
+    if not pair.h_closed:
+        raise ValueError("not a subalgebra: h is not bracket-closed")
+    ads = [pair.h_ad(t) for t in pair.h_lie_indices]
+    coords = intersect_kernels(({j: c for j, c in enumerate(ad) if c}
+                                for ad in ads), pair.h.dim)
+    zh = Subspace.span(n, [combination(pair.h.columns, c)
+                           for c in coords.columns])
+    hh = Subspace.span(n, [combination(pair.h.columns, c)
+                           for ad in ads for c in ad])
     gg = Subspace.span(n, [{t: 1} for t in alg.derived_indices()])
     a = intersect(zh, gg)
     hcapgg = pair.h if gg.contains_subspace(pair.h) else intersect(pair.h, gg)
@@ -260,9 +278,9 @@ def decompose(pair):
     def fail(what):
         raise ValueError("decomposition invariant failed: %s" % what)
 
-    if subspace_sum(subspace_sum(a, hh), b) != pair.h or \
-            a.dim + hh.dim + b.dim != pair.h.dim:
-        fail("h = a ⊕ [h,h] ⊕ b")
+    # the first two give h = a ⊕ [h,h] ⊕ b
+    if zh.dim + hh.dim != pair.h.dim or intersect(zh, hh).dim != 0:
+        fail("h = z(h) ⊕ [h,h]")
     if subspace_sum(a, b) != zh or a.dim + b.dim != zh.dim:
         fail("z(h) = a ⊕ b")
     if a_fixed.dim + a_moved.dim != a.dim or intersect(a_fixed, a_moved).dim != 0:

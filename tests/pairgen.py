@@ -16,6 +16,9 @@ compare with dim S²(s*)^H, and factor_commutant the count of a declared
 factor's simple ideals, which they compare with the Schur certificate and
 the invariant-form count of liealg.validate.  Both solve for the
 commutant in (dim)² unknowns (commutant_operator).
+center_and_derived_by_every_bracket is the dense reference for z(s) and
+[s,s], from all dim(s)(dim(s) − 1)/2 brackets of a subalgebra's basis,
+which the tests compare with decompose's reading of the ad(h) table.
 """
 
 import random
@@ -24,7 +27,7 @@ from itertools import combinations
 
 from liecoh.catalog import pair_from_name
 from liecoh.invariant_forms import action_coordinates, ad_coordinates
-from liecoh.linalg import intersect_kernels, rat_str
+from liecoh.linalg import Subspace, combination, intersect_kernels, rat_str
 from liecoh.pairs import HomogeneousPair, validate_pair
 
 F = Fraction
@@ -172,6 +175,22 @@ def factor_commutant(alg, start, stop):
     return intersect_kernels(
         [commutant_operator(ads[i], dim, start) for i in range(start, stop)],
         dim * dim).dim
+
+
+def center_and_derived_by_every_bracket(alg, s):
+    """(z(s), [s,s]) for a bracket-closed subspace s: [s,s] is spanned by
+    the brackets of every pair of basis vectors, and z(s) is the common
+    kernel of c ↦ Σ_i c_i [s_i, s_j] over every basis vector s_j."""
+    cols, m = s.columns, s.dim
+    br = {(i, j): alg.bracket_sparse(cols[i], cols[j])
+          for i, j in combinations(range(m), 2)}
+    br.update({(j, i): {k: -x for k, x in v.items()}
+               for (i, j), v in list(br.items())})
+    ops = ({i: c for i in range(m) if (c := br.get((i, j)))}
+           for j in range(m))
+    zs = intersect_kernels(ops, m)
+    return (Subspace.span(alg.n, [combination(cols, c) for c in zs.columns]),
+            Subspace.span(alg.n, br.values()))
 
 
 def _vec_label(v):

@@ -15,7 +15,7 @@ from liecoh.ce import betti_ce, poincare_check
 from liecoh.invariant_forms import invariant_polynomials, psi_analysis
 from liecoh.koszul import betti_koszul
 from liecoh.liealg import validate
-from liecoh.pairs import HomogeneousPair, decompose, validate_pair
+from liecoh.pairs import HomogeneousPair, validate_pair
 from liecoh.linalg import F1, Subspace, intersect
 
 from pairgen import commutant_by_every_vector, suite
@@ -112,8 +112,8 @@ def test_criterion_5_randomized_agreement():
 def test_criterion_6_kernel_bounds():
     for label, pair in suite():
         g = pair.algebra
-        dec = decompose(pair)
-        space = psi_analysis(pair, dec)
+        dec = pair.decomposition
+        space = psi_analysis(pair)
         r = g.r
 
         if dec.hcapgg.dim > 0:

@@ -9,7 +9,7 @@ import numpy as np
 from liecoh import catalog
 from liecoh.betti import betti_low
 from liecoh.koszul import betti_koszul
-from liecoh.liealg import MAX_DIM, LieAlgebra, is_bracket_closed, validate
+from liecoh.liealg import MAX_DIM, LieAlgebra, validate
 from liecoh.pairs import HomogeneousPair, validate_pair
 from liecoh.linalg import F0, F1, Subspace, coordinates
 
@@ -38,7 +38,7 @@ def test_sphere_3_shape():
     assert g.l == 0
     assert [name for name, _, _ in g.factors] == ["su(2)", "su(2)"]
     assert pair.h.dim == 3
-    assert is_bracket_closed(g, pair.h)
+    assert pair.h_closed
     assert validate_pair(pair).ok
 
 

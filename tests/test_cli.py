@@ -104,6 +104,11 @@ def test_wrong_shape_document_is_input_error(tmp_path, capsys):
         doc = catalog.emit("sphere:2")
         del doc["algebra"]["factors"][0][key]
         cases.append((message, doc))
+    # a shorthand factor's name used to pass unchecked: an int name
+    # computed with exit 0
+    for name in (5, None):
+        doc = {"algebra": {"factors": [{"type": "su", "n": 2, "name": name}]}}
+        cases.append(("factor name must be a string, not %r" % name, doc))
     for message, doc in cases:
         assert main(["compute", _write(tmp_path, doc)]) == 1, message
         err = capsys.readouterr().err
@@ -311,6 +316,9 @@ def test_strings_where_objects_belong_are_input_errors(tmp_path, capsys):
     doc = catalog.emit("sphere:2")
     doc["algebra"] = "x"
     cases.append(("algebra must be an object", doc))
+    # a document without an algebra used to end in the bare key 'algebra'
+    cases.append(("algebra must be an object, not None",
+                  {"subalgebra": {"basis": []}}))
     doc = catalog.emit("sphere:2")
     doc["algebra"]["factors"] = ["x"]
     cases.append(("factor must be an object", doc))

@@ -16,6 +16,8 @@ runs with numpy absent.  The cochain method hands the complex builder the
 blocks a pair splits into, never their product.  Invariance under h is
 imposed through a Lie generating set of h, not through every basis vector.
 The Koszul complex is built on its odd generators as the pair gives them.
+z(h) and [h,h] are read off the pair's ad(h) table, and a pair holds one
+decomposition that every formula-path reader shares.
 """
 
 import ast
@@ -29,8 +31,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import liecoh
-from liecoh import catalog, ce, invariant_forms, koszul, liealg
-from liecoh.betti import betti_low
+from liecoh import catalog, ce, invariant_forms, koszul, liealg, pairs
+from liecoh.betti import betti_low, corollary_checks
 from liecoh.cli import main
 from liecoh.ce import relative_complex
 from liecoh.invariant_forms import psi_analysis
@@ -429,3 +431,51 @@ def test_integers_are_parsed_by_one_rule():
                        and used in {"isdecimal", "isdigit", "isnumeric"})
         assert not found, (path.name, found)
     assert "int_field" in _names_in(_definitions(ROOT / "catalog.py")["build"])
+
+
+def test_decomposition_reads_the_ad_table_once_per_pair(monkeypatch, tmp_path,
+                                                        capsys):
+    # no second closure pass over every bracket of h is left in liealg
+    for gone in ("center_and_derived", "is_bracket_closed"):
+        assert _users(gone) == [] and gone not in liecoh.__all__, gone
+        assert not hasattr(liealg, gone), gone
+    # a verify decomposes sphere:7 once, and so does every formula-path
+    # reader of one pair: betti_low, psi_analysis and corollary_checks
+    calls = []
+    real = pairs.decompose
+    monkeypatch.setattr(pairs, "decompose",
+                        lambda pair: calls.append(pair) or real(pair))
+    path = tmp_path / "sphere7.json"
+    path.write_text(json.dumps(catalog.emit("sphere:7")))
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    pair = catalog.pair_from_name("sphere:7")
+    report = betti_low(pair)
+    psi_analysis(pair)
+    corollary_checks(pair, report)
+    assert calls[1:] == [pair]
+    # with h_ad warm, decompose takes no bracket and reads ad Y for the
+    # Lie generators of h only: 6 of the 21 basis vectors of so(7)
+    brackets = []
+    real_bracket = liealg.LieAlgebra.bracket_sparse
+    monkeypatch.setattr(liealg.LieAlgebra, "bracket_sparse",
+                        lambda alg, u, v: brackets.append((u, v))
+                        or real_bracket(alg, u, v))
+    read_counts = {}
+    for name in ("sphere:7", "example_4_7", "stiefel:6:2"):
+        pair = catalog.pair_from_name(name)
+        for t in pair.h_lie_indices:
+            pair.h_ad(t)
+        read = []
+        real_ad = pair.h_ad
+        monkeypatch.setattr(pair, "h_ad",
+                            lambda t: read.append(t) or real_ad(t))
+        del brackets[:]
+        real(pair)
+        assert brackets == [] and read == pair.h_lie_indices, name
+        read_counts[name] = (len(read), pair.h.dim)
+    assert read_counts["sphere:7"] == (6, 21)
+    # the spy does see the brackets a cold table takes
+    real(catalog.pair_from_name("sphere:7"))
+    assert brackets

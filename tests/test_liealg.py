@@ -5,9 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from liecoh import catalog, liealg
-from liecoh.liealg import (LieAlgebra, ValidationError, center_and_derived,
-                           is_bracket_closed, lie_generators, validate)
+from liecoh.liealg import (LieAlgebra, ValidationError, bracket_closure,
+                           lie_generators, validate)
 from liecoh.linalg import Subspace
+from liecoh.pairs import HomogeneousPair, decompose
 
 import pairgen
 
@@ -146,35 +147,45 @@ def test_killing_gram_is_ad_invariant():
                    for i in range(n) for j in range(n))
 
 
+def _center_and_derived(alg, vectors):
+    """decompose's z(h) and [h,h] for h spanned by the vectors, checked
+    against the all-brackets reference."""
+    pair = HomogeneousPair.from_vectors(alg, vectors)
+    dec = decompose(pair)
+    assert (dec.zh, dec.hh) == pairgen.center_and_derived_by_every_bracket(
+        alg, pair.h)
+    return dec.zh, dec.hh
+
+
 def test_center_and_derived_full_su2():
     su2 = catalog.build("su", 2)
-    zs, ds = center_and_derived(su2, Subspace.span(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    zs, ds = _center_and_derived(su2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert zs.dim == 0 and ds.dim == 3
 
 
 def test_center_and_derived_abelian():
     ab = LieAlgebra.abelian(2)
     full = Subspace.span(2, [[1, 0], [0, 1]])
-    zs, ds = center_and_derived(ab, full)
+    zs, ds = _center_and_derived(ab, [[1, 0], [0, 1]])
     assert zs == full and ds.dim == 0
 
 
 def test_center_and_derived_diagonal_su2():
     g = catalog.pair_from_name("su:2+su:2").algebra
-    diag = Subspace.span(6, [[1, 0, 0, 1, 0, 0],
-                             [0, 1, 0, 0, 1, 0],
-                             [0, 0, 1, 0, 0, 1]])
-    assert is_bracket_closed(g, diag)
-    zs, ds = center_and_derived(g, diag)
+    vectors = [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]]
+    diag = Subspace.span(6, vectors)
+    assert bracket_closure(g, diag.columns)[1] == diag.dim
+    zs, ds = _center_and_derived(g, vectors)
     assert zs.dim == 0 and ds == diag
 
 
 def test_center_and_derived_rejects_non_subalgebra():
     su2 = catalog.build("su", 2)
-    line_pair = Subspace.span(3, [[1, 0, 0], [0, 1, 0]])
-    assert not is_bracket_closed(su2, line_pair)
+    line_pair = HomogeneousPair.from_vectors(su2, [[1, 0, 0], [0, 1, 0]])
+    assert bracket_closure(su2, line_pair.h.columns)[1] != line_pair.h.dim
+    assert not line_pair.h_closed
     try:
-        center_and_derived(su2, line_pair)
+        decompose(line_pair)
     except ValueError as e:
         assert "not a subalgebra" in str(e)
     else:

@@ -10,7 +10,6 @@ from liecoh.betti import betti_low
 from liecoh.ce import betti_ce
 from liecoh.invariant_forms import psi_analysis
 from liecoh.koszul import betti_koszul
-from liecoh.liealg import is_bracket_closed
 from liecoh.linalg import Subspace, intersect
 from liecoh.pairs import (HomogeneousPair, decompose, generator_order,
                           validate_pair)
@@ -237,12 +236,15 @@ def _catalog_pairs():
 
 
 def test_h_closed_is_the_closure_test():
-    # one closure pass at construction answers is_bracket_closed on h
+    # one closure pass at construction answers whether h is closed, which
+    # every bracket of two basis vectors of h lying in h decides as well
     su2 = catalog.build("su", 2)
     open_pair = HomogeneousPair(su2, [[1, 0], [0, 1], [0, 0]])
     cases = _catalog_pairs() + pairgen.suite() + [("open", open_pair)]
     for label, pair in cases:
-        assert pair.h_closed == is_bracket_closed(pair.algebra, pair.h), label
+        _, every_bracket = pairgen.center_and_derived_by_every_bracket(
+            pair.algebra, pair.h)
+        assert pair.h_closed == pair.h.contains_subspace(every_bracket), label
         assert pair.h_lie_generators == [pair.h.columns[t]
                                          for t in pair.h_lie_indices], label
     assert not open_pair.h_closed
@@ -307,6 +309,22 @@ def _number_strings(doc):
     if isinstance(doc, list):
         return sum((_number_strings(v) for v in doc), [])
     return [doc] if isinstance(doc, str) else []
+
+
+def test_decompose_matches_every_bracket_on_z_and_derived():
+    # z(h) and [h,h] read off h_ad over the Lie generators of h are the
+    # ones all dim(h)(dim(h) − 1)/2 brackets give
+    g = catalog.pair_from_name("su:2+su:2").algebra
+    diagonal = HomogeneousPair.from_vectors(g, [
+        [1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]])
+    cases = _catalog_pairs() + pairgen.suite() + [
+        ("torus:3", catalog.pair_from_name("torus:3")),
+        ("su:2+su:2/diag", diagonal)]
+    for label, pair in cases:
+        dec = decompose(pair)
+        want = pairgen.center_and_derived_by_every_bracket(pair.algebra,
+                                                           pair.h)
+        assert (dec.zh, dec.hh) == want, label
 
 
 def test_from_dict_parses_each_document_entry_once(monkeypatch):
