@@ -9,9 +9,13 @@ or --size-cap, and a LIECOH_SIZE_CAP that is not a non-negative integer),
 2 validation failure (the check report is printed), 3 method disagreement
 in verify, 4 internal inconsistency (a self-check such as delta o delta = 0
 failed; the message is printed).
+
+main(argv) may be called repeatedly in one process: it builds its argparse
+parser once, on the first call, and every later call parses with it.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -127,7 +131,8 @@ def cmd_verify(args):
                if args.methods else list(_METHODS))
     bad = [m for m in methods if m not in _METHODS]
     if bad:
-        raise _CliError(1, "unknown method(s): %s" % ", ".join(bad))
+        raise _CliError(1, "unknown method(s): %s"
+                        % ", ".join(m or "''" for m in bad))
 
     reports, elapsed, notes = {}, {}, []
     for method in methods:
@@ -239,6 +244,7 @@ class _Parser(argparse.ArgumentParser):
                         % (self.format_usage(), self.prog, message))
 
 
+@functools.cache
 def _parser():
     parser = _Parser(
         prog="liecoh",

@@ -92,7 +92,9 @@ class HomogeneousPair:
 
     def h_ad(self, t):
         """ad_coordinates(algebra, h, c_t) for the column c_t of h, built
-        once per column; h must be bracket-closed."""
+        once per column; ValueError when h is not bracket-closed."""
+        if not self.h_closed:
+            raise ValueError("not a subalgebra: h is not bracket-closed")
         if t not in self._h_ad:
             self._h_ad[t] = ad_coordinates(self.algebra, self.h,
                                            self.h.columns[t])
@@ -251,8 +253,6 @@ def decompose(pair):
     n = alg.n
     gcols = pair.generator_columns
 
-    if not pair.h_closed:
-        raise ValueError("not a subalgebra: h is not bracket-closed")
     ads = [pair.h_ad(t) for t in pair.h_lie_indices]
     coords = intersect_kernels(({j: c for j, c in enumerate(ad) if c}
                                 for ad in ads), pair.h.dim)

@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import liecoh
-from liecoh import catalog
+from liecoh import catalog, cli
 from liecoh.betti import betti_low
 from liecoh.cli import main
 from liecoh.liealg import LieAlgebra, ValidationError, validate
@@ -473,10 +474,16 @@ def test_verify_method_subset(tmp_path, capsys):
 
 
 def test_verify_unknown_method(tmp_path, capsys):
-    code = main(["verify", _emit(tmp_path, "sphere:2"),
-                 "--methods", "formula,nope"])
+    path = _emit(tmp_path, "sphere:2")
+    code = main(["verify", path, "--methods", "formula,nope"])
     assert code == 1
     assert "unknown method" in capsys.readouterr().err
+    # an empty entry is named, not left as a blank after the colon
+    for methods in ("formula,", "formula, ,ce"):
+        assert main(["verify", path, "--methods", methods]) == 1, methods
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "unknown method(s): ''\n", methods
 
 
 def test_verify_table_output(tmp_path, capsys):
@@ -654,8 +661,9 @@ def test_catalog_emit_to_file(tmp_path):
     assert doc["algebra"]["factors"][0]["dim"] == 3
 
 
-def test_cli_subprocess_smoke(tmp_path):
-    # the child imports the liecoh under test, installed or not
+def test_cli_subprocess_smoke(tmp_path, capsys):
+    # the child imports the liecoh under test, installed or not; both
+    # python -m liecoh.cli and python -m liecoh run the command line
     src = os.path.dirname(os.path.dirname(os.path.abspath(liecoh.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -665,8 +673,15 @@ def test_cli_subprocess_smoke(tmp_path):
          "-o", str(pair)],
         capture_output=True, text=True, env=env)
     assert emit.returncode == 0, emit.stderr
+    listed = subprocess.run(
+        [sys.executable, "-m", "liecoh", "catalog", "list"],
+        capture_output=True, text=True, env=env)
+    assert listed.returncode == 0, listed.stderr
+    assert main(["catalog", "list"]) == 0
+    assert listed.stdout == capsys.readouterr().out
+    assert "sphere:" in listed.stdout
     run = subprocess.run(
-        [sys.executable, "-m", "liecoh.cli", "verify", str(pair), "--json"],
+        [sys.executable, "-m", "liecoh", "verify", str(pair), "--json"],
         capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
@@ -693,3 +708,40 @@ def test_closed_output_pipe_is_a_quiet_io_error(tmp_path):
         os.close(write)
     assert done.returncode == 1, done.stderr
     assert done.stderr == ""
+
+
+def _call(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), elapsed times masked."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # --help
+        code = exc.code
+    out, err = capsys.readouterr()
+    out = re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": _', out)
+    out = re.sub(r"[0-9]+\.[0-9]{3}s$", "_s", out, flags=re.M)
+    return code, out, err
+
+
+def test_main_called_repeatedly_matches_a_fresh_parser(tmp_path, capsys):
+    # main builds its parser once per process; the calls after the first
+    # must print and exit exactly as each would with a parser of its own
+    path = _emit(tmp_path, "sphere:4")
+    sequence = [["verify", path, "--json"], ["verify", path],
+                ["oracle", path, "--method", "ce", "--max-degree", "2"],
+                ["oracle", path, "--method", "ce"],
+                ["verify", path, "--certify"], ["--help"],
+                ["catalog", "emit", "sphere:2"], ["compute", path]]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(_call(argv, capsys))
+    cli._parser.cache_clear()
+    repeated = [_call(argv, capsys) for argv in sequence]
+    for argv, got, want in zip(sequence, repeated, fresh):
+        assert got == want, argv
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 1, 0, 0, 0]
+    assert "betti   [1, 0, 0]\n" in fresh[2][1]
+    assert "betti   [1, 0, 0, 0, 1]\n" in fresh[3][1]
+    assert "max_degree=4" in fresh[3][1]
+    assert "unrecognized arguments: --certify" in fresh[4][2]
+    assert fresh[5][1].startswith("usage: liecoh")

@@ -17,7 +17,8 @@ blocks a pair splits into, never their product.  Invariance under h is
 imposed through a Lie generating set of h, not through every basis vector.
 The Koszul complex is built on its odd generators as the pair gives them.
 z(h) and [h,h] are read off the pair's ad(h) table, and a pair holds one
-decomposition that every formula-path reader shares.
+decomposition that every formula-path reader shares.  The command line
+builds its parser once per process.
 """
 
 import ast
@@ -31,7 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import liecoh
-from liecoh import catalog, ce, invariant_forms, koszul, liealg, pairs
+from liecoh import catalog, ce, cli, invariant_forms, koszul, liealg, pairs
 from liecoh.betti import betti_low, corollary_checks
 from liecoh.cli import main
 from liecoh.ce import relative_complex
@@ -479,3 +480,25 @@ def test_decomposition_reads_the_ad_table_once_per_pair(monkeypatch, tmp_path,
     # the spy does see the brackets a cold table takes
     real(catalog.pair_from_name("sphere:7"))
     assert brackets
+
+
+def test_cli_builds_its_parser_once(monkeypatch, tmp_path, capsys):
+    # after the first main call, later calls parse with the same parser
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(catalog.emit("sphere:2")))
+    assert main(["compute", str(path)]) == 0
+    built = []
+    real_init = cli._Parser.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "__init__", init)
+    assert main(["verify", str(path)]) == 0
+    assert main(["oracle", str(path), "--method", "koszul"]) == 0
+    assert built == []
+    # the spy does see a build: the parser and its six subcommand parsers
+    cli._parser.cache_clear()
+    assert main(["compute", str(path)]) == 0
+    capsys.readouterr()
+    assert len(built) == 7

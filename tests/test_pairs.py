@@ -4,6 +4,7 @@ import copy
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from liecoh import catalog, liealg, linalg, pairs
 from liecoh.betti import betti_low
@@ -121,6 +122,20 @@ def test_non_closed_subspace_fails_validation():
     g = catalog.build("su", 2)
     rep = validate_pair(HomogeneousPair(g, [[1, 0], [0, 1], [0, 0]]))
     assert any(c["name"] == "h_bracket_closed" for c in rep.failures())
+
+
+def test_non_closed_h_is_named_by_every_reader_of_h_data():
+    # h = span(e_0, e_1) in su(2): the ad(h) table, S²(h*)^H, the Koszul
+    # method and the decomposition all name the missing closure
+    su2 = catalog.build("su", 2)
+    open_pair = HomogeneousPair.from_vectors(su2, [[1, 0, 0], [0, 1, 0]])
+    assert not open_pair.h_closed
+    for read in (lambda: open_pair.h_ad(0), lambda: open_pair.h_forms,
+                 lambda: betti_koszul(open_pair, validate=False),
+                 lambda: decompose(open_pair)):
+        with pytest.raises(ValueError,
+                           match="^not a subalgebra: h is not bracket-closed$"):
+            read()
 
 
 def _columns(m):
