@@ -28,19 +28,36 @@ w_j by an element of h changes none of them), so any test vectors dual to F
 give the same invariant complex; the unit vectors only make D small.
 
 Every degree is built on graded monomials only: the F_J fixed by the
-half-turns sigma = exp(pi ad Y) that _half_turns accepts.  Y is a basis
-vector that commutes with h and is fixed by every generator (for h = 0
-every basis vector is a candidate), and sigma is diagonal: with A = ad Y,
-each e_j lies in ker(A^2 + 1), where sigma = -1, or in ker A(A^2 + 4),
-where sigma = 1, kernels that split g exactly when
-A(A^2 + 1)(A^2 + 4) = 0.  sigma fixes h, so it scales
-each F_c by +-1 and F_J by (-1)^popcount(J & S), S the frame positions it
-negates, and it commutes with theta, the generators and delta: a column
-that leaves the graded monomials is a RuntimeError.  On the relative
-complex theta(Y) = delta iota(Y) + iota(Y) delta, iota(Y) preserving it,
-so sigma* = exp(pi theta(Y)) is 1 on cohomology, and averaging over the
-half-turns gives H(C^Gamma) = H(C) (Koszul 1950; Greub-Halperin-Vanstone
-vol. III).  complex_dims are those of C^Gamma.
+half-turns sigma = exp(pi ad Y) that _half_turn_masks accepts, each a sign
+matrix on the frame, so it scales F_c by +-1 and F_J by
+(-1)^popcount(J & S), S the frame positions it negates.
+linalg.half_turn_signs tests that exp(pi A) is a sign matrix: each e_j in
+ker(A^2 + 1), where it is -1, or in ker A(A^2 + 4), where it is 1,
+kernels that split the space exactly when A(A^2 + 1)(A^2 + 4) = 0.  Two
+kinds of Y pass:
+
+* each Lie generator Y of h with exp(pi ad Y) a sign matrix on g/h in the
+  w_j, read off Y's theta images.  sigma lies in H^0, and an invariant
+  cochain f has theta(Y)f = 0, so exp(pi theta(Y))f = f: every invariant
+  cochain lies on the graded monomials, whether or not Y commutes with h
+  and whatever the generators do, and the invariant spaces are those of
+  the whole wedge.  theta(X) and the generators need not commute with
+  this sigma, so their columns take rows off the graded monomials, the
+  row of such a J being ~J;
+* each basis vector Y of g that commutes with h and is fixed by every
+  generator, with exp(pi ad Y) diagonal on g (for h = 0 every basis vector
+  is a candidate).  sigma fixes h and the w_j and commutes with theta, the
+  generators and delta.  On the relative complex theta(Y) = delta iota(Y)
+  + iota(Y) delta, iota(Y) preserving it, so sigma* = exp(pi theta(Y)) is
+  1 on cohomology, and averaging over these half-turns gives
+  H(C^Gamma) = H(C) (Koszul 1950; Greub-Halperin-Vanstone vol. III).
+  complex_dims are those of C^Gamma.
+
+delta maps invariant cochains to invariant cochains, so an image of an
+invariant basis with a row off the graded monomials is a RuntimeError.
+A delta column of one monomial may have such a row: delta is built on the
+span W of the w_j, and a half-turn of the first kind is diagonal on g/h
+but need not map W into itself.
 
 The degree-k cochain space is the joint kernel of the theta operators and
 the fixed space of the generator actions.  theta is a representation of h,
@@ -75,17 +92,15 @@ as itself.
 
 import os
 from collections import namedtuple
-from functools import reduce
 from itertools import accumulate, chain, combinations
 from math import lcm
-from operator import xor
 
 from .betti import BettiReport
 from .liealg import LieAlgebra, int_field
 from .linalg import (SparseMatrix, combination, complex_ranks,
-                     coordinates, intersect_kernels, kernel_basis,
-                     minus_identity, nonzero, rank, sparse_product,
-                     transpose)
+                     coordinates, graded_monomials, half_turn_signs,
+                     intersect_kernels, kernel_basis, minus_identity,
+                     nonzero, rank, sparse_product, transpose)
 from .pairs import HomogeneousPair
 
 DEFAULT_SIZE_CAP = 14
@@ -193,54 +208,47 @@ def _structure_table(alg, ann, rows):
             scale)
 
 
-def _half_turns(pair):
-    """{i: the diagonal of exp(pi ad e_i)} for the e_i that commute with h's
-    Lie generators, are fixed by every component generator and have a
-    diagonal half-turn: with A = ad e_i, every e_j lies in ker(A^2 + 1) or in
-    ker A(A^2 + 4).  These kernels split the space exactly when
-    A(A^2 + 1)(A^2 + 4) = 0, and exp(pi A) is -1 on the first and 1 on the
-    second, so the test is exactly that and a diagonal exp(pi A).  It reads
-    A e_j, A^2 e_j and, unless A^2 e_j = -e_j, A^3 e_j = -4 A e_j."""
-    alg, turns = pair.algebra, {}
-    for i, ad in enumerate(alg.ad_sparse()):
-        if any(g[i] != {i: 1} for g in pair.generator_columns) or any(
-                alg.bracket_sparse({i: 1}, y) for y in pair.h_lie_generators):
+def _half_turn_masks(pair, ann, theta_mats):
+    """Frame masks S, bit j set where sigma negates F_j, of the half-turns
+    sigma = exp(pi ad Y) that are sign matrices on the frame.
+
+    Y is each basis vector e_i of g that commutes with h's Lie generators,
+    is fixed by every component generator and has exp(pi ad e_i) diagonal
+    on g (read on ad_sparse()), its mask read at the free rows; and Y is
+    each other Lie generator of h, with exp(pi ad Y) diagonal on g/h in the
+    w_j, read on its theta images F_c([w_j, Y]), the columns of -ad Y on
+    g/h.
+    """
+    alg = pair.algebra
+    turns = {i: signs for i, ad in enumerate(alg.ad_sparse())
+             if all(g[i] == {i: 1} for g in pair.generator_columns)
+             and not any(alg.bracket_sparse({i: 1}, y)
+                         for y in pair.h_lie_generators)
+             and (signs := half_turn_signs(ad, alg.n))}
+    masks = [sum(1 << j for j, f in enumerate(ann.free) if signs[f] < 0)
+             for signs in turns.values()]
+    accepted = [{i: 1} for i in turns]
+    for y, theta in zip(pair.h_lie_generators, theta_mats):
+        if y in accepted:       # its sigma is the one accepted above
             continue
-        signs = []
-        for j in range(alg.n):     # the first e_j in neither rejects e_i
-            a2 = combination(ad, a1 := ad.get(j, {}))
-            signs.append(-1 if a2 == {j: -1} else 1)
-            if signs[-1] > 0 and combination(ad, a2) != {
-                    r: -4 * x for r, x in a1.items()}:
-                break
-        else:
-            turns[i] = signs
-    return turns
-
-
-def _graded_monomials(q, masks, top):
-    """Per degree 0..top, the J on q bits with J & S of even popcount for
-    every mask S, in the order of combinations(range(q), k), which keeps
-    the eliminations sparse.  perp spans them, each of its vectors holding
-    a bit no other holds, so a sum of t of them has at least t bits."""
-    perp = [1 << j for j in range(q)]
-    for s in masks:
-        first = [v for v in perp if (v & s).bit_count() % 2][:1]
-        perp = [v ^ first[0] if (v & s).bit_count() % 2 else v
-                for v in perp if v not in first]
-    levels = [[] for _ in range(top + 1)]
-    for chosen in chain(*(combinations(perp, t) for t in range(top + 1))):
-        mon = reduce(xor, chosen, 0)
-        if mon.bit_count() <= top:
-            levels[mon.bit_count()].append(mon)
-    return [sorted(level, key=lambda m: int(f"{m:0{q}b}"[::-1], 2),
-                   reverse=True) for level in levels]
+        cols = {}
+        for c, image in theta.items():
+            for (bits, _), x in image.items():
+                cols.setdefault(bits.bit_length() - 1, {})[
+                    c.bit_length() - 1] = x
+        if signs := half_turn_signs(cols, ann.dim):
+            masks.append(sum(1 << j for j, x in enumerate(signs) if x < 0))
+    return masks
 
 
 class _Graded(dict):
-    """Positions of one degree's graded monomials."""
+    """Positions of one degree's graded monomials; any other monomial m
+    is the row ~m, outside them, and sets missed."""
+    missed = False
+
     def __missing__(self, mon):
-        raise RuntimeError("an operator leaves the graded monomials")
+        self.missed = True
+        return ~mon
 
 
 def _derivation_column(images, mon, index):
@@ -298,15 +306,20 @@ def _invariant_space(theta_mats, gen_mats, gen_memos, index):
     return intersect_kernels(ops, len(index))
 
 
-def _restrict_delta(images, basis_next, nrows_full, ncols):
+def _restrict_delta(images, basis_next, index_next, ncols):
     """Coordinates of the images in the next invariant basis.
 
     A kernel basis is the identity on its free rows, so the coordinates are
     the image entries on those rows; mapping them back through the basis
-    must then reproduce every image exactly.
+    must then reproduce every image exactly, which a row outside the
+    graded monomials does not: the images are those of invariant cochains.
+    With no basis there are no theta or generator columns, so a row of
+    index_next was missed by delta alone.
     """
     if basis_next is None:
-        return SparseMatrix(images, nrows_full, ncols)
+        if index_next.missed:
+            raise RuntimeError("an operator leaves the graded monomials")
+        return SparseMatrix(images, len(index_next), ncols)
     try:
         coords = coordinates(basis_next, list(images.values()))
     except ValueError:
@@ -338,9 +351,8 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     gen_memos = [{0: {0: 1}} for _ in gen_mats]   # the empty wedge is 1
     table, scale = _structure_table(alg, ann, rows)
 
-    monomials = _graded_monomials(q, [
-        sum(1 << j for j, f in enumerate(ann.free) if signs[f] < 0)
-        for signs in _half_turns(pair).values()], top + 1)
+    monomials = graded_monomials(
+        q, _half_turn_masks(pair, ann, theta_mats), top + 1)
     indexes, bases, dims = [], [], []
     for level in monomials:
         idx = _Graded((mon, pos) for pos, mon in enumerate(level))
@@ -360,8 +372,8 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
         op = {j: col for j in reach if (col := _derivation_column(
             table, monomials[k][j], indexes[k + 1]))}
         images = op if basis is None else sparse_product(op, basis.columns)
-        deltas.append(_restrict_delta(images, bases[k + 1],
-                                      len(indexes[k + 1]), dims[k]))
+        deltas.append(_restrict_delta(images, bases[k + 1], indexes[k + 1],
+                                      dims[k]))
     return RelativeComplex(q, top, dims, bases, deltas, scale, monomials)
 
 
@@ -418,7 +430,7 @@ def betti_ce(pair, max_degree=None, size_cap=None, validate=True):
     cap = _effective_size_cap(size_cap, q)
     top = q if max_degree is None else min(
         _non_negative(max_degree, "max_degree"), q)
-    betti, dims = [1], [1]
+    betti, dims, graded = [1], [1], [1]
     for coords in _blocks(pair):
         cx = relative_complex(_block_pair(pair, coords), max_degree=top,
                               size_cap=cap, validate=False)
@@ -429,13 +441,15 @@ def betti_ce(pair, max_degree=None, size_cap=None, validate=True):
                                "the quotient must be connected")
         betti = _times(betti, block, top)
         dims = _times(dims, cx.dims, top)
+        graded = _times(graded, list(map(len, cx.monomials)), top)
     # dim_k - b_k = r_k + r_{k-1}, with r_k the rank of delta_k
     ranks = list(accumulate((d - b for d, b in zip(dims, betti)),
                             lambda r, x: x - r))
     return BettiReport(
         betti, "ce",
         intermediates={"quotient_dim": q, "max_degree": top},
-        diagnostics={"complex_dims": dims, "ranks": ranks})
+        diagnostics={"complex_dims": dims, "graded_monomials": graded,
+                     "ranks": ranks})
 
 
 def poincare_check(report, dim_quotient):

@@ -125,14 +125,18 @@ def _padded(report, top):
 
 
 def cmd_verify(args):
-    pair = _load_pair(args.file)
-    _ensure_valid(pair)
+    # the method names are usage, checked before the document is read
     methods = ([m.strip() for m in args.methods.split(",")]
                if args.methods else list(_METHODS))
     bad = [m for m in methods if m not in _METHODS]
     if bad:
         raise _CliError(1, "unknown method(s): %s"
                         % ", ".join(m or "''" for m in bad))
+    repeated = [m for m in _METHODS if methods.count(m) > 1]
+    if repeated:
+        raise _CliError(1, "repeated method(s): %s" % ", ".join(repeated))
+    pair = _load_pair(args.file)
+    _ensure_valid(pair)
 
     reports, elapsed, notes = {}, {}, []
     for method in methods:

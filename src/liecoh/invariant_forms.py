@@ -17,6 +17,17 @@ the monomials of one degree, from two rules:
   each component generator γ, and the restriction of a polynomial on g
   (B̃ᵢ, a covector of P¹) to a carrier.
 
+Every space is built on graded monomials only.  Each Lie generator Y of
+h lies in h, so an invariant polynomial f has Y·f = 0 and exp(π R)
+fixes it, R = ad Y on the carrier; where exp(π R) is a sign matrix
+(linalg.half_turn_signs) f lies on the monomials of even parity, and a
+monomial's parity is that of its set J of odd powers.  So
+derivation_operators numbers J plus twice any multiset, J a graded wedge
+monomial of linalg.graded_monomials, in combinations_with_replacement
+order.  The derivations and pullbacks take their columns there and their
+rows anywhere (a pullback need not keep the grading), and a polynomial
+with a coefficient elsewhere is outside the space.
+
 The product of two polynomials merges their sorted index tuples.  On h
 itself the ad operators come from the pair's table (h_ad), and S²(h*)^H
 and the coordinates of each B̃ᵢ|_h in it are built once per pair (h_forms,
@@ -27,8 +38,8 @@ the Koszul complex share both.
 from itertools import chain, combinations_with_replacement
 
 from .linalg import (SparseMatrix, Subspace, combination, coordinates,
-                     intersect_kernels, minus_identity, nonzero, rank,
-                     transpose)
+                     graded_monomials, half_turn_signs, intersect_kernels,
+                     minus_identity, nonzero, rank, transpose)
 
 
 def polynomial_product(f, g):
@@ -93,9 +104,9 @@ class InvariantFormSpace:
     def coordinates(self, polys):
         """Coordinates {j: value} of polynomials in form_basis, read off
         the free rows; raises ValueError if one of them is not in the
-        span."""
+        span, as when it has a coefficient outside index."""
         return coordinates(self.space, [
-            {self.index[m]: v for m, v in f.items()} for f in polys])
+            {self.index.get(m, m): v for m, v in f.items()} for f in polys])
 
 
 def ad_coordinates(alg, carrier, x):
@@ -125,35 +136,78 @@ def fixed_vectors(space, actions):
         combination(space.columns, c) for c in coords.columns])
 
 
-def _derivation_operator(R, insertions):
-    """Sparse columns, on the monomials of one degree, of the derivation
-    with Y·x_i = −Σ_j R_ij x_j, R given by its sparse columns.  By Leibniz,
-    x_i·x^r goes to −μ Σ_j R_ij x_j·x^r for each monomial x^r of the degree
-    below, μ the power of x_i in x_i·x^r; insertions maps r to the
-    positions of the x_j·x^r."""
-    images = transpose(R)
+def _derivation_operator(images, insertions):
+    """Sparse columns, on the graded monomials of one degree, of the
+    derivation with Y·x_i = −Σ_j R_ij x_j, R given by its rows
+    images[i] = {j: R_ij}.  By Leibniz, x_i·x^r goes to
+    −μ Σ_j R_ij x_j·x^r for each monomial x^r of the degree below, μ the
+    power of x_i in x_i·x^r; insertions maps i to the (μ, position, at) of
+    each graded x_i·x^r, at[j] the row of x_j·x^r: the position of a graded
+    monomial, else its index tuple, which is a row but no column."""
     op = {}
-    for rest, at in insertions.items():
-        for i, image in images.items():
-            mu = rest.count(i) + 1
-            acc = op.setdefault(at[i], {})
+    for i, image in images.items():
+        for mu, col, at in insertions.get(i, ()):
+            acc = op.setdefault(col, {})
             for j, v in image.items():
-                acc[at[j]] = acc.get(at[j], 0) - mu * v
+                row = at[j]
+                acc[row] = acc.get(row, 0) - mu * v
     return {col: nz for col, acc in op.items() if (nz := nonzero(acc))}
 
 
+class _Rows(dict):
+    """at[j] of _derivation_operator for one x^r, each row found when it
+    is first read: only the j some R_ij reaches are."""
+    __slots__ = ("rest", "index")
+
+    def __init__(self, rest, index):       # starts empty, as dict() does
+        self.rest, self.index = rest, index
+
+    def __missing__(self, j):
+        key = tuple(sorted(self.rest + (j,)))
+        row = self[j] = self.index.get(key, key)
+        return row
+
+
+def _graded_symmetric(m, masks, degree):
+    """The monomials of one degree in m variables whose set J of odd
+    powers has J & S of even popcount for every mask S, as sorted index
+    tuples in combinations_with_replacement order: J, a graded wedge
+    monomial, plus twice any multiset of size (degree − |J|)/2.  With no
+    mask that is every monomial."""
+    if not masks:
+        return list(combinations_with_replacement(range(m), degree))
+    return sorted(
+        tuple(sorted(odd + half + half))
+        for level in graded_monomials(m, masks, degree)[degree % 2::2]
+        for odd in (tuple(i for i in range(m) if mon >> i & 1)
+                    for mon in level)
+        for half in combinations_with_replacement(range(m),
+                                                  (degree - len(odd)) // 2))
+
+
 def derivation_operators(ads, m, degree):
-    """(index, operators) on the monomials of one degree in m variables:
-    index maps each sorted index tuple to its position, and operators
-    yields, lazily, the derivation (_derivation_operator) of each R in ads.
-    Their common kernel is the polynomials invariant under the Lie algebra
-    the R generate."""
+    """(index, operators) on the graded monomials of one degree in m
+    variables: index maps each sorted index tuple to its position, and
+    operators yields, lazily, the derivation (_derivation_operator) of
+    each R in ads.  Their common kernel is the polynomials invariant under
+    the Lie algebra the R generate.  An invariant f is fixed by
+    exp(π R) for each R, so when that is a sign matrix (half_turn_signs)
+    f lies on the monomials it fixes, the graded ones."""
+    ads = list(ads)
+    masks = [sum(1 << i for i, x in enumerate(signs) if x < 0)
+             for R in ads if (signs := half_turn_signs(R, m))]
     index = {mon: t for t, mon in enumerate(
-        combinations_with_replacement(range(m), degree))}
-    insertions = {rest: [index[tuple(sorted(rest + (j,)))] for j in range(m)]
-                  for rest in combinations_with_replacement(range(m),
-                                                            degree - 1)}
-    return index, (_derivation_operator(R, insertions) for R in ads)
+        _graded_symmetric(m, masks, degree))}
+    insertions, rows = {}, {}
+    for mon, t in index.items():
+        for p, i in enumerate(mon):
+            if not p or mon[p - 1] != i:
+                rest = mon[:p] + mon[p + 1:]
+                if (at := rows.get(rest)) is None:
+                    at = rows[rest] = _Rows(rest, index)
+                insertions.setdefault(i, []).append((mon.count(i), t, at))
+    return index, (_derivation_operator(transpose(R), insertions)
+                   for R in ads)
 
 
 def invariant_polynomials(pair, carrier, degree):
@@ -167,8 +221,10 @@ def invariant_polynomials(pair, carrier, degree):
         (pair.h_ad(t) if carrier is pair.h
          else ad_coordinates(pair.algebra, carrier, pair.h.columns[t])
          for t in pair.h_lie_indices), carrier.dim, degree)
-    # f∘γ − f on the monomials, γ in carrier coordinates
-    fixed = (minus_identity([{index[key]: v for key, v in f.items()} for f in
+    # f∘γ − f on the graded monomials, γ in carrier coordinates, with
+    # rows outside them keyed by monomial: γ need not keep the grading
+    fixed = (minus_identity([{index.get(key, key): v
+                              for key, v in f.items()} for f in
                              pullback(({mon: 1} for mon in index),
                                       action_coordinates(gcols, carrier))],
                             len(index))

@@ -25,6 +25,10 @@ and sum work on them.  Coordinates in independent columns are unique:
 coordinates reads them through the Subspace's solver, built once (on a
 kernel basis, its free rows), and checks them by mapping them back.
 
+half_turn_signs and graded_monomials grade by half-turns: the first tests
+that exp(pi A) is a sign matrix, the second lists the wedge monomials, as
+bitmasks, that a set of sign matrices all fix.
+
 Ordering conventions used throughout the package: polynomial monomials are
 sorted index tuples (itertools.combinations_with_replacement order), exterior
 tuples strictly increasing ones (itertools.combinations order).
@@ -33,9 +37,11 @@ tuples strictly increasing ones (itertools.combinations order).
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain, combinations
 from math import gcd, lcm
+from operator import xor
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -500,8 +506,9 @@ def sparse_product(a, b):
 def intersect_kernels(operators, dim):
     """Common kernel of a family of operators with dim columns (a Subspace).
 
-    Each operator is a {col: column} dict; operators may be produced
-    lazily.  They are processed one at a time, each restricted to the
+    Each operator is a {col: column} dict whose row keys may be any
+    hashable; operators may be produced lazily, and none is drawn once the
+    kernel is zero.  They are processed one at a time, each restricted to the
     kernel found so far, so the elimination shrinks quickly instead of one
     giant stacked system.  Everything runs through nonzeros: the running
     basis is kept as sparse columns, each operator is applied to it by
@@ -511,8 +518,6 @@ def intersect_kernels(operators, dim):
     """
     cols = free = None  # None stands for the full space
     for op in operators:
-        if cols is not None and not cols:
-            break
         if cols is None:
             rows = transpose(op)
         else:
@@ -526,9 +531,68 @@ def intersect_kernels(operators, dim):
                                        dim if cols is None else len(cols))
         if cols is None:
             cols, free = kcols, kfree
-            continue
-        cols = [combination(cols, kc) for kc in kcols]
-        free = [free[f] for f in kfree]
+        else:
+            cols = [combination(cols, kc) for kc in kcols]
+            free = [free[f] for f in kfree]
+        if not cols:        # no further operator is built
+            break
     if cols is None:
         return full_subspace(dim)
     return Subspace.from_columns(dim, cols, free)
+
+
+def half_turn_signs(columns, m):
+    """The diagonal of exp(pi A) when it is a sign matrix other than the
+    identity, else None, for the m x m matrix A given by its columns (a
+    list, or a {col: column} dict without zero columns).
+
+    With e_j in ker(A^2 + 1), exp(pi A) e_j = -e_j, and with e_j in
+    ker A(A^2 + 4), exp(pi A) e_j = e_j.  These kernels split the space
+    exactly when A(A^2 + 1)(A^2 + 4) = 0, so the test is exactly that and
+    a diagonal exp(pi A).  It first reads the diagonal of A^2: with no
+    entry -1 no A^2 e_j is -e_j, and exp(pi A) negates nothing.  Then it
+    reads A^2 e_j and, unless that is -e_j, A^3 e_j = -4 A e_j, for each
+    e_j in turn.
+    """
+    cols = columns if isinstance(columns, dict) else dict(enumerate(columns))
+    for j, col in cols.items():     # some (A^2)_jj = -1, or no sign is -1
+        diagonal = 0
+        for k, x in col.items():
+            if j in (ck := cols.get(k, ())):
+                diagonal += x * ck[j]
+        if diagonal == -1:
+            break
+    else:
+        return None
+    signs = []
+    for j in range(m):      # the first e_j in neither kernel rejects A
+        a2 = combination(cols, a1 := cols.get(j, {}))
+        if a2 == {j: -1}:
+            signs.append(-1)
+        elif combination(cols, a2) == {r: -4 * x for r, x in a1.items()}:
+            signs.append(1)
+        else:
+            return None
+    return signs if -1 in signs else None
+
+
+def graded_monomials(q, masks, top):
+    """Per degree 0..top, the J on q bits with J & S of even popcount for
+    every mask S, in the order of combinations(range(q), k), which keeps
+    the eliminations sparse.  perp spans them, each of its vectors holding
+    a bit no other holds, so a sum of t of them has at least t bits."""
+    perp = [1 << j for j in range(q)]
+    for s in masks:
+        first = [v for v in perp if (v & s).bit_count() % 2][:1]
+        perp = [v ^ first[0] if (v & s).bit_count() % 2 else v
+                for v in perp if v not in first]
+    levels = [[] for _ in range(top + 1)]
+    for chosen in chain(*(combinations(perp, t) for t in range(top + 1))):
+        mon = reduce(xor, chosen, 0)
+        if mon.bit_count() <= top:
+            levels[mon.bit_count()].append(mon)
+    if all(v & v - 1 == 0 for v in perp):    # unit vectors come in order
+        return levels
+    # combinations order is descending in the bits read backwards
+    return [sorted(level, reverse=True, key=lambda m: int(
+        bin(m)[:1:-1], 2) << q - m.bit_length()) for level in levels]

@@ -27,6 +27,7 @@ from itertools import combinations
 
 from liecoh.catalog import pair_from_name
 from liecoh.invariant_forms import action_coordinates, ad_coordinates
+from liecoh.liealg import LieAlgebra
 from liecoh.linalg import Subspace, combination, intersect_kernels, rat_str
 from liecoh.pairs import HomogeneousPair, validate_pair
 
@@ -123,6 +124,63 @@ def twisted_diagonal_pair(rotation_index=0):
             v[3 + a] = R[a][i]
         vecs.append(v)
     return HomogeneousPair.from_vectors(base.algebra, vecs)
+
+
+def su_torus_normalizer(n):
+    """SU(n)/N(T), N(T) the normalizer of the diagonal torus: h is the
+    n - 1 diagonal basis vectors i(E_jj - E_j+1,j+1) of su:n, and there is
+    one component generator per adjacent transposition (k, k+1), Ad of its
+    permutation matrix.  Conjugation maps E_ab to E_sa,sb, so the generator
+    is an integer matrix in the catalog basis: it permutes the real parts
+    E_jk - E_kj up to sign and the imaginary parts i(E_jk + E_kj), and
+    sends i(E_jj - E_j+1,j+1) to a signed sum of adjacent diagonal vectors.
+    Rationally G/N(T) is a point: H*(SU(n)/T)^W = Q in degree 0."""
+    alg = pair_from_name("su:%d" % n).algebra
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    at = {p: n - 1 + 2 * t for t, p in enumerate(pairs)}
+    gens = []
+    for k in range(n - 1):
+        s = list(range(n))
+        s[k], s[k + 1] = k + 1, k
+        gen = [[F(0)] * alg.n for _ in range(alg.n)]
+        for j in range(n - 1):
+            # i E_aa - i E_bb = +- the sum of the diagonal vectors between
+            a, b = s[j], s[j + 1]
+            for t in range(min(a, b), max(a, b)):
+                gen[t][j] = F(1 if a < b else -1)
+        for (j, l), col in at.items():
+            a, b = s[j], s[l]
+            row = at[(min(a, b), max(a, b))]
+            gen[row][col] = F(1 if a < b else -1)
+            gen[row + 1][col + 1] = F(1)
+        gens.append(gen)
+    return HomogeneousPair.from_vectors(
+        alg, [_unit(alg.n, j) for j in range(n - 1)], gens)
+
+
+def sheared(pair, a, b):
+    """pair in the basis of g with e_a replaced by e_a + e_b: with
+    A = 1 + E_ba, the structure constants become A^-1 [A x, A y], the
+    subalgebra basis A^-1 h and each generator A^-1 gamma A."""
+    alg, n = pair.algebra, pair.algebra.n
+
+    def back(v):
+        """A^-1 v for a sparse vector v."""
+        out = dict(v)
+        out[b] = out.get(b, 0) - out.get(a, 0)
+        return {r: x for r, x in out.items() if x}
+    cols = [{j: F(1), b: F(1)} if j == a else {j: F(1)} for j in range(n)]
+    table = {(i, j): sorted(w.items()) for i in range(n)
+             for j in range(i + 1, n)
+             if (w := back(alg.bracket_sparse(cols[i], cols[j])))}
+    moved = LieAlgebra(alg.l, [(name, stop - start)
+                               for name, start, stop in alg.factors], table)
+    h = [back(col) for col in pair.h.columns]
+    gens = [[back(combination(gcols, col)) for col in cols]
+            for gcols in pair.generator_columns]
+    return HomogeneousPair(
+        moved, [[col.get(i, 0) for col in h] for i in range(n)],
+        [[[col.get(i, 0) for col in g] for i in range(n)] for g in gens])
 
 
 def commutant_operator(columns, m, start):

@@ -9,7 +9,7 @@ from math import comb, prod
 import pytest
 import sympy
 
-from liecoh import catalog, ce, linalg
+from liecoh import catalog, ce, invariant_forms, linalg
 from liecoh.betti import betti_low
 from liecoh.cli import main
 from liecoh.ce import (DEFAULT_SIZE_CAP, betti_ce,
@@ -382,24 +382,32 @@ def test_su4_group_manifold_full_vector():
     assert sum(rep.diagnostics["complex_dims"]) == 2 ** 13
 
 
+def _half_turns(alg):
+    """{i: the diagonal of exp(pi ad e_i)} for the e_i of alg whose
+    half-turn linalg.half_turn_signs accepts: the candidates of h = 0."""
+    return {i: signs for i, ad in enumerate(alg.ad_sparse())
+            if (signs := linalg.half_turn_signs(ad, alg.n)) is not None}
+
+
 def test_half_turns_are_exact_sign_automorphisms():
     # every accepted sigma is sympy's exp(pi A), and s_i s_j = s_k whenever
-    # c_ij^k != 0; su(2)'s half-turns are central (ad spectrum i{0, +-2})
-    for name in ("su:2", "su:3", "so:5", "sp:2"):
+    # c_ij^k != 0; the others are the identity, which grades nothing and
+    # is not returned: all of su(2)'s (ad spectrum i{0, +-2}) and 4 of
+    # sp(2)'s
+    for name, count in (("su:2", 0), ("su:3", 8), ("so:5", 10), ("sp:2", 6)):
         alg = catalog.pair_from_name(name).algebra
-        turns = ce._half_turns(_free(alg))
-        assert len(turns) == alg.n, name
+        turns = _half_turns(alg)
+        assert len(turns) == count, name
         ads = alg.ad_sparse()
-        for i, signs in turns.items():
+        for i in range(alg.n):
             A = sympy.Matrix(alg.n, alg.n,
                              lambda r, c: ads[i].get(c, {}).get(r, 0))
             assert ((sympy.pi * A).exp().applyfunc(sympy.simplify)
-                    == sympy.diag(*signs)), (name, i)
+                    == sympy.diag(*turns.get(i, [1] * alg.n))), (name, i)
+        for signs in turns.values():
             assert all(signs[a] * signs[b] == signs[c]
                        for (a, b), terms in alg.table.items()
-                       for c, v in terms if v), (name, i)
-            if name == "su:2":
-                assert signs == [1, 1, 1]
+                       for c, v in terms if v), name
     # so su(2) grades nothing: its complex is the whole wedge (and the
     # empty degree q + 1)
     cx = relative_complex(_free(catalog.pair_from_name("su:2").algebra))
@@ -409,7 +417,8 @@ def test_half_turns_are_exact_sign_automorphisms():
 def _five_power_half_turns(alg):
     """The half-turns of h = 0 by their definition: e_i is accepted when
     A = ad e_i has A(A^2 + 1)(A^2 + 4) = 0 and exp(pi A) =
-    (3 + 8A^2 + 2A^4)/3 is diagonal, read on A^0 e_j..A^5 e_j."""
+    (3 + 8A^2 + 2A^4)/3 is diagonal and not the identity, read on
+    A^0 e_j..A^5 e_j."""
     turns = {}
     for i, ad in enumerate(alg.ad_sparse()):
         signs = []
@@ -424,7 +433,8 @@ def _five_power_half_turns(alg):
             assert sigma[j] in (3, -3)
             signs.append(sigma[j] // 3)
         else:
-            turns[i] = signs
+            if -1 in signs:     # the identity grades nothing
+                turns[i] = signs
     return turns
 
 
@@ -432,7 +442,7 @@ def test_half_turns_match_the_five_power_definition_on_rescaled_bases():
     # e_i -> s_i e_i turns c_ij^k into c_ij^k s_i s_j / s_k; scales other
     # than +-1 scale ad e_i's spectrum out of i{0, +-1, +-2} (A^2 e_j and
     # A^3 e_j then miss both tests), so most of these algebras reject some
-    # candidates, where the catalog bases reject none
+    # candidates, where the catalog bases of su(3) and so(5) reject none
     rng = random.Random(5)
     rejecting, graded = 0, 0
     for name in ("su:2", "su:3", "so:5", "sp:2", "su:2+su:3"):
@@ -444,32 +454,39 @@ def test_half_turns_match_the_five_power_definition_on_rescaled_bases():
                                    for f, start, stop in g.factors], {
                 (i, j): [(k, c * s[i] * s[j] / s[k]) for k, c in terms]
                 for (i, j), terms in g.table.items()})
-            turns = ce._half_turns(_free(alg))
+            turns = _half_turns(alg)
             assert turns == _five_power_half_turns(alg), (name, s)
             rejecting += len(turns) < alg.n
-            graded += any(-1 in signs for signs in turns.values())
-    # 28 of the 30 reject a candidate and 28 accept a grading one
+            graded += bool(turns)
+    # all 30 reject a candidate (or find its half-turn the identity, which
+    # grades nothing) and 28 accept a grading one
     assert rejecting >= 25 and graded >= 25
 
 
 def test_grading_check_fires_on_a_non_automorphism(monkeypatch, tmp_path,
                                                     capsys):
-    # one so(5) coordinate flipped in one half-turn: the signs no longer
-    # respect the brackets, and delta leaves the graded monomials
-    real = ce._half_turns
+    # one so(5) coordinate flipped in the half-turn of e_0, the first one
+    # tested: the signs no longer respect the brackets, and delta leaves
+    # the graded monomials
+    real = linalg.half_turn_signs
+    flipped = []
 
-    def patched(pair):
-        turns = real(pair)
-        turns[0] = [-s if f == 1 else s for f, s in enumerate(turns[0])]
-        return turns
-    monkeypatch.setattr(ce, "_half_turns", patched)
+    def patched(columns, m):
+        signs = real(columns, m)
+        if not flipped:
+            flipped.append(m)
+            signs = [-s if f == 1 else s for f, s in enumerate(signs)]
+        return signs
+    monkeypatch.setattr(ce, "half_turn_signs", patched)
     pair = _free(catalog.pair_from_name("so:5").algebra)
     with pytest.raises(RuntimeError, match="leaves the graded monomials"):
         betti_ce(pair)
     doc = tmp_path / "so5.json"
     doc.write_text(json.dumps(pair.to_dict()))
+    del flipped[:]
     assert main(["oracle", str(doc), "--method", "ce"]) == 4
     assert "leaves the graded monomials" in capsys.readouterr().err
+    assert flipped == [10]
 
 
 def _row_wise_delta(pair, k):
@@ -637,15 +654,119 @@ def test_constrained_bases_are_identity_on_free_rows():
     # invariant forms have dims 1, 0, 1, 4, 1, 0, 1; the half-turn keeps
     # degrees 0, 2, 4, 6 of them, and the R factor doubles them up, so the
     # complex is 1 in every degree (it was 1, 1, 1, 5, 5, 1 on the full
-    # wedge).  The graded monomials are an even subset of the 6 negated
-    # directions times any subset of the other one
+    # wedge).  h's Lie generators L_01 and L_02 have half-turns too, which
+    # negate the rows 0, 1 and 0, 2 of R^3 (x) R^2.  With n_a the number of
+    # directions of row a in J, the three masks ask n_0 + n_1, n_0 + n_2
+    # and n_0 + n_1 + n_2 to be even, so every n_a is 0 or 2: J is a union
+    # of whole rows (one of 2^3) times a subset of the R direction, 16
+    # monomials, 1, 1, 3, 3, 3, 3 in degrees 0..5 (15 in degrees 2..5
+    # under the so(2) half-turn alone)
     assert cx.dims == [1, 1, 1, 1, 1, 1]
-    assert [len(m) for m in cx.monomials] == [1, 1, 15, 15, 15, 15]
+    assert [len(m) for m in cx.monomials] == [1, 1, 3, 3, 3, 3]
     for basis in cx.bases:
         for j, col in enumerate(basis.columns):
             assert all(col.get(row, 0) == (1 if i == j else 0)
                        for i, row in enumerate(basis.free))
     assert all(isinstance(d, SparseMatrix) for d in cx.deltas)
+
+
+def test_torus_normalizer_is_graded_by_its_torus():
+    # SU(n)/N(T) is rationally a point.  Every component generator moves
+    # the torus, so no basis vector of g passes the candidate test, but the
+    # half-turn of each diagonal Lie generator H_j of h lies in H^0 and
+    # negates the root planes (a, b) on which H_j has odd weight, both
+    # coordinates of each.  For n = 3 the two masks are independent:
+    # 2^6 / 4 = 16 monomials (the three planes each full or empty, 8, or
+    # one coordinate of each, 8).  For n = 4, H_0 + H_2 = i diag(1, -1, 1,
+    # -1) has even weight on every root, so the three masks span two
+    # dimensions: 2^12 / 4 = 1024 monomials.  complex_dims are those the
+    # whole wedge (64 and 4096 monomials) gives
+    for n, dims, graded in (
+            (3, [1, 0, 0, 1, 1, 0, 0], [1, 0, 3, 8, 3, 0, 1]),
+            (4, [1, 0, 0, 1, 1, 1, 1, 1, 2, 1, 0, 0, 0],
+             [1, 0, 18, 64, 111, 192, 252, 192, 111, 64, 18, 0, 1])):
+        pair = pairgen.su_torus_normalizer(n)
+        rep = betti_ce(pair)
+        assert rep.betti == [1] + [0] * (n * n - n), n
+        assert rep.diagnostics["complex_dims"] == dims, n
+        assert rep.diagnostics["graded_monomials"] == graded, n
+        assert sum(graded) == {3: 16, 4: 1024}[n]
+        assert betti_low(pair).betti == [1, 0, 0, 0, 0], n
+        assert betti_koszul(pair).betti == [1, 0, 0, 0, 0], n
+    # sphere:7: the Lie generators L_ab of so(7) connect its 7 indices (the
+    # L_ab of a disconnected edge set generate a smaller algebra), and the
+    # half-turn of L_ab negates x_a and x_b on g/h = R^7, so the masks span
+    # every even subset and only the empty J and all seven are graded
+    cx = relative_complex(catalog.pair_from_name("sphere:7"), max_degree=4)
+    assert [len(m) for m in cx.monomials] == [1, 0, 0, 0, 0, 0]
+
+
+def test_delta_columns_may_leave_a_grading_their_images_keep(monkeypatch):
+    # stiefel:5:2 with e_2 replaced by e_2 + e_0 (e_0 = L_01 in h): the
+    # half-turn of the Lie generator L_01 is a sign matrix on g/h in the
+    # w_j but moves w = e_2 + e_0 to w - 2 e_0, off the span of the w_j
+    # that delta is built from.  So delta columns of graded monomials reach
+    # rows outside the grading; the images of invariant cochains, which
+    # are invariant, do not, and the answer is S^7's
+    real = ce._derivation_column
+    leaving = []
+
+    def spy(images, mon, index):
+        col = real(images, mon, index)
+        if mon not in index and col and min(col) < 0:
+            leaving.append(mon)
+        return col
+    monkeypatch.setattr(ce, "_derivation_column", spy)
+    pair = pairgen.sheared(catalog.pair_from_name("stiefel:5:2"), 2, 0)
+    rep = betti_ce(pair)
+    assert rep.betti == [1, 0, 0, 0, 0, 0, 0, 1]
+    assert leaving
+    # the old candidate, L_34, no longer grades in this basis: the 2^7
+    # monomials shrink to 32 by h's half-turns alone
+    assert sum(rep.diagnostics["graded_monomials"]) == 32
+    assert rep.diagnostics["complex_dims"] == [1, 1, 1, 5, 5, 1, 1, 1]
+
+
+def _without_graded_monomials(report):
+    diagnostics = dict(report.diagnostics)
+    return diagnostics.pop("graded_monomials"), diagnostics
+
+
+def test_grading_by_the_half_turns_of_h_changes_no_invariant(monkeypatch):
+    # with h's Lie generators giving no masks (test-only: the candidates of
+    # g still grade CE) every CE report, every Psi form basis and matrix and
+    # every Koszul slice is what the grading gives, on the suite and the
+    # catalog ladder
+    names = ["sphere:%d" % k for k in range(2, 8)] + [
+        "stiefel:5:2", "stiefel:6:2", "flag_su3", "example_4_7"]
+
+    def reports():
+        out, totals = [], []
+        for label, pair in pairgen.suite() + [
+                (name, catalog.pair_from_name(name)) for name in names]:
+            graded, ce_diag = _without_graded_monomials(betti_ce(pair))
+            psi = invariant_forms.psi_analysis(pair)
+            out.append((label, ce_diag, psi.form_basis, psi.psi_matrix,
+                        betti_koszul(pair).diagnostics))
+            totals.append((label, sum(graded)))
+        return out, totals
+    graded, graded_totals = reports()
+    real = ce._half_turn_masks
+    monkeypatch.setattr(ce, "_half_turn_masks",
+                        lambda pair, ann, theta_mats: real(pair, ann, []))
+    monkeypatch.setattr(invariant_forms, "half_turn_signs", lambda *a: None)
+    ungraded, totals = reports()
+    assert graded == ungraded
+    assert all(g <= t for (_, g), (_, t) in zip(graded_totals, totals))
+    # where h has half-turns of its own that g's candidates do not give:
+    # the spheres (2 of the 2^q monomials) and the Stiefel manifolds
+    shrunk = {label: (g, t) for (label, g), (_, t)
+              in zip(graded_totals, totals) if g < t}
+    assert {label for label in shrunk if label in names} == {
+        "sphere:3", "sphere:4", "sphere:5", "sphere:6", "sphere:7",
+        "stiefel:5:2", "stiefel:6:2"}
+    assert shrunk["sphere:7"] == (2, 128)
+    assert shrunk["stiefel:6:2"] == (64, 256)
 
 
 def test_escape_check_fires_on_incomplete_invariant_basis(monkeypatch):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import liecoh
-from liecoh import catalog, cli
+from liecoh import catalog, cli, pairs
 from liecoh.betti import betti_low
 from liecoh.cli import main
 from liecoh.liealg import LieAlgebra, ValidationError, validate
@@ -486,6 +486,35 @@ def test_verify_unknown_method(tmp_path, capsys):
         assert captured.err == "unknown method(s): ''\n", methods
 
 
+def test_verify_checks_method_names_before_the_document(tmp_path, capsys,
+                                                         monkeypatch):
+    # an unknown or repeated name is a usage error naming it, also on a
+    # document that fails validation (exit 2 once it is read), which is
+    # then neither validated nor solved
+    validated = []
+    real = pairs.validate_pair
+    monkeypatch.setattr(pairs, "validate_pair",
+                        lambda pair: validated.append(pair) or real(pair))
+    invalid = _write(tmp_path, JACOBI_TYPO_DOC)
+    for methods, message in (("nope", "unknown method(s): nope"),
+                             ("ce,nope,koszul", "unknown method(s): nope"),
+                             ("ce,ce", "repeated method(s): ce"),
+                             ("koszul,formula,ce,formula,koszul",
+                              "repeated method(s): formula, koszul")):
+        assert main(["verify", invalid, "--methods", methods]) == 1, methods
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n"), methods
+        assert validated == [], methods
+    assert main(["verify", invalid, "--methods", "ce,formula"]) == 2
+    assert "FAIL jacobi" in capsys.readouterr().out
+    assert len(validated) == 1
+    # each method named once runs once
+    path = _emit(tmp_path, "sphere:2")
+    assert main(["verify", path, "--methods", "ce,formula", "--json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["methods"]) == [
+        "ce", "formula"]
+
+
 def test_verify_table_output(tmp_path, capsys):
     code = main(["verify", _emit(tmp_path, "sphere:2")])
     assert code == 0
@@ -503,6 +532,14 @@ def test_oracle_ce_explain(tmp_path, capsys):
     assert out["betti"] == [1, 0, 1]
     assert out["diagnostics"]["complex_dims"] == [1, 0, 1]
     assert out["diagnostics"]["ranks"] == [0, 0, 0]
+    # the half-turn of so(2) negates both directions of g/h: 2 of the 4
+    # wedge monomials are graded, shown under --explain only
+    assert out["diagnostics"]["graded_monomials"] == [1, 0, 1]
+    path = _emit(tmp_path, "sphere:2")
+    assert main(["oracle", path, "--method", "ce", "--json"]) == 0
+    assert "diagnostics" not in json.loads(capsys.readouterr().out)
+    assert main(["verify", path, "--explain"]) == 0
+    assert "   graded_monomials: [1, 0, 1]" in capsys.readouterr().out
 
 
 def test_oracle_ce_over_cap_is_validation_error(tmp_path, capsys):

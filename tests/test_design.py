@@ -32,7 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import liecoh
-from liecoh import catalog, ce, cli, invariant_forms, koszul, liealg, pairs
+from liecoh import (catalog, ce, cli, invariant_forms, koszul, liealg, linalg,
+                    pairs)
 from liecoh.betti import betti_low, corollary_checks
 from liecoh.cli import main
 from liecoh.ce import relative_complex
@@ -248,21 +249,25 @@ def test_invariant_forms_impose_one_operator_per_lie_generator(
         monkeypatch, tmp_path, capsys):
     # h = so(7) in sphere:7 has 21 basis vectors and 6 Lie generators, and
     # h ⊆ [g,g], so a verify builds one S²(h*)^H, shared by Ψ and the
-    # Koszul complex, from 6 derivation operators, and (h*)^H from 6 more
+    # Koszul complex, from 6 derivation operators.  The half-turns of the
+    # 6 negate every coordinate of h, so (h*)^H has no graded monomial:
+    # its first operator is built on none and ends the intersection
     built = Counter()
     real = invariant_forms._derivation_operator
 
-    def operator(R, insertions):
-        # keyed by the monomials of the degree below
-        built[1 + len(next(iter(insertions)))] += 1
-        return real(R, insertions)
+    def operator(images, insertions):
+        # by the number of graded monomials that are columns
+        built[len({col for entries in insertions.values()
+                   for _, col, _ in entries})] += 1
+        return real(images, insertions)
     monkeypatch.setattr(invariant_forms, "_derivation_operator", operator)
     path = tmp_path / "sphere7.json"
     path.write_text(json.dumps(catalog.emit("sphere:7")))
     assert main(["verify", str(path)]) == 0
     capsys.readouterr()
     assert catalog.pair_from_name("sphere:7").h.dim == 21
-    assert built == {2: 6, 1: 6}
+    # x_i^2 is one column, reached from x_i alone
+    assert built == {21: 6, 0: 1}
 
 
 def test_btilde_is_restricted_once_per_factor(monkeypatch):
@@ -326,19 +331,51 @@ def test_certified_algebras_build_no_commutant(monkeypatch, tmp_path,
 
 
 def test_half_turn_test_reads_at_most_three_powers(monkeypatch):
-    # each candidate e_i reads A e_j from ad_sparse() and applies A at most
+    # each candidate A reads A e_j from its columns and applies A at most
     # twice per e_j (A^2 e_j, then A^3 e_j unless A^2 e_j = -e_j); the
     # five-power test made about 7 n^2 combinations
     calls = []
-    real = ce.combination
+    real = linalg.combination
 
     def combination(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(ce, "combination", combination)
+    monkeypatch.setattr(linalg, "combination", combination)
     alg = catalog.pair_from_name("so:5+su:2+torus:1").algebra
-    assert len(ce._half_turns(HomogeneousPair(alg, []))) == alg.n
+    # so(5)'s 10 half-turns grade; su(2)'s and the torus's are the identity
+    assert sum(linalg.half_turn_signs(ad, alg.n) is not None
+               for ad in alg.ad_sparse()) == 10
     assert 0 < len(calls) <= 3 * alg.n ** 2, len(calls)
+
+
+def test_one_half_turn_test_grades_wedges_and_polynomials(monkeypatch):
+    # the CE candidates of g, the half-turns of h's Lie generators on the
+    # frame and those on a carrier of invariant polynomials all go through
+    # linalg.half_turn_signs, with one mask rule (graded_monomials); on
+    # stiefel:5:2, g = so(5) over h = so(3), CE tests L_34, the one basis
+    # vector that commutes with h, on g and h's 2 Lie generators on g/h,
+    # and S²(h*)^H those 2 on h
+    assert _users("half_turn_signs") == [
+        ("ce.py", "_half_turn_masks"), ("invariant_forms.py",
+                                        "derivation_operators")]
+    assert _users("graded_monomials") == [
+        ("ce.py", "relative_complex"), ("invariant_forms.py",
+                                        "_graded_symmetric")]
+    for gone in ("_half_turns", "_graded_monomials"):
+        assert _users(gone) == [] and not hasattr(ce, gone), gone
+    sizes = []
+    real = linalg.half_turn_signs
+
+    def spy(columns, m):
+        sizes.append(m)
+        return real(columns, m)
+    monkeypatch.setattr(ce, "half_turn_signs", spy)
+    monkeypatch.setattr(invariant_forms, "half_turn_signs", spy)
+    pair = catalog.pair_from_name("stiefel:5:2")
+    relative_complex(pair)
+    assert sizes == [10, 7, 7]
+    del sizes[:]
+    assert pair.h_forms.dim == 1 and sizes == [3, 3]
 
 
 def test_composites_are_checked_where_the_ranks_are_taken():
