@@ -16,7 +16,7 @@ per-factor Killing forms to invariant forms on h∩[g,g].
 from math import comb
 
 from .invariant_forms import psi_analysis
-from .linalg import Subspace, combination, intersect
+from .linalg import combination, supported_on
 
 
 class BettiReport:
@@ -80,8 +80,7 @@ def _block_support(pair, hcapgg):
     for fi, (_, start, stop) in enumerate(alg.factors):
         if not any(start <= i < stop for c in hcapgg.columns for i in c):
             continue
-        block = Subspace.span(alg.n, [{t: 1} for t in range(start, stop)])
-        if intersect(hcapgg, block).dim == 0:
+        if supported_on(hcapgg, range(start, stop)).dim == 0:
             return None
         support.append(fi)
     return support

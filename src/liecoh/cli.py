@@ -127,7 +127,7 @@ def _padded(report, top):
 def cmd_verify(args):
     # the method names are usage, checked before the document is read
     methods = ([m.strip() for m in args.methods.split(",")]
-               if args.methods else list(_METHODS))
+               if args.methods is not None else list(_METHODS))
     bad = [m for m in methods if m not in _METHODS]
     if bad:
         raise _CliError(1, "unknown method(s): %s"

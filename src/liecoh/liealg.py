@@ -17,11 +17,18 @@ catalog; any other factor takes the count, one kernel in m(m + 1)/2
 unknowns for m = dim f.  A failing factor's witness is a basis vector
 whose ideal closure is smaller, if it has one (closures are grown only
 then, or when Jacobi fails).  All of it runs through the nonzero
-structure constants.
+structure constants, cleared to integers: validate checks the table in
+the basis D e_i, D the lcm of the constants' denominators, whose
+constants are the integers D c, and a table of integers as it is.
+Jacobi sums and Killing values scale by D², and no centralizer, closure,
+count or witness changes.
 
 bracket_closure is the one closure pass over a subspace: lie_generators
 reads it, and a HomogeneousPair runs it once on h.
 """
+
+from itertools import chain
+from math import lcm
 
 from .invariant_forms import derivation_operators
 from .linalg import (INTEGER, combination, echelon_insert, exact, fr,
@@ -35,10 +42,10 @@ from .linalg import (INTEGER, combination, echelon_insert, exact, fr,
 # 0.5 s, sp(5) (n = 55) builds in 0.01 s and validates in 0.4 s, and
 # sphere:10 (n = 55) validates in 0.25 s.  These times hold for the catalog
 # bases, where the Schur certificate proves every factor simple.  In
-# another rational basis a factor may take the invariant-form count and
-# the brackets carry Fractions: so(7) (n = 21) in the basis
-# e_i + e_{i+1}/2 + e_{i+7} validates in 7.2 s, about half of it in the
-# Jacobi check.  64 keeps every catalog input tractable.
+# another rational basis a factor may take the invariant-form count:
+# so(7) (n = 21) in the basis e_i + e_{i+1}/2 + e_{i+7}, checked on its
+# table cleared to integers, validates in 1.6 s, most of it in that
+# count.  64 keeps every catalog input tractable.
 MAX_DIM = 64
 
 
@@ -344,8 +351,13 @@ def lie_generators(alg, columns):
 
 
 def validate(alg):
-    """Check every LieAlgebra invariant; returns a ValidationReport."""
+    """Check every LieAlgebra invariant; returns a ValidationReport.
+
+    The checks run on the table cleared to integers (_cleared), so no
+    Fraction reaches a Jacobi sum, a Killing value or an elimination.
+    """
     rep = ValidationReport()
+    alg = _cleared(alg)
 
     # center brackets vanish: a stored key (i, j), i < j, with i < l fails
     bad = next(((i, j) for i, j in alg.table if i < alg.l), None)
@@ -412,6 +424,22 @@ def validate(alg):
     return rep
 
 
+def _cleared(alg):
+    """alg itself when its structure constants are integers, else alg in
+    the basis D e_i, D the lcm of their denominators, where they are the
+    integers D c.  validate reads the same report off both: Jacobi sums
+    and Killing values scale by D², and every centralizer, closure, count
+    and witness is unchanged."""
+    den = lcm(*(c.denominator for terms in alg.table.values()
+                for _, c in terms if type(c) is not int))
+    if den == 1:
+        return alg
+    return LieAlgebra(alg.l, [(name, stop - start)
+                              for name, start, stop in alg.factors],
+                      {key: [(k, c * den) for k, c in terms]
+                       for key, terms in alg.table.items()})
+
+
 def _jacobi_witness(alg):
     """The lex-first basis triple i < j < k whose Jacobi sum is nonzero.
 
@@ -419,18 +447,25 @@ def _jacobi_witness(alg):
     one term per pair of the three.  So one pass over the stored brackets
     [e_j, e_k] = sum a_m e_m, j < k, builds every sum: each e_i with
     [e_m, e_i] != 0, i not j or k, adds a_m [e_m, e_i] to the sum of the
-    sorted (i, j, k), negated when j < i < k (then (j, k, i) is not a
-    cyclic shift of it).  A triple no term reaches has sum zero.
+    sorted (i, j, k), which the place of i against j < k gives, negated
+    when j < i < k (then (j, k, i) is not a cyclic shift of it).  A triple
+    no term reaches has sum zero.
     """
     cols, sums = alg.ad_sparse(), {}  # cols[m][i] = [e_m, e_i] as {row: c}
     for (j, k), terms in alg.table.items():
         for m, a in terms:
             for i, col in cols[m].items():
-                if i != j and i != k:
-                    acc = sums.setdefault(tuple(sorted((i, j, k))), {})
-                    signed = -a if j < i < k else a
-                    for r, c in col.items():
-                        acc[r] = acc.get(r, 0) + signed * c
+                if i < j:
+                    key, signed = (i, j, k), a
+                elif j < i < k:
+                    key, signed = (j, i, k), -a
+                elif i > k:
+                    key, signed = (j, k, i), a
+                else:
+                    continue
+                acc = sums.setdefault(key, {})
+                for r, c in col.items():
+                    acc[r] = acc.get(r, 0) + signed * c
     return min((key for key, acc in sums.items() if any(acc.values())),
                default=None)
 
@@ -461,6 +496,8 @@ def _closure_dim(ads, v, dim):
             row = echelon_insert(echelon, combination(ad, u))
             if row is not None:
                 todo.append(row)
+                if len(echelon) == dim:
+                    break
     return len(echelon)
 
 
@@ -489,12 +526,16 @@ def schur_certified(ads):
     Schur's argument on a vector v: every P commuting with ad(s) maps v
     into z(z(v)), as [x, Pv] = P[x, v] = 0 for x in z(v).  So when
     z(z(v)) = Qv, P - λ kills v for some λ, its kernel is an ideal, and
-    that is all of s when v's ideal closure is.  Both centralizers are
-    kernels in dim s unknowns, where the commutant has (dim s)² of them.
-    With Jacobi the commutant of ad(s) is that of any Lie generating set
-    of s.  v is e_0 (so(n), sp(n), su(2)), else sum_{j<r} (j + 1) e_j over
-    the longest prefix of pairwise commuting e_j, when r > 1: on su(n)'s
-    diagonal, i diag(1, ..., 1, 1 - n), with z(v) = s(u(n-1) + u(1)).
+    that is all of s when v's ideal closure is.  v lies in z(z(v)), so
+    z(z(v)) = Qv exactly when its vectors with y_p = 0, for one p with
+    v_p != 0, are zero: the common kernel of y -> y_p and of y -> [y, x],
+    x over a basis of z(v), and intersect_kernels stops at the first
+    operator that empties it.  Both are kernels in dim s unknowns, where
+    the commutant has (dim s)² of them.  With Jacobi the commutant of
+    ad(s) is that of any Lie generating set of s.  v is first
+    sum_{j<r} (j + 1) e_j over the longest prefix of pairwise commuting
+    e_j, when r > 1: on su(n)'s diagonal, i diag(1, ..., 1, 1 - n), with
+    z(v) = s(u(n-1) + u(1)); then e_0 (so(n), sp(n), su(2)).
     """
     m = len(ads)
     if not m:
@@ -503,12 +544,14 @@ def schur_certified(ads):
     while r < m and not any(combination(ads[r], {j: 1}) for j in range(r)):
         r += 1
 
-    def centralizer(xs):
+    def bracket_with(x):
         # y -> [y, x] has the columns [e_j, x]: its kernel is z(x)
-        return intersect_kernels(({j: c for j, ad in enumerate(ads)
-                                   if (c := combination(ad, x))}
-                                  for x in xs), m)
-    # v lies in z(z(v)), so dimension 1 is z(z(v)) = Qv
+        return {j: c for j, ad in enumerate(ads) if (c := combination(ad, x))}
+
+    def certifies(v):
+        zv = intersect_kernels([bracket_with(v)], m).columns
+        return (intersect_kernels(chain([{min(v): {0: 1}}],
+                                        map(bracket_with, zv)), m).dim == 0
+                and _closure_dim(ads, v, m) == m)
     weighted = [{j: j + 1 for j in range(r)}] if r > 1 else []
-    return any(centralizer(centralizer([v]).columns).dim == 1
-               and _closure_dim(ads, v, m) == m for v in [{0: 1}] + weighted)
+    return any(certifies(v) for v in weighted + [{0: 1}])

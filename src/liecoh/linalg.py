@@ -454,6 +454,20 @@ def intersect(s1, s2):
         for c in ker])
 
 
+def supported_on(space, rows):
+    """The vectors of a Subspace supported on rows, a container of row
+    indices (its intersection with their unit vectors): space itself when
+    every column is, else B c over the kernel of B's rows off them, whose
+    columns are independent as B's are."""
+    if all(r in rows for col in space.columns for r in col):
+        return space
+    off = [row for r, row in transpose(space.columns).items()
+           if r not in rows]
+    return Subspace.from_columns(space.ambient_dim, [
+        combination(space.columns, c)
+        for c in kernel_basis(off, space.dim).columns])
+
+
 def subspace_sum(s1, s2):
     """Sum s1 + s2 of two subspaces of the same ambient space."""
     if s1.ambient_dim != s2.ambient_dim:

@@ -28,8 +28,8 @@ from .invariant_forms import (ad_coordinates, fixed_vectors,
 from .liealg import (LieAlgebra, array_field, bracket_closure, object_field,
                      validate)
 from .linalg import (Subspace, combination, exact, fr, intersect,
-                     intersect_kernels, kernel_basis, minus_identity, rat_str,
-                     subspace_sum)
+                     intersect_kernels, kernel_basis, minus_identity, rank,
+                     rat_str, subspace_sum, supported_on)
 
 # Generator order beyond which validate_pair warns
 ORDER_BOUND = 256
@@ -224,11 +224,14 @@ def validate_pair(pair):
                        for i in range(alg.l) if cols[i] != {i: 1}), None)
     rep.add("generator_fixes_center_pointwise", bad_center is None, bad_center)
 
+    # gamma maps the factor's unit vectors onto it: each gamma e_t lies in
+    # the factor's coordinates, and together they have full rank
     bad_factor = next(
         ((gi, name) for gi, cols in enumerate(gcols)
          for name, start, stop in alg.factors
-         if Subspace.span(n, cols[start:stop])
-         != Subspace.span(n, [{t: 1} for t in range(start, stop)])), None)
+         if not all(start <= i < stop for col in cols[start:stop]
+                    for i in col)
+         or rank(cols[start:stop], n) < stop - start), None)
     rep.add("generator_preserves_each_factor", bad_factor is None, bad_factor)
 
     for gi, cols in enumerate(gcols):
@@ -260,9 +263,9 @@ def decompose(pair):
                            for c in coords.columns])
     hh = Subspace.span(n, [combination(pair.h.columns, c)
                            for ad in ads for c in ad])
-    gg = Subspace.span(n, [{t: 1} for t in alg.derived_indices()])
-    a = intersect(zh, gg)
-    hcapgg = pair.h if gg.contains_subspace(pair.h) else intersect(pair.h, gg)
+    # [g,g] is spanned by the unit vectors of the factors
+    a = supported_on(zh, alg.derived_indices())
+    hcapgg = supported_on(pair.h, alg.derived_indices())
     # b = {x ∈ h : K(x, y) = 0 for y ∈ h∩[g,g]}; K is zero on the center
     killing = [{j: x for j, x in enumerate(row) if x}
                for row in alg.killing()]
@@ -285,7 +288,8 @@ def decompose(pair):
         fail("z(h) = a ⊕ b")
     if a_fixed.dim + a_moved.dim != a.dim or intersect(a_fixed, a_moved).dim != 0:
         fail("a = a_fixed ⊕ a_moved")
-    if r0 != n - subspace_sum(gg, pair.h).dim:
+    # dim([g,g] + h) = (n - l) + dim h - dim h∩[g,g]
+    if r0 != alg.l - pair.h.dim + hcapgg.dim:
         fail("r0 = dim g/([g,g]+h)")
     for gi, cols in enumerate(gcols):
         if any(combination(cols, c) != c for c in b.columns):

@@ -16,6 +16,8 @@ compare with dim S²(s*)^H, and factor_commutant the count of a declared
 factor's simple ideals, which they compare with the Schur certificate and
 the invariant-form count of liealg.validate.  Both solve for the
 commutant in (dim)² unknowns (commutant_operator).
+schur_certified_by_two_centralizers is the reference Schur certificate,
+which builds z(v) and z(z(v)) in full.
 center_and_derived_by_every_bracket is the dense reference for z(s) and
 [s,s], from all dim(s)(dim(s) − 1)/2 brackets of a subalgebra's basis,
 which the tests compare with decompose's reading of the ad(h) table.
@@ -27,7 +29,7 @@ from itertools import combinations
 
 from liecoh.catalog import pair_from_name
 from liecoh.invariant_forms import action_coordinates, ad_coordinates
-from liecoh.liealg import LieAlgebra
+from liecoh.liealg import LieAlgebra, _closure_dim
 from liecoh.linalg import Subspace, combination, intersect_kernels, rat_str
 from liecoh.pairs import HomogeneousPair, validate_pair
 
@@ -233,6 +235,29 @@ def factor_commutant(alg, start, stop):
     return intersect_kernels(
         [commutant_operator(ads[i], dim, start) for i in range(start, stop)],
         dim * dim).dim
+
+
+def schur_certified_by_two_centralizers(ads):
+    """The reference Schur certificate: z(z(v)) = Q v, read as one kernel
+    of dimension 1 after the kernel z(v), and a full ideal closure of v,
+    for v = e_0 or the weighted sum of the longest prefix of pairwise
+    commuting basis vectors (liealg.schur_certified, which decides the
+    same without building z(z(v)))."""
+    m = len(ads)
+    if not m:
+        return False
+    r = 1
+    while r < m and not any(combination(ads[r], {j: 1}) for j in range(r)):
+        r += 1
+
+    def centralizer(xs):
+        # y -> [y, x] has the columns [e_j, x]: its kernel is z(x)
+        return intersect_kernels(({j: c for j, ad in enumerate(ads)
+                                   if (c := combination(ad, x))}
+                                  for x in xs), m)
+    weighted = [{j: j + 1 for j in range(r)}] if r > 1 else []
+    return any(centralizer(centralizer([v]).columns).dim == 1
+               and _closure_dim(ads, v, m) == m for v in [{0: 1}] + weighted)
 
 
 def center_and_derived_by_every_bracket(alg, s):

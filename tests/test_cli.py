@@ -486,6 +486,20 @@ def test_verify_unknown_method(tmp_path, capsys):
         assert captured.err == "unknown method(s): ''\n", methods
 
 
+def test_verify_explicitly_empty_methods_is_a_usage_error(tmp_path, capsys):
+    # --methods '' names one empty method, as --methods , names two; it
+    # does not fall back to every method, which only an absent option does
+    path = _emit(tmp_path, "sphere:2")
+    for methods, named in (("", "''"), (",", "'', ''")):
+        assert main(["verify", path, "--methods", methods]) == 1, methods
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "unknown method(s): %s\n" % named), methods
+    assert main(["verify", path, "--json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)["methods"]) == {
+        "formula", "koszul", "ce"}
+
+
 def test_verify_checks_method_names_before_the_document(tmp_path, capsys,
                                                          monkeypatch):
     # an unknown or repeated name is a usage error naming it, also on a

@@ -17,8 +17,10 @@ blocks a pair splits into, never their product.  Invariance under h is
 imposed through a Lie generating set of h, not through every basis vector.
 The Koszul complex is built on its odd generators as the pair gives them.
 z(h) and [h,h] are read off the pair's ad(h) table, and a pair holds one
-decomposition that every formula-path reader shares.  The command line
-builds its parser once per process.
+decomposition that every formula-path reader shares.  The vectors of a
+subspace in [g,g] or in a factor are read off supports, never eliminated
+against a span of unit vectors.  The command line builds its parser once
+per process.
 """
 
 import ast
@@ -539,3 +541,29 @@ def test_cli_builds_its_parser_once(monkeypatch, tmp_path, capsys):
     assert main(["compute", str(path)]) == 0
     capsys.readouterr()
     assert len(built) == 7
+
+
+def _spans_of_unit_vectors(path):
+    """Line numbers of the Subspace.span calls of a module that build a
+    unit vector {t: 1} among their arguments."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "span"
+            and any(isinstance(sub, ast.Dict) and len(sub.values) == 1
+                    and isinstance(sub.values[0], ast.Constant)
+                    and sub.values[0].value == 1
+                    for sub in ast.walk(node))]
+
+
+def test_coordinate_blocks_are_read_off_supports():
+    # [g,g] and a factor are spans of unit vectors, so the vectors of a
+    # subspace that lie in one are read off supports (linalg.supported_on)
+    # and a generator's factor block off its columns' supports: pairs and
+    # betti eliminate over no span of unit vectors
+    for name in ("pairs.py", "betti.py"):
+        assert _spans_of_unit_vectors(ROOT / name) == [], name
+    assert _users("supported_on") == [("betti.py", "_block_support"),
+                                      ("pairs.py", "decompose")]
+    # the guard sees the span the tests build for their reference
+    assert _spans_of_unit_vectors(Path(__file__).parent / "test_pairs.py")

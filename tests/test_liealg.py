@@ -547,3 +547,138 @@ def test_lie_generators_of_a_non_closed_input_terminate(monkeypatch):
             gens = lie_generators(g, columns)
             assert len(calls) <= g.n * (g.n - 1) // 2, name
             assert _closure(g, gens) == _closure(g, columns), name
+
+
+def _scaled(g, lam):
+    """g in the basis lam e_i: every structure constant times lam."""
+    return LieAlgebra(g.l, [(name, stop - start)
+                            for name, start, stop in g.factors],
+                      {key: [(k, c * lam) for k, c in terms]
+                       for key, terms in g.table.items()})
+
+
+def _report(rep):
+    return rep.checks, rep.warnings
+
+
+def test_validate_reports_do_not_see_a_scale_of_the_constants():
+    # validate runs on the table cleared to integers; a basis lam e_i
+    # multiplies every constant by lam, and every check name, flag,
+    # witness and warning stays as it was
+    from test_cli import FUSED_FACTOR_DOC
+    so4 = LieAlgebra.from_factor_constants(
+        0, [("so(4)", 6, catalog._so_constants(4))])
+    algebras = [catalog.pair_from_name(name).algebra
+                for name in ("su:3", "so:5", "sp:2", "torus:1+su:3",
+                             "su:2+su:2")]
+    algebras += [_sheared(g, [(1, F(1, 2)), (7, 1)])
+                 for g in algebras[:2] + [so4]]
+    algebras += [so4, HomogeneousPair.from_dict(FUSED_FACTOR_DOC).algebra]
+    for name in ("so:5", "su:3"):
+        g = catalog.pair_from_name(name).algebra
+        keys = sorted(g.table)
+        for key in (keys[0], keys[len(keys) // 2]):
+            k, c = g.table[key][0]
+            algebras += [_corrupted(g, key, (k, 2 * c)),
+                         _corrupted(g, key, ((k + 1) % g.n, c))]
+    for g in algebras:
+        want = _report(validate(g))
+        for lam in (F(1, 3), F(2, 5), 7):
+            assert _report(validate(_scaled(g, lam))) == want, (
+                g.factors, lam)
+    # so(4) twice, the fused factor and the eight corrupted tables fail
+    assert sum(not validate(g).ok for g in algebras) == 11
+
+
+def test_integer_tables_are_validated_as_they_are(monkeypatch):
+    # an all-integer table is checked in place: no scaled copy is built
+    # and its Killing form is computed once, cached on the algebra; a
+    # table with Fractions is checked on one scaled copy, and the caller's
+    # algebra keeps no cached data from it
+    built, grams = [], []
+    real_init, real_gram = LieAlgebra.__init__, liealg.trace_gram
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(LieAlgebra, "__init__", init)
+    monkeypatch.setattr(liealg, "trace_gram",
+                        lambda mats: grams.append(1) or real_gram(mats))
+    for name in ("sphere:7", "su:4", "torus:1+sp:2"):
+        g = catalog.pair_from_name(name).algebra
+        del built[:], grams[:]
+        assert validate(g).ok
+        g.killing()
+        assert (built, grams) == ([], [1]), name
+    g = _sheared(catalog.pair_from_name("su:3").algebra, [(1, F(1, 2))])
+    del built[:], grams[:]
+    assert validate(g).ok
+    assert (len(built), grams) == (1, [1])
+    assert g._killing is None and g._ad_sparse is None
+
+
+def test_jacobi_witness_is_filed_without_sorting(monkeypatch):
+    # each Jacobi term is filed under its sorted triple by comparisons:
+    # the witnesses match the brute-force loop with sorted() unavailable
+    import builtins
+    real_sorted = builtins.sorted
+    g = catalog.pair_from_name("so:5").algebra
+    keys = real_sorted(g.table)
+    cases = []
+    for key in (keys[0], keys[-1]):
+        k, c = g.table[key][0]
+        cases.append(_corrupted(g, key, ((k + 1) % g.n, c)))
+    wants = [_brute_jacobi_witness(bad) for bad in cases]
+
+    def no_sorted(*args, **kwargs):
+        raise AssertionError("sorted() called")
+    monkeypatch.setattr(builtins, "sorted", no_sorted)
+    got = [liealg._jacobi_witness(bad) for bad in cases]
+    monkeypatch.setattr(builtins, "sorted", real_sorted)
+    assert got == wants and None not in wants
+
+
+def _schur_cases():
+    """(label, ads) for every factor of su:2..6, so:3..9 and sp:1..3, of
+    su(3) and so(5) in a sheared basis, and of so(4) as one factor."""
+    so4 = LieAlgebra.from_factor_constants(
+        0, [("so(4)", 6, catalog._so_constants(4))])
+    algebras = [("%s:%d" % (kind, n), catalog.build(kind, n))
+                for kind, sizes in (("su", range(2, 7)), ("so", range(3, 10)),
+                                    ("sp", range(1, 4)))
+                for n in sizes]
+    algebras += [("sheared %s:%d" % (kind, n),
+                  _sheared(catalog.build(kind, n), [(1, F(1, 2)), (7, 1)]))
+                 for kind, n in (("su", 3), ("so", 5))]
+    algebras.append(("so(4)", so4))
+    for label, g in algebras:
+        for name, start, stop in g.factors:
+            yield "%s/%s" % (label, name), liealg._factor_ads(g, start, stop)
+
+
+def test_schur_certificate_is_the_two_centralizer_reference():
+    # deciding z(z(v)) = Qv as an empty kernel after y -> y_p, and trying
+    # the weighted diagonal vector first, certifies exactly what building
+    # z(z(v)) in full certifies
+    got = {label: liealg.schur_certified(ads)
+           for label, ads in _schur_cases()}
+    assert got == {label: pairgen.schur_certified_by_two_centralizers(ads)
+                   for label, ads in _schur_cases()}
+    assert {label for label, ok in got.items() if not ok} == {
+        "sheared su:3/su(3)", "sheared so:5/so(5)", "so(4)/so(4)"}
+
+
+def test_schur_certificate_takes_one_attempt_per_catalog_factor(
+        monkeypatch):
+    # one attempt is z(v), then the kernel that decides z(z(v)) = Qv: the
+    # weighted diagonal vector certifies su(n ≥ 3) at once, e_0 the others
+    kernels = []
+    real = liealg.intersect_kernels
+    monkeypatch.setattr(liealg, "intersect_kernels",
+                        lambda *args: kernels.append(1) or real(*args))
+    for label, ads in _schur_cases():
+        if not label.startswith(("sheared", "so(4)")):
+            del kernels[:]
+            assert liealg.schur_certified(ads), label
+            assert len(kernels) == 2, label

@@ -18,8 +18,8 @@ from liecoh import linalg
 from liecoh.linalg import (F0, F1, Subspace, combination, complex_ranks,
                            coordinates, echelon_insert, full_subspace,
                            intersect, intersect_kernels, is_spd, kernel_basis,
-                           rank, rat_str, subspace_sum, trace_gram,
-                           zero_subspace)
+                           rank, rat_str, subspace_sum, supported_on,
+                           trace_gram, zero_subspace)
 
 from pairgen import commutant_operator
 
@@ -489,6 +489,28 @@ def test_intersect_axes():
     x_axis = Subspace.span(2, [[1, 0]])
     y_axis = Subspace.span(2, [[0, 1]])
     assert intersect(x_axis, y_axis).dim == 0
+
+
+def test_supported_on_is_the_intersection_with_unit_vectors():
+    # random sparse rational subspaces against random row sets: the
+    # vectors supported on the rows, with independent columns, and the
+    # space itself when every column already is
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randrange(1, 8)
+        vectors = [{i: F(rng.randrange(-3, 4), rng.randrange(1, 3))
+                    for i in rng.sample(range(n), rng.randrange(1, n + 1))}
+                   for _ in range(rng.randrange(0, n + 1))]
+        space = Subspace.span(n, [{i: x for i, x in v.items() if x}
+                                  for v in vectors])
+        rows = set(rng.sample(range(n), rng.randrange(0, n + 1)))
+        got = supported_on(space, rows)
+        assert got == intersect(space, Subspace.span(
+            n, [{t: 1} for t in rows]))
+        assert rank(got.columns, n) == got.dim
+        assert all(i in rows for c in got.columns for i in c)
+        inside = all(i in rows for c in space.columns for i in c)
+        assert (got is space) == inside
 
 
 def test_subspace_sum():

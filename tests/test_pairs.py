@@ -373,3 +373,105 @@ def test_from_dict_parses_each_document_entry_once(monkeypatch):
         if doc is sphere:
             # every entry is an integer string: no Fraction is built
             assert len(parsed) > 700 and fr_calls == []
+
+
+def _preserves_each_factor_by_spans(pair):
+    """The witness (gi, name) of the first generator and factor whose
+    images of the factor's unit vectors do not span the factor, as two
+    Subspace.span eliminations compare them."""
+    n = pair.algebra.n
+    return next(
+        ((gi, name) for gi, cols in enumerate(pair.generator_columns)
+         for name, start, stop in pair.algebra.factors
+         if Subspace.span(n, cols[start:stop])
+         != Subspace.span(n, [{t: 1} for t in range(start, stop)])), None)
+
+
+def _factor_check(pair):
+    check, = [c for c in validate_pair(pair).checks
+              if c["name"] == "generator_preserves_each_factor"]
+    return check["witness"] if not check["ok"] else None
+
+
+def test_factor_preservation_is_read_off_supports():
+    # each gamma e_t, t in a factor, lies in the factor and the block has
+    # full rank: the witness the span equality gives, on the suite's
+    # generators (the identity where a pair has none) and on corrupted
+    # ones, a column leaking into another factor or the center and a
+    # singular block
+    cases = _catalog_pairs() + pairgen.suite() + [
+        ("su_normalizer:3", pairgen.su_torus_normalizer(3))]
+    corrupted = 0
+    for label, pair in cases:
+        alg = pair.algebra
+        gens = pair.generators or [eye(alg.n)]
+        variants = [gens]
+        for name, start, stop in alg.factors:
+            outside = [t for t in range(alg.n) if not start <= t < stop]
+            for g in gens:
+                if outside:
+                    leak = copy.deepcopy(g)
+                    leak[outside[-1]][stop - 1] += 1
+                    variants.append([leak])
+                if stop - start > 1:
+                    singular = copy.deepcopy(g)
+                    for row in singular:
+                        row[start] = row[start + 1]
+                    variants.append(gens[:1] + [singular])
+        for gens in variants:
+            moved = HomogeneousPair(alg, pair.h_basis, gens)
+            want = _preserves_each_factor_by_spans(moved)
+            assert _factor_check(moved) == want, label
+            corrupted += want is not None
+    assert corrupted > 50
+
+
+def _support_calls(monkeypatch):
+    """Every (space, rows) decompose and _block_support hand to
+    linalg.supported_on, with its result."""
+    from liecoh import betti
+    seen = []
+    for module in (pairs, betti):
+        real = module.supported_on
+
+        def spy(space, rows, real=real):
+            seen.append((space, rows, real(space, rows)))
+            return seen[-1][2]
+        monkeypatch.setattr(module, "supported_on", spy)
+    return seen
+
+
+def test_supported_subspaces_are_intersections_with_unit_vectors(
+        monkeypatch):
+    # on every subspace decompose and _block_support meet over the suite,
+    # the catalog ladder and the cochain draws of seeds 1-10, the support
+    # rule gives the intersection with the unit vectors of the rows, and
+    # the space itself when its columns lie on them
+    import os
+    import random
+    import sys
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    cases = pairgen.suite() + [(name, catalog.pair_from_name(name))
+                               for name, _ in workloads.LADDER]
+    for seed in range(1, 11):
+        cases += workloads._cochain_draw(random.Random(seed), catalog,
+                                         HomogeneousPair)
+    seen = _support_calls(monkeypatch)
+    for label, pair in cases:
+        betti_low(HomogeneousPair.from_dict(pair.to_dict()))
+    # two per decompose, one per factor h∩[g,g] reaches
+    assert len(seen) > 2 * len(cases)
+    inside = 0
+    for space, rows, got in seen:
+        n = space.ambient_dim
+        assert got == intersect(space, Subspace.span(
+            n, [{t: 1} for t in rows]))
+        if all(i in rows for c in space.columns for i in c):
+            assert got is space
+            inside += 1
+    assert 0 < inside < len(seen)
