@@ -16,7 +16,7 @@ per-factor Killing forms to invariant forms on h∩[g,g].
 from math import comb
 
 from .invariant_forms import psi_analysis
-from .linalg import combination, supported_on
+from .linalg import combination, kernel_in
 
 
 class BettiReport:
@@ -80,7 +80,8 @@ def _block_support(pair, hcapgg):
     for fi, (_, start, stop) in enumerate(alg.factors):
         if not any(start <= i < stop for c in hcapgg.columns for i in c):
             continue
-        if supported_on(hcapgg, range(start, stop)).dim == 0:
+        off = {i: {i: 1} for i in range(alg.n) if not start <= i < stop}
+        if kernel_in(hcapgg, [off]).dim == 0:
             return None
         support.append(fi)
     return support

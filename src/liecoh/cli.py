@@ -200,7 +200,7 @@ def cmd_catalog(args):
     except ValueError as exc:
         raise _CliError(1, str(exc))
     text = _dump(doc)
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w") as fh:
                 fh.write(text + "\n")

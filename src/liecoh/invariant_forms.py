@@ -37,7 +37,7 @@ the Koszul complex share both.
 
 from itertools import chain, combinations_with_replacement
 
-from .linalg import (SparseMatrix, Subspace, combination, coordinates,
+from .linalg import (SparseMatrix, combination, coordinates,
                      graded_monomials, half_turn_signs, intersect_kernels,
                      minus_identity, nonzero, rank, transpose)
 
@@ -119,21 +119,6 @@ def action_coordinates(gcols, carrier):
     """Carrier coordinates of γ c_j, γ given by its sparse columns."""
     return coordinates(carrier, [combination(gcols, c)
                                  for c in carrier.columns])
-
-
-def fixed_vectors(space, actions):
-    """{v ∈ space : γ v = v for every action γ}; space itself if no actions.
-
-    Each action is given by its sparse columns γ e_i.  Raises ValueError if
-    some action does not map the space into itself.
-    """
-    if not actions:
-        return space
-    coords = intersect_kernels(
-        [minus_identity(action_coordinates(gcols, space), space.dim)
-         for gcols in actions], space.dim)
-    return Subspace.from_columns(space.ambient_dim, [
-        combination(space.columns, c) for c in coords.columns])
 
 
 def _derivation_operator(images, insertions):

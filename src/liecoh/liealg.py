@@ -208,9 +208,6 @@ class LieAlgebra:
         _, start, stop = self.factors[i]
         return range(start, stop)
 
-    def derived_indices(self):
-        return range(self.l, self.n)
-
     # -- brackets ------------------------------------------------------------
 
     def bracket_sparse(self, u, v):

@@ -20,10 +20,12 @@ matrix's pivots through the same integer update, on input only; it
 computes no rank or solution.
 
 A Subspace holds sparse basis columns only: the echelon rows of
-Subspace.span, the back-substituted kernel columns.  Equality, intersect
-and sum work on them.  Coordinates in independent columns are unique:
-coordinates reads them through the Subspace's solver, built once (on a
-kernel basis, its free rows), and checks them by mapping them back.
+Subspace.span, the back-substituted kernel columns.  Equality works on
+them, and kernel_in cuts every subspace the package cuts: the vectors a
+family of maps kills, found in the subspace's own coordinates.
+Coordinates in independent columns are unique: coordinates reads them
+through the Subspace's solver, built once (on a kernel basis, its free
+rows), and checks them by mapping them back.
 
 half_turn_signs and graded_monomials grade by half-turns: the first tests
 that exp(pi A) is a sign matrix, the second lists the wedge monomials, as
@@ -411,10 +413,6 @@ class Subspace:
         return "Subspace(dim=%d in Q^%d)" % (self.dim, self.ambient_dim)
 
 
-def zero_subspace(n):
-    return Subspace.from_columns(n, [], [])
-
-
 def full_subspace(n):
     return Subspace.from_columns(n, [{i: 1} for i in range(n)], list(range(n)))
 
@@ -434,45 +432,6 @@ def combination(columns, coeffs):
         for r, x in col.items():
             acc[r] = acc.get(r, 0) + a * x
     return nonzero(acc)
-
-
-def intersect(s1, s2):
-    """Intersection of two subspaces of the same ambient space.
-
-    Each kernel vector c of [B1 | -B2] gives the common vector B1 c[:dim s1].
-    """
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if s1.dim == 0 or s2.dim == 0:
-        return zero_subspace(s1.ambient_dim)
-    k = s1.dim
-    rows = transpose(s1.columns + [{i: -x for i, x in col.items()}
-                                   for col in s2.columns])
-    ker, _ = _kernel_columns(_int_rows_sparse(rows.values()), k + s2.dim)
-    return Subspace.span(s1.ambient_dim, [
-        combination(s1.columns, {j: a for j, a in c.items() if j < k})
-        for c in ker])
-
-
-def supported_on(space, rows):
-    """The vectors of a Subspace supported on rows, a container of row
-    indices (its intersection with their unit vectors): space itself when
-    every column is, else B c over the kernel of B's rows off them, whose
-    columns are independent as B's are."""
-    if all(r in rows for col in space.columns for r in col):
-        return space
-    off = [row for r, row in transpose(space.columns).items()
-           if r not in rows]
-    return Subspace.from_columns(space.ambient_dim, [
-        combination(space.columns, c)
-        for c in kernel_basis(off, space.dim).columns])
-
-
-def subspace_sum(s1, s2):
-    """Sum s1 + s2 of two subspaces of the same ambient space."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.span(s1.ambient_dim, s1.columns + s2.columns)
 
 
 def transpose(columns):
@@ -553,6 +512,19 @@ def intersect_kernels(operators, dim):
     if cols is None:
         return full_subspace(dim)
     return Subspace.from_columns(dim, cols, free)
+
+
+def kernel_in(space, maps):
+    """The vectors of a Subspace that every map sends to zero, each map a
+    {col: column} matrix on its ambient space: B c over the common kernel
+    of the M B (intersect_kernels), whose columns are independent as B's
+    are; space itself when every map vanishes on it."""
+    ker = intersect_kernels((sparse_product(m, space.columns) for m in maps),
+                            space.dim)
+    if ker.dim == space.dim:
+        return space
+    return Subspace.from_columns(space.ambient_dim, [
+        combination(space.columns, c) for c in ker.columns])
 
 
 def half_turn_signs(columns, m):

@@ -23,13 +23,12 @@ row-major nested lists of Fractions like the JSON document.
 
 from functools import cached_property
 
-from .invariant_forms import (ad_coordinates, fixed_vectors,
-                              invariant_polynomials, restricted_btilde)
+from .invariant_forms import (ad_coordinates, invariant_polynomials,
+                              restricted_btilde)
 from .liealg import (LieAlgebra, array_field, bracket_closure, object_field,
                      validate)
-from .linalg import (Subspace, combination, exact, fr, intersect,
-                     intersect_kernels, kernel_basis, minus_identity, rank,
-                     rat_str, subspace_sum, supported_on)
+from .linalg import (Subspace, combination, exact, fr, intersect_kernels,
+                     kernel_in, minus_identity, rank, rat_str, transpose)
 
 # Generator order beyond which validate_pair warns
 ORDER_BOUND = 256
@@ -248,6 +247,9 @@ def decompose(pair):
     z(h) and [h,h] are the common kernel and the span of the images of
     ad Y on h, Y over the Lie generators of h (pair.h_ad): [[x, y], z] =
     [x, [y, z]] − [y, [x, z]] carries both from the generators to h.
+    Every other subspace is cut out of one already found by kernel_in: a
+    and h∩[g,g] by the center coordinates, b out of h by the Killing
+    pairing with h∩[g,g], a_fixed out of a by γ − 1 per generator.
     Relies on the pair being valid; every structural identity the theory
     guarantees is re-checked here and raises ValueError when violated, since
     a violation means the input does not model a compact homogeneous space.
@@ -259,34 +261,43 @@ def decompose(pair):
     ads = [pair.h_ad(t) for t in pair.h_lie_indices]
     coords = intersect_kernels(({j: c for j, c in enumerate(ad) if c}
                                 for ad in ads), pair.h.dim)
-    zh = Subspace.span(n, [combination(pair.h.columns, c)
-                           for c in coords.columns])
+    zh = Subspace.from_columns(n, [combination(pair.h.columns, c)
+                                   for c in coords.columns])
     hh = Subspace.span(n, [combination(pair.h.columns, c)
                            for ad in ads for c in ad])
-    # [g,g] is spanned by the unit vectors of the factors
-    a = supported_on(zh, alg.derived_indices())
-    hcapgg = supported_on(pair.h, alg.derived_indices())
+    # [g,g] is spanned by the unit vectors of the factors, so the vectors
+    # in it are those with no center coordinate
+    center = [{i: {i: 1} for i in range(alg.l)}]
+    a = kernel_in(zh, center)
+    hcapgg = kernel_in(pair.h, center)
     # b = {x ∈ h : K(x, y) = 0 for y ∈ h∩[g,g]}; K is zero on the center
     killing = [{j: x for j, x in enumerate(row) if x}
                for row in alg.killing()]
-    b = intersect(kernel_basis([combination(killing, c)
-                                for c in hcapgg.columns], n), pair.h)
+    b = kernel_in(pair.h, [transpose([combination(killing, c)
+                                      for c in hcapgg.columns])])
 
-    a_fixed = fixed_vectors(a, gcols)
-    a_moved = Subspace.span(n, [combination(minus_identity(cols, n), c)
-                                for cols in gcols for c in a.columns])
+    moves = [minus_identity(cols, n) for cols in gcols]
+    a_fixed = kernel_in(a, moves)
+    a_moved = Subspace.span(n, [combination(m, c)
+                                for m in moves for c in a.columns])
 
     r0 = alg.l - b.dim
 
     def fail(what):
         raise ValueError("decomposition invariant failed: %s" % what)
 
-    # the first two give h = a ⊕ [h,h] ⊕ b
-    if zh.dim + hh.dim != pair.h.dim or intersect(zh, hh).dim != 0:
+    def splits(whole, part, rest):
+        """whole = part ⊕ rest for parts inside whole: the dimensions add
+        up and the parts are independent."""
+        return (part.dim + rest.dim == whole.dim
+                and rank(part.columns + rest.columns, n) == whole.dim)
+
+    # the first two give h = a ⊕ [h,h] ⊕ b; a ⊆ z(h) by construction
+    if not splits(pair.h, zh, hh):
         fail("h = z(h) ⊕ [h,h]")
-    if subspace_sum(a, b) != zh or a.dim + b.dim != zh.dim:
+    if not splits(zh, a, b) or not zh.contains_subspace(b):
         fail("z(h) = a ⊕ b")
-    if a_fixed.dim + a_moved.dim != a.dim or intersect(a_fixed, a_moved).dim != 0:
+    if not splits(a, a_fixed, a_moved):
         fail("a = a_fixed ⊕ a_moved")
     # dim([g,g] + h) = (n - l) + dim h - dim h∩[g,g]
     if r0 != alg.l - pair.h.dim + hcapgg.dim:

@@ -21,6 +21,8 @@ which builds z(v) and z(z(v)) in full.
 center_and_derived_by_every_bracket is the dense reference for z(s) and
 [s,s], from all dim(s)(dim(s) − 1)/2 brackets of a subalgebra's basis,
 which the tests compare with decompose's reading of the ad(h) table.
+intersect is the reference intersection of two subspaces, which the tests
+compare with linalg.kernel_in.
 """
 
 import random
@@ -30,7 +32,8 @@ from itertools import combinations
 from liecoh.catalog import pair_from_name
 from liecoh.invariant_forms import action_coordinates, ad_coordinates
 from liecoh.liealg import LieAlgebra, _closure_dim
-from liecoh.linalg import Subspace, combination, intersect_kernels, rat_str
+from liecoh.linalg import (Subspace, combination, intersect_kernels,
+                           kernel_basis, rat_str, transpose)
 from liecoh.pairs import HomogeneousPair, validate_pair
 
 F = Fraction
@@ -274,6 +277,19 @@ def center_and_derived_by_every_bracket(alg, s):
     zs = intersect_kernels(ops, m)
     return (Subspace.span(alg.n, [combination(cols, c) for c in zs.columns]),
             Subspace.span(alg.n, br.values()))
+
+
+def intersect(s1, s2):
+    """s1 ∩ s2 for subspaces of one ambient space: B1 c[:dim s1] over the
+    kernel vectors c of [B1 | -B2], eliminated in dim s1 + dim s2
+    unknowns."""
+    k = s1.dim
+    rows = transpose(s1.columns + [{i: -x for i, x in col.items()}
+                                   for col in s2.columns])
+    ker = kernel_basis(list(rows.values()), k + s2.dim)
+    return Subspace.span(s1.ambient_dim, [
+        combination(s1.columns, {j: a for j, a in c.items() if j < k})
+        for c in ker.columns])
 
 
 def _vec_label(v):

@@ -16,9 +16,9 @@ from liecoh.invariant_forms import invariant_polynomials, psi_analysis
 from liecoh.koszul import betti_koszul
 from liecoh.liealg import validate
 from liecoh.pairs import HomogeneousPair, validate_pair
-from liecoh.linalg import F1, Subspace, intersect
+from liecoh.linalg import F1, Subspace
 
-from pairgen import commutant_by_every_vector, suite
+from pairgen import commutant_by_every_vector, intersect, suite
 
 
 def _padded(report, top=4):

@@ -712,6 +712,15 @@ def test_catalog_emit_to_file(tmp_path):
     assert doc["algebra"]["factors"][0]["dim"] == 3
 
 
+def test_catalog_emit_to_an_empty_path_is_a_write_error(capsys):
+    # --output '' names a file that cannot be opened; it does not fall
+    # back to standard output, which only an absent option does
+    assert main(["catalog", "emit", "sphere:2", "--output", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write : ")
+
+
 def test_cli_subprocess_smoke(tmp_path, capsys):
     # the child imports the liecoh under test, installed or not; both
     # python -m liecoh.cli and python -m liecoh run the command line

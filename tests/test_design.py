@@ -17,9 +17,10 @@ blocks a pair splits into, never their product.  Invariance under h is
 imposed through a Lie generating set of h, not through every basis vector.
 The Koszul complex is built on its odd generators as the pair gives them.
 z(h) and [h,h] are read off the pair's ad(h) table, and a pair holds one
-decomposition that every formula-path reader shares.  The vectors of a
-subspace in [g,g] or in a factor are read off supports, never eliminated
-against a span of unit vectors.  The command line builds its parser once
+decomposition that every formula-path reader shares.  Every subspace the
+formula path cuts, the vectors of a subspace in [g,g] or in a factor
+among them, goes through linalg.kernel_in in the subspace's own
+coordinates, never eliminated against a span of unit vectors.  The command line builds its parser once
 per process.
 """
 
@@ -558,12 +559,21 @@ def _spans_of_unit_vectors(path):
 
 def test_coordinate_blocks_are_read_off_supports():
     # [g,g] and a factor are spans of unit vectors, so the vectors of a
-    # subspace that lie in one are read off supports (linalg.supported_on)
-    # and a generator's factor block off its columns' supports: pairs and
-    # betti eliminate over no span of unit vectors
+    # subspace that lie in one are the kernel of a coordinate projection,
+    # cut in the subspace's own coordinates by linalg.kernel_in, the one
+    # routine that cuts a subspace; a generator's factor block is read off
+    # its columns' supports: pairs and betti eliminate over no span of
+    # unit vectors, and no intersection or sum of subspaces is left
     for name in ("pairs.py", "betti.py"):
         assert _spans_of_unit_vectors(ROOT / name) == [], name
-    assert _users("supported_on") == [("betti.py", "_block_support"),
-                                      ("pairs.py", "decompose")]
+    assert _users("kernel_in") == [("betti.py", "_block_support"),
+                                   ("pairs.py", "decompose")]
+    gone = {"intersect", "supported_on", "subspace_sum", "zero_subspace",
+            "fixed_vectors"}
+    for path in sorted(ROOT.glob("*.py")):
+        defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & gone, path.name
+    assert all(_users(name) == [] for name in gone)
     # the guard sees the span the tests build for their reference
     assert _spans_of_unit_vectors(Path(__file__).parent / "test_pairs.py")

@@ -13,13 +13,12 @@ from liecoh import catalog, koszul, liealg
 from liecoh.ce import relative_complex
 from liecoh.invariant_forms import (InvariantFormSpace, _derivation_operator,
                                     action_coordinates, ad_coordinates,
-                                    fixed_vectors, invariant_polynomials,
-                                    polynomial_product, psi_analysis,
-                                    pullback, restricted_btilde)
+                                    invariant_polynomials, polynomial_product,
+                                    psi_analysis, pullback, restricted_btilde)
 from liecoh.pairs import HomogeneousPair, decompose
 from liecoh.linalg import (Subspace, combination, full_subspace,
-                           kernel_basis, rank, trace_gram, transpose,
-                           zero_subspace)
+                           kernel_basis, kernel_in, minus_identity, rank,
+                           trace_gram, transpose)
 
 import pairgen
 from pairgen import commutant_by_every_vector, eye, rp4_pair
@@ -96,27 +95,27 @@ def test_polynomial_product_merges_sorted_tuples():
 
 
 def test_fixed_vectors_sign_flip_kills_line():
+    # the fixed vectors of a subspace are its kernel of gamma - 1
     line = Subspace.span(1, [[1]])
-    assert fixed_vectors(line, [[{0: F(-1)}]]).dim == 0
-    assert fixed_vectors(line, [[{0: F(1)}]]) == line
-    assert fixed_vectors(line, []) == line
+    assert kernel_in(line, [minus_identity([{0: F(-1)}], 1)]).dim == 0
+    assert kernel_in(line, [minus_identity([{0: F(1)}], 1)]) is line
+    assert kernel_in(line, []) is line
 
 
 def test_fixed_vectors_rotation_has_no_fixed_plane_vectors():
     plane = Subspace.span(2, [[1, 0], [0, 1]])
-    rot = _mat([[0, -1], [1, 0]])
-    assert fixed_vectors(plane, [_columns(rot)]).dim == 0
-
-
-def test_fixed_vectors_requires_stable_subspace():
-    line = Subspace.span(2, [[1, 0]])
-    rot = _mat([[0, -1], [1, 0]])
-    try:
-        fixed_vectors(line, [_columns(rot)])
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("unstable subspace accepted")
+    rot = _columns(_mat([[0, -1], [1, 0]]))
+    assert kernel_in(plane, [minus_identity(rot, 2)]).dim == 0
+    # in the plane of e1 and e0 + e2, diag(-1, 1, -1) fixes the line of
+    # e1; diag(1, -1, -1) does not keep the plane and fixes none of its
+    # vectors, and kernel_in needs no stable subspace
+    half_turns = [[{0: 1}, {1: -1}, {2: -1}], [{0: -1}, {1: 1}, {2: -1}]]
+    plane = Subspace.span(3, [[0, 1, 0], [1, 0, 1]])
+    fixed = kernel_in(plane, [minus_identity(half_turns[1], 3)])
+    assert fixed == Subspace.span(3, [[0, 1, 0]])
+    assert kernel_in(plane, [minus_identity(half_turns[0], 3)]).dim == 0
+    assert kernel_in(plane, [minus_identity(g, 3)
+                             for g in half_turns]).dim == 0
 
 
 def test_invariant_forms_on_full_su2_is_killing_line():
@@ -429,7 +428,8 @@ def test_form_space_dim_property():
     space = InvariantFormSpace(line, index, full_subspace(1))
     assert space.dim == 1 and space.form_basis == [{(0, 0): 1}]
     assert space.coordinates([{(0, 0): F(3, 2)}]) == [{0: F(3, 2)}]
-    assert InvariantFormSpace(line, index, zero_subspace(1)).dim == 0
+    assert InvariantFormSpace(line, index,
+                              Subspace.from_columns(1, [], [])).dim == 0
 
 
 def _every_basis_vector(pair):

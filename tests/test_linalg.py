@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 from liecoh import linalg
 from liecoh.linalg import (F0, F1, Subspace, combination, complex_ranks,
                            coordinates, echelon_insert, full_subspace,
-                           intersect, intersect_kernels, is_spd, kernel_basis,
-                           rank, rat_str, subspace_sum, supported_on,
-                           trace_gram, zero_subspace)
+                           intersect_kernels, is_spd, kernel_basis, kernel_in,
+                           minus_identity, rank, rat_str, trace_gram)
 
-from pairgen import commutant_operator
+from pairgen import commutant_operator, intersect
 
 F = Fraction
 
@@ -331,11 +330,13 @@ def test_solve_span_and_equality_against_sympy(system):
     same = rank_other == rank_basis == rank_both
     assert (s == t) == same
     assert (t == s) == same
-    # intersection and sum against sympy ranks of [A | B]
-    both = intersect(s, t)
+    # intersection and sum against sympy ranks of [A | B]: s ∩ t is the
+    # kernel in s of the map whose rows annihilate t
+    both = kernel_in(s, [linalg.transpose(kernel_basis(t.columns, n).columns)])
     assert both.dim == rank_basis + rank_other - rank_both
     assert s.contains_subspace(both) and t.contains_subspace(both)
-    total = subspace_sum(s, t)
+    assert both == intersect(s, t)
+    total = Subspace.span(n, s.columns + t.columns)
     assert total.dim == rank_both
     assert total.contains_subspace(s) and total.contains_subspace(t)
     # every constructor path holds one column per dimension, without zeros
@@ -344,7 +345,8 @@ def test_solve_span_and_equality_against_sympy(system):
     rows = [[col.get(i, 0) for col in s.columns] for i in range(n)]
     for sub in (s, t, both, total, Subspace.span(n, sparse),
                 Subspace(n, rows), kernel_basis(basis, basis.shape[1]),
-                intersect_kernels([_columns(basis.T)], n), zero_subspace(n),
+                intersect_kernels([_columns(basis.T)], n),
+                kernel_in(s, [{i: {i: 1} for i in range(n)}]),
                 full_subspace(n)):
         assert len(sub.columns) == sub.dim
         assert all(x and 0 <= i < sub.ambient_dim
@@ -489,35 +491,76 @@ def test_intersect_axes():
     x_axis = Subspace.span(2, [[1, 0]])
     y_axis = Subspace.span(2, [[0, 1]])
     assert intersect(x_axis, y_axis).dim == 0
+    # the x axis is the kernel of the projection onto the second coordinate
+    assert kernel_in(y_axis, [{1: {1: 1}}]).dim == 0
+    assert kernel_in(x_axis, [{1: {1: 1}}]) is x_axis
 
 
-def test_supported_on_is_the_intersection_with_unit_vectors():
-    # random sparse rational subspaces against random row sets: the
-    # vectors supported on the rows, with independent columns, and the
-    # space itself when every column already is
+def test_kernel_in_is_the_intersection_with_the_kernel():
+    # random sparse rational subspaces cut by random coordinate
+    # projections, Killing functionals and gamma - 1: the vectors of the
+    # space in the common kernel, with independent columns, and the space
+    # itself exactly when every map vanishes on it
     rng = random.Random(17)
-    for _ in range(200):
+
+    def entry():
+        return F(rng.randrange(-3, 4), rng.randrange(1, 3))
+
+    cut = 0
+    for trial in range(300):
         n = rng.randrange(1, 8)
-        vectors = [{i: F(rng.randrange(-3, 4), rng.randrange(1, 3))
-                    for i in rng.sample(range(n), rng.randrange(1, n + 1))}
+        vectors = [{i: entry() for i in rng.sample(range(n),
+                                                   rng.randrange(1, n + 1))}
                    for _ in range(rng.randrange(0, n + 1))]
         space = Subspace.span(n, [{i: x for i, x in v.items() if x}
                                   for v in vectors])
-        rows = set(rng.sample(range(n), rng.randrange(0, n + 1)))
-        got = supported_on(space, rows)
-        assert got == intersect(space, Subspace.span(
-            n, [{t: 1} for t in rows]))
+        kind = trial % 3
+        if kind == 0:
+            # the projection onto the coordinates off rows
+            rows = set(rng.sample(range(n), rng.randrange(0, n + 1)))
+            maps = [{i: {i: 1} for i in range(n) if i not in rows}]
+            want = Subspace.span(n, [{t: 1} for t in rows])
+        elif kind == 1:
+            # x -> K(x, y_t) for a diagonal form K with a zero block (the
+            # center) and a few vectors y_t
+            diag = [0] * rng.randrange(0, n) + [-8] * n
+            ys = [{i: entry() for i in rng.sample(range(n),
+                                                  rng.randrange(1, n + 1))}
+                  for _ in range(rng.randrange(0, 3))]
+            functionals = [{i: diag[i] * x for i, x in y.items()
+                            if diag[i] * x} for y in ys]
+            maps = [linalg.transpose(functionals)]
+            want = kernel_basis(functionals, n)
+        else:
+            # gamma - 1 for sparse signed permutations: the fixed vectors
+            maps, fixed = [], full_subspace(n)
+            for _ in range(rng.randrange(0, 3)):
+                perm = rng.sample(range(n), n)
+                gamma = [{perm[j]: rng.choice((-1, 1))} for j in range(n)]
+                maps.append(minus_identity(gamma, n))
+                fixed = intersect(fixed, kernel_basis(
+                    linalg.transpose(maps[-1]).values(), n))
+            want = fixed
+        got = kernel_in(space, maps)
+        assert got == intersect(space, want)
         assert rank(got.columns, n) == got.dim
-        assert all(i in rows for c in got.columns for i in c)
-        inside = all(i in rows for c in space.columns for i in c)
-        assert (got is space) == inside
+        assert all(not combination(m, c) for m in maps for c in got.columns)
+        vanish = all(not combination(m, c) for m in maps
+                     for c in space.columns)
+        assert (got is space) == vanish
+        cut += not vanish
+    assert 0 < cut < 300
 
 
-def test_subspace_sum():
-    x_axis = Subspace.span(2, [[1, 0]])
-    y_axis = Subspace.span(2, [[0, 1]])
-    assert subspace_sum(x_axis, y_axis) == full_subspace(2)
-    assert subspace_sum(x_axis, zero_subspace(2)) == x_axis
+def test_kernel_in_of_zero_maps_is_the_space_itself():
+    plane = Subspace.span(3, [[1, 0, 0], [0, 1, 1]])
+    assert kernel_in(plane, []) is plane
+    assert kernel_in(plane, [{}, {}]) is plane
+    # a map that vanishes on the plane but not on Q^3
+    assert kernel_in(plane, [{1: {0: 1}, 2: {0: -1}}]) is plane
+    assert kernel_in(full_subspace(3), [{1: {0: 1}, 2: {0: -1}}]) == plane
+    empty = Subspace.span(3, [])
+    assert kernel_in(empty, [{0: {0: 1}}]) is empty
 
 
 def test_intersect_kernels_matches_stacked_kernel():

@@ -11,12 +11,12 @@ from liecoh.betti import betti_low
 from liecoh.ce import betti_ce
 from liecoh.invariant_forms import psi_analysis
 from liecoh.koszul import betti_koszul
-from liecoh.linalg import Subspace, intersect
+from liecoh.linalg import Subspace, full_subspace, kernel_basis, transpose
 from liecoh.pairs import (HomogeneousPair, decompose, generator_order,
                           validate_pair)
 
 import pairgen
-from pairgen import eye
+from pairgen import eye, intersect
 
 F = Fraction
 
@@ -313,7 +313,70 @@ def test_decompose_returns_h_when_h_lies_in_the_derived_algebra():
         assert (dec.hcapgg is pair.h) == inside, label
         assert dec.hcapgg == intersect(
             pair.h, Subspace.span(pair.algebra.n, [
-                {t: 1} for t in pair.algebra.derived_indices()])), label
+                {t: 1} for t in range(pair.algebra.l, pair.algebra.n)])), label
+
+
+def _torus_su2(units, generators=()):
+    """torus:1+su:2 (e0 central, e1..e3 a su(2)) with h spanned by the
+    given unit vectors."""
+    alg = catalog.pair_from_name("torus:1+su:2").algebra
+    return HomogeneousPair.from_vectors(
+        alg, [[int(i == t) for i in range(alg.n)] for t in units],
+        generators)
+
+
+def _zero(s):
+    return Subspace.from_columns(s.ambient_dim, [], [])
+
+
+# (what fails, h's unit vectors, generators, the pairs function to patch,
+# which of its calls in decompose, what that call returns instead).  In
+# decompose, kernel_in cuts a, h∩[g,g], b and a_fixed in that order, and
+# _image meets a, b, [h,h] and h∩[g,g] per generator.
+_BROKEN_DECOMPOSITIONS = [
+    ("h = z(h) ⊕ [h,h]", range(4), (), "intersect_kernels", 0, _zero),
+    ("z(h) = a ⊕ b", range(4), (), "kernel_in", 2, _zero),
+    # b = the line of e1: a ⊕ b has the dimension of z(h) = Q e0, but b
+    # lies in [h,h], outside z(h)
+    ("z(h) = a ⊕ b", range(4), (), "kernel_in", 2,
+     lambda s: Subspace.span(s.ambient_dim, [{1: 1}])),
+    ("a = a_fixed ⊕ a_moved", (0, 1), (), "kernel_in", 3, _zero),
+    # h∩[g,g] = h: b does not change, as K vanishes on the center
+    ("r0 = dim g/([g,g]+h)", range(4), (), "kernel_in", 1,
+     lambda s: full_subspace(s.ambient_dim)),
+    # a generator negating the center is no identity on b = Q e0
+    ("generator 0 acts as identity on b", range(4),
+     [[[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]],
+     None, None, None),
+] + [("generator 0 preserves %s" % name, range(4), [eye(4)], "_image", k,
+      lambda s: full_subspace(s.ambient_dim))
+     for k, name in enumerate(["a", "b", "[h,h]", "h∩[g,g]"])]
+
+
+@pytest.mark.parametrize(
+    "what,units,generators,name,call,result", _BROKEN_DECOMPOSITIONS,
+    ids=["h_split", "zh_split", "b_outside_zh", "a_split", "r0",
+         "identity_on_b", "preserves_a", "preserves_b", "preserves_hh",
+         "preserves_hcapgg"])
+def test_decompose_fails_on_each_broken_invariant(
+        monkeypatch, what, units, generators, name, call, result):
+    # one piece of the decomposition replaced, so that exactly one of the
+    # invariants decompose re-checks fails, with its message
+    pair = _torus_su2(units, generators)
+    if name is not None:
+        real, calls = getattr(pairs, name), []
+
+        def patched(*args):
+            calls.append(args)
+            out = real(*args)
+            return result(out) if len(calls) == call + 1 else out
+        monkeypatch.setattr(pairs, name, patched)
+    with pytest.raises(ValueError) as err:
+        decompose(pair)
+    assert str(err.value) == "decomposition invariant failed: " + what
+    monkeypatch.undo()
+    if name is not None:    # unpatched, the same pair decomposes
+        decompose(_torus_su2(units, generators))
 
 
 def _number_strings(doc):
@@ -426,27 +489,29 @@ def test_factor_preservation_is_read_off_supports():
     assert corrupted > 50
 
 
-def _support_calls(monkeypatch):
-    """Every (space, rows) decompose and _block_support hand to
-    linalg.supported_on, with its result."""
+def _kernel_in_calls(monkeypatch):
+    """Every (space, maps) decompose and _block_support hand to
+    linalg.kernel_in, with its result."""
     from liecoh import betti
     seen = []
     for module in (pairs, betti):
-        real = module.supported_on
+        real = module.kernel_in
 
-        def spy(space, rows, real=real):
-            seen.append((space, rows, real(space, rows)))
+        def spy(space, maps, real=real):
+            maps = list(maps)
+            seen.append((space, maps, real(space, maps)))
             return seen[-1][2]
-        monkeypatch.setattr(module, "supported_on", spy)
+        monkeypatch.setattr(module, "kernel_in", spy)
     return seen
 
 
 def test_supported_subspaces_are_intersections_with_unit_vectors(
         monkeypatch):
-    # on every subspace decompose and _block_support meet over the suite,
-    # the catalog ladder and the cochain draws of seeds 1-10, the support
-    # rule gives the intersection with the unit vectors of the rows, and
-    # the space itself when its columns lie on them
+    # on every subspace decompose and _block_support cut over the suite,
+    # the catalog ladder and the cochain draws of seeds 1-10, kernel_in
+    # gives the intersection with the common kernel of the maps (for the
+    # coordinate projections, the span of the unit vectors they keep),
+    # and the space itself when every map vanishes on it
     import os
     import random
     import sys
@@ -461,17 +526,26 @@ def test_supported_subspaces_are_intersections_with_unit_vectors(
     for seed in range(1, 11):
         cases += workloads._cochain_draw(random.Random(seed), catalog,
                                          HomogeneousPair)
-    seen = _support_calls(monkeypatch)
+    seen = _kernel_in_calls(monkeypatch)
     for label, pair in cases:
         betti_low(HomogeneousPair.from_dict(pair.to_dict()))
-    # two per decompose, one per factor h∩[g,g] reaches
-    assert len(seen) > 2 * len(cases)
-    inside = 0
-    for space, rows, got in seen:
+    # four per decompose (a, h∩[g,g], b, a_fixed), one per factor
+    # h∩[g,g] reaches
+    assert len(seen) > 4 * len(cases)
+    inside = projections = 0
+    for space, maps, got in seen:
         n = space.ambient_dim
-        assert got == intersect(space, Subspace.span(
-            n, [{t: 1} for t in rows]))
-        if all(i in rows for c in space.columns for i in c):
-            assert got is space
-            inside += 1
+        kernel = full_subspace(n)
+        for m in maps:
+            kernel = intersect(kernel, kernel_basis(
+                list(transpose(m).values()), n))
+        if all(col == {j: 1} for m in maps for j, col in m.items()):
+            # a projection onto coordinates keeps the unit vectors off them
+            projections += 1
+            assert kernel == Subspace.span(n, [
+                {t: 1} for t in range(n) if all(t not in m for m in maps)])
+        assert got == intersect(space, kernel)
+        assert (got is space) == kernel.contains_subspace(space)
+        inside += got is space
     assert 0 < inside < len(seen)
+    assert 0 < projections < len(seen)
