@@ -25,7 +25,6 @@ from functools import lru_cache
 from itertools import combinations
 
 from .liealg import LieAlgebra, check_dim, int_field, string_field
-from .linalg import F0, F1
 from .pairs import HomogeneousPair
 
 # su(2) in the cyclic basis: [e1, e2] = 2 e3 and cyclically.
@@ -33,23 +32,14 @@ SU2_CONSTANTS = ((0, 1, 2, Fraction(2)), (0, 2, 1, Fraction(-2)),
                  (1, 2, 0, Fraction(2)))
 
 # Standard so(4) coordinates (E_ab - E_ba, pairs lex) to split coordinates
-# (X1, X2, X3, Y1, Y2, Y3) where X1 = L01+L23, X2 = L13-L02, X3 = L03+L12
-# span the self-dual su(2) and Y1 = L01-L23, Y2 = L12-L03, Y3 = L02+L13 the
-# anti-self-dual one; both satisfy the cyclic su(2) relations above.
+# (X1, X2, X3, Y1, Y2, Y3), as the map's columns: column t holds the t-th
+# standard basis vector in the split basis, where X1 = L01+L23, X2 =
+# L13-L02, X3 = L03+L12 span the self-dual su(2) and Y1 = L01-L23, Y2 =
+# L12-L03, Y3 = L02+L13 the anti-self-dual one; both satisfy the cyclic
+# su(2) relations above.
 _H = Fraction(1, 2)
-SO4_TO_SPLIT = [
-    [_H, 0, 0, 0, 0, _H],
-    [0, -_H, 0, 0, _H, 0],
-    [0, 0, _H, _H, 0, 0],
-    [_H, 0, 0, 0, 0, -_H],
-    [0, 0, -_H, _H, 0, 0],
-    [0, _H, 0, 0, _H, 0],
-]
-
-
-def _unit(n, t):
-    """The t-th unit vector of length n."""
-    return [F1 if i == t else F0 for i in range(n)]
+SO4_TO_SPLIT = [{0: _H, 3: _H}, {1: -_H, 5: _H}, {2: _H, 4: -_H},
+                {2: _H, 4: _H}, {1: _H, 5: _H}, {0: _H, 3: -_H}]
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +193,11 @@ def _so_pair(ambient, sub):
     """so(ambient) / so(sub) with the subalgebra in the upper-left block."""
     alg, coord_map = _so_algebra(ambient)
     index = {p: t for t, p in enumerate(_lex_pairs(ambient))}
-    vectors = []
+    columns = []
     for a, b in _lex_pairs(sub):
         t = index[(a, b)]
-        if coord_map is None:
-            vectors.append(_unit(alg.n, t))
-        else:
-            vectors.append([row[t] for row in coord_map])
-    return HomogeneousPair.from_vectors(alg, vectors)
+        columns.append({t: 1} if coord_map is None else coord_map[t])
+    return HomogeneousPair(alg, columns)
 
 
 def _build_sphere(n):
@@ -229,8 +216,7 @@ def _build_stiefel(n, k):
 
 def _build_flag_su3():
     alg = _build_su(3)
-    return HomogeneousPair.from_vectors(alg, [_unit(alg.n, 0),
-                                              _unit(alg.n, 1)])
+    return HomogeneousPair(alg, [{0: 1}, {1: 1}])
 
 
 def _build_example_4_7():
@@ -242,9 +228,8 @@ def _build_example_4_7():
     adjoint action of diag(1, -1) in U(2), which fixes e2 and negates e3, e4.
     """
     alg = LieAlgebra.from_factor_constants(2, [("su(2)", 3, SU2_CONSTANTS)])
-    gamma = [_unit(alg.n, t) for t in range(alg.n)]
-    gamma[3][3] = gamma[4][4] = -F1
-    return HomogeneousPair.from_vectors(alg, [_unit(alg.n, 3)], [gamma])
+    gamma = [{t: -1 if t in (3, 4) else 1} for t in range(alg.n)]
+    return HomogeneousPair(alg, [{3: 1}], [gamma])
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +294,7 @@ def build(name, *params):
 def _as_pair(obj):
     if isinstance(obj, HomogeneousPair):
         return obj
-    return HomogeneousPair(obj, [])
+    return HomogeneousPair(obj)
 
 
 def _sum_pairs(left, right):
@@ -331,23 +316,15 @@ def _sum_pairs(left, right):
         table[(map2(i), map2(j))] = [(map2(k), c) for k, c in terms]
     alg = LieAlgebra(a1.l + a2.l, factors, table)
 
-    vectors = []
+    h, gens = [], []
     for mapper, src in ((map1, left), (map2, right)):
-        for col in src.h.columns:
-            v = [F0] * alg.n
-            for i, x in col.items():
-                v[mapper(i)] = x
-            vectors.append(v)
-    gens = []
-    for mapper, src in ((map1, left), (map2, right)):
-        for g in src.generators:
-            big = [_unit(alg.n, t) for t in range(alg.n)]
-            nn = src.algebra.n
-            for i in range(nn):
-                for j in range(nn):
-                    big[mapper(i)][mapper(j)] = g[i][j]
+        h += [{mapper(i): x for i, x in col.items()} for col in src.h.columns]
+        for cols in src.generator_columns:
+            big = [{t: 1} for t in range(alg.n)]
+            for j, col in enumerate(cols):
+                big[mapper(j)] = {mapper(i): x for i, x in col.items()}
             gens.append(big)
-    return HomogeneousPair.from_vectors(alg, vectors, gens)
+    return HomogeneousPair(alg, h, gens)
 
 
 def pair_from_name(name):

@@ -90,7 +90,6 @@ follow from dim_k - b_k = r_k + r_{k-1}.  A pair of one block is passed on
 as itself.
 """
 
-import os
 from collections import namedtuple
 from itertools import accumulate, chain, combinations
 from math import lcm
@@ -119,20 +118,15 @@ def _non_negative(value, field):
     return number
 
 
-def _effective_size_cap(size_cap, q=0):
-    """size_cap, else LIECOH_SIZE_CAP, else DEFAULT_SIZE_CAP; a ValueError
-    when the quotient dimension q exceeds it."""
-    env = os.environ.get("LIECOH_SIZE_CAP")
-    if size_cap is not None:
-        cap = _non_negative(size_cap, "size_cap")
-    elif env:
-        cap = _non_negative(env, "LIECOH_SIZE_CAP")
-    else:
-        cap = DEFAULT_SIZE_CAP
+def _effective_size_cap(size_cap, q):
+    """size_cap, else DEFAULT_SIZE_CAP; a ValueError when the quotient
+    dimension q exceeds it."""
+    cap = (DEFAULT_SIZE_CAP if size_cap is None
+           else _non_negative(size_cap, "size_cap"))
     if q > cap:
         raise ValueError(
-            "quotient dimension %d exceeds the size cap %d; set LIECOH_SIZE_CAP "
-            "or pass size_cap to go further" % (q, cap))
+            "quotient dimension %d exceeds the size cap %d; pass size_cap "
+            "(--size-cap) to go further" % (q, cap))
     return cap
 
 
@@ -334,10 +328,10 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     """Assemble the invariant cochain complex through max_degree (+1 spaces).
 
     Raises ValueError when the quotient dimension exceeds the size cap
-    (default 14, or the LIECOH_SIZE_CAP environment variable); pass size_cap
-    explicitly to override for a single call.  max_degree and size_cap
-    are non-negative integers by liealg.int_field's rule, else a
-    ValueError.  delta o delta = 0 is checked when the complex is ranked.
+    (default 14); pass size_cap to override it for a single call.
+    max_degree and size_cap are non-negative integers by liealg.int_field's
+    rule, else a ValueError.  delta o delta = 0 is checked when the complex
+    is ranked.
     """
     if validate:
         pair.validation.ensure()
@@ -396,7 +390,8 @@ def _blocks(pair):
 
 def _block_pair(pair, coords):
     """The pair on the ideal with basis coords, a block of _blocks: the h
-    columns and the generators that move it, restricted to it."""
+    columns and the generators that move it, restricted to it (their
+    columns at coords lie in the block, as _blocks merges them)."""
     alg = pair.algebra
     if len(coords) == alg.n:
         return pair
@@ -407,12 +402,12 @@ def _block_pair(pair, coords):
          if start in at],
         {(at[i], at[j]): [(at[k], c) for k, c in terms]
          for (i, j), terms in alg.table.items() if i in at})
-    h = [[col.get(c, 0) for col in pair.h.columns if col.keys() <= at.keys()]
-         for c in coords]
-    return HomogeneousPair(algebra, h, [
-        [[gcols[j].get(i, 0) for j in coords] for i in coords]
-        for gcols in pair.generator_columns
-        if any(gcols[j] != {j: 1} for j in coords)])
+    h = [{at[i]: x for i, x in col.items()} for col in pair.h.columns
+         if col.keys() <= at.keys()]
+    gens = [[{at[i]: x for i, x in gcols[j].items()} for j in coords]
+            for gcols in pair.generator_columns
+            if any(gcols[j] != {j: 1} for j in coords)]
+    return HomogeneousPair(algebra, h, gens)
 
 
 def _times(a, b, top):

@@ -4,11 +4,11 @@ verify runs the formula, koszul and ce methods, or the --methods subset,
 and compares their degrees 0..4.
 
 Exit codes: 0 success, 1 I/O, parse or usage error (including a closed
-output pipe, an algebra above the dimension limit, a negative --max-degree
-or --size-cap, and a LIECOH_SIZE_CAP that is not a non-negative integer),
-2 validation failure (the check report is printed), 3 method disagreement
-in verify, 4 internal inconsistency (a self-check such as delta o delta = 0
-failed; the message is printed).
+output pipe, an algebra above the dimension limit, and a --max-degree or
+--size-cap that is not a non-negative integer), 2 validation failure (the
+check report is printed), 3 method disagreement in verify, 4 internal
+inconsistency (a self-check such as delta o delta = 0 failed; the message
+is printed).
 
 main(argv) may be called repeatedly in one process: it builds its argparse
 parser once, on the first call, and every later call parses with it.
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .betti import betti_low
 from .catalog import emit, entries
-from .ce import _effective_size_cap, _non_negative, betti_ce
+from .ce import _non_negative, betti_ce
 from .koszul import betti_koszul
 from .linalg import rat_str
 from .pairs import HomogeneousPair
@@ -220,14 +220,6 @@ def _non_negative_int(text):
             "must be a non-negative integer, not %r" % text) from None
 
 
-def _check_size_cap_env():
-    """Reject a LIECOH_SIZE_CAP the cochain method could not use."""
-    try:
-        _effective_size_cap(None)
-    except ValueError as exc:
-        raise _CliError(1, str(exc))
-
-
 def _add_common(parser):
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output (sorted keys)")
@@ -294,8 +286,6 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
-        if args.command != "catalog":
-            _check_size_cap_env()
         return args.func(args)
     except _CliError as exc:
         print(exc.message, file=sys.stdout if exc.code == 2 else sys.stderr)

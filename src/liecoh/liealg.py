@@ -31,7 +31,7 @@ from itertools import chain
 from math import lcm
 
 from .invariant_forms import derivation_operators
-from .linalg import (INTEGER, combination, echelon_insert, exact, fr,
+from .linalg import (INTEGER, combination, echelon_insert, exact,
                      intersect_kernels, is_spd, nonzero, rat_str, trace_gram)
 
 
@@ -255,10 +255,6 @@ class LieAlgebra:
             self._killing = [[exact(x) for x in row]
                              for row in trace_gram(self.ad_sparse())]
         return self._killing
-
-    def killing_gram(self):
-        """killing() as rows of Fractions, the public dense view."""
-        return [[fr(x) for x in row] for row in self.killing()]
 
     def btilde(self, i):
         """B-tilde_i(X, Y) := B_i(X_i, Y_i): Killing of factor i pulled back

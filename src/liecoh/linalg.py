@@ -19,13 +19,14 @@ the echelon rows (_kernel_columns).  is_spd reads the signs of a Gram
 matrix's pivots through the same integer update, on input only; it
 computes no rank or solution.
 
-A Subspace holds sparse basis columns only: the echelon rows of
-Subspace.span, the back-substituted kernel columns.  Equality works on
-them, and kernel_in cuts every subspace the package cuts: the vectors a
-family of maps kills, found in the subspace's own coordinates.
-Coordinates in independent columns are unique: coordinates reads them
-through the Subspace's solver, built once (on a kernel basis, its free
-rows), and checks them by mapping them back.
+A Subspace holds sparse basis columns only, and its one constructor
+takes them: the echelon rows of Subspace.span, the back-substituted
+kernel columns, the h columns a HomogeneousPair has checked independent.
+Equality works on them, and kernel_in cuts every subspace the package
+cuts: the vectors a family of maps kills, found in the subspace's own
+coordinates.  Coordinates in independent columns are unique:
+coordinates reads them through the Subspace's solver, built once (on a
+kernel basis, its free rows), and checks them by mapping them back.
 
 half_turn_signs and graded_monomials grade by half-turns: the first tests
 that exp(pi A) is a sign matrix, the second lists the wedge monomials, as
@@ -44,9 +45,6 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from math import gcd, lcm
 from operator import xor
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 # document numbers: an integer, optionally over a /[0-9]+ denominator
 INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -271,7 +269,7 @@ def _kernel_columns(rows, ncols):
 def kernel_basis(m, ncols):
     """Subspace {v : m v = 0} of Q^ncols, for rows m as in rank."""
     cols, free = _kernel_columns(_int_rows_sparse(m), ncols)
-    return Subspace.from_columns(ncols, cols, free)
+    return Subspace(ncols, cols, free)
 
 
 def coordinates(space, vectors):
@@ -326,40 +324,17 @@ class Subspace:
     """A linear subspace of Q^n, held as sparse basis columns.
 
     columns holds one {row: value} dict per basis vector (Fraction or int
-    values, no zeros).  free is set for kernel bases (see from_columns), else None.  Two
-    subspaces are equal iff their ambient and own dimensions agree and
-    their columns together add no rank.
+    values, no zeros), independent: the constructor holds them unchecked.
+    free[j], when given, is a row on which column j is 1 and every other
+    column is 0, as in a kernel basis; else free is None.  Two subspaces
+    are equal iff their ambient and own dimensions agree and their columns
+    together add no rank.
     """
 
-    def __init__(self, ambient_dim, basis):
-        """The span of the independent columns of an n x k matrix given by
-        its rows (nested lists, or any iterable of rows)."""
-        rows = [[exact(x) for x in row] for row in basis]
-        if len(rows) != ambient_dim:
-            raise ValueError("basis rows != ambient dimension")
-        k = len(rows[0]) if rows else 0
-        if any(len(row) != k for row in rows):
-            raise ValueError("basis rows differ in length")
-        columns = [{i: r[j] for i, r in enumerate(rows) if r[j]}
-                   for j in range(k)]
-        if rank(columns, ambient_dim) != k:
-            raise ValueError("basis columns are dependent")
+    def __init__(self, ambient_dim, columns, free=None):
         self.ambient_dim = ambient_dim
         self.columns = columns
-        self.free = None
-
-    @classmethod
-    def from_columns(cls, ambient_dim, columns, free=None):
-        """Subspace from independent sparse {row: value} basis columns.
-
-        free[j], when given, is a row on which column j is 1 and every other
-        column is 0, as in a kernel basis.
-        """
-        s = cls.__new__(cls)
-        s.ambient_dim = ambient_dim
-        s.columns = columns
-        s.free = free
-        return s
+        self.free = free
 
     @classmethod
     def span(cls, ambient_dim, vectors):
@@ -372,7 +347,7 @@ class Subspace:
         rows, _ = _sparse_echelon(_int_rows_sparse(
             v if isinstance(v, dict) else [fr(x) for x in v]
             for v in vectors), ambient_dim)
-        return cls.from_columns(ambient_dim, rows)
+        return cls(ambient_dim, rows)
 
     @property
     def dim(self):
@@ -414,7 +389,7 @@ class Subspace:
 
 
 def full_subspace(n):
-    return Subspace.from_columns(n, [{i: 1} for i in range(n)], list(range(n)))
+    return Subspace(n, [{i: 1} for i in range(n)], list(range(n)))
 
 
 def combination(columns, coeffs):
@@ -486,8 +461,8 @@ def intersect_kernels(operators, dim):
     giant stacked system.  Everything runs through nonzeros: the running
     basis is kept as sparse columns, each operator is applied to it by
     accumulating the rows of the product directly, and every product of
-    kernel bases keeps the identity on its free rows, so the result is a
-    Subspace.from_columns.
+    kernel bases keeps the identity on its free rows, which the result
+    holds as its free rows.
     """
     cols = free = None  # None stands for the full space
     for op in operators:
@@ -511,7 +486,7 @@ def intersect_kernels(operators, dim):
             break
     if cols is None:
         return full_subspace(dim)
-    return Subspace.from_columns(dim, cols, free)
+    return Subspace(dim, cols, free)
 
 
 def kernel_in(space, maps):
@@ -523,7 +498,7 @@ def kernel_in(space, maps):
                             space.dim)
     if ker.dim == space.dim:
         return space
-    return Subspace.from_columns(space.ambient_dim, [
+    return Subspace(space.ambient_dim, [
         combination(space.columns, c) for c in ker.columns])
 
 

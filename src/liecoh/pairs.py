@@ -11,14 +11,16 @@ matrix to arise as Ad(x) with x in a compact connected G normalizing H⁰.
 They are not sufficient: inputs passing every check may still fail to
 integrate to a closed subgroup.  That trust boundary is the caller's.
 
-A pair computes once what it keeps of H, and every check and method reads
-it: generator_columns (gamma e_i as {row: value} dicts) and, from one
+A pair holds its input as sparse {row: value} columns only, in linalg's
+encoding: h as the Subspace h, each generator as its n columns gamma e_i
+(generator_columns).  Nested lists appear only at the document edge:
+from_vectors, which from_dict calls, takes h's basis vectors and each
+generator's n rows, and to_dict writes them back.  A pair computes once
+what it keeps of H, and every check and method reads it: from one
 closure pass, h's Lie generators and closedness at construction; the
 validate_pair report, the ad(h) table h_ad, the decomposition, with z(h)
 and [h,h] read off h_ad, S²(h*)^H and the coordinates of each B̃ᵢ|_h in it
 on first use.
-h_basis and the generators are the public view of the input, as
-row-major nested lists of Fractions like the JSON document.
 """
 
 from functools import cached_property
@@ -27,7 +29,7 @@ from .invariant_forms import (ad_coordinates, invariant_polynomials,
                               restricted_btilde)
 from .liealg import (LieAlgebra, array_field, bracket_closure, object_field,
                      validate)
-from .linalg import (Subspace, combination, exact, fr, intersect_kernels,
+from .linalg import (Subspace, combination, exact, intersect_kernels,
                      kernel_in, minus_identity, rank, rat_str, transpose)
 
 # Generator order beyond which validate_pair warns
@@ -38,46 +40,34 @@ class HomogeneousPair:
     """A validated-on-demand model of a homogeneous space G/H.
 
     algebra:    LieAlgebra of g.
-    h_basis:    n × m matrix whose columns span h (m = dim h, may be 0).
-    generators: list of n × n matrices, the Ad-action of one representative
-                per generator of H/H⁰ (empty for connected H).
-    generator_columns: per generator, its n columns as {row: value} dicts.
+    h:          Subspace of g spanned by h_columns (m = dim h, may be 0).
+    generator_columns: per generator of H/H⁰, the Ad-action of one
+                representative as its n columns gamma e_i (empty for
+                connected H).
     h_lie_indices, h_lie_generators: the positions and the columns of h
                 that generate it as a Lie algebra; h_closed: is h closed.
 
-    h_basis and each generator are held as n rows, nested lists of
-    Fractions; the constructor takes any iterable of rows (nested lists or
-    numpy arrays) and reads each entry once.
+    Every column is a {row: value} dict; the constructor reads each value
+    once through linalg.exact and drops zeros.  A row outside 0..n-1,
+    dependent h columns and a generator without n columns are ValueErrors.
     """
 
-    def __init__(self, algebra, h_basis, generators=()):
+    def __init__(self, algebra, h_columns=(), generator_columns=()):
         self.algebra = algebra
         n = algebra.n
-        if not any(len(row) for row in h_basis):
-            h_basis = [[] for _ in range(n)]
-        elif len(h_basis) != n:
-            raise ValueError("h_basis must have %d rows" % n)
-        self.h = Subspace(n, h_basis)  # checks column independence
+        self.h = Subspace(n, _checked(h_columns, n))
+        if rank(self.h.columns, n) != self.h.dim:
+            raise ValueError("basis columns are dependent")
         self.h_lie_indices, closure_dim = bracket_closure(algebra,
                                                           self.h.columns)
         self.h_lie_generators = [self.h.columns[t] for t in self.h_lie_indices]
         self.h_closed = closure_dim == self.h.dim
         self._h_ad = {}
-        gens = []
-        for g in generators:
-            g = [[exact(x) for x in row] for row in g]
-            if len(g) != n or any(len(row) != n for row in g):
+        self.generator_columns = []
+        for cols in generator_columns:
+            if len(cols) != n:
                 raise ValueError("generator must be %d x %d" % (n, n))
-            gens.append(g)
-        self.generators = [[[fr(x) for x in row] for row in g] for g in gens]
-        self.generator_columns = [
-            [{i: g[i][j] for i in range(n) if g[i][j]} for j in range(n)]
-            for g in gens]
-
-    @cached_property
-    def h_basis(self):
-        return [[fr(col.get(i, 0)) for col in self.h.columns]
-                for i in range(self.algebra.n)]
+            self.generator_columns.append(_checked(cols, n))
 
     @cached_property
     def validation(self):
@@ -112,14 +102,19 @@ class HomogeneousPair:
 
     @classmethod
     def from_vectors(cls, algebra, vectors, generators=()):
-        """Build from a list of h basis vectors (each of length n)."""
+        """Build from h's basis vectors and each generator's n rows, every
+        one of length n: the nested-list form of the document."""
         n = algebra.n
         for j, v in enumerate(vectors):
             if len(v) != n:
                 raise ValueError("subalgebra basis vector %d has %d entries, "
                                  "expected %d" % (j, len(v), n))
-        return cls(algebra, [[v[i] for v in vectors] for i in range(n)],
-                   generators)
+        gens = []
+        for g in generators:
+            if len(g) != n or any(len(row) != n for row in g):
+                raise ValueError("generator must be %d x %d" % (n, n))
+            gens.append([dict(enumerate(col)) for col in zip(*g)])
+        return cls(algebra, [dict(enumerate(v)) for v in vectors], gens)
 
     # -- serialization --------------------------------------------------------
 
@@ -127,8 +122,8 @@ class HomogeneousPair:
         n = self.algebra.n
         basis = [[rat_str(col.get(i, 0)) for i in range(n)]
                  for col in self.h.columns]
-        gens = [[[rat_str(x) for x in row] for row in g]
-                for g in self.generators]
+        gens = [[[rat_str(col.get(i, 0)) for col in cols] for i in range(n)]
+                for cols in self.generator_columns]
         return {"algebra": self.algebra.to_dict(),
                 "subalgebra": {"basis": basis},
                 "component_generators": gens}
@@ -173,6 +168,18 @@ class PairDecomposition:
                 "dim_a": self.a.dim, "dim_b": self.b.dim,
                 "dim_a_fixed": self.a_fixed.dim, "dim_a_moved": self.a_moved.dim,
                 "r0": self.r0}
+
+
+def _checked(columns, n):
+    """The columns, {row: value} dicts, with each value read by
+    linalg.exact, zeros dropped and rows in order; ValueError for a row
+    outside 0..n-1."""
+    out = []
+    for col in columns:
+        if not all(i in range(n) for i in col.keys()):
+            raise ValueError("column row outside 0..%d" % (n - 1))
+        out.append({i: x for i, v in sorted(col.items()) if (x := exact(v))})
+    return out
 
 
 def _image(gcols, s):
@@ -261,8 +268,7 @@ def decompose(pair):
     ads = [pair.h_ad(t) for t in pair.h_lie_indices]
     coords = intersect_kernels(({j: c for j, c in enumerate(ad) if c}
                                 for ad in ads), pair.h.dim)
-    zh = Subspace.from_columns(n, [combination(pair.h.columns, c)
-                                   for c in coords.columns])
+    zh = Subspace(n, [combination(pair.h.columns, c) for c in coords.columns])
     hh = Subspace.span(n, [combination(pair.h.columns, c)
                            for ad in ads for c in ad])
     # [g,g] is spanned by the unit vectors of the factors, so the vectors
@@ -305,7 +311,8 @@ def decompose(pair):
     for gi, cols in enumerate(gcols):
         if any(combination(cols, c) != c for c in b.columns):
             fail("generator %d acts as identity on b" % gi)
-        for name, s in (("a", a), ("b", b), ("[h,h]", hh), ("h∩[g,g]", hcapgg)):
+        # gamma is the identity on b, so it preserves b
+        for name, s in (("a", a), ("[h,h]", hh), ("h∩[g,g]", hcapgg)):
             if _image(cols, s) != s:
                 fail("generator %d preserves %s" % (gi, name))
 

@@ -114,8 +114,9 @@ def su2_sign_generator(alg, start, pattern):
 def rp4_pair():
     """so(5) / so(4) with the ideal-swapping generator (real projective 4-space)."""
     base = pair_from_name("sphere:4")
-    return HomogeneousPair(base.algebra, base.h_basis,
-                           [so5_swap_generator(base.algebra, 0)])
+    swap = so5_swap_generator(base.algebra, 0)      # a diagonal matrix
+    return HomogeneousPair(base.algebra, base.h.columns,
+                           [[{t: row[t]} for t, row in enumerate(swap)]])
 
 
 def twisted_diagonal_pair(rotation_index=0):
@@ -180,12 +181,10 @@ def sheared(pair, a, b):
              if (w := back(alg.bracket_sparse(cols[i], cols[j])))}
     moved = LieAlgebra(alg.l, [(name, stop - start)
                                for name, start, stop in alg.factors], table)
-    h = [back(col) for col in pair.h.columns]
-    gens = [[back(combination(gcols, col)) for col in cols]
-            for gcols in pair.generator_columns]
     return HomogeneousPair(
-        moved, [[col.get(i, 0) for col in h] for i in range(n)],
-        [[[col.get(i, 0) for col in g] for i in range(n)] for g in gens])
+        moved, [back(col) for col in pair.h.columns],
+        [[back(combination(gcols, col)) for col in cols]
+         for gcols in pair.generator_columns])
 
 
 def commutant_operator(columns, m, start):

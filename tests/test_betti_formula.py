@@ -27,7 +27,7 @@ def test_spheres():
 def test_example_4_7_with_and_without_generator():
     pair = catalog.build("example_4_7")
     assert betti_low(pair).betti == [1, 2, 1, 0, 0]
-    bare = HomogeneousPair(pair.algebra, pair.h_basis)
+    bare = HomogeneousPair(pair.algebra, pair.h.columns)
     assert betti_low(bare).betti == [1, 2, 2, 2, 1]
 
 
@@ -37,7 +37,8 @@ def test_flag_su3():
 
 def test_point():
     su3 = catalog.build("su", 3)
-    assert betti_low(HomogeneousPair(su3, eye(8))).betti == [1, 0, 0, 0, 0]
+    full = HomogeneousPair.from_vectors(su3, eye(8))
+    assert betti_low(full).betti == [1, 0, 0, 0, 0]
 
 
 def test_real_projective_4_space():
@@ -120,7 +121,7 @@ def test_report_to_dict_explain_toggle():
 
 def test_betti_low_validates_by_default():
     g = catalog.build("su", 2)
-    bad = HomogeneousPair(g, [[1, 0], [0, 1], [0, 0]])
+    bad = HomogeneousPair(g, [{0: 1}, {1: 1}])
     try:
         betti_low(bad)
     except ValidationError:

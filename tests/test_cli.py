@@ -559,7 +559,9 @@ def test_oracle_ce_explain(tmp_path, capsys):
 def test_oracle_ce_over_cap_is_validation_error(tmp_path, capsys):
     code = main(["oracle", _emit(tmp_path, "su:4"), "--method", "ce"])
     assert code == 2
-    assert "size cap" in capsys.readouterr().out
+    assert capsys.readouterr().out.strip() == (
+        "quotient dimension 15 exceeds the size cap 14; pass size_cap "
+        "(--size-cap) to go further")
 
 
 def test_oracle_ce_size_cap_flag(tmp_path, capsys):
@@ -610,8 +612,7 @@ def test_negative_degree_and_cap_are_usage_errors(tmp_path, capsys):
     assert "betti   [1]" in capsys.readouterr().out
 
 
-def test_integers_follow_one_rule_on_the_command_line(tmp_path, capsys,
-                                                      monkeypatch):
+def test_integers_follow_one_rule_on_the_command_line(tmp_path, capsys):
     # the rule of document fields, [+-]?[0-9]+ in ASCII digits: no other
     # digits, no padding, no underscores
     path = _emit(tmp_path, "sphere:2")
@@ -622,38 +623,12 @@ def test_integers_follow_one_rule_on_the_command_line(tmp_path, capsys,
             assert captured.out == ""
             assert ("argument %s: must be a non-negative integer, not %r"
                     % (flag, value)) in captured.err
-        monkeypatch.setenv("LIECOH_SIZE_CAP", value)
-        assert main(["oracle", path, "--method", "ce"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.strip() == (
-            "LIECOH_SIZE_CAP must be a non-negative integer, not %r" % value)
-        monkeypatch.delenv("LIECOH_SIZE_CAP")
     for name in ("sphere:1_0", "sphere: 3", "sphere:٣"):
         assert main(["catalog", "emit", name]) == 1, name
         captured = capsys.readouterr()
         assert captured.out == ""
         assert ("sphere parameter n must be an integer, not %r"
                 % name.partition(":")[2]) in captured.err
-
-
-def test_non_integer_size_cap_variable_is_usage_error(tmp_path, capsys,
-                                                      monkeypatch):
-    path = _emit(tmp_path, "sphere:2")
-    for value in ("abc", "-2", "1.5"):
-        monkeypatch.setenv("LIECOH_SIZE_CAP", value)
-        for argv in (["compute", path], ["verify", path],
-                     ["oracle", path, "--method", "ce"]):
-            assert main(argv) == 1, (value, argv)
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.strip() == (
-                "LIECOH_SIZE_CAP must be a non-negative integer, not %r"
-                % value)
-    monkeypatch.setenv("LIECOH_SIZE_CAP", "15")
-    assert main(["oracle", _emit(tmp_path, "su:4"), "--method", "ce",
-                 "--max-degree", "1"]) == 0
-    assert "betti   [1, 0]" in capsys.readouterr().out
 
 
 def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):

@@ -3,9 +3,12 @@ one number rule, no numpy and no unused import.
 
 Every module works on sparse {index: value} vectors, structure constant
 tables, subspace columns and SparseMatrix columns; every matrix is a list
-or a {col: column} dict of {row: value} columns (linalg).  The only dense
-matrices are the nested-list views of the input (h_basis, the generators,
-the Killing rows), and the method modules do not touch those.  Every
+or a {col: column} dict of {row: value} columns (linalg).  A pair takes
+and holds h and its generators as such columns: nested lists appear only
+in the document and in HomogeneousPair.from_vectors, which reads it, and
+no module keeps a dense view of the input, a second Subspace constructor,
+Fraction constants or a dense unit vector.  The size cap is set by
+size_cap or --size-cap alone, never by the environment.  Every
 elimination reduces rows through one insertion loop, linalg._insert;
 is_spd, the one other user of its two-term update, checks input only:
 liealg.validate calls it.  Every invariant polynomial space comes from
@@ -49,9 +52,8 @@ import pairgen
 
 ROOT = Path(liecoh.__file__).parent
 
-METHOD_MODULES = ("betti.py", "ce.py", "invariant_forms.py", "koszul.py")
-
-DENSE_VIEWS = {"h_basis", "generators", "killing_gram"}
+DENSE_VIEWS = {"h_basis", "generators", "killing_gram", "from_columns", "F0",
+               "F1", "_unit"}
 
 
 def _imported_modules(path):
@@ -96,11 +98,29 @@ def test_no_module_imports_numpy():
         assert not found, (path.name, found)
 
 
+def _defined_or_read(path):
+    """The attributes a module reads or sets, and the functions, classes,
+    assigned names and imported names it defines."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
 def test_method_modules_use_no_dense_helpers():
-    for name in METHOD_MODULES:
-        found = sorted(used for kind, used in set(_used_names(ROOT / name))
-                       if kind == "attr" and used in DENSE_VIEWS)
-        assert not found, (name, found)
+    # the whole package, not the method modules alone
+    for path in sorted(ROOT.glob("*.py")):
+        found = sorted(set(_defined_or_read(path)) & DENSE_VIEWS)
+        assert not found, (path.name, found)
+        assert "LIECOH_SIZE_CAP" not in path.read_text(), path.name
+    # the guard sees each kind of definition and read
+    assert set(_defined_or_read(Path(__file__).parent / "pairgen.py")) >= {
+        "_unit", "F", "LieAlgebra", "columns"}
 
 
 def test_is_spd_checks_input_only():
@@ -219,8 +239,7 @@ assert report["betti"] == [1, 2, 1, 0, 0], report
 
 
 def test_cli_runs_without_numpy(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "LIECOH_SIZE_CAP"}
-    env["PYTHONPATH"] = str(ROOT.parent)
+    env = dict(os.environ, PYTHONPATH=str(ROOT.parent))
     done = subprocess.run(
         [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path)],
         capture_output=True, text=True, timeout=120, env=env)

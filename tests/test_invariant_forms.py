@@ -66,7 +66,7 @@ def test_sym_pairs_and_coords_round_trip():
     # x_s x_t are numbered in _sym_pairs order, a symmetric matrix pulls
     # back on the unit columns to its quadratic form, and that form's
     # coordinates give the matrix back
-    pair = HomogeneousPair(catalog.build("torus", 3), eye(3))
+    pair = HomogeneousPair.from_vectors(catalog.build("torus", 3), eye(3))
     space = invariant_polynomials(pair, pair.h, 2)
     pairs = _sym_pairs(3)
     assert pairs == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -119,7 +119,7 @@ def test_fixed_vectors_rotation_has_no_fixed_plane_vectors():
 
 
 def test_invariant_forms_on_full_su2_is_killing_line():
-    pair = HomogeneousPair(catalog.build("su", 2), eye(3))
+    pair = HomogeneousPair.from_vectors(catalog.build("su", 2), eye(3))
     space = invariant_polynomials(pair, pair.h, 2)
     assert space.dim == 1
     form = space.form_basis[0]
@@ -132,7 +132,7 @@ def test_invariant_forms_on_full_su2_is_killing_line():
 
 
 def test_invariant_forms_on_full_torus_is_all_of_sym2():
-    pair = HomogeneousPair(catalog.build("torus", 2), eye(2))
+    pair = HomogeneousPair.from_vectors(catalog.build("torus", 2), eye(2))
     assert invariant_polynomials(pair, pair.h, 2).dim == 3
 
 
@@ -143,7 +143,7 @@ def test_invariant_forms_respect_generator():
     # h is a line and the generator acts on it by -1; quadratic forms on a
     # line are generator-invariant regardless, so stripping the generator
     # changes nothing here
-    bare = HomogeneousPair(pair.algebra, pair.h_basis)
+    bare = HomogeneousPair(pair.algebra, pair.h.columns)
     assert invariant_polynomials(bare, bare.h, 2).dim == 1
 
 
@@ -176,7 +176,7 @@ def test_invariant_polynomials_count_chevalley_basic_degrees():
                   "so:8": (4,)})
     for name, ks in cases.items():
         alg = catalog.pair_from_name(name).algebra
-        pair = HomogeneousPair(alg, eye(alg.n))
+        pair = HomogeneousPair.from_vectors(alg, eye(alg.n))
         got = [invariant_polynomials(pair, pair.h, k).dim for k in ks]
         assert got == [_sums(k, BASIC_DEGREES[name]) for k in ks], name
     assert _sums(4, BASIC_DEGREES["so:8"]) == 3
@@ -256,13 +256,13 @@ def _ideal_orbits(pair, s):
 
 
 def test_minimal_ideal_count_simple():
-    pair = HomogeneousPair(catalog.build("su", 3), eye(8))
+    pair = HomogeneousPair.from_vectors(catalog.build("su", 3), eye(8))
     assert _ideal_orbits(pair, pair.h) == pair.h_forms.dim == 1
 
 
 def test_minimal_ideal_count_two_factors():
     g = catalog.pair_from_name("su:2+su:2").algebra
-    pair = HomogeneousPair(g, eye(6))
+    pair = HomogeneousPair.from_vectors(g, eye(6))
     assert _ideal_orbits(pair, pair.h) == pair.h_forms.dim == 2
 
 
@@ -272,7 +272,7 @@ def test_minimal_ideal_count_generator_merges_orbits():
     assert dec.hh.dim == 6
     # h ≅ so(4) has two simple ideals; the component generator swaps them
     assert _ideal_orbits(pair, dec.hh) == 1
-    bare = HomogeneousPair(pair.algebra, pair.h_basis)
+    bare = HomogeneousPair(pair.algebra, pair.h.columns)
     assert _ideal_orbits(bare, dec.hh) == 2
 
 
@@ -300,15 +300,16 @@ def test_minimal_ideal_count_generator_swaps_rotated_ideals():
     # s = g in a basis that mixes both ideals
     mixed = _mat([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 3],
                   [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]).T
-    s = Subspace(6, mixed)
-    assert _ideal_orbits(HomogeneousPair(g, mixed, [swap]), s) == 1
-    assert _ideal_orbits(HomogeneousPair(g, mixed), s) == 2
+    s = Subspace(6, _columns(mixed))
+    assert _ideal_orbits(HomogeneousPair(g, s.columns, [cols]), s) == 1
+    assert _ideal_orbits(HomogeneousPair(g, s.columns), s) == 2
     # a rotation inside each ideal keeps both orbits
     turn = _zeros(6, 6)
     for a in range(3):
         for b in range(3):
             turn[a, b] = turn[3 + a, 3 + b] = R[a, b]
-    assert _ideal_orbits(HomogeneousPair(g, mixed, [turn]), s) == 2
+    assert _ideal_orbits(HomogeneousPair(g, s.columns, [_columns(turn)]),
+                         s) == 2
 
 
 def _random_rational_matrix(rng, m, density):
@@ -429,13 +430,14 @@ def test_form_space_dim_property():
     assert space.dim == 1 and space.form_basis == [{(0, 0): 1}]
     assert space.coordinates([{(0, 0): F(3, 2)}]) == [{0: F(3, 2)}]
     assert InvariantFormSpace(line, index,
-                              Subspace.from_columns(1, [], [])).dim == 0
+                              Subspace(1, [], [])).dim == 0
 
 
 def _every_basis_vector(pair):
     """A copy of pair that imposes h-invariance through every basis
     vector of h instead of its Lie generators."""
-    full = HomogeneousPair(pair.algebra, pair.h_basis, pair.generators)
+    full = HomogeneousPair(pair.algebra, pair.h.columns,
+                           pair.generator_columns)
     full.h_lie_generators = list(full.h.columns)
     return full
 
@@ -485,7 +487,7 @@ def _on_every_monomial(forms, degree):
     whatever monomials the half-turn grading kept."""
     at = {mon: t for t, mon in enumerate(combinations_with_replacement(
         range(forms.carrier.dim), degree))}
-    return Subspace.from_columns(len(at), [
+    return Subspace(len(at), [
         {at[mon]: v for mon, v in f.items()} for f in forms.form_basis])
 
 
@@ -588,7 +590,7 @@ def test_schur_certificate_refuses_fused_ideals():
     g = catalog.pair_from_name("su:2+su:2").algebra
     mixed = _mat([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 3],
                   [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]).T
-    s = Subspace(6, mixed)
+    s = Subspace(6, _columns(mixed))
     for ads in (liealg._factor_ads(so4, 0, 6), g.ad_sparse(),
                 [ad_coordinates(g, s, x) for x in s.columns]):
         assert _certified_anywhere(ads) == []

@@ -64,7 +64,7 @@ def test_composite_check_fires_on_corrupted_nabla(monkeypatch, tmp_path,
     # T³ modulo the line through e0 + e1: ∇²(f0∧f1) = x⊗f1 − x⊗f0 and
     # ∇³(x⊗f) = x·f|ₕ, so one sign flipped in that column leaves
     # ∇³∘∇²(f0∧f1) = ±2x²; betti_koszul raises and verify exits with 4
-    pair = HomogeneousPair(catalog.build("torus", 3), [[1], [1], [0]])
+    pair = HomogeneousPair(catalog.build("torus", 3), [{0: 1, 1: 1}])
     assert betti_koszul(pair).betti == [1, 2, 1, 0, 0]
     real = koszul.nonzero
     flipped = []

@@ -67,7 +67,7 @@ def test_abelian_brackets_vanish():
     assert ab.n == 3 and ab.l == 3 and ab.r == 0
     assert ab.bracket_sparse({0: F(1), 1: F(2), 2: F(3)},
                              {0: F(4), 1: F(5), 2: F(6)}) == {}
-    assert ab.killing_gram() == [[0] * 3 for _ in range(3)]
+    assert ab.killing() == [[0] * 3 for _ in range(3)]
 
 
 def test_ad_sparse_columns_are_brackets():
@@ -82,19 +82,17 @@ def test_ad_sparse_columns_are_brackets():
 
 def test_killing_su2_is_minus_eight_identity():
     su2 = catalog.build("su", 2)
-    K = su2.killing_gram()
+    K = su2.killing()
     for i in range(3):
         for j in range(3):
             assert K[i][j] == (F(-8) if i == j else F(0))
-    # the exact rows are ints; the public view holds Fractions
-    assert su2.killing() == K
-    assert all(type(x) is int for row in su2.killing() for x in row)
-    assert all(type(x) is Fraction for row in K for x in row)
+    # the exact rows are ints
+    assert all(type(x) is int for row in K for x in row)
 
 
 def test_killing_block_diagonal_on_product():
     g = catalog.pair_from_name("su:2+su:2").algebra
-    K = g.killing_gram()
+    K = g.killing()
     for i in range(6):
         assert K[i][i] == F(-8)
     for i in range(3):
@@ -105,7 +103,7 @@ def test_killing_block_diagonal_on_product():
 def test_btilde_restricts_killing_to_one_factor():
     g = catalog.pair_from_name("su:2+su:2").algebra
     B0 = g.btilde(0)
-    K = g.killing_gram()
+    K = g.killing()
     for i in range(6):
         for j in range(6):
             want = K[i][j] if (i < 3 and j < 3) else F(0)
@@ -113,7 +111,7 @@ def test_btilde_restricts_killing_to_one_factor():
     assert all(v for v in B0.values())
     # single factor: btilde(0) is the whole Killing form
     su3 = catalog.build("su", 3)
-    K = su3.killing_gram()
+    K = su3.killing()
     assert su3.btilde(0) == {(i, j): K[i][j] for i in range(8)
                              for j in range(8) if K[i][j]}
 
@@ -134,7 +132,7 @@ def test_btilde_vanishes_on_center_coordinates():
 
 def test_killing_gram_is_ad_invariant():
     g = catalog.pair_from_name("torus:2+su:2").algebra
-    gram = g.killing_gram()
+    gram = g.killing()
     # zero on the center block, negative definite on the factor block
     assert gram[0][0] == 0 and gram[1][1] == 0
     assert gram[2][2] == F(-8)
@@ -299,7 +297,6 @@ def test_killing_rows_match_dense_traces():
     want = [[sum(A[a][b] * B[b][a] for a in range(g.n) for b in range(g.n))
              for B in dense] for A in dense]
     assert g.killing() == want
-    assert g.killing_gram() == want
 
 
 def test_validate_declared_simple_but_abelian_factor():

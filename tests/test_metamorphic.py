@@ -87,9 +87,12 @@ def _change_basis(pair, data):
                 table[(i, j)] = terms
     moved = LieAlgebra(alg.l, [(name, stop - start)
                                for name, start, stop in alg.factors], table)
-    return HomogeneousPair(
-        moved, Ainv.dot(np.array(pair.h_basis, dtype=object)),
-        [Ainv.dot(np.array(g, dtype=object)).dot(A) for g in pair.generators])
+    return HomogeneousPair.from_vectors(
+        moved, [Ainv.dot([col.get(i, 0) for i in range(n)])
+                for col in pair.h.columns],
+        [Ainv.dot(np.array([[col.get(i, 0) for col in cols]
+                            for i in range(n)], dtype=object)).dot(A)
+         for cols in pair.generator_columns])
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

@@ -1,6 +1,8 @@
 """Homogeneous pairs: construction, validation, and the h = a ⊕ [h,h] ⊕ b split."""
 
 import copy
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +39,7 @@ def test_decompose_example_4_7():
 
 def test_decompose_example_4_7_without_generator():
     base = catalog.build("example_4_7")
-    bare = HomogeneousPair(base.algebra, base.h_basis)
+    bare = HomogeneousPair(base.algebra, base.h.columns)
     d = decompose(bare).dims()
     assert d["dim_a"] == 1 and d["dim_a_fixed"] == 1 and d["dim_a_moved"] == 0
     assert d["r0"] == 2
@@ -45,7 +47,7 @@ def test_decompose_example_4_7_without_generator():
 
 def test_decompose_h_equals_g():
     g = catalog.pair_from_name("torus:2+su:2").algebra
-    pair = HomogeneousPair(g, eye(g.n))
+    pair = HomogeneousPair.from_vectors(g, eye(g.n))
     assert decompose(pair).dims() == {
         "dim_h": 5, "dim_zh": 2, "dim_hh": 3, "dim_h_cap_gg": 3,
         "dim_a": 0, "dim_b": 2, "dim_a_fixed": 0, "dim_a_moved": 0, "r0": 0}
@@ -82,7 +84,7 @@ def test_generator_must_preserve_each_factor():
     for i in range(3):
         swap[i + 3][i] = F(1)
         swap[i][i + 3] = F(1)
-    rep = validate_pair(HomogeneousPair(g, [], [swap]))
+    rep = validate_pair(HomogeneousPair.from_vectors(g, [], [swap]))
     failed = {c["name"]: c["witness"] for c in rep.failures()}
     assert failed == {"generator_preserves_each_factor": (0, "su(2)")}
 
@@ -91,7 +93,7 @@ def test_generator_must_fix_center_pointwise():
     g = catalog.pair_from_name("torus:1+su:2").algebra
     gamma = eye(4)
     gamma[0][0] = F(-1)
-    rep = validate_pair(HomogeneousPair(g, [], [gamma]))
+    rep = validate_pair(HomogeneousPair.from_vectors(g, [], [gamma]))
     failed = {c["name"]: c["witness"] for c in rep.failures()}
     assert failed == {"generator_fixes_center_pointwise": (0, 0)}
 
@@ -100,7 +102,7 @@ def test_generator_must_be_automorphism():
     g = catalog.build("su", 2)
     bad = eye(3)
     bad[0][0] = F(2)   # scaling one axis breaks the bracket
-    rep = validate_pair(HomogeneousPair(g, [], [bad]))
+    rep = validate_pair(HomogeneousPair.from_vectors(g, [], [bad]))
     assert not rep.ok
     assert any(c["name"] == "generator_is_automorphism" for c in rep.failures())
 
@@ -109,18 +111,18 @@ def test_generator_must_preserve_subalgebra():
     g = catalog.build("su", 2)
     # 180-degree rotation about the e0 axis: an automorphism moving e2
     gamma = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
-    h = [[0], [0], [1]]   # h = span(e2), sent to -e2: preserved
-    ok_rep = validate_pair(HomogeneousPair(g, h, [gamma]))
+    h = [{2: 1}]   # h = span(e2), sent to -e2: preserved
+    ok_rep = validate_pair(HomogeneousPair(g, h, [_columns(gamma)]))
     assert ok_rep.ok
-    h2 = [[1], [1], [0]]  # span(e0+e1) maps to span(e0-e1)
-    rep = validate_pair(HomogeneousPair(g, h2, [gamma]))
+    h2 = [{0: 1, 1: 1}]  # span(e0+e1) maps to span(e0-e1)
+    rep = validate_pair(HomogeneousPair(g, h2, [_columns(gamma)]))
     assert any(c["name"] == "generator_preserves_subalgebra"
                for c in rep.failures())
 
 
 def test_non_closed_subspace_fails_validation():
     g = catalog.build("su", 2)
-    rep = validate_pair(HomogeneousPair(g, [[1, 0], [0, 1], [0, 0]]))
+    rep = validate_pair(HomogeneousPair(g, [{0: 1}, {1: 1}]))
     assert any(c["name"] == "h_bracket_closed" for c in rep.failures())
 
 
@@ -159,9 +161,11 @@ def test_generator_order():
 
 
 def test_generator_columns_are_built_once_from_the_matrices():
-    pair = catalog.build("example_4_7")
-    (gamma,) = pair.generators
-    assert pair.generator_columns == [_columns(gamma)]
+    # from_dict reads the document's generator rows into columns
+    doc = catalog.emit("example_4_7")
+    (gamma,) = doc["component_generators"]
+    assert HomogeneousPair.from_dict(doc).generator_columns == [
+        _columns([[int(x) for x in row] for row in gamma])]
 
 
 def test_infinite_order_generator_warns_but_validates():
@@ -169,7 +173,7 @@ def test_infinite_order_generator_warns_but_validates():
     rot = [[F(3, 5), F(-4, 5), 0],
            [F(4, 5), F(3, 5), 0],
            [0, 0, 1]]
-    rep = validate_pair(HomogeneousPair(g, [], [rot]))
+    rep = validate_pair(HomogeneousPair.from_vectors(g, [], [rot]))
     assert rep.ok
     assert len(rep.warnings) == 1 and "order" in rep.warnings[0]
 
@@ -179,68 +183,120 @@ def test_round_trip_with_generator():
     back = HomogeneousPair.from_dict(pair.to_dict())
     assert back.algebra.table == pair.algebra.table
     assert back.h == pair.h
-    assert len(back.generators) == 1
-    assert back.generators == pair.generators
+    assert len(back.generator_columns) == 1
+    assert back.generator_columns == pair.generator_columns
     assert validate_pair(back).ok
 
 
 def test_example_4_7_generator_matrix():
+    # to_dict writes the generator's rows from its columns
     pair = catalog.build("example_4_7")
-    gen = pair.generators[0]
-    want = eye(5)
-    want[3][3] = F(-1)
-    want[4][4] = F(-1)
-    assert gen == want
+    want = [[str(int(i == j)) for j in range(5)] for i in range(5)]
+    want[3][3] = want[4][4] = "-1"
+    assert pair.to_dict()["component_generators"] == [want]
 
 
 def test_constructor_rejects_bad_shapes():
+    # the document's nested lists are shaped by from_vectors: n entries per
+    # basis vector, n rows of n entries per generator
     g = catalog.build("su", 2)
-    try:
-        HomogeneousPair(g, [[1, 0], [0, 1]])   # 2 rows, need 3
-    except ValueError as e:
-        assert "rows" in str(e)
-    else:
-        raise AssertionError("wrong row count accepted")
-    try:
-        HomogeneousPair(g, [[1, 2], [0, 0], [0, 0]])  # dependent columns
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("dependent columns accepted")
-    try:
-        HomogeneousPair(g, [[1], [0, 1], [0, 0]])  # ragged rows
-    except ValueError as e:
-        assert "differ in length" in str(e)
-    else:
-        raise AssertionError("ragged rows accepted")
-    for gen in ([[1, 0], [0, 1]], [], [[1, 0, 0], [0, 1], [0, 0, 1]]):
-        try:
-            HomogeneousPair(g, [], [gen])
-        except ValueError as e:
-            assert "generator must be 3 x 3" in str(e)
-        else:
-            raise AssertionError("bad generator shape accepted")
+    with pytest.raises(ValueError, match="^basis columns are dependent$"):
+        HomogeneousPair.from_vectors(g, [[1, 0, 0], [2, 0, 0]])
+    for gen in ([[1, 0], [0, 1]], [], [[1, 0, 0], [0, 1], [0, 0, 1]],
+                [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError, match="^generator must be 3 x 3$"):
+            HomogeneousPair.from_vectors(g, [], [gen])
     for vec in ([0, 0], [0, 0, 1, 0]):
-        try:
+        with pytest.raises(ValueError, match="expected 3$"):
             HomogeneousPair.from_vectors(g, [vec])
-        except ValueError as e:
-            assert "expected 3" in str(e)
-        else:
-            raise AssertionError("basis vector of length %d accepted" % len(vec))
+
+
+def test_columns_constructor_checks_its_input():
+    # a row outside 0..n-1, a generator without n columns and dependent h
+    # columns are rejected; values go through exact and zeros are dropped
+    g = catalog.build("su", 2)
+    for bad in ({-1: 1}, {3: 1}, {0: 1, 3: 0}):
+        with pytest.raises(ValueError, match="^column row outside 0..2$"):
+            HomogeneousPair(g, [bad])
+        with pytest.raises(ValueError, match="^column row outside 0..2$"):
+            HomogeneousPair(g, [], [[bad, {1: 1}, {2: 1}]])
+    for gen in ([{0: 1}, {1: 1}], [{t: 1} for t in range(4)], []):
+        with pytest.raises(ValueError, match="^generator must be 3 x 3$"):
+            HomogeneousPair(g, [], [gen])
+    for h in ([{0: 1, 1: 2}, {0: -2, 1: -4}], [{}], [{2: 0}]):
+        with pytest.raises(ValueError, match="^basis columns are dependent$"):
+            HomogeneousPair(g, h)
+    pair = HomogeneousPair(g, [{2: "1", 0: 0}], [
+        [{0: -1}, {1: "-1", 2: F(0)}, {2: F(2, 2)}]])
+    assert pair.h.columns == [{2: 1}]
+    assert pair.generator_columns == [[{0: -1}, {1: -1}, {2: 1}]]
+    assert all(type(x) is int for col in pair.generator_columns[0]
+               for x in col.values())
 
 
 def test_from_vectors_matches_matrix_constructor():
+    # the nested-list entries (lists or numpy rows), the document and the
+    # columns give one pair
     g = catalog.build("su", 3)
     vecs = [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]]
-    a = HomogeneousPair.from_vectors(g, vecs)
-    # numpy arrays are accepted as rows; the public views are nested lists
-    b = HomogeneousPair(g, np.array(vecs, dtype=object).T,
-                        [np.array(eye(8), dtype=object)])
-    assert a.h == b.h
-    assert a.h_basis == b.h_basis == [list(row) for row in zip(*vecs)]
-    assert b.generators == [eye(8)]
-    assert all(type(x) is F for row in b.h_basis + b.generators[0]
-               for x in row)
+    a = HomogeneousPair.from_vectors(g, np.array(vecs, dtype=object),
+                                     [np.array(eye(8), dtype=object)])
+    b = HomogeneousPair.from_dict(a.to_dict())
+    c = HomogeneousPair(g, [{0: 1}, {1: 1}], [[{t: 1} for t in range(8)]])
+    for pair in (a, b):
+        assert pair.h == c.h and pair.h.columns == c.h.columns
+        assert pair.generator_columns == c.generator_columns
+        assert pair.to_dict() == c.to_dict()
+    for label, pair in _catalog_pairs() + pairgen.suite():
+        doc = pair.to_dict()
+        for other in (HomogeneousPair.from_dict(doc),
+                      HomogeneousPair(pair.algebra, pair.h.columns,
+                                      pair.generator_columns)):
+            assert other.h.columns == pair.h.columns, label
+            assert other.generator_columns == pair.generator_columns, label
+            assert other.to_dict() == doc, label
+
+
+# sha256 prefixes of the catalog documents, as emitted before the pair
+# held its input as columns only: every catalog name the suite builds on,
+# the pairs in so(4)'s split form (sphere:3, stiefel:4:k) and two sums
+# that carry a component generator
+_EMITTED = {
+    "example_4_7": "16f9e98fd57bc4cc",
+    "example_4_7+sphere:2": "d2466d31748b2dc7",
+    "flag_su3": "cc71b23addfcaf49",
+    "so:5": "423fb869337fde06",
+    "so:5+su:2+torus:1": "3e59996c8602b5cb",
+    "so:5+torus:1": "6720714cc2b4431a",
+    "sp:2": "1e2d84a19918269b",
+    "sphere:2": "36845b6e2dc5c9bc",
+    "sphere:3": "cb769b472fa5922f",
+    "sphere:3+example_4_7": "5baadc2da8b08e12",
+    "sphere:4": "1eb194e96b852acb",
+    "sphere:5": "0020609b0e5d4c22",
+    "sphere:6": "0bb4d7a345d0e7c8",
+    "sphere:7": "91758d8083d5347c",
+    "stiefel:4:1": "cb769b472fa5922f",
+    "stiefel:4:2": "28a644592374a8f9",
+    "stiefel:5:2": "f784c90eb93a33e3",
+    "stiefel:6:2": "3d1ff30a195d53a7",
+    "su:2": "fc06a4a4abaa569a",
+    "su:2+su:2": "a4b2ebc77135c5a1",
+    "su:2+su:2+su:2": "2ab1bfabca9470fe",
+    "su:2+su:3": "957a9fb9d5178652",
+    "su:3": "02c80ef27067ffc3",
+    "torus:1+su:2": "d817ac8f96ff2a29",
+    "torus:1+su:3": "4cdc729607d19859",
+    "torus:2": "724a115746acff34",
+    "torus:2+su:2": "af98e7a95e572573",
+    "torus:3": "fa20ef9f3371c356",
+}
+
+
+def test_catalog_documents_are_unchanged():
+    for name, digest in _EMITTED.items():
+        text = json.dumps(catalog.emit(name), indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, name
 
 
 def _catalog_pairs():
@@ -254,7 +310,7 @@ def test_h_closed_is_the_closure_test():
     # one closure pass at construction answers whether h is closed, which
     # every bracket of two basis vectors of h lying in h decides as well
     su2 = catalog.build("su", 2)
-    open_pair = HomogeneousPair(su2, [[1, 0], [0, 1], [0, 0]])
+    open_pair = HomogeneousPair(su2, [{0: 1}, {1: 1}])
     cases = _catalog_pairs() + pairgen.suite() + [("open", open_pair)]
     for label, pair in cases:
         _, every_bracket = pairgen.center_and_derived_by_every_bracket(
@@ -326,13 +382,13 @@ def _torus_su2(units, generators=()):
 
 
 def _zero(s):
-    return Subspace.from_columns(s.ambient_dim, [], [])
+    return Subspace(s.ambient_dim, [], [])
 
 
 # (what fails, h's unit vectors, generators, the pairs function to patch,
 # which of its calls in decompose, what that call returns instead).  In
 # decompose, kernel_in cuts a, h∩[g,g], b and a_fixed in that order, and
-# _image meets a, b, [h,h] and h∩[g,g] per generator.
+# _image meets a, [h,h] and h∩[g,g] per generator.
 _BROKEN_DECOMPOSITIONS = [
     ("h = z(h) ⊕ [h,h]", range(4), (), "intersect_kernels", 0, _zero),
     ("z(h) = a ⊕ b", range(4), (), "kernel_in", 2, _zero),
@@ -350,13 +406,13 @@ _BROKEN_DECOMPOSITIONS = [
      None, None, None),
 ] + [("generator 0 preserves %s" % name, range(4), [eye(4)], "_image", k,
       lambda s: full_subspace(s.ambient_dim))
-     for k, name in enumerate(["a", "b", "[h,h]", "h∩[g,g]"])]
+     for k, name in enumerate(["a", "[h,h]", "h∩[g,g]"])]
 
 
 @pytest.mark.parametrize(
     "what,units,generators,name,call,result", _BROKEN_DECOMPOSITIONS,
     ids=["h_split", "zh_split", "b_outside_zh", "a_split", "r0",
-         "identity_on_b", "preserves_a", "preserves_b", "preserves_hh",
+         "identity_on_b", "preserves_a", "preserves_hh",
          "preserves_hcapgg"])
 def test_decompose_fails_on_each_broken_invariant(
         monkeypatch, what, units, generators, name, call, result):
@@ -423,7 +479,8 @@ def test_from_dict_parses_each_document_entry_once(monkeypatch):
             finally:
                 depth.pop()
         for module in (linalg, liealg, pairs):
-            monkeypatch.setattr(module, name, counted)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     # integers only; a component generator; rationals in h
     sphere, example, twisted = (catalog.emit("sphere:7"),
                                 catalog.emit("example_4_7"),
@@ -467,22 +524,22 @@ def test_factor_preservation_is_read_off_supports():
     corrupted = 0
     for label, pair in cases:
         alg = pair.algebra
-        gens = pair.generators or [eye(alg.n)]
+        gens = pair.generator_columns or [[{t: 1} for t in range(alg.n)]]
         variants = [gens]
         for name, start, stop in alg.factors:
             outside = [t for t in range(alg.n) if not start <= t < stop]
             for g in gens:
                 if outside:
                     leak = copy.deepcopy(g)
-                    leak[outside[-1]][stop - 1] += 1
+                    col = leak[stop - 1]
+                    col[outside[-1]] = col.get(outside[-1], 0) + 1
                     variants.append([leak])
                 if stop - start > 1:
                     singular = copy.deepcopy(g)
-                    for row in singular:
-                        row[start] = row[start + 1]
+                    singular[start] = singular[start + 1]
                     variants.append(gens[:1] + [singular])
         for gens in variants:
-            moved = HomogeneousPair(alg, pair.h_basis, gens)
+            moved = HomogeneousPair(alg, pair.h.columns, gens)
             want = _preserves_each_factor_by_spans(moved)
             assert _factor_check(moved) == want, label
             corrupted += want is not None
