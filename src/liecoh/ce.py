@@ -254,15 +254,16 @@ def _derivation_column(images, mon, index):
     2-forms (delta); moving an image's bits into mon - c crosses
     (mon - c) & below.
     """
-    acc = {}
-    for c, image in images.items():
-        if mon & c:
-            rest = mon ^ c
-            for (bits, below), v in image.items():
-                if not rest & bits:
-                    row = index[rest | bits]
-                    odd = (rest & ((c - 1) ^ below)).bit_count() % 2
-                    acc[row] = acc.get(row, 0) + (-v if odd else v)
+    acc, bits_left = {}, mon
+    while bits_left:
+        c = bits_left & -bits_left
+        bits_left ^= c
+        rest = mon ^ c
+        for (bits, below), v in images.get(c, {}).items():
+            if not rest & bits:
+                row = index[rest | bits]
+                odd = (rest & ((c - 1) ^ below)).bit_count() % 2
+                acc[row] = acc.get(row, 0) + (-v if odd else v)
     return nonzero(acc)
 
 
@@ -412,8 +413,11 @@ def _block_pair(pair, coords):
 
 def _times(a, b, top):
     """The product of the polynomials a and b, cut after degree top."""
-    return [sum(x * b[k - i] for i, x in enumerate(a) if 0 <= k - i < len(b))
-            for k in range(min(len(a) + len(b) - 2, top) + 1)]
+    out = [0] * (min(len(a) + len(b) - 2, top) + 1)
+    for i, x in enumerate(a[:len(out)]):
+        for j, y in enumerate(b[:len(out) - i]):
+            out[i + j] += x * y
+    return out
 
 
 def betti_ce(pair, max_degree=None, size_cap=None, validate=True):

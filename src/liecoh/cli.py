@@ -5,10 +5,10 @@ and compares their degrees 0..4.
 
 Exit codes: 0 success, 1 I/O, parse or usage error (including a closed
 output pipe, an algebra above the dimension limit, and a --max-degree or
---size-cap that is not a non-negative integer), 2 validation failure (the
-check report is printed), 3 method disagreement in verify, 4 internal
-inconsistency (a self-check such as delta o delta = 0 failed; the message
-is printed).
+--size-cap that is not a non-negative integer), 2 validation failure or,
+with ce the only method, a quotient above the size cap, 3 method
+disagreement in verify, 4 internal inconsistency (a self-check such as
+delta o delta = 0 failed); the check report or the message is printed.
 
 main(argv) may be called repeatedly in one process: it builds its argparse
 parser once, on the first call, and every later call parses with it.
@@ -150,6 +150,8 @@ def cmd_verify(args):
                 report = betti_ce(pair, max_degree=4, size_cap=args.size_cap,
                                   validate=False)
             except ValueError as exc:
+                if len(methods) == 1:   # no method ran, as in oracle
+                    raise _CliError(2, str(exc))
                 notes.append("ce skipped: %s" % exc)
                 continue
         elapsed[method] = time.perf_counter() - start

@@ -31,8 +31,9 @@ from itertools import chain
 from math import lcm
 
 from .invariant_forms import derivation_operators
-from .linalg import (INTEGER, combination, echelon_insert, exact,
-                     intersect_kernels, is_spd, nonzero, rat_str, trace_gram)
+from .linalg import (INTEGER, _indexed, combination, echelon_insert, exact,
+                     exact_reader, intersect_kernels, is_spd, nonzero,
+                     rat_str, trace_gram)
 
 
 # Largest algebra dimension accepted.  Builders check it before any matrix
@@ -166,7 +167,8 @@ class LieAlgebra:
                 if not 0 <= k < self.n:
                     raise ValueError("structure constant target out of range: %d" % k)
                 agg[k] = agg.get(k, 0) + exact(c)
-            merged = tuple(sorted((k, exact(c)) for k, c in agg.items() if c))
+            merged = tuple(sorted((k, c if type(c) is int else exact(c))
+                                  for k, c in agg.items() if c))
             if merged:
                 tbl[(i, j)] = merged
         self.table = tbl
@@ -252,7 +254,8 @@ class LieAlgebra:
         values (linalg.exact); symmetric, zero on center.  Cached: treat it
         as read-only."""
         if self._killing is None:
-            self._killing = [[exact(x) for x in row]
+            self._killing = [[x if type(x) is int else exact(x)
+                              for x in row]
                              for row in trace_gram(self.ad_sparse())]
         return self._killing
 
@@ -282,7 +285,7 @@ class LieAlgebra:
 
     @classmethod
     def from_dict(cls, data):
-        specs = []
+        specs, read = [], exact_reader()
         factors = object_field(data, "algebra").get("factors", [])
         for fac in array_field(factors, "factors"):
             fac = object_field(fac, "factor")
@@ -300,7 +303,7 @@ class LieAlgebra:
                         raise ValueError("structure constant must be an "
                                          "array of 4 entries, not %r" % (e,))
                 constants = [(int_field(i, index), int_field(j, index),
-                              int_field(k, index), exact(c))
+                              int_field(k, index), read(c))
                              for i, j, k, c in entries]
                 specs.append((string_field(fac.get("name"), "factor name"),
                               int_field(fac.get("dim"), "dim"), constants))
@@ -442,25 +445,28 @@ def _jacobi_witness(alg):
     [e_m, e_i] != 0, i not j or k, adds a_m [e_m, e_i] to the sum of the
     sorted (i, j, k), which the place of i against j < k gives, negated
     when j < i < k (then (j, k, i) is not a cyclic shift of it).  A triple
-    no term reaches has sum zero.
+    no term reaches has sum zero.  Sums are filed under (x n + y) n + z,
+    which orders the triples lexicographically.
     """
-    cols, sums = alg.ad_sparse(), {}  # cols[m][i] = [e_m, e_i] as {row: c}
+    cols, sums, n = alg.ad_sparse(), {}, alg.n  # cols[m][i] = [e_m, e_i]
     for (j, k), terms in alg.table.items():
         for m, a in terms:
             for i, col in cols[m].items():
                 if i < j:
-                    key, signed = (i, j, k), a
+                    key, signed = (i * n + j) * n + k, a
                 elif j < i < k:
-                    key, signed = (j, i, k), -a
+                    key, signed = (j * n + i) * n + k, -a
                 elif i > k:
-                    key, signed = (j, k, i), a
+                    key, signed = (j * n + k) * n + i, a
                 else:
                     continue
-                acc = sums.setdefault(key, {})
+                if (acc := sums.get(key)) is None:
+                    acc = sums[key] = {}
                 for r, c in col.items():
                     acc[r] = acc.get(r, 0) + signed * c
-    return min((key for key, acc in sums.items() if any(acc.values())),
-               default=None)
+    key = min((key for key, acc in sums.items() if any(acc.values())),
+              default=None)
+    return None if key is None else (key // n // n, key // n % n, key % n)
 
 
 def _closure_witness(alg, name, start, stop):
@@ -514,7 +520,7 @@ def _factor_ads(alg, start, stop):
 def schur_certified(ads):
     """True when the ad-commutant of a Lie algebra s is proven to be the
     scalars; False proves nothing.  ads[i] is ad e_i given by its columns
-    {j: [e_i, e_j]} in s's own coordinates.
+    {j: [e_i, e_j]}, a dict or a list, in s's own coordinates.
 
     Schur's argument on a vector v: every P commuting with ad(s) maps v
     into z(z(v)), as [x, Pv] = P[x, v] = 0 for x in z(v).  So when
@@ -538,8 +544,15 @@ def schur_certified(ads):
         r += 1
 
     def bracket_with(x):
-        # y -> [y, x] has the columns [e_j, x]: its kernel is z(x)
-        return {j: c for j, ad in enumerate(ads) if (c := combination(ad, x))}
+        # y -> [y, x] = -sum_i x_i ad e_i (y), read off x's nonzeros: its
+        # kernel is z(x)
+        cols = {}
+        for i, a in x.items():
+            for j, col in _indexed(ads[i]):
+                acc = cols.setdefault(j, {})
+                for k, c in col.items():
+                    acc[k] = acc.get(k, 0) - a * c
+        return {j: nz for j, col in cols.items() if (nz := nonzero(col))}
 
     def certifies(v):
         zv = intersect_kernels([bracket_with(v)], m).columns

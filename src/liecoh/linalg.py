@@ -8,7 +8,8 @@ does.  transpose turns the columns into {row: {col: value}} rows; rank and
 kernel_basis read the dicts they are given as rows, and also take plain
 sequences.  {(a, b): value} dicts are bilinear forms, not matrices.
 Every elimination goes through one exact loop, _insert: a row is cleared
-to integers once (lcm of denominators) and held as a {col: int} dict;
+to integers once (lcm of denominators) and held as a {col: int} dict, a
+dict of nonzero coprime ints as given, so no function mutates a vector;
 while its leading column holds an echelon row, the gcd-scaled two-term
 update clears that column, and otherwise the row is stored there.  So no
 rationals appear inside the hot loop and the cost tracks the nonzero
@@ -80,6 +81,19 @@ def exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def exact_reader():
+    """exact for one document reader: each distinct string is read once,
+    through a memo of its own; any other value (1, 1.0, True) goes to
+    exact each time."""
+    memo = {}
+
+    def read(x):
+        if type(x) is str and x not in memo:
+            memo[x] = exact(x)
+        return memo[x] if type(x) is str else exact(x)
+    return read
+
+
 def rat_str(q):
     """Serialize a rational as "p" (denominator 1) or "p/q"."""
     return str(exact(q))
@@ -102,14 +116,17 @@ def nonzero(acc):
 
 def _clear_row(row):
     """A row, a dense sequence or a sparse dict of Fractions or ints,
-    cleared to coprime integers as one {col: int} dict ({} when zero)."""
-    ints = {j: x for j, x in _indexed(row) if x}
-    if not ints:
-        return ints
-    if not all(type(x) is int for x in ints.values()):
-        den = lcm(*(x.denominator for x in ints.values()))
-        ints = {j: x.numerator * (den // x.denominator)
-                for j, x in ints.items()}
+    cleared to coprime integers as one {col: int} dict ({} when zero); a
+    dict of nonzero coprime ints is that dict itself."""
+    if isinstance(row, dict) and all(type(x) is int and x
+                                     for x in row.values()):
+        ints = row
+    else:
+        ints = {j: x for j, x in _indexed(row) if x}
+        if not all(type(x) is int for x in ints.values()):
+            den = lcm(*(x.denominator for x in ints.values()))
+            ints = {j: x.numerator * (den // x.denominator)
+                    for j, x in ints.items()}
     g = gcd(*ints.values())
     if g > 1:
         ints = {j: v // g for j, v in ints.items()}
@@ -184,7 +201,7 @@ def _eliminate(r, prow, c):
 def echelon_insert(echelon, v):
     """_insert of the sparse {col: value} vector v cleared to integers:
     the new echelon row, or None when v lies in the span."""
-    return _insert(echelon, _clear_row(v))
+    return _insert(echelon, _clear_row(v)) if v else None
 
 
 def rank(m, ncols):
@@ -296,7 +313,7 @@ def is_spd(gram):
     every leading minor, so each pivot has the sign of the ratio of two
     consecutive minors.
     """
-    a = [[exact(x) for x in row] for row in gram]
+    a = [[x if type(x) is int else exact(x) for x in row] for row in gram]
     n = len(a)
     if any(len(row) != n for row in a):
         return False
@@ -513,7 +530,7 @@ def half_turn_signs(columns, m):
     a diagonal exp(pi A).  It first reads the diagonal of A^2: with no
     entry -1 no A^2 e_j is -e_j, and exp(pi A) negates nothing.  Then it
     reads A^2 e_j and, unless that is -e_j, A^3 e_j = -4 A e_j, for each
-    e_j in turn.
+    e_j in turn but those with A e_j = 0, which are in ker A.
     """
     cols = columns if isinstance(columns, dict) else dict(enumerate(columns))
     for j, col in cols.items():     # some (A^2)_jj = -1, or no sign is -1
@@ -527,8 +544,9 @@ def half_turn_signs(columns, m):
         return None
     signs = []
     for j in range(m):      # the first e_j in neither kernel rejects A
-        a2 = combination(cols, a1 := cols.get(j, {}))
-        if a2 == {j: -1}:
+        if not (a1 := cols.get(j)):
+            signs.append(1)
+        elif (a2 := combination(cols, a1)) == {j: -1}:
             signs.append(-1)
         elif combination(cols, a2) == {r: -4 * x for r, x in a1.items()}:
             signs.append(1)

@@ -29,7 +29,7 @@ from .invariant_forms import (ad_coordinates, invariant_polynomials,
                               restricted_btilde)
 from .liealg import (LieAlgebra, array_field, bracket_closure, object_field,
                      validate)
-from .linalg import (Subspace, combination, exact, intersect_kernels,
+from .linalg import (Subspace, combination, exact_reader, intersect_kernels,
                      kernel_in, minus_identity, rank, rat_str, transpose)
 
 # Generator order beyond which validate_pair warns
@@ -172,13 +172,13 @@ class PairDecomposition:
 
 def _checked(columns, n):
     """The columns, {row: value} dicts, with each value read by
-    linalg.exact, zeros dropped and rows in order; ValueError for a row
-    outside 0..n-1."""
-    out = []
+    linalg.exact (each distinct string once), zeros dropped and rows in
+    order; ValueError for a row outside 0..n-1."""
+    out, rows, read = [], range(n), exact_reader()
     for col in columns:
-        if not all(i in range(n) for i in col.keys()):
+        if not all(i in rows for i in col.keys()):
             raise ValueError("column row outside 0..%d" % (n - 1))
-        out.append({i: x for i, v in sorted(col.items()) if (x := exact(v))})
+        out.append({i: x for i, v in sorted(col.items()) if (x := read(v))})
     return out
 
 
@@ -252,8 +252,9 @@ def decompose(pair):
     """Compute the decomposition h = a ⊕ [h,h] ⊕ b and its refinements.
 
     z(h) and [h,h] are the common kernel and the span of the images of
-    ad Y on h, Y over the Lie generators of h (pair.h_ad): [[x, y], z] =
-    [x, [y, z]] − [y, [x, z]] carries both from the generators to h.
+    ad Y on h, in h's coordinates, Y over the Lie generators of h
+    (pair.h_ad): [[x, y], z] = [x, [y, z]] − [y, [x, z]] carries both
+    from the generators to h.
     Every other subspace is cut out of one already found by kernel_in: a
     and h∩[g,g] by the center coordinates, b out of h by the Killing
     pairing with h∩[g,g], a_fixed out of a by γ − 1 per generator.
@@ -269,8 +270,8 @@ def decompose(pair):
     coords = intersect_kernels(({j: c for j, c in enumerate(ad) if c}
                                 for ad in ads), pair.h.dim)
     zh = Subspace(n, [combination(pair.h.columns, c) for c in coords.columns])
-    hh = Subspace.span(n, [combination(pair.h.columns, c)
-                           for ad in ads for c in ad])
+    images = Subspace.span(pair.h.dim, [c for ad in ads for c in ad])
+    hh = Subspace(n, [combination(pair.h.columns, c) for c in images.columns])
     # [g,g] is spanned by the unit vectors of the factors, so the vectors
     # in it are those with no center coordinate
     center = [{i: {i: 1} for i in range(alg.l)}]

@@ -23,17 +23,24 @@ center_and_derived_by_every_bracket is the dense reference for z(s) and
 which the tests compare with decompose's reading of the ad(h) table.
 intersect is the reference intersection of two subspaces, which the tests
 compare with linalg.kernel_in.
+clear_row_by_copy, half_turn_signs_on_every_column and
+derivation_column_over_every_image are the plain forms of
+linalg._clear_row (a copy of every row), linalg.half_turn_signs (A^2 e_j
+and A^3 e_j for every e_j, zero columns too) and ce._derivation_column
+(every image tested against the monomial), which the tests compare with
+the forms that skip the work.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from liecoh.catalog import pair_from_name
 from liecoh.invariant_forms import action_coordinates, ad_coordinates
 from liecoh.liealg import LieAlgebra, _closure_dim
 from liecoh.linalg import (Subspace, combination, intersect_kernels,
-                           kernel_basis, rat_str, transpose)
+                           kernel_basis, nonzero, rat_str, transpose)
 from liecoh.pairs import HomogeneousPair, validate_pair
 
 F = Fraction
@@ -289,6 +296,55 @@ def intersect(s1, s2):
     return Subspace.span(s1.ambient_dim, [
         combination(s1.columns, {j: a for j, a in c.items() if j < k})
         for c in ker.columns])
+
+
+def clear_row_by_copy(row):
+    """A row, a dense sequence or a sparse dict of Fractions or ints,
+    cleared to coprime integers as a new {col: int} dict ({} when zero)."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    ints = {j: x for j, x in items if x}
+    if not ints:
+        return ints
+    if not all(type(x) is int for x in ints.values()):
+        den = lcm(*(x.denominator for x in ints.values()))
+        ints = {j: x.numerator * (den // x.denominator)
+                for j, x in ints.items()}
+    g = gcd(*ints.values())
+    if g > 1:
+        ints = {j: v // g for j, v in ints.items()}
+    return ints
+
+
+def half_turn_signs_on_every_column(columns, m):
+    """The diagonal of exp(pi A) when it is a sign matrix other than the
+    identity, else None: e_j is in ker(A^2 + 1) (sign -1) or in
+    ker A(A^2 + 4) (sign 1) for every j, read as A^2 e_j and A^3 e_j."""
+    cols = columns if isinstance(columns, dict) else dict(enumerate(columns))
+    signs = []
+    for j in range(m):
+        a2 = combination(cols, a1 := cols.get(j, {}))
+        if a2 == {j: -1}:
+            signs.append(-1)
+        elif combination(cols, a2) == {r: -4 * x for r, x in a1.items()}:
+            signs.append(1)
+        else:
+            return None
+    return signs if -1 in signs else None
+
+
+def derivation_column_over_every_image(images, mon, index):
+    """Column F_mon of the derivation F_c -> images[c] on the positions of
+    index, each image c tested against mon."""
+    acc = {}
+    for c, image in images.items():
+        if mon & c:
+            rest = mon ^ c
+            for (bits, below), v in image.items():
+                if not rest & bits:
+                    row = index[rest | bits]
+                    odd = (rest & ((c - 1) ^ below)).bit_count() % 2
+                    acc[row] = acc.get(row, 0) + (-v if odd else v)
+    return nonzero(acc)
 
 
 def _vec_label(v):

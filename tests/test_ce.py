@@ -438,6 +438,89 @@ def test_half_turns_match_the_five_power_definition_on_rescaled_bases():
     assert rejecting >= 25 and graded >= 25
 
 
+def _sign_blocks(rng, m):
+    """An m x m matrix as a {col: column} dict: on random disjoint pairs
+    a, b of coordinates a rotation block A e_a = t e_b, A e_b = -(w²/t) e_a
+    (A² = -w² there, so w = 1 gives signs -1 and w = 2 signs 1) or a
+    signed swap A e_a = e_b, A e_b = e_a (A² = 1, no sign matrix), at
+    times a 3-cycle with A³ = -1 (no sign matrix either), and zero columns
+    on the coordinates left."""
+    coords = rng.sample(range(m), m)
+    cols = {}
+    if m >= 3 and rng.random() < 0.15:
+        a, b, c = coords[:3]
+        coords = coords[3:]
+        cols.update({a: {b: 1}, b: {c: 1}, c: {a: -1}})
+    while len(coords) >= 2 and rng.random() < 0.8:
+        a, b = coords.pop(), coords.pop()
+        kind = rng.choice(["w1", "w1", "w2", "swap"])
+        if kind == "swap":
+            cols.update({a: {b: 1}, b: {a: 1}})
+        else:
+            w = 1 if kind == "w1" else 2
+            t = rng.choice([1, -1, 2, Fraction(1, 3)])
+            cols.update({a: {b: t}, b: {a: -w * w / Fraction(t)}})
+    return {j: {r: int(x) if x == int(x) else x for r, x in col.items()}
+            for j, col in cols.items()}
+
+
+def test_half_turn_signs_match_the_every_column_reference():
+    # the zero columns of A take sign 1 without a product: on every ad e_i
+    # of the catalog algebras through so(8) and su(5), and on random
+    # rotation and swap blocks beside zero columns, the signs are those
+    # read off A^2 e_j and A^3 e_j for every e_j
+    cases = []
+    for name in ["so:%d" % n for n in range(3, 9)] + [
+            "su:%d" % n for n in range(2, 6)] + ["sp:2", "sp:3"]:
+        alg = catalog.pair_from_name(name).algebra
+        cases += [(ad, alg.n) for ad in alg.ad_sparse()]
+        cases += [([ad.get(j, {}) for j in range(alg.n)], alg.n)
+                  for ad in alg.ad_sparse()[:3]]
+    rng = random.Random(34)
+    cases += [(_sign_blocks(rng, m), m)
+              for m in (rng.randint(1, 9) for _ in range(400))]
+    outcomes = {True: 0, False: 0}
+    for cols, m in cases:
+        want = pairgen.half_turn_signs_on_every_column(cols, m)
+        assert linalg.half_turn_signs(cols, m) == want, (cols, m)
+        outcomes[want is not None] += 1
+    zero_columns = sum(len(c) < m for c, m in cases if isinstance(c, dict))
+    assert min(outcomes.values()) > 200 and zero_columns > 400, (
+        outcomes, zero_columns)
+
+
+def test_derivation_column_matches_the_every_image_reference():
+    # a column reads the images of the monomial's own bits only: theta's
+    # and delta's columns on the graded monomials and on every monomial,
+    # and the rows they miss, are those of testing every image
+    pairs = [catalog.pair_from_name(name) for name in (
+        "sphere:5", "stiefel:5:2", "flag_su3", "example_4_7")]
+    pairs += [pair for _, pair in pairgen.suite(count=8) if pair is not None]
+    checked, missed = 0, 0
+    for pair in pairs:
+        ann, rows = ce._frame(pair)
+        theta_mats, _ = ce._frame_actions(pair, ann, rows)
+        table, _ = ce._structure_table(pair.algebra, ann, rows)
+        graded = ce.relative_complex(pair, validate=False).monomials
+        q = ann.dim
+        for k in range(q + 1):
+            every = [sum(1 << j for j in c) for c in combinations(range(q), k)]
+            for images, shift in [(t, 0) for t in theta_mats] + [(table, 1)]:
+                if k + shift >= len(graded):
+                    continue
+                target = list(enumerate(graded[k + shift]))
+                ours = ce._Graded((m, p) for p, m in target)
+                theirs = ce._Graded((m, p) for p, m in target)
+                for mon in every:
+                    assert (ce._derivation_column(images, mon, ours)
+                            == pairgen.derivation_column_over_every_image(
+                                images, mon, theirs))
+                    assert ours.missed == theirs.missed
+                    checked += 1
+                missed += ours.missed
+    assert checked > 4000 and missed > 50, (checked, missed)
+
+
 def test_grading_check_fires_on_a_non_automorphism(monkeypatch, tmp_path,
                                                     capsys):
     # one so(5) coordinate flipped in the half-turn of e_0, the first one

@@ -245,6 +245,28 @@ def test_malformed_rationals_are_input_errors(tmp_path, capsys):
         assert "not a valid pair document" in err and value in err, err
 
 
+def test_malformed_rationals_among_repeated_entries(tmp_path, capsys):
+    # each reader parses a distinct string once and reuses its value: a
+    # malformed string placed after hundreds of "0" entries (h) or "1" and
+    # "-1" entries (the constants) still reaches the parser and is named
+    for value in ("0.0", " 0 ", "1_0", "\u0663", "1/0"):
+        sphere = catalog.emit("sphere:7")
+        sphere["subalgebra"]["basis"][-1][-1] = value
+        constants = catalog.emit("sphere:7")
+        constants["algebra"]["factors"][0]["structure_constants"][-1][3] = \
+            value
+        generator = catalog.emit("example_4_7")
+        generator["component_generators"][0][-1][-1] = value
+        for doc in (sphere, constants, generator):
+            path = _write(tmp_path, doc)
+            assert main(["compute", path]) == 1, value
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.strip() == (
+                "not a valid pair document (%s): not a rational p or p/q "
+                "with q != 0: %r" % (path, value)), captured.err
+
+
 def test_bools_where_rationals_belong_are_input_errors(tmp_path, capsys):
     # a JSON true or false used to be read as 1 or 0
     cases = []
@@ -562,6 +584,25 @@ def test_oracle_ce_over_cap_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == (
         "quotient dimension 15 exceeds the size cap 14; pass size_cap "
         "(--size-cap) to go further")
+
+
+def test_verify_ce_alone_over_cap_is_validation_error(tmp_path, capsys):
+    # with ce the only method and ce over the cap no method runs: verify
+    # exits 2 with the cap message as oracle does, where it used to report
+    # a disagreement in every degree and exit 3
+    path = _emit(tmp_path, "sphere:4")
+    message = ("quotient dimension 4 exceeds the size cap 3; pass size_cap "
+               "(--size-cap) to go further")
+    for extra in ([], ["--json"]):
+        assert main(["verify", path, "--methods", "ce", "--size-cap", "3"]
+                    + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out.strip() == message and captured.err == ""
+    # beside another method, ce is skipped with a note and the run passes
+    assert main(["verify", path, "--methods", "formula,ce",
+                 "--size-cap", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "note: ce skipped: " + message in out and "status: pass" in out
 
 
 def test_oracle_ce_size_cap_flag(tmp_path, capsys):

@@ -691,6 +691,66 @@ def test_sparse_echelon_is_echelon_insert_with_sympy_pivots(system):
     assert rows == [inserted[c] for c in pivots]
 
 
+_ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-6, 6),
+                    _RATIONALS)
+
+
+@st.composite
+def _rows(draw):
+    """A few rows on 5 columns, each a {col: value} dict (zeros kept or
+    not) or a dense list, of ints, Fractions and zeros, or a dict of
+    nonzero ints times 1, 2 or 3; the dicts of nonzero coprime ints are
+    the rows _clear_row returns as they are."""
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        dense = draw(st.lists(_ENTRIES, min_size=5, max_size=5))
+        kind = draw(st.sampled_from(["list", "sparse", "dense", "ints"]))
+        if kind == "list":
+            rows.append(dense)
+        elif kind == "sparse":
+            rows.append({j: x for j, x in enumerate(dense) if x})
+        elif kind == "dense":
+            rows.append(dict(enumerate(dense)))
+        else:
+            scale = draw(st.sampled_from([1, 2, 3]))
+            ints = draw(st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+            rows.append({j: scale * x for j, x in enumerate(ints) if x})
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rows())
+def test_clear_row_matches_the_copying_reference_and_mutates_nothing(rows):
+    from copy import deepcopy
+
+    from pairgen import clear_row_by_copy
+    coprime = {0: 2, 3: -3}
+    assert linalg._clear_row(coprime) is coprime
+    before = deepcopy(rows)
+    for row in rows:
+        got = linalg._clear_row(row)
+        want = clear_row_by_copy(row)
+        assert list(got.items()) == list(want.items())
+        assert all(type(x) is int for x in got.values())
+        # only a dict of nonzero coprime ints is passed through uncopied
+        assert (got is row) == (isinstance(row, dict) and row == want and all(
+            type(x) is int for x in row.values()))
+    # the pass-through hands the caller's dicts to the eliminations, so
+    # none of these may write to a row it is given or holds
+    rank(rows, 5)
+    kernel_basis(rows, 5)
+    span = Subspace.span(5, rows)
+    assert span.contains_subspace(Subspace.span(5, deepcopy(before)))
+    echelon = {}
+    for row in rows:
+        if isinstance(row, dict):
+            echelon_insert(echelon, row)
+    ops = [{j: row} for j, row in enumerate(rows) if isinstance(row, dict)]
+    intersect_kernels(ops, len(rows))
+    intersect_kernels(ops[:1] + ops, len(rows))
+    assert rows == before
+
+
 def test_entries_outside_the_columns_are_refused():
     # an entry at a column >= ncols is an error, not a dropped coordinate
     for call in (lambda: rank([{5: 1}], 3),

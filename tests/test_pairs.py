@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -463,8 +464,12 @@ def test_decompose_matches_every_bracket_on_z_and_derived():
 
 def test_from_dict_parses_each_document_entry_once(monkeypatch):
     # every outermost call of exact or fr, in any module, that reads a
-    # string (exact reads a non-integer through fr: one parse)
-    parsed, fr_calls, depth = [], [], []
+    # string (exact reads a non-integer through fr: one parse); each edge
+    # reader (the structure constants, h's columns, each generator's
+    # columns) parses each distinct string once, so no entry is parsed
+    # twice by one reader and a document of few distinct strings costs
+    # few parses however many entries it has
+    parsed, fr_calls, depth, readers = [], [], [], []
     for name in ("exact", "fr"):
         real = getattr(linalg, name)
 
@@ -481,18 +486,32 @@ def test_from_dict_parses_each_document_entry_once(monkeypatch):
         for module in (linalg, liealg, pairs):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+
+    def reader(real=linalg.exact_reader):
+        readers.append(1)
+        return real()
+    for module in (liealg, pairs):
+        monkeypatch.setattr(module, "exact_reader", reader)
     # integers only; a component generator; rationals in h
     sphere, example, twisted = (catalog.emit("sphere:7"),
                                 catalog.emit("example_4_7"),
                                 pairgen.twisted_diagonal_pair(0).to_dict())
     assert any("/" in x for x in _number_strings(twisted))
     for doc in (sphere, example, twisted):
-        del parsed[:], fr_calls[:]
+        del parsed[:], fr_calls[:], readers[:]
         HomogeneousPair.from_dict(doc)
-        assert sorted(parsed) == sorted(_number_strings(doc))
+        # one reader for the constants, one for h, one per generator, each
+        # parsing the distinct strings of its part once
+        parts = [doc["algebra"], doc["subalgebra"],
+                 *doc["component_generators"]]
+        assert len(readers) == len(parts)
+        assert sorted(parsed) == sorted(
+            chain(*(set(_number_strings(part)) for part in parts)))
         if doc is sphere:
-            # every entry is an integer string: no Fraction is built
-            assert len(parsed) > 700 and fr_calls == []
+            # "0" and "1" in h, "1" and "-1" in the constants, and no
+            # Fraction is built
+            assert len(_number_strings(doc)) > 700 and len(parsed) <= 4
+            assert fr_calls == []
 
 
 def _preserves_each_factor_by_spans(pair):
