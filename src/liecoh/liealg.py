@@ -23,6 +23,10 @@ constants are the integers D c, and a table of integers as it is.
 Jacobi sums and Killing values scale by D², and no centralizer, closure,
 count or witness changes.
 
+The factor checks read each factor as its own algebra, LieAlgebra.ideal:
+the table renumbered once, kept by the algebra per coordinate set, so the
+CE blocks of a validated pair read the same ideal and its ad_sparse().
+
 bracket_closure is the one closure pass over a subspace: lie_generators
 reads it, and a HomogeneousPair runs it once on h.
 """
@@ -33,7 +37,7 @@ from math import lcm
 from .invariant_forms import derivation_operators
 from .linalg import (INTEGER, _indexed, combination, echelon_insert, exact,
                      exact_reader, intersect_kernels, is_spd, nonzero,
-                     rat_str, trace_gram)
+                     rat_str, sparse_product, trace_gram)
 
 
 # Largest algebra dimension accepted.  Builders check it before any matrix
@@ -174,6 +178,7 @@ class LieAlgebra:
         self.table = tbl
         self._ad_sparse = None
         self._killing = None
+        self._ideals = {}
 
     # -- construction -------------------------------------------------------
 
@@ -200,6 +205,30 @@ class LieAlgebra:
     @classmethod
     def abelian(cls, l):
         return cls(l, [], {})
+
+    def ideal(self, coords):
+        """The ideal with basis e_c, c over the increasing coordinates
+        coords, as a LieAlgebra in its own coordinates 0..len(coords)-1.
+        coords hold center coordinates and whole factors, so it is an
+        ideal once cross-factor brackets vanish (validate).  Its table is
+        this one's, renumbered and not read again; it is built once per
+        coords, so validate and ce's blocks share it and its ad_sparse().
+        """
+        key = tuple(coords)
+        if key not in self._ideals:
+            at = {c: i for i, c in enumerate(key)}
+            sub = self._ideals[key] = LieAlgebra.__new__(LieAlgebra)
+            sub.l = sum(c < self.l for c in key)
+            sub.factors = [(name, at[start], at[start] + stop - start)
+                           for name, start, stop in self.factors
+                           if start in at]
+            sub.n = len(key)
+            sub.table = {
+                (at[i], at[j]): tuple([(at[k], c) for k, c in terms])
+                for (i, j), terms in self.table.items() if i in at}
+            sub._ad_sparse = sub._killing = None
+            sub._ideals = {}
+        return self._ideals[key]
 
     @property
     def r(self):
@@ -401,17 +430,20 @@ def validate(alg):
     # closures are grown only when that fails, to name a vector whose
     # closure is smaller; a vector can meet every simple ideal of a fused
     # factor, so the count is the fallback witness.  Both need ideal
-    # factors.  Without Jacobi neither the certificate nor the count means
-    # anything, and the report already fails, so only the closures report.
+    # factors, and all three read the factor as its own algebra
+    # (alg.ideal), built once off the table: the CE blocks of a pair
+    # whose table is integral share it and its ad_sparse().  Without
+    # Jacobi neither the certificate nor the count means anything, and
+    # the report already fails, so only the closures report.
     bad_simple = None
     if all(w is None for w in (bad, bad_cross, bad_closed, bad_factor)):
         for name, start, stop in alg.factors:
+            ads = alg.ideal(range(start, stop)).ad_sparse()
             if bad_jacobi is None:
-                ads = _factor_ads(alg, start, stop)
                 if (schur_certified(ads)
                         or (k := _simple_ideal_count(alg, ads, start)) == 1):
                     continue
-            bad_simple = _closure_witness(alg, name, start, stop)
+            bad_simple = _closure_witness(ads, name, start)
             if bad_simple is None and bad_jacobi is None:
                 bad_simple = (name, "commutant_dim", k)
             if bad_simple:
@@ -469,30 +501,43 @@ def _jacobi_witness(alg):
     return None if key is None else (key // n // n, key // n % n, key % n)
 
 
-def _closure_witness(alg, name, start, stop):
-    """(name, v) for the first basis vector e_v of the factor whose ideal
-    closure is smaller than the factor, or None.
+def _closure_witness(ads, name, start):
+    """(name, v) for the first basis vector e_v of the factor from start,
+    ads its ad e_i in its own coordinates, whose ideal closure is smaller
+    than the factor, or None.
 
     Center and cross-factor brackets vanish (checked first), so each
     closure only brackets with the factor's own basis.
     """
-    ads, dim = alg.ad_sparse()[start:stop], stop - start
-    return next(((name, v) for v in range(start, stop)
+    dim = len(ads)
+    return next(((name, start + v) for v in range(dim)
                  if _closure_dim(ads, {v: 1}, dim) < dim), None)
+
+
+def _bracketing(ads, x):
+    """The columns {j: [e_j, x]} of y -> [y, x] = -sum_i x_i ad e_i (y),
+    ads[i] = ad e_i given by its columns, read off x's nonzeros, the zero
+    columns left out: its kernel is z(x)."""
+    cols = {}
+    for i, a in x.items():
+        for j, col in _indexed(ads[i]):
+            acc = cols.setdefault(j, {})
+            for k, c in col.items():
+                acc[k] = acc.get(k, 0) - a * c
+    return {j: nz for j, col in cols.items() if (nz := nonzero(col))}
 
 
 def _closure_dim(ads, v, dim):
     """Dimension of the ideal closure of the vector v: the least subspace
     holding v that each matrix of ads, given by its columns, maps into
-    itself.  It grows against an integer echelon by the rows just added
-    and stops once it reaches dim.
+    itself.  It grows against an integer echelon by the brackets of the
+    rows just added (_bracketing) and stops once it reaches dim.
     """
     echelon = {}
     todo = [echelon_insert(echelon, v)]
     while todo and len(echelon) < dim:
-        u = todo.pop()
-        for ad in ads:
-            row = echelon_insert(echelon, combination(ad, u))
+        for col in _bracketing(ads, todo.pop()).values():
+            row = echelon_insert(echelon, col)
             if row is not None:
                 todo.append(row)
                 if len(echelon) == dim:
@@ -501,20 +546,13 @@ def _closure_dim(ads, v, dim):
 
 
 def _simple_ideal_count(alg, ads, start):
-    """dim S²(f*)^f, f given by _factor_ads from start: with Jacobi, the
-    quadratic forms killed by ad x for x over f's Lie generators."""
+    """dim S²(f*)^f for the factor f from start, ads its ad e_i in its own
+    coordinates: with Jacobi, the quadratic forms killed by ad x for x
+    over f's Lie generators."""
     units = [{start + i: 1} for i in range(len(ads))]
     index, ops = derivation_operators(
         (ads[i - start] for (i,) in lie_generators(alg, units)), len(ads), 2)
     return intersect_kernels(ops, len(index)).dim
-
-
-def _factor_ads(alg, start, stop):
-    """ad e_i on one factor, i over its basis, as columns in the factor's
-    own coordinates (ad_sparse() shifted by start)."""
-    return [{j - start: {k - start: c for k, c in col.items()}
-             for j, col in alg.ad_sparse()[i].items()}
-            for i in range(start, stop)]
 
 
 def schur_certified(ads):
@@ -528,13 +566,14 @@ def schur_certified(ads):
     that is all of s when v's ideal closure is.  v lies in z(z(v)), so
     z(z(v)) = Qv exactly when its vectors with y_p = 0, for one p with
     v_p != 0, are zero: the common kernel of y -> y_p and of y -> [y, x],
-    x over a basis of z(v), and intersect_kernels stops at the first
-    operator that empties it.  Both are kernels in dim s unknowns, where
-    the commutant has (dim s)² of them.  With Jacobi the commutant of
-    ad(s) is that of any Lie generating set of s.  v is first
-    sum_{j<r} (j + 1) e_j over the longest prefix of pairwise commuting
-    e_j, when r > 1: on su(n)'s diagonal, i diag(1, ..., 1, 1 - n), with
-    z(v) = s(u(n-1) + u(1)); then e_0 (so(n), sp(n), su(2)).
+    x over a basis B of z(v), and intersect_kernels stops at the first
+    operator that empties it.  z(z(v)) lies in z(v), as v does, so that
+    kernel is taken on y = B c, in dim z(v) unknowns c; z(v) is a kernel
+    in dim s unknowns, where the commutant has (dim s)² of them.  With
+    Jacobi the commutant of ad(s) is that of any Lie generating set of s.
+    v is first sum_{j<r} (j + 1) e_j over the longest prefix of pairwise
+    commuting e_j, when r > 1: on su(n)'s diagonal, i diag(1, ..., 1,
+    1 - n), with z(v) = s(u(n-1) + u(1)); then e_0 (so(n), sp(n), su(2)).
     """
     m = len(ads)
     if not m:
@@ -543,21 +582,12 @@ def schur_certified(ads):
     while r < m and not any(combination(ads[r], {j: 1}) for j in range(r)):
         r += 1
 
-    def bracket_with(x):
-        # y -> [y, x] = -sum_i x_i ad e_i (y), read off x's nonzeros: its
-        # kernel is z(x)
-        cols = {}
-        for i, a in x.items():
-            for j, col in _indexed(ads[i]):
-                acc = cols.setdefault(j, {})
-                for k, c in col.items():
-                    acc[k] = acc.get(k, 0) - a * c
-        return {j: nz for j, col in cols.items() if (nz := nonzero(col))}
-
     def certifies(v):
-        zv = intersect_kernels([bracket_with(v)], m).columns
-        return (intersect_kernels(chain([{min(v): {0: 1}}],
-                                        map(bracket_with, zv)), m).dim == 0
-                and _closure_dim(ads, v, m) == m)
+        zv = intersect_kernels([_bracketing(ads, v)], m).columns
+        p = min(v)
+        at_p = {j: {0: x[p]} for j, x in enumerate(zv) if p in x}
+        return (intersect_kernels(chain([at_p], (
+            sparse_product(_bracketing(ads, x), zv) for x in zv)),
+            len(zv)).dim == 0 and _closure_dim(ads, v, m) == m)
     weighted = [{j: j + 1 for j in range(r)}] if r > 1 else []
     return any(certifies(v) for v in weighted + [{0: 1}])

@@ -31,7 +31,8 @@ kernel basis, its free rows), and checks them by mapping them back.
 
 half_turn_signs and graded_monomials grade by half-turns: the first tests
 that exp(pi A) is a sign matrix, the second lists the wedge monomials, as
-bitmasks, that a set of sign matrices all fix.
+bitmasks, that a set of sign matrices all fix, doubling over the kernel
+of their masks' reduced echelon over GF(2) (xor_echelon).
 
 Ordering conventions used throughout the package: polynomial monomials are
 sorted index tuples (itertools.combinations_with_replacement order), exterior
@@ -41,11 +42,9 @@ tuples strictly increasing ones (itertools.combinations order).
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations
 from math import gcd, lcm
-from operator import xor
 
 # document numbers: an integer, optionally over a /[0-9]+ denominator
 INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -311,24 +310,27 @@ def is_spd(gram):
     without row exchanges.  Once a pivot is positive, _eliminate scales
     the rows below it by positive factors only, which keeps the sign of
     every leading minor, so each pivot has the sign of the ratio of two
-    consecutive minors.
+    consecutive minors.  The rows below k then hold a symmetric matrix,
+    each row scaled by a positive factor, so the rows that hold column k
+    are the columns of row k past k: only those are eliminated.
     """
-    a = [[x if type(x) is int else exact(x) for x in row] for row in gram]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    n = len(gram)
+    if any(len(row) != n for row in gram):
         return False
-    den = lcm(*(x.denominator for row in a for x in row
-                if type(x) is Fraction))
-    rows = [{j: int(x * den) for j, x in enumerate(row) if x} for row in a]
-    if any(rows[j].get(i, 0) != x for i, row in enumerate(rows)
+    rows = [{j: v for j, x in enumerate(row)
+             if (v := x if type(x) is int else exact(x))} for row in gram]
+    den = lcm(*(x.denominator for row in rows for x in row.values()
+                if type(x) is not int))
+    if den > 1:
+        rows = [{j: int(x * den) for j, x in row.items()} for row in rows]
+    if any(rows[j].get(i) != x for i, row in enumerate(rows)
            for j, x in row.items()):
         return False
-    for k in range(n):
-        prow = rows[k]
+    for k, prow in enumerate(rows):
         if prow.get(k, 0) <= 0:
             return False
-        for i in range(k + 1, n):
-            if k in rows[i]:
+        for i in prow:
+            if i > k:
                 rows[i] = _eliminate(rows[i], prow, k)
     return True
 
@@ -416,13 +418,12 @@ def combination(columns, coeffs):
     zeros.
     """
     acc = {}
+    # a dict leaves its zero columns out: get reads them as None
+    get = columns.get if isinstance(columns, dict) else columns.__getitem__
     for j, a in coeffs.items():
-        try:
-            col = columns[j]
-        except KeyError:        # a zero column the dict leaves out
-            continue
-        for r, x in col.items():
-            acc[r] = acc.get(r, 0) + a * x
+        if col := get(j):
+            for r, x in col.items():
+                acc[r] = acc.get(r, 0) + a * x
     return nonzero(acc)
 
 
@@ -555,23 +556,46 @@ def half_turn_signs(columns, m):
     return signs if -1 in signs else None
 
 
+def xor_echelon(masks):
+    """A reduced echelon over GF(2) of int bitmasks, as {highest bit:
+    row}: each row's highest bit is set in that row alone, and the rows
+    span the masks (as many rows as their rank)."""
+    rows = {}
+    for s in masks:
+        for p, row in rows.items():
+            if s & p:
+                s ^= row
+        if s:
+            p = 1 << (s.bit_length() - 1)
+            for t, row in rows.items():
+                if row & p:
+                    rows[t] = row ^ s
+            rows[p] = s
+    return rows
+
+
 def graded_monomials(q, masks, top):
     """Per degree 0..top, the J on q bits with J & S of even popcount for
     every mask S, in the order of combinations(range(q), k), which keeps
-    the eliminations sparse.  perp spans them, each of its vectors holding
-    a bit no other holds, so a sum of t of them has at least t bits."""
-    perp = [1 << j for j in range(q)]
-    for s in masks:
-        first = [v for v in perp if (v & s).bit_count() % 2][:1]
-        perp = [v ^ first[0] if (v & s).bit_count() % 2 else v
-                for v in perp if v not in first]
+    the eliminations sparse.
+
+    With the masks in a reduced echelon (xor_echelon), the J form the
+    span of one vector v_f per bit f that leads no row: f and the leading
+    bits of the rows that hold f.  f is v_f's lowest bit and set in no
+    other v, so a sum of t of them has at least t bits, and two sums
+    first differ at the lowest f in one of them only.  Doubling over the
+    v_f from the highest f down, the sums holding v_f before the others,
+    then lists them in combinations order, degree by degree.
+    """
+    rows = xor_echelon(masks).items()
+    free = (1 << q) - 1 & ~sum(p for p, _ in rows)
+    mons = [0]
+    for f in reversed(range(q)):
+        if free >> f & 1:
+            v = 1 << f | sum(p for p, row in rows if row >> f & 1)
+            mons = [m ^ v for m in mons if (m & free).bit_count() < top] + mons
     levels = [[] for _ in range(top + 1)]
-    for chosen in chain(*(combinations(perp, t) for t in range(top + 1))):
-        mon = reduce(xor, chosen, 0)
-        if mon.bit_count() <= top:
-            levels[mon.bit_count()].append(mon)
-    if all(v & v - 1 == 0 for v in perp):    # unit vectors come in order
-        return levels
-    # combinations order is descending in the bits read backwards
-    return [sorted(level, reverse=True, key=lambda m: int(
-        bin(m)[:1:-1], 2) << q - m.bit_length()) for level in levels]
+    for mon in mons:
+        if (k := mon.bit_count()) <= top:
+            levels[k].append(mon)
+    return levels

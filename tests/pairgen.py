@@ -29,18 +29,27 @@ linalg._clear_row (a copy of every row), linalg.half_turn_signs (A^2 e_j
 and A^3 e_j for every e_j, zero columns too) and ce._derivation_column
 (every image tested against the monomial), which the tests compare with
 the forms that skip the work.
+blocks_by_merging, graded_monomials_by_sorting, block_pair_by_rebuilding
+and half_turn_masks_on_every_candidate are the forms ce._blocks,
+linalg.graded_monomials, ce._block_pair and ce._half_turn_masks replaced:
+each group merged with every class it meets, every sum of the perp
+vectors sorted by its reversed bits, the block table pushed through
+LieAlgebra(...) again, and every basis half-turn tested.
 """
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
+from operator import xor
 
 from liecoh.catalog import pair_from_name
 from liecoh.invariant_forms import action_coordinates, ad_coordinates
 from liecoh.liealg import LieAlgebra, _closure_dim
-from liecoh.linalg import (Subspace, combination, intersect_kernels,
-                           kernel_basis, nonzero, rat_str, transpose)
+from liecoh.linalg import (Subspace, combination, half_turn_signs,
+                           intersect_kernels, kernel_basis, nonzero, rat_str,
+                           transpose)
 from liecoh.pairs import HomogeneousPair, validate_pair
 
 F = Fraction
@@ -345,6 +354,97 @@ def derivation_column_over_every_image(images, mon, index):
                     odd = (rest & ((c - 1) ^ below)).bit_count() % 2
                     acc[row] = acc.get(row, 0) + (-v if odd else v)
     return nonzero(acc)
+
+
+def components_by_merging(n, groups):
+    """The classes of 0..n-1 the groups join, sorted: each group, then each
+    singleton, merged with every class it meets.  An empty group stays an
+    empty class."""
+    blocks = []
+    for group in map(set, list(groups) + [{i} for i in range(n)]):
+        apart = [b for b in blocks if not b & group]
+        blocks = apart + [group.union(*(b for b in blocks if b & group))]
+    return sorted(map(sorted, blocks))
+
+
+def blocks_by_merging(pair):
+    """ce._blocks by the merge rule: the factors, the h column supports
+    and each generator's moved columns with their images' supports."""
+    groups = [range(start, stop) for _, start, stop in pair.algebra.factors]
+    groups += [col.keys() for col in pair.h.columns]
+    for gcols in pair.generator_columns:
+        moved = [j for j, col in enumerate(gcols) if col != {j: 1}]
+        groups.append(set(moved).union(*(gcols[j] for j in moved)))
+    return components_by_merging(pair.algebra.n, groups)
+
+
+def graded_monomials_by_sorting(q, masks, top):
+    """Per degree 0..top, the J on q bits with J & S of even popcount for
+    every mask S, in combinations(range(q), k) order: every sum of at most
+    top vectors of a basis perp of them, sorted by its bits read
+    backwards unless perp is the unit vectors in order."""
+    perp = [1 << j for j in range(q)]
+    for s in masks:
+        first = [v for v in perp if (v & s).bit_count() % 2][:1]
+        perp = [v ^ first[0] if (v & s).bit_count() % 2 else v
+                for v in perp if v not in first]
+    levels = [[] for _ in range(top + 1)]
+    for t in range(top + 1):
+        for chosen in combinations(perp, t):
+            mon = reduce(xor, chosen, 0)
+            if mon.bit_count() <= top:
+                levels[mon.bit_count()].append(mon)
+    if all(v & v - 1 == 0 for v in perp):
+        return levels
+    return [sorted(level, reverse=True, key=lambda m: int(
+        bin(m)[:1:-1], 2) << q - m.bit_length()) for level in levels]
+
+
+def block_pair_by_rebuilding(pair, coords):
+    """ce._block_pair with the block algebra built by LieAlgebra(...)
+    from the renumbered table, which reads every constant again."""
+    alg = pair.algebra
+    if len(coords) == alg.n:
+        return pair
+    at = {c: i for i, c in enumerate(coords)}
+    algebra = LieAlgebra(
+        sum(c < alg.l for c in coords),
+        [(name, stop - start) for name, start, stop in alg.factors
+         if start in at],
+        {(at[i], at[j]): [(at[k], c) for k, c in terms]
+         for (i, j), terms in alg.table.items() if i in at})
+    h = [{at[i]: x for i, x in col.items()} for col in pair.h.columns
+         if col.keys() <= at.keys()]
+    gens = [[{at[i]: x for i, x in gcols[j].items()} for j in coords]
+            for gcols in pair.generator_columns
+            if any(gcols[j] != {j: 1} for j in coords)]
+    return HomogeneousPair(algebra, h, gens)
+
+
+def half_turn_masks_on_every_candidate(pair, ann, theta_mats):
+    """ce._half_turn_masks with every basis vector of g tested: each e_i
+    commuting with h's Lie generators and fixed by every generator, then
+    each other Lie generator of h on g/h."""
+    alg = pair.algebra
+    turns = {i: signs for i, ad in enumerate(alg.ad_sparse())
+             if all(g[i] == {i: 1} for g in pair.generator_columns)
+             and not any(alg.bracket_sparse({i: 1}, y)
+                         for y in pair.h_lie_generators)
+             and (signs := half_turn_signs(ad, alg.n))}
+    masks = [sum(1 << j for j, f in enumerate(ann.free) if signs[f] < 0)
+             for signs in turns.values()]
+    accepted = [{i: 1} for i in turns]
+    for y, theta in zip(pair.h_lie_generators, theta_mats):
+        if y in accepted:
+            continue
+        cols = {}
+        for c, image in theta.items():
+            for (bits, _), x in image.items():
+                cols.setdefault(bits.bit_length() - 1, {})[
+                    c.bit_length() - 1] = x
+        if signs := half_turn_signs(cols, ann.dim):
+            masks.append(sum(1 << j for j, x in enumerate(signs) if x < 0))
+    return masks
 
 
 def _vec_label(v):

@@ -8,6 +8,8 @@ from math import comb, prod
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecoh import catalog, ce, invariant_forms, linalg
 from liecoh.betti import betti_low
@@ -322,6 +324,88 @@ def test_blocks_multiply_to_the_whole_complex():
             assert (rep.betti, rep.diagnostics["complex_dims"],
                     rep.diagnostics["ranks"]) == _whole(pair, top), (label, top)
     assert split >= len(cases) // 2
+
+
+_CATALOG_PAIRS = ["sphere:%d" % n for n in range(2, 8)] + [
+    "stiefel:5:2", "stiefel:6:2", "flag_su3", "example_4_7",
+    "so:5+torus:1", "su:2+su:3", "so:5+su:2+torus:1", "torus:2+su:2"]
+
+
+def _reference_cases():
+    """(label, pair): the suite, catalog pairs, SU(3)/N(T) and a sheared
+    Stiefel pair."""
+    return pairgen.suite() + [
+        (name, catalog.pair_from_name(name)) for name in _CATALOG_PAIRS] + [
+        ("su3/N(T)", pairgen.su_torus_normalizer(3)),
+        ("sheared stiefel:5:2", pairgen.sheared(
+            catalog.pair_from_name("stiefel:5:2"), 2, 0))]
+
+
+def test_blocks_are_the_merge_rule_components():
+    # union-find joins the same classes the merge rule did, on the pairs
+    # (the rule also kept an empty class for an empty group, such as a
+    # generator that moves nothing)
+    for label, pair in _reference_cases():
+        want = [b for b in pairgen.blocks_by_merging(pair) if b]
+        assert ce._blocks(pair) == want, label
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.sets(st.integers(0, n - 1), max_size=5), max_size=8))))
+def test_components_match_the_merge_rule_on_drawn_groups(case):
+    n, groups = case
+    assert ce._components(n, groups) == [
+        b for b in pairgen.components_by_merging(n, groups) if b]
+
+
+def test_block_pairs_are_the_rebuilt_pairs():
+    # the block algebra read off the parent's table, and shared with
+    # validate's factor checks, is the algebra LieAlgebra(...) rebuilds
+    # from the renumbered table, and the block pair the same pair
+    for label, pair in _reference_cases():
+        pair.validation
+        for coords in ce._blocks(pair):
+            ours = ce._block_pair(pair, coords)
+            theirs = pairgen.block_pair_by_rebuilding(pair, coords)
+            a, b = ours.algebra, theirs.algebra
+            assert (a.l, a.n, a.factors, a.table) == (
+                b.l, b.n, b.factors, b.table), (label, coords)
+            assert a.ad_sparse() == b.ad_sparse(), (label, coords)
+            assert a.killing() == b.killing(), (label, coords)
+            assert (ours.h.columns, ours.generator_columns,
+                    ours.h_lie_indices, ours.h_closed) == (
+                theirs.h.columns, theirs.generator_columns,
+                theirs.h_lie_indices, theirs.h_closed), (label, coords)
+    # a factor block is the ideal validate built, with its ad_sparse()
+    pair = catalog.pair_from_name("so:5+torus:1")
+    ads = pair.algebra.ideal(range(1, 11)).ad_sparse()
+    assert ce._block_pair(pair, list(range(1, 11))).algebra.ad_sparse() is ads
+
+
+def test_half_turn_masks_grade_as_every_candidate_does():
+    # the basis half-turns stop being tested once their masks reach the
+    # rank of the diagonal automorphisms of determinant 1, and the graded
+    # monomials are those of testing every candidate; so(5) stops after 4
+    # of its 10 candidates and su(3) after 2 of its 8
+    for label, pair in _reference_cases():
+        for coords in ce._blocks(pair):
+            block = ce._block_pair(pair, coords)
+            ann, rows = ce._frame(block)
+            theta_mats, _ = ce._frame_actions(block, ann, rows)
+            ours = ce._half_turn_masks(block, ann, theta_mats)
+            theirs = pairgen.half_turn_masks_on_every_candidate(
+                block, ann, theta_mats)
+            assert len(ours) <= len(theirs), (label, coords)
+            q = ann.dim
+            assert (linalg.graded_monomials(q, ours, q)
+                    == linalg.graded_monomials(q, theirs, q)), (label, coords)
+    for name, tested in (("so:5", 4), ("su:3", 2)):
+        pair = _free(catalog.pair_from_name(name).algebra)
+        ann, rows = ce._frame(pair)
+        assert len(ce._half_turn_masks(pair, ann, [])) == tested, name
+        assert len(pairgen.half_turn_masks_on_every_candidate(
+            pair, ann, [])) == pair.algebra.n, name
 
 
 def test_a_generator_moving_two_factors_joins_them():

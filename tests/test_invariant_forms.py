@@ -534,7 +534,7 @@ def test_invariance_under_lie_generators_is_invariance_under_h(monkeypatch):
                     == commutant_by_every_vector(pair, dec.hh)), label
         for _, start, stop in alg.factors:
             assert (liealg._simple_ideal_count(
-                alg, liealg._factor_ads(alg, start, stop), start)
+                alg, alg.ideal(range(start, stop)).ad_sparse(), start)
                     == pairgen.factor_commutant(alg, start, stop)), label
         got = relative_complex(pair, validate=False)
         want = relative_complex(_every_basis_vector(pair), validate=False)
@@ -568,7 +568,7 @@ def test_schur_certificate_is_a_proof():
                          for name in names] + pairgen.suite()):
         alg = pair.algebra
         for name, start, stop in alg.factors:
-            ads = liealg._factor_ads(alg, start, stop)
+            ads = alg.ideal(range(start, stop)).ad_sparse()
             if _certified_anywhere(ads):
                 assert pairgen.factor_commutant(alg, start, stop) == 1
             if label.startswith("sphere"):
@@ -591,10 +591,10 @@ def test_schur_certificate_refuses_fused_ideals():
     mixed = _mat([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 2, 0], [0, 0, 1, 0, 0, 3],
                   [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]).T
     s = Subspace(6, _columns(mixed))
-    for ads in (liealg._factor_ads(so4, 0, 6), g.ad_sparse(),
+    for ads in (so4.ideal(range(6)).ad_sparse(), g.ad_sparse(),
                 [ad_coordinates(g, s, x) for x in s.columns]):
         assert _certified_anywhere(ads) == []
-    assert liealg.schur_certified(liealg._factor_ads(g, 0, 3))
+    assert liealg.schur_certified(g.ideal(range(3)).ad_sparse())
 
 
 def test_trace_gram_is_the_dense_trace_form():

@@ -450,7 +450,7 @@ def test_uncertified_factors_are_counted_by_their_invariant_forms(
     for g, want in ((catalog.pair_from_name("su:3").algebra, 1),
                     (catalog.pair_from_name("so:5").algebra, 1), (so4, 2)):
         g = _sheared(g, [(1, F(1, 2)), (7, 1)])
-        assert not liealg.schur_certified(liealg._factor_ads(g, 0, g.n))
+        assert not liealg.schur_certified(g.ideal(range(g.n)).ad_sparse())
         del counts[:]
         rep = validate(g)
         assert counts == [want] == [pairgen.factor_commutant(g, 0, g.n)]
@@ -651,7 +651,8 @@ def _schur_cases():
     algebras.append(("so(4)", so4))
     for label, g in algebras:
         for name, start, stop in g.factors:
-            yield "%s/%s" % (label, name), liealg._factor_ads(g, start, stop)
+            yield ("%s/%s" % (label, name),
+                   g.ideal(range(start, stop)).ad_sparse())
 
 
 def test_schur_certificate_is_the_two_centralizer_reference():

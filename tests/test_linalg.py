@@ -22,7 +22,8 @@ from liecoh.linalg import (Subspace, combination, complex_ranks,
                            minus_identity, rank, rat_str, trace_gram)
 from liecoh.pairs import HomogeneousPair
 
-from pairgen import commutant_operator, intersect
+from pairgen import (commutant_operator, graded_monomials_by_sorting,
+                     intersect)
 
 F = Fraction
 
@@ -820,3 +821,32 @@ def test_trace_gram_matches_dense_traces():
             for A in mats]
     assert trace_gram([_columns(A) for A in mats]) == want
     assert trace_gram([]) == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 12).flatmap(lambda q: st.tuples(
+    st.just(q), st.lists(st.integers(0, (1 << q) - 1), max_size=6),
+    st.integers(0, q + 1))))
+def test_graded_monomials_match_the_sorting_reference(case):
+    # doubling over the kernel basis of the masks' reduced echelon lists
+    # the graded monomials of each degree in combinations order, as
+    # enumerating the sums of a perp basis and sorting them did
+    q, masks, top = case
+    assert (linalg.graded_monomials(q, masks, top)
+            == graded_monomials_by_sorting(q, masks, top))
+
+
+def test_xor_echelon_is_reduced_and_spans_the_masks():
+    rng = random.Random(11)
+    for _ in range(200):
+        q = rng.randint(1, 12)
+        masks = [rng.randrange(1 << q) for _ in range(rng.randint(0, 8))]
+        rows = linalg.xor_echelon(masks)
+        for p, row in rows.items():
+            assert 1 << (row.bit_length() - 1) == p
+            assert all(not other & p for t, other in rows.items() if t != p)
+        span = {0}
+        for row in rows.values():
+            span |= {x ^ row for x in span}
+        assert len(span) == 1 << len(rows)
+        assert all(s in span for s in masks)

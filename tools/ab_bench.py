@@ -5,13 +5,17 @@
 
 --base and --change are source checkouts, each with its own perfbench/
 and src/; --change defaults to the checkout this file lives in.  Pair i
-(i = 1 .. --pairs) runs `perfbench/run.py --workload W --seed i --seconds
-S --trace 0` in both, the base first in odd pairs and the change first in
-even ones, so a drift in machine speed falls on both sides alike.  The
+(i = 1 .. --pairs) runs `perfbench/run.py --workload W --seed N+i-1
+--seconds S --trace 0` in both, N the --first-seed (1 by default), the
+base first in odd pairs and the change first in even ones, so a drift in
+machine speed falls on both sides alike.  A claim measured on seeds 1-10
+is checked again, on seeds not used while writing the change, with
+--first-seed 11.  The
 one line of standard output is a JSON object: per end-to-end metric of
 the change's BENCHMARK.json, each side's median and quartiles, and the
-pairs the change wins and ties, "better" read from that file; plus
-whether every run checked its answers.  The tool itself runs no git.
+pairs the change wins and ties, "better" read from that file; plus the
+seeds run and whether every run checked its answers.  The tool itself
+runs no git.
 """
 
 import argparse
@@ -67,6 +71,8 @@ def main(argv=None):
     parser.add_argument("--change", default=ROOT)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="seed of the first pair (default 1)")
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--tiny", action="store_true",
                         help="only the cheapest ops (smoke test)")
@@ -79,14 +85,15 @@ def main(argv=None):
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     base_runs, change_runs = [], []
-    for seed in range(1, args.pairs + 1):
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
+    for i, seed in enumerate(seeds):
         sides = [(args.base, base_runs), (args.change, change_runs)]
-        for checkout, runs in sides if seed % 2 else sides[::-1]:
+        for checkout, runs in sides[::-1] if i % 2 else sides:
             runs.append(run_once(checkout, args.workload, seed,
                                  args.seconds, args.tiny))
     print(json.dumps({
         "workload": args.workload, "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seeds": list(seeds), "seconds": args.seconds,
         "correct": all(r["correct"] for r in base_runs + change_runs),
         "metrics": summary(metrics, base_runs, change_runs)}))
     return 0
