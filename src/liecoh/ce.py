@@ -5,7 +5,7 @@ isotropy-invariant alternating forms on the ambient algebra.  Horizontal
 k-forms are coordinatised on wedges F_J = F_{j_1} ^ ... ^ F_{j_k} of a basis
 F_1..F_q of the annihilator of h in the dual of g, the monomial J held as an
 int bitmask.  F is the annihilator's kernel basis, the identity on its free
-rows, so the unit vectors w_j = e_{free[j]} are test vectors with
+rows, so the unit vectors w_j = e_{free[j]} span a complement W of h with
 F_i(w_j) = delta_ij, and the coefficient of a horizontal form on F_J is its
 value on (w_{j_1}, ...).  One projection (_projected) reads each map below
 through F's columns as the images of the F_c, no Gram matrix solved, and
@@ -27,53 +27,44 @@ generator entries do not depend on the complement chosen for h (moving a
 w_j by an element of h changes none of them), so any test vectors dual to F
 give the same invariant complex; the unit vectors only make D small.
 
-Every degree is built on graded monomials only: the F_J fixed by the
-half-turns sigma = exp(pi ad Y) that _half_turn_masks accepts, each a sign
-matrix on the frame, so it scales F_c by +-1 and F_J by
-(-1)^popcount(J & S), S the frame positions it negates.
-linalg.half_turn_signs tests that exp(pi A) is a sign matrix: each e_j in
-ker(A^2 + 1), where it is -1, or in ker A(A^2 + 4), where it is 1,
-kernels that split the space exactly when A(A^2 + 1)(A^2 + 4) = 0.  Two
-kinds of Y pass:
+Every degree is built on orbit sums.  A turn is an automorphism of g that
+preserves h and permutes the w_j up to sign, so F_c -> +-F_pi(c).  The
+finite group Gamma the turns generate (_turns) permutes the F_J up to
+sign; its invariants are spanned by the sums over the orbits whose
+stabiliser acts trivially (linalg.signed_orbits), and the coordinates are
+the averages Q_O = E F_r over Gamma, r a monomial of the orbit.  A turn
+is exp((pi/2) ad Y) (linalg.quarter_turn), else exp(pi ad Y)
+(linalg.half_turn_signs), or a generator.  Two kinds pass:
 
-* each Lie generator Y of h with exp(pi ad Y) a sign matrix on g/h in the
-  w_j, read off Y's theta images.  sigma lies in H^0, and an invariant
-  cochain f has theta(Y)f = 0, so exp(pi theta(Y))f = f: every invariant
-  cochain lies on the graded monomials, whether or not Y commutes with h
-  and whatever the generators do, and the invariant spaces are those of
-  the whole wedge.  theta(X) and the generators need not commute with
-  this sigma, so their columns take rows off the graded monomials, the
-  row of such a J being ~J;
-* each basis vector Y of g that commutes with h and is fixed by every
-  generator, with exp(pi ad Y) diagonal on g (for h = 0 every basis vector
-  is a candidate).  sigma fixes h and the w_j and commutes with theta, the
-  generators and delta.  On the relative complex theta(Y) = delta iota(Y)
-  + iota(Y) delta, iota(Y) preserving it, so sigma* = exp(pi theta(Y)) is
-  1 on cohomology, and averaging over these half-turns gives
-  H(C^Gamma) = H(C) (Koszul 1950; Greub-Halperin-Vanstone vol. III).
-  complex_dims are those of C^Gamma.  Only the span of the masks grades,
-  and it lies in the space of sign patterns of diagonal automorphisms of
-  g of determinant 1, one GF(2) kernel of the table (linalg.xor_echelon):
-  once the masks reach its rank no basis vector is tested further.  That
-  stops so(5) after 4 of its 10 and su(3) after 2 of its 8.
+* first kind: each Lie generator Y of h with [Y, W] in W, read on its
+  theta images, and each generator that permutes the w_j up to sign.
+  These lie in H, and an invariant cochain f has theta(Y)f = 0, so
+  exp(t theta(Y)) fixes f: the invariant spaces are those of the wedge;
+* second kind: each basis vector Y of g that commutes with h and is fixed
+  by every generator (every one for h = 0), unless a turn taken before
+  maps one taken to +-Y (its turn is then a conjugate).  exp(t ad Y)
+  fixes h and commutes with theta and the generators; on the relative
+  complex theta(Y) = delta iota(Y) + iota(Y) delta, iota(Y) preserving
+  it, so each such turn is 1 on cohomology, and averaging over them gives
+  H(C^Gamma) = H(C) (Koszul 1950; Greub-Halperin-Vanstone vol. III):
+  complex_dims are those of C^Gamma.
 
-delta maps invariant cochains to invariant cochains, so an image of an
-invariant basis with a row off the graded monomials is a RuntimeError.
-A delta column of one monomial may have such a row: delta is built on the
-span W of the w_j, and a half-turn of the first kind is diagonal on g/h
-but need not map W into itself.
-
-The degree-k cochain space is the joint kernel of the theta operators and
-the fixed space of the generator actions.  theta is a representation of h,
-so the Y whose theta(Y) kills a cochain are a subalgebra and theta is built
-for a Lie generating set of h only (liealg.lie_generators).  The operators
-are intersected one at a time through nonzeros (intersect_kernels); the
-basis is the identity on a set of free rows.  delta(F_J) is built only
-for the J the invariant basis reaches.  The images mapped back from their
-row selection on the next basis (the differential must not escape the
-invariant space) are a consistency check on the assembly, not an
-assumption.  With no constraints (trivial isotropy, no generators) the
-images are the delta columns themselves.
+A turn commutes with delta (_check_turns), so delta Q_O = E delta F_r is
+delta's column at r read on the orbit sums (linalg.on_orbits): a monomial
+of a bad orbit adds nothing, one off the graded monomials is the row ~m,
+which the images of an invariant basis must not reach.  theta(Y) is read
+so when every turn fixes Y; another operator A takes A Q_O, the sum of
++-A F_m / |O| over the orbit (linalg.summed_on_orbits).  Gamma maps the
+kernel of theta(Y) on its invariants to that of theta(gamma Y), so theta
+is not imposed for a Y in the span of the images, under the generators
+that are turns, of the Lie generators imposed before it.
+The cochain space is the joint kernel of the theta operators and the
+fixed space of the other generators.  The Y whose theta(Y) kills a
+cochain are a subalgebra, so theta is built for h's Lie generators only
+(liealg.lie_generators); the operators are intersected one at a time
+(intersect_kernels), the basis the identity on a set of free rows.  The
+images mapped back from their rows on the next basis (the escape check)
+are a consistency check on the assembly, not an assumption.
 Ranks are exact integer ranks, taken in increasing degree as one complex
 (linalg.complex_ranks): the echelon of delta_k's columns has distinct
 leading rows P_k, and as delta o delta = 0 (checked there on the restricted
@@ -99,15 +90,17 @@ included, that validate's factor checks built.
 """
 
 from collections import namedtuple
+from functools import partial
 from itertools import accumulate, chain, combinations
 from math import lcm
 
 from .betti import BettiReport
 from .liealg import int_field
-from .linalg import (SparseMatrix, combination, complex_ranks,
-                     coordinates, graded_monomials, half_turn_signs,
-                     intersect_kernels, kernel_basis, minus_identity,
-                     nonzero, rank, sparse_product, transpose, xor_echelon)
+from .linalg import (SparseMatrix, combination, complex_ranks, coordinates,
+                     echelon_insert, half_turn_signs, intersect_kernels,
+                     kernel_basis, nonzero, on_orbits, quarter_turn, rank,
+                     signed_orbits, sparse_product, summed_on_orbits,
+                     transpose)
 from .pairs import HomogeneousPair
 
 DEFAULT_SIZE_CAP = 14
@@ -143,8 +136,8 @@ class RelativeComplex(namedtuple("RelativeComplex", [
         "monomials"])):
     """Invariant cochain spaces and differentials, degrees 0..max_degree+1.
 
-    monomials[k] lists the graded monomials of degree k as bitmasks, one
-    per wedge coordinate.  bases[k] is the degree-k cochain space as a
+    monomials[k] lists a monomial of each orbit sum of degree k, one per
+    coordinate, as bitmasks.  bases[k] is the degree-k cochain space as a
     Subspace of those coordinates held in sparse columns, with None meaning
     all of them (no isotropy or generator constraints).  deltas[k] is scale
     times the differential from degree k to k+1 in those bases, a
@@ -156,10 +149,10 @@ class RelativeComplex(namedtuple("RelativeComplex", [
 
 def _frame(pair):
     """The annihilator of h in g* as a kernel basis, plus its rows as
-    {k: {i: F_i[k]}}, so combination(rows, v) is {i: F_i(v)}; the test
-    vector w_j is the unit vector at free[j]."""
+    {k: {i: F_i[k]}}, so combination(rows, v) is {i: F_i(v)} (None, F_i(v)
+    = v_i, for h = 0); the test vector w_j is the unit vector at free[j]."""
     ann = kernel_basis(pair.h.columns, pair.algebra.n)
-    return ann, transpose(ann.columns)
+    return ann, transpose(ann.columns) if pair.h.columns else None
 
 
 def _projected(rows, terms):
@@ -169,7 +162,7 @@ def _projected(rows, terms):
     sign of moving those bits into a monomial m."""
     images = {}
     for key, v in terms:
-        for c, x in combination(rows, v).items():
+        for c, x in (combination(rows, v) if rows else v).items():
             images.setdefault(1 << c, {})[key] = x
     return images
 
@@ -211,66 +204,84 @@ def _structure_table(alg, ann, rows):
     return table, scale
 
 
-def _half_turn_masks(pair, ann, theta_mats):
-    """Frame masks S, bit j set where sigma negates F_j, of the half-turns
-    sigma = exp(pi ad Y) that are sign matrices on the frame.
+def _turn(cols, m):
+    """A's quarter-turn, else its half-turn as a signed permutation."""
+    if not (turn := quarter_turn(cols, m)) and (
+            signs := half_turn_signs(cols, m)):
+        turn = list(enumerate(signs))
+    return turn
 
-    Y is each basis vector e_i of g that commutes with h's Lie generators,
-    is fixed by every component generator and has exp(pi ad e_i) diagonal
-    on g (read on ad_sparse()), its mask read at the free rows; and Y is
-    each other Lie generator of h, with exp(pi ad Y) diagonal on g/h in the
-    w_j, read on its theta images F_c([w_j, Y]), the columns of -ad Y on
-    g/h.
 
-    Only the span of the masks grades, and the e_i stop being tested once
-    theirs reaches its bound.  Such a sigma is a diagonal automorphism of
-    g, so its signs satisfy eps_k = eps_i eps_j wherever c_ij^k != 0, and
-    det exp(pi ad e_i) = exp(pi tr ad e_i) > 0, so it negates an even
-    number of the e_j; it fixes h, so it negates free rows only, and its
-    masks have the rank of its signs on g.  Their span lies in the space
-    those conditions cut out, whose dimension is the bound.
-    """
-    alg = pair.algebra
-    bound = alg.n - len(xor_echelon(
-        {1 << i ^ 1 << j ^ 1 << k for (i, j), terms in alg.table.items()
-         for k, _ in terms} | {(1 << alg.n) - 1}))
-    masks, accepted = [], []
+def _turns(pair, ann):
+    """(turns, thetas, others): the turns, on the frame, that generate
+    Gamma; per Lie generator of h, None when its theta is not imposed, else
+    whether every turn fixes it (a turn of Y fixes Z when [Y, Z] = 0); and
+    the indices of the generators that are not turns."""
+    alg, free, ys = pair.algebra, ann.free, pair.h_lie_generators
+    gens, at = pair.generator_columns, {f: j for j, f in enumerate(ann.free)}
+
+    def on_frame(turn):     # (k, s) per e_f as a turn of the w_j, or None
+        out = [(at.get(k), s) for k, s in (turn[f] for f in free)]
+        return None if any(k is None or s * s != 1 for k, s in out) else out
+    turns, moved, others, taken, reached, acting = [], set(), [], [], set(), []
     for i, ad in enumerate(alg.ad_sparse()):
-        if len(xor_echelon(masks)) == bound:
-            break
-        if (all(g[i] == {i: 1} for g in pair.generator_columns)
-                and not any(alg.bracket_sparse({i: 1}, y)
-                            for y in pair.h_lie_generators)
-                and (signs := half_turn_signs(ad, alg.n))):
-            masks.append(sum(1 << j for j, f in enumerate(ann.free)
-                             if signs[f] < 0))
-            accepted.append({i: 1})
-    for y, theta in zip(pair.h_lie_generators, theta_mats):
-        if y in accepted:       # its sigma is the one accepted above
-            continue
-        cols = {}
-        for c, image in theta.items():
-            for (bits, _), x in image.items():
-                cols.setdefault(bits.bit_length() - 1, {})[
-                    c.bit_length() - 1] = x
-        if signs := half_turn_signs(cols, ann.dim):
-            masks.append(sum(1 << j for j, x in enumerate(signs) if x < 0))
-    return masks
+        if (i not in reached and all(g[i] == {i: 1} for g in gens)
+                and not any(alg.bracket_sparse({i: 1}, y) for y in ys)
+                and (turn := _turn(ad, alg.n)) and (frame := turn if len(
+                    free) == alg.n else on_frame(turn))):
+            turns.append(frame)
+            taken.append(turn)
+            stack = [i, *reached]
+            while stack:        # turn(e_k) = gamma turn(e_j) gamma^-1
+                reached.add(j := stack.pop())
+                stack += [k for t in taken if (k := t[j][0]) not in reached]
+    for y in ys:                # -ad Y on W, the columns [w_j, Y]
+        cols = [alg.bracket_sparse({f: 1}, y) for f in free]
+        if (not (len(y) == 1 and y.keys() <= reached)
+                and all(col.keys() <= at.keys() for col in cols)
+                and (turn := _turn([{at[k]: x for k, x in col.items()}
+                                    for col in cols], len(free)))):
+            turns.append(turn)
+            moved.update(j for j, z in enumerate(ys)
+                         if alg.bracket_sparse(y, z))
+    for t, g in enumerate(gens):
+        if turn := on_frame([next(iter(col.items())) if len(col) == 1
+                             else (None, 0) for col in g]):
+            turns.append(turn)
+            acting.append(g)
+            moved.update(j for j, z in enumerate(ys) if combination(g, z) != z)
+        else:
+            others.append(t)
+    echelon, thetas = {}, []
+    for j, y in enumerate(ys):
+        thetas.append(None if echelon_insert(echelon, y) is None
+                      else j not in moved)
+        todo = [y] if thetas[-1] is not None else []
+        while todo:
+            v = todo.pop()
+            todo += [w for g in acting if echelon_insert(
+                echelon, w := combination(g, v)) is not None]
+    return turns, thetas, others
 
 
-class _Graded(dict):
-    """Positions of one degree's graded monomials; any other monomial m
-    is the row ~m, outside them, and sets missed."""
-    missed = False
+def _check_turns(turns, table):
+    """A RuntimeError unless turn(delta F_c) = delta(turn F_c) for every
+    turn and c: then turn o delta o turn^-1, a derivation, is delta."""
+    entries = {(c, bits): v for c, col in table.items()
+               for (bits, _), v in col.items()}
+    for turn in turns:
+        for (c, bits), v in entries.items():
+            (k, s), (a, sa), (b, sb) = (turn[c.bit_length() - 1], turn[
+                (bits & -bits).bit_length() - 1], turn[bits.bit_length() - 1])
+            if entries.get((1 << k, 1 << a | 1 << b)) != (
+                    -s * sa * sb * v if a > b else s * sa * sb * v):
+                raise RuntimeError("a turn does not commute with the "
+                                   "differential")
 
-    def __missing__(self, mon):
-        self.missed = True
-        return ~mon
 
-
-def _derivation_column(images, mon, index):
-    """Column F_mon of the derivation F_c -> images[c], as a {row: value}
-    dict on the positions of index.
+def _derivation_column(images, mon):
+    """Column F_mon of the derivation F_c -> images[c], as a {monomial:
+    value} dict.
 
     The term of c is (-1)^p images[c] ^ F_{mon - c}, p the bits of mon below
     c (F_c moved to the front), whether images[c] holds 1-forms (theta) or
@@ -284,8 +295,8 @@ def _derivation_column(images, mon, index):
         rest = mon ^ c
         for (bits, below), v in images.get(c, {}).items():
             if not rest & bits:
-                row = index[rest | bits]
                 odd = (rest & ((c - 1) ^ below)).bit_count() % 2
+                row = rest | bits
                 acc[row] = acc.get(row, 0) + (-v if odd else v)
     return nonzero(acc)
 
@@ -305,39 +316,31 @@ def _wedge_column(action, mon, memo):
     return memo[mon]
 
 
-def _fixed_op(action, index, memo):
-    """Sparse matrix of (gamma* - 1) on wedge coordinates of one degree."""
-    return minus_identity([
-        {index[key]: v for key, v in _wedge_column(action, mon, memo).items()}
-        for mon in index], len(index))
-
-
-def _invariant_space(theta_mats, gen_mats, gen_memos, index):
-    """Invariant degree-k coordinates as a sparse Subspace, or None for all."""
-    if not theta_mats and not gen_mats:
+def _invariant_space(theta_mats, thetas, gens, orbits):
+    """Invariant coordinates of one degree, on its orbit sums, as a sparse
+    Subspace, or None for all of them."""
+    index, reps, members = orbits
+    if not (ops := [(t, fixed) for t, fixed in zip(theta_mats, thetas)
+                    if fixed is not None]) and not gens:
         return None
     # lazily built, so no operator is assembled once the space is zero
-    ops = chain(({j: col for j, mon in enumerate(index)
-                  if (col := _derivation_column(t, mon, index))}
-                 for t in theta_mats),
-                (_fixed_op(a, index, m) for a, m in zip(gen_mats, gen_memos)))
-    return intersect_kernels(ops, len(index))
+    return intersect_kernels(chain(
+        ({p: col for p, mon in enumerate(reps) if (col := on_orbits(
+            _derivation_column(t, mon), index))} if fixed
+         else summed_on_orbits(members, partial(_derivation_column, t))
+         for t, fixed in ops),
+        (summed_on_orbits(members, lambda mon, a=a, m=m: nonzero(
+            {**(col := _wedge_column(a, mon, m)), mon: col.get(mon, 0) - 1}))
+         for a, m in gens)), len(reps))
 
 
-def _restrict_delta(images, basis_next, index_next, ncols):
-    """Coordinates of the images in the next invariant basis.
-
-    A kernel basis is the identity on its free rows, so the coordinates are
-    the image entries on those rows; mapping them back through the basis
-    must then reproduce every image exactly, which a row outside the
-    graded monomials does not: the images are those of invariant cochains.
-    With no basis there are no theta or generator columns, so a row of
-    index_next was missed by delta alone.
-    """
+def _restrict_delta(images, basis_next, nrows, ncols):
+    """The images in the next basis, read on its free rows and checked by
+    mapping them back (coordinates); a row off the graded ones fails."""
     if basis_next is None:
-        if index_next.missed:
+        if any(min(col) < 0 for col in images.values()):
             raise RuntimeError("an operator leaves the graded monomials")
-        return SparseMatrix(images, len(index_next), ncols)
+        return SparseMatrix(images, nrows, ncols)
     try:
         coords = coordinates(basis_next, list(images.values()))
     except ValueError:
@@ -366,31 +369,27 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
         _non_negative(max_degree, "max_degree"), q)
     ann, rows = _frame(pair)
     theta_mats, gen_mats = _frame_actions(pair, ann, rows)
-    gen_memos = [{0: {0: 1}} for _ in gen_mats]   # the empty wedge is 1
     table, scale = _structure_table(alg, ann, rows)
+    turns, thetas, others = _turns(pair, ann)
+    _check_turns(turns, table)
+    gens = [(gen_mats[t], {0: {0: 1}}) for t in others]  # memo: 1 = F_0
 
-    monomials = graded_monomials(
-        q, _half_turn_masks(pair, ann, theta_mats), top + 1)
-    indexes, bases, dims = [], [], []
-    for level in monomials:
-        idx = _Graded((mon, pos) for pos, mon in enumerate(level))
-        basis = _invariant_space(theta_mats, gen_mats, gen_memos, idx)
-        indexes.append(idx)
-        bases.append(basis)
-        dims.append(len(idx) if basis is None else basis.dim)
+    orbits = signed_orbits(q, turns, top + 1)
+    bases = [_invariant_space(theta_mats, thetas, gens, o) for o in orbits]
+    dims = [len(o[1]) if b is None else b.dim for o, b in zip(orbits, bases)]
     if dims[0] != 1:
         raise RuntimeError("degree-0 cochain space is not one-dimensional; "
                            "cochain assembly is inconsistent")
 
     # each op is D * delta_k, its columns built only where the basis reaches
-    deltas = []
+    monomials, deltas = [reps for _, reps, _ in orbits], []
     for k, basis in enumerate(bases[:top + 1]):
         reach = (range(dims[k]) if basis is None
                  else {r for col in basis.columns for r in col})
-        op = {j: col for j in reach if (col := _derivation_column(
-            table, monomials[k][j], indexes[k + 1]))}
+        op = {j: col for j in reach if (col := on_orbits(_derivation_column(
+            table, monomials[k][j]), orbits[k + 1][0]))}
         images = op if basis is None else sparse_product(op, basis.columns)
-        deltas.append(_restrict_delta(images, bases[k + 1], indexes[k + 1],
+        deltas.append(_restrict_delta(images, bases[k + 1], dims[k + 1],
                                       dims[k]))
     return RelativeComplex(q, top, dims, bases, deltas, scale, monomials)
 

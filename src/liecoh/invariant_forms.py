@@ -26,7 +26,10 @@ derivation_operators numbers J plus twice any multiset, J a graded wedge
 monomial of linalg.graded_monomials, in combinations_with_replacement
 order.  The derivations and pullbacks take their columns there and their
 rows anywhere (a pullback need not keep the grading), and a polynomial
-with a coefficient elsewhere is outside the space.
+with a coefficient elsewhere is outside the space.  This is the half-turn
+grading alone: the quarter-turns and orbit sums that build the CE
+cochains (ce, linalg.signed_orbits) do not grade symmetric monomials yet
+(ROADMAP item 9).
 
 The product of two polynomials merges their sorted index tuples.  On h
 itself the ad operators come from the pair's table (h_ad), and S²(h*)^H

@@ -29,10 +29,17 @@ coordinates.  Coordinates in independent columns are unique:
 coordinates reads them through the Subspace's solver, built once (on a
 kernel basis, its free rows), and checks them by mapping them back.
 
-half_turn_signs and graded_monomials grade by half-turns: the first tests
-that exp(pi A) is a sign matrix, the second lists the wedge monomials, as
+Turns grade wedges.  half_turn_signs tests that exp(pi A) is a sign
+matrix and quarter_turn that exp((pi/2) A) is a signed permutation, read
+off the nonzeros of a sum of 2 x 2 rotation blocks or interpolated on the
+eigenvalues 0, +-i, +-2i.  graded_monomials lists the wedge monomials, as
 bitmasks, that a set of sign matrices all fix, doubling over the kernel
-of their masks' reduced echelon over GF(2) (xor_echelon).
+of their masks' reduced echelon over GF(2) (xor_echelon); invariant_forms
+grades symmetric monomials by it.  signed_orbits walks the orbits of a
+group of signed permutations on those monomials, with bit operations on
+each monomial (_turn_bits), and keeps the orbits whose stabiliser acts
+trivially, whose sums span the group's invariants; on_orbits and
+summed_on_orbits read a column on their averages.
 
 Ordering conventions used throughout the package: polynomial monomials are
 sorted index tuples (itertools.combinations_with_replacement order), exterior
@@ -599,3 +606,195 @@ def graded_monomials(q, masks, top):
         if (k := mon.bit_count()) <= top:
             levels[k].append(mon)
     return levels
+
+
+def quarter_turn(columns, m):
+    """exp(pi/2 A) as a signed permutation [(k, s)], exp(pi/2 A) e_j =
+    s e_k, when it is one other than the identity, else None, for the
+    m x m matrix A given by its columns (as in half_turn_signs).
+
+    Where A is a sum of 2 x 2 rotation blocks, A e_a = t e_b and
+    A e_b = x e_a with tx = -1 (weight 1) or -4 (weight 2), beside zero
+    columns, it is read off those nonzeros: t e_b, a signed unit when
+    t = +-1, for weight 1 and -e_a for weight 2.  Otherwise it is the
+    interpolation 1 + (4/3)A + (7/6)A^2 + (1/3)A^3 + (1/6)A^4, which is
+    exp(pi/2 lambda) on the eigenvalues 0, +-i, +-2i, under the test
+    A(A^2 + 1)(A^2 + 4) = 0, both read on A^0 e_j .. A^5 e_j; it is A e_j
+    for e_j in ker(A^2 + 1) and e_j + A^2 e_j / 2 for e_j in
+    ker A(A^2 + 4), read off A^2 e_j and A^3 e_j as in half_turn_signs.
+    """
+    cols = columns if isinstance(columns, dict) else dict(enumerate(columns))
+    turn = [(j, 1) for j in range(m)]
+    for a, col in cols.items():
+        if col:
+            (b, t), = col.items() if len(col) == 1 else ((a, 0),)
+            back = cols.get(b, {})
+            w = t * back.get(a, 0) if len(back) == 1 else 0
+            if w == -4:
+                turn[a] = (a, -1)
+            elif w == -1 and t in (1, -1):
+                turn[a] = (b, t)
+            else:
+                break
+    else:
+        return turn if turn != [(j, 1) for j in range(m)] else None
+    turn = []
+    for j in range(m):      # 6 exp(pi/2 A) e_j, the shorter where it can
+        if not (a1 := cols.get(j)):
+            image = {j: 6}
+        elif (a2 := combination(cols, a1)) == {j: -1}:
+            image = {r: 6 * x for r, x in a1.items()}
+        elif (a3 := combination(cols, a2)) == {
+                r: -4 * x for r, x in a1.items()}:
+            image = combination([{j: 1}, a2], {0: 6, 1: 3})
+        else:
+            powers = [{j: 1}, a1, a2, a3, a4 := combination(cols, a3),
+                      combination(cols, a4)]
+            if combination(powers, {1: 4, 3: 5, 5: 1}):
+                return None
+            image = combination(powers, {0: 6, 1: 8, 2: 7, 3: 2, 4: 1})
+        if len(image) != 1 or abs(x := next(iter(image.values()))) != 6:
+            return None
+        turn.append((next(iter(image)), x // 6))
+    return turn if turn != [(j, 1) for j in range(m)] else None
+
+
+def _turn_bits(turn):
+    """Per bit i of a monomial, what the signed permutation turn makes of
+    it: (1 << pi(i), D_i, whether it negates F_i), D_i the bits j > i with
+    pi(j) < pi(i), read off the bits placed at the images below pi(i).
+    F_m goes to (-1)^odd F_image, image the OR of the 1 << pi(i) over m:
+    odd counts the negations and the inversions of the turn on m, the
+    parity of m & (XOR of the D_i over m)."""
+    below, at = [0], [0] * len(turn)
+    for j, (k, _) in enumerate(turn):
+        at[k] = j
+    for j in at:
+        below.append(below[-1] | 1 << j)
+    return [(1 << k, below[k] & -(2 << i), s < 0)
+            for i, (k, s) in enumerate(turn)]
+
+
+def _determinant(turn):
+    """The determinant of a signed permutation: the product of its signs
+    times (-1)^(m - c), c the number of cycles of its m points."""
+    sign, seen = (-1) ** len(turn), set()
+    for j, (_, s) in enumerate(turn):
+        sign *= s
+        if j not in seen:
+            sign = -sign
+            while j not in seen:
+                seen.add(j)
+                j = turn[j][0]
+    return sign
+
+
+def signed_orbits(q, turns, top):
+    """Per degree 0..top, the orbits on the wedge monomials of q bits of
+    the group the signed permutations turns generate: (index, reps,
+    members).
+
+    The diagonal turns, and the squares of the others where those are
+    diagonal, grade first (graded_monomials); the other turns walk an
+    orbit on the graded monomials.  It is bad, its walk stopped, when the
+    walk reaches a monomial off them (a sign matrix of the group negates
+    it), one of a bad orbit, or one monomial with both signs: then an
+    element fixing a monomial negates it.  Every other orbit is good, and
+    its orbit sum, the sum of (-1)^odd F_m over its members, is invariant.
+    reps[p] is the monomial of good orbit p with odd = 0 and members[p]
+    its (m, odd); index maps a member of a good orbit to 2p + odd and any
+    other graded monomial to -1.  Where every turn has determinant 1,
+    F_J ^ F_~J = (-1)^s(J) F_full is fixed, so ~J is good with J, the
+    complement of a degree-k orbit is one of degree q - k, and
+    (-1)^odd F_~m is (-1)^(odd + s(r) + s(m)) times the image of F_~r;
+    s(J) is the parity of sum J - k(k - 1)/2.  Degrees above q/2 are read
+    so, in reverse, as complements reverse the combinations order.
+    """
+    masks, moving = [], []
+    for turn in turns:
+        if any(k != j for j, (k, _) in enumerate(turn)):
+            moving.append(turn)
+            if any(turn[k][0] != j for j, (k, _) in enumerate(turn)):
+                continue
+            turn = [(j, s * turn[k][1]) for j, (k, s) in enumerate(turn)]
+        masks.append(sum(1 << j for j, (_, s) in enumerate(turn) if s < 0))
+    full, out, acts, mirror = (1 << q) - 1, [], None, None
+    odds = (4 ** q - 1) // 3 * 2 & full       # the odd positions
+    for k, level in enumerate(graded_monomials(q, masks, top)):
+        index, reps, members = dict.fromkeys(level, -1), [], []
+        if level and 0 <= q - k < k and mirror is None:
+            mirror = (all(m.bit_count() % 2 == 0 for m in masks) and
+                      all(_determinant(turn) == 1 for turn in moving))
+        if level and 0 <= q - k < k and mirror:
+            for r, orbit in reversed(list(zip(*out[q - k][1:]))):
+                reps.append(full ^ r)
+                members.append([(full ^ m, odd ^ ((r ^ m) & odds).bit_count()
+                                 & 1) for m, odd in orbit])
+                index.update((m, 2 * len(reps) - 2 + odd)
+                             for m, odd in members[-1])
+            out.append((index, reps, members))
+            continue
+        index = dict.fromkeys(level, -2)
+        for start in level:
+            if index[start] != -2:
+                continue
+            if acts is None and start:      # every turn fixes F_0 = 1
+                acts = [_turn_bits(turn) for turn in moving]
+            key = 2 * len(reps)
+            index[start], orbit = key, [(start, 0)]
+            for mon, odd in orbit:
+                for bits in acts if start else ():
+                    image = down = 0
+                    flip, rest = odd, mon
+                    while rest:
+                        bit, d, s = bits[(rest & -rest).bit_length() - 1]
+                        rest &= rest - 1
+                        image |= bit
+                        down ^= d
+                        flip ^= s
+                    flip = key + ((flip ^ (mon & down).bit_count()) & 1)
+                    seen = index.get(image)
+                    if seen == -2:
+                        index[image] = flip
+                        orbit.append((image, flip & 1))
+                    elif seen != flip:
+                        break
+                else:
+                    continue
+                index.update((m, -1) for m, _ in orbit)
+                break
+            else:
+                reps.append(start)
+                members.append(orbit)
+        out.append((index, reps, members))
+    return out
+
+
+def on_orbits(col, index):
+    """E applied to a {monomial: value} column, on the orbit sums of index
+    (signed_orbits), E the average over the group: a monomial adds its
+    signed value at its orbit, one of a bad orbit nothing, and one off the
+    graded monomials is the row ~m."""
+    acc = {}
+    for mon, v in col.items():
+        if (at := index.get(mon)) is None:
+            acc[~mon] = v
+        elif at >= 0:
+            acc[at >> 1] = acc.get(at >> 1, 0) + (-v if at & 1 else v)
+    return nonzero(acc)
+
+
+def summed_on_orbits(members, column):
+    """{p: A Q_p} for the orbits members[p] of signed_orbits, Q_p = E F_r
+    the average of F_r over the group and A F_m = column(m): the sum of
+    (-1)^odd column(m) over the members, over the orbit's size, all times
+    the lcm of the sizes (a scale that keeps kernels) and on monomials."""
+    size, out = lcm(*map(len, members)), {}
+    for p, orbit in enumerate(members):
+        acc = {}
+        for mon, odd in orbit:
+            for r, v in column(mon).items():
+                acc[r] = acc.get(r, 0) + (-v if odd else v)
+        if acc := {r: v * (size // len(orbit)) for r, v in acc.items() if v}:
+            out[p] = acc
+    return out

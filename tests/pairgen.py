@@ -30,25 +30,32 @@ and A^3 e_j for every e_j, zero columns too) and ce._derivation_column
 (every image tested against the monomial), which the tests compare with
 the forms that skip the work.
 blocks_by_merging, graded_monomials_by_sorting, block_pair_by_rebuilding
-and half_turn_masks_on_every_candidate are the forms ce._blocks,
-linalg.graded_monomials, ce._block_pair and ce._half_turn_masks replaced:
-each group merged with every class it meets, every sum of the perp
-vectors sorted by its reversed bits, the block table pushed through
-LieAlgebra(...) again, and every basis half-turn tested.
+and turns_on_every_candidate are the forms ce._blocks,
+linalg.graded_monomials, ce._block_pair and ce._turns replaced: each
+group merged with every class it meets, every sum of the perp vectors
+sorted by its reversed bits, the block table pushed through
+LieAlgebra(...) again, and the turn of every basis candidate taken.
+fixed_space_by_elimination is the reference for linalg.signed_orbits:
+the wedge forms of one degree that a set of signed permutations fixes,
+as the common kernel of (gamma* - 1) over every monomial, each gamma*
+F_J read off the sorted images of J (wedge_turn_by_sorting);
+invariant_dims_by_elimination adds theta on every monomial, for the
+cochain dimensions of a pair of one block.
 """
 
 import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import xor
 
+from liecoh import ce
 from liecoh.catalog import pair_from_name
 from liecoh.invariant_forms import action_coordinates, ad_coordinates
 from liecoh.liealg import LieAlgebra, _closure_dim
-from liecoh.linalg import (Subspace, combination, half_turn_signs,
-                           intersect_kernels, kernel_basis, nonzero, rat_str,
+from liecoh.linalg import (Subspace, combination, intersect_kernels,
+                           kernel_basis, kernel_in, nonzero, rat_str,
                            transpose)
 from liecoh.pairs import HomogeneousPair, validate_pair
 
@@ -341,18 +348,18 @@ def half_turn_signs_on_every_column(columns, m):
     return signs if -1 in signs else None
 
 
-def derivation_column_over_every_image(images, mon, index):
-    """Column F_mon of the derivation F_c -> images[c] on the positions of
-    index, each image c tested against mon."""
+def derivation_column_over_every_image(images, mon):
+    """Column F_mon of the derivation F_c -> images[c] on monomials, each
+    image c tested against mon."""
     acc = {}
     for c, image in images.items():
         if mon & c:
             rest = mon ^ c
             for (bits, below), v in image.items():
                 if not rest & bits:
-                    row = index[rest | bits]
                     odd = (rest & ((c - 1) ^ below)).bit_count() % 2
-                    acc[row] = acc.get(row, 0) + (-v if odd else v)
+                    acc[rest | bits] = acc.get(rest | bits, 0) + (
+                        -v if odd else v)
     return nonzero(acc)
 
 
@@ -421,30 +428,72 @@ def block_pair_by_rebuilding(pair, coords):
     return HomogeneousPair(algebra, h, gens)
 
 
-def half_turn_masks_on_every_candidate(pair, ann, theta_mats):
-    """ce._half_turn_masks with every basis vector of g tested: each e_i
-    commuting with h's Lie generators and fixed by every generator, then
-    each other Lie generator of h on g/h."""
-    alg = pair.algebra
-    turns = {i: signs for i, ad in enumerate(alg.ad_sparse())
-             if all(g[i] == {i: 1} for g in pair.generator_columns)
-             and not any(alg.bracket_sparse({i: 1}, y)
-                         for y in pair.h_lie_generators)
-             and (signs := half_turn_signs(ad, alg.n))}
-    masks = [sum(1 << j for j, f in enumerate(ann.free) if signs[f] < 0)
-             for signs in turns.values()]
-    accepted = [{i: 1} for i in turns]
-    for y, theta in zip(pair.h_lie_generators, theta_mats):
-        if y in accepted:
-            continue
-        cols = {}
-        for c, image in theta.items():
-            for (bits, _), x in image.items():
-                cols.setdefault(bits.bit_length() - 1, {})[
-                    c.bit_length() - 1] = x
-        if signs := half_turn_signs(cols, ann.dim):
-            masks.append(sum(1 << j for j, x in enumerate(signs) if x < 0))
-    return masks
+def turns_on_every_candidate(pair, ann):
+    """ce._turns with the turn of every basis candidate taken: each e_i
+    commuting with h's Lie generators and fixed by every generator whose
+    quarter-turn or half-turn permutes the w_j up to sign, besides the
+    turns ce._turns takes."""
+    alg, at = pair.algebra, {f: j for j, f in enumerate(ann.free)}
+    turns = ce._turns(pair, ann)[0]
+    for i, ad in enumerate(alg.ad_sparse()):
+        if (all(g[i] == {i: 1} for g in pair.generator_columns)
+                and not any(alg.bracket_sparse({i: 1}, y)
+                            for y in pair.h_lie_generators)
+                and (turn := ce._turn(ad, alg.n))
+                and all(turn[f][0] in at for f in ann.free)):
+            turns.append([(at[turn[f][0]], turn[f][1]) for f in ann.free])
+    return turns
+
+
+def wedge_turn_by_sorting(turn, mon):
+    """(image, sign) with gamma F_mon = sign F_image, gamma the signed
+    permutation turn (gamma F_j = s_j F_pi(j)): the product of the s_j
+    over mon times the sign of sorting the images pi(j) in the order of
+    the j."""
+    bits = [j for j in range(len(turn)) if mon >> j & 1]
+    images = [turn[j][0] for j in bits]
+    inversions = sum(a > b for a, b in combinations(images, 2))
+    return (sum(1 << k for k in images),
+            prod(turn[j][1] for j in bits) * (-1) ** inversions)
+
+
+def fixed_space_by_elimination(q, turns, k):
+    """The degree-k forms on q frame vectors that every signed permutation
+    of turns fixes, as a Subspace on the monomials in combinations order:
+    the common kernel of (gamma* - 1) over every monomial."""
+    mons = [sum(1 << j for j in c) for c in combinations(range(q), k)]
+    at = {m: i for i, m in enumerate(mons)}
+    ops = []
+    for turn in turns:
+        op = {}
+        for i, m in enumerate(mons):
+            image, sign = wedge_turn_by_sorting(turn, m)
+            col = {at[image]: sign}
+            col[i] = col.get(i, 0) - 1
+            if col := nonzero(col):
+                op[i] = col
+        ops.append(op)
+    return intersect_kernels(ops, len(mons))
+
+
+def invariant_dims_by_elimination(pair, top):
+    """Per degree 0..top, the dimension of the forms of a pair of one block
+    that every turn of turns_on_every_candidate fixes and theta(Y) kills
+    for each Lie generator Y of h, each theta read on every monomial
+    (derivation_column_over_every_image); generators that are no turn
+    are not imposed."""
+    ann, rows = ce._frame(pair)
+    theta_mats, _ = ce._frame_actions(pair, ann, rows)
+    turns, q, dims = turns_on_every_candidate(pair, ann), ann.dim, []
+    for k in range(top + 1):
+        mons = [sum(1 << j for j in c) for c in combinations(range(q), k)]
+        at = {m: i for i, m in enumerate(mons)}
+        ops = [{i: {at[r]: v for r, v in col.items()} for i, m in enumerate(
+            mons) if (col := derivation_column_over_every_image(t, m))}
+            for t in theta_mats]
+        dims.append(kernel_in(fixed_space_by_elimination(q, turns, k),
+                              ops).dim)
+    return dims
 
 
 def _vec_label(v):

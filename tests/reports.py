@@ -6,9 +6,10 @@ rewrites tests/reports.jsonl, one line per pair with sorted keys: the
 pair's name, each method's to_dict(explain=True) (the formula, Koszul
 and full CE reports) and validate_pair(pair).describe().  The pairs are
 the 28-pair pairgen.suite(), the benchmark's catalog ladder, its
-cochain draws for seeds 1-10 and its fullvector pairs.  test_reports.py
-recomputes every line and names the pair and key of any difference, so
-a change that alters a report on purpose rewrites the file and shows the
+cochain draws for seeds 1-10, its fullvector pairs and SU(n)/N(T) for
+n = 3, 4 (pairgen.su_torus_normalizer).  test_reports.py recomputes
+every line and names the pair and key of any difference, so a change
+that alters a report on purpose rewrites the file and shows the
 difference as its diff.
 """
 
@@ -46,6 +47,8 @@ def pairs():
                 for label, pair in drawn]
     out += [("fullvector/%s" % name, catalog.pair_from_name(name))
             for name, _, _ in workloads.FULLVECTOR]
+    out += [("normalizer/su:%d" % n, pairgen.su_torus_normalizer(n))
+            for n in (3, 4)]
     return out
 
 

@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, prod
 
 import pytest
@@ -45,7 +45,10 @@ def test_torus_3_full_wedge_cohomology():
 def test_su2_group_manifold():
     rep = betti_ce(_free(catalog.build("su", 2)))
     assert rep.betti == [1, 0, 0, 1]
-    assert rep.diagnostics["complex_dims"] == [1, 3, 3, 1]
+    # ad e_i has spectrum i{0, +-2}, so its quarter-turn is -1 on the other
+    # two basis vectors: three sign matrices, which fix the empty monomial
+    # and all three only
+    assert rep.diagnostics["complex_dims"] == [1, 0, 0, 1]
 
 
 def test_example_4_7_generator_cuts_invariants():
@@ -75,8 +78,10 @@ def test_unconstrained_complex_ranks_sparse_differentials():
     pair = _free(catalog.pair_from_name("su:2+su:2").algebra)
     rep = betti_ce(pair)
     assert rep.betti == [1, 0, 0, 2, 0, 0, 1]
-    assert rep.diagnostics["complex_dims"] == [1, 6, 15, 20, 15, 6, 1]
-    assert rep.diagnostics["ranks"] == [0, 6, 9, 9, 6, 0, 0]
+    # each su(2) block's complex is [1, 0, 0, 1] (test_su2_group_manifold),
+    # so by Kunneth the whole one is (1 + t^3)^2 and every delta vanishes
+    assert rep.diagnostics["complex_dims"] == [1, 0, 0, 2, 0, 0, 1]
+    assert rep.diagnostics["ranks"] == [0, 0, 0, 0, 0, 0, 0]
     cx = relative_complex(pair, max_degree=6)
     # one differential per degree 0..q, the last into the empty degree q+1
     assert len(cx.deltas) == 7
@@ -158,7 +163,11 @@ def test_su4_line_constrained_q14():
     rep = betti_ce(pair, max_degree=4)
     assert rep.intermediates["quotient_dim"] == 14
     assert rep.betti == [1, 0, 1, 0, 0]
-    assert rep.diagnostics["complex_dims"] == [1, 4, 23, 84, 203]
+    # the turns of the basis vectors that commute with the line shrink the
+    # complex by design; the dims are those elimination over every
+    # monomial gives
+    assert rep.diagnostics["complex_dims"] == [1, 2, 11, 44, 103] == (
+        pairgen.invariant_dims_by_elimination(pair, 4))
     assert betti_low(pair).betti == [1, 0, 1, 0, 0]
     assert betti_koszul(pair).betti == [1, 0, 1, 0, 0]
 
@@ -383,29 +392,58 @@ def test_block_pairs_are_the_rebuilt_pairs():
     assert ce._block_pair(pair, list(range(1, 11))).algebra.ad_sparse() is ads
 
 
-def test_half_turn_masks_grade_as_every_candidate_does():
-    # the basis half-turns stop being tested once their masks reach the
-    # rank of the diagonal automorphisms of determinant 1, and the graded
-    # monomials are those of testing every candidate; so(5) stops after 4
-    # of its 10 candidates and su(3) after 2 of its 8
+def test_turns_grade_as_every_candidate_does():
+    # a basis candidate that a turn taken before maps from a taken one is
+    # skipped (its turn is a conjugate), and the orbit sums are those of
+    # taking every candidate; so(5) takes 4 of its 10 and su(3) 4 of its 8
+    # (e_0, e_1, the half-turn of e_2 and e_4)
     for label, pair in _reference_cases():
         for coords in ce._blocks(pair):
             block = ce._block_pair(pair, coords)
-            ann, rows = ce._frame(block)
-            theta_mats, _ = ce._frame_actions(block, ann, rows)
-            ours = ce._half_turn_masks(block, ann, theta_mats)
-            theirs = pairgen.half_turn_masks_on_every_candidate(
-                block, ann, theta_mats)
+            ann, _ = ce._frame(block)
+            ours = ce._turns(block, ann)[0]
+            theirs = pairgen.turns_on_every_candidate(block, ann)
             assert len(ours) <= len(theirs), (label, coords)
             q = ann.dim
-            assert (linalg.graded_monomials(q, ours, q)
-                    == linalg.graded_monomials(q, theirs, q)), (label, coords)
-    for name, tested in (("so:5", 4), ("su:3", 2)):
+            assert ([(reps, sorted(map(sorted, members))) for _, reps, members
+                     in linalg.signed_orbits(q, ours, q)]
+                    == [(reps, sorted(map(sorted, members))) for _, reps,
+                        members in linalg.signed_orbits(q, theirs, q)]
+                    ), (label, coords)
+    for name, taken, every in (("so:5", 4, 10), ("su:3", 4, 8)):
         pair = _free(catalog.pair_from_name(name).algebra)
-        ann, rows = ce._frame(pair)
-        assert len(ce._half_turn_masks(pair, ann, [])) == tested, name
-        assert len(pairgen.half_turn_masks_on_every_candidate(
-            pair, ann, [])) == pair.algebra.n, name
+        ann, _ = ce._frame(pair)
+        assert len(ce._turns(pair, ann)[0]) == taken, name
+        assert len(pairgen.turns_on_every_candidate(pair, ann)) == (
+            taken + every), name
+
+
+def test_orbit_sums_span_the_fixed_space_of_every_monomial():
+    # on every block of the suite and of the catalog pairs with q <= 10,
+    # the orbit sums of each degree span the forms that (gamma* - 1) kills
+    # for every turn, eliminated over every monomial with each gamma* F_J
+    # read off the sorted images of J; blocks with turns that are not
+    # sign matrices are among them
+    walked = 0
+    for label, pair in _reference_cases():
+        for coords in ce._blocks(pair):
+            block = ce._block_pair(pair, coords)
+            ann, _ = ce._frame(block)
+            q, turns = ann.dim, ce._turns(block, ann)[0]
+            if q > 10:
+                continue
+            walked += any(k != j for t in turns for j, (k, _) in enumerate(t))
+            for k, (_, reps, members) in enumerate(
+                    linalg.signed_orbits(q, turns, q)):
+                at = {sum(1 << j for j in c): i for i, c in enumerate(
+                    combinations(range(q), k))}
+                sums = Subspace.span(len(at), [
+                    {at[m]: (-1) ** odd for m, odd in orbit}
+                    for orbit in members])
+                assert sums.dim == len(reps), (label, coords, k)
+                assert sums == pairgen.fixed_space_by_elimination(
+                    q, turns, k), (label, coords, k)
+    assert walked >= 15, walked
 
 
 def test_a_generator_moving_two_factors_joins_them():
@@ -435,10 +473,20 @@ def test_su4_group_manifold_full_vector():
     rep = betti_ce(_free(catalog.build("su", 4)), size_cap=15)
     assert rep.betti == poly == [1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1]
     assert poincare_check(rep, 15)
-    # every half-turn of the catalog basis is conjugation by a sign matrix
-    # with two -1s; the three of those (up to -1) and 1 are a Klein
-    # four-group, so 2^15 / 4 monomials are graded
-    assert sum(rep.diagnostics["complex_dims"]) == 2 ** 13
+    # the quarter-turn of the diagonal vector H_j = i(E_jj - E_j+1,j+1)
+    # turns the root plane (a, b) by (pi/2) alpha_ab(H_j): on its complex
+    # coordinates z, z-bar by i^(+-alpha_ab(H_j)).  So the invariants are
+    # the monomials in z, z-bar and the 3 diagonal directions whose weight
+    # is 0 mod 4 on every H_j, 2^15 / 16 of them; the root vectors' turns
+    # cut no further
+    planes = list(combinations(range(4), 2))
+    weight = {0: 0, 1: 1, 2: -1, 3: 0}       # none, z, z-bar, both
+    count = sum(all(sum(weight[c] * ((a == j) - (a == j + 1) - (b == j)
+                                     + (b == j + 1))
+                        for (a, b), c in zip(planes, choice)) % 4 == 0
+                    for j in range(3))
+                for choice in product(range(4), repeat=6)) * 2 ** 3
+    assert sum(rep.diagnostics["complex_dims"]) == count == 2 ** 11
 
 
 def _half_turns(alg):
@@ -467,10 +515,11 @@ def test_half_turns_are_exact_sign_automorphisms():
             assert all(signs[a] * signs[b] == signs[c]
                        for (a, b), terms in alg.table.items()
                        for c, v in terms if v), name
-    # so su(2) grades nothing: its complex is the whole wedge (and the
-    # empty degree q + 1)
+    # so su(2) grades by its quarter-turns alone, which are sign
+    # matrices: the empty monomial and all three (and the empty degree
+    # q + 1)
     cx = relative_complex(_free(catalog.pair_from_name("su:2").algebra))
-    assert [len(m) for m in cx.monomials] == [1, 3, 3, 1, 0]
+    assert [len(m) for m in cx.monomials] == [1, 0, 0, 1, 0]
 
 
 def _five_power_half_turns(alg):
@@ -497,13 +546,39 @@ def _five_power_half_turns(alg):
     return turns
 
 
+def _five_power_quarter_turns(alg):
+    """The quarter-turns of h = 0 by their definition: e_i is accepted when
+    A = ad e_i has A(A^2 + 1)(A^2 + 4) = 0 and exp(pi/2 A) =
+    (6 + 8A + 7A^2 + 2A^3 + A^4)/6 is a signed permutation other than the
+    identity, read on A^0 e_j..A^5 e_j."""
+    turns = {}
+    for i, ad in enumerate(alg.ad_sparse()):
+        turn = []
+        for j in range(alg.n):
+            powers = [{j: 1}]
+            for _ in range(5):
+                powers.append(linalg.combination(ad, powers[-1]))
+            tau = linalg.combination(powers, {0: 6, 1: 8, 2: 7, 3: 2, 4: 1})
+            if (linalg.combination(powers, {1: 4, 3: 5, 5: 1})
+                    or len(tau) != 1 or set(tau.values()) - {6, -6}):
+                break
+            (k, x), = tau.items()
+            turn.append((k, x // 6))
+        else:
+            if turn != [(j, 1) for j in range(alg.n)]:
+                turns[i] = turn
+    return turns
+
+
 def test_half_turns_match_the_five_power_definition_on_rescaled_bases():
     # e_i -> s_i e_i turns c_ij^k into c_ij^k s_i s_j / s_k; scales other
     # than +-1 scale ad e_i's spectrum out of i{0, +-1, +-2} (A^2 e_j and
     # A^3 e_j then miss both tests), so most of these algebras reject some
-    # candidates, where the catalog bases of su(3) and so(5) reject none
+    # candidates, where the catalog bases of su(3) and so(5) reject none.
+    # The quarter-turns are checked the same way: a scale other than +-1
+    # on a rotation block makes exp(pi/2 A) no signed permutation
     rng = random.Random(5)
-    rejecting, graded = 0, 0
+    rejecting, graded, quarter = 0, 0, 0
     for name in ("su:2", "su:3", "so:5", "sp:2", "su:2+su:3"):
         g = catalog.pair_from_name(name).algebra
         for _ in range(6):
@@ -517,9 +592,99 @@ def test_half_turns_match_the_five_power_definition_on_rescaled_bases():
             assert turns == _five_power_half_turns(alg), (name, s)
             rejecting += len(turns) < alg.n
             graded += bool(turns)
+            quarters = {i: t for i, ad in enumerate(alg.ad_sparse())
+                        if (t := linalg.quarter_turn(ad, alg.n))}
+            assert quarters == _five_power_quarter_turns(alg), (name, s)
+            quarter += bool(quarters) and len(quarters) < alg.n
     # all 30 reject a candidate (or find its half-turn the identity, which
-    # grades nothing) and 28 accept a grading one
-    assert rejecting >= 25 and graded >= 25
+    # grades nothing) and 28 accept a grading one; most accept some
+    # quarter-turns and reject others
+    assert rejecting >= 25 and graded >= 25 and quarter >= 15
+
+
+def _rotation_blocks(rng, m, weights):
+    """An m x m matrix as a {col: column} dict: rotation blocks A e_a =
+    t e_b, A e_b = -(w^2 / t) e_a of the given weights w on random disjoint
+    pairs, t = +-1, and zero columns on the coordinates left."""
+    coords, cols = rng.sample(range(m), m), {}
+    for w in weights:
+        a, b, t = coords.pop(), coords.pop(), rng.choice([1, -1])
+        cols.update({a: {b: t}, b: {a: -w * w * t}})
+    return cols
+
+
+def _sympy_matrix(cols, m):
+    return sympy.Matrix(m, m, lambda r, c: cols.get(c, {}).get(r, 0))
+
+
+def test_quarter_turns_are_exp_of_a_quarter_on_rotation_blocks():
+    # on sums of rotation blocks of weights 1 and 2 beside zero columns,
+    # the interpolation 1 + (4/3)A + (7/6)A^2 + (1/3)A^3 + (1/6)A^4 is
+    # sympy's exp(pi/2 A), a signed permutation, and quarter_turn reads it
+    # off the nonzeros; on su(3)'s e_4 and e_5, no sums of rotation blocks,
+    # quarter_turn's interpolation is exp(pi/2 A) too
+    rng = random.Random(36)
+    cases = []
+    for _ in range(12):
+        m = rng.randint(2, 7)
+        weights = [rng.choice([1, 2]) for _ in range(rng.randint(1, m // 2))]
+        cases.append((_rotation_blocks(rng, m, weights), m))
+    ads = catalog.pair_from_name("su:3").algebra.ad_sparse()
+    cases += [(ads[4], 8), (ads[5], 8)]
+    for cols, m in cases:
+        A = _sympy_matrix(cols, m)
+        tau = (sympy.pi / 2 * A).exp().applyfunc(sympy.simplify)
+        assert tau == (sympy.eye(m) + sympy.Rational(4, 3) * A
+                       + sympy.Rational(7, 6) * A ** 2 + A ** 3 / 3
+                       + A ** 4 / 6), cols
+        turn = linalg.quarter_turn(cols, m)
+        assert turn is not None, cols
+        assert all(tau[k, j] == s and sum(map(abs, tau.col(j))) == 1
+                   for j, (k, s) in enumerate(turn)), cols
+
+
+def test_a_quarter_turn_of_eigenvalues_three_i_is_rejected():
+    # A e_0 = 3 e_1, A e_1 = -3 e_0 has eigenvalues +-3i: exp(pi/2 A) is
+    # the signed permutation e_0 -> -e_1, but A(A^2 + 1)(A^2 + 4) != 0 and
+    # the interpolation is no signed permutation, so it is rejected; its
+    # half-turn, -1, fails half_turn_signs' test for the same reason
+    cols = {0: {1: 3}, 1: {0: -3}}
+    A = _sympy_matrix(cols, 2)
+    assert (sympy.pi / 2 * A).exp().applyfunc(sympy.simplify) == sympy.Matrix(
+        [[0, 1], [-1, 0]])
+    interpolated = (sympy.eye(2) + sympy.Rational(4, 3) * A
+                    + sympy.Rational(7, 6) * A ** 2 + A ** 3 / 3 + A ** 4 / 6)
+    assert interpolated == sympy.Matrix([[4, 5], [-5, 4]])
+    assert A * (A ** 2 + sympy.eye(2)) * (A ** 2 + 4 * sympy.eye(2)) != (
+        sympy.zeros(2))
+    assert linalg.quarter_turn(cols, 2) is None
+    assert linalg.quarter_turn({0: {1: 1}, 1: {0: -9}}, 2) is None
+    assert linalg.half_turn_signs(cols, 2) is None
+
+
+def test_the_rotation_test_reads_the_quarter_turn_off_the_nonzeros(
+        monkeypatch):
+    # every basis vector of so(5), so(8) and su(2) is a sum of rotation
+    # blocks, read without a matrix product; of su(3)'s only the 2
+    # diagonal ones are, and the interpolation accepts e_4 and e_5 too
+    real, products = linalg.combination, []
+
+    def counted(*args):
+        products.append(args)
+        return real(*args)
+    monkeypatch.setattr(linalg, "combination", counted)
+    for name, read, interpolated in (("so:5", 10, 0), ("so:8", 28, 0),
+                                     ("su:2", 3, 0), ("su:3", 2, 2)):
+        alg = catalog.pair_from_name(name).algebra
+        got = {"read": [], "interpolated": []}
+        for i, ad in enumerate(alg.ad_sparse()):
+            del products[:]
+            if linalg.quarter_turn(ad, alg.n):
+                got["interpolated" if products else "read"].append(i)
+        assert len(got["read"]) == read, (name, got)
+        assert len(got["interpolated"]) == interpolated, (name, got)
+        if name == "su:3":
+            assert got == {"read": [0, 1], "interpolated": [4, 5]}
 
 
 def _sign_blocks(rng, m):
@@ -575,60 +740,62 @@ def test_half_turn_signs_match_the_every_column_reference():
 
 def test_derivation_column_matches_the_every_image_reference():
     # a column reads the images of the monomial's own bits only: theta's
-    # and delta's columns on the graded monomials and on every monomial,
-    # and the rows they miss, are those of testing every image
+    # and delta's columns on every monomial are those of testing every
+    # image
     pairs = [catalog.pair_from_name(name) for name in (
         "sphere:5", "stiefel:5:2", "flag_su3", "example_4_7")]
     pairs += [pair for _, pair in pairgen.suite(count=8) if pair is not None]
-    checked, missed = 0, 0
+    checked = 0
     for pair in pairs:
         ann, rows = ce._frame(pair)
         theta_mats, _ = ce._frame_actions(pair, ann, rows)
         table, _ = ce._structure_table(pair.algebra, ann, rows)
-        graded = ce.relative_complex(pair, validate=False).monomials
         q = ann.dim
         for k in range(q + 1):
-            every = [sum(1 << j for j in c) for c in combinations(range(q), k)]
-            for images, shift in [(t, 0) for t in theta_mats] + [(table, 1)]:
-                if k + shift >= len(graded):
-                    continue
-                target = list(enumerate(graded[k + shift]))
-                ours = ce._Graded((m, p) for p, m in target)
-                theirs = ce._Graded((m, p) for p, m in target)
-                for mon in every:
-                    assert (ce._derivation_column(images, mon, ours)
+            for c in combinations(range(q), k):
+                mon = sum(1 << j for j in c)
+                for images in theta_mats + [table]:
+                    assert (ce._derivation_column(images, mon)
                             == pairgen.derivation_column_over_every_image(
-                                images, mon, theirs))
-                    assert ours.missed == theirs.missed
+                                images, mon))
                     checked += 1
-                missed += ours.missed
-    assert checked > 4000 and missed > 50, (checked, missed)
+    assert checked > 4000, checked
 
 
 def test_grading_check_fires_on_a_non_automorphism(monkeypatch, tmp_path,
                                                     capsys):
-    # one so(5) coordinate flipped in the half-turn of e_0, the first one
-    # tested: the signs no longer respect the brackets, and delta leaves
-    # the graded monomials
-    real = linalg.half_turn_signs
+    # one so(5) sign flipped in the quarter-turn of e_0, the first one
+    # tested: it no longer respects the brackets, its square negates
+    # another set of coordinates, and delta leaves the graded monomials
+    real = linalg.quarter_turn
     flipped = []
 
     def patched(columns, m):
-        signs = real(columns, m)
+        turn = real(columns, m)
         if not flipped:
             flipped.append(m)
-            signs = [-s if f == 1 else s for f, s in enumerate(signs)]
-        return signs
-    monkeypatch.setattr(ce, "half_turn_signs", patched)
+            turn = [(k, -s if f == 1 else s) for f, (k, s) in enumerate(turn)]
+        return turn
+    monkeypatch.setattr(ce, "quarter_turn", patched)
     pair = _free(catalog.pair_from_name("so:5").algebra)
-    with pytest.raises(RuntimeError, match="leaves the graded monomials"):
+    with pytest.raises(RuntimeError, match="does not commute with the "
+                       "differential"):
         betti_ce(pair)
     doc = tmp_path / "so5.json"
     doc.write_text(json.dumps(pair.to_dict()))
     del flipped[:]
     assert main(["oracle", str(doc), "--method", "ce"]) == 4
-    assert "leaves the graded monomials" in capsys.readouterr().err
+    assert "does not commute with the differential" in capsys.readouterr().err
     assert flipped == [10]
+    # a half-turn of su(3) flipped the same way: delta leaves the graded
+    # monomials of the flipped sign matrix
+    real_half = linalg.half_turn_signs
+    monkeypatch.setattr(ce, "quarter_turn", real)
+    monkeypatch.setattr(ce, "_check_turns", lambda turns, table: None)
+    monkeypatch.setattr(ce, "half_turn_signs", lambda columns, m: [
+        -s if f == 1 else s for f, s in enumerate(real_half(columns, m))])
+    with pytest.raises(RuntimeError, match="leaves the graded monomials"):
+        betti_ce(_free(catalog.pair_from_name("su:3").algebra))
 
 
 def _row_wise_delta(pair, k):
@@ -676,42 +843,57 @@ def _on_lex(cx, k, col):
     return {lex[cx.monomials[k][r]]: v for r, v in col.items()}
 
 
+def _orbits(pair, cx):
+    """The (index, reps, members) of each degree that relative_complex
+    built cx on."""
+    ann, _ = ce._frame(pair)
+    return linalg.signed_orbits(cx.quotient_dim, ce._turns(pair, ann)[0],
+                                cx.max_degree + 1)
+
+
+def _on_lex(cx, orbits, k, col):
+    """A vector on the orbit sums of degree k, the average Q_p = sum of
+    (-1)^odd F_m / |O_p| at coordinate p, on the lex positions of every
+    monomial."""
+    lex, out = _lex_positions(cx.quotient_dim, k), {}
+    for p, x in col.items():
+        for m, odd in orbits[k][2][p]:
+            out[lex[m]] = Fraction((-1) ** odd * x, len(orbits[k][2][p]))
+    return out
+
+
 def test_delta_columns_match_row_wise_definition():
-    # unconstrained: every column of every delta_k is the assembled column.
-    # su(2)'s half-turns are central, so su:2+su:2 keeps all 2^6 monomials;
-    # so(5)'s keep the 2^6 = 64 even-degree subgraphs of K_5 (basis vector
-    # e_ab is the edge ab, its half-turn negates the edges meeting ab in one
-    # vertex, and those cuts span the 4-dimensional cut space of K_5), and
-    # their reference columns never reach a row outside them
-    for name, graded in (("su:2+su:2", 2 ** 6), ("so:5", 64)):
+    # unconstrained: every column of every delta_k, D delta Q_p, mapped to
+    # every monomial is the row-wise delta of Q_p there.  su(3) keeps 20
+    # orbit sums of its 64 monomials and so(5) 4 (in degrees 0, 3, 7, 10,
+    # delta = 0)
+    for name, sums in (("su:3", 20), ("so:5", 4)):
         pair = _free(catalog.pair_from_name(name).algebra)
         cx = relative_complex(pair)
-        assert sum(map(len, cx.monomials)) == graded, name
+        orbits = _orbits(pair, cx)
+        assert sum(map(len, cx.monomials)) == sums, name
         for k in range(cx.quotient_dim + 1):
             ref = _row_wise_delta(pair, k)
-            here = _lex_positions(cx.quotient_dim, k)
-            lex = _lex_positions(cx.quotient_dim, k + 1)
-            for j, mon in enumerate(cx.monomials[k]):
-                want = ref.get(here[mon], {})
-                assert dict(cx.deltas[k].cols.get(j, ())) == {
-                    r: cx.scale * want[lex[m]]
-                    for r, m in enumerate(cx.monomials[k + 1])
-                    if lex[m] in want}, (name, k, j)
-                assert len(want) == sum(lex[m] in want
-                                        for m in cx.monomials[k + 1])
-    # constrained: delta_k applied to the basis, read on the next free rows
+            for j in range(len(cx.monomials[k])):
+                want = _apply(ref, _on_lex(cx, orbits, k, {j: 1}))
+                got = _on_lex(cx, orbits, k + 1, dict(
+                    cx.deltas[k].cols.get(j, ())))
+                assert got == {r: cx.scale * x for r, x in want.items()}, (
+                    name, k, j)
+    # constrained: delta_k applied to the basis, mapped back through the
+    # next basis
     pair = catalog.pair_from_name("stiefel:6:2")
     cx = relative_complex(pair)
+    orbits = _orbits(pair, cx)
     assert cx.quotient_dim == 9
     for k in range(cx.quotient_dim + 1):
         ref = _row_wise_delta(pair, k)
-        free = [_lex_positions(9, k + 1)[cx.monomials[k + 1][r]]
-                for r in cx.bases[k + 1].free]
         for j, col in enumerate(cx.bases[k].columns):
-            image = _apply(ref, _on_lex(cx, k, col))
-            assert dict(cx.deltas[k].cols.get(j, ())) == {
-                pos: cx.scale * image[r] for pos, r in enumerate(free)
-                if r in image}, (k, j)
+            image = linalg.combination(cx.bases[k + 1].columns, dict(
+                cx.deltas[k].cols.get(j, ())))
+            assert _on_lex(cx, orbits, k + 1, image) == {
+                r: cx.scale * x for r, x in _apply(
+                    ref, _on_lex(cx, orbits, k, col)).items()}, (k, j)
 
 
 def _det(matrix):
@@ -740,11 +922,10 @@ def test_theta_columns_match_definition():
                       for F_j in ann.columns] for u in unit]
             for k in (1, 2, 3):
                 subs = list(combinations(range(q), k))
-                index = {sum(1 << i for i in mon): pos
-                         for pos, mon in enumerate(subs)}
-                for J, mask in zip(subs, index):
+                masks = [sum(1 << i for i in mon) for mon in subs]
+                for J, mask in zip(subs, masks):
                     ref = {}
-                    for pos, I in enumerate(subs):
+                    for pos, I in zip(masks, subs):
                         total = 0
                         for s in range(k):
                             # a unit column w_i with i outside J is zero
@@ -754,38 +935,30 @@ def test_theta_columns_match_definition():
                                      for t, i in enumerate(I)] for j in J])
                         if total:
                             ref[pos] = total
-                    assert ce._derivation_column(theta, mask, index) == ref, (
-                        k, J)
+                    assert ce._derivation_column(theta, mask) == ref, (k, J)
 
 
 def test_delta_columns_built_only_where_monomials_occur(monkeypatch):
+    # delta's column is built once for each orbit the invariant basis of
+    # its degree reaches, at the orbit's monomial, and for nothing else
     real = ce._derivation_column
     built = []
 
-    def counted(images, mon, index):
-        if mon not in index:        # delta raises the degree, theta does not
+    def counted(images, mon):
+        # delta's images are 2-forms, theta's 1-forms
+        if any(bits.bit_count() == 2 for col in images.values()
+               for bits, _ in col):
             built.append(mon)
-        return real(images, mon, index)
+        return real(images, mon)
     monkeypatch.setattr(ce, "_derivation_column", counted)
-    pair = catalog.pair_from_name("stiefel:6:2")
-    cx = relative_complex(pair, max_degree=4)
-    q = cx.quotient_dim
+    # SU(4)/N(T): 19 orbit sums, 17 invariant cochains
+    cx = relative_complex(pairgen.su_torus_normalizer(4), max_degree=6)
     smaller = []
-    for k in range(5):
-        # monomials in the support of B_k and of delta_{k-1} B_{k-1}, as
-        # positions in the lex order of combinations(range(q), k)
-        support = {r for col in cx.bases[k].columns
-                   for r in _on_lex(cx, k, col)}
-        if k:
-            ref = _row_wise_delta(pair, k - 1)
-            for col in cx.bases[k - 1].columns:
-                support |= set(_apply(ref, _on_lex(cx, k - 1, col)))
-        masks = [sum(1 << i for i in mon)
-                 for mon in combinations(range(q), k)]
+    for k in range(7):
+        support = {r for col in cx.bases[k].columns for r in col}
         calls = [mon for mon in built if mon.bit_count() == k]
-        assert len(calls) == len(support), k
-        assert set(calls) == {masks[r] for r in support}, k
-        smaller.append(len(support) < comb(q, k))
+        assert sorted(calls) == sorted(cx.monomials[k][r] for r in support), k
+        smaller.append(len(support) < len(cx.monomials[k]))
     assert any(smaller)
 
 
@@ -796,15 +969,12 @@ def test_constrained_bases_are_identity_on_free_rows():
     # invariant forms have dims 1, 0, 1, 4, 1, 0, 1; the half-turn keeps
     # degrees 0, 2, 4, 6 of them, and the R factor doubles them up, so the
     # complex is 1 in every degree (it was 1, 1, 1, 5, 5, 1 on the full
-    # wedge).  h's Lie generators L_01 and L_02 have half-turns too, which
-    # negate the rows 0, 1 and 0, 2 of R^3 (x) R^2.  With n_a the number of
-    # directions of row a in J, the three masks ask n_0 + n_1, n_0 + n_2
-    # and n_0 + n_1 + n_2 to be even, so every n_a is 0 or 2: J is a union
-    # of whole rows (one of 2^3) times a subset of the R direction, 16
-    # monomials, 1, 1, 3, 3, 3, 3 in degrees 0..5 (15 in degrees 2..5
-    # under the so(2) half-turn alone)
+    # wedge).  The quarter-turns of h's Lie generators L_01 and L_02 turn
+    # the rows of R^3 (x) R^2 into each other, and that of the so(2) turns
+    # the two columns: the orbit sums are the invariant forms themselves,
+    # one in each degree (16 graded monomials before)
     assert cx.dims == [1, 1, 1, 1, 1, 1]
-    assert [len(m) for m in cx.monomials] == [1, 1, 3, 3, 3, 3]
+    assert [len(m) for m in cx.monomials] == [1, 1, 1, 1, 1, 1]
     for basis in cx.bases:
         for j, col in enumerate(basis.columns):
             assert all(col.get(row, 0) == (1 if i == j else 0)
@@ -815,58 +985,72 @@ def test_constrained_bases_are_identity_on_free_rows():
 def test_torus_normalizer_is_graded_by_its_torus():
     # SU(n)/N(T) is rationally a point.  Every component generator moves
     # the torus, so no basis vector of g passes the candidate test, but the
-    # half-turn of each diagonal Lie generator H_j of h lies in H^0 and
-    # negates the root planes (a, b) on which H_j has odd weight, both
-    # coordinates of each.  For n = 3 the two masks are independent:
-    # 2^6 / 4 = 16 monomials (the three planes each full or empty, 8, or
-    # one coordinate of each, 8).  For n = 4, H_0 + H_2 = i diag(1, -1, 1,
-    # -1) has even weight on every root, so the three masks span two
-    # dimensions: 2^12 / 4 = 1024 monomials.  complex_dims are those the
-    # whole wedge (64 and 4096 monomials) gives
-    for n, dims, graded in (
-            (3, [1, 0, 0, 1, 1, 0, 0], [1, 0, 3, 8, 3, 0, 1]),
+    # quarter-turn of each diagonal Lie generator H_j of h lies in H^0 and
+    # turns the root planes, and the Weyl generators permute them: all are
+    # turns of the first kind, so complex_dims are those the whole wedge
+    # (64 and 4096 monomials) gives, and the orbit sums are those
+    # elimination over every monomial finds.  theta is imposed for H_0
+    # only: the Weyl group moves it to span the torus
+    for n, dims, sums in (
+            (3, [1, 0, 0, 1, 1, 0, 0], [1, 0, 0, 1, 1, 0, 0]),
             (4, [1, 0, 0, 1, 1, 1, 1, 1, 2, 1, 0, 0, 0],
-             [1, 0, 18, 64, 111, 192, 252, 192, 111, 64, 18, 0, 1])):
+             [1, 0, 0, 1, 2, 3, 3, 1, 2, 3, 0, 0, 0])):
         pair = pairgen.su_torus_normalizer(n)
         rep = betti_ce(pair)
         assert rep.betti == [1] + [0] * (n * n - n), n
         assert rep.diagnostics["complex_dims"] == dims, n
-        assert rep.diagnostics["graded_monomials"] == graded, n
-        assert sum(graded) == {3: 16, 4: 1024}[n]
+        assert rep.diagnostics["graded_monomials"] == sums, n
+        ann, _ = ce._frame(pair)
+        turns, thetas, others = ce._turns(pair, ann)
+        assert thetas == [False] + [None] * (n - 2) and not others, n
+        assert sums == [pairgen.fixed_space_by_elimination(
+            n * n - n, turns, k).dim for k in range(n * n - n + 1)], n
         assert betti_low(pair).betti == [1, 0, 0, 0, 0], n
         assert betti_koszul(pair).betti == [1, 0, 0, 0, 0], n
     # sphere:7: the Lie generators L_ab of so(7) connect its 7 indices (the
     # L_ab of a disconnected edge set generate a smaller algebra), and the
-    # half-turn of L_ab negates x_a and x_b on g/h = R^7, so the masks span
-    # every even subset and only the empty J and all seven are graded
+    # quarter-turn of L_ab turns x_a into x_b on g/h = R^7: they permute
+    # and negate the x_a, so only the empty J and all seven are left
     cx = relative_complex(catalog.pair_from_name("sphere:7"), max_degree=4)
     assert [len(m) for m in cx.monomials] == [1, 0, 0, 0, 0, 0]
 
 
-def test_delta_columns_may_leave_a_grading_their_images_keep(monkeypatch):
+def test_turns_that_move_w_off_itself_are_not_taken(monkeypatch):
     # stiefel:5:2 with e_2 replaced by e_2 + e_0 (e_0 = L_01 in h): the
-    # half-turn of the Lie generator L_01 is a sign matrix on g/h in the
-    # w_j but moves w = e_2 + e_0 to w - 2 e_0, off the span of the w_j
-    # that delta is built from.  So delta columns of graded monomials reach
-    # rows outside the grading; the images of invariant cochains, which
-    # are invariant, do not, and the answer is S^7's
-    real = ce._derivation_column
-    leaving = []
-
-    def spy(images, mon, index):
-        col = real(images, mon, index)
-        if mon not in index and col and min(col) < 0:
-            leaving.append(mon)
-        return col
-    monkeypatch.setattr(ce, "_derivation_column", spy)
+    # turns of the Lie generator L_01 are signed permutations on g/h in the
+    # w_j, but [L_01, w] for w = e_2 + e_0 has a part in h, so they move W
+    # off itself and need not commute with delta; they are not taken.  No
+    # candidate of g passes in this basis either, so the complex is built
+    # on all 2^7 monomials, and the answer is S^7's
     pair = pairgen.sheared(catalog.pair_from_name("stiefel:5:2"), 2, 0)
+    ann, _ = ce._frame(pair)
+    assert ce._turns(pair, ann)[0] == []
     rep = betti_ce(pair)
     assert rep.betti == [1, 0, 0, 0, 0, 0, 0, 1]
-    assert leaving
-    # the old candidate, L_34, no longer grades in this basis: the 2^7
-    # monomials shrink to 32 by h's half-turns alone
-    assert sum(rep.diagnostics["graded_monomials"]) == 32
+    assert rep.diagnostics["graded_monomials"] == [
+        comb(7, k) for k in range(8)]
     assert rep.diagnostics["complex_dims"] == [1, 1, 1, 5, 5, 1, 1, 1]
+
+
+def test_generators_that_are_no_turns_are_imposed_on_orbit_sums():
+    # SU(3)/N(T) and example_4_7 in sheared bases: a generator that no
+    # longer permutes the w_j up to sign is imposed through its columns
+    # summed over each orbit (linalg.summed_on_orbits).  SU(3)/N(T) keeps
+    # one Weyl generator as a turn, so its orbits are not single
+    # monomials; both complexes are those of the catalog bases
+    for base, (a, b), walked in (
+            (pairgen.su_torus_normalizer(3), (2, 0), True),
+            (catalog.pair_from_name("example_4_7"), (2, 3), False)):
+        pair = pairgen.sheared(base, a, b)
+        ann, _ = ce._frame(pair)
+        turns, _, others = ce._turns(pair, ann)
+        assert others
+        assert walked == any(
+            len(orbit) > 1 for _, _, members in linalg.signed_orbits(
+                ann.dim, turns, ann.dim) for orbit in members)
+        want, got = betti_ce(base), betti_ce(pair)
+        assert (got.betti, got.diagnostics["complex_dims"]) == (
+            want.betti, want.diagnostics["complex_dims"])
 
 
 def _without_graded_monomials(report):
@@ -875,10 +1059,10 @@ def _without_graded_monomials(report):
 
 
 def test_grading_by_the_half_turns_of_h_changes_no_invariant(monkeypatch):
-    # with h's Lie generators giving no masks (test-only: the candidates of
-    # g still grade CE) every CE report, every Psi form basis and matrix and
-    # every Koszul slice is what the grading gives, on the suite and the
-    # catalog ladder
+    # with h's Lie generators giving no turns (test-only: the candidates of
+    # g and the generators still grade CE) every CE report, every Psi form
+    # basis and matrix and every Koszul slice is what the grading gives, on
+    # the suite and the catalog ladder
     names = ["sphere:%d" % k for k in range(2, 8)] + [
         "stiefel:5:2", "stiefel:6:2", "flag_su3", "example_4_7"]
 
@@ -893,22 +1077,28 @@ def test_grading_by_the_half_turns_of_h_changes_no_invariant(monkeypatch):
             totals.append((label, sum(graded)))
         return out, totals
     graded, graded_totals = reports()
-    real = ce._half_turn_masks
-    monkeypatch.setattr(ce, "_half_turn_masks",
-                        lambda pair, ann, theta_mats: real(pair, ann, []))
+    real = ce._turn
+    # the turns of h's Lie generators are read on lists of [w_j, Y], those
+    # of the basis candidates on ad_sparse()'s dicts
+    monkeypatch.setattr(ce, "_turn", lambda cols, m: None if isinstance(
+        cols, list) else real(cols, m))
     monkeypatch.setattr(invariant_forms, "half_turn_signs", lambda *a: None)
     ungraded, totals = reports()
     assert graded == ungraded
     assert all(g <= t for (_, g), (_, t) in zip(graded_totals, totals))
-    # where h has half-turns of its own that g's candidates do not give:
-    # the spheres (2 of the 2^q monomials) and the Stiefel manifolds
+    # where h has turns of its own that g's candidates do not give: the
+    # spheres (2 of the 2^q monomials), the Stiefel manifolds, and
+    # example_4_7, whose line e_3 of su(2) has ad spectrum i{0, +-2}: its
+    # half-turn is the identity, its quarter-turn -1 on e_2 and e_4
     shrunk = {label: (g, t) for (label, g), (_, t)
               in zip(graded_totals, totals) if g < t}
     assert {label for label in shrunk if label in names} == {
         "sphere:3", "sphere:4", "sphere:5", "sphere:6", "sphere:7",
-        "stiefel:5:2", "stiefel:6:2"}
+        "stiefel:5:2", "stiefel:6:2", "example_4_7"}
     assert shrunk["sphere:7"] == (2, 128)
-    assert shrunk["stiefel:6:2"] == (64, 256)
+    # V_2(R^6): g/h = R^4 (x) R^2 + R, the quarter-turn of the so(2) that
+    # commutes with h turning the two columns into each other, alone
+    assert shrunk["stiefel:6:2"] == (16, 144)
 
 
 def test_escape_check_fires_on_incomplete_invariant_basis(monkeypatch):
@@ -916,9 +1106,9 @@ def test_escape_check_fires_on_incomplete_invariant_basis(monkeypatch):
     # degree-2 space; without that direction the image has nowhere to go
     real = ce._invariant_space
 
-    def patched(theta_mats, gen_mats, gen_memos, index):
-        basis = real(theta_mats, gen_mats, gen_memos, index)
-        if next(iter(index), 0).bit_count() == 2:
+    def patched(theta_mats, thetas, gens, orbits):
+        basis = real(theta_mats, thetas, gens, orbits)
+        if orbits[1] and orbits[1][0].bit_count() == 2:
             return Subspace(basis.ambient_dim, basis.columns[1:],
                             basis.free[1:])
         return basis
@@ -928,32 +1118,33 @@ def test_escape_check_fires_on_incomplete_invariant_basis(monkeypatch):
 
 
 def test_composite_check_fires_on_corrupted_differential(monkeypatch):
-    # one sign flipped in the first nonzero delta column of degree 2 of
-    # su(3) with h = 0, one Kunneth block; the ranks find delta o delta != 0
-    real = ce._derivation_column
-    flipped = []
+    # su(3) with h = 0, one Kunneth block: delta_3 maps its 4 orbit sums
+    # onto cocycles of degree 4; one unit added at coordinate 0, which
+    # delta_4 does not kill, to the first delta column read there, and the
+    # ranks find delta o delta != 0
+    real = ce.on_orbits
+    added = []
 
-    def patched(images, mon, index):
-        col = real(images, mon, index)
-        if mon.bit_count() == 2 and col and not flipped:
-            flipped.append(mon)
-            row = next(iter(col))
-            col = {**col, row: -col[row]}
-        return col
-    monkeypatch.setattr(ce, "_derivation_column", patched)
+    def patched(col, index):
+        out = real(col, index)
+        if col and next(iter(col)).bit_count() == 4 and out and not added:
+            added.append(col)
+            out = {**out, 0: out.get(0, 0) + 1}
+        return out
+    monkeypatch.setattr(ce, "on_orbits", patched)
     with pytest.raises(RuntimeError,
-                       match="differential composite in degree 3 is nonzero"):
+                       match="differential composite in degree 4 is nonzero"):
         betti_ce(catalog.pair_from_name("su:3"))
-    assert flipped
+    assert added
 
 
 def test_degree_0_check_fires(monkeypatch):
     real = ce._invariant_space
 
-    def patched(theta_mats, gen_mats, gen_memos, index):
-        if index == {0: 0}:
+    def patched(theta_mats, thetas, gens, orbits):
+        if orbits[1] == [0]:
             return Subspace(1, [], [])
-        return real(theta_mats, gen_mats, gen_memos, index)
+        return real(theta_mats, thetas, gens, orbits)
     monkeypatch.setattr(ce, "_invariant_space", patched)
     with pytest.raises(RuntimeError, match="degree-0 cochain space"):
         relative_complex(catalog.build("sphere", 2))

@@ -675,7 +675,7 @@ def test_integers_follow_one_rule_on_the_command_line(tmp_path, capsys):
 def test_internal_inconsistency_exits_4(tmp_path, capsys, monkeypatch):
     from liecoh import ce
 
-    def corrupt(images, mon, index):
+    def corrupt(images, mon):
         raise RuntimeError("differential composite in degree 2 is nonzero; "
                            "cochain assembly is inconsistent")
     monkeypatch.setattr(ce, "_derivation_column", corrupt)

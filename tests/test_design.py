@@ -374,33 +374,42 @@ def test_half_turn_test_reads_at_most_three_powers(monkeypatch):
 
 
 def test_one_half_turn_test_grades_wedges_and_polynomials(monkeypatch):
-    # the CE candidates of g, the half-turns of h's Lie generators on the
-    # frame and those on a carrier of invariant polynomials all go through
-    # linalg.half_turn_signs, with one mask rule (graded_monomials); on
-    # stiefel:5:2, g = so(5) over h = so(3), CE tests L_34, the one basis
-    # vector that commutes with h, on g and h's 2 Lie generators on g/h,
-    # and S²(h*)^H those 2 on h
+    # the CE turns of g's candidates and of h's Lie generators go through
+    # one rule (ce._turn: linalg.quarter_turn, else linalg.half_turn_signs)
+    # and one orbit walk (signed_orbits, on graded_monomials), and the
+    # half-turns on a carrier of invariant polynomials through
+    # half_turn_signs too; on stiefel:5:2, g = so(5) over h = so(3), CE
+    # tests L_34, the one basis vector that commutes with h, on g and h's 2
+    # Lie generators on g/h, all three quarter-turns, and S²(h*)^H those 2
+    # half-turns on h
     assert _users("half_turn_signs") == [
-        ("ce.py", "_half_turn_masks"), ("invariant_forms.py",
-                                        "derivation_operators")]
+        ("ce.py", "_turn"), ("invariant_forms.py", "derivation_operators")]
+    assert _users("quarter_turn") == [("ce.py", "_turn")]
     assert _users("graded_monomials") == [
-        ("ce.py", "relative_complex"), ("invariant_forms.py",
-                                        "_graded_symmetric")]
-    for gone in ("_half_turns", "_graded_monomials"):
+        ("invariant_forms.py", "_graded_symmetric"),
+        ("linalg.py", "signed_orbits")]
+    assert _users("signed_orbits") == [("ce.py", "relative_complex")]
+    for gone in ("_half_turns", "_graded_monomials", "_half_turn_masks",
+                 "_Graded", "_fixed_op"):
         assert _users(gone) == [] and not hasattr(ce, gone), gone
     sizes = []
-    real = linalg.half_turn_signs
 
-    def spy(columns, m):
-        sizes.append(m)
-        return real(columns, m)
-    monkeypatch.setattr(ce, "half_turn_signs", spy)
-    monkeypatch.setattr(invariant_forms, "half_turn_signs", spy)
+    def spy(name, real):
+        def call(columns, m):
+            sizes.append((name, m))
+            return real(columns, m)
+        return call
+    monkeypatch.setattr(ce, "quarter_turn",
+                        spy("quarter", linalg.quarter_turn))
+    monkeypatch.setattr(ce, "half_turn_signs",
+                        spy("half", linalg.half_turn_signs))
+    monkeypatch.setattr(invariant_forms, "half_turn_signs",
+                        spy("half", linalg.half_turn_signs))
     pair = catalog.pair_from_name("stiefel:5:2")
     relative_complex(pair)
-    assert sizes == [10, 7, 7]
+    assert sizes == [("quarter", 10), ("quarter", 7), ("quarter", 7)]
     del sizes[:]
-    assert pair.h_forms.dim == 1 and sizes == [3, 3]
+    assert pair.h_forms.dim == 1 and sizes == [("half", 3), ("half", 3)]
 
 
 def test_composites_are_checked_where_the_ranks_are_taken():

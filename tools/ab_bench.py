@@ -10,12 +10,11 @@ and src/; --change defaults to the checkout this file lives in.  Pair i
 base first in odd pairs and the change first in even ones, so a drift in
 machine speed falls on both sides alike.  A claim measured on seeds 1-10
 is checked again, on seeds not used while writing the change, with
---first-seed 11.  The
-one line of standard output is a JSON object: per end-to-end metric of
-the change's BENCHMARK.json, each side's median and quartiles, and the
-pairs the change wins and ties, "better" read from that file; plus the
-seeds run and whether every run checked its answers.  The tool itself
-runs no git.
+--first-seed 11.  The one line of standard output is a JSON object: per
+end-to-end metric of the change's BENCHMARK.json, each side's median and
+quartiles, the pairs the change wins and ties, "better" read from that
+file, and a verdict by the repo's rule (verdict); plus the seeds run and
+whether every run checked its answers.  The tool itself runs no git.
 """
 
 import argparse
@@ -49,19 +48,41 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(bound, sign, base, change, wins, pairs):
+    """The repo's rule for one metric, sign 1 when lower is better, else
+    -1, bound its BENCHMARK.json bound as a fraction of a median, base and
+    change spreads: "unresolved" when a side's interquartile range over its
+    median exceeds the bound; else "regressed" when the change's median is
+    worse than the base's by more than the bound times the base median;
+    else "gain" when the change wins at least 9 in 10 of the pairs (ties
+    count for neither) and the medians differ by more than the base's
+    interquartile range; else "hold"."""
+    if any(side["q3"] - side["q1"] > bound * abs(side["median"])
+           for side in (base, change)):
+        return "unresolved"
+    worse = sign * (change["median"] - base["median"])
+    if worse > bound * abs(base["median"]):
+        return "regressed"
+    if 10 * wins >= 9 * pairs and -worse > base["q3"] - base["q1"]:
+        return "gain"
+    return "hold"
+
+
 def summary(metrics, base_runs, change_runs):
-    """Per metric {"better", "base", "change", "wins", "ties"} from the
-    result objects of the paired runs."""
+    """Per metric {"better", "base", "change", "wins", "ties", "verdict"}
+    from the result objects of the paired runs."""
     out = {}
     for metric in metrics:
         name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
         base = [r["metrics"][name]["value"] for r in base_runs]
         change = [r["metrics"][name]["value"] for r in change_runs]
-        out[name] = {"better": metric["better"], "base": spread(base),
-                     "change": spread(change),
-                     "wins": sum(sign * (b - c) > 0
-                                 for b, c in zip(base, change)),
-                     "ties": sum(b == c for b, c in zip(base, change))}
+        row = out[name] = {
+            "better": metric["better"], "base": spread(base),
+            "change": spread(change),
+            "wins": sum(sign * (b - c) > 0 for b, c in zip(base, change)),
+            "ties": sum(b == c for b, c in zip(base, change))}
+        row["verdict"] = verdict(metric["bound"], sign, row["base"],
+                                 row["change"], row["wins"], len(base))
     return out
 
 
