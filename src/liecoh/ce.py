@@ -50,8 +50,9 @@ is exp((pi/2) ad Y) (linalg.quarter_turn), else exp(pi ad Y)
   complex_dims are those of C^Gamma.
 
 A turn commutes with delta (_check_turns), so delta Q_O = E delta F_r is
-delta's column at r read on the orbit sums (linalg.on_orbits): a monomial
-of a bad orbit adds nothing, one off the graded monomials is the row ~m,
+delta's column at r read on the orbit sums (linalg.on_orbits), and read
+again at a second member of the orbit (_delta_on_orbits): a monomial of a
+bad orbit adds nothing, one off the graded monomials is the row ~m,
 which the images of an invariant basis must not reach.  theta(Y) is read
 so when every turn fixes Y; another operator A takes A Q_O, the sum of
 +-A F_m / |O| over the orbit (linalg.summed_on_orbits).  Gamma maps the
@@ -59,17 +60,14 @@ kernel of theta(Y) on its invariants to that of theta(gamma Y), so theta
 is not imposed for a Y in the span of the images, under the generators
 that are turns, of the Lie generators imposed before it.
 The cochain space is the joint kernel of the theta operators and the
-fixed space of the other generators.  The Y whose theta(Y) kills a
-cochain are a subalgebra, so theta is built for h's Lie generators only
-(liealg.lie_generators); the operators are intersected one at a time
-(intersect_kernels), the basis the identity on a set of free rows.  The
-images mapped back from their rows on the next basis (the escape check)
-are a consistency check on the assembly, not an assumption.
+fixed space of the other generators, intersected one operator at a time
+(intersect_kernels); the Y whose theta(Y) kills a cochain are a
+subalgebra, so theta is built for h's Lie generators only
+(liealg.lie_generators).  The images mapped back from their rows on the
+next basis (the escape check) check the assembly.
 Ranks are exact integer ranks, taken in increasing degree as one complex
-(linalg.complex_ranks): the echelon of delta_k's columns has distinct
-leading rows P_k, and as delta o delta = 0 (checked there on the restricted
-maps, which the escape check makes delta o delta on the invariant complex)
-delta_{k+1} is ranked on its columns off P_k only.
+(linalg.complex_ranks, which checks delta o delta = 0 on the restricted
+maps: by the escape check, delta o delta on the invariant complex).
 
 betti_ce splits the pair first.  _blocks joins, by one union-find pass,
 the coordinates of each simple factor, of the support of each h basis
@@ -83,10 +81,6 @@ complex is the tensor product of the blocks' complexes and delta a
 derivation of it.  Over Q, Kunneth multiplies their Poincare polynomials,
 as it does the complex dimensions, and the ranks follow from
 dim_k - b_k = r_k + r_{k-1}.  A pair of one block is passed on as itself.
-A block's algebra is the ideal the pair's algebra holds for its
-coordinates (LieAlgebra.ideal): its table read off the validated one
-once, and for a block that is one factor the very algebra, ad_sparse()
-included, that validate's factor checks built.
 """
 
 from collections import namedtuple
@@ -142,15 +136,13 @@ class RelativeComplex(namedtuple("RelativeComplex", [
     all of them (no isotropy or generator constraints).  deltas[k] is scale
     times the differential from degree k to k+1 in those bases, a
     SparseMatrix; scale is D, the lcm of the denominators of the constants
-    F_c([w_a, w_b]) on the unit test vectors (1 when they are integers, as
-    for h = 0).
+    F_c([w_a, w_b]) on the unit test vectors (1 when they are integers).
     """
 
 
 def _frame(pair):
-    """The annihilator of h in g* as a kernel basis, plus its rows as
-    {k: {i: F_i[k]}}, so combination(rows, v) is {i: F_i(v)} (None, F_i(v)
-    = v_i, for h = 0); the test vector w_j is the unit vector at free[j]."""
+    """The annihilator of h in g* as a kernel basis and its rows {k: {i:
+    F_i[k]}}, so combination(rows, v) is {i: F_i(v)}; None for h = 0."""
     ann = kernel_basis(pair.h.columns, pair.algebra.n)
     return ann, transpose(ann.columns) if pair.h.columns else None
 
@@ -169,12 +161,8 @@ def _projected(rows, terms):
 
 def _frame_actions(pair, ann, rows):
     """Images of theta(Y) = -(. o ad Y) per Lie generator Y of h, whose
-    value on w_j is F([w_j, Y]), and of f -> f o gamma per generator.
-
-    The fixed space of f -> f o gamma on every wedge power is that of
-    f -> f o gamma^{-1}, so gamma is never inverted; a singular gamma is
-    still rejected.
-    """
+    value on w_j is F([w_j, Y]), and of f -> f o gamma per generator (a
+    singular gamma is rejected, though gamma is never inverted)."""
     alg = pair.algebra
     for gcols in pair.generator_columns:
         if rank(gcols, alg.n) != alg.n:
@@ -206,10 +194,9 @@ def _structure_table(alg, ann, rows):
 
 def _turn(cols, m):
     """A's quarter-turn, else its half-turn as a signed permutation."""
-    if not (turn := quarter_turn(cols, m)) and (
-            signs := half_turn_signs(cols, m)):
-        turn = list(enumerate(signs))
-    return turn
+    signs = None if (turn := quarter_turn(cols, m)) else half_turn_signs(
+        cols, m)
+    return list(enumerate(signs)) if signs else turn
 
 
 def _turns(pair, ann):
@@ -219,14 +206,20 @@ def _turns(pair, ann):
     the indices of the generators that are not turns."""
     alg, free, ys = pair.algebra, ann.free, pair.h_lie_generators
     gens, at = pair.generator_columns, {f: j for j, f in enumerate(ann.free)}
+    ads = alg.ad_sparse()
+    # per Lie generator Y the i with [e_i, Y] != 0, among ad e_k's supports
+    aparts = [near if len(y) == 1 else {
+        i for i in near if alg.bracket_sparse({i: 1}, y)}
+        for y in ys for near in [set().union(*(ads[k] for k in y))]]
+    apart = set().union(*aparts)
 
     def on_frame(turn):     # (k, s) per e_f as a turn of the w_j, or None
         out = [(at.get(k), s) for k, s in (turn[f] for f in free)]
         return None if any(k is None or s * s != 1 for k, s in out) else out
     turns, moved, others, taken, reached, acting = [], set(), [], [], set(), []
-    for i, ad in enumerate(alg.ad_sparse()):
-        if (i not in reached and all(g[i] == {i: 1} for g in gens)
-                and not any(alg.bracket_sparse({i: 1}, y) for y in ys)
+    for i, ad in enumerate(ads):
+        if (i not in reached and i not in apart
+                and all(g[i] == {i: 1} for g in gens)
                 and (turn := _turn(ad, alg.n)) and (frame := turn if len(
                     free) == alg.n else on_frame(turn))):
             turns.append(frame)
@@ -235,15 +228,16 @@ def _turns(pair, ann):
             while stack:        # turn(e_k) = gamma turn(e_j) gamma^-1
                 reached.add(j := stack.pop())
                 stack += [k for t in taken if (k := t[j][0]) not in reached]
-    for y in ys:                # -ad Y on W, the columns [w_j, Y]
-        cols = [alg.bracket_sparse({f: 1}, y) for f in free]
+    for y, near in zip(ys, aparts):     # -ad Y on W, the columns [w_j, Y]
+        cols = [alg.bracket_sparse({f: 1}, y) if f in near else {}
+                for f in free]
         if (not (len(y) == 1 and y.keys() <= reached)
                 and all(col.keys() <= at.keys() for col in cols)
                 and (turn := _turn([{at[k]: x for k, x in col.items()}
                                     for col in cols], len(free)))):
             turns.append(turn)
-            moved.update(j for j, z in enumerate(ys)
-                         if alg.bracket_sparse(y, z))
+            moved.update(j for j, z in enumerate(ys) if near.intersection(
+                z) and alg.bracket_sparse(y, z))
     for t, g in enumerate(gens):
         if turn := on_frame([next(iter(col.items())) if len(col) == 1
                              else (None, 0) for col in g]):
@@ -267,16 +261,16 @@ def _turns(pair, ann):
 def _check_turns(turns, table):
     """A RuntimeError unless turn(delta F_c) = delta(turn F_c) for every
     turn and c: then turn o delta o turn^-1, a derivation, is delta."""
-    entries = {(c, bits): v for c, col in table.items()
-               for (bits, _), v in col.items()}
+    entries = {(c.bit_length() - 1, (bits & -bits).bit_length() - 1,
+                bits.bit_length() - 1): v
+               for c, col in table.items() for (bits, _), v in col.items()}
     for turn in turns:
-        for (c, bits), v in entries.items():
-            (k, s), (a, sa), (b, sb) = (turn[c.bit_length() - 1], turn[
-                (bits & -bits).bit_length() - 1], turn[bits.bit_length() - 1])
-            if entries.get((1 << k, 1 << a | 1 << b)) != (
-                    -s * sa * sb * v if a > b else s * sa * sb * v):
-                raise RuntimeError("a turn does not commute with the "
-                                   "differential")
+        if entries != {(k, ka, kb) if ka < kb else (k, kb, ka):
+                       s * sa * sb * v if ka < kb else -s * sa * sb * v
+                       for (c, a, b), v in entries.items() for (k, s), (
+                           ka, sa), (kb, sb) in [(turn[c], turn[a], turn[b])]}:
+            raise RuntimeError("a turn does not commute with the "
+                               "differential")
 
 
 def _derivation_column(images, mon):
@@ -299,6 +293,18 @@ def _derivation_column(images, mon):
                 row = rest | bits
                 acc[row] = acc.get(row, 0) + (-v if odd else v)
     return nonzero(acc)
+
+
+def _delta_on_orbits(table, orbit, index):
+    """delta Q_O = E delta F_r on the orbit sums of index, r = orbit[0][0],
+    checked against (-1)^odd E delta F_m at a second member (m, odd)."""
+    col = on_orbits(_derivation_column(table, orbit[0][0]), index)
+    for m, odd in orbit[1:2]:
+        if on_orbits(_derivation_column(table, m), index) != (
+                {r: -v for r, v in col.items()} if odd else col):
+            raise RuntimeError("the differential differs on two members "
+                               "of an orbit")
+    return col
 
 
 def _wedge_column(action, mon, memo):
@@ -357,8 +363,7 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     Raises ValueError when the quotient dimension exceeds the size cap
     (default 14); pass size_cap to override it for a single call.
     max_degree and size_cap are non-negative integers by liealg.int_field's
-    rule, else a ValueError.  delta o delta = 0 is checked when the complex
-    is ranked.
+    rule, else a ValueError.
     """
     if validate:
         pair.validation.ensure()
@@ -386,8 +391,8 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
     for k, basis in enumerate(bases[:top + 1]):
         reach = (range(dims[k]) if basis is None
                  else {r for col in basis.columns for r in col})
-        op = {j: col for j in reach if (col := on_orbits(_derivation_column(
-            table, monomials[k][j]), orbits[k + 1][0]))}
+        op = {j: col for j in reach if (col := _delta_on_orbits(
+            table, orbits[k][2][j], orbits[k + 1][0]))}
         images = op if basis is None else sparse_product(op, basis.columns)
         deltas.append(_restrict_delta(images, bases[k + 1], dims[k + 1],
                                       dims[k]))
@@ -396,10 +401,7 @@ def relative_complex(pair, max_degree=None, size_cap=None, validate=True):
 
 def _blocks(pair):
     """The coordinate sets of g on which the pair splits, sorted: the
-    components (_components) of the overlapping sets given by each simple
-    factor, the support of each h basis column, and the columns a
-    generator moves (gamma e_j != e_j) together with the supports of
-    their images."""
+    _components of the groups the module docstring names."""
     groups = [range(start, stop) for _, start, stop in pair.algebra.factors]
     groups += [col.keys() for col in pair.h.columns]
     for gcols in pair.generator_columns:
@@ -419,13 +421,11 @@ def _components(n, groups):
             parent[i] = i = parent[parent[i]]
         return i
     for group in groups:
-        first = None
-        for i in group:
-            i = root(i)
-            if first is None:
-                first = i
-            elif i != first:
-                parent[i] = first
+        it = iter(group)
+        for first in it:        # its root takes the others' roots
+            first = root(first)
+            for i in it:
+                parent[root(i)] = first
     classes = {}
     for i in range(n):
         classes.setdefault(root(i), []).append(i)

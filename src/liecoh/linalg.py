@@ -36,10 +36,10 @@ eigenvalues 0, +-i, +-2i.  graded_monomials lists the wedge monomials, as
 bitmasks, that a set of sign matrices all fix, doubling over the kernel
 of their masks' reduced echelon over GF(2) (xor_echelon); invariant_forms
 grades symmetric monomials by it.  signed_orbits walks the orbits of a
-group of signed permutations on those monomials, with bit operations on
-each monomial (_turn_bits), and keeps the orbits whose stabiliser acts
-trivially, whose sums span the group's invariants; on_orbits and
-summed_on_orbits read a column on their averages.
+group of signed permutations on those monomials, each turn read on a
+monomial by two table lookups (_turn_tables), and keeps the orbits whose
+stabiliser acts trivially, whose sums span the group's invariants;
+on_orbits and summed_on_orbits read a column on their averages.
 
 Ordering conventions used throughout the package: polynomial monomials are
 sorted index tuples (itertools.combinations_with_replacement order), exterior
@@ -659,34 +659,28 @@ def quarter_turn(columns, m):
     return turn if turn != [(j, 1) for j in range(m)] else None
 
 
-def _turn_bits(turn):
-    """Per bit i of a monomial, what the signed permutation turn makes of
-    it: (1 << pi(i), D_i, whether it negates F_i), D_i the bits j > i with
-    pi(j) < pi(i), read off the bits placed at the images below pi(i).
-    F_m goes to (-1)^odd F_image, image the OR of the 1 << pi(i) over m:
-    odd counts the negations and the inversions of the turn on m, the
-    parity of m & (XOR of the D_i over m)."""
-    below, at = [0], [0] * len(turn)
+def _turn_tables(turn, w):
+    """What the signed permutation turn makes of a monomial m, as two
+    tables, one for bits 0..w-1 of m and one for the rest: an entry is
+    the XOR of P_i over the set bits i of its index, with P_i = 1 << pi(i)
+    | (D_i | [turn negates F_i] << i) << q and D_i the bits j > i with
+    pi(j) < pi(i).  For P the XOR of m's two entries, F_m goes to
+    (-1)^odd F_image, image = P & (2^q - 1) and odd the parity of
+    m & (P >> q): the negations and the inversions of the turn on m."""
+    q, at, below = len(turn), [0] * len(turn), [0]
     for j, (k, _) in enumerate(turn):
         at[k] = j
     for j in at:
         below.append(below[-1] | 1 << j)
-    return [(1 << k, below[k] & -(2 << i), s < 0)
-            for i, (k, s) in enumerate(turn)]
-
-
-def _determinant(turn):
-    """The determinant of a signed permutation: the product of its signs
-    times (-1)^(m - c), c the number of cycles of its m points."""
-    sign, seen = (-1) ** len(turn), set()
-    for j, (_, s) in enumerate(turn):
-        sign *= s
-        if j not in seen:
-            sign = -sign
-            while j not in seen:
-                seen.add(j)
-                j = turn[j][0]
-    return sign
+    tables = []
+    for bits in (range(w), range(w, q)):
+        table = [0]
+        for i in bits:
+            k, s = turn[i]
+            p = 1 << k | (below[k] & -(2 << i) | (s < 0) << i) << q
+            table += [x ^ p for x in table]
+        tables.append(table)
+    return tables
 
 
 def signed_orbits(q, turns, top):
@@ -696,19 +690,14 @@ def signed_orbits(q, turns, top):
 
     The diagonal turns, and the squares of the others where those are
     diagonal, grade first (graded_monomials); the other turns walk an
-    orbit on the graded monomials.  It is bad, its walk stopped, when the
-    walk reaches a monomial off them (a sign matrix of the group negates
-    it), one of a bad orbit, or one monomial with both signs: then an
-    element fixing a monomial negates it.  Every other orbit is good, and
-    its orbit sum, the sum of (-1)^odd F_m over its members, is invariant.
-    reps[p] is the monomial of good orbit p with odd = 0 and members[p]
-    its (m, odd); index maps a member of a good orbit to 2p + odd and any
-    other graded monomial to -1.  Where every turn has determinant 1,
-    F_J ^ F_~J = (-1)^s(J) F_full is fixed, so ~J is good with J, the
-    complement of a degree-k orbit is one of degree q - k, and
-    (-1)^odd F_~m is (-1)^(odd + s(r) + s(m)) times the image of F_~r;
-    s(J) is the parity of sum J - k(k - 1)/2.  Degrees above q/2 are read
-    so, in reverse, as complements reverse the combinations order.
+    orbit on the graded monomials (_turn_tables).  It is bad, its walk
+    stopped, when the walk reaches a monomial off them (a sign matrix of
+    the group negates it), one of a bad orbit, or one monomial with both
+    signs: then an element fixing a monomial negates it.  Every other
+    orbit is good, and its orbit sum, the sum of (-1)^odd F_m over its
+    members, is invariant.  reps[p] is the monomial of good orbit p with
+    odd = 0 and members[p] its (m, odd); index maps a member of a good
+    orbit to 2p + odd and any other graded monomial to -1.
     """
     masks, moving = [], []
     for turn in turns:
@@ -718,42 +707,22 @@ def signed_orbits(q, turns, top):
                 continue
             turn = [(j, s * turn[k][1]) for j, (k, s) in enumerate(turn)]
         masks.append(sum(1 << j for j, (_, s) in enumerate(turn) if s < 0))
-    full, out, acts, mirror = (1 << q) - 1, [], None, None
-    odds = (4 ** q - 1) // 3 * 2 & full       # the odd positions
-    for k, level in enumerate(graded_monomials(q, masks, top)):
-        index, reps, members = dict.fromkeys(level, -1), [], []
-        if level and 0 <= q - k < k and mirror is None:
-            mirror = (all(m.bit_count() % 2 == 0 for m in masks) and
-                      all(_determinant(turn) == 1 for turn in moving))
-        if level and 0 <= q - k < k and mirror:
-            for r, orbit in reversed(list(zip(*out[q - k][1:]))):
-                reps.append(full ^ r)
-                members.append([(full ^ m, odd ^ ((r ^ m) & odds).bit_count()
-                                 & 1) for m, odd in orbit])
-                index.update((m, 2 * len(reps) - 2 + odd)
-                             for m, odd in members[-1])
-            out.append((index, reps, members))
-            continue
-        index = dict.fromkeys(level, -2)
+    w, full, out, acts = (q + 1) // 2, (1 << q) - 1, [], None
+    low = (1 << w) - 1
+    for level in graded_monomials(q, masks, top):
+        index, reps, members = dict.fromkeys(level, -2), [], []
         for start in level:
             if index[start] != -2:
                 continue
             if acts is None and start:      # every turn fixes F_0 = 1
-                acts = [_turn_bits(turn) for turn in moving]
+                acts = [_turn_tables(turn, w) for turn in moving]
             key = 2 * len(reps)
             index[start], orbit = key, [(start, 0)]
             for mon, odd in orbit:
-                for bits in acts if start else ():
-                    image = down = 0
-                    flip, rest = odd, mon
-                    while rest:
-                        bit, d, s = bits[(rest & -rest).bit_length() - 1]
-                        rest &= rest - 1
-                        image |= bit
-                        down ^= d
-                        flip ^= s
-                    flip = key + ((flip ^ (mon & down).bit_count()) & 1)
-                    seen = index.get(image)
+                for lows, highs in acts if start else ():
+                    p = lows[mon & low] ^ highs[mon >> w]
+                    flip = key + ((odd + (mon & p >> q).bit_count()) & 1)
+                    seen = index.get(image := p & full)
                     if seen == -2:
                         index[image] = flip
                         orbit.append((image, flip & 1))

@@ -787,15 +787,22 @@ def test_grading_check_fires_on_a_non_automorphism(monkeypatch, tmp_path,
     assert main(["oracle", str(doc), "--method", "ce"]) == 4
     assert "does not commute with the differential" in capsys.readouterr().err
     assert flipped == [10]
-    # a half-turn of su(3) flipped the same way: delta leaves the graded
-    # monomials of the flipped sign matrix
+    # a half-turn of su(3) flipped the same way, with the turn check off:
+    # delta differs on two members of an orbit, and with delta read at one
+    # member only, it leaves the graded monomials of the flipped sign matrix
     real_half = linalg.half_turn_signs
     monkeypatch.setattr(ce, "quarter_turn", real)
     monkeypatch.setattr(ce, "_check_turns", lambda turns, table: None)
     monkeypatch.setattr(ce, "half_turn_signs", lambda columns, m: [
         -s if f == 1 else s for f, s in enumerate(real_half(columns, m))])
+    su3 = _free(catalog.pair_from_name("su:3").algebra)
+    with pytest.raises(RuntimeError, match="differs on two members"):
+        betti_ce(su3)
+    monkeypatch.setattr(ce, "_delta_on_orbits", lambda table, orbit, index:
+                        ce.on_orbits(ce._derivation_column(
+                            table, orbit[0][0]), index))
     with pytest.raises(RuntimeError, match="leaves the graded monomials"):
-        betti_ce(_free(catalog.pair_from_name("su:3").algebra))
+        betti_ce(su3)
 
 
 def _row_wise_delta(pair, k):
@@ -835,12 +842,6 @@ def _lex_positions(q, k):
     k), the order _row_wise_delta numbers them in."""
     return {sum(1 << i for i in mon): pos
             for pos, mon in enumerate(combinations(range(q), k))}
-
-
-def _on_lex(cx, k, col):
-    """A column on the graded positions of degree k, moved to lex ones."""
-    lex = _lex_positions(cx.quotient_dim, k)
-    return {lex[cx.monomials[k][r]]: v for r, v in col.items()}
 
 
 def _orbits(pair, cx):
@@ -939,8 +940,9 @@ def test_theta_columns_match_definition():
 
 
 def test_delta_columns_built_only_where_monomials_occur(monkeypatch):
-    # delta's column is built once for each orbit the invariant basis of
-    # its degree reaches, at the orbit's monomial, and for nothing else
+    # delta's column is built for each orbit the invariant basis of its
+    # degree reaches, at the orbit's first member and again at its second
+    # (the check of _delta_on_orbits), and for nothing else
     real = ce._derivation_column
     built = []
 
@@ -952,14 +954,19 @@ def test_delta_columns_built_only_where_monomials_occur(monkeypatch):
         return real(images, mon)
     monkeypatch.setattr(ce, "_derivation_column", counted)
     # SU(4)/N(T): 19 orbit sums, 17 invariant cochains
-    cx = relative_complex(pairgen.su_torus_normalizer(4), max_degree=6)
-    smaller = []
+    pair = pairgen.su_torus_normalizer(4)
+    cx = relative_complex(pair, max_degree=6)
+    orbits, smaller, again = _orbits(pair, cx), [], 0
     for k in range(7):
         support = {r for col in cx.bases[k].columns for r in col}
         calls = [mon for mon in built if mon.bit_count() == k]
-        assert sorted(calls) == sorted(cx.monomials[k][r] for r in support), k
+        assert sorted(calls) == sorted(m for r in support
+                                       for m, _ in orbits[k][2][r][:2]), k
+        assert [orbits[k][2][r][0][0] for r in support] == [
+            cx.monomials[k][r] for r in support], k
+        again += sum(len(orbits[k][2][r]) > 1 for r in support)
         smaller.append(len(support) < len(cx.monomials[k]))
-    assert any(smaller)
+    assert any(smaller) and again
 
 
 def test_constrained_bases_are_identity_on_free_rows():
@@ -1122,20 +1129,44 @@ def test_composite_check_fires_on_corrupted_differential(monkeypatch):
     # onto cocycles of degree 4; one unit added at coordinate 0, which
     # delta_4 does not kill, to the first delta column read there, and the
     # ranks find delta o delta != 0
-    real = ce.on_orbits
+    real = ce._delta_on_orbits
     added = []
 
-    def patched(col, index):
-        out = real(col, index)
-        if col and next(iter(col)).bit_count() == 4 and out and not added:
-            added.append(col)
+    def patched(table, orbit, index):
+        out = real(table, orbit, index)
+        if orbit[0][0].bit_count() == 3 and out and not added:
+            added.append(orbit)
             out = {**out, 0: out.get(0, 0) + 1}
         return out
-    monkeypatch.setattr(ce, "on_orbits", patched)
+    monkeypatch.setattr(ce, "_delta_on_orbits", patched)
     with pytest.raises(RuntimeError,
                        match="differential composite in degree 4 is nonzero"):
         betti_ce(catalog.pair_from_name("su:3"))
     assert added
+
+
+def test_a_corrupted_raw_delta_column_is_caught_at_a_second_member(
+        monkeypatch):
+    # su(3) with h = 0: one raw coefficient of delta F_r flipped, r the
+    # first member of an orbit of two or more and the coefficient on a
+    # monomial of a good orbit, so the average E delta F_r changes; read
+    # again at the orbit's second member, delta no longer agrees
+    pair = catalog.pair_from_name("su:3")
+    ann, rows = ce._frame(pair)
+    table, _ = ce._structure_table(pair.algebra, ann, rows)
+    orbits = linalg.signed_orbits(8, ce._turns(pair, ann)[0], 9)
+    r, m = next((orbit[0][0], mon) for k in range(8)
+                for orbit in orbits[k][2] if len(orbit) > 1
+                for mon in ce._derivation_column(table, orbit[0][0])
+                if orbits[k + 1][0].get(mon, -1) >= 0)
+    real = ce._derivation_column
+
+    def patched(images, mon):       # h = 0: only delta is read
+        col = real(images, mon)
+        return {**col, m: -col[m]} if mon == r else col
+    monkeypatch.setattr(ce, "_derivation_column", patched)
+    with pytest.raises(RuntimeError, match="differs on two members"):
+        betti_ce(pair)
 
 
 def test_degree_0_check_fires(monkeypatch):

@@ -436,8 +436,9 @@ def test_theta_and_delta_share_one_derivation_rule():
     # theta(Y) and delta are both built column by column by one routine,
     # from images read through the frame by one projection
     defs = _definitions(ROOT / "ce.py")
-    for user in ("_invariant_space", "relative_complex"):
+    for user in ("_invariant_space", "_delta_on_orbits"):
         assert "_derivation_column" in _names_in(defs[user]), user
+    assert "_delta_on_orbits" in _names_in(defs["relative_complex"])
     for user in ("_frame_actions", "_structure_table"):
         assert "_projected" in _names_in(defs[user]), user
     for gone in ("_delta_column", "_derivation_op", "_frame_action"):
